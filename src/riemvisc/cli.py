@@ -5,10 +5,6 @@ schema), runs its suite deterministically for the given seed, and writes
 a JSON report plus CSV data files into the output directory.  The exit
 code is 0 when every check passed, 1 on any FAIL, and 2 on usage or
 schema errors.  Reports embed the resolved config for provenance.
-
-The ``--threads`` flag is accepted for interface stability and recorded
-in the report; execution is serial (all sweep results are independent of
-any parallel schedule by construction).
 """
 
 from __future__ import annotations
@@ -458,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="JSON job config")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and recorded; execution is serial")
     return parser
 
 
@@ -490,7 +484,6 @@ def main(argv=None) -> int:
     payload = {
         "command": args.command,
         "seed": seed,
-        "threads": args.threads,
         "config": config,
         "results": results,
         "pass": results["pass"],

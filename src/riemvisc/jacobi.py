@@ -1,10 +1,13 @@
 """Jacobi fields, the index form, and the Hessian of the squared distance.
 
 Everything is phrased in the parallel orthonormal frame of a minimizing
-geodesic segment.  In that frame the Jacobi equation for the shipped
-constant-curvature models decouples into scalar ODEs with trigonometric /
-hyperbolic closed forms; product models fall back to a shooting solver
-built on a fourth-order integrator.
+geodesic segment.  Every shipped model is locally symmetric, so the tidal
+matrix X -> R(X, gamma')gamma' is constant in that frame and the Jacobi
+equation decouples along its eigenvectors into scalar ODEs f'' + kappa f = 0
+with trigonometric, hyperbolic or affine closed forms (Cheeger-Ebin,
+Comparison Theorems in Riemannian Geometry, ch. 1).  One kernel serves
+every model: constant-curvature models are diagonal in the parallel frame
+already, products diagonalize the tidal matrix once.
 
 The quadratic form of the Hessian of phi(x, y) = d(x, y)^2 on a pair
 (v, w) of boundary vectors equals ``2 ell (<X(ell), X'(ell)> - <X(0),
@@ -16,7 +19,8 @@ implemented and cross-checked in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -26,7 +30,6 @@ from .manifolds import (
     GeodesicSegment,
     Manifold,
     Point,
-    SymBilinear,
     TangentVector,
     _readonly,
 )
@@ -72,7 +75,6 @@ class JacobiField:
     end_value: np.ndarray
     start_deriv: np.ndarray
     end_deriv: np.ndarray
-    method: str
 
     def as_field(self) -> VectorFieldAlongSegment:
         return VectorFieldAlongSegment(self.segment, self.coeffs, self.coeffs_prime)
@@ -116,6 +118,50 @@ def _simpson_weights(num_intervals: int, ell: float) -> np.ndarray:
 # Jacobi boundary value problem
 # --------------------------------------------------------------------- #
 
+def _tidal_spectrum(seg: GeodesicSegment):
+    """Tidal eigenvalues and eigenvectors (``None``: the parallel frame).
+
+    Constant curvature k gives ``(0, k, ..., k)`` with nothing computed;
+    products diagonalize the tidal matrix, checked constant along the segment.
+    """
+    k = seg.model.constant_sectional()
+    if k is not None:
+        return (0.0,) + (k,) * (seg.model.dim - 1), None
+    m = tidal_matrix(seg, 0.0)
+    for t_check in (0.5 * seg.length, seg.length):
+        if np.max(np.abs(tidal_matrix(seg, t_check) - m)) > 1e-9:
+            raise UnsupportedModelError("tidal matrix varies along the segment")
+    kappas, q = np.linalg.eigh(m)
+    # eigh leaves roundoff (down to 1e-33) on zero eigenvalues; a tiny
+    # positive one would trip the conjugate-point test of _endpoint_scalars
+    kappas[np.abs(kappas) <= 1e-12 * np.max(np.abs(kappas), initial=1.0)] = 0.0
+    return tuple(kappas.tolist()), q
+
+
+def _endpoint_scalars(kappa: float, ell: float):
+    """``(s, C(ell), S(ell))`` for f'' + kappa f = 0: C, S are cos, sin or
+    cosh, sinh of ``s t`` with ``s = sqrt|kappa|``, or 1, t with ``s = 1``."""
+    if kappa > 0.0:
+        s = math.sqrt(kappa)
+        sin_l = math.sin(s * ell)
+        if abs(sin_l) < 1e-12:
+            raise SingularBVPError("conjugate endpoints along the segment")
+        return s, math.cos(s * ell), sin_l
+    if kappa < 0.0:
+        s = math.sqrt(-kappa)
+        return s, math.cosh(s * ell), math.sinh(s * ell)
+    return 1.0, 1.0, ell
+
+
+def _scalar_basis(kappa: float, st: np.ndarray, deriv: bool):
+    """C, S at ``st = s t``, or C'/s, S'/s with ``deriv``."""
+    if kappa > 0.0:
+        return (-np.sin(st), np.cos(st)) if deriv else (np.cos(st), np.sin(st))
+    if kappa < 0.0:
+        return (np.sinh(st), np.cosh(st)) if deriv else (np.cosh(st), np.sinh(st))
+    return (0.0, 1.0) if deriv else (1.0, st)
+
+
 def solve_jacobi_bvp(
     seg: GeodesicSegment,
     v: TangentVector,
@@ -124,127 +170,32 @@ def solve_jacobi_bvp(
 ) -> JacobiField:
     """Solve X'' + R(X, gamma')gamma' = 0 with X(0) = v, X(ell) = w.
 
-    Constant-curvature models use the closed-form solution in the parallel
-    frame; product models use shooting with a fourth-order integrator.
+    One closed form on every locally symmetric model: X = Q (a C(t) + c
+    S(t)) per tidal eigen-direction.  ``num_steps`` sizes the sample grid.
     """
+    kappas, q = _tidal_spectrum(seg)
     a = seg.components_at_start(v)
     b = seg.components_at_end(w)
-    k = seg.model.constant_sectional()
-    if k is not None:
-        return _closed_form_bvp(seg, a, b, num_steps)
-    return _collocation_bvp(seg, a, b, num_steps)
+    if q is not None:
+        a, b = q.T @ a, q.T @ b
+    ends = [_endpoint_scalars(kappa, seg.length) for kappa in kappas]
+    amp_c = [(b[i] - a[i] * c_l) / s_l for i, (_, c_l, s_l) in enumerate(ends)]
 
-
-def _closed_form_bvp(seg, a, b, num_steps) -> JacobiField:
-    ell = seg.length
-    n = seg.model.dim
-    k = seg.model.constant_sectional()
-
-    linear = [True] + [k == 0.0] * (n - 1)
-    amp_a = np.array(a)
-    amp_c = np.zeros(n)
-    if k > 0.0:
-        s = math.sqrt(k)
-        sin_l, cos_l = math.sin(s * ell), math.cos(s * ell)
-        if abs(sin_l) < 1e-12:
-            raise SingularBVPError("conjugate endpoints in the Jacobi BVP")
-        for i in range(1, n):
-            amp_c[i] = (b[i] - a[i] * cos_l) / sin_l
-    elif k < 0.0:
-        s = math.sqrt(-k)
-        sinh_l, cosh_l = math.sinh(s * ell), math.cosh(s * ell)
-        for i in range(1, n):
-            amp_c[i] = (b[i] - a[i] * cosh_l) / sinh_l
-    else:
-        s = 0.0
-    slope = (np.array(b) - np.array(a)) / ell
-
-    def coeffs(ts):
+    def sample(ts, deriv):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty((ts.size, n))
-        for i in range(n):
-            if linear[i]:
-                out[:, i] = amp_a[i] + slope[i] * ts
-            elif k > 0.0:
-                out[:, i] = amp_a[i] * np.cos(s * ts) + amp_c[i] * np.sin(s * ts)
-            else:
-                out[:, i] = amp_a[i] * np.cosh(s * ts) + amp_c[i] * np.sinh(s * ts)
-        return out
+        out = np.empty((ts.size, len(kappas)))
+        for i, (kappa, (s, _, _)) in enumerate(zip(kappas, ends)):
+            c, sn = _scalar_basis(kappa, s * ts, deriv)
+            out[:, i] = (s if deriv else 1.0) * (a[i] * c + amp_c[i] * sn)
+        return out if q is None else out @ q.T
 
-    def coeffs_prime(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty((ts.size, n))
-        for i in range(n):
-            if linear[i]:
-                out[:, i] = slope[i]
-            elif k > 0.0:
-                out[:, i] = s * (-amp_a[i] * np.sin(s * ts) + amp_c[i] * np.cos(s * ts))
-            else:
-                out[:, i] = s * (amp_a[i] * np.sinh(s * ts) + amp_c[i] * np.cosh(s * ts))
-        return out
-
-    ts = np.linspace(0.0, ell, num_steps + 1)
+    coeffs, coeffs_prime = partial(sample, deriv=False), partial(sample, deriv=True)
+    ts = np.linspace(0.0, seg.length, num_steps + 1)
     values = coeffs(ts)
     derivs = coeffs_prime(ts)
     return JacobiField(
         seg, coeffs, coeffs_prime, ts, values, derivs,
         values[0].copy(), values[-1].copy(), derivs[0].copy(), derivs[-1].copy(),
-        method="closed-form",
-    )
-
-
-def _fundamental_states(seg, num_steps):
-    """RK4 trajectory of the fundamental system for [X; X'], all steps kept."""
-    n = seg.model.dim
-    m = tidal_matrix(seg, 0.0)
-    # the shipped models are locally symmetric; verify rather than assume
-    for t_check in (0.5 * seg.length, seg.length):
-        if np.max(np.abs(tidal_matrix(seg, t_check) - m)) > 1e-9:
-            raise UnsupportedModelError("tidal matrix varies along the segment")
-    sys = np.zeros((2 * n, 2 * n))
-    sys[:n, n:] = np.eye(n)
-    sys[n:, :n] = -m
-    h = seg.length / num_steps
-    states = np.empty((num_steps + 1, 2 * n, 2 * n))
-    y = np.eye(2 * n)
-    states[0] = y
-    for step in range(num_steps):
-        k1 = sys @ y
-        k2 = sys @ (y + 0.5 * h * k1)
-        k3 = sys @ (y + 0.5 * h * k2)
-        k4 = sys @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[step + 1] = y
-    return states, m
-
-
-def _collocation_bvp(seg, a, b, num_steps) -> JacobiField:
-    n = seg.model.dim
-    states, _ = _fundamental_states(seg, num_steps)
-    phi = states[-1]
-    phi11, phi12 = phi[:n, :n], phi[:n, n:]
-    try:
-        deriv0 = np.linalg.solve(phi12, np.asarray(b) - phi11 @ np.asarray(a))
-    except np.linalg.LinAlgError as exc:
-        raise SingularBVPError("conjugate endpoints in the Jacobi BVP") from exc
-    init = np.concatenate([a, deriv0])
-    traj = states @ init
-    ts = np.linspace(0.0, seg.length, num_steps + 1)
-    values = traj[:, :n]
-    derivs = traj[:, n:]
-
-    def coeffs(query):
-        query = np.atleast_1d(np.asarray(query, dtype=float))
-        return np.stack([np.interp(query, ts, values[:, i]) for i in range(n)], axis=1)
-
-    def coeffs_prime(query):
-        query = np.atleast_1d(np.asarray(query, dtype=float))
-        return np.stack([np.interp(query, ts, derivs[:, i]) for i in range(n)], axis=1)
-
-    return JacobiField(
-        seg, coeffs, coeffs_prime, ts, values, derivs,
-        values[0].copy(), values[-1].copy(), derivs[0].copy(), derivs[-1].copy(),
-        method="collocation",
     )
 
 
@@ -446,71 +397,32 @@ class HessianPair:
         return float(z @ self.matrix @ z)
 
 
-def _segment_frame_hessian(seg: GeodesicSegment, num_steps: int = DEFAULT_GRID) -> np.ndarray:
-    """Hessian of d^2 in segment-frame components (start block, end block)."""
+def _segment_frame_hessian(seg: GeodesicSegment) -> np.ndarray:
+    """Hessian of d^2 in segment-frame components (start block, end block).
+
+    Per tidal eigen-direction the block is ``2 ell s / S(ell) [[C, -1], [-1,
+    C]]`` (flat: ``[[2, -2], [-2, 2]]``), rotated by ``diag(Q, Q)``.
+    """
     n = seg.model.dim
     ell = seg.length
-    k = seg.model.constant_sectional()
+    kappas, q = _tidal_spectrum(seg)
     h = np.zeros((2 * n, 2 * n))
-    if k is not None:
-        flat = np.array([[2.0, -2.0], [-2.0, 2.0]])
-        blocks = [flat]
-        for _ in range(1, n):
-            if k > 0.0:
-                s = math.sqrt(k)
-                sin_l = math.sin(s * ell)
-                if abs(sin_l) < 1e-12:
-                    raise SingularBVPError("conjugate endpoints in the Hessian")
-                factor = 2.0 * ell * s / sin_l
-                blocks.append(
-                    factor * np.array([[math.cos(s * ell), -1.0], [-1.0, math.cos(s * ell)]])
-                )
-            elif k < 0.0:
-                s = math.sqrt(-k)
-                factor = 2.0 * ell * s / math.sinh(s * ell)
-                blocks.append(
-                    factor * np.array([[math.cosh(s * ell), -1.0], [-1.0, math.cosh(s * ell)]])
-                )
-            else:
-                blocks.append(flat)
-        for i, blk in enumerate(blocks):
-            h[i, i] = blk[0, 0]
-            h[i, n + i] = blk[0, 1]
-            h[n + i, i] = blk[1, 0]
-            h[n + i, n + i] = blk[1, 1]
+    for i, kappa in enumerate(kappas):
+        s, c_l, s_l = _endpoint_scalars(kappa, ell)
+        factor = 2.0 * ell * s / s_l
+        h[i, i] = h[n + i, n + i] = factor * c_l
+        h[i, n + i] = h[n + i, i] = -factor
+    if q is None:
         return h
-
-    # product models: quadratic form through the fundamental solution
-    states, _ = _fundamental_states(seg, num_steps)
-    phi = states[-1]
-    phi11, phi12 = phi[:n, :n], phi[:n, n:]
-    phi21, phi22 = phi[n:, :n], phi[n:, n:]
-    try:
-        inv12 = np.linalg.inv(phi12)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBVPError("conjugate endpoints in the Hessian") from exc
-
-    def q(z):
-        a, b = z[:n], z[n:]
-        d0 = inv12 @ (b - phi11 @ a)
-        dl = phi21 @ a + phi22 @ d0
-        return 2.0 * ell * (np.dot(b, dl) - np.dot(a, d0))
-
-    basis = np.eye(2 * n)
-    diag = np.array([q(e) for e in basis])
-    for i in range(2 * n):
-        h[i, i] = diag[i]
-        for j in range(i + 1, 2 * n):
-            h[i, j] = h[j, i] = 0.5 * (q(basis[i] + basis[j]) - diag[i] - diag[j])
-    return h
+    rot = np.zeros((2 * n, 2 * n))
+    rot[:n, :n] = rot[n:, n:] = q
+    return rot @ h @ rot.T
 
 
-def hessian_distance_sq(
-    m: Manifold, x: Point, y: Point, num_steps: int = DEFAULT_GRID
-) -> HessianPair:
+def hessian_distance_sq(m: Manifold, x: Point, y: Point) -> HessianPair:
     """Full 2n x 2n Hessian of phi = d^2 at (x, y) in the canonical frames."""
     seg = m.geodesic_segment(x, y)
-    h_seg = _segment_frame_hessian(seg, num_steps)
+    h_seg = _segment_frame_hessian(seg)
     n = m.dim
     cx = m.canonical_frame(x)
     cy = m.canonical_frame(y)

@@ -191,15 +191,21 @@ class Manifold:
             )
 
     def sectional_curvature(self, x: Point, u: TangentVector, v: TangentVector) -> float:
-        """K(u, v) = <R(u,v)v, u> / (|u|^2 |v|^2 - <u,v>^2)."""
+        """K(u, v) = <R(e1,e2)e2, e1> for the Gram-Schmidt basis (e1, e2) of (u, v).
+
+        The orthonormal basis avoids the cancellation of |u|^2 |v|^2 -
+        <u,v>^2 on nearly dependent pairs.
+        """
         uu = self.metric(x, u, u)
         vv = self.metric(x, v, v)
         uv = self.metric(x, u, v)
-        denom = uu * vv - uv * uv
-        if denom <= 1e-12 * max(uu * vv, 1e-300):
+        if uu * vv - uv * uv <= 1e-12 * max(uu * vv, 1e-300):
             raise GeometryDomainError("sectional curvature needs independent vectors")
-        r = self.curvature_operator(x, u, v, v)
-        return self.metric(x, r, u) / denom
+        e1 = TangentVector(x, u.components / math.sqrt(uu))
+        w = v.components - (uv / uu) * u.components
+        e2 = TangentVector(x, w / math.sqrt(self.ambient_inner(x, w, w)))
+        r = self.curvature_operator(x, e1, e2, e2)
+        return self.metric(x, r, e1)
 
     def canonical_frame(self, x: Point) -> np.ndarray:
         """Deterministic orthonormal frame at x, rows = frame vectors.

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from riemvisc.cli import main
+from riemvisc.cli import cmd_geometry_check, main
 
 
 def run(args):
@@ -51,6 +51,19 @@ def test_schema_violation_is_usage_error(tmp_path):
     cfg.write_text(json.dumps({"model": {"model": "sphere", "dim": 2},
                                "unexpected_field": 1}))
     assert run(["geometry-check", "--config", cfg, "--out", tmp_path]) == 2
+
+
+def test_geometry_check_seed_208_curvature_constancy(tmp_path):
+    # seed 208 draws a nearly dependent (u, v) pair for the curvature check
+    results = cmd_geometry_check({}, tmp_path, 208)
+    assert results["checks"]["curvature_constancy"]["max_violation"] <= 1e-13
+    assert results["pass"]
+
+
+def test_threads_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["geometry-check", "--out", tmp_path, "--threads", 2])
+    assert exc.value.code == 2
 
 
 def test_hessian_sign_sphere_outputs(tmp_path):

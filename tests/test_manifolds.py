@@ -346,6 +346,24 @@ def test_sectional_curvature_constant_sampled(model, expected):
         assert abs(model.sectional_curvature(x, u, v) - expected) <= 1e-10
 
 
+@pytest.mark.parametrize("model", [Sphere(2, 1.0), Sphere(3, 2.0), Hyperbolic(2, 1.0)],
+                         ids=lambda m: m.kind + str(m.dim))
+def test_sectional_curvature_nearly_dependent_pairs(model):
+    # |u|^2 |v|^2 - <u,v>^2 cancels for nearly parallel pairs; the
+    # orthonormalized pair keeps K exact to roundoff
+    rng = np.random.default_rng(61)
+    k = model.constant_sectional()
+    for angle in [1e-1, 1e-3, 1e-5]:
+        for _ in range(50):
+            x = model.random_point(rng)
+            u, w = model.random_tangent(rng, x), model.random_tangent(rng, x)
+            uu, uw = model.metric(x, u, u), model.metric(x, u, w)
+            perp = w.components - (uw / uu) * u.components
+            perp *= angle * math.sqrt(uu / model.ambient_inner(x, perp, perp))
+            v = model.tangent(x, u.components + perp)
+            assert abs(model.sectional_curvature(x, u, v) - k) <= 1e-13
+
+
 def test_sectional_curvature_dependent_vectors_raise():
     m = Sphere(2, 1.0)
     x = m.point([0.0, 0.0, 1.0])
