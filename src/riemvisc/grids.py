@@ -13,6 +13,10 @@ second differences divided by ``h^2``, so the wide stencil balances the
 two error sources at first order in the mesh size.  On the torus the
 stencil step defaults to the lattice spacing and the scheme reduces to
 classical central differences.
+
+The icosphere is built in array form (integer edge keys, batched frames).
+A stencil point is interpolated in the nearest-centroid face containing
+it, searched over a kd-tree short list, with brute force for the rare miss.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ import scipy.sparse as sparse
 from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, UnsupportedModelError
-from .manifolds import FlatTorus, Manifold, Point, Sphere
+from .manifolds import FlatTorus, Manifold, Point, Sphere, _rowwise_dot
 
 _EPS_WEIGHT = 1e-12
+_SHORT_LIST = 6  # nearest-centroid faces tried per stencil point before brute force
 
 
 def icosahedron():
@@ -55,51 +60,48 @@ def icosahedron():
     return verts, faces
 
 
+def _edge_keys(faces: np.ndarray, n_verts: int):
+    """Edges ab, bc, ca of every face in turn, and one integer key per undirected edge."""
+    ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    return ends, ends.min(axis=1) * n_verts + ends.max(axis=1)
+
+
 def icosphere(subdivisions: int):
-    """Icosahedron subdivided ``subdivisions`` times, projected to the unit sphere."""
+    """Icosahedron subdivided ``subdivisions`` times, projected to the unit sphere.
+
+    New midpoints are numbered in the order the faces first meet their edges.
+    """
     verts, faces = icosahedron()
-    verts = list(verts)
     for _ in range(subdivisions):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint:
-                p = verts[i] + verts[j]
-                verts.append(p / np.linalg.norm(p))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-        faces = np.array(new_faces, dtype=np.int64)
-    return np.array(verts), faces
+        n = verts.shape[0]
+        ends, key = _edge_keys(faces, n)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # unique edges in first-encounter order
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        ab, bc, ca = (n + rank[inverse.ravel()]).reshape(-1, 3).T
+        mid = ends[first[order]]
+        p = verts[mid[:, 0]] + verts[mid[:, 1]]
+        verts = np.concatenate([verts, p / np.sqrt(_rowwise_dot(p, p))[:, None]])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return verts, faces
 
 
 def _mesh_edges(faces: np.ndarray) -> np.ndarray:
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e.sort(axis=1)
-    return np.unique(e, axis=0)
+    n = int(faces.max()) + 1
+    key = np.unique(_edge_keys(faces, n)[1])
+    return np.stack([key // n, key % n], axis=1)
 
 
 def stencil_directions(n: int) -> list[np.ndarray]:
     """Frame-coefficient unit vectors: +-e_i, then +-(e_i+e_j)/sqrt2, +-(e_i-e_j)/sqrt2."""
-    dirs = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        dirs.extend([e, -e])
-    inv = 1.0 / math.sqrt(2.0)
+    eye, inv = np.eye(n), 1.0 / math.sqrt(2.0)
+    dirs = [s * e for e in eye for s in (1.0, -1.0)]
     for i in range(n):
         for j in range(i + 1, n):
-            d = np.zeros(n)
-            d[i] = d[j] = inv
-            dirs.extend([d, -d])
-            d2 = np.zeros(n)
-            d2[i], d2[j] = inv, -inv
-            dirs.extend([d2, -d2])
+            for d in (inv * (eye[i] + eye[j]), inv * (eye[i] - eye[j])):
+                dirs.extend([d, -d])
     return dirs
 
 
@@ -219,49 +221,46 @@ class GridFunction:
         return cls(grid, np.full(grid.n_nodes, float(c)))
 
 
-def _sphere_exp_batch(radius, base, tangents, step):
-    theta = step / radius
-    return math.cos(theta) * base + math.sin(theta) * radius * tangents
-
-
 def _sphere_stencils(model: Sphere, verts, faces, frames, h, dirs):
     n_nodes = verts.shape[0]
-    face_idx = np.arange(faces.shape[0])
     corners = verts[faces]                       # (F, 3, 3)
     inv_corners = np.linalg.inv(corners.transpose(0, 2, 1))  # maps p -> barycentric
     centroids = corners.mean(axis=1)
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True) / model.radius
     tree = cKDTree(centroids)
+    k = min(_SHORT_LIST, faces.shape[0])
+    theta = h / model.radius
 
     mats = []
     for d in dirs:
         tangent = np.einsum("k,nka->na", d, frames)
-        pts = _sphere_exp_batch(model.radius, verts, tangent, h)
+        pts = math.cos(theta) * verts + math.sin(theta) * model.radius * tangent
         pts *= model.radius / np.linalg.norm(pts, axis=1, keepdims=True)
-        k = min(24, faces.shape[0])
         _, cand = tree.query(pts, k=k)
-        bary = np.einsum("nkab,nb->nka", inv_corners[cand], pts)
-        ok = bary.min(axis=2) >= -1e-10
-        ok_any = ok.any(axis=1)
-        if not np.all(ok_any):
+        cand = cand.reshape(n_nodes, k)
+        # the nearest-centroid face that contains the point, tried
+        # candidate by candidate on the points not yet placed
+        chosen = np.empty(n_nodes, dtype=np.int64)
+        w = np.empty((n_nodes, 3))
+        todo = np.arange(n_nodes)
+        for j in range(k):
+            face = cand[todo, j]
+            bary = np.einsum("nab,nb->na", inv_corners[face], pts[todo])
+            ok = bary.min(axis=1) >= -1e-10
+            chosen[todo[ok]] = face[ok]
+            w[todo[ok]] = bary[ok]
+            todo = todo[~ok]
+        if todo.size:
             # rare fallback: brute-force the few misses
-            miss = np.where(~ok_any)[0]
-            all_bary = np.einsum("fab,nb->nfa", inv_corners, pts[miss])
+            all_bary = np.einsum("fab,nb->nfa", inv_corners, pts[todo])
             best = np.argmax(all_bary.min(axis=2), axis=1)
-            cand[miss, 0] = best
-            bary[miss, 0] = all_bary[np.arange(miss.size), best]
-            ok[miss, 0] = True
-        first = np.argmax(ok, axis=1)
-        chosen = cand[np.arange(n_nodes), first]
-        w = bary[np.arange(n_nodes), first]
+            chosen[todo] = best
+            w[todo] = all_bary[np.arange(todo.size), best]
         w = np.clip(w, 0.0, None)
         w /= w.sum(axis=1, keepdims=True)
         rows = np.repeat(np.arange(n_nodes), 3)
         cols = faces[chosen].ravel()
-        mat = sparse.csr_matrix(
-            (w.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)
-        )
-        mats.append(mat)
+        mats.append(sparse.csr_matrix((w.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)))
     return mats
 
 
@@ -318,63 +317,52 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
     ``resolution`` is the icosphere subdivision count (sphere) or the
     lattice size per axis (torus).  ``h`` overrides the stencil step.
     """
+    dirs = stencil_directions(2)
     if isinstance(model, Sphere) and model.dim == 2:
         verts, faces = icosphere(resolution)
-        verts = verts * model.radius
-        nodes = [Point(v) for v in verts]
-        frames = np.array([model.canonical_frame(p) for p in nodes])
+        coords = verts * model.radius
+        frames = model.canonical_frames(coords)
         edges = _mesh_edges(faces)
-        a, b = edges[:, 0], edges[:, 1]
-        dots = np.einsum("ij,ij->i", verts[a], verts[b]) / model.radius**2
-        edge_len = float(np.mean(model.radius * np.arccos(np.clip(dots, -1, 1))))
-        if h is None:
-            h = min(
-                1.15 * math.sqrt(edge_len * model.radius),
-                0.9 * model.injectivity_radius() / 4.0,
-            )
-        dirs = stencil_directions(2)
+
+        def default_step(grid):
+            return 1.15 * math.sqrt(grid.mean_edge_length() * model.radius)
 
         def builder(step):
-            return _sphere_stencils(model, verts, faces, frames, step, dirs)
+            return _sphere_stencils(model, coords, faces, frames, step, dirs)
 
-        grid = Grid(
-            model, resolution, verts, frames, float(h), dirs,
-            builder(h), edges, faces,
-        )
-        grid._nodes = nodes
-        grid._stencil_builder = builder
-        _check_stencil_invariants(grid)
-        return grid
-
-    if isinstance(model, FlatTorus) and model.dim == 2:
-        res = int(resolution)
+    elif isinstance(model, FlatTorus) and model.dim == 2:
+        resolution = res = int(resolution)
         spacing = model.periods / res
         ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
         coords = np.stack([ii.ravel() * spacing[0], jj.ravel() * spacing[1]], axis=1)
         frames = np.tile(np.eye(2), (coords.shape[0], 1, 1))
-        if h is None:
-            # lattice-aligned when possible (exact central differences)
-            h = min(float(np.min(spacing)), 0.9 * model.injectivity_radius() / 4.0)
+        faces = None
         idx = np.arange(res * res).reshape(res, res)
         right = np.stack([idx.ravel(), np.roll(idx, -1, axis=0).ravel()], axis=1)
         up = np.stack([idx.ravel(), np.roll(idx, -1, axis=1).ravel()], axis=1)
         edges = np.concatenate([right, up])
-        dirs = stencil_directions(2)
+
+        def default_step(grid):
+            # lattice-aligned when possible (exact central differences)
+            return float(np.min(spacing))
 
         def builder(step):
             return _torus_stencils(model, coords, step, dirs, res)
 
-        grid = Grid(
-            model, res, coords, frames, float(h), dirs,
-            builder(float(h)), edges, None,
+    else:
+        raise UnsupportedModelError(
+            "grids are built for Sphere(2, r) and two-dimensional flat tori only"
         )
-        grid._stencil_builder = builder
-        _check_stencil_invariants(grid)
-        return grid
-
-    raise UnsupportedModelError(
-        "grids are built for Sphere(2, r) and two-dimensional flat tori only"
+    grid = Grid(
+        model, resolution, coords, frames, math.nan, dirs, [], edges, faces,
+        _stencil_builder=builder,
     )
+    if h is None:
+        h = min(default_step(grid), 0.9 * model.injectivity_radius() / 4.0)
+    grid.h = float(h)
+    grid.stencils = builder(grid.h)
+    _check_stencil_invariants(grid)
+    return grid
 
 
 def geodesic_ball_interior(grid: Grid, center: int, radius: float) -> np.ndarray:

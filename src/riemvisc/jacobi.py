@@ -144,7 +144,8 @@ def _endpoint_scalars(kappa: float, ell: float):
     if kappa > 0.0:
         s = math.sqrt(kappa)
         sin_l = math.sin(s * ell)
-        if abs(sin_l) < 1e-12:
+        # conjugate at s ell = m pi, m >= 1; a tiny s ell has no conjugate point
+        if abs(sin_l) < 1e-12 and s * ell > 1.0:
             raise SingularBVPError("conjugate endpoints along the segment")
         return s, math.cos(s * ell), sin_l
     if kappa < 0.0:
@@ -200,16 +201,20 @@ def solve_jacobi_bvp(
 
 
 def jacobi_residual(jf: JacobiField) -> float:
-    """Max norm of X'' + R(X, gamma')gamma' at interior grid nodes.
+    """Max norm of X'' + R(X, gamma')gamma' at interior grid nodes, relative.
 
     The second derivative is formed by a fourth-order central difference of
     the stored samples, so the residual is an independent check on the
-    solver output.
+    solver output.  With ``k = max(1, max |tidal eigenvalue|)`` the step is
+    ``0.008 / sqrt(k)`` and the residual is divided by ``k max |X|``, the
+    size of X'', so the figure does not grow with the curvature or the
+    field.
     """
     m = tidal_matrix(jf.segment, 0.0)
+    k = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(m)))))
     # subsample so the difference step balances roundoff against truncation
     dt0 = jf.ts[1] - jf.ts[0]
-    stride = int(np.clip(round(0.008 / dt0), 1, (len(jf.ts) - 1) // 8))
+    stride = int(np.clip(round(0.008 / math.sqrt(k) / dt0), 1, (len(jf.ts) - 1) // 8))
     f = jf.values[::stride]
     dt = dt0 * stride
     interior = slice(2, len(f) - 2)
@@ -217,7 +222,8 @@ def jacobi_residual(jf: JacobiField) -> float:
         -f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]
     ) / (12.0 * dt * dt)
     residual = second + f[interior] @ m.T
-    return float(np.max(np.abs(residual), initial=0.0))
+    size = k * float(np.max(np.abs(jf.values), initial=0.0))
+    return float(np.max(np.abs(residual), initial=0.0)) / max(size, 1e-300)
 
 
 # --------------------------------------------------------------------- #

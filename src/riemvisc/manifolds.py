@@ -50,6 +50,11 @@ def _readonly(a) -> np.ndarray:
     return arr
 
 
+def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair, rounded exactly as ``np.dot`` of one pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class Point:
     """A manifold point; ``coords`` are embedding or chart coordinates."""
@@ -213,23 +218,21 @@ class Manifold:
         Gram-Schmidt over the coordinate axes projected to the tangent
         space; axes whose projection is near-degenerate are skipped.
         """
-        rows = []
-        for k in range(self.ambient_dim):
-            e = np.zeros(self.ambient_dim)
-            e[k] = 1.0
-            u = self.project_tangent(x, e)
+        axes = (self.project_tangent(x, e) for e in np.eye(self.ambient_dim))
+        return self._orthonormal_rows(x, [], axes)
+
+    def _orthonormal_rows(self, x: Point, rows: list, seeds) -> np.ndarray:
+        """Extend orthonormal ``rows`` to dim rows by Gram-Schmidt over ``seeds``,
+        skipping seeds whose remainder has norm <= 1e-8."""
+        for u in seeds:
             for r in rows:
                 u = u - self.ambient_inner(x, u, r) * r
-            nrm = self.ambient_inner(x, u, u)
-            if nrm > 1e-16:
-                nrm = math.sqrt(nrm)
-            if nrm > 1e-8:
-                rows.append(u / nrm)
+            nrm2 = self.ambient_inner(x, u, u)
+            if nrm2 > 1e-16:
+                rows.append(u / math.sqrt(nrm2))
             if len(rows) == self.dim:
-                break
-        if len(rows) != self.dim:
-            raise GeometryDomainError("frame construction failed")
-        return np.array(rows)
+                return np.array(rows)
+        raise GeometryDomainError("frame construction failed")
 
     def frame_components(self, x: Point, v: TangentVector, frame: np.ndarray | None = None) -> np.ndarray:
         """Components of v in the (canonical, unless given) frame at x."""
@@ -342,6 +345,26 @@ class Sphere(Manifold):
     def project_tangent(self, x, ambient):
         a = np.asarray(ambient, dtype=float)
         return a - (np.dot(a, x.coords) / self.radius**2) * x.coords
+
+    def canonical_frames(self, coords: np.ndarray) -> np.ndarray:
+        """``canonical_frame`` at every row of ``coords``, batched and rounded alike.
+
+        Frame rows not yet found are zero, so subtracting them is a no-op.
+        """
+        x = np.asarray(coords, dtype=float).reshape(-1, self.ambient_dim)
+        rows = np.zeros((x.shape[0], self.dim, self.ambient_dim))
+        found = np.zeros(x.shape[0], dtype=np.int64)
+        for k in range(self.ambient_dim):
+            u = np.eye(self.ambient_dim)[k] - (x[:, k] / self.radius**2)[:, None] * x
+            for j in range(self.dim):
+                u -= _rowwise_dot(u, rows[:, j])[:, None] * rows[:, j]
+            nrm2 = _rowwise_dot(u, u)
+            take = np.flatnonzero((nrm2 > 1e-16) & (found < self.dim))
+            rows[take, found[take]] = u[take] / np.sqrt(nrm2[take])[:, None]
+            found[take] += 1
+        if np.any(found < self.dim):
+            raise GeometryDomainError("frame construction failed")
+        return rows
 
     def point(self, coords) -> Point:
         coords = np.asarray(coords, dtype=float)
@@ -718,21 +741,8 @@ class GeodesicSegment:
             raise DegenerateSegmentError("geodesic segment needs distinct endpoints")
         if ell >= min(model.injectivity_radius(x), model.injectivity_radius(y)):
             raise GeometryDomainError("endpoints beyond the injectivity radius")
-        direction = model.log(x, y)
-        e1 = direction.components / ell
-        rows = [e1]
-        for f in model.canonical_frame(x):
-            u = np.array(f)
-            for r in rows:
-                u = u - model.ambient_inner(x, u, r) * r
-            nrm2 = model.ambient_inner(x, u, u)
-            if nrm2 > 1e-16:
-                rows.append(u / math.sqrt(nrm2))
-            if len(rows) == model.dim:
-                break
-        if len(rows) != model.dim:
-            raise GeometryDomainError("could not complete segment frame")
-        frame0 = np.array(rows)
+        e1 = model.log(x, y).components / ell
+        frame0 = model._orthonormal_rows(x, [e1], model.canonical_frame(x))
         frame_end = np.array(
             [
                 model.parallel_transport(x, y, TangentVector(x, f)).components

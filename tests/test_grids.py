@@ -1,0 +1,156 @@
+"""Icosphere subdivision, batched sphere frames, stencil point location."""
+
+import numpy as np
+import pytest
+
+from riemvisc import Point, Sphere, TangentVector
+from riemvisc.grids import _mesh_edges, build_grid, icosahedron, icosphere
+import riemvisc.grids as grids
+
+
+def dict_icosphere(subdivisions):
+    """Reference subdivision: one dict lookup per face edge, vertex by vertex."""
+    verts, faces = icosahedron()
+    verts = list(verts)
+    for _ in range(subdivisions):
+        midpoint = {}
+
+        def mid(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in midpoint:
+                p = verts[i] + verts[j]
+                verts.append(p / np.linalg.norm(p))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+        faces = np.array(new_faces, dtype=np.int64)
+    return np.array(verts), faces
+
+
+@pytest.mark.parametrize("res", [0, 1, 2, 3])
+def test_icosphere_matches_dict_subdivision(res):
+    verts, faces = icosphere(res)
+    ref_verts, ref_faces = dict_icosphere(res)
+    assert verts.shape == (10 * 4**res + 2, 3)
+    assert np.array_equal(faces, ref_faces)
+    np.testing.assert_allclose(verts, ref_verts, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("res", [0, 1, 2, 3])
+def test_mesh_edges_sorted_unique(res):
+    _, faces = icosphere(res)
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    e.sort(axis=1)
+    edges = _mesh_edges(faces)
+    assert np.array_equal(edges, np.unique(e, axis=0))
+    assert edges.shape[0] == 30 * 4**res  # Euler: E = 3F / 2
+
+
+# --------------------------------------------------------------------- #
+# batched frames
+# --------------------------------------------------------------------- #
+
+def frame_points(model, rng):
+    """Random points, axis points and points on coordinate planes, where
+    Gram-Schmidt skips a projected axis."""
+    n = model.ambient_dim
+    pts = [model.random_point(rng).coords for _ in range(200)]
+    pts += list(model.radius * np.eye(n)) + list(-model.radius * np.eye(n))
+    for k in range(n):
+        p = rng.standard_normal(n)
+        p[k] = 0.0
+        pts.append(model.radius * p / np.linalg.norm(p))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize(
+    "model", [Sphere(2, 1.0), Sphere(2, 2.5), Sphere(3, 0.5), Sphere(1, 1.0)],
+    ids=lambda m: f"S{m.dim}r{m.radius}",
+)
+def test_batched_frames_match_per_point_frames(model):
+    rng = np.random.default_rng(3)
+    coords = frame_points(model, rng)
+    frames = model.canonical_frames(coords)
+    assert frames.shape == (coords.shape[0], model.dim, model.ambient_dim)
+    for x, f in zip(coords, frames):
+        ref = model.canonical_frame(Point(x))
+        assert np.max(np.abs(f - ref)) <= 1e-14
+        assert np.allclose(f @ f.T, np.eye(model.dim), atol=1e-12)
+        assert np.max(np.abs(f @ x)) <= 1e-12 * model.radius
+
+
+def test_grid_frames_are_per_node_frames():
+    grid = build_grid(Sphere(2, 1.0), 3)
+    for x, f in zip(grid.coords, grid.frames):
+        assert np.max(np.abs(f - grid.model.canonical_frame(Point(x)))) <= 1e-14
+
+
+# --------------------------------------------------------------------- #
+# stencil point location
+# --------------------------------------------------------------------- #
+
+def stencil_points(grid, step, d):
+    model = grid.model
+    return np.array([
+        model.exp(Point(x), TangentVector(Point(x), step * (d @ f))).coords
+        for x, f in zip(grid.coords, grid.frames)
+    ])
+
+
+def barycentrics(grid, pts):
+    """(N, F, 3) barycentric coordinates of every point in every face."""
+    corners = grid.coords[grid.faces]
+    return np.einsum("fab,nb->nfa", np.linalg.inv(corners.transpose(0, 2, 1)), pts)
+
+
+def reference_stencil(grid, pts):
+    """Weights from the nearest-centroid face that contains each point, by brute force."""
+    bary = barycentrics(grid, pts)
+    centroids = grid.coords[grid.faces].mean(axis=1)
+    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+    dist = np.linalg.norm(pts[:, None, :] / grid.model.radius - centroids[None], axis=2)
+    inside = bary.min(axis=2) >= -1e-10
+    assert inside.any(axis=1).all()
+    face = np.argmin(np.where(inside, dist, np.inf), axis=1)
+    w = np.clip(bary[np.arange(len(pts)), face], 0.0, None)
+    w /= w.sum(axis=1, keepdims=True)
+    ref = np.zeros((len(pts), grid.n_nodes))
+    ref[np.arange(len(pts))[:, None], grid.faces[face]] = w
+    return ref, face, dist
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["h", "h/2"])
+def test_stencils_use_nearest_containing_face(half):
+    grid = build_grid(Sphere(2, 1.0), 3)
+    step = grid.h / 2 if half else grid.h
+    for d, mat in zip(grid.dirs, grid.stencils_for(step)):
+        assert mat.data.min() >= 0.0
+        assert np.allclose(np.asarray(mat.sum(axis=1)).ravel(), 1.0, atol=1e-12)
+        ref, _, _ = reference_stencil(grid, stencil_points(grid, step, d))
+        assert np.max(np.abs(mat.toarray() - ref)) <= 1e-9
+
+
+def test_brute_force_fallback(monkeypatch):
+    model = Sphere(2, 1.5)
+    grid = build_grid(model, 3)
+    # one candidate: every point outside its nearest-centroid face falls back
+    monkeypatch.setattr(grids, "_SHORT_LIST", 1)
+    fallback = grids._sphere_stencils(
+        model, grid.coords, grid.faces, grid.frames, grid.h, grid.dirs
+    )
+    misses = 0
+    for d, mat, short in zip(grid.dirs, grid.stencils, fallback):
+        pts = stencil_points(grid, grid.h, d)
+        ref, _, dist = reference_stencil(grid, pts)
+        bary = barycentrics(grid, pts)
+        nearest = np.argmin(dist, axis=1)
+        misses += int(np.sum(bary[np.arange(len(pts)), nearest].min(axis=1) < -1e-10))
+        assert short.data.min() >= 0.0
+        assert np.allclose(np.asarray(short.sum(axis=1)).ravel(), 1.0, atol=1e-12)
+        assert np.max(np.abs(short.toarray() - ref)) <= 1e-9
+        assert np.max(np.abs(short.toarray() - mat.toarray())) <= 1e-9
+    assert misses > 0

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riemvisc import Euclidean, FlatTorus, Hyperbolic, Product, Sphere, TangentVector
+from riemvisc import (
+    Euclidean, FlatTorus, Hyperbolic, Product, SingularBVPError, Sphere, TangentVector,
+)
 from riemvisc.jacobi import (
+    _endpoint_scalars,
     check_curvature_bound,
     check_sign_condition,
     grad_distance_sq,
@@ -114,9 +117,7 @@ def test_bvp_boundary_conditions_and_residual(model):
 def random_products(draw):
     """Products of sphere, hyperbolic and Euclidean factors, total dim <= 4.
 
-    Factor curvatures stay within [-1, 1]: jacobi_residual differences on a
-    fixed 0.008 step, which resolves 1e-8 only up to |K| = 1 (the sphere
-    closed form at K = 4 already reads 1.3e-8).
+    Factor curvatures reach |K| = 4 (sphere radius 0.5, hyperbolic K0 = 4).
     """
     factors, budget = [], 4
     while budget and (not factors or draw(st.booleans())):
@@ -124,9 +125,9 @@ def random_products(draw):
         budget -= dim
         kind = draw(st.sampled_from(["sphere", "hyperbolic", "euclidean"]))
         if kind == "sphere":
-            factors.append(Sphere(dim, draw(st.sampled_from([1.0, 2.0]))))
+            factors.append(Sphere(dim, draw(st.sampled_from([0.5, 1.0, 2.0]))))
         elif kind == "hyperbolic":
-            factors.append(Hyperbolic(dim, draw(st.sampled_from([0.25, 1.0]))))
+            factors.append(Hyperbolic(dim, draw(st.sampled_from([0.25, 1.0, 4.0]))))
         else:
             factors.append(Euclidean(dim))
     return Product(factors)
@@ -331,6 +332,25 @@ def test_hessian_symmetry(model):
     seg = random_segment(model, rng)
     h = hessian_distance_sq(model, seg.start, seg.end)
     assert np.max(np.abs(h.matrix - h.matrix.T)) <= 1e-10
+
+
+def test_hessian_on_tiny_segment_is_finite():
+    # sin(sqrt(K) ell) < 1e-12 here, yet a 1e-13 segment has no conjugate point
+    m = Sphere(2, 1.0)
+    x = m.point([0.0, 0.0, 1.0])
+    y = m.exp(x, m.tangent(x, [1e-13, 0.0, 0.0]))
+    h = hessian_distance_sq(m, x, y)
+    assert np.all(np.isfinite(h.matrix))
+    assert np.array_equal(h.matrix, h.matrix.T)
+    flat = np.block([[2 * np.eye(2), -2 * np.eye(2)], [-2 * np.eye(2), 2 * np.eye(2)]])
+    assert np.allclose(h.matrix, flat, atol=1e-9)
+
+
+def test_conjugate_endpoints_still_raise():
+    with pytest.raises(SingularBVPError):
+        _endpoint_scalars(1.0, math.pi)
+    with pytest.raises(SingularBVPError):
+        _endpoint_scalars(0.25, 4.0 * math.pi)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind + str(m.dim))
