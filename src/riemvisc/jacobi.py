@@ -155,11 +155,9 @@ def _endpoint_scalars(kappa: float, ell: float):
 
 
 def _scalar_basis(kappa: float, st: np.ndarray, deriv: bool):
-    """C, S at ``st = s t``, or C'/s, S'/s with ``deriv``."""
+    """C, S at ``st = s t``, or C'/s, S'/s with ``deriv``, for kappa >= 0."""
     if kappa > 0.0:
         return (-np.sin(st), np.cos(st)) if deriv else (np.cos(st), np.sin(st))
-    if kappa < 0.0:
-        return (np.sinh(st), np.cosh(st)) if deriv else (np.cosh(st), np.sinh(st))
     return (0.0, 1.0) if deriv else (1.0, st)
 
 
@@ -172,7 +170,9 @@ def solve_jacobi_bvp(
     """Solve X'' + R(X, gamma')gamma' = 0 with X(0) = v, X(ell) = w.
 
     One closed form on every locally symmetric model: X = Q (a C(t) + c
-    S(t)) per tidal eigen-direction.  ``num_steps`` sizes the sample grid.
+    S(t)) per tidal eigen-direction, written as (sinh(s(ell - t)) a +
+    sinh(s t) b) / sinh(s ell) where kappa < 0.  ``num_steps`` sizes the
+    sample grid.
     """
     kappas, q = _tidal_spectrum(seg)
     a = seg.components_at_start(v)
@@ -185,7 +185,16 @@ def solve_jacobi_bvp(
     def sample(ts, deriv):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty((ts.size, len(kappas)))
-        for i, (kappa, (s, _, _)) in enumerate(zip(kappas, ends)):
+        for i, (kappa, (s, _, s_l)) in enumerate(zip(kappas, ends)):
+            if kappa < 0.0:
+                # a C + c S cancels like eps cosh(s ell); the two-endpoint
+                # form (sinh(s(ell - t)) a + sinh(s t) b) / sinh(s ell) does not
+                st, rest = s * ts, s * (seg.length - ts)
+                out[:, i] = (
+                    s * (b[i] * np.cosh(st) - a[i] * np.cosh(rest)) if deriv
+                    else a[i] * np.sinh(rest) + b[i] * np.sinh(st)
+                ) / s_l
+                continue
             c, sn = _scalar_basis(kappa, s * ts, deriv)
             out[:, i] = (s if deriv else 1.0) * (a[i] * c + amp_c[i] * sn)
         return out if q is None else out @ q.T

@@ -490,7 +490,12 @@ class Hyperbolic(Manifold):
         theta = s / self.scale
         p = math.cosh(theta) * x.coords + math.sinh(theta) * self.scale * v.components / s
         q = self._minkowski(p, p)
-        return Point(p / math.sqrt(-q * self.k0))
+        if abs(q * self.k0 + 1.0) <= 1e-8:
+            return Point(p / math.sqrt(-q * self.k0))
+        # on long geodesics <p, p>_L cancels to noise (any sign), and rescaling
+        # by it would move the point; the spatial part is still accurate
+        p[0] = math.sqrt(self.scale**2 + float(np.dot(p[1:], p[1:])))
+        return Point(p)
 
     def _split(self, x, y):
         u = self.project_tangent(x, y.coords)

@@ -146,17 +146,12 @@ def _lift_u_plus_g(G: OperatorSpec) -> OperatorSpec:
     """Full-equation operator r + G for the boundary-free problem u + G = 0."""
     return OperatorSpec(
         f"u+{G.name}",
-        lambda x, r, z, a: r + G.fn(x, r, z, a),
+        lambda ctx, rs, zs, As: rs + G.batch(ctx, rs, zs, As),
         degenerate_elliptic=G.degenerate_elliptic,
         proper=G.degenerate_elliptic,
         gamma=1.0 + G.gamma,
         x_dependent=G.x_dependent,
         r_domain=G.r_domain,
-        batch=(
-            None
-            if G.batch is None
-            else (lambda ctx, rs, zs, As: rs + G.batch(ctx, rs, zs, As))
-        ),
         context_builder=G.context_builder,
     )
 

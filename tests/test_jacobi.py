@@ -100,6 +100,24 @@ def test_velocity_field_is_jacobi():
         assert np.allclose(jf.coeffs(ts), expected, atol=1e-9)
 
 
+def test_bvp_long_segment_negative_curvature():
+    # a C + c S with c = (b - a cosh(s ell)) / sinh(s ell) cancels like
+    # eps cosh(s ell); the two-endpoint form is the exact reference
+    m = Hyperbolic(2, 25.0)
+    o = m.base_point()
+    seg = m.geodesic_segment(o, m.exp(o, m.tangent(o, [0.0, 2.5, 0.0])))
+    v, w = seg.vector_at_start([0.2, 0.7]), seg.vector_at_end([0.4, -1.3])
+    jf = solve_jacobi_bvp(seg, v, w)
+    a, b = seg.components_at_start(v)[1], seg.components_at_end(w)[1]
+    s, ell = 5.0, seg.length
+    exact = np.array([
+        (math.sinh(s * (ell - t)) * a + math.sinh(s * t) * b) / math.sinh(s * ell)
+        for t in jf.ts
+    ])
+    assert np.max(np.abs(jf.values[:, 1] - exact)) <= 1e-13 * np.max(np.abs(exact))
+    assert jacobi_residual(jf) <= 1e-8
+
+
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind + str(m.dim))
 def test_bvp_boundary_conditions_and_residual(model):
     rng = np.random.default_rng(7)

@@ -122,6 +122,30 @@ def test_exp_straight_line_torus():
     assert np.allclose(m.exp(x, v).coords, [0.5, 0.0])
 
 
+def _off_hyperboloid(m, p):
+    """Relative gap between the time coordinate and sqrt(1/K0 + |spatial|^2)."""
+    c = p.coords
+    return abs(c[0] - math.sqrt(m.scale**2 + c[1:] @ c[1:])) / c[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_hyperbolic_exp_on_long_geodesics():
+    # <p, p>_L cancels to noise of either sign once cosh(sqrt(K) ell) is large
+    rng = np.random.default_rng(0)
+    m = Hyperbolic(2, 100.0)
+    for _ in range(500):
+        assert _off_hyperboloid(m, m.random_point(rng)) <= 1e-12
+    for m, ell in [(Hyperbolic(2, 1.0), 20.0), (Hyperbolic(2, 25.0), 3.0)]:
+        o = m.base_point()
+        for _ in range(200):
+            d = m.random_tangent(rng, o)
+            y = m.exp(o, m.tangent(o, d.components * (ell / m.norm(o, d))))
+            assert _off_hyperboloid(m, y) <= 1e-12
+            # the distance to the base point: cosh(sqrt(K0) d) = sqrt(K0) y_0
+            dist = m.scale * math.acosh(y.coords[0] / m.scale)
+            assert dist == pytest.approx(ell, rel=1e-12)
+
+
 def test_log_identity_and_flat_case():
     m = Euclidean(3)
     rng = np.random.default_rng(5)

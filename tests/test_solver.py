@@ -157,7 +157,7 @@ def test_initialization_independence():
 def test_solver_requires_elliptic_flag():
     from riemvisc.operators import OperatorSpec
 
-    bad = OperatorSpec("unflagged", lambda x, r, z, a: -float(np.trace(a)))
+    bad = OperatorSpec("unflagged", lambda ctx, rs, zs, As: -np.einsum("nii->n", As))
     grid = build_grid(SPHERE, 1)
     with pytest.raises(PreconditionError):
         solve_fixed_point(bad, grid)
