@@ -17,6 +17,9 @@ classical central differences.
 The icosphere is built in array form (integer edge keys, batched frames).
 A stencil point is interpolated in the nearest-centroid face containing
 it, searched over a kd-tree short list, with brute force for the rare miss.
+Geodesic distances between nodes are computed in blocks of rows
+(``Grid.distance_blocks``) of a fixed number of entries, so no N x N matrix
+is ever held.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .manifolds import FlatTorus, Manifold, Point, Sphere, _rowwise_dot
 
 _EPS_WEIGHT = 1e-12
 _SHORT_LIST = 6  # nearest-centroid faces tried per stencil point before brute force
+_BLOCK_ENTRIES = 1 << 20  # distances per row block of Grid.distance_blocks (8 MB)
 
 
 def icosahedron():
@@ -119,7 +123,6 @@ class Grid:
     edges: np.ndarray
     faces: np.ndarray | None = None
     _nodes: list[Point] | None = field(default=None, repr=False)
-    _dist: np.ndarray | None = field(default=None, repr=False)
     _stencil_builder: Callable | None = field(default=None, repr=False)
     _stencil_cache: dict = field(default_factory=dict, repr=False)
 
@@ -154,47 +157,37 @@ class Grid:
         diff = (diff + per / 2.0) % per - per / 2.0
         return float(np.mean(np.linalg.norm(diff, axis=1)))
 
-    def distances_from(self, idx: int) -> np.ndarray:
+    def distance_rows(self, start: int, stop: int) -> np.ndarray:
+        """Geodesic distances d(i, j) for rows ``start <= i < stop`` and every node j.
+
+        Self-distances are exactly 0 (the sphere's arccos would leave ~1e-8).
+        """
+        x = self.coords[start:stop]
         if isinstance(self.model, Sphere):
             r = self.model.radius
-            dots = self.coords @ self.coords[idx] / r**2
-            return r * np.arccos(np.clip(dots, -1.0, 1.0))
-        per = self.model.periods
-        diff = self.coords - self.coords[idx]
-        diff = (diff + per / 2.0) % per - per / 2.0
-        return np.linalg.norm(diff, axis=1)
+            d = r * np.arccos(np.clip(x @ self.coords.T / r**2, -1.0, 1.0))
+        else:
+            d2 = 0.0  # axis by axis: 2.2x faster than one (axis, row, node) array
+            for a, c, per in zip(x.T, self.coords.T, self.model.periods):
+                diff = a[:, None] - c[None, :]
+                diff = (diff + per / 2.0) % per - per / 2.0
+                d2 = d2 + diff * diff
+            d = np.sqrt(d2)
+        d[np.arange(stop - start), np.arange(start, stop)] = 0.0
+        return d
 
-    def pairwise_distances(self) -> np.ndarray:
-        if self._dist is None:
-            if self.n_nodes > 6000:
-                raise MemoryError("full distance matrix only kept for small grids")
-            if isinstance(self.model, Sphere):
-                r = self.model.radius
-                gram = self.coords @ self.coords.T / r**2
-                self._dist = r * np.arccos(np.clip(gram, -1.0, 1.0))
-            else:
-                per = self.model.periods
-                d2 = np.zeros((self.n_nodes, self.n_nodes))
-                for ax in range(self.coords.shape[1]):
-                    diff = self.coords[:, ax][:, None] - self.coords[:, ax][None, :]
-                    diff = (diff + per[ax] / 2.0) % per[ax] - per[ax] / 2.0
-                    d2 += diff * diff
-                self._dist = np.sqrt(d2)
-            np.fill_diagonal(self._dist, 0.0)
-        return self._dist
+    def distance_blocks(self):
+        """Yield ``(start, distance_rows(start, stop))`` over row blocks covering all nodes."""
+        height = max(1, _BLOCK_ENTRIES // self.n_nodes)
+        for start in range(0, self.n_nodes, height):
+            yield start, self.distance_rows(start, min(start + height, self.n_nodes))
 
     def modulus_at_spacing(self, values: np.ndarray, spacing: float) -> float:
         """max |f(a) - f(b)| over node pairs with d(a, b) <= spacing."""
-        if self.n_nodes <= 6000:
-            d = self.pairwise_distances()
-            mask = d <= spacing
-            diff = np.abs(values[:, None] - values[None, :])
-            return float(np.max(diff[mask], initial=0.0))
         worst = 0.0
-        for i in range(self.n_nodes):
-            di = self.distances_from(i)
-            close = di <= spacing
-            worst = max(worst, float(np.max(np.abs(values[close] - values[i]), initial=0.0)))
+        for start, d in self.distance_blocks():
+            diff = np.abs(values[start:start + d.shape[0], None] - values[None, :])
+            worst = max(worst, float(np.max(diff, where=d <= spacing, initial=0.0)))
         return worst
 
 
@@ -213,21 +206,14 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn: Callable[[Point], float]) -> "GridFunction":
-        return cls(grid, np.array([fn(p) for p in grid.nodes]))
-
-    @classmethod
     def constant(cls, grid: Grid, c: float) -> "GridFunction":
         return cls(grid, np.full(grid.n_nodes, float(c)))
 
 
-def _sphere_stencils(model: Sphere, verts, faces, frames, h, dirs):
+def _sphere_stencils(model: Sphere, verts, faces, frames, h, dirs, inv_corners, tree):
+    """Stencils at step ``h``; ``inv_corners`` maps a point to barycentrics per face,
+    ``tree`` is the kd-tree of the face centroids on the sphere."""
     n_nodes = verts.shape[0]
-    corners = verts[faces]                       # (F, 3, 3)
-    inv_corners = np.linalg.inv(corners.transpose(0, 2, 1))  # maps p -> barycentric
-    centroids = corners.mean(axis=1)
-    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True) / model.radius
-    tree = cKDTree(centroids)
     k = min(_SHORT_LIST, faces.shape[0])
     theta = h / model.radius
 
@@ -323,12 +309,17 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
         coords = verts * model.radius
         frames = model.canonical_frames(coords)
         edges = _mesh_edges(faces)
+        corners = coords[faces]                                  # (F, 3, 3)
+        inv_corners = np.linalg.inv(corners.transpose(0, 2, 1))  # maps p -> barycentric
+        centroids = corners.mean(axis=1)
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True) / model.radius
+        tree = cKDTree(centroids)
 
         def default_step(grid):
             return 1.15 * math.sqrt(grid.mean_edge_length() * model.radius)
 
         def builder(step):
-            return _sphere_stencils(model, coords, faces, frames, step, dirs)
+            return _sphere_stencils(model, coords, faces, frames, step, dirs, inv_corners, tree)
 
     elif isinstance(model, FlatTorus) and model.dim == 2:
         resolution = res = int(resolution)
@@ -367,4 +358,4 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
 
 def geodesic_ball_interior(grid: Grid, center: int, radius: float) -> np.ndarray:
     """Boolean mask of nodes strictly inside the geodesic ball around a node."""
-    return grid.distances_from(center) < radius
+    return grid.distance_rows(center, center + 1)[0] < radius

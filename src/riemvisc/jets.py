@@ -390,28 +390,36 @@ class DoublingTrace:
 def doubling_diagnostic(
     m: Manifold, u: GridFunction, v: GridFunction, alphas: Sequence[float]
 ) -> DoublingTrace:
-    """Exact grid maximization of u(x) - v(y) - (alpha/2) d(x, y)^2 per alpha."""
-    if u.grid is not v.grid:
+    """Exact grid maximization of u(x) - v(y) - (alpha/2) d(x, y)^2 per alpha.
+
+    The distance rows are visited block by block; a later block replaces the
+    running maximum only when strictly greater, so ties resolve to the first
+    maximizer in row-major order, as an argmax over the full matrix would.
+    """
+    grid = u.grid
+    if grid is not v.grid:
         raise PreconditionError("u and v must live on the same grid")
-    if u.grid.n_nodes == 0:
+    if m is not grid.model:
+        raise PreconditionError("m must be the model the grid was built on")
+    if grid.n_nodes == 0:
         raise PreconditionError("empty grid")
-    alphas = list(alphas)
+    alphas = [float(a) for a in alphas]
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise PreconditionError("alphas must be increasing")
-    d = u.grid.pairwise_distances()
-    penalty = d * d
-    gap = u.values[:, None] - v.values[None, :]
-    records = []
-    for alpha in alphas:
-        objective = gap - 0.5 * alpha * penalty
-        flat = int(np.argmax(objective))
-        i, j = divmod(flat, u.grid.n_nodes)
-        dist = float(d[i, j])
-        records.append(
-            DoublingRecord(
-                float(alpha), float(objective[i, j]), i, j, dist, float(alpha) * dist * dist
-            )
-        )
+    best = [(-math.inf, 0, 0, 0.0)] * len(alphas)  # (objective, i, j, d) per alpha
+    for start, d in grid.distance_blocks():
+        penalty = d * d
+        gap = u.values[start:start + d.shape[0], None] - v.values[None, :]
+        objective = np.empty_like(d)  # gap - (alpha/2) penalty, written in place
+        for k, alpha in enumerate(alphas):
+            np.subtract(gap, np.multiply(0.5 * alpha, penalty, out=objective), out=objective)
+            i, j = np.unravel_index(np.argmax(objective), objective.shape)
+            if objective[i, j] > best[k][0]:
+                best[k] = (float(objective[i, j]), start + int(i), int(j), float(d[i, j]))
+    records = [
+        DoublingRecord(alpha, obj, i, j, dist, alpha * dist * dist)
+        for alpha, (obj, i, j, dist) in zip(alphas, best)
+    ]
     return DoublingTrace(records)
 
 

@@ -99,7 +99,6 @@ class OperatorSpec:
     gamma: float = 0.0
     x_dependent: bool = False
     r_domain: tuple[float, float] = (_NEG_INF, _POS_INF)
-    modulus_note: str | None = None
     context_builder: Callable | None = field(default=None, repr=False)
 
     def point_eval(self, x: Point, r: float, zeta: np.ndarray, a: np.ndarray) -> float:

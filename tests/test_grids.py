@@ -1,10 +1,12 @@
-"""Icosphere subdivision, batched sphere frames, stencil point location."""
+"""Icosphere subdivision, batched sphere frames, stencil point location, grid distances."""
 
 import numpy as np
 import pytest
 
-from riemvisc import Point, Sphere, TangentVector
-from riemvisc.grids import _mesh_edges, build_grid, icosahedron, icosphere
+from riemvisc import FlatTorus, Point, Sphere, TangentVector
+from riemvisc.grids import (
+    _mesh_edges, build_grid, geodesic_ball_interior, icosahedron, icosphere,
+)
 import riemvisc.grids as grids
 
 
@@ -139,9 +141,7 @@ def test_brute_force_fallback(monkeypatch):
     grid = build_grid(model, 3)
     # one candidate: every point outside its nearest-centroid face falls back
     monkeypatch.setattr(grids, "_SHORT_LIST", 1)
-    fallback = grids._sphere_stencils(
-        model, grid.coords, grid.faces, grid.frames, grid.h, grid.dirs
-    )
+    fallback = grid._stencil_builder(grid.h)
     misses = 0
     for d, mat, short in zip(grid.dirs, grid.stencils, fallback):
         pts = stencil_points(grid, grid.h, d)
@@ -154,3 +154,70 @@ def test_brute_force_fallback(monkeypatch):
         assert np.max(np.abs(short.toarray() - ref)) <= 1e-9
         assert np.max(np.abs(short.toarray() - mat.toarray())) <= 1e-9
     assert misses > 0
+
+
+# --------------------------------------------------------------------- #
+# blockwise grid distances
+# --------------------------------------------------------------------- #
+
+def full_distances(grid):
+    """The whole N x N distance matrix, diagonal zeroed: the oracle for the row blocks."""
+    c = grid.coords
+    if isinstance(grid.model, Sphere):
+        r = grid.model.radius
+        d = r * np.arccos(np.clip(c @ c.T / r**2, -1.0, 1.0))
+    else:
+        d2 = np.zeros((grid.n_nodes, grid.n_nodes))
+        for ax, per in enumerate(grid.model.periods):
+            diff = c[:, ax][:, None] - c[:, ax][None, :]
+            diff = (diff + per / 2.0) % per - per / 2.0
+            d2 += diff * diff
+        d = np.sqrt(d2)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+DISTANCE_GRIDS = {
+    "sphere": (lambda: build_grid(Sphere(2, 1.5), 3), 100),  # 642 rows: 6 x 100 + 42
+    "torus": (lambda: build_grid(FlatTorus([1.0, 0.7]), 12), 25),  # 144 rows: 5 x 25 + 19
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_GRIDS))
+def test_distance_blocks_match_full_matrix(name, monkeypatch):
+    make, height = DISTANCE_GRIDS[name]
+    grid = make()
+    monkeypatch.setattr(grids, "_BLOCK_ENTRIES", height * grid.n_nodes)
+    blocks = list(grid.distance_blocks())
+    starts = [start for start, _ in blocks]
+    assert starts == list(range(0, grid.n_nodes, height))
+    assert 0 < blocks[-1][1].shape[0] < height  # ragged last block
+    stacked = np.vstack([d for _, d in blocks])
+    assert np.max(np.abs(stacked - full_distances(grid))) <= 1e-12
+    assert np.all(np.diag(stacked) == 0.0)
+    assert np.all(stacked[~np.eye(grid.n_nodes, dtype=bool)] > 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_GRIDS))
+def test_modulus_at_spacing_matches_brute_force(name, monkeypatch):
+    make, height = DISTANCE_GRIDS[name]
+    grid = make()
+    monkeypatch.setattr(grids, "_BLOCK_ENTRIES", height * grid.n_nodes)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(grid.n_nodes)
+    d = full_distances(grid)
+    for spacing in (0.0, grid.h, 3.0 * grid.h):
+        brute = max(
+            abs(values[i] - values[j])
+            for i in range(grid.n_nodes)
+            for j in np.flatnonzero(d[i] <= spacing)
+        )
+        assert grid.modulus_at_spacing(values, spacing) == brute
+
+
+def test_geodesic_ball_interior_is_one_distance_row():
+    grid = build_grid(Sphere(2, 1.0), 3)
+    d = full_distances(grid)
+    for center in (0, 5, 641):
+        assert np.array_equal(geodesic_ball_interior(grid, center, 1.0), d[center] < 1.0)
+        assert geodesic_ball_interior(grid, center, 1.0)[center]

@@ -8,6 +8,7 @@ import pytest
 from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Sphere, TangentVector
 from riemvisc.errors import PreconditionError
 from riemvisc.grids import GridFunction, build_grid
+import riemvisc.grids as grids
 from riemvisc.jacobi import HessianPair, hessian_distance_sq
 from riemvisc.jets import (
     Jet2,
@@ -439,6 +440,57 @@ def test_doubling_rejects_bad_input():
     u, v = smooth_grid_pair(grid, 4)
     with pytest.raises(PreconditionError):
         doubling_diagnostic(grid.model, u, v, [4.0, 2.0])
+
+
+def test_doubling_needs_the_grid_model():
+    grid = build_grid(Sphere(2, 1.0), 2)
+    u, v = smooth_grid_pair(grid, 4)
+    with pytest.raises(PreconditionError):
+        doubling_diagnostic(Sphere(2, 2.0), u, v, [4.0, 8.0])
+    with pytest.raises(PreconditionError):
+        doubling_diagnostic(Sphere(2, 1.0), u, v, [4.0, 8.0])  # equal, but not the grid's
+
+
+def test_doubling_ties_keep_the_first_maximizer(monkeypatch):
+    grid = build_grid(Sphere(2, 1.0), 3)
+    monkeypatch.setattr(grids, "_BLOCK_ENTRIES", 50 * grid.n_nodes)  # 13 blocks
+    u = GridFunction.constant(grid, 0.25)
+    trace = doubling_diagnostic(grid.model, u, u, [1.0, 64.0])
+    for rec in trace.records:
+        # every diagonal pair attains 0; row-major order picks (0, 0)
+        assert (rec.m_alpha, rec.x_idx, rec.y_idx, rec.distance) == (0.0, 0, 0, 0.0)
+
+
+def test_doubling_and_modulus_on_large_torus():
+    # 6400 nodes: several default-budget blocks, past the old dense-matrix cap
+    res = 80
+    grid = build_grid(FlatTorus([1.0, 1.0]), res)
+    rng = np.random.default_rng(3)
+    u = GridFunction(grid, rng.standard_normal(grid.n_nodes))
+    v = GridFunction(grid, rng.standard_normal(grid.n_nodes))
+    alphas = [2.0, 512.0]
+    spacing = 2.5 * grid.h  # clear of every lattice distance
+    # per-row reference: node (p, q) sees the lattice-offset table rolled by (p, q);
+    # the first strict maximum in row-major order wins
+    w = np.minimum(np.arange(res), res - np.arange(res))
+    offsets = np.sqrt(w[:, None] ** 2 + w[None, :] ** 2) / res
+    best = [(-math.inf, -1, -1, 0.0)] * len(alphas)
+    modulus = 0.0
+    for i in range(grid.n_nodes):
+        d = np.roll(offsets, divmod(i, res), axis=(0, 1)).ravel()
+        modulus = max(modulus, float(np.max(np.abs(u.values[d <= spacing] - u.values[i]))))
+        for a, alpha in enumerate(alphas):
+            row = u.values[i] - v.values - 0.5 * alpha * d * d
+            j = int(np.argmax(row))
+            if row[j] > best[a][0]:
+                best[a] = (row[j], i, j, d[j])
+    trace = doubling_diagnostic(grid.model, u, v, alphas)
+    for rec, (obj, i, j, dist) in zip(trace.records, best):
+        assert (rec.x_idx, rec.y_idx) == (i, j)
+        assert rec.m_alpha == pytest.approx(obj, abs=1e-12)
+        assert rec.distance == pytest.approx(dist, abs=1e-12)
+    assert trace.records[0].distance > 0.0
+    assert grid.modulus_at_spacing(u.values, spacing) == modulus
 
 
 def test_doubling_csv_columns():
