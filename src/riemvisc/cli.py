@@ -272,9 +272,12 @@ def cmd_hessian_sign(config, out: Path, seed: int) -> dict:
         bound_report = check_curvature_bound(model, k0, min(n_samples, 2000), seed + 2, ell_range)
         results["curvature_bound"] = bound_report.to_dict()
         passed = passed and bound_report.passed and results["max_bound_violation"] <= 1e-8
-    if k is not None and k > 0:
-        s = math.sqrt(k)
-        closed = -4.0 * ells * s * (1.0 - np.cos(s * ells)) / np.sin(s * ells) * vnorms
+    if k:
+        s = math.sqrt(abs(k))
+        if k > 0:
+            closed = -4.0 * ells * s * (1.0 - np.cos(s * ells)) / np.sin(s * ells) * vnorms
+        else:
+            closed = 4.0 * ells * s * (np.cosh(s * ells) - 1.0) / np.sinh(s * ells) * vnorms
         rel = np.max(np.abs(values - closed) / np.abs(closed))
         results["closed_form_max_rel_error"] = float(rel)
         passed = passed and rel <= 1e-6

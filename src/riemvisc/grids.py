@@ -19,7 +19,8 @@ A stencil point is interpolated in the nearest-centroid face containing
 it, searched over a kd-tree short list, with brute force for the rare miss.
 Geodesic distances between nodes are computed in blocks of rows
 (``Grid.distance_blocks``) of a fixed number of entries, so no N x N matrix
-is ever held.
+is ever held; the pairs within a small spacing (``Grid._pair_blocks``, for
+the modulus) come from a k-d tree instead.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class Grid:
             return float(np.mean(r * np.arccos(np.clip(dots, -1.0, 1.0))))
         diff = self.coords[a] - self.coords[b]
         per = self.model.periods
-        diff = (diff + per / 2.0) % per - per / 2.0
+        diff = _wrap_half(diff, per)
         return float(np.mean(np.linalg.norm(diff, axis=1)))
 
     def distance_rows(self, start: int, stop: int) -> np.ndarray:
@@ -164,17 +165,25 @@ class Grid:
         """
         x = self.coords[start:stop]
         if isinstance(self.model, Sphere):
-            r = self.model.radius
-            d = r * np.arccos(np.clip(x @ self.coords.T / r**2, -1.0, 1.0))
+            d = self._sphere_arc(x @ self.coords.T)
         else:
             d2 = 0.0  # axis by axis: 2.2x faster than one (axis, row, node) array
             for a, c, per in zip(x.T, self.coords.T, self.model.periods):
-                diff = a[:, None] - c[None, :]
-                diff = (diff + per / 2.0) % per - per / 2.0
+                diff = _wrap_half(a[:, None] - c[None, :], per)
                 d2 = d2 + diff * diff
             d = np.sqrt(d2)
         d[np.arange(stop - start), np.arange(start, stop)] = 0.0
         return d
+
+    def _sphere_arc(self, dots: np.ndarray) -> np.ndarray:
+        """``r arccos(clip(dots / r^2))``, computed in place in ``dots`` so a
+        row block of the Gram matrix needs no second block beside it."""
+        r = self.model.radius
+        dots /= r**2
+        np.clip(dots, -1.0, 1.0, out=dots)
+        np.arccos(dots, out=dots)
+        dots *= r
+        return dots
 
     def distance_blocks(self):
         """Yield ``(start, distance_rows(start, stop))`` over row blocks covering all nodes."""
@@ -182,13 +191,53 @@ class Grid:
         for start in range(0, self.n_nodes, height):
             yield start, self.distance_rows(start, min(start + height, self.n_nodes))
 
+    def _pair_blocks(self, spacing: float):
+        """Yield index arrays ``(i, j)`` of the entries of ``distance_rows``
+        with d(i, j) <= spacing (both orders, self-pairs aside), over the row
+        blocks of ``distance_blocks``, so at most ``_BLOCK_ENTRIES``
+        candidates at a time.
+
+        Chord length is monotone in geodesic distance, so a k-d tree query
+        at a slightly wider chord radius (periodic on the torus) finds every
+        such pair; the exact formula then keeps the pair set identical to a
+        full pass.
+        """
+        reach = max(spacing, 0.0)
+        if isinstance(self.model, Sphere):
+            r = self.model.radius
+            # the arccos formula is off by up to ~2e-8 r near coincident nodes
+            chord = 2.0 * r * math.sin(min(reach / (2.0 * r), math.pi / 2.0))
+            radius, box = chord * (1.0 + 1e-9) + 1e-7 * r, None
+        else:
+            box = self.model.periods
+            radius = reach * (1.0 + 1e-9) + 1e-12 * float(np.max(box))
+        tree = cKDTree(self.coords, boxsize=box)
+        height = max(1, _BLOCK_ENTRIES // self.n_nodes)
+        for start in range(0, self.n_nodes, height):
+            block = cKDTree(self.coords[start:start + height], boxsize=box)
+            near = block.sparse_distance_matrix(tree, radius, output_type="ndarray")
+            i, j = near["i"] + start, near["j"]
+            if isinstance(self.model, Sphere):
+                d = self._sphere_arc(_rowwise_dot(self.coords[i], self.coords[j]))
+            else:
+                d2 = 0.0
+                for a, c, p in zip(self.coords[i].T, self.coords[j].T, box):
+                    diff = _wrap_half(a - c, p)
+                    d2 = d2 + diff * diff
+                d = np.sqrt(d2)
+            yield i[d <= spacing], j[d <= spacing]
+
     def modulus_at_spacing(self, values: np.ndarray, spacing: float) -> float:
         """max |f(a) - f(b)| over node pairs with d(a, b) <= spacing."""
         worst = 0.0
-        for start, d in self.distance_blocks():
-            diff = np.abs(values[start:start + d.shape[0], None] - values[None, :])
-            worst = max(worst, float(np.max(diff, where=d <= spacing, initial=0.0)))
+        for i, j in self._pair_blocks(spacing):
+            worst = max(worst, float(np.max(np.abs(values[i] - values[j]), initial=0.0)))
         return worst
+
+
+def _wrap_half(diff: np.ndarray, period: float) -> np.ndarray:
+    """Coordinate differences reduced into [-period/2, period/2)."""
+    return (diff + period / 2.0) % period - period / 2.0
 
 
 @dataclass

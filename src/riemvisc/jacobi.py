@@ -31,7 +31,9 @@ from .manifolds import (
     Manifold,
     Point,
     TangentVector,
+    _libm,
     _readonly,
+    _rowwise_dot,
 )
 
 DEFAULT_GRID = 2048
@@ -138,20 +140,26 @@ def _tidal_spectrum(seg: GeodesicSegment):
     return tuple(kappas.tolist()), q
 
 
-def _endpoint_scalars(kappa: float, ell: float):
-    """``(s, C(ell), S(ell))`` for f'' + kappa f = 0: C, S are cos, sin or
-    cosh, sinh of ``s t`` with ``s = sqrt|kappa|``, or 1, t with ``s = 1``."""
-    if kappa > 0.0:
-        s = math.sqrt(kappa)
-        sin_l = math.sin(s * ell)
-        # conjugate at s ell = m pi, m >= 1; a tiny s ell has no conjugate point
-        if abs(sin_l) < 1e-12 and s * ell > 1.0:
-            raise SingularBVPError("conjugate endpoints along the segment")
-        return s, math.cos(s * ell), sin_l
-    if kappa < 0.0:
-        s = math.sqrt(-kappa)
-        return s, math.cosh(s * ell), math.sinh(s * ell)
-    return 1.0, 1.0, ell
+def _endpoint_scalars(kappa, ell):
+    """``(s, C(ell), S(ell))`` for f'' + kappa f = 0 over broadcast stacks:
+    C, S are cos, sin or cosh, sinh of ``s t`` with ``s = sqrt|kappa|``, or
+    1, t with ``s = 1``.  Rows are samples; conjugate endpoints raise,
+    naming the first sample that has them."""
+    kappa, ell = np.broadcast_arrays(np.atleast_1d(kappa), np.atleast_1d(ell))
+    pos, neg = kappa > 0.0, kappa < 0.0
+    s = np.where(pos | neg, np.sqrt(np.abs(kappa)), 1.0)
+    st = s * ell
+    c_l, s_l = np.ones(st.shape), np.array(ell, dtype=float)
+    c_l[pos], s_l[pos] = _libm(math.cos, st[pos]), _libm(math.sin, st[pos])
+    c_l[neg], s_l[neg] = _libm(math.cosh, st[neg]), _libm(math.sinh, st[neg])
+    # conjugate at s ell = m pi, m >= 1; a tiny s ell has no conjugate point
+    conjugate = pos & (np.abs(s_l) < 1e-12) & (st > 1.0)
+    if np.any(conjugate):
+        at = tuple(np.argwhere(conjugate)[0])
+        raise SingularBVPError(
+            f"conjugate endpoints along the segment (sample {at[0]}: s ell = {st[at]!r})"
+        )
+    return s, c_l, s_l
 
 
 def _scalar_basis(kappa: float, st: np.ndarray, deriv: bool):
@@ -179,13 +187,13 @@ def solve_jacobi_bvp(
     b = seg.components_at_end(w)
     if q is not None:
         a, b = q.T @ a, q.T @ b
-    ends = [_endpoint_scalars(kappa, seg.length) for kappa in kappas]
-    amp_c = [(b[i] - a[i] * c_l) / s_l for i, (_, c_l, s_l) in enumerate(ends)]
+    ends_s, ends_c, ends_sl = (e[0] for e in _endpoint_scalars([kappas], seg.length))
+    amp_c = (b - a * ends_c) / ends_sl
 
     def sample(ts, deriv):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.empty((ts.size, len(kappas)))
-        for i, (kappa, (s, _, s_l)) in enumerate(zip(kappas, ends)):
+        for i, (kappa, s, s_l) in enumerate(zip(kappas, ends_s, ends_sl)):
             if kappa < 0.0:
                 # a C + c S cancels like eps cosh(s ell); the two-endpoint
                 # form (sinh(s(ell - t)) a + sinh(s t) b) / sinh(s ell) does not
@@ -412,21 +420,25 @@ class HessianPair:
         return float(z @ self.matrix @ z)
 
 
-def _segment_frame_hessian(seg: GeodesicSegment) -> np.ndarray:
-    """Hessian of d^2 in segment-frame components (start block, end block).
+def _hessian_blocks(kappas, ells):
+    """Per tidal eigen-direction, the diagonal and off-diagonal entries of
+    the Hessian block ``2 ell s / S(ell) [[C, -1], [-1, C]]`` (flat: ``[[2,
+    -2], [-2, 2]]``), over broadcast stacks with one row per sample."""
+    s, c_l, s_l = _endpoint_scalars(kappas, ells)
+    factor = 2.0 * ells * s / s_l
+    return factor * c_l, -factor
 
-    Per tidal eigen-direction the block is ``2 ell s / S(ell) [[C, -1], [-1,
-    C]]`` (flat: ``[[2, -2], [-2, 2]]``), rotated by ``diag(Q, Q)``.
-    """
+
+def _segment_frame_hessian(seg: GeodesicSegment) -> np.ndarray:
+    """Hessian of d^2 in segment-frame components (start block, end block):
+    the blocks of ``_hessian_blocks``, rotated by ``diag(Q, Q)``."""
     n = seg.model.dim
-    ell = seg.length
     kappas, q = _tidal_spectrum(seg)
+    diag, off = _hessian_blocks([kappas], seg.length)
+    idx = np.arange(n)
     h = np.zeros((2 * n, 2 * n))
-    for i, kappa in enumerate(kappas):
-        s, c_l, s_l = _endpoint_scalars(kappa, ell)
-        factor = 2.0 * ell * s / s_l
-        h[i, i] = h[n + i, n + i] = factor * c_l
-        h[i, n + i] = h[n + i, i] = -factor
+    h[idx, idx] = h[n + idx, n + idx] = diag[0]
+    h[idx, n + idx] = h[n + idx, idx] = off[0]
     if q is None:
         return h
     rot = np.zeros((2 * n, 2 * n))
@@ -477,19 +489,123 @@ def curvature_sign(m: Manifold) -> float | None:
     return signs.pop()
 
 
-def _sample_pair_vector(m, rng, ell_range):
-    x = m.random_point(rng)
-    cap = m.injectivity_radius(x)
-    hi = min(ell_range[1], 0.95 * cap) if math.isfinite(cap) else ell_range[1]
-    ell = rng.uniform(ell_range[0], hi)
-    direction = m.random_tangent(rng, x)
-    nrm = m.norm(x, direction)
-    while nrm < 1e-12:
+# The three sweeps share one pipeline: one loop draws every sample with the
+# model's own random_point / random_tangent (the stream of a per-sample
+# loop), the geometry runs over the stacked rows, and one block kernel
+# evaluates the stack.  A constant-curvature model needs no segment: its
+# tidal spectrum is (0, k, ..., k), so the value depends only on the length
+# and on the part of v normal to the geodesic.
+
+
+@dataclass(frozen=True)
+class _PairDraws:
+    """Pair-sweep samples, one row each: y = exp(x, step) with |step| = ell,
+    a random tangent v at x and, for ``unit_normal``, unit frame components
+    normal to the geodesic (first component 0)."""
+
+    xs: np.ndarray
+    ells: np.ndarray
+    steps: np.ndarray
+    vs: np.ndarray
+    normals: np.ndarray | None
+
+
+def _draw_pairs(
+    m: Manifold, n_samples: int, seed: int, ell_range, unit_normal: bool
+) -> _PairDraws:
+    """Draw the samples one by one, in the order of the per-sample loop the
+    sweeps were first written as; ``PreconditionError`` unless ``n_samples
+    >= 1`` and ``0 < low < high``, high capped at 0.95 of the injectivity
+    radius."""
+    if n_samples < 1:
+        raise PreconditionError(f"pair sweep needs n_samples >= 1, got {n_samples}")
+    lo, hi = ell_range
+    cap = m.injectivity_radius()
+    if math.isfinite(cap):
+        hi = min(hi, 0.95 * cap)
+    if not 0.0 < lo < hi:
+        raise PreconditionError(
+            f"ell_range {tuple(ell_range)} needs 0 < low < high, with high capped at "
+            f"0.95 of the injectivity radius {cap!r}: {hi!r}"
+        )
+    rng = np.random.default_rng(seed)
+    xs, steps, vs = (np.empty((n_samples, m.ambient_dim)) for _ in range(3))
+    ells = np.empty(n_samples)
+    normals = np.zeros((n_samples, m.dim)) if unit_normal else None
+    for i in range(n_samples):
+        x = m.random_point(rng)
+        ell = rng.uniform(lo, hi)
         direction = m.random_tangent(rng, x)
         nrm = m.norm(x, direction)
-    y = m.exp(x, TangentVector(x, direction.components * (ell / nrm)))
-    v = m.random_tangent(rng, x)
-    return x, y, v, ell
+        while nrm < 1e-12:
+            direction = m.random_tangent(rng, x)
+            nrm = m.norm(x, direction)
+        xs[i], ells[i] = x.coords, ell
+        steps[i] = direction.components * (ell / nrm)
+        # unit_normal never reads v; it is drawn so the samples keep their stream
+        vs[i] = m.random_tangent(rng, x).components
+        if unit_normal:
+            raw = rng.standard_normal(m.dim - 1)
+            normals[i, 1:] = raw / np.linalg.norm(raw)
+    return _PairDraws(xs, ells, steps, vs, normals)
+
+
+def _pair_stack(m: Manifold, draws: _PairDraws, unit_normal: bool):
+    """``(lengths, kappas, sq, vnorms)`` per sample: the segment length, tidal
+    eigenvalues, the squared components of v (or of the unit normal) in
+    their eigenspaces, and |v|^2.  Rows whose segment ``connect`` would
+    refuse raise its typed error, naming the first such sample."""
+    k = m.constant_sectional()
+    if k is None:
+        return _product_pair_stack(m, draws, unit_normal)
+    lengths = m.distance_stack(draws.xs, m.exp_stack(draws.xs, draws.steps))
+    GeodesicSegment.check_lengths(lengths, m.injectivity_radius())
+    if unit_normal:
+        tangential = np.zeros(lengths.size)
+        normal = _rowwise_dot(draws.normals, draws.normals)
+    else:
+        along = m.inner_stack(draws.vs, draws.steps) / draws.ells**2
+        v_normal = draws.vs - along[:, None] * draws.steps
+        tangential = (along * draws.ells) ** 2
+        normal = m.inner_stack(v_normal, v_normal)
+    # only the k-eigenspace normal to the geodesic enters: the tangent
+    # direction's block is flat and meets (a, a) with 0
+    return lengths, np.array([[k]]), normal[:, None], tangential + normal
+
+
+def _product_pair_stack(m: Manifold, draws: _PairDraws, unit_normal: bool):
+    """``_pair_stack`` on a product: each sample's segment diagonalizes its
+    tidal matrix."""
+    points = [Point(x) for x in draws.xs]
+    ends = [m.exp(x, TangentVector(x, step)) for x, step in zip(points, draws.steps)]
+    GeodesicSegment.check_lengths(
+        [m.distance(x, y) for x, y in zip(points, ends)], m.injectivity_radius()
+    )
+    n = len(points)
+    lengths, vnorms = np.empty(n), np.empty(n)
+    kappas, sq = np.empty((n, m.dim)), np.empty((n, m.dim))
+    for i, (x, y) in enumerate(zip(points, ends)):
+        seg = m.geodesic_segment(x, y)
+        kappas[i], q = _tidal_spectrum(seg)
+        if unit_normal:
+            a = draws.normals[i]
+        else:
+            a = seg.components_at_start(TangentVector(x, draws.vs[i]))
+        sq[i] = (a @ q) ** 2
+        lengths[i], vnorms[i] = seg.length, np.dot(a, a)
+    return lengths, kappas, sq, vnorms
+
+
+def _pair_sweep(m: Manifold, n_samples: int, seed: int, ell_range, unit_normal: bool):
+    """``(draws, lengths, values, vnorms)``: d^2(d^2)(v, L_xy v) per sample.
+
+    With z = (a, a) in the tidal eigenbasis each Hessian block contributes
+    ``2 a_i^2 (diag_i + off_i)``."""
+    draws = _draw_pairs(m, n_samples, seed, ell_range, unit_normal)
+    lengths, kappas, sq, vnorms = _pair_stack(m, draws, unit_normal)
+    diag, off = _hessian_blocks(kappas, lengths[:, None])
+    values = 2.0 * np.sum(sq * (diag + off), axis=1)
+    return draws, lengths, values, vnorms
 
 
 def parallel_pair_sweep(
@@ -505,28 +621,16 @@ def parallel_pair_sweep(
     connecting geodesic, which is the regime where the constant-curvature
     closed forms ``-4 l (1 - cos l)/sin l`` (curvature +1) and ``4 l
     (cosh l - 1)/sinh l`` (curvature -1) describe the value exactly.
-    Returns arrays ``(ells, values, vnorm_sq)``.
+    Lengths are drawn uniformly from ``ell_range``, its high end capped at
+    0.95 of the injectivity radius; ``PreconditionError`` unless ``0 < low <
+    capped high`` and ``n_samples >= 1``.  The samples are drawn one by one
+    and evaluated as arrays; a sample whose segment or Jacobi problem is
+    degenerate raises the typed error of the single-pair path, naming the
+    sample.  Returns arrays ``(ells, values, vnorm_sq)``, ``ells`` the
+    segment lengths d(x, y).
     """
-    rng = np.random.default_rng(seed)
-    ells = np.empty(n_samples)
-    values = np.empty(n_samples)
-    vnorms = np.empty(n_samples)
-    for i in range(n_samples):
-        x, y, v, ell = _sample_pair_vector(m, rng, ell_range)
-        seg = m.geodesic_segment(x, y)
-        if unit_normal:
-            comps = np.zeros(m.dim)
-            raw = rng.standard_normal(m.dim - 1)
-            comps[1:] = raw / np.linalg.norm(raw)
-            a = comps
-        else:
-            a = seg.components_at_start(v)
-        h_seg = _segment_frame_hessian(seg)
-        z = np.concatenate([a, a])
-        ells[i] = seg.length
-        values[i] = float(z @ h_seg @ z)
-        vnorms[i] = float(np.dot(a, a))
-    return ells, values, vnorms
+    _, lengths, values, vnorms = _pair_sweep(m, n_samples, seed, ell_range, unit_normal)
+    return lengths, values, vnorms
 
 
 @dataclass(frozen=True)
@@ -560,18 +664,14 @@ def check_sign_condition(
     """Sweep d^2(d^2)(v, L_xy v) and test its sign against the curvature sign.
 
     Nonnegative curvature must give values <= tol; nonpositive curvature
-    values >= -tol; flat models both.
+    values >= -tol; flat models both.  v is a random tangent vector, not a
+    unit normal; samples and preconditions as in ``parallel_pair_sweep``.
     """
     sign = curvature_sign(m)
     if sign is None:
         raise UnsupportedModelError("sign sweep needs a curvature-sign-definite model")
-    rng = np.random.default_rng(seed)
-    max_v, min_v = -math.inf, math.inf
-    for _ in range(n_samples):
-        x, y, v, _ = _sample_pair_vector(m, rng, ell_range)
-        val = hessian_on_parallel_pair(m, x, y, v)
-        max_v = max(max_v, val)
-        min_v = min(min_v, val)
+    _, _, values, _ = _pair_sweep(m, n_samples, seed, ell_range, unit_normal=False)
+    max_v, min_v = float(values.max()), float(values.min())
     violation = 0.0
     if sign >= 0.0:
         violation = max(violation, max_v)
@@ -612,19 +712,19 @@ def check_curvature_bound(
     ell_range: tuple[float, float] = (0.05, 3.0),
     tolerance: float = 1e-8,
 ) -> CurvatureBoundReport:
-    """Check d^2(d^2)(v, L_xy v) <= 2 K0 d^2 |v|^2 for curvature >= -K0."""
+    """Check d^2(d^2)(v, L_xy v) <= 2 K0 d^2 |v|^2 for curvature >= -K0.
+
+    d is the drawn length and v a random tangent vector; samples and
+    preconditions as in ``parallel_pair_sweep``.
+    """
     if k0 < 0:
         raise PreconditionError("K0 must be nonnegative")
     k = m.constant_sectional()
     if k is not None and k < -k0 - 1e-15:
         raise PreconditionError("model curvature is below -K0")
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for _ in range(n_samples):
-        x, y, v, ell = _sample_pair_vector(m, rng, ell_range)
-        val = hessian_on_parallel_pair(m, x, y, v)
-        bound = 2.0 * k0 * ell * ell * m.metric(x, v, v)
-        worst = max(worst, val - bound)
+    draws, _, values, _ = _pair_sweep(m, n_samples, seed, ell_range, unit_normal=False)
+    bounds = 2.0 * k0 * draws.ells * draws.ells * m.inner_stack(draws.vs, draws.vs)
+    worst = float(np.max(values - bounds))
     return CurvatureBoundReport(
         m.config(), k0, n_samples, max(0.0, worst), tolerance, worst <= tolerance
     )

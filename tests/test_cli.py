@@ -79,15 +79,22 @@ def test_hessian_sign_sphere_outputs(tmp_path):
 
 
 def test_hessian_sign_hyperbolic_bound(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "model": {"model": "hyperbolic", "dim": 2, "curvature": 1.0},
-        "n_samples": 400, "k0": 1.0, "ell_range": [0.05, 3.0],
-    }))
-    assert run(["hessian-sign", "--config", cfg, "--out", tmp_path, "--seed", 2]) == 0
-    report = json.loads((tmp_path / "hessian-sign.json").read_text())
-    assert report["results"]["min_value"] >= -1e-8
-    assert report["results"]["max_bound_violation"] <= 1e-8
+    for curvature in (1.0, 0.25):
+        out = tmp_path / str(curvature)
+        out.mkdir()
+        cfg = out / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"model": "hyperbolic", "dim": 2, "curvature": curvature},
+            "n_samples": 400, "k0": 1.0, "ell_range": [0.05, 3.0],
+        }))
+        assert run(["hessian-sign", "--config", cfg, "--out", out, "--seed", 2]) == 0
+        report = json.loads((out / "hessian-sign.json").read_text())
+        assert report["results"]["min_value"] >= -1e-8
+        assert report["results"]["max_bound_violation"] <= 1e-8
+        # the negative-curvature closed form 4 l s (cosh sl - 1) / sinh sl |v|^2
+        assert report["results"]["closed_form_max_rel_error"] <= 1e-12
+        assert report["results"]["curvature_bound"]["pass"]
+        assert report["pass"]
 
 
 def test_hessian_sign_flat_model(tmp_path):

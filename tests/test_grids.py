@@ -180,6 +180,8 @@ def full_distances(grid):
 DISTANCE_GRIDS = {
     "sphere": (lambda: build_grid(Sphere(2, 1.5), 3), 100),  # 642 rows: 6 x 100 + 42
     "torus": (lambda: build_grid(FlatTorus([1.0, 0.7]), 12), 25),  # 144 rows: 5 x 25 + 19
+    # dyadic lattice: neighbor distances equal the spacing h exactly (ties)
+    "dyadic_torus": (lambda: build_grid(FlatTorus([1.0, 1.0]), 8), 10),  # 64 rows: 6 x 10 + 4
 }
 
 
@@ -213,6 +215,11 @@ def test_modulus_at_spacing_matches_brute_force(name, monkeypatch):
             for j in np.flatnonzero(d[i] <= spacing)
         )
         assert grid.modulus_at_spacing(values, spacing) == brute
+        # the k-d tree candidates keep exactly the full pass's off-diagonal entries
+        pairs = np.concatenate([np.column_stack(ij) for ij in grid._pair_blocks(spacing)])
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        near = (d <= spacing) & ~np.eye(grid.n_nodes, dtype=bool)
+        assert sorted(map(tuple, pairs.tolist())) == list(map(tuple, np.argwhere(near).tolist()))
 
 
 def test_geodesic_ball_interior_is_one_distance_row():

@@ -1,16 +1,23 @@
 """Jacobi BVP, index form, and squared-distance Hessian oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riemvisc import (
-    Euclidean, FlatTorus, Hyperbolic, Product, SingularBVPError, Sphere, TangentVector,
+    DegenerateSegmentError, Euclidean, FlatTorus, GeometryDomainError, Hyperbolic,
+    PreconditionError, Product, SingularBVPError, Sphere, TangentVector,
 )
 from riemvisc.jacobi import (
+    _PairDraws,
+    _draw_pairs,
     _endpoint_scalars,
+    _hessian_blocks,
+    _pair_stack,
+    _segment_frame_hessian,
     check_curvature_bound,
     check_sign_condition,
     grad_distance_sq,
@@ -20,6 +27,7 @@ from riemvisc.jacobi import (
     index_minimality_check,
     jacobi_residual,
     parallel_field,
+    parallel_pair_sweep,
     sine_bump_field,
     solve_jacobi_bvp,
 )
@@ -464,3 +472,175 @@ def test_curvature_bound_hyperbolic():
 def test_curvature_bound_zero_reduces_to_sign_condition():
     report = check_curvature_bound(Sphere(2, 1.0), 0.0, 300, seed=12, ell_range=(0.05, 2.8))
     assert report.passed
+
+
+def test_pair_sweeps_refuse_zero_samples():
+    with pytest.raises(PreconditionError, match="n_samples >= 1, got 0"):
+        check_sign_condition(Sphere(2, 1.0), 0)
+    with pytest.raises(PreconditionError, match="n_samples >= 1, got 0"):
+        check_curvature_bound(Hyperbolic(2, 1.0), 1.0, 0)
+    with pytest.raises(PreconditionError, match="n_samples >= 1, got -3"):
+        parallel_pair_sweep(Euclidean(2), -3)
+
+
+@pytest.mark.parametrize("ell_range", [(0.5, 3.0), (0.3, 0.3), (0.0, 0.3), (-0.1, 0.3)])
+def test_pair_sweeps_refuse_empty_length_ranges(ell_range):
+    # the torus caps the high end at 0.95 * 0.5 = 0.475
+    torus = FlatTorus([1.0, 1.0])
+    sweeps = [
+        lambda: parallel_pair_sweep(torus, 5, ell_range=ell_range),
+        lambda: check_sign_condition(torus, 5, ell_range=ell_range),
+        lambda: check_curvature_bound(torus, 0.0, 5, ell_range=ell_range),
+    ]
+    for sweep in sweeps:
+        with pytest.raises(PreconditionError, match=r"ell_range \(.*\) needs 0 < low < high"):
+            sweep()
+
+
+def test_stacked_conjugate_endpoints_name_the_sample():
+    kappas = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 0.25]])
+    with pytest.raises(SingularBVPError, match="sample 1"):
+        _hessian_blocks(kappas, np.array([[1.0], [math.pi], [4.0 * math.pi]]))
+    diag, off = _hessian_blocks(kappas, np.array([[1.0], [2.0], [3.0]]))
+    assert np.array_equal(diag[:, 0], [2.0, 2.0, 2.0])
+    assert np.array_equal(off[:, 0], [-2.0, -2.0, -2.0])
+
+
+@pytest.mark.parametrize(
+    "model", [FlatTorus([1.0, 1.0]), Product([FlatTorus([1.0, 1.0]), Euclidean(1)])],
+    ids=["torus", "product"],
+)
+def test_stacked_segment_checks_name_the_sample(model):
+    # y = exp(x, step): zero steps are degenerate, a half-period step reaches the cut locus
+    ok, zero, cut = [0.2, 0.1], [0.0, 0.0], [0.5, 0.0]
+    pad = [0.0] * (model.ambient_dim - 2)
+    cases = [([ok, zero, cut], DegenerateSegmentError), ([ok, cut, zero], GeometryDomainError)]
+    for steps, error in cases:
+        steps = np.array([s + pad for s in steps])
+        normals = np.zeros((3, model.dim))
+        normals[:, 1] = 1.0
+        draws = _PairDraws(np.full_like(steps, 0.25), np.full(3, 0.2), steps, steps, normals)
+        with pytest.raises(error, match="sample 1"):
+            _pair_stack(model, draws, unit_normal=True)
+
+
+def _reference_pair_sweep(m, n_samples, seed, ell_range, unit_normal):
+    """The per-sample loop the batched sweeps replaced, kept as their oracle:
+    rows (x, drawn ell, step, y, v, a, length, value) per sample, with a the
+    frame components of the unit normal or of v."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n_samples):
+        x = m.random_point(rng)
+        cap = m.injectivity_radius(x)
+        hi = min(ell_range[1], 0.95 * cap) if math.isfinite(cap) else ell_range[1]
+        ell = rng.uniform(ell_range[0], hi)
+        direction = m.random_tangent(rng, x)
+        nrm = m.norm(x, direction)
+        while nrm < 1e-12:
+            direction = m.random_tangent(rng, x)
+            nrm = m.norm(x, direction)
+        step = direction.components * (ell / nrm)
+        y = m.exp(x, TangentVector(x, step))
+        v = m.random_tangent(rng, x)
+        seg = m.geodesic_segment(x, y)
+        if unit_normal:
+            a = np.zeros(m.dim)
+            raw = rng.standard_normal(m.dim - 1)
+            a[1:] = raw / np.linalg.norm(raw)
+            z = np.concatenate([a, a])
+            value = float(z @ _segment_frame_hessian(seg) @ z)
+        else:
+            a = seg.components_at_start(v)
+            value = hessian_on_parallel_pair(m, x, y, v)
+        rows.append((x, ell, step, y, v, a, seg.length, value))
+    return rows
+
+
+def _frame_conditioning(m, x) -> float:
+    """Growth of the segment frame's Euclidean size over its metric size.
+
+    On the hyperboloid the scalar path's Gram-Schmidt frame has rows of
+    Euclidean size ~ K0 |x|^2, and its Minkowski products lose that factor
+    squared; the other models have orthonormal embedded frames.
+    """
+    if isinstance(m, Hyperbolic):
+        return m.k0 * float(x.coords @ x.coords)
+    return 1.0
+
+
+PAIR_MODELS = st.one_of(
+    st.builds(Sphere, st.sampled_from([2, 3]), st.floats(0.5, 2.0)),
+    st.builds(Hyperbolic, st.sampled_from([2, 3]), st.floats(0.25, 4.0)),
+    st.builds(Euclidean, st.sampled_from([2, 3])),
+    st.builds(FlatTorus, st.lists(st.floats(0.5, 3.0), min_size=2, max_size=3)),
+    st.just(Product([Sphere(2, 1.0), Euclidean(2)])),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    model=PAIR_MODELS,
+    seed=st.integers(0, 2**32 - 1),
+    n_samples=st.integers(1, 12),
+    hi=st.floats(0.2, 3.0),
+    unit_normal=st.booleans(),
+)
+def test_batched_pair_sweep_matches_reference_loop(model, seed, n_samples, hi, unit_normal):
+    ell_range = (0.05, hi)
+    rows = _reference_pair_sweep(model, n_samples, seed, ell_range, unit_normal)
+    draws = _draw_pairs(model, n_samples, seed, ell_range, unit_normal)
+    x, ell, step, y, v, a, length, value = (list(col) for col in zip(*rows))
+    # the same samples, bit for bit
+    assert np.array_equal(draws.xs, [p.coords for p in x])
+    assert np.array_equal(draws.ells, ell)
+    assert np.array_equal(draws.steps, step)
+    assert np.array_equal(draws.vs, [t.components for t in v])
+    assert unit_normal == (draws.normals is not None)
+    if unit_normal:
+        assert np.array_equal(draws.normals, a)
+    if model.constant_sectional() is not None:
+        assert np.array_equal(model.exp_stack(draws.xs, draws.steps), [p.coords for p in y])
+    lengths, values, vnorms = parallel_pair_sweep(model, n_samples, seed, ell_range, unit_normal)
+    assert np.array_equal(lengths, length)
+    value, vnorm = np.array(value), np.array([float(comps @ comps) for comps in a])
+    tol = 1e-12 * np.maximum(1.0, np.abs(value))
+    if unit_normal:
+        assert np.all(np.abs(values - value) <= tol)
+        assert np.array_equal(vnorms, vnorm)
+        return
+    conditioning = np.array([_frame_conditioning(model, p) for p in x]) ** 2
+    tol = tol * conditioning
+    assert np.all(np.abs(values - value) <= tol)
+    assert np.all(np.abs(vnorms - vnorm) <= 1e-12 * np.maximum(1.0, vnorm) * conditioning)
+    sign = check_sign_condition(model, n_samples, seed, ell_range)
+    assert (sign.max_value, sign.min_value) == (values.max(), values.min())
+    k0 = max(1.0, -(model.constant_sectional() or 0.0))
+    bound = check_curvature_bound(model, k0, n_samples, seed, ell_range)
+    excess = [
+        val - 2.0 * k0 * e * e * model.metric(p, t, t) for val, e, p, t in zip(value, ell, x, v)
+    ]
+    assert bound.max_violation == pytest.approx(max(0.0, max(excess)), abs=float(np.max(tol)))
+
+
+def test_batched_pair_values_match_exact_normal_mass_on_hyperboloid():
+    # the normal part of v, |v|^2 - <v, e1>^2, in exact rational arithmetic from
+    # the float samples; e1 is the direction of y + K0 <y, x> x (log_x y)
+    m, n, seed = Hyperbolic(2, 4.0), 300, 5
+    draws = _draw_pairs(m, n, seed, (0.05, 3.0), unit_normal=False)
+    ys = m.exp_stack(draws.xs, draws.steps)
+    lengths, values, _ = parallel_pair_sweep(m, n, seed, (0.05, 3.0), unit_normal=False)
+
+    def mink(a, b):
+        return sum(p * q for p, q in zip(a[1:], b[1:])) - a[0] * b[0]
+
+    s = 2.0
+    for xr, yr, vr, ell, value in zip(draws.xs, ys, draws.vs, lengths, values):
+        x, y, v = ([Fraction(t) for t in row] for row in (xr, yr, vr))
+        c = Fraction(m.k0) * mink(y, x)
+        u = [a + c * b for a, b in zip(y, x)]
+        normal_sq = float(mink(v, v) - mink(v, u) ** 2 / mink(u, u))
+        closed = 4.0 * ell * s * (math.cosh(s * ell) - 1.0) / math.sinh(s * ell) * normal_sq
+        # Minkowski products of rows of Euclidean size |x| lose K0 |x|^2
+        conditioning = m.k0 * float(xr @ xr)
+        assert abs(value - closed) <= 1e-13 * conditioning * max(1.0, abs(closed))
