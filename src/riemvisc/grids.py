@@ -17,6 +17,10 @@ classical central differences.
 The icosphere is built in array form (integer edge keys, batched frames).
 A stencil point is interpolated in the nearest-centroid face containing
 it, searched over a kd-tree short list, with brute force for the rare miss.
+The stencils of one step form one direction-major sparse operator
+(``Grid.stack``, ``n_dirs N x N``: row ``k N + i`` interpolates at
+``exp_{x_i}(h d_k)``), so one mat-vec gathers every stencil value; the
+per-direction matrices (``Grid.stencils``) are views into its buffers.
 Geodesic distances between nodes are computed in blocks of rows
 (``Grid.distance_blocks``) of a fixed number of entries, so no N x N matrix
 is ever held; the pairs within a small spacing (``Grid._pair_blocks``, for
@@ -120,22 +124,32 @@ class Grid:
     frames: np.ndarray
     h: float
     dirs: list[np.ndarray]
-    stencils: list[sparse.csr_matrix]
+    stack: sparse.csr_matrix  # direction-major (n_dirs N x N) stencil operator at step h
+    stencils: list[sparse.csr_matrix]  # its per-direction views
     edges: np.ndarray
     faces: np.ndarray | None = None
     _nodes: list[Point] | None = field(default=None, repr=False)
     _stencil_builder: Callable | None = field(default=None, repr=False)
     _stencil_cache: dict = field(default_factory=dict, repr=False)
 
-    def stencils_for(self, step: float) -> list[sparse.csr_matrix]:
-        """Interpolation stencils for an arbitrary step (cached)."""
+    def _at_step(self, step: float):
         if abs(step - self.h) <= 1e-15:
-            return self.stencils
+            return self.stack, self.stencils
         if step not in self._stencil_cache:
             if self._stencil_builder is None:
                 raise PreconditionError("grid carries no stencil builder")
-            self._stencil_cache[step] = self._stencil_builder(step)
+            stack = self._stencil_builder(step)
+            self._stencil_cache[step] = stack, _direction_views(stack, len(self.dirs))
         return self._stencil_cache[step]
+
+    def stack_for(self, step: float) -> sparse.csr_matrix:
+        """The direction-major stencil operator for an arbitrary step (cached)."""
+        return self._at_step(step)[0]
+
+    def stencils_for(self, step: float) -> list[sparse.csr_matrix]:
+        """Per-direction interpolation stencils for an arbitrary step (cached),
+        views into :meth:`stack_for`."""
+        return self._at_step(step)[1]
 
     @property
     def n_nodes(self) -> int:
@@ -235,9 +249,18 @@ class Grid:
         return worst
 
 
-def _wrap_half(diff: np.ndarray, period: float) -> np.ndarray:
-    """Coordinate differences reduced into [-period/2, period/2)."""
-    return (diff + period / 2.0) % period - period / 2.0
+def _wrap_half(diff: np.ndarray, period: float | np.ndarray) -> np.ndarray:
+    """Coordinate differences in (-period, period) reduced into
+    [-period/2, period/2), in place.
+
+    Compare and shift by one period: both shifts are exact (Sterbenz), and
+    about 3x faster than the remainder ``(diff + p/2) % p - p/2``, which
+    rounds ``diff + p/2`` and so differs from this by at most 1 ulp of p.
+    """
+    half = period / 2.0
+    np.subtract(diff, period, out=diff, where=diff >= half)
+    np.add(diff, period, out=diff, where=diff < -half)
+    return diff
 
 
 @dataclass
@@ -260,14 +283,18 @@ class GridFunction:
 
 
 def _sphere_stencils(model: Sphere, verts, faces, frames, h, dirs, inv_corners, tree):
-    """Stencils at step ``h``; ``inv_corners`` maps a point to barycentrics per face,
-    ``tree`` is the kd-tree of the face centroids on the sphere."""
+    """Stencil stack at step ``h``; ``inv_corners`` maps a point to barycentrics
+    per face, ``tree`` is the kd-tree of the face centroids on the sphere."""
     n_nodes = verts.shape[0]
     k = min(_SHORT_LIST, faces.shape[0])
     theta = h / model.radius
 
-    mats = []
-    for d in dirs:
+    # three entries per row, so the CSR arrays are filled in place
+    nnz = 3 * len(dirs) * n_nodes
+    index = np.int32 if nnz < 2**31 else np.int64
+    cols = np.empty((len(dirs), n_nodes, 3), dtype=index)
+    vals = np.empty((len(dirs), n_nodes, 3))
+    for row, d in enumerate(dirs):
         tangent = np.einsum("k,nka->na", d, frames)
         pts = math.cos(theta) * verts + math.sin(theta) * model.radius * tangent
         pts *= model.radius / np.linalg.norm(pts, axis=1, keepdims=True)
@@ -293,16 +320,20 @@ def _sphere_stencils(model: Sphere, verts, faces, frames, h, dirs, inv_corners, 
             w[todo] = all_bary[np.arange(todo.size), best]
         w = np.clip(w, 0.0, None)
         w /= w.sum(axis=1, keepdims=True)
-        rows = np.repeat(np.arange(n_nodes), 3)
-        cols = faces[chosen].ravel()
-        mats.append(sparse.csr_matrix((w.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)))
-    return mats
+        corners = faces[chosen]
+        order = np.argsort(corners, axis=1)  # canonical CSR: columns ascending
+        cols[row] = np.take_along_axis(corners, order, axis=1)
+        vals[row] = np.take_along_axis(w, order, axis=1)
+    indptr = np.arange(0, nnz + 1, 3, dtype=index)
+    return sparse.csr_matrix(
+        (vals.ravel(), cols.ravel(), indptr), shape=(len(dirs) * n_nodes, n_nodes)
+    )
 
 
 def _torus_stencils(model: FlatTorus, coords, h, dirs, res):
     n_nodes = coords.shape[0]
     spacing = model.periods / res
-    mats = []
+    cols, vals = [], []
     for d in dirs:
         pts = coords + h * d  # frame is the coordinate axes
         s = pts / spacing
@@ -311,7 +342,6 @@ def _torus_stencils(model: FlatTorus, coords, h, dirs, res):
         snap = frac < 1e-9
         frac = np.where(snap, 0.0, frac)
         base = base.astype(np.int64)
-        rows, cols, vals = [], [], []
         i0 = np.mod(base[:, 0], res)
         j0 = np.mod(base[:, 1], res)
         i1 = np.mod(base[:, 0] + 1, res)
@@ -323,25 +353,46 @@ def _torus_stencils(model: FlatTorus, coords, h, dirs, res):
             (i0, j1, (1 - fx) * fy),
             (i1, j1, fx * fy),
         ]:
-            rows.append(np.arange(n_nodes))
             cols.append(ii * res + jj)
             vals.append(ww)
-        mat = sparse.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_nodes, n_nodes),
-        )
-        mat.eliminate_zeros()
-        mats.append(mat)
-    return mats
+    # row k N + i: node i in direction k; duplicates summed, columns sorted
+    rows = np.tile(np.arange(n_nodes), 4 * len(dirs))
+    rows += np.repeat(n_nodes * np.arange(len(dirs)), 4 * n_nodes)
+    stack = sparse.csr_matrix(
+        (np.concatenate(vals), (rows, np.concatenate(cols))),
+        shape=(len(dirs) * n_nodes, n_nodes),
+    )
+    stack.eliminate_zeros()
+    return stack
+
+
+def _direction_views(stack: sparse.csr_matrix, n_dirs: int) -> list[sparse.csr_matrix]:
+    """The N x N block of every direction, sharing the stack's ``data`` and
+    ``indices`` (read-only, so no in-place sparse method can alter the stack).
+
+    The blocks are assembled attribute by attribute: the CSR constructor
+    copies a slice that is much smaller than the array it views.
+    """
+    n = stack.shape[1]
+    views = []
+    for k in range(n_dirs):
+        lo, hi = stack.indptr[k * n], stack.indptr[(k + 1) * n]
+        view = sparse.csr_matrix((n, n), dtype=stack.dtype)
+        view.data, view.indices = stack.data[lo:hi], stack.indices[lo:hi]
+        view.indptr = stack.indptr[k * n:(k + 1) * n + 1] - lo
+        for arr in (view.data, view.indices, view.indptr):
+            arr.flags.writeable = False
+        views.append(view)
+    return views
 
 
 def _check_stencil_invariants(grid: Grid):
-    for mat in grid.stencils:
-        if mat.data.size and mat.data.min() < -_EPS_WEIGHT:
-            raise PreconditionError("stencil weights must be nonnegative")
-        sums = np.asarray(mat.sum(axis=1)).ravel()
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise PreconditionError("stencil weights must sum to one")
+    mat = grid.stack
+    if mat.data.size and mat.data.min() < -_EPS_WEIGHT:
+        raise PreconditionError("stencil weights must be nonnegative")
+    sums = np.asarray(mat.sum(axis=1)).ravel()
+    if np.max(np.abs(sums - 1.0)) > 1e-9:
+        raise PreconditionError("stencil weights must sum to one")
     if not grid.h < grid.model.injectivity_radius() / 4.0:
         raise PreconditionError("stencil step must stay below a quarter injectivity radius")
 
@@ -394,13 +445,14 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
             "grids are built for Sphere(2, r) and two-dimensional flat tori only"
         )
     grid = Grid(
-        model, resolution, coords, frames, math.nan, dirs, [], edges, faces,
+        model, resolution, coords, frames, math.nan, dirs, None, [], edges, faces,
         _stencil_builder=builder,
     )
     if h is None:
         h = min(default_step(grid), 0.9 * model.injectivity_radius() / 4.0)
     grid.h = float(h)
-    grid.stencils = builder(grid.h)
+    grid.stack = builder(grid.h)
+    grid.stencils = _direction_views(grid.stack, len(dirs))
     _check_stencil_invariants(grid)
     return grid
 

@@ -237,10 +237,15 @@ def source(fld) -> OperatorSpec:
 
 
 def _combined(ops, reduce_fn):
-    """``(batch, context_builder)`` of an operator reducing ``ops`` pointwise."""
+    """``(batch, context_builder)`` of an operator reducing ``ops`` pointwise.
+
+    The children are called through ``batch``: the combination's own
+    ``r_domain`` is the intersection of theirs (``_joint_flags``), so the
+    check in its ``eval_batch`` covers every child.
+    """
     def batch(ctx, rs, zs, As):
         vals = [
-            op.eval_batch(c, rs, zs, As) for op, c in zip(ops, ctx["children"])
+            op.batch(c, rs, zs, As) for op, c in zip(ops, ctx["children"])
         ]
         return reduce_fn(np.stack(vals))
 
@@ -302,11 +307,12 @@ def min_of(*ops: OperatorSpec) -> OperatorSpec:
 def compose(outer: Callable[[np.ndarray], np.ndarray], op: OperatorSpec,
             nondecreasing: bool = True, name: str | None = None) -> OperatorSpec:
     """outer(F(...)), with ``outer`` applied elementwise to the array of values;
-    flags survive only for nondecreasing outer maps."""
+    flags survive only for nondecreasing outer maps.  The r-domain check
+    happens once, in the composition's own ``eval_batch``."""
     keep = bool(nondecreasing)
     return OperatorSpec(
         name or f"compose({op.name})",
-        lambda ctx, rs, zs, As: outer(op.eval_batch(ctx, rs, zs, As)),
+        lambda ctx, rs, zs, As: outer(op.batch(ctx, rs, zs, As)),
         degenerate_elliptic=op.degenerate_elliptic and keep,
         proper=op.proper and keep,
         x_dependent=op.x_dependent,

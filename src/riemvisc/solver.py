@@ -14,6 +14,18 @@ theta (-G_h(x, u))`` for equations ``u + G = 0``; the default damping is
 value, which makes the update the classical (center-implicit) Jacobi
 sweep.  Node updates within a sweep only read the previous iterate, so
 the iteration is deterministic and order-independent.
+
+The scheme is the grid's stencil stack (``Grid.stack``): one mat-vec
+gathers the ``(8, N)`` stencil values of u, and one assembly turns them
+into an ``(N, 6)`` proxy array with columns ``[zeta_0, zeta_1, a00, a01,
+a01, a11]``, so ``zetas`` is its view ``[:, :2]`` and ``amats`` its view
+``[:, 2:]`` reshaped to ``(N, 2, 2)``.  The proxies are linear in the
+stencil values and the center value together, so replacing the center
+value u(x) by t while the neighbors stay put is affine in ``t - u``:
+``base + (t - u) c``, where the center sensitivity ``c`` is the same
+assembly applied to the stencil diagonals with unit center values.  The
+nodewise Newton step of the Perron sweep and the theta probe use that
+update instead of gathering again.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ import numpy as np
 
 from .errors import DivergenceError, PreconditionError
 from .grids import Grid, GridFunction
-from .manifolds import Sphere
+from .manifolds import Point, Sphere
 from .operators import OperatorSpec, ScalarField, yamabe
 
 DEFAULT_MAX_ITER = 100_000
@@ -38,61 +50,69 @@ _THETA_REFRESH = 200
 # derivative proxies
 # --------------------------------------------------------------------- #
 
-def _gather(grid: Grid, u: np.ndarray):
-    return [s @ u for s in grid.stencils]
+def _gather(stack, u: np.ndarray) -> np.ndarray:
+    """Stencil values of u, one row per direction: ``(n_dirs, N)``."""
+    return (stack @ u).reshape(-1, u.shape[0])
 
 
-def _center_data(grid: Grid):
-    return [np.asarray(s.diagonal()).ravel() for s in grid.stencils]
-
-
-def _proxies(grid: Grid, u_vals, stencil_vals, centers=None, t_vals=None):
-    """Gradient and Hessian proxies; optionally with the center value of
-    each node replaced by ``t_vals`` (neighbors stay at ``u_vals``)."""
-    h = grid.h
-    if t_vals is None:
-        t = u_vals
-        sv = stencil_vals
-    else:
-        t = t_vals
-        sv = [
-            base + diag * (t_vals - u_vals)
-            for base, diag in zip(stencil_vals, centers)
-        ]
-    n_nodes = u_vals.shape[0]
-    zetas = np.empty((n_nodes, 2))
-    amats = np.empty((n_nodes, 2, 2))
-    zetas[:, 0] = (sv[0] - sv[1]) / (2.0 * h)
-    zetas[:, 1] = (sv[2] - sv[3]) / (2.0 * h)
-    a00 = (sv[0] + sv[1] - 2.0 * t) / h**2
-    a11 = (sv[2] + sv[3] - 2.0 * t) / h**2
+def _proxy_array(sv: np.ndarray, t: np.ndarray, h: float) -> np.ndarray:
+    """``(N, 6)`` proxies ``[zeta_0, zeta_1, a00, a01, a01, a11]`` from the
+    ``(8, N)`` stencil values ``sv`` and the center values ``t``."""
+    p = np.empty((t.shape[0], 6))
+    p[:, 0] = (sv[0] - sv[1]) / (2.0 * h)
+    p[:, 1] = (sv[2] - sv[3]) / (2.0 * h)
+    p[:, 2] = (sv[0] + sv[1] - 2.0 * t) / h**2
+    p[:, 5] = (sv[2] + sv[3] - 2.0 * t) / h**2
     dplus = (sv[4] + sv[5] - 2.0 * t) / h**2
     dminus = (sv[6] + sv[7] - 2.0 * t) / h**2
-    a01 = 0.5 * (dplus - dminus)
-    amats[:, 0, 0] = a00
-    amats[:, 1, 1] = a11
-    amats[:, 0, 1] = a01
-    amats[:, 1, 0] = a01
-    return zetas, amats
+    p[:, 3] = p[:, 4] = 0.5 * (dplus - dminus)
+    return p
+
+
+def _center_sensitivity(grid: Grid) -> np.ndarray:
+    """``(N, 6)`` derivative of the proxies in the center value: the
+    assembly applied to the stencil diagonals, with unit center values."""
+    diagonals = np.stack([s.diagonal() for s in grid.stencils])
+    return _proxy_array(diagonals, np.ones(grid.n_nodes), grid.h)
+
+
+def _evaluate(F: OperatorSpec, ctx, rs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """F on the proxy array ``p``, through its ``zetas`` and ``amats`` views."""
+    return F.eval_batch(ctx, rs, p[:, :2], p[:, 2:].reshape(-1, 2, 2))
+
+
+def _base_proxies(grid: Grid, u_vals: np.ndarray) -> np.ndarray:
+    """The ``(N, 6)`` proxies of u: one gather, one assembly."""
+    return _proxy_array(_gather(grid.stack, u_vals), u_vals, grid.h)
+
+
+def _evaluate_centered(F, ctx, base, centers, u_vals, t, out=None) -> np.ndarray:
+    """F with each node's center value moved from u to t, neighbors kept:
+    on the proxies ``base + (t - u) centers`` (written to ``out`` if given)."""
+    out = np.multiply((t - u_vals)[:, None], centers, out=out)
+    np.add(out, base, out=out)
+    return _evaluate(F, ctx, t, out)
 
 
 def derivative_proxies(grid: Grid, u: GridFunction, node: int):
-    """(zeta, A) proxies at one node, in the node's canonical frame."""
-    zetas, amats = _proxies(grid, u.values, _gather(grid, u.values))
-    return zetas[node], amats[node]
+    """(zeta, A) proxies at one node, in the node's canonical frame, from
+    the node's own stack rows."""
+    rows = node + grid.n_nodes * np.arange(len(grid.dirs))
+    sv = (grid.stack[rows] @ u.values)[:, None]
+    p = _proxy_array(sv, u.values[node:node + 1], grid.h)[0]
+    return p[:2], p[2:].reshape(2, 2)
 
 
 def discretize(F: OperatorSpec, grid: Grid, u: GridFunction, node: int) -> float:
     """Evaluate F at one node on the difference proxies of u."""
     zeta, amat = derivative_proxies(grid, u, node)
-    return F.point_eval(grid.nodes[node], float(u.values[node]), zeta, amat)
+    return F.point_eval(Point(grid.coords[node]), float(u.values[node]), zeta, amat)
 
 
 def discrete_residual(F: OperatorSpec, grid: Grid, u: GridFunction) -> np.ndarray:
     """Nodewise residual F(x, u, du_h, d2u_h)."""
     ctx = F.make_context(grid.nodes)
-    zetas, amats = _proxies(grid, u.values, _gather(grid, u.values))
-    return F.eval_batch(ctx, u.values, zetas, amats)
+    return _evaluate(F, ctx, u.values, _base_proxies(grid, u.values))
 
 
 # --------------------------------------------------------------------- #
@@ -130,13 +150,10 @@ class SolveReport:
 # the damped fixed-point engine
 # --------------------------------------------------------------------- #
 
-def _estimate_theta(F, ctx, grid, u_vals, stencil_vals, centers, active) -> float:
+def _estimate_theta(F, ctx, u_vals, base, base_vals, centers, active) -> float:
     """1 / (probed max sensitivity of the residual to the center value)."""
-    base_z, base_a = _proxies(grid, u_vals, stencil_vals)
-    base_vals = F.eval_batch(ctx, u_vals, base_z, base_a)
     delta = 1e-3 * max(1.0, float(np.max(np.abs(u_vals))))
-    up_z, up_a = _proxies(grid, u_vals, stencil_vals, centers, u_vals + delta)
-    up_vals = F.eval_batch(ctx, u_vals + delta, up_z, up_a)
+    up_vals = _evaluate_centered(F, ctx, base, centers, u_vals, u_vals + delta)
     slopes = (up_vals - base_vals) / delta
     slope = float(np.max(np.abs(slopes[active]), initial=1.0))
     return min(1.0, 1.0 / slope)
@@ -167,7 +184,7 @@ def _run_iteration(
     clip_nonnegative: bool = False,
 ):
     ctx = F.make_context(grid.nodes)
-    centers = _center_data(grid)
+    centers = _center_sensitivity(grid)
     u = np.array(u0, dtype=float)
     active = interior if interior is not None else np.ones(grid.n_nodes, bool)
     if not np.any(active):
@@ -178,11 +195,10 @@ def _run_iteration(
     best = math.inf
     current_theta = theta if fixed_theta else None
     for it in range(max_iter):
-        stencil_vals = _gather(grid, u)
+        p = _base_proxies(grid, u)
+        vals = _evaluate(F, ctx, u, p)
         if current_theta is None or (not fixed_theta and it % _THETA_REFRESH == 0):
-            current_theta = _estimate_theta(F, ctx, grid, u, stencil_vals, centers, active)
-        zetas, amats = _proxies(grid, u, stencil_vals)
-        vals = F.eval_batch(ctx, u, zetas, amats)
+            current_theta = _estimate_theta(F, ctx, u, p, vals, centers, active)
         res = float(np.max(np.abs(vals[active])))
         history.append(res)
         best = min(best, res)
@@ -276,20 +292,21 @@ class PerronResult:
     converged: bool
 
 
-def _nodewise_solve(F, ctx, grid, w, stencil_vals, centers, newton_steps=4):
-    """Per node, the value t making the residual vanish with neighbors at w."""
+def _nodewise_solve(F, ctx, w, base, centers, f0, newton_steps=4):
+    """Per node, the value t making the residual vanish with neighbors at w.
+
+    ``base`` holds the proxies of w and ``f0`` the residual there; a trial
+    center value t has the proxies ``base + (t - w) centers``.
+    """
+    trial = np.empty_like(base)
     t = np.array(w)
     dt = 1.0
-    z0, a0 = _proxies(grid, w, stencil_vals, centers, t)
-    f0 = F.eval_batch(ctx, t, z0, a0)
     for _ in range(newton_steps):
-        z1, a1 = _proxies(grid, w, stencil_vals, centers, t + dt)
-        f1 = F.eval_batch(ctx, t + dt, z1, a1)
+        f1 = _evaluate_centered(F, ctx, base, centers, w, t + dt, trial)
         slope = (f1 - f0) / dt
         slope = np.where(slope > 1e-12, slope, 1.0)
         t = t - f0 / slope
-        z0, a0 = _proxies(grid, w, stencil_vals, centers, t)
-        f0 = F.eval_batch(ctx, t, z0, a0)
+        f0 = _evaluate_centered(F, ctx, base, centers, w, t, trial)
         dt = 1e-6
     return t
 
@@ -319,7 +336,7 @@ def perron_iterate(
         raise PreconditionError("usuper is not a discrete supersolution (residual < -h)")
 
     ctx = F.make_context(grid.nodes)
-    centers = _center_data(grid)
+    centers = _center_sensitivity(grid)
     w = np.array(usub.values)
     ordering_ok = True
     min_increment = math.inf
@@ -327,13 +344,13 @@ def perron_iterate(
     converged = False
     sweeps_done = 0
     for sweeps_done in range(1, sweeps + 1):
-        stencil_vals = _gather(grid, w)
-        zetas, amats = _proxies(grid, w, stencil_vals)
-        final_res = float(np.max(np.abs(F.eval_batch(ctx, w, zetas, amats))))
+        p = _base_proxies(grid, w)
+        vals = _evaluate(F, ctx, w, p)
+        final_res = float(np.max(np.abs(vals)))
         if final_res <= tol:
             converged = True
             break
-        t = _nodewise_solve(F, ctx, grid, w, stencil_vals, centers)
+        t = _nodewise_solve(F, ctx, w, p, centers, vals)
         w_new = np.minimum(usuper.values, np.maximum(w, t))
         increment = w_new - w
         min_increment = min(min_increment, float(np.min(increment)))
@@ -404,7 +421,7 @@ def verify_viscosity_residual(
     design = np.concatenate(rows)
     pinv = np.linalg.pinv(design)
     vals = np.concatenate(
-        [np.stack([s @ u.values for s in grid.stencils_for(step)]) for step in steps]
+        [_gather(grid.stack_for(step), u.values) for step in steps]
     )                                                   # (16, N)
     coeffs = pinv @ vals                               # (6, N)
     misfit = np.max(np.abs(vals - design @ coeffs), axis=0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from riemvisc import FlatTorus, Point, Sphere, TangentVector
 from riemvisc.grids import (
@@ -141,7 +142,7 @@ def test_brute_force_fallback(monkeypatch):
     grid = build_grid(model, 3)
     # one candidate: every point outside its nearest-centroid face falls back
     monkeypatch.setattr(grids, "_SHORT_LIST", 1)
-    fallback = grid._stencil_builder(grid.h)
+    fallback = build_grid(model, 3).stencils
     misses = 0
     for d, mat, short in zip(grid.dirs, grid.stencils, fallback):
         pts = stencil_points(grid, grid.h, d)
@@ -161,7 +162,12 @@ def test_brute_force_fallback(monkeypatch):
 # --------------------------------------------------------------------- #
 
 def full_distances(grid):
-    """The whole N x N distance matrix, diagonal zeroed: the oracle for the row blocks."""
+    """The whole N x N distance matrix, diagonal zeroed: the oracle for the row blocks.
+
+    On the torus each coordinate distance is the one to the nearest periodic
+    image, ``min(|diff|, p - |diff|)``: exact wherever it is the smaller of
+    the two, so lattice ties at exactly the spacing stay ties.
+    """
     c = grid.coords
     if isinstance(grid.model, Sphere):
         r = grid.model.radius
@@ -169,8 +175,8 @@ def full_distances(grid):
     else:
         d2 = np.zeros((grid.n_nodes, grid.n_nodes))
         for ax, per in enumerate(grid.model.periods):
-            diff = c[:, ax][:, None] - c[:, ax][None, :]
-            diff = (diff + per / 2.0) % per - per / 2.0
+            diff = np.abs(c[:, ax][:, None] - c[:, ax][None, :])
+            diff = np.minimum(diff, per - diff)
             d2 += diff * diff
         d = np.sqrt(d2)
     np.fill_diagonal(d, 0.0)
@@ -220,6 +226,24 @@ def test_modulus_at_spacing_matches_brute_force(name, monkeypatch):
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         near = (d <= spacing) & ~np.eye(grid.n_nodes, dtype=bool)
         assert sorted(map(tuple, pairs.tolist())) == list(map(tuple, np.argwhere(near).tolist()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(period=st.floats(1e-3, 1e3),
+       fracs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40))
+@example(period=1.0, fracs=[0.5, -0.5, 0.0, 0.5 - 2**-53, -0.5 - 2**-53, 1 - 2**-53])
+@example(period=0.7, fracs=[0.5, -0.5, 0.25, -0.75])
+def test_wrap_half_compares_and_shifts(period, fracs):
+    diff = np.array(fracs) * period
+    diff = diff[np.abs(diff) < period]  # coordinate differences of two points
+    remainder = (diff + period / 2.0) % period - period / 2.0
+    wrapped = grids._wrap_half(diff.copy(), period)
+    assert np.all((-period / 2.0 <= wrapped) & (wrapped < period / 2.0))
+    # the shift is exact: a whole period or nothing
+    assert np.all(np.isin(wrapped - diff, [-period, 0.0, period]))
+    # the remainder form rounds diff + p/2: 1 ulp of p apart, on the circle
+    gap = np.abs(wrapped - remainder)
+    assert np.all(np.minimum(gap, np.abs(gap - period)) <= np.spacing(period))
 
 
 def test_geodesic_ball_interior_is_one_distance_row():

@@ -101,6 +101,26 @@ def test_yamabe_rejects_small_dimension_and_negative_r():
     F3.point_eval(NORTH, -0.5, np.zeros(2), np.zeros((2, 2)))
 
 
+def test_combinators_check_the_domain_at_the_root():
+    # the children are called without their own check; the combination's
+    # domain is the intersection, so its one check still refuses r < 0 and NaN
+    child = yamabe(5, 1.0, -1.0)  # domain [0, inf)
+    for F in (
+        sum_of(neg_trace(), child),
+        max_of(child, constant(-0.1)),
+        compose(np.arctan, child),
+        sum_of(scalar_term(1.0), max_of(compose(np.arctan, child), neg_trace())),
+    ):
+        assert F.r_domain == (0.0, math.inf), F.name
+        ctx = F.make_context([NORTH, NORTH])
+        F.eval_batch(ctx, np.array([0.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
+        for r in (-0.5, math.nan):
+            with pytest.raises(PreconditionError):
+                F.point_eval(NORTH, r, np.zeros(2), np.zeros((2, 2)))
+            with pytest.raises(PreconditionError):
+                F.eval_batch(ctx, np.array([1.0, r]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
+
+
 def test_scalar_field_parsing():
     assert ScalarField.parse("const:6").values([NORTH]) == [6.0]
     assert ScalarField.parse(2.5).values([NORTH]) == [2.5]
@@ -452,3 +472,24 @@ def test_cataloged_builder_properties(cfg, seed):
 def test_combinator_tree_properties(cfg, outer, seed):
     F = from_config(cfg)
     _check_structure(F if outer is None else compose(outer, F), seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cfg=CONFIG_TREES, outer=st.sampled_from([None, np.arctan]),
+       seed=st.integers(0, 2**32 - 1))
+def test_operators_take_read_only_proxy_views(cfg, outer, seed):
+    # the solver hands every operator views into one read-only (N, 6) proxy
+    # array [zeta_0, zeta_1, a00, a01, a01, a11]: non-contiguous zetas and amats
+    F = from_config(cfg)
+    F = F if outer is None else compose(outer, F)
+    points, rs, zs, amats, _ = _random_states(F, seed)
+    proxies = np.concatenate([zs, amats.reshape(-1, 4)], axis=1)
+    proxies.flags.writeable = False
+    before = proxies.copy()
+    zeta_view, amat_view = proxies[:, :2], proxies[:, 2:].reshape(-1, 2, 2)
+    assert not amat_view.flags.c_contiguous and not amat_view.flags.writeable
+    ctx = F.make_context(points)
+    on_views = F.eval_batch(ctx, rs[:, 0], zeta_view, amat_view)
+    on_copies = F.eval_batch(ctx, rs[:, 0], zs.copy(), amats.copy())
+    np.testing.assert_array_equal(on_views, on_copies, err_msg=F.name)
+    np.testing.assert_array_equal(proxies, before)

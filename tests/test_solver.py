@@ -1,21 +1,29 @@
 """Grid scheme, fixed point, Dirichlet, Perron, viscosity residuals."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 
 from riemvisc import DivergenceError, Euclidean, FlatTorus, Hyperbolic, Sphere
 from riemvisc.errors import PreconditionError, UnsupportedModelError
 from riemvisc.grids import GridFunction, build_grid, geodesic_ball_interior
 from riemvisc.operators import (
+    ScalarField,
     constant,
+    max_of,
     neg_trace,
     scalar_term,
     source,
     sum_of,
 )
 from riemvisc.solver import (
+    _center_sensitivity,
+    _gather,
+    _proxy_array,
     derivative_proxies,
     discrete_residual,
     discretize,
@@ -82,6 +90,127 @@ def test_grid_function_requires_finite_values():
 # --------------------------------------------------------------------- #
 # the difference proxies
 # --------------------------------------------------------------------- #
+
+def reference_proxies(grid, u_vals, stencil_vals, centers=None, t_vals=None):
+    """The per-direction proxies the stacked form replaced, kept as the reference:
+    eight stencil value arrays, and the center replaced direction by direction."""
+    h = grid.h
+    if t_vals is None:
+        t = u_vals
+        sv = stencil_vals
+    else:
+        t = t_vals
+        sv = [
+            base + diag * (t_vals - u_vals)
+            for base, diag in zip(stencil_vals, centers)
+        ]
+    n_nodes = u_vals.shape[0]
+    zetas = np.empty((n_nodes, 2))
+    amats = np.empty((n_nodes, 2, 2))
+    zetas[:, 0] = (sv[0] - sv[1]) / (2.0 * h)
+    zetas[:, 1] = (sv[2] - sv[3]) / (2.0 * h)
+    a00 = (sv[0] + sv[1] - 2.0 * t) / h**2
+    a11 = (sv[2] + sv[3] - 2.0 * t) / h**2
+    dplus = (sv[4] + sv[5] - 2.0 * t) / h**2
+    dminus = (sv[6] + sv[7] - 2.0 * t) / h**2
+    a01 = 0.5 * (dplus - dminus)
+    amats[:, 0, 0] = a00
+    amats[:, 1, 1] = a11
+    amats[:, 0, 1] = a01
+    amats[:, 1, 0] = a01
+    return zetas, amats
+
+
+def reference_torus_stencils(grid):
+    """The torus stencils built one owned matrix per direction."""
+    res = grid.resolution
+    spacing = grid.model.periods / res
+    mats = []
+    for d in grid.dirs:
+        s = (grid.coords + grid.h * d) / spacing
+        base = np.floor(s)
+        frac = np.where(s - base < 1e-9, 0.0, s - base)
+        base = base.astype(np.int64)
+        i0, j0 = np.mod(base[:, 0], res), np.mod(base[:, 1], res)
+        i1, j1 = np.mod(base[:, 0] + 1, res), np.mod(base[:, 1] + 1, res)
+        fx, fy = frac[:, 0], frac[:, 1]
+        corners = [
+            (i0, j0, (1 - fx) * (1 - fy)), (i1, j0, fx * (1 - fy)),
+            (i0, j1, (1 - fx) * fy), (i1, j1, fx * fy),
+        ]
+        rows = np.tile(np.arange(grid.n_nodes), 4)
+        cols = np.concatenate([ii * res + jj for ii, jj, _ in corners])
+        vals = np.concatenate([ww for _, _, ww in corners])
+        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(grid.n_nodes, grid.n_nodes))
+        mat.eliminate_zeros()
+        mats.append(mat)
+    return mats
+
+
+PROXY_GRIDS = [("sphere", 1), ("sphere", 2), ("sphere", 3),
+               ("torus", 8), ("torus", 13), ("torus", 32)]
+
+
+@functools.lru_cache(maxsize=None)
+def proxy_grid(kind, res):
+    if kind == "sphere":
+        return build_grid(SPHERE, res)
+    return build_grid(FlatTorus([1.0, 0.7]), res)
+
+
+@pytest.mark.parametrize("kind,res", PROXY_GRIDS)
+def test_stencil_views_share_the_stack(kind, res):
+    grid = proxy_grid(kind, res)
+    n = grid.n_nodes
+    assert grid.stack.shape == (len(grid.dirs) * n, n)
+    u = np.random.default_rng(res).standard_normal(n)
+    stacked = grid.stack @ u
+    owned = (
+        reference_torus_stencils(grid) if kind == "torus"
+        # the sphere's per-direction route: an owned CSR from the same triplets
+        else [sparse.csr_matrix((m.data, (m.tocoo().row, m.indices)), shape=(n, n))
+              for m in grid.stencils]
+    )
+    for k, (view, ref) in enumerate(zip(grid.stencils, owned)):
+        assert np.shares_memory(view.data, grid.stack.data)
+        assert np.shares_memory(view.indices, grid.stack.indices)
+        assert not view.data.flags.writeable
+        assert np.array_equal(view @ u, stacked[k * n:(k + 1) * n])
+        assert np.array_equal(view @ u, ref @ u)
+    if kind == "torus":
+        for view, ref in zip(grid.stencils, owned):
+            assert np.array_equal(view.indptr, ref.indptr)
+            assert np.array_equal(view.indices, ref.indices)
+            assert np.array_equal(view.data, ref.data)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(PROXY_GRIDS), scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_proxies_match_per_direction_reference(key, scale, seed):
+    grid = proxy_grid(*key)
+    rng = np.random.default_rng(seed)
+    u = scale * rng.standard_normal(grid.n_nodes)
+    sv = _gather(grid.stack, u)
+    assert sv.shape == (len(grid.dirs), grid.n_nodes)
+    base = _proxy_array(sv, u, grid.h)
+    ref_stencil_vals = [s @ u for s in grid.stencils]
+    ref_z, ref_a = reference_proxies(grid, u, ref_stencil_vals)
+    # the base proxies are bitwise the per-direction ones
+    assert np.array_equal(base[:, :2], ref_z)
+    assert np.array_equal(base[:, 2:].reshape(-1, 2, 2), ref_a)
+    for node in rng.integers(grid.n_nodes, size=3):
+        zeta, amat = derivative_proxies(grid, GridFunction(grid, u), int(node))
+        assert np.array_equal(zeta, ref_z[node]) and np.array_equal(amat, ref_a[node])
+    # the center replacement is affine in t - u
+    t = u + scale * rng.uniform(-1.0, 1.0, grid.n_nodes)
+    moved = base + (t - u)[:, None] * _center_sensitivity(grid)
+    diags = [np.asarray(s.diagonal()).ravel() for s in grid.stencils]
+    ref_z, ref_a = reference_proxies(grid, u, ref_stencil_vals, diags, t)
+    bound = 1e-12 * (1.0 + np.max(np.abs(u))) / grid.h**2
+    assert np.max(np.abs(moved[:, :2] - ref_z)) <= bound
+    assert np.max(np.abs(moved[:, 2:].reshape(-1, 2, 2) - ref_a)) <= bound
+
 
 def test_proxies_vanish_on_constants():
     grid = build_grid(SPHERE, 2)
@@ -297,6 +426,36 @@ def test_perron_constant_problem_from_wide_bracket():
     fixed, _ = solve_fixed_point(laplace_rhs_2(), grid, tol=tol)
     assert np.max(np.abs(result.solution.values - fixed.values)) <= 2.0 * tol
     assert np.max(np.abs(result.solution.values - 2.0)) <= 1e-6
+
+
+LINEAR_A = np.array([1.0, 2.0, 2.0]) / 3.0
+
+
+@pytest.mark.parametrize("kind,sweeps", [("linear", 380), ("max_of", 257)])
+def test_perron_from_unit_bracket_matches_fixed_point(kind, sweeps):
+    # u - lap u = a.x (solution a.x/3), and u + max(-lap u - a.x, -0.1) = 0,
+    # which lies below both of its supersolutions a.x/3 and 0.1
+    grid = build_grid(SPHERE, 3)
+    f = ScalarField(lambda p: float(LINEAR_A @ p.coords), name="linear")
+    G = sum_of(neg_trace(), source(f))
+    if kind == "max_of":
+        G = max_of(G, constant(-0.1))
+    tol = 1e-8
+    result = perron_iterate(
+        sum_of(scalar_term(1.0), G), grid,
+        GridFunction.constant(grid, -1.0), GridFunction.constant(grid, 1.0), tol=tol,
+    )
+    assert result.converged and result.ordering_ok
+    assert result.min_increment >= 0.0  # the iterates never decrease
+    assert result.sweeps == sweeps  # the count of the per-direction scheme
+    exact = grid.coords @ LINEAR_A / 3.0
+    ladder_bound = 3.0e-3  # res 3, as in the benchmark's ladder
+    if kind == "linear":
+        assert np.max(np.abs(result.solution.values - exact)) <= ladder_bound
+    else:
+        assert np.max(result.solution.values - np.minimum(exact + ladder_bound, 0.1)) <= 1e-7
+    fixed, _ = solve_fixed_point(G, grid, tol=tol)
+    assert np.max(np.abs(result.solution.values - fixed.values)) <= 1e-6
 
 
 def test_perron_rejects_bad_brackets():
