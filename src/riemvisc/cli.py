@@ -38,71 +38,94 @@ from .manifolds import TangentVector, from_config as model_from_config
 from .operators import from_config as operator_from_config
 from .solver import solve_fixed_point, yamabe_solve
 
-_MODEL_SCHEMA = {"type": "object", "required": ["model"]}
+_INT = {"type": "integer"}
+_COUNT = {"type": "integer", "minimum": 1}
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NUMBERS = {"type": "array", "items": _NUMBER}
+_FIELD = {"anyOf": [_NUMBER, {"type": "string", "pattern": (
+    r"^(zero|coord:[0-9]+|const:[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?)$")}]}
+_MODEL = {"$ref": "#/definitions/model"}
+_OPERATOR = {"$ref": "#/definitions/operator"}
+
+
+def _object(keys: dict, required=()) -> dict:
+    """Schema of a JSON object that allows only ``keys``."""
+    return {"type": "object", "properties": keys, "required": list(required),
+            "additionalProperties": False}
+
+
+def _tagged(tag: str, kinds: dict) -> dict:
+    """Schema of a description whose ``tag`` names one of ``kinds``; each kind
+    maps to its keys and the keys it requires."""
+    return {
+        "type": "object",
+        "required": [tag],
+        "properties": {tag: {"enum": list(kinds)}},
+        "allOf": [
+            {"if": {"properties": {tag: {"const": kind}}, "required": [tag]},
+             "then": _object({tag: True, **keys}, required)}
+            for kind, (keys, required) in kinds.items()
+        ],
+    }
+
+
+_MODEL_KINDS = {
+    "euclidean": ({"dim": _COUNT}, ["dim"]),
+    "sphere": ({"dim": _COUNT, "radius": _POSITIVE}, ["dim"]),
+    "hyperbolic": ({"dim": _COUNT, "curvature": _POSITIVE}, ["dim"]),
+    "flat_torus": ({"periods": {"type": "array", "minItems": 1, "items": _POSITIVE}}, ["periods"]),
+    "product": ({"factors": {"type": "array", "minItems": 1, "items": _MODEL}}, ["factors"]),
+}
+_TERMS = {"type": "array", "minItems": 1, "items": _OPERATOR}
+_OPERATOR_KINDS = {
+    "neg_trace": ({}, []),
+    "neg_detplus": ({}, []),
+    "neg_min_eigenvalue": ({}, []),
+    "const": ({"value": _NUMBER}, ["value"]),
+    "scalar_term": ({"coeff": _FIELD}, []),
+    "source": ({"field": _FIELD}, ["field"]),
+    "sum": ({"terms": _TERMS, "weights": _NUMBERS}, ["terms"]),
+    "max": ({"terms": _TERMS}, ["terms"]),
+    "min": ({"terms": _TERMS}, ["terms"]),
+    "example_5_3": ({"f": _FIELD, "g": _FIELD, "p": _INT, "q": _INT, "r_exp": _INT, "k": _INT}, []),
+    "yamabe": ({"n": {"type": "integer", "minimum": 3}, "S": _FIELD, "S_prime": _NUMBER},
+               ["n", "S", "S_prime"]),
+}
+_GRID = _object({"model": _MODEL, "resolution": _COUNT, "h": {"anyOf": [_POSITIVE, {"type": "null"}]}})
 
 SCHEMAS = {
-    "geometry-check": {
-        "type": "object",
-        "properties": {
-            "model": _MODEL_SCHEMA,
-            "n_samples": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
-            "tolerances": {"type": "object"},
-        },
-        "additionalProperties": False,
-    },
-    "hessian-sign": {
-        "type": "object",
-        "properties": {
-            "model": _MODEL_SCHEMA,
-            "n_samples": {"type": "integer", "minimum": 1},
-            "ell_range": {"type": "array", "minItems": 2, "maxItems": 2},
-            "k0": {"type": "number", "minimum": 0},
-            "seed": {"type": "integer"},
-        },
-        "additionalProperties": False,
-    },
-    "comparison-demo": {
-        "type": "object",
-        "properties": {
-            "resolution": {"type": "integer", "minimum": 1},
-            "alphas": {"type": "array"},
-            "n_pairs": {"type": "integer", "minimum": 1},
-            "star_pairs": {"type": "integer", "minimum": 1},
-            "candidates_per_pair": {"type": "integer", "minimum": 1},
-            "alpha_star": {"type": "number"},
-            "seed": {"type": "integer"},
-        },
-        "additionalProperties": False,
-    },
-    "solve": {
-        "type": "object",
-        "properties": {
-            "grid": {"type": "object"},
-            "operator": {"type": "object"},
-            "u0": {"type": "number"},
-            "tol": {"type": "number"},
-            "theta": {"type": ["number", "null"]},
-            "max_iter": {"type": "integer"},
-            "seed": {"type": "integer"},
-        },
-        "additionalProperties": False,
-    },
-    "yamabe": {
-        "type": "object",
-        "properties": {
-            "grid": {"type": "object"},
-            "n": {"type": "integer", "minimum": 3},
-            "S": {"type": ["string", "number"]},
-            "S_prime": {"type": "number"},
-            "u0": {"type": "number"},
-            "tol": {"type": "number"},
-            "seed": {"type": "integer"},
-        },
-        "additionalProperties": False,
-    },
-    "report": {"type": "object", "additionalProperties": True},
+    "geometry-check": _object({
+        "model": _MODEL, "n_samples": _COUNT, "seed": _INT,
+        "tolerances": _object(
+            {key: _NUMBER for key in ("transport", "exp_log", "additivity", "curvature")}),
+    }),
+    "hessian-sign": _object({
+        "model": _MODEL, "n_samples": _COUNT, "seed": _INT,
+        "ell_range": {**_NUMBERS, "minItems": 2, "maxItems": 2},
+        "k0": {"type": "number", "minimum": 0},
+    }),
+    "comparison-demo": _object({
+        "resolution": _COUNT, "alphas": _NUMBERS, "n_pairs": _COUNT, "star_pairs": _COUNT,
+        "candidates_per_pair": _COUNT, "alpha_star": _NUMBER, "seed": _INT,
+    }),
+    "solve": _object({
+        "grid": _GRID, "operator": _OPERATOR, "u0": _NUMBER, "tol": _NUMBER,
+        "theta": {"type": ["number", "null"]}, "max_iter": _INT, "seed": _INT,
+    }),
+    "yamabe": _object({
+        "grid": _GRID, "n": {"type": "integer", "minimum": 3}, "S": _FIELD,
+        "S_prime": _NUMBER, "u0": _NUMBER, "tol": _NUMBER, "seed": _INT,
+    }),
 }
+# report runs every suite above, each configured under its name with "_" for "-"
+_REPORT_SUITES = list(SCHEMAS)
+SCHEMAS["report"] = _object(
+    {"seed": _INT, **{name.replace("-", "_"): SCHEMAS[name] for name in _REPORT_SUITES}}
+)
+_DEFINITIONS = {"model": _tagged("model", _MODEL_KINDS), "operator": _tagged("op", _OPERATOR_KINDS)}
+for _schema in SCHEMAS.values():
+    _schema["definitions"] = _DEFINITIONS
 
 
 def _json_default(obj):
@@ -208,25 +231,16 @@ def _geometry_suite(model, n_samples, seed, tolerances):
                 worst_curvature, abs(model.sectional_curvature(x, u, v) - k)
             )
 
+    def check(worst, tol):
+        return {"max_violation": worst, "tolerance": tol, "pass": worst <= tol}
+
     checks = {
-        "transport_isometry": {
-            "max_violation": worst_transport, "tolerance": tol_transport,
-            "pass": worst_transport <= tol_transport,
-        },
-        "exp_log_inversion": {
-            "max_violation": worst_explog, "tolerance": tol_explog,
-            "pass": worst_explog <= tol_explog,
-        },
-        "distance_additivity": {
-            "max_violation": worst_additivity, "tolerance": tol_additivity,
-            "pass": worst_additivity <= tol_additivity,
-        },
+        "transport_isometry": check(worst_transport, tol_transport),
+        "exp_log_inversion": check(worst_explog, tol_explog),
+        "distance_additivity": check(worst_additivity, tol_additivity),
     }
     if curvature_checked:
-        checks["curvature_constancy"] = {
-            "max_violation": worst_curvature, "tolerance": tol_curvature,
-            "pass": worst_curvature <= tol_curvature,
-        }
+        checks["curvature_constancy"] = check(worst_curvature, tol_curvature)
     else:
         checks["curvature_constancy"] = {"skipped": "product model has no constant"}
     return checks
@@ -418,15 +432,9 @@ def cmd_yamabe(config, out: Path, seed: int) -> dict:
 def cmd_report(config, out: Path, seed: int) -> dict:
     summary = {}
     all_pass = True
-    for name, fn in [
-        ("geometry-check", cmd_geometry_check),
-        ("hessian-sign", cmd_hessian_sign),
-        ("comparison-demo", cmd_comparison_demo),
-        ("solve", cmd_solve),
-        ("yamabe", cmd_yamabe),
-    ]:
+    for name in _REPORT_SUITES:
         sub_cfg = config.get(name.replace("-", "_"), {})
-        results = fn(sub_cfg, out, seed)
+        results = COMMANDS[name](sub_cfg, out, seed)
         _write_json(out / f"{name}.json", {
             "command": name, "seed": seed, "config": sub_cfg, "results": results,
             "pass": results["pass"],

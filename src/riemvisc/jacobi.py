@@ -98,13 +98,11 @@ def tidal_matrix(seg: GeodesicSegment, t: float = 0.0) -> np.ndarray:
     p = seg.point_at(t)
     frame = seg.frame_at(t)
     vel = TangentVector(p, frame[0])
-    n = model.dim
-    m = np.zeros((n, n))
-    for j in range(n):
-        rj = model.curvature_operator(p, TangentVector(p, frame[j]), vel, vel)
-        for i in range(n):
-            m[i, j] = model.ambient_inner(p, rj.components, frame[i])
-    return 0.5 * (m + m.T)
+    rs = np.array(
+        [model.curvature_operator(p, TangentVector(p, f), vel, vel).components for f in frame]
+    )
+    c = model.components(rs, frame)  # c[j, i] = <R(f_j, vel)vel, f_i>
+    return 0.5 * (c.T + c)
 
 
 def _simpson_weights(num_intervals: int, ell: float) -> np.ndarray:
@@ -451,13 +449,9 @@ def hessian_distance_sq(m: Manifold, x: Point, y: Point) -> HessianPair:
     seg = m.geodesic_segment(x, y)
     h_seg = _segment_frame_hessian(seg)
     n = m.dim
-    cx = m.canonical_frame(x)
-    cy = m.canonical_frame(y)
-    sx = np.array([[m.ambient_inner(x, seg.frame0[kk], cx[i]) for kk in range(n)] for i in range(n)])
-    sy = np.array([[m.ambient_inner(y, seg.frame_end[kk], cy[i]) for kk in range(n)] for i in range(n)])
     b = np.zeros((2 * n, 2 * n))
-    b[:n, :n] = sx
-    b[n:, n:] = sy
+    b[:n, :n] = m.components(seg.frame0, m.canonical_frame(x)).T
+    b[n:, n:] = m.components(seg.frame_end, m.canonical_frame(y)).T
     return HessianPair(m, x, y, b @ h_seg @ b.T)
 
 
@@ -639,14 +633,15 @@ class SignConditionReport:
     samples: int
     max_value: float
     min_value: float
+    max_violation: float
     tolerance: float
     passed: bool
 
     def to_dict(self) -> dict:
         return {
-            "model": {kk: vv for kk, vv in self.model.items() if not kk.startswith("_")},
+            "model": self.model,
             "samples": self.samples,
-            "max_violation": self.model.get("_violation", 0.0),
+            "max_violation": self.max_violation,
             "tolerance": self.tolerance,
             "pass": self.passed,
             "max_value": self.max_value,
@@ -677,10 +672,8 @@ def check_sign_condition(
         violation = max(violation, max_v)
     if sign <= 0.0:
         violation = max(violation, -min_v)
-    cfg = dict(m.config())
-    cfg["_violation"] = max(0.0, violation)
     return SignConditionReport(
-        cfg, n_samples, max_v, min_v, tolerance, violation <= tolerance
+        m.config(), n_samples, max_v, min_v, violation, tolerance, violation <= tolerance
     )
 
 

@@ -196,8 +196,7 @@ def _dexp_matrix(m: Manifold, x: Point, w: np.ndarray, frame_x, frame_y, y: Poin
             for s in (-2.0, -1.0, 1.0, 2.0)
         ]
         deriv = (pts[0] - 8.0 * pts[1] + 8.0 * pts[2] - pts[3]) / (12.0 * h)
-        tangent = m.project_tangent(y, deriv)
-        cols[:, k] = [m.ambient_inner(y, tangent, fy) for fy in frame_y]
+        cols[:, k] = m.components(m.project_tangent(y, deriv), frame_y)
     return cols
 
 
@@ -243,7 +242,7 @@ def chart_correction_term(
     vy = vector_field(y)
     m._check_based(y, vy)
     dexp = _dexp_matrix(m, x, w, frame_x, frame_y, y)
-    v_pullback = np.linalg.solve(dexp, [m.ambient_inner(y, vy.components, fy) for fy in frame_y])
+    v_pullback = np.linalg.solve(dexp, m.components(vy.components, frame_y))
     v_tilde = v_pullback @ frame_x
 
     def sigma(t):
@@ -451,6 +450,7 @@ def jet_limit_check(
             fields.append((frame[i] + frame[j]) / math.sqrt(2.0))
     zeta_ref = m.frame_components(x, limit.zeta, frame)
     a_ref = limit.form.matrix
+    field_comps = m.components(fields, frame)
 
     for idx, jet in enumerate(jets):
         xn = jet.point
@@ -465,14 +465,9 @@ def jet_limit_check(
         frame_n = m.canonical_frame(xn)
         zeta_n = m.frame_components(xn, jet.zeta, frame_n)
         a_n = jet.form.matrix
-        for base_field in fields:
+        for base_field, ref_comps in zip(fields, field_comps):
             moved = m.parallel_transport(x, xn, TangentVector(x, base_field))
-            comps = np.array(
-                [m.ambient_inner(xn, moved.components, f) for f in frame_n]
-            )
-            ref_comps = np.array(
-                [m.ambient_inner(x, base_field, f) for f in frame]
-            )
+            comps = m.components(moved.components, frame_n)
             if abs(np.dot(zeta_n, comps) - np.dot(zeta_ref, ref_comps)) > tol:
                 return False
             if abs(comps @ a_n @ comps - ref_comps @ a_ref @ ref_comps) > tol:

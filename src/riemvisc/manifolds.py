@@ -22,10 +22,16 @@ Conventions
 * Manifolds without conjugate points report ``INFINITE_RADIUS``
   (``math.inf``) as their injectivity radius; preconditions compare with
   strict ``<``.
-* The constant-curvature models also evaluate ``exp``, ``distance`` and the
-  ambient inner product over (N, ambient) stacks of rows (``exp_stack``,
-  ``distance_stack``, ``inner_stack``).  They round every row exactly as
-  the single-point methods do, so a sweep may use either.
+* Every model but the product is a space form of constant curvature K
+  (``constant_sectional``): ``Manifold`` writes its tangent projection
+  ``a - K <a, x> x`` and curvature operator ``K (<v,w> u - <u,w> v)`` once.
+  The Minkowski form lives only in ``Hyperbolic.ambient_inner``/``inner_stack``.
+* ``inner_stack`` broadcasts over leading axes; ``components(vectors,
+  frame)`` on top of it rounds each entry as one ``ambient_inner``.
+* The constant-curvature models also evaluate ``exp`` and ``distance`` over
+  (N, ambient) stacks of rows (``exp_stack``, ``distance_stack``).  They
+  round every row exactly as the single-point methods do, so a sweep may
+  use either.
 """
 
 from __future__ import annotations
@@ -55,8 +61,9 @@ def _readonly(a) -> np.ndarray:
 
 
 def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row pair, rounded exactly as ``np.dot`` of one pair."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Dot product over the last axis, broadcast over the leading axes; each
+    entry is rounded exactly as ``np.dot`` of one pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _libm(fn: Callable, *args) -> np.ndarray:
@@ -144,8 +151,10 @@ class Manifold:
         return float(np.dot(a, b))
 
     def project_tangent(self, x: Point, ambient: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of an ambient coordinate vector onto T_x."""
-        raise NotImplementedError
+        """Orthogonal projection of an ambient coordinate vector onto T_x:
+        ``a - K <a, x> x`` on a space form of curvature K."""
+        a = np.asarray(ambient, dtype=float)
+        return a - (self.constant_sectional() * self.ambient_inner(x, a, x.coords)) * x.coords
 
     def exp(self, x: Point, v: TangentVector) -> Point:
         raise NotImplementedError
@@ -171,8 +180,14 @@ class Manifold:
         raise NotImplementedError
 
     def inner_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``ambient_inner`` of every row pair (the base point does not enter)."""
+        """``ambient_inner`` over the last axis, broadcast over the leading
+        axes (the base point does not enter)."""
         return _rowwise_dot(a, b)
+
+    def components(self, vectors, frame: np.ndarray) -> np.ndarray:
+        """Components of (..., ambient) vectors in (..., d, ambient) frames,
+        shape (..., d); each entry is rounded as one ``ambient_inner``."""
+        return self.inner_stack(np.asarray(vectors, dtype=float)[..., None, :], frame)
 
     def constant_sectional(self) -> float | None:
         """The constant sectional curvature, or None for product models."""
@@ -181,8 +196,11 @@ class Manifold:
     def curvature_operator(
         self, x: Point, u: TangentVector, v: TangentVector, w: TangentVector
     ) -> TangentVector:
-        """R(u, v)w with the sign fixed by <R(u,v)v, u> = K |u ^ v|^2."""
-        raise NotImplementedError
+        """R(u, v)w = K (<v,w> u - <u,w> v) on a space form of curvature K;
+        the sign is fixed by <R(u,v)v, u> = K |u ^ v|^2."""
+        uw = self.metric(x, u, w)
+        vw = self.metric(x, v, w)
+        return TangentVector(x, self.constant_sectional() * (vw * u.components - uw * v.components))
 
     def point(self, coords) -> Point:
         """Validating constructor for points of this model."""
@@ -267,7 +285,7 @@ class Manifold:
         self._check_based(x, v)
         if frame is None:
             frame = self.canonical_frame(x)
-        return np.array([self.ambient_inner(x, v.components, f) for f in frame])
+        return self.components(v.components, frame)
 
     def tangent_from_frame(self, x: Point, comps, frame: np.ndarray | None = None) -> TangentVector:
         if frame is None:
@@ -281,15 +299,13 @@ class Manifold:
     def parallel_transport_bilinear(self, x: Point, y: Point, a: SymBilinear) -> SymBilinear:
         """Transport of a form: (L_xy A)(u, u) := A(L_yx u, L_yx u)."""
         self._check_based(x, a)
-        frame_y = self.canonical_frame(y)
-        back = np.array(
+        moved = np.array(
             [
-                self.frame_components(
-                    x, self.parallel_transport(y, x, TangentVector(y, f))
-                )
-                for f in frame_y
+                self.parallel_transport(y, x, TangentVector(y, f)).components
+                for f in self.canonical_frame(y)
             ]
         )
+        back = self.components(moved, self.canonical_frame(x))
         return SymBilinear(y, back @ a.matrix @ back.T)
 
     def random_tangent(
@@ -313,9 +329,6 @@ class Euclidean(Manifold):
     @property
     def ambient_dim(self) -> int:
         return self.dim
-
-    def project_tangent(self, x, ambient):
-        return np.asarray(ambient, dtype=float)
 
     def point(self, coords) -> Point:
         coords = np.asarray(coords, dtype=float)
@@ -350,9 +363,6 @@ class Euclidean(Manifold):
     def constant_sectional(self):
         return 0.0
 
-    def curvature_operator(self, x, u, v, w):
-        return TangentVector(x, np.zeros(self.dim))
-
     def random_point(self, rng):
         return Point(rng.standard_normal(self.dim))
 
@@ -376,10 +386,6 @@ class Sphere(Manifold):
     @property
     def ambient_dim(self) -> int:
         return self.dim + 1
-
-    def project_tangent(self, x, ambient):
-        a = np.asarray(ambient, dtype=float)
-        return a - (np.dot(a, x.coords) / self.radius**2) * x.coords
 
     def canonical_frames(self, coords: np.ndarray) -> np.ndarray:
         """``canonical_frame`` at every row of ``coords``, batched and rounded alike.
@@ -474,12 +480,6 @@ class Sphere(Manifold):
     def constant_sectional(self):
         return 1.0 / self.radius**2
 
-    def curvature_operator(self, x, u, v, w):
-        k = self.constant_sectional()
-        uw = self.metric(x, u, w)
-        vw = self.metric(x, v, w)
-        return TangentVector(x, k * (vw * u.components - uw * v.components))
-
     def random_point(self, rng):
         p = rng.standard_normal(self.dim + 1)
         return Point(p * (self.radius / np.linalg.norm(p)))
@@ -510,24 +510,17 @@ class Hyperbolic(Manifold):
     def ambient_dim(self) -> int:
         return self.dim + 1
 
-    def _minkowski(self, a, b):
+    def ambient_inner(self, x, a, b):
         return float(np.dot(a[1:], b[1:]) - a[0] * b[0])
 
-    def ambient_inner(self, x, a, b):
-        return self._minkowski(a, b)
-
     def inner_stack(self, a, b):
-        return _rowwise_dot(a[:, 1:], b[:, 1:]) - a[:, 0] * b[:, 0]
-
-    def project_tangent(self, x, ambient):
-        a = np.asarray(ambient, dtype=float)
-        return a + self.k0 * self._minkowski(a, x.coords) * x.coords
+        return _rowwise_dot(a[..., 1:], b[..., 1:]) - a[..., 0] * b[..., 0]
 
     def point(self, coords) -> Point:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.dim + 1,):
             raise ValueError(f"expected {self.dim + 1} Minkowski coordinates")
-        q = self._minkowski(coords, coords)
+        q = self.ambient_inner(None, coords, coords)
         if abs(q + 1.0 / self.k0) > 1e-8 / self.k0 or coords[0] <= 0:
             raise ValueError("point does not lie on the upper hyperboloid")
         return Point(coords / math.sqrt(-q * self.k0))
@@ -539,13 +532,13 @@ class Hyperbolic(Manifold):
 
     def exp(self, x, v):
         self._check_based(x, v)
-        s2 = self._minkowski(v.components, v.components)
+        s2 = self.ambient_inner(x, v.components, v.components)
         if s2 <= 0.0:
             return x
         s = math.sqrt(s2)
         theta = s / self.scale
         p = math.cosh(theta) * x.coords + math.sinh(theta) * self.scale * v.components / s
-        q = self._minkowski(p, p)
+        q = self.ambient_inner(x, p, p)
         if abs(q * self.k0 + 1.0) <= 1e-8:
             return Point(p / math.sqrt(-q * self.k0))
         # on long geodesics <p, p>_L cancels to noise (any sign), and rescaling
@@ -573,7 +566,7 @@ class Hyperbolic(Manifold):
 
     def _split(self, x, y):
         u = self.project_tangent(x, y.coords)
-        nu2 = self._minkowski(u, u)
+        nu2 = self.ambient_inner(x, u, u)
         nu = math.sqrt(max(nu2, 0.0))
         theta = math.asinh(nu / self.scale)
         return theta, u, nu
@@ -596,12 +589,12 @@ class Hyperbolic(Manifold):
     def parallel_transport(self, x, y, v):
         self._check_based(x, v)
         e = self.log(x, y)
-        ell = math.sqrt(max(self._minkowski(e.components, e.components), 0.0))
+        ell = math.sqrt(max(self.ambient_inner(x, e.components, e.components), 0.0))
         if ell <= 1e-300:
             return TangentVector(y, v.components)
         u = e.components / ell
         theta = ell / self.scale
-        a = self._minkowski(v.components, u)
+        a = self.ambient_inner(x, v.components, u)
         vel_y = math.sinh(theta) * x.coords / self.scale + math.cosh(theta) * u
         return TangentVector(y, v.components - a * u + a * vel_y)
 
@@ -610,12 +603,6 @@ class Hyperbolic(Manifold):
 
     def constant_sectional(self):
         return -self.k0
-
-    def curvature_operator(self, x, u, v, w):
-        k = self.constant_sectional()
-        uw = self.metric(x, u, w)
-        vw = self.metric(x, v, w)
-        return TangentVector(x, k * (vw * u.components - uw * v.components))
 
     def random_point(self, rng, spread: float = 0.8):
         # Moderate spread keeps hyperboloid coordinates well conditioned:
@@ -627,8 +614,9 @@ class Hyperbolic(Manifold):
         return {"model": "hyperbolic", "dim": self.dim, "curvature": self.k0}
 
 
-class FlatTorus(Manifold):
-    """Flat torus with the given periods; chart coordinates mod periods."""
+class FlatTorus(Euclidean):
+    """Flat torus with the given periods: Euclidean space with chart
+    coordinates reduced mod the periods."""
 
     kind = "flat_torus"
 
@@ -640,13 +628,6 @@ class FlatTorus(Manifold):
             raise ValueError("periods must be positive")
         self.periods = _readonly(periods)
         self.dim = int(periods.size)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.dim
-
-    def project_tangent(self, x, ambient):
-        return np.asarray(ambient, dtype=float)
 
     def wrap(self, coords) -> np.ndarray:
         return np.mod(np.asarray(coords, dtype=float), self.periods)
@@ -681,18 +662,8 @@ class FlatTorus(Manifold):
             raise GeometryDomainError("log undefined at the torus cut locus")
         return TangentVector(x, d)
 
-    def parallel_transport(self, x, y, v):
-        self._check_based(x, v)
-        return TangentVector(y, v.components)
-
     def injectivity_radius(self, x=None):
         return float(np.min(self.periods)) / 2.0
-
-    def constant_sectional(self):
-        return 0.0
-
-    def curvature_operator(self, x, u, v, w):
-        return TangentVector(x, np.zeros(self.dim))
 
     def random_point(self, rng):
         return Point(rng.uniform(0.0, self.periods))
@@ -727,15 +698,14 @@ class Product(Manifold):
         return np.concatenate([np.asarray(p, dtype=float) for p in parts])
 
     def ambient_inner(self, x, a, b):
-        xs = self._parts_point(x)
+        # the factors' inner products do not read the base point
         return sum(
-            f.ambient_inner(xi, a[s], b[s])
-            for f, xi, s in zip(self.factors, xs, self._slices)
+            f.ambient_inner(None, a[s], b[s]) for f, s in zip(self.factors, self._slices)
         )
 
     def inner_stack(self, a, b):
         return sum(
-            f.inner_stack(a[:, s], b[:, s]) for f, s in zip(self.factors, self._slices)
+            f.inner_stack(a[..., s], b[..., s]) for f, s in zip(self.factors, self._slices)
         )
 
     def project_tangent(self, x, ambient):
@@ -867,12 +837,6 @@ class GeodesicSegment:
             return self.start
         return self.model.exp(self.start, TangentVector(self.start, t * self.frame0[0]))
 
-    def velocity_at(self, t: float) -> TangentVector:
-        p = self.point_at(t)
-        return self.model.parallel_transport(
-            self.start, p, TangentVector(self.start, self.frame0[0])
-        )
-
     def frame_at(self, t: float) -> np.ndarray:
         if t == 0.0:
             return self.frame0
@@ -890,15 +854,11 @@ class GeodesicSegment:
 
     def components_at_start(self, v: TangentVector) -> np.ndarray:
         self.model._check_based(self.start, v)
-        return np.array(
-            [self.model.ambient_inner(self.start, v.components, f) for f in self.frame0]
-        )
+        return self.model.components(v.components, self.frame0)
 
     def components_at_end(self, w: TangentVector) -> np.ndarray:
         self.model._check_based(self.end, w)
-        return np.array(
-            [self.model.ambient_inner(self.end, w.components, f) for f in self.frame_end]
-        )
+        return self.model.components(w.components, self.frame_end)
 
     def vector_at_start(self, comps) -> TangentVector:
         return TangentVector(self.start, np.asarray(comps, dtype=float) @ self.frame0)

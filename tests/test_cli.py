@@ -53,6 +53,43 @@ def test_schema_violation_is_usage_error(tmp_path):
     assert run(["geometry-check", "--config", cfg, "--out", tmp_path]) == 2
 
 
+BAD_SOLVE = {"grid": {"resolution": 2}, "operator": {"op": "sum"}}
+
+
+@pytest.mark.parametrize(
+    "command,config,message",
+    [
+        ("solve", {"operator": {"op": "bogus"}}, "'bogus' is not one of"),
+        ("solve", {"operator": {"op": "sum"}}, "'terms' is a required property"),
+        ("solve", {"operator": {"op": "sum", "terms": [{"op": "const"}]}},
+         "'value' is a required property"),
+        ("solve", {"operator": {"op": "source", "field": "coord:x"}}, "coord:x"),
+        ("geometry-check", {"model": {"model": "blob"}}, "'blob' is not one of"),
+        ("hessian-sign", {"model": {"model": "product", "factors": [
+            {"model": "sphere", "dim": 2, "radus": 2.0}]}}, "'radus' was unexpected"),
+        ("solve", {"grid": {"resolution": "x"}}, "'x' is not of type 'integer'"),
+        ("yamabe", {"grid": {"model": {"model": "sphere"}}}, "'dim' is a required property"),
+        ("report", {"solve": BAD_SOLVE}, "'terms' is a required property"),
+        ("report", {"solv": BAD_SOLVE}, "'solv' was unexpected"),
+        ("report", {"geometry_check": {"model": {"model": "blob"}}}, "'blob' is not one of"),
+    ],
+    ids=[
+        "unknown-op", "sum-without-terms", "const-without-value", "bad-field",
+        "unknown-model", "misspelt-model-key", "string-resolution", "sphere-without-dim",
+        "report-bad-solve", "report-misspelt-suite", "report-unknown-model",
+    ],
+)
+def test_malformed_description_is_usage_error(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("riemvisc: config error: ")
+    assert message in err
+    assert not out.exists()  # rejected before any suite ran
+
+
 def test_geometry_check_seed_208_curvature_constancy(tmp_path):
     # seed 208 draws a nearly dependent (u, v) pair for the curvature check
     results = cmd_geometry_check({}, tmp_path, 208)

@@ -30,6 +30,7 @@ from riemvisc.jacobi import (
     parallel_pair_sweep,
     sine_bump_field,
     solve_jacobi_bvp,
+    tidal_matrix,
 )
 
 MODELS = [
@@ -460,6 +461,22 @@ def test_sign_condition_product_nonneg_curvature():
     assert report.max_value <= 1e-8
 
 
+def test_sign_report_carries_its_violation(monkeypatch):
+    import riemvisc.jacobi as jacobi
+
+    m = Sphere(2, 1.0)
+    report = check_sign_condition(m, 200, seed=8)
+    assert report.model == m.config()
+    assert report.max_violation == max(0.0, report.max_value)
+    # claimed the wrong sign, the sphere's negative values are the violation
+    monkeypatch.setattr(jacobi, "curvature_sign", lambda model: -1.0)
+    wrong = check_sign_condition(m, 200, seed=8)
+    assert wrong.max_violation == -wrong.min_value > 0.0
+    assert not wrong.passed
+    d = wrong.to_dict()
+    assert (d["model"], d["max_violation"]) == (m.config(), wrong.max_violation)
+
+
 def test_curvature_bound_hyperbolic():
     report = check_curvature_bound(Hyperbolic(2, 1.0), 1.0, 500, seed=10)
     assert report.passed
@@ -644,3 +661,32 @@ def test_batched_pair_values_match_exact_normal_mass_on_hyperboloid():
         # Minkowski products of rows of Euclidean size |x| lose K0 |x|^2
         conditioning = m.k0 * float(xr @ xr)
         assert abs(value - closed) <= 1e-13 * conditioning * max(1.0, abs(closed))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.one_of(st.sampled_from(MODELS + [Hyperbolic(3, 2.5)]), random_products()),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_kernels_match_the_per_row_loops(model, seed):
+    # the tidal matrix and the Hessian's frame change, against the per-row
+    # ambient_inner loops they replaced, bit for bit
+    rng = np.random.default_rng(seed)
+    seg = random_segment(model, rng)
+    for t in (0.0, 0.5 * seg.length):
+        p, frame = seg.point_at(t), seg.frame_at(t)
+        vel = TangentVector(p, frame[0])
+        m = np.zeros((model.dim, model.dim))
+        for j, fj in enumerate(frame):
+            rj = model.curvature_operator(p, TangentVector(p, fj), vel, vel).components
+            m[:, j] = [model.ambient_inner(p, rj, fi) for fi in frame]
+        assert (0.5 * (m + m.T)).tobytes() == tidal_matrix(seg, t).tobytes()
+    x, y = seg.start, seg.end
+    n = model.dim
+    b = np.zeros((2 * n, 2 * n))
+    for block, base, frame in ((slice(0, n), x, seg.frame0), (slice(n, None), y, seg.frame_end)):
+        canonical = model.canonical_frame(base)
+        b[block, block] = [[model.ambient_inner(base, f, c) for f in frame] for c in canonical]
+    expected = b @ _segment_frame_hessian(seg) @ b.T
+    expected = 0.5 * (expected + expected.T)
+    assert hessian_distance_sq(model, x, y).matrix.tobytes() == expected.tobytes()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riemvisc import (
     BasePointMismatchError,
@@ -15,6 +16,7 @@ from riemvisc import (
     INFINITE_RADIUS,
     Product,
     Sphere,
+    TangentVector,
     from_config,
 )
 
@@ -509,3 +511,126 @@ def test_model_json_roundtrip():
         rebuilt = from_config(model.config())
         assert rebuilt.config() == model.config()
         assert rebuilt.dim == model.dim
+
+
+# --------------------------------------------------------------------- #
+# the space-form formulas shared by every model
+# --------------------------------------------------------------------- #
+
+@st.composite
+def space_forms(draw, max_dim=3):
+    """Euclidean space, spheres of radius != 1, hyperboloids with K0 != 1, tori."""
+    dim = draw(st.integers(1, max_dim))
+    kind = draw(st.sampled_from(["euclidean", "sphere", "hyperbolic", "flat_torus"]))
+    if kind == "sphere":
+        return Sphere(dim, draw(st.sampled_from([0.5, 0.7, 1.0, 2.5])))
+    if kind == "hyperbolic":
+        return Hyperbolic(dim, draw(st.sampled_from([0.25, 1.0, 2.5, 4.0])))
+    if kind == "flat_torus":
+        return FlatTorus(draw(st.lists(st.floats(0.5, 3.0), min_size=dim, max_size=dim)))
+    return Euclidean(dim)
+
+
+EVERY_MODEL = st.one_of(
+    space_forms(),
+    st.builds(lambda fs: Product(fs), st.lists(space_forms(max_dim=2), min_size=1, max_size=3)),
+    st.just(Product([Sphere(2, 1.0), Hyperbolic(2, 1.0)])),
+)
+
+
+def factor_parts(model):
+    """``(factor, slice)`` per factor; a space form is its own one factor."""
+    if isinstance(model, Product):
+        return list(zip(model.factors, model._slices))
+    return [(model, slice(None))]
+
+
+def conditioning(model, x):
+    """1 + sum |K| |x|^2 over factors: the size of <a, x> x next to |a|."""
+    return 1.0 + sum(
+        abs(f.constant_sectional()) * float(x.coords[s] @ x.coords[s])
+        for f, s in factor_parts(model)
+    )
+
+
+def reference_components(model, x, vectors, frame):
+    """The per-row loop ``components`` replaced, kept as its oracle."""
+    return np.array([[model.ambient_inner(x, v, f) for f in frame] for v in vectors])
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(model=EVERY_MODEL, seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+def test_project_tangent_is_idempotent_and_tangent(model, seed, scale):
+    rng = np.random.default_rng(seed)
+    x = model.random_point(rng)
+    a = rng.standard_normal(model.ambient_dim) * scale
+    p = model.project_tangent(x, a)
+    tol = 1e-13 * conditioning(model, x) ** 2 * max(1.0, float(np.max(np.abs(a))))
+    assert np.max(np.abs(model.project_tangent(x, p) - p)) <= tol
+    for f, s in factor_parts(model):
+        normal = f.constant_sectional() * f.ambient_inner(None, p[s], x.coords[s])
+        assert abs(normal) <= tol
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(model=EVERY_MODEL, seed=st.integers(0, 2**32 - 1))
+def test_curvature_operator_gives_the_sectional_form(model, seed):
+    # <R(u,v)v, u> = K (|u|^2 |v|^2 - <u,v>^2), summed over the factors of a product
+    rng = np.random.default_rng(seed)
+    x = model.random_point(rng)
+    u, v = model.random_tangent(rng, x), model.random_tangent(rng, x)
+    lhs = model.metric(x, model.curvature_operator(x, u, v, v), u)
+    rhs = size = 0.0
+    for f, s in factor_parts(model):
+        uf, vf = u.components[s], v.components[s]
+        k = f.constant_sectional()
+        uu, vv, uv = (f.ambient_inner(None, a, b) for a, b in ((uf, uf), (vf, vf), (uf, vf)))
+        rhs += k * (uu * vv - uv * uv)
+        size += abs(k) * float(uf @ uf) * float(vf @ vf)
+    assert abs(lhs - rhs) <= 1e-12 * conditioning(model, x) ** 2 * max(size, 1e-300)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(model=EVERY_MODEL, seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4))
+def test_components_match_the_per_row_loop(model, seed, rows):
+    rng = np.random.default_rng(seed)
+    x = model.random_point(rng)
+    frame = model.canonical_frame(x)
+    vectors = np.array([model.random_tangent(rng, x).components for _ in range(rows)])
+    ref = reference_components(model, x, vectors, frame)
+    assert_bitwise(model.components(vectors, frame), ref)
+    assert_bitwise(model.components(vectors[0], frame), ref[0])
+    assert_bitwise(model.frame_components(x, TangentVector(x, vectors[0])), ref[0])
+    # one frame per row, over a further leading axis
+    points = [model.random_point(rng) for _ in range(rows)]
+    frames = np.array([model.canonical_frame(p) for p in points])
+    moved = np.array([model.random_tangent(rng, p).components for p in points])
+    stacked = np.array(
+        [reference_components(model, p, [w], f)[0] for p, w, f in zip(points, moved, frames)]
+    )
+    assert_bitwise(model.components(moved, frames), stacked)
+    assert_bitwise(model.components(moved[None], frames[None]), stacked[None])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(model=EVERY_MODEL, seed=st.integers(0, 2**32 - 1))
+def test_transport_bilinear_matches_the_per_row_loop(model, seed):
+    rng = np.random.default_rng(seed)
+    x, y = sample_pair(model, rng)
+    raw = rng.standard_normal((model.dim, model.dim))
+    a = model.bilinear(x, raw + raw.T)
+    # the loop parallel_transport_bilinear replaced: one frame_components per row
+    frame_x = model.canonical_frame(x)
+    moved = [
+        model.parallel_transport(y, x, TangentVector(y, f)).components
+        for f in model.canonical_frame(y)
+    ]
+    back = reference_components(model, x, moved, frame_x)
+    expected = model.bilinear(y, back @ a.matrix @ back.T).matrix
+    assert_bitwise(model.parallel_transport_bilinear(x, y, a).matrix, expected)
