@@ -25,13 +25,18 @@ Conventions
 * Every model but the product is a space form of constant curvature K
   (``constant_sectional``): ``Manifold`` writes its tangent projection
   ``a - K <a, x> x`` and curvature operator ``K (<v,w> u - <u,w> v)`` once.
-  The Minkowski form lives only in ``Hyperbolic.ambient_inner``/``inner_stack``.
+  The sphere and the hyperboloid share one more base, ``_SpaceForm``, which
+  writes their exp, log, distance, parallel transport and batched
+  ``canonical_frames`` once in terms of K, the length scale and the pair
+  (cos, sin) or (cosh, sinh).  The Minkowski form lives only in
+  ``Hyperbolic.ambient_inner``/``inner_stack``.
 * ``inner_stack`` broadcasts over leading axes; ``components(vectors,
   frame)`` on top of it rounds each entry as one ``ambient_inner``.
 * The constant-curvature models also evaluate ``exp`` and ``distance`` over
-  (N, ambient) stacks of rows (``exp_stack``, ``distance_stack``).  They
-  round every row exactly as the single-point methods do, so a sweep may
-  use either.
+  (N, ambient) stacks of rows (``exp_stack``, ``distance_stack``; written
+  once for the sphere and the hyperboloid in ``_SpaceForm``).  They round
+  every row exactly as the single-point methods do, so a sweep may use
+  either.
 """
 
 from __future__ import annotations
@@ -370,22 +375,80 @@ class Euclidean(Manifold):
         return {"model": "euclidean", "dim": self.dim}
 
 
-class Sphere(Manifold):
-    """Round sphere of the given radius, embedded in R^(n+1)."""
+class _SpaceForm(Manifold):
+    """The round sphere and the hyperboloid: their closed forms, written once.
 
-    kind = "sphere"
-
-    def __init__(self, dim: int, radius: float = 1.0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.dim = int(dim)
-        self.radius = float(radius)
+    With curvature K = ``constant_sectional()``, length scale ``_rho`` (the
+    radius, or 1/sqrt(K0)) and the pair (C, S) = (cos, sin) or (cosh, sinh),
+    the unit-speed geodesic from x with velocity u is
+    ``C(t/rho) x + rho S(t/rho) u``.  A model supplies (``_C``, ``_S``),
+    ``_sign`` (the sign of K), ``_arc(s, c)`` (the angle t/rho with S = s and
+    C = c), its inner product, ``_onto``/``_onto_stack`` (the step back onto
+    the model after exp) and ``_check_log``.
+    """
 
     @property
     def ambient_dim(self) -> int:
         return self.dim + 1
+
+    def exp(self, x, v):
+        self._check_based(x, v)
+        s2 = self.ambient_inner(x, v.components, v.components)
+        if s2 <= 0.0:
+            return x
+        s = math.sqrt(s2)
+        theta = s / self._rho
+        p = self._C(theta) * x.coords + self._S(theta) * self._rho * v.components / s
+        return Point(self._onto(p))
+
+    def exp_stack(self, xs, vs):
+        s2 = self.inner_stack(vs, vs)
+        moving = s2 > 0.0
+        s = np.sqrt(np.where(moving, s2, 1.0))
+        theta = s / self._rho
+        p = (
+            _libm(self._C, theta)[:, None] * xs
+            + (_libm(self._S, theta) * self._rho)[:, None] * vs / s[:, None]
+        )
+        return np.where(moving[:, None], self._onto_stack(p), xs)
+
+    def _split(self, x, y):
+        """(theta, u, |u|) with y = c x + u, c = K <y, x> = C(theta), u tangent at x."""
+        c = self.constant_sectional() * self.ambient_inner(x, y.coords, x.coords)
+        u = y.coords - c * x.coords
+        nu = math.sqrt(max(self.ambient_inner(x, u, u), 0.0))
+        return self._arc(nu / self._rho, c), u, nu
+
+    def _check_log(self, theta, nu):
+        """Raise where ``log`` is undefined; every point has a log by default."""
+
+    def log(self, x, y):
+        theta, u, nu = self._split(x, y)
+        self._check_log(theta, nu)
+        if nu <= 1e-300:
+            return TangentVector(x, np.zeros(self.ambient_dim))
+        return TangentVector(x, (self._rho * theta / nu) * u)
+
+    def distance(self, x, y):
+        return self._rho * self._split(x, y)[0]
+
+    def distance_stack(self, xs, ys):
+        c = self.constant_sectional() * self.inner_stack(ys, xs)
+        u = ys - c[:, None] * xs
+        nu = np.sqrt(np.maximum(self.inner_stack(u, u), 0.0))
+        return self._rho * _libm(self._arc, nu / self._rho, c)
+
+    def parallel_transport(self, x, y, v):
+        self._check_based(x, v)
+        e = self.log(x, y)
+        ell = math.sqrt(max(self.ambient_inner(x, e.components, e.components), 0.0))
+        if ell <= 1e-300:
+            return TangentVector(y, v.components)
+        u = e.components / ell
+        theta = ell / self._rho
+        a = self.ambient_inner(x, v.components, u)
+        vel_y = -self._sign * self._S(theta) * x.coords / self._rho + self._C(theta) * u
+        return TangentVector(y, v.components - a * u + a * vel_y)
 
     def canonical_frames(self, coords: np.ndarray) -> np.ndarray:
         """``canonical_frame`` at every row of ``coords``, batched and rounded alike.
@@ -395,17 +458,32 @@ class Sphere(Manifold):
         x = np.asarray(coords, dtype=float).reshape(-1, self.ambient_dim)
         rows = np.zeros((x.shape[0], self.dim, self.ambient_dim))
         found = np.zeros(x.shape[0], dtype=np.int64)
-        for k in range(self.ambient_dim):
-            u = np.eye(self.ambient_dim)[k] - (x[:, k] / self.radius**2)[:, None] * x
+        for e in np.eye(self.ambient_dim):
+            u = e - (self.constant_sectional() * self.inner_stack(e, x))[:, None] * x
             for j in range(self.dim):
-                u -= _rowwise_dot(u, rows[:, j])[:, None] * rows[:, j]
-            nrm2 = _rowwise_dot(u, u)
+                u -= self.inner_stack(u, rows[:, j])[:, None] * rows[:, j]
+            nrm2 = self.inner_stack(u, u)
             take = np.flatnonzero((nrm2 > 1e-16) & (found < self.dim))
             rows[take, found[take]] = u[take] / np.sqrt(nrm2[take])[:, None]
             found[take] += 1
         if np.any(found < self.dim):
             raise GeometryDomainError("frame construction failed")
         return rows
+
+
+class Sphere(_SpaceForm):
+    """Round sphere of the given radius, embedded in R^(n+1)."""
+
+    kind = "sphere"
+    _C, _S, _sign, _arc = math.cos, math.sin, 1.0, math.atan2
+
+    def __init__(self, dim: int, radius: float = 1.0):
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        self.dim = int(dim)
+        self.radius = self._rho = float(radius)
 
     def point(self, coords) -> Point:
         coords = np.asarray(coords, dtype=float)
@@ -416,63 +494,15 @@ class Sphere(Manifold):
             raise ValueError("point does not lie on the sphere")
         return Point(coords * (self.radius / nrm))
 
-    def exp(self, x, v):
-        self._check_based(x, v)
-        s = np.linalg.norm(v.components)
-        if s == 0.0:
-            return x
-        theta = s / self.radius
-        p = math.cos(theta) * x.coords + math.sin(theta) * self.radius * v.components / s
-        return Point(p * (self.radius / np.linalg.norm(p)))
+    def _onto(self, p):
+        return p * (self.radius / np.linalg.norm(p))
 
-    def _angle(self, x, y):
-        c = np.dot(x.coords, y.coords) / self.radius**2
-        u = y.coords - c * x.coords
-        s = np.linalg.norm(u) / self.radius
-        return math.atan2(s, c), u
+    def _onto_stack(self, p):
+        return p * (self.radius / np.sqrt(_rowwise_dot(p, p)))[:, None]
 
-    def distance(self, x, y):
-        theta, _ = self._angle(x, y)
-        return self.radius * theta
-
-    def exp_stack(self, xs, vs):
-        s = np.sqrt(_rowwise_dot(vs, vs))
-        moving = s != 0.0
-        s = np.where(moving, s, 1.0)
-        theta = s / self.radius
-        p = (
-            _libm(math.cos, theta)[:, None] * xs
-            + (_libm(math.sin, theta) * self.radius)[:, None] * vs / s[:, None]
-        )
-        p = p * (self.radius / np.sqrt(_rowwise_dot(p, p)))[:, None]
-        return np.where(moving[:, None], p, xs)
-
-    def distance_stack(self, xs, ys):
-        c = _rowwise_dot(xs, ys) / self.radius**2
-        u = ys - c[:, None] * xs
-        s = np.sqrt(_rowwise_dot(u, u)) / self.radius
-        return self.radius * _libm(math.atan2, s, c)
-
-    def log(self, x, y):
-        theta, u = self._angle(x, y)
-        nu = np.linalg.norm(u)
+    def _check_log(self, theta, nu):
         if theta >= math.pi * (1.0 - 1e-12) or (nu <= 1e-12 * self.radius and theta > 1.0):
             raise GeometryDomainError("log undefined at or beyond the antipode")
-        if nu <= 1e-300:
-            return TangentVector(x, np.zeros(self.dim + 1))
-        return TangentVector(x, (self.radius * theta / nu) * u)
-
-    def parallel_transport(self, x, y, v):
-        self._check_based(x, v)
-        e = self.log(x, y)
-        ell = np.linalg.norm(e.components)
-        if ell <= 1e-300:
-            return TangentVector(y, v.components)
-        u = e.components / ell
-        theta = ell / self.radius
-        a = np.dot(v.components, u)
-        vel_y = -math.sin(theta) * x.coords / self.radius + math.cos(theta) * u
-        return TangentVector(y, v.components - a * u + a * vel_y)
 
     def injectivity_radius(self, x=None):
         return math.pi * self.radius
@@ -481,14 +511,13 @@ class Sphere(Manifold):
         return 1.0 / self.radius**2
 
     def random_point(self, rng):
-        p = rng.standard_normal(self.dim + 1)
-        return Point(p * (self.radius / np.linalg.norm(p)))
+        return Point(self._onto(rng.standard_normal(self.dim + 1)))
 
     def config(self):
         return {"model": "sphere", "dim": self.dim, "radius": self.radius}
 
 
-class Hyperbolic(Manifold):
+class Hyperbolic(_SpaceForm):
     """Hyperbolic space of curvature -K0, realized on the upper hyperboloid.
 
     Points p satisfy <p, p>_L = -1/K0 with the Minkowski form
@@ -496,6 +525,7 @@ class Hyperbolic(Manifold):
     """
 
     kind = "hyperbolic"
+    _C, _S, _sign = math.cosh, math.sinh, -1.0
 
     def __init__(self, dim: int, curvature: float = 1.0):
         if dim < 1:
@@ -504,11 +534,11 @@ class Hyperbolic(Manifold):
             raise ValueError("curvature parameter K0 must be positive")
         self.dim = int(dim)
         self.k0 = float(curvature)
-        self.scale = 1.0 / math.sqrt(self.k0)
+        self.scale = self._rho = 1.0 / math.sqrt(self.k0)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.dim + 1
+    @staticmethod
+    def _arc(s, c):
+        return math.asinh(s)
 
     def ambient_inner(self, x, a, b):
         return float(np.dot(a[1:], b[1:]) - a[0] * b[0])
@@ -530,73 +560,24 @@ class Hyperbolic(Manifold):
         p[0] = self.scale
         return Point(p)
 
-    def exp(self, x, v):
-        self._check_based(x, v)
-        s2 = self.ambient_inner(x, v.components, v.components)
-        if s2 <= 0.0:
-            return x
-        s = math.sqrt(s2)
-        theta = s / self.scale
-        p = math.cosh(theta) * x.coords + math.sinh(theta) * self.scale * v.components / s
-        q = self.ambient_inner(x, p, p)
+    def _onto(self, p):
+        q = self.ambient_inner(None, p, p)
         if abs(q * self.k0 + 1.0) <= 1e-8:
-            return Point(p / math.sqrt(-q * self.k0))
+            return p / math.sqrt(-q * self.k0)
         # on long geodesics <p, p>_L cancels to noise (any sign), and rescaling
         # by it would move the point; the spatial part is still accurate
         p[0] = math.sqrt(self.scale**2 + float(np.dot(p[1:], p[1:])))
-        return Point(p)
+        return p
 
-    def exp_stack(self, xs, vs):
-        s2 = self.inner_stack(vs, vs)
-        moving = s2 > 0.0
-        s = np.sqrt(np.where(moving, s2, 1.0))
-        theta = s / self.scale
-        p = (
-            _libm(math.cosh, theta)[:, None] * xs
-            + (_libm(math.sinh, theta) * self.scale)[:, None] * vs / s[:, None]
-        )
+    def _onto_stack(self, p):
         q = self.inner_stack(p, p)
         on_sheet = np.abs(q * self.k0 + 1.0) <= 1e-8
-        # off the sheet: recompute the time coordinate, as exp does
+        # off the sheet: recompute the time coordinate, as _onto does
         p[~on_sheet, 0] = np.sqrt(
             self.scale**2 + _rowwise_dot(p[~on_sheet, 1:], p[~on_sheet, 1:])
         )
         p[on_sheet] /= np.sqrt(-q[on_sheet] * self.k0)[:, None]
-        return np.where(moving[:, None], p, xs)
-
-    def _split(self, x, y):
-        u = self.project_tangent(x, y.coords)
-        nu2 = self.ambient_inner(x, u, u)
-        nu = math.sqrt(max(nu2, 0.0))
-        theta = math.asinh(nu / self.scale)
-        return theta, u, nu
-
-    def distance(self, x, y):
-        theta, _, _ = self._split(x, y)
-        return self.scale * theta
-
-    def distance_stack(self, xs, ys):
-        u = ys + (self.k0 * self.inner_stack(ys, xs))[:, None] * xs
-        nu = np.sqrt(np.maximum(self.inner_stack(u, u), 0.0))
-        return self.scale * _libm(math.asinh, nu / self.scale)
-
-    def log(self, x, y):
-        theta, u, nu = self._split(x, y)
-        if nu <= 1e-300:
-            return TangentVector(x, np.zeros(self.dim + 1))
-        return TangentVector(x, (self.scale * theta / nu) * u)
-
-    def parallel_transport(self, x, y, v):
-        self._check_based(x, v)
-        e = self.log(x, y)
-        ell = math.sqrt(max(self.ambient_inner(x, e.components, e.components), 0.0))
-        if ell <= 1e-300:
-            return TangentVector(y, v.components)
-        u = e.components / ell
-        theta = ell / self.scale
-        a = self.ambient_inner(x, v.components, u)
-        vel_y = math.sinh(theta) * x.coords / self.scale + math.cosh(theta) * u
-        return TangentVector(y, v.components - a * u + a * vel_y)
+        return p
 
     def injectivity_radius(self, x=None):
         return INFINITE_RADIUS
@@ -604,11 +585,11 @@ class Hyperbolic(Manifold):
     def constant_sectional(self):
         return -self.k0
 
-    def random_point(self, rng, spread: float = 0.8):
+    def random_point(self, rng):
         # Moderate spread keeps hyperboloid coordinates well conditioned:
         # they grow like cosh(distance) and Minkowski products cancel.
         o = self.base_point()
-        return self.exp(o, self.random_tangent(rng, o, scale=spread))
+        return self.exp(o, self.random_tangent(rng, o, scale=0.8))
 
     def config(self):
         return {"model": "hyperbolic", "dim": self.dim, "curvature": self.k0}

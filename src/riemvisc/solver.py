@@ -129,21 +129,17 @@ class SolveReport:
     wall_time: float
     residual_history: np.ndarray = field(repr=False)
 
-    def to_dict(self, history_stride: int = 50, include_timing: bool = False) -> dict:
-        # wall time is excluded by default so serialized reports are
-        # byte-identical across runs with the same config and seed
-        hist = self.residual_history
-        out = {
+    def to_dict(self) -> dict:
+        # wall time is left out so serialized reports are byte-identical
+        # across runs with the same config and seed
+        return {
             "iterations": self.iterations,
             "final_residual": self.final_residual,
             "tolerance": self.tolerance,
             "converged": self.converged,
             "theta": self.theta,
-            "residual_history": hist[:: max(1, history_stride)].tolist(),
+            "residual_history": self.residual_history[::50].tolist(),
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 # --------------------------------------------------------------------- #
@@ -292,8 +288,9 @@ class PerronResult:
     converged: bool
 
 
-def _nodewise_solve(F, ctx, w, base, centers, f0, newton_steps=4):
-    """Per node, the value t making the residual vanish with neighbors at w.
+def _nodewise_solve(F, ctx, w, base, centers, f0):
+    """Per node, the value t making the residual vanish with neighbors at w
+    (four Newton steps).
 
     ``base`` holds the proxies of w and ``f0`` the residual there; a trial
     center value t has the proxies ``base + (t - w) centers``.
@@ -301,7 +298,7 @@ def _nodewise_solve(F, ctx, w, base, centers, f0, newton_steps=4):
     trial = np.empty_like(base)
     t = np.array(w)
     dt = 1.0
-    for _ in range(newton_steps):
+    for _ in range(4):
         f1 = _evaluate_centered(F, ctx, base, centers, w, t + dt, trial)
         slope = (f1 - f0) / dt
         slope = np.where(slope > 1e-12, slope, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from riemvisc import FlatTorus, Point, Sphere, TangentVector
+from riemvisc import FlatTorus, Hyperbolic, Point, Sphere, TangentVector
 from riemvisc.grids import (
     _mesh_edges, build_grid, geodesic_ball_interior, icosahedron, icosphere,
 )
@@ -58,10 +58,19 @@ def test_mesh_edges_sorted_unique(res):
 # --------------------------------------------------------------------- #
 
 def frame_points(model, rng):
-    """Random points, axis points and points on coordinate planes, where
-    Gram-Schmidt skips a projected axis."""
+    """Random points plus points where Gram-Schmidt skips a projected axis or
+    meets an exact zero: on the sphere the axis points and points on coordinate
+    planes, on the hyperboloid the apex and points with a zero space coordinate."""
     n = model.ambient_dim
     pts = [model.random_point(rng).coords for _ in range(200)]
+    if isinstance(model, Hyperbolic):
+        pts.append(model.base_point().coords)
+        for k in range(1, n):
+            p = rng.standard_normal(n)
+            p[k] = 0.0
+            p[0] = np.sqrt(model.scale**2 + p[1:] @ p[1:])
+            pts.append(p)
+        return np.array(pts)
     pts += list(model.radius * np.eye(n)) + list(-model.radius * np.eye(n))
     for k in range(n):
         p = rng.standard_normal(n)
@@ -71,8 +80,10 @@ def frame_points(model, rng):
 
 
 @pytest.mark.parametrize(
-    "model", [Sphere(2, 1.0), Sphere(2, 2.5), Sphere(3, 0.5), Sphere(1, 1.0)],
-    ids=lambda m: f"S{m.dim}r{m.radius}",
+    "model",
+    [Sphere(2, 1.0), Sphere(2, 2.5), Sphere(3, 0.5), Sphere(1, 1.0), Sphere(2, 0.7),
+     Sphere(3, 1.3), Hyperbolic(2, 2.5)],
+    ids=lambda m: f"S{m.dim}r{m.radius}" if m.kind == "sphere" else f"H{m.dim}k{m.k0}",
 )
 def test_batched_frames_match_per_point_frames(model):
     rng = np.random.default_rng(3)
@@ -80,10 +91,14 @@ def test_batched_frames_match_per_point_frames(model):
     frames = model.canonical_frames(coords)
     assert frames.shape == (coords.shape[0], model.dim, model.ambient_dim)
     for x, f in zip(coords, frames):
-        ref = model.canonical_frame(Point(x))
-        assert np.max(np.abs(f - ref)) <= 1e-14
-        assert np.allclose(f @ f.T, np.eye(model.dim), atol=1e-12)
-        assert np.max(np.abs(f @ x)) <= 1e-12 * model.radius
+        assert np.array_equal(f, model.canonical_frame(Point(x)))
+        # tolerances scale with Euclidean sizes: 1 for a sphere's frame rows and
+        # r for its points, large far out on the hyperboloid, where Minkowski
+        # products cancel
+        sizes = np.linalg.norm(f, axis=1)
+        gram = model.inner_stack(f[:, None], f[None])
+        assert np.allclose(gram, np.eye(model.dim), atol=1e-12 * np.outer(sizes, sizes))
+        assert np.all(np.abs(model.inner_stack(f, x)) <= 1e-12 * sizes * np.linalg.norm(x))
 
 
 def test_grid_frames_are_per_node_frames():

@@ -27,12 +27,19 @@ def all_models():
         Euclidean(3),
         Sphere(2, 1.0),
         Sphere(3, 2.0),
+        Sphere(2, 0.7),
         Hyperbolic(2, 1.0),
         Hyperbolic(3, 0.5),
         FlatTorus([1.0, 1.0]),
         FlatTorus([2.0, 3.0]),
         Product([Sphere(2, 1.0), Euclidean(2)]),
     ]
+
+
+def model_id(m):
+    """``kind + dim``; a 2-sphere of radius other than 1 also names its radius."""
+    named = m.kind == "sphere" and m.dim == 2 and m.radius != 1.0
+    return m.kind + str(m.dim) + (f"r{m.radius}" if named else "")
 
 
 def sample_pair(model, rng, max_dist=None):
@@ -86,7 +93,7 @@ def test_metric_base_mismatch_raises():
         m.metric(x, v, w)
 
 
-@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind + str(m.dim))
+@pytest.mark.parametrize("model", all_models(), ids=model_id)
 def test_metric_positive_definite_sampled(model):
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -101,7 +108,7 @@ def test_metric_positive_definite_sampled(model):
 # exp / log / distance
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind + str(m.dim))
+@pytest.mark.parametrize("model", all_models(), ids=model_id)
 def test_exp_zero_vector_identity(model):
     rng = np.random.default_rng(3)
     x = model.random_point(rng)
@@ -185,7 +192,7 @@ def test_distance_examples():
     assert t.distance(t.point([0.0]), t.point([0.75])) == pytest.approx(0.25)
 
 
-@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind + str(m.dim))
+@pytest.mark.parametrize("model", all_models(), ids=model_id)
 def test_distance_metric_axioms_sampled(model):
     rng = np.random.default_rng(7)
     pts = [model.random_point(rng) for _ in range(12)]
@@ -198,7 +205,7 @@ def test_distance_metric_axioms_sampled(model):
                 assert dab <= model.distance(a, c) + model.distance(c, b) + 1e-9
 
 
-@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind + str(m.dim))
+@pytest.mark.parametrize("model", all_models(), ids=model_id)
 def test_exp_log_inversion(model):
     rng = np.random.default_rng(13)
     for _ in range(200):
@@ -214,7 +221,7 @@ def test_exp_log_inversion(model):
         assert np.linalg.norm(back.components - v.components) <= 1e-9
 
 
-@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind + str(m.dim))
+@pytest.mark.parametrize("model", all_models(), ids=model_id)
 def test_geodesic_distance_additivity(model):
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -229,7 +236,7 @@ def test_geodesic_distance_additivity(model):
 # parallel transport
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind + str(m.dim))
+@pytest.mark.parametrize("model", all_models(), ids=model_id)
 def test_transport_isometry_sampled(model):
     rng = np.random.default_rng(19)
     worst = 0.0
@@ -243,7 +250,7 @@ def test_transport_isometry_sampled(model):
     assert worst <= 1e-10
 
 
-@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind + str(m.dim))
+@pytest.mark.parametrize("model", all_models(), ids=model_id)
 def test_transport_roundtrip_identity(model):
     rng = np.random.default_rng(23)
     for _ in range(100):
@@ -261,7 +268,7 @@ def test_transport_identity_at_same_point():
     assert np.allclose(m.parallel_transport(x, x, v).components, v.components)
 
 
-@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind + str(m.dim))
+@pytest.mark.parametrize("model", all_models(), ids=model_id)
 def test_transport_carries_velocity(model):
     # a geodesic's velocity field is parallel: L_xy(gamma'(0)) = gamma'(ell)
     rng = np.random.default_rng(31)
@@ -331,7 +338,7 @@ def test_curvature_orthonormal_value(model, expected):
     assert model.metric(x, r, u) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind + str(m.dim))
+@pytest.mark.parametrize("model", all_models(), ids=model_id)
 def test_curvature_antisymmetry_and_identity(model):
     rng = np.random.default_rng(53)
     for _ in range(20):
@@ -373,7 +380,7 @@ def test_sectional_curvature_constant_sampled(model, expected):
 
 
 @pytest.mark.parametrize("model", [Sphere(2, 1.0), Sphere(3, 2.0), Hyperbolic(2, 1.0)],
-                         ids=lambda m: m.kind + str(m.dim))
+                         ids=model_id)
 def test_sectional_curvature_nearly_dependent_pairs(model):
     # |u|^2 |v|^2 - <u,v>^2 cancels for nearly parallel pairs; the
     # orthonormalized pair keeps K exact to roundoff
@@ -430,7 +437,7 @@ def test_segment_sphere_midpoint_latitude():
     assert mid.coords[2] == pytest.approx(math.sin(math.pi / 4), abs=1e-12)
 
 
-@pytest.mark.parametrize("model", all_models(), ids=lambda m: m.kind + str(m.dim))
+@pytest.mark.parametrize("model", all_models(), ids=model_id)
 def test_segment_frame_orthonormal_and_parallel(model):
     rng = np.random.default_rng(61)
     x, y = sample_pair(model, rng)
