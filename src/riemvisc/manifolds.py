@@ -42,6 +42,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -387,9 +388,17 @@ class _SpaceForm(Manifold):
     the model after exp) and ``_check_log``.
     """
 
+    _arc_max = math.inf  # the largest t/rho at which C and S are finite
+
     @property
     def ambient_dim(self) -> int:
         return self.dim + 1
+
+    def _exp_overflow(self, theta, where="exp"):
+        return GeometryDomainError(
+            f"{where}: |v| sqrt|K| = {theta!r} exceeds {self._arc_max!r}, "
+            "past which cosh and sinh overflow"
+        )
 
     def exp(self, x, v):
         self._check_based(x, v)
@@ -398,6 +407,8 @@ class _SpaceForm(Manifold):
             return x
         s = math.sqrt(s2)
         theta = s / self._rho
+        if theta > self._arc_max:
+            raise self._exp_overflow(theta)
         p = self._C(theta) * x.coords + self._S(theta) * self._rho * v.components / s
         return Point(self._onto(p))
 
@@ -406,6 +417,9 @@ class _SpaceForm(Manifold):
         moving = s2 > 0.0
         s = np.sqrt(np.where(moving, s2, 1.0))
         theta = s / self._rho
+        over = np.flatnonzero(moving & (theta > self._arc_max))
+        if over.size:
+            raise self._exp_overflow(float(theta[over[0]]), f"exp_stack row {over[0]}")
         p = (
             _libm(self._C, theta)[:, None] * xs
             + (_libm(self._S, theta) * self._rho)[:, None] * vs / s[:, None]
@@ -526,6 +540,7 @@ class Hyperbolic(_SpaceForm):
 
     kind = "hyperbolic"
     _C, _S, _sign = math.cosh, math.sinh, -1.0
+    _arc_max = math.asinh(sys.float_info.max)
 
     def __init__(self, dim: int, curvature: float = 1.0):
         if dim < 1:

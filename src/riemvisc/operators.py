@@ -19,6 +19,7 @@ degenerate elliptic.  See README for the full discussion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -239,15 +240,15 @@ def source(fld) -> OperatorSpec:
 def _combined(ops, reduce_fn):
     """``(batch, context_builder)`` of an operator reducing ``ops`` pointwise.
 
+    ``reduce_fn`` folds the list of the children's values in child order.
     The children are called through ``batch``: the combination's own
     ``r_domain`` is the intersection of theirs (``_joint_flags``), so the
     check in its ``eval_batch`` covers every child.
     """
     def batch(ctx, rs, zs, As):
-        vals = [
-            op.batch(c, rs, zs, As) for op, c in zip(ops, ctx["children"])
-        ]
-        return reduce_fn(np.stack(vals))
+        return reduce_fn(
+            [op.batch(c, rs, zs, As) for op, c in zip(ops, ctx["children"])]
+        )
 
     def context_builder(points):
         return {"children": [op.make_context(points) for op in ops]}
@@ -273,7 +274,14 @@ def sum_of(*ops: OperatorSpec, weights: Sequence[float] | None = None) -> Operat
     if w.shape != (len(ops),) or not np.all(np.isfinite(w) & (w >= 0.0)):
         raise ValueError("sum combinator needs one finite nonnegative weight per term")
     name = "+".join(op.name for op in ops)
-    batch, context_builder = _combined(ops, lambda v: np.einsum("k,kn->n", w, v))
+
+    def weighted_sum(vals):
+        acc = w[0] * vals[0]
+        for wk, v in zip(w[1:], vals[1:]):
+            acc += wk * v
+        return acc
+
+    batch, context_builder = _combined(ops, weighted_sum)
     return OperatorSpec(
         f"sum({name})",
         batch,
@@ -284,9 +292,9 @@ def sum_of(*ops: OperatorSpec, weights: Sequence[float] | None = None) -> Operat
 
 
 def _minmax_of(kind, ops):
-    reduce_fn = (lambda v: v.max(axis=0)) if kind == "max" else (lambda v: v.min(axis=0))
+    pick = np.maximum if kind == "max" else np.minimum
     name = ",".join(op.name for op in ops)
-    batch, context_builder = _combined(ops, reduce_fn)
+    batch, context_builder = _combined(ops, lambda vals: functools.reduce(pick, vals))
     return OperatorSpec(
         f"{kind}({name})",
         batch,

@@ -44,6 +44,10 @@ from .operators import OperatorSpec, ScalarField, yamabe
 
 DEFAULT_MAX_ITER = 100_000
 _THETA_REFRESH = 200
+# the nodewise Newton of a Perron sweep stops once every node residual is at
+# most this fraction of the sweep tolerance; stopping at the tolerance itself
+# moves the sweep count of center-nonlinear operators (343 -> 345 sweeps)
+_NEWTON_STOP = 1e-3
 
 
 # --------------------------------------------------------------------- #
@@ -182,9 +186,10 @@ def _run_iteration(
     ctx = F.make_context(grid.nodes)
     centers = _center_sensitivity(grid)
     u = np.array(u0, dtype=float)
-    active = interior if interior is not None else np.ones(grid.n_nodes, bool)
-    if not np.any(active):
+    if interior is not None and not np.any(interior):
         return u, SolveReport(0, 0.0, tol, True, 0.0, 0.0, np.zeros(0))
+    # a full slice indexes by view; a mask of all nodes would copy each time
+    active = slice(None) if interior is None else interior
     fixed_theta = theta is not None
     history = []
     start = time.perf_counter()
@@ -212,7 +217,7 @@ def _run_iteration(
                 time.perf_counter() - start, np.array(history),
             )
             raise DivergenceError("residual grew over the monitoring window", report)
-        u[active] = u[active] - current_theta * vals[active]
+        u[active] -= current_theta * vals[active]
         if clip_nonnegative:
             np.clip(u, 0.0, None, out=u)
     report = SolveReport(
@@ -288,12 +293,15 @@ class PerronResult:
     converged: bool
 
 
-def _nodewise_solve(F, ctx, w, base, centers, f0):
+def _nodewise_solve(F, ctx, w, base, centers, f0, tol):
     """Per node, the value t making the residual vanish with neighbors at w
-    (four Newton steps).
+    (up to four Newton steps, stopping once every node residual is at most
+    ``_NEWTON_STOP * tol``).
 
     ``base`` holds the proxies of w and ``f0`` the residual there; a trial
-    center value t has the proxies ``base + (t - w) centers``.
+    center value t has the proxies ``base + (t - w) centers``.  The first
+    step is a secant over a unit step, which solves a node equation affine
+    in the center value to roundoff, so such operators take one step.
     """
     trial = np.empty_like(base)
     t = np.array(w)
@@ -304,6 +312,9 @@ def _nodewise_solve(F, ctx, w, base, centers, f0):
         slope = np.where(slope > 1e-12, slope, 1.0)
         t = t - f0 / slope
         f0 = _evaluate_centered(F, ctx, base, centers, w, t, trial)
+        # NaN compares False here, so a non-finite residual never stops it
+        if np.max(np.abs(f0)) <= _NEWTON_STOP * tol:
+            break
         dt = 1e-6
     return t
 
@@ -347,7 +358,7 @@ def perron_iterate(
         if final_res <= tol:
             converged = True
             break
-        t = _nodewise_solve(F, ctx, w, p, centers, vals)
+        t = _nodewise_solve(F, ctx, w, p, centers, vals, tol)
         w_new = np.minimum(usuper.values, np.maximum(w, t))
         increment = w_new - w
         min_increment = min(min_increment, float(np.min(increment)))

@@ -182,6 +182,36 @@ def test_log_beyond_cut_locus_raises():
         t.log(t.point([0.0]), t.point([0.5]))
 
 
+def test_hyperboloid_exp_overflow_raises_typed():
+    # cosh and sinh overflow once |v| sqrt(K0) exceeds asinh(DBL_MAX) = 710.47...
+    m = Hyperbolic(2, 1.0)
+    o = m.base_point()
+    with pytest.raises(GeometryDomainError, match=r"\|v\| sqrt\|K\| = 711\.0 exceeds 710\.47"):
+        m.exp(o, m.tangent(o, [0.0, 711.0, 0.0]))
+    assert np.all(np.isfinite(m.exp(o, m.tangent(o, [0.0, 300.0, 0.0])).coords))
+    m = Hyperbolic(2, 2.5)  # |v| = 450 reads 711.5 after the sqrt(K0) scaling
+    o = m.base_point()
+    with pytest.raises(GeometryDomainError, match=r"= 711\.5"):
+        m.exp(o, m.tangent(o, [0.0, 0.0, 450.0]))
+
+
+def test_hyperboloid_exp_stack_overflow_names_first_row():
+    m = Hyperbolic(2, 2.5)
+    rng = np.random.default_rng(31)
+    xs = np.array([m.random_point(rng).coords for _ in range(8)])
+    vs = np.array([
+        m.random_tangent(rng, m.point(x), scale=1.0).components for x in xs
+    ])
+    vs[0] = 0.0  # a zero step stays put and is never refused
+    far = 800.0 / math.sqrt(m.k0)
+    for row in (5, 3):
+        vs[row] *= far / math.sqrt(m.inner_stack(vs[row], vs[row]))
+    with pytest.raises(GeometryDomainError, match=r"exp_stack row 3: \|v\| sqrt\|K\| = 80"):
+        m.exp_stack(xs, vs)
+    vs[[3, 5]] = 0.0
+    assert np.all(np.isfinite(m.exp_stack(xs, vs)))
+
+
 def test_distance_examples():
     s = Sphere(2, 1.0)
     north = s.point([0.0, 0.0, 1.0])

@@ -1,5 +1,6 @@
 """Grid scheme, fixed point, Dirichlet, Perron, viscosity residuals."""
 
+import dataclasses
 import functools
 import math
 
@@ -13,16 +14,21 @@ from riemvisc.errors import PreconditionError, UnsupportedModelError
 from riemvisc.grids import GridFunction, build_grid, geodesic_ball_interior
 from riemvisc.operators import (
     ScalarField,
+    compose,
     constant,
     max_of,
+    neg_min_eigenvalue,
     neg_trace,
     scalar_term,
     source,
     sum_of,
 )
 from riemvisc.solver import (
+    _base_proxies,
     _center_sensitivity,
+    _evaluate,
     _gather,
+    _nodewise_solve,
     _proxy_array,
     derivative_proxies,
     discrete_residual,
@@ -456,6 +462,76 @@ def test_perron_from_unit_bracket_matches_fixed_point(kind, sweeps):
         assert np.max(result.solution.values - np.minimum(exact + ladder_bound, 0.1)) <= 1e-7
     fixed, _ = solve_fixed_point(G, grid, tol=tol)
     assert np.max(np.abs(result.solution.values - fixed.values)) <= 1e-6
+
+
+def counting(F):
+    """F with a counter of its batch evaluations, ``calls[0]``."""
+    calls = [0]
+
+    def batch(ctx, rs, zs, As):
+        calls[0] += 1
+        return F.batch(ctx, rs, zs, As)
+
+    return dataclasses.replace(F, batch=batch), calls
+
+
+@pytest.mark.parametrize("kind,sweeps", [("center_cubic", 343), ("min_eigenvalue", 195)])
+def test_perron_sweep_counts_of_nonaffine_operators(kind, sweeps):
+    # r^3 + r - tr A - a.x is nonlinear in the center value, so its node
+    # equations take more than one Newton step; -lambda_min(A) is piecewise
+    # affine in it.  The counts equal those of four Newton steps every sweep.
+    grid = build_grid(SPHERE, 3)
+    f = ScalarField(lambda p: float(LINEAR_A @ p.coords), name="linear")
+    if kind == "center_cubic":
+        F = sum_of(compose(lambda t: t**3, scalar_term(1.0)), scalar_term(1.0),
+                   neg_trace(), source(f))
+    else:
+        F = sum_of(scalar_term(1.0), neg_min_eigenvalue(), source(f))
+    result = perron_iterate(
+        F, grid, GridFunction.constant(grid, -1.0), GridFunction.constant(grid, 1.0),
+        tol=1e-8,
+    )
+    assert result.converged and result.ordering_ok
+    assert result.sweeps == sweeps
+
+
+def test_perron_sweep_evaluates_operator_three_times():
+    # the problem of acceptance 09: the node equation is affine in the center
+    # value, so one secant step solves it and the Newton loop stops there
+    grid = build_grid(SPHERE, 3)
+    F, calls = counting(full_equation_rhs_2())
+    result = perron_iterate(
+        F, grid, GridFunction.constant(grid, 0.0), GridFunction.constant(grid, 10.0),
+        tol=1e-8,
+    )
+    assert result.converged and result.sweeps == 394
+    # two certification evaluations, then per sweep one base evaluation and
+    # one Newton step (two evaluations); the last sweep stops after its base
+    assert calls[0] == 2 + 3 * (result.sweeps - 1) + 1
+
+
+def test_nodewise_newton_never_stops_on_nan():
+    # the residual after the first step is NaN at node 0 and solved elsewhere:
+    # the loop must take that as unsolved, step again, and so carry the NaN
+    # into a center value that the r-domain check refuses
+    grid = build_grid(SPHERE, 2)
+    G = sum_of(scalar_term(1.0), neg_trace(), constant(-2.0))
+    calls = [0]
+
+    def batch(ctx, rs, zs, As):
+        calls[0] += 1
+        vals = G.batch(ctx, rs, zs, As)
+        if calls[0] == 3:  # base, secant trial, then the stepped residual
+            vals[0] = math.nan
+        return vals
+
+    F = dataclasses.replace(G, batch=batch)
+    ctx = F.make_context(grid.nodes)
+    w = np.zeros(grid.n_nodes)
+    p = _base_proxies(grid, w)
+    f0 = _evaluate(F, ctx, w, p)
+    with pytest.raises(PreconditionError, match="r values escape"):
+        _nodewise_solve(F, ctx, w, p, _center_sensitivity(grid), f0, 1e-8)
 
 
 def test_perron_rejects_bad_brackets():
