@@ -483,12 +483,14 @@ def curvature_sign(m: Manifold) -> float | None:
     return signs.pop()
 
 
-# The three sweeps share one pipeline: one loop draws every sample with the
-# model's own random_point / random_tangent (the stream of a per-sample
-# loop), the geometry runs over the stacked rows, and one block kernel
-# evaluates the stack.  A constant-curvature model needs no segment: its
-# tidal spectrum is (0, k, ..., k), so the value depends only on the length
-# and on the part of v normal to the geodesic.
+# The three sweeps share one pipeline: one loop makes only the generator
+# calls of the model's random_point / random_tangent, in the order of a
+# per-sample loop; the models' stacked maps (points_from_draws,
+# project_tangent_stack) turn the raw rows into exactly the points and
+# tangents those methods return; the geometry runs over the stacked rows,
+# and one block kernel evaluates the stack.  A constant-curvature model
+# needs no segment: its tidal spectrum is (0, k, ..., k), so the value
+# depends only on the length and on the part of v normal to the geodesic.
 
 
 @dataclass(frozen=True)
@@ -507,10 +509,11 @@ class _PairDraws:
 def _draw_pairs(
     m: Manifold, n_samples: int, seed: int, ell_range, unit_normal: bool
 ) -> _PairDraws:
-    """Draw the samples one by one, in the order of the per-sample loop the
-    sweeps were first written as; ``PreconditionError`` unless ``n_samples
-    >= 1`` and ``0 < low < high``, high capped at 0.95 of the injectivity
-    radius."""
+    """The samples of the per-sample loop the sweeps were first written as,
+    bit for bit: its generator calls in its order, mapped as stacks.  A
+    direction of norm < 1e-12 is drawn again, as that loop did.
+    ``PreconditionError`` unless ``n_samples >= 1`` and ``0 < low < high``,
+    high capped at 0.95 of the injectivity radius."""
     if n_samples < 1:
         raise PreconditionError(f"pair sweep needs n_samples >= 1, got {n_samples}")
     lo, hi = ell_range
@@ -522,26 +525,38 @@ def _draw_pairs(
             f"ell_range {tuple(ell_range)} needs 0 < low < high, with high capped at "
             f"0.95 of the injectivity radius {cap!r}: {hi!r}"
         )
-    rng = np.random.default_rng(seed)
-    xs, steps, vs = (np.empty((n_samples, m.ambient_dim)) for _ in range(3))
-    ells = np.empty(n_samples)
-    normals = np.zeros((n_samples, m.dim)) if unit_normal else None
-    for i in range(n_samples):
-        x = m.random_point(rng)
-        ell = rng.uniform(lo, hi)
-        direction = m.random_tangent(rng, x)
-        nrm = m.norm(x, direction)
-        while nrm < 1e-12:
-            direction = m.random_tangent(rng, x)
-            nrm = m.norm(x, direction)
-        xs[i], ells[i] = x.coords, ell
-        steps[i] = direction.components * (ell / nrm)
-        # unit_normal never reads v; it is drawn so the samples keep their stream
-        vs[i] = m.random_tangent(rng, x).components
-        if unit_normal:
-            raw = rng.standard_normal(m.dim - 1)
-            normals[i, 1:] = raw / np.linalg.norm(raw)
-    return _PairDraws(xs, ells, steps, vs, normals)
+    # row -> direction draws refused (norm < 1e-12) before the one kept; the
+    # loop is replayed from the seed until no kept direction is refused
+    redraws: dict[int, int] = {}
+    while True:
+        rng = np.random.default_rng(seed)
+        raw_x, raw_dir, raw_v = (np.empty((n_samples, m.ambient_dim)) for _ in range(3))
+        ells = np.empty(n_samples)
+        raw_n = np.empty((n_samples, m.dim - 1)) if unit_normal else None
+        for i in range(n_samples):
+            raw_x[i] = m.draw_point(rng)
+            ells[i] = rng.uniform(lo, hi)
+            raw_dir[i] = m.draw_tangent(rng)
+            for _ in range(redraws.get(i, 0)):
+                raw_dir[i] = m.draw_tangent(rng)
+            # unit_normal never reads v; it is drawn so the samples keep their stream
+            raw_v[i] = m.draw_tangent(rng)
+            if unit_normal:
+                raw_n[i] = rng.standard_normal(m.dim - 1)
+        xs = m.points_from_draws(raw_x)
+        directions = m.project_tangent_stack(xs, raw_dir)
+        nrm = np.sqrt(np.maximum(m.inner_stack(directions, directions), 0.0))
+        refused = np.flatnonzero(nrm < 1e-12)
+        if refused.size == 0:
+            break
+        # rows before the first refusal keep their draws, so the replays end
+        redraws[int(refused[0])] = redraws.get(int(refused[0]), 0) + 1
+    normals = None
+    if unit_normal:
+        normals = np.zeros((n_samples, m.dim))
+        normals[:, 1:] = raw_n / np.sqrt(_rowwise_dot(raw_n, raw_n))[:, None]
+    steps = directions * (ells / nrm)[:, None]
+    return _PairDraws(xs, ells, steps, m.project_tangent_stack(xs, raw_v), normals)
 
 
 def _pair_stack(m: Manifold, draws: _PairDraws, unit_normal: bool):
@@ -617,11 +632,11 @@ def parallel_pair_sweep(
     (cosh l - 1)/sinh l`` (curvature -1) describe the value exactly.
     Lengths are drawn uniformly from ``ell_range``, its high end capped at
     0.95 of the injectivity radius; ``PreconditionError`` unless ``0 < low <
-    capped high`` and ``n_samples >= 1``.  The samples are drawn one by one
-    and evaluated as arrays; a sample whose segment or Jacobi problem is
-    degenerate raises the typed error of the single-pair path, naming the
-    sample.  Returns arrays ``(ells, values, vnorm_sq)``, ``ells`` the
-    segment lengths d(x, y).
+    capped high`` and ``n_samples >= 1``.  One loop makes the samples'
+    generator calls, and the draws are mapped and evaluated as arrays; a
+    sample whose segment or Jacobi problem is degenerate raises the typed
+    error of the single-pair path, naming the sample.  Returns arrays
+    ``(ells, values, vnorm_sq)``, ``ells`` the segment lengths d(x, y).
     """
     _, lengths, values, vnorms = _pair_sweep(m, n_samples, seed, ell_range, unit_normal)
     return lengths, values, vnorms

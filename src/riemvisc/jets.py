@@ -275,7 +275,24 @@ class StarCondition:
         return cls(a_alpha, canonical_epsilon(a_alpha), p, q)
 
 
-def verify_condition_star(sc: StarCondition, tol: float = 1e-10):
+_STAR_TOL = 1e-10
+
+
+def _star_margins(a: np.ndarray, epsilon: float, norm_a: float, p_mats, q_mats):
+    """Smallest eigenvalues of ``diag(P, -Q) + (1/eps + |A|) I`` and of ``A +
+    eps A^2 - diag(P, -Q)`` for every pair of two (N, n, n) stacks of forms,
+    all in one ``eigvalsh`` call."""
+    count, n = p_mats.shape[0], p_mats.shape[-1]
+    blocks = np.zeros((count, 2 * n, 2 * n))
+    blocks[:, :n, :n] = p_mats
+    blocks[:, n:, n:] = -q_mats
+    lower = blocks + (1.0 / epsilon + norm_a) * np.eye(2 * n)
+    upper = a + epsilon * (a @ a) - blocks
+    margins = np.linalg.eigvalsh(np.concatenate([lower, upper])).min(axis=1)
+    return margins[:count], margins[count:]
+
+
+def verify_condition_star(sc: StarCondition, tol: float = _STAR_TOL):
     """Check -(1/eps + |A|) I <= diag(P, -Q) <= A + eps A^2 by eigenvalues.
 
     Returns ``(ok, lower_margin, upper_margin)`` where the margins are the
@@ -284,15 +301,11 @@ def verify_condition_star(sc: StarCondition, tol: float = 1e-10):
     n = sc.a_alpha.dim
     if sc.p.matrix.shape != (n, n) or sc.q.matrix.shape != (n, n):
         raise PreconditionError("P, Q dimensions must match the Hessian blocks")
-    a = sc.a_alpha.matrix
-    norm_a = sc.a_alpha.operator_norm()
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = sc.p.matrix
-    block[n:, n:] = -sc.q.matrix
-    lower = block + (1.0 / sc.epsilon + norm_a) * np.eye(2 * n)
-    upper = a + sc.epsilon * (a @ a) - block
-    lower_margin = float(np.min(np.linalg.eigvalsh(lower)))
-    upper_margin = float(np.min(np.linalg.eigvalsh(upper)))
+    a = sc.a_alpha
+    lower, upper = _star_margins(
+        a.matrix, sc.epsilon, a.operator_norm(), sc.p.matrix[None], sc.q.matrix[None]
+    )
+    lower_margin, upper_margin = float(lower[0]), float(upper[0])
     return (lower_margin >= -tol and upper_margin >= -tol, lower_margin, upper_margin)
 
 
@@ -308,8 +321,13 @@ def generate_star_candidates(
     With ``B = A + eps A^2`` the pair ``P = B_11 - s I``, ``Q = s I - B_22``
     (so that ``B - diag(P, -Q) = [[s I, B_12], [B_21, s I]]``) satisfies the
     upper bound whenever the shift s dominates the off-diagonal block of B;
-    shifts that would break the lower bound are skipped.
+    shifts that would break the lower bound are skipped, and the rest are
+    kept where ``verify_condition_star`` accepts them.  The shifts come from
+    one generator call and the candidates are tested as stacks, bit for bit
+    a per-candidate loop; ``PreconditionError`` unless ``n_candidates >= 0``.
     """
+    if n_candidates < 0:
+        raise PreconditionError(f"star candidates need n_candidates >= 0, got {n_candidates}")
     rng = np.random.default_rng(seed)
     n = a_alpha.dim
     a = a_alpha.matrix
@@ -318,23 +336,25 @@ def generate_star_candidates(
     s_base = 2.0 * float(np.linalg.norm(b12, 2))
     norm_a = a_alpha.operator_norm()
     floor = -(1.0 / epsilon + norm_a)
-    out = []
-    for _ in range(n_candidates):
-        s = s_base + slack_scale * rng.uniform(0.0, 1.0) * (1.0 + norm_a)
-        p_mat = b11 - s * np.eye(n)
-        neg_q_mat = b22 - s * np.eye(n)
-        low = min(
-            float(np.min(np.linalg.eigvalsh(p_mat))),
-            float(np.min(np.linalg.eigvalsh(neg_q_mat))),
-        )
-        if low < floor:
-            continue  # infeasible shift
-        p = SymBilinear(a_alpha.x, p_mat)
-        q = SymBilinear(a_alpha.y, -neg_q_mat)
-        ok, _, _ = verify_condition_star(StarCondition(a_alpha, epsilon, p, q))
-        if ok:
-            out.append((p, q))
-    return out
+    # one call for n uniforms gives the values of n scalar calls
+    shifts = s_base + slack_scale * rng.uniform(0.0, 1.0, n_candidates) * (1.0 + norm_a)
+    p_mats = b11 - shifts[:, None, None] * np.eye(n)
+    neg_q_mats = b22 - shifts[:, None, None] * np.eye(n)
+    lows = np.linalg.eigvalsh(np.concatenate([p_mats, neg_q_mats])).min(axis=1)
+    feasible = np.flatnonzero(~(np.minimum(lows[:n_candidates], lows[n_candidates:]) < floor))
+    # the forms as SymBilinear stores them
+    lower, upper = _star_margins(
+        a, epsilon, norm_a, _symmetrized(p_mats[feasible]), _symmetrized(-neg_q_mats[feasible])
+    )
+    return [
+        (SymBilinear(a_alpha.x, p_mats[i]), SymBilinear(a_alpha.y, -neg_q_mats[i]))
+        for i in feasible[(lower >= -_STAR_TOL) & (upper >= -_STAR_TOL)]
+    ]
+
+
+def _symmetrized(mats: np.ndarray) -> np.ndarray:
+    """``SymBilinear``'s symmetrization over a stack of matrices."""
+    return 0.5 * (mats + np.swapaxes(mats, -1, -2))
 
 
 def check_P_leq_LQ(

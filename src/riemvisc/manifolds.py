@@ -36,7 +36,13 @@ Conventions
   (N, ambient) stacks of rows (``exp_stack``, ``distance_stack``; written
   once for the sphere and the hyperboloid in ``_SpaceForm``).  They round
   every row exactly as the single-point methods do, so a sweep may use
-  either.
+  either.  A hyperboloid step whose coordinates or Minkowski square would
+  overflow raises ``GeometryDomainError`` in both.
+* ``random_point``/``random_tangent`` are a generator call (``draw_point``,
+  ``draw_tangent``) followed by a closed-form map; ``points_from_draws`` and
+  ``project_tangent_stack`` map a stack of raw rows to exactly the points
+  and tangents the single-sample methods return, so a sampled sweep keeps
+  only the generator calls in its loop.
 """
 
 from __future__ import annotations
@@ -162,6 +168,11 @@ class Manifold:
         a = np.asarray(ambient, dtype=float)
         return a - (self.constant_sectional() * self.ambient_inner(x, a, x.coords)) * x.coords
 
+    def project_tangent_stack(self, xs: np.ndarray, ambient: np.ndarray) -> np.ndarray:
+        """``project_tangent`` at every row pair of two (N, ambient) stacks,
+        each row rounded as the single-point method rounds it."""
+        return ambient - (self.constant_sectional() * self.inner_stack(ambient, xs))[:, None] * xs
+
     def exp(self, x: Point, v: TangentVector) -> Point:
         raise NotImplementedError
 
@@ -213,6 +224,15 @@ class Manifold:
         raise NotImplementedError
 
     def random_point(self, rng: np.random.Generator) -> Point:
+        raise NotImplementedError
+
+    def draw_point(self, rng: np.random.Generator) -> np.ndarray:
+        """The generator calls of ``random_point``: one raw ambient row."""
+        raise NotImplementedError
+
+    def points_from_draws(self, raws: np.ndarray) -> np.ndarray:
+        """The points ``random_point`` makes from an (N, ambient) stack of
+        ``draw_point`` rows, bit for bit."""
         raise NotImplementedError
 
     def config(self) -> dict:
@@ -314,11 +334,15 @@ class Manifold:
         back = self.components(moved, self.canonical_frame(x))
         return SymBilinear(y, back @ a.matrix @ back.T)
 
+    def draw_tangent(self, rng: np.random.Generator) -> np.ndarray:
+        """The generator call of ``random_tangent``; ``project_tangent_stack``
+        of the (scaled) rows maps a stack of them as ``random_tangent`` would."""
+        return rng.standard_normal(self.ambient_dim)
+
     def random_tangent(
         self, rng: np.random.Generator, x: Point, scale: float = 1.0
     ) -> TangentVector:
-        raw = rng.standard_normal(self.ambient_dim) * scale
-        return TangentVector(x, self.project_tangent(x, raw))
+        return TangentVector(x, self.project_tangent(x, self.draw_tangent(rng) * scale))
 
     def geodesic_segment(self, x: Point, y: Point) -> "GeodesicSegment":
         return GeodesicSegment.connect(self, x, y)
@@ -369,8 +393,14 @@ class Euclidean(Manifold):
     def constant_sectional(self):
         return 0.0
 
+    def draw_point(self, rng):
+        return rng.standard_normal(self.dim)
+
+    def points_from_draws(self, raws):
+        return raws
+
     def random_point(self, rng):
-        return Point(rng.standard_normal(self.dim))
+        return Point(self.draw_point(rng))
 
     def config(self):
         return {"model": "euclidean", "dim": self.dim}
@@ -400,6 +430,11 @@ class _SpaceForm(Manifold):
             "past which cosh and sinh overflow"
         )
 
+    def _near_overflow(self, x: Point, growth: float) -> bool:
+        """Whether ``exp`` from x with C + S = ``growth`` may leave the float
+        range; the sphere's coordinates stay within its radius."""
+        return False
+
     def exp(self, x, v):
         self._check_based(x, v)
         s2 = self.ambient_inner(x, v.components, v.components)
@@ -409,22 +444,41 @@ class _SpaceForm(Manifold):
         theta = s / self._rho
         if theta > self._arc_max:
             raise self._exp_overflow(theta)
-        p = self._C(theta) * x.coords + self._S(theta) * self._rho * v.components / s
+        c, sn = self._C(theta), self._S(theta)
+        if self._near_overflow(x, c + sn):
+            # the stacked path rounds alike and raises where the result overflows
+            return Point(self._exp_rows(x.coords[None], v.components[None], "exp")[0])
+        p = c * x.coords + sn * self._rho * v.components / s
         return Point(self._onto(p))
 
     def exp_stack(self, xs, vs):
+        return self._exp_rows(xs, vs)
+
+    def _exp_rows(self, xs, vs, where=None):
+        """``exp_stack``; errors name ``where``, or the row of the stack."""
         s2 = self.inner_stack(vs, vs)
         moving = s2 > 0.0
         s = np.sqrt(np.where(moving, s2, 1.0))
         theta = s / self._rho
         over = np.flatnonzero(moving & (theta > self._arc_max))
         if over.size:
-            raise self._exp_overflow(float(theta[over[0]]), f"exp_stack row {over[0]}")
-        p = (
-            _libm(self._C, theta)[:, None] * xs
-            + (_libm(self._S, theta) * self._rho)[:, None] * vs / s[:, None]
+            raise self._exp_overflow(float(theta[over[0]]), where or f"exp_stack row {over[0]}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = self._onto_stack(
+                _libm(self._C, theta)[:, None] * xs
+                + (_libm(self._S, theta) * self._rho)[:, None] * vs / s[:, None]
+            )
+        # rows from finite points that come out non-finite overflowed
+        lost = np.flatnonzero(
+            moving & np.all(np.isfinite(xs), axis=1) & ~np.all(np.isfinite(p), axis=1)
         )
-        return np.where(moving[:, None], self._onto_stack(p), xs)
+        if lost.size:
+            i = lost[0]
+            raise GeometryDomainError(
+                f"{where or f'exp_stack row {i}'}: |v| sqrt|K| = {float(theta[i])!r} "
+                "lands where the coordinates or their Minkowski square overflow"
+            )
+        return np.where(moving[:, None], p, xs)
 
     def _split(self, x, y):
         """(theta, u, |u|) with y = c x + u, c = K <y, x> = C(theta), u tangent at x."""
@@ -524,8 +578,14 @@ class Sphere(_SpaceForm):
     def constant_sectional(self):
         return 1.0 / self.radius**2
 
+    def draw_point(self, rng):
+        return rng.standard_normal(self.dim + 1)
+
+    def points_from_draws(self, raws):
+        return self._onto_stack(raws)
+
     def random_point(self, rng):
-        return Point(self._onto(rng.standard_normal(self.dim + 1)))
+        return Point(self._onto(self.draw_point(rng)))
 
     def config(self):
         return {"model": "sphere", "dim": self.dim, "radius": self.radius}
@@ -541,6 +601,9 @@ class Hyperbolic(_SpaceForm):
     kind = "hyperbolic"
     _C, _S, _sign = math.cosh, math.sinh, -1.0
     _arc_max = math.asinh(sys.float_info.max)
+    # random_point's spread: moderate, so that hyperboloid coordinates stay
+    # well conditioned (they grow like cosh(distance) and Minkowski products cancel)
+    _SPREAD = 0.8
 
     def __init__(self, dim: int, curvature: float = 1.0):
         if dim < 1:
@@ -550,6 +613,9 @@ class Hyperbolic(_SpaceForm):
         self.dim = int(dim)
         self.k0 = float(curvature)
         self.scale = self._rho = 1.0 / math.sqrt(self.k0)
+        # below this bound on every coordinate, <p, p> sums squares of at
+        # most DBL_MAX / (4 (dim + 1)) and cannot overflow
+        self._coord_safe = 0.5 * math.sqrt(sys.float_info.max / (self.dim + 1))
 
     @staticmethod
     def _arc(s, c):
@@ -574,6 +640,11 @@ class Hyperbolic(_SpaceForm):
         p = np.zeros(self.dim + 1)
         p[0] = self.scale
         return Point(p)
+
+    def _near_overflow(self, x, growth):
+        # x on the sheet and v tangent to it bound every coordinate of
+        # C x + rho S v / |v| by (C + S) x_0
+        return growth * x.coords.item(0) > self._coord_safe
 
     def _onto(self, p):
         q = self.ambient_inner(None, p, p)
@@ -600,11 +671,16 @@ class Hyperbolic(_SpaceForm):
     def constant_sectional(self):
         return -self.k0
 
+    def draw_point(self, rng):
+        return self.draw_tangent(rng)
+
+    def points_from_draws(self, raws):
+        apex = np.broadcast_to(self.base_point().coords, raws.shape)
+        return self.exp_stack(apex, self.project_tangent_stack(apex, raws * self._SPREAD))
+
     def random_point(self, rng):
-        # Moderate spread keeps hyperboloid coordinates well conditioned:
-        # they grow like cosh(distance) and Minkowski products cancel.
         o = self.base_point()
-        return self.exp(o, self.random_tangent(rng, o, scale=0.8))
+        return self.exp(o, self.random_tangent(rng, o, scale=self._SPREAD))
 
     def config(self):
         return {"model": "hyperbolic", "dim": self.dim, "curvature": self.k0}
@@ -661,8 +737,8 @@ class FlatTorus(Euclidean):
     def injectivity_radius(self, x=None):
         return float(np.min(self.periods)) / 2.0
 
-    def random_point(self, rng):
-        return Point(rng.uniform(0.0, self.periods))
+    def draw_point(self, rng):
+        return rng.uniform(0.0, self.periods)
 
     def config(self):
         return {"model": "flat_torus", "periods": list(self.periods)}
@@ -772,6 +848,23 @@ class Product(Manifold):
             for f, xi, s in zip(self.factors, xs, self._slices)
         ]
         return TangentVector(x, self._join(out))
+
+    def project_tangent_stack(self, xs, ambient):
+        return np.concatenate(
+            [
+                f.project_tangent_stack(xs[:, s], ambient[:, s])
+                for f, s in zip(self.factors, self._slices)
+            ],
+            axis=1,
+        )
+
+    def draw_point(self, rng):
+        return self._join([f.draw_point(rng) for f in self.factors])
+
+    def points_from_draws(self, raws):
+        return np.concatenate(
+            [f.points_from_draws(raws[:, s]) for f, s in zip(self.factors, self._slices)], axis=1
+        )
 
     def random_point(self, rng):
         return Point(self._join([f.random_point(rng).coords for f in self.factors]))

@@ -592,6 +592,9 @@ PAIR_MODELS = st.one_of(
     st.builds(Euclidean, st.sampled_from([2, 3])),
     st.builds(FlatTorus, st.lists(st.floats(0.5, 3.0), min_size=2, max_size=3)),
     st.just(Product([Sphere(2, 1.0), Euclidean(2)])),
+    # normal and uniform draws mixed in one point
+    st.just(Product([Hyperbolic(2, 1.0), FlatTorus([1.0, 2.0])])),
+    st.just(Product([FlatTorus([1.5]), Hyperbolic(2, 2.5)])),
 )
 
 
@@ -638,6 +641,61 @@ def test_batched_pair_sweep_matches_reference_loop(model, seed, n_samples, hi, u
         val - 2.0 * k0 * e * e * model.metric(p, t, t) for val, e, p, t in zip(value, ell, x, v)
     ]
     assert bound.max_violation == pytest.approx(max(0.0, max(excess)), abs=float(np.max(tol)))
+
+
+_default_rng = np.random.default_rng
+
+
+class _ParallelDraws:
+    """A seeded generator whose listed ``standard_normal`` calls return a
+    multiple of an earlier call's draw of the same size.  On the sphere a
+    direction drawn parallel to the point's own draw projects to a tangent of
+    roundoff size, which the sweeps refuse and draw again."""
+
+    def __init__(self, seed, parallel):
+        self._rng = _default_rng(seed)
+        self._parallel = parallel  # call number -> earlier call number
+        self.normal_draws = []
+
+    def uniform(self, *args):
+        return self._rng.uniform(*args)
+
+    def standard_normal(self, size):
+        draw = self._rng.standard_normal(size)
+        k = len(self.normal_draws)
+        if k in self._parallel and self.normal_draws[self._parallel[k]].shape == draw.shape:
+            draw = -2.5 * self.normal_draws[self._parallel[k]]
+        self.normal_draws.append(draw)
+        return draw
+
+
+@pytest.mark.parametrize("unit_normal", [False, True])
+def test_refused_directions_are_redrawn_as_the_loop_redraws(monkeypatch, unit_normal):
+    # sample 0 refuses its first two directions, sample 3 its first one; a
+    # sample makes 3 normal draws (point, direction, v), 4 with a unit normal
+    u = int(unit_normal)
+    parallel = {1: 0, 2: 0, 12 + 3 * u: 11 + 3 * u}
+    made = []
+
+    def default_rng(seed):
+        made.append(_ParallelDraws(seed, parallel))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    m, n, seed, ell_range = Sphere(2, 1.0), 6, 11, (0.05, 3.0)
+    rows = _reference_pair_sweep(m, n, seed, ell_range, unit_normal)
+    assert len(made[0].normal_draws) == (3 + u) * n + 3
+    draws = _draw_pairs(m, n, seed, ell_range, unit_normal)
+    x, ell, step, y, v, a, length, value = (list(col) for col in zip(*rows))
+    assert np.array_equal(draws.xs, [p.coords for p in x])
+    assert np.array_equal(draws.ells, ell)
+    assert np.array_equal(draws.steps, step)
+    assert np.array_equal(draws.vs, [t.components for t in v])
+    if unit_normal:
+        assert np.array_equal(draws.normals, a)
+    lengths, values, _ = parallel_pair_sweep(m, n, seed, ell_range, unit_normal)
+    assert np.array_equal(lengths, length)
+    assert np.allclose(values, value, rtol=1e-12, atol=1e-12)
 
 
 def test_batched_pair_values_match_exact_normal_mass_on_hyperboloid():

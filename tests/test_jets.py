@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Sphere, TangentVector
+from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Sphere, SymBilinear, TangentVector
 from riemvisc.errors import PreconditionError
 from riemvisc.grids import GridFunction, build_grid
 import riemvisc.grids as grids
@@ -334,6 +335,76 @@ def test_generator_skips_infeasible_shifts():
     eps = canonical_epsilon(a_alpha)
     pairs = generate_star_candidates(a_alpha, eps, 25, seed=6, slack_scale=1e6)
     assert len(pairs) < 25
+
+
+def test_generator_candidate_count_is_checked():
+    m, x, y, a_alpha = sphere_hessian_pair()
+    eps = canonical_epsilon(a_alpha)
+    assert generate_star_candidates(a_alpha, eps, 0, seed=1) == []
+    with pytest.raises(PreconditionError, match="n_candidates >= 0, got -1"):
+        generate_star_candidates(a_alpha, eps, -1, seed=1)
+
+
+def _reference_star_candidates(a_alpha, epsilon, n_candidates, seed=0, slack_scale=1.0):
+    """The per-candidate loop the stacked generator replaced, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    n = a_alpha.dim
+    a = a_alpha.matrix
+    b = a + epsilon * (a @ a)
+    b11, b12, b22 = b[:n, :n], b[:n, n:], b[n:, n:]
+    s_base = 2.0 * float(np.linalg.norm(b12, 2))
+    norm_a = a_alpha.operator_norm()
+    floor = -(1.0 / epsilon + norm_a)
+    out = []
+    for _ in range(n_candidates):
+        s = s_base + slack_scale * rng.uniform(0.0, 1.0) * (1.0 + norm_a)
+        p_mat = b11 - s * np.eye(n)
+        neg_q_mat = b22 - s * np.eye(n)
+        low = min(
+            float(np.min(np.linalg.eigvalsh(p_mat))),
+            float(np.min(np.linalg.eigvalsh(neg_q_mat))),
+        )
+        if low < floor:
+            continue  # infeasible shift
+        p = SymBilinear(a_alpha.x, p_mat)
+        q = SymBilinear(a_alpha.y, -neg_q_mat)
+        ok, _, _ = verify_condition_star(StarCondition(a_alpha, epsilon, p, q))
+        if ok:
+            out.append((p, q))
+    return out
+
+
+STAR_MODELS = [
+    Sphere(2, 1.0), Sphere(3, 2.0), Hyperbolic(2, 1.0), Hyperbolic(3, 2.5), Euclidean(2),
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from(STAR_MODELS),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.1, 50.0),
+    n_candidates=st.integers(0, 25),
+    slack_scale=st.sampled_from([0.0, 0.3, 1.0, 4.0, 1e6]),
+)
+def test_stacked_star_candidates_match_the_per_candidate_loop(
+    model, seed, alpha, n_candidates, slack_scale
+):
+    rng = np.random.default_rng(seed)
+    x = model.random_point(rng)
+    d = model.random_tangent(rng, x)
+    y = model.exp(x, TangentVector(x, d.components * (rng.uniform(0.1, 1.5) / model.norm(x, d))))
+    a_alpha = hessian_distance_sq(model, x, y).scaled(alpha / 2.0)
+    eps = canonical_epsilon(a_alpha)
+    expected = _reference_star_candidates(a_alpha, eps, n_candidates, seed, slack_scale)
+    got = generate_star_candidates(a_alpha, eps, n_candidates, seed, slack_scale)
+    assert len(got) == len(expected)
+    for (p, q), (p_ref, q_ref) in zip(got, expected):
+        assert p.base is x and q.base is y
+        assert p.matrix.tobytes() == p_ref.matrix.tobytes()
+        assert q.matrix.tobytes() == q_ref.matrix.tobytes()
+    if slack_scale == 1e6 and n_candidates:
+        assert len(got) < n_candidates  # the huge shifts break the floor
 
 
 def test_sign_report_serialization_keys():

@@ -195,6 +195,33 @@ def test_hyperboloid_exp_overflow_raises_typed():
         m.exp(o, m.tangent(o, [0.0, 0.0, 450.0]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_hyperboloid_exp_raises_where_the_minkowski_square_overflows():
+    # from the apex y_0 = cosh|v|: cosh(300) ~ 9.7e129 squares finely, while
+    # cosh(400) ~ 2.6e173 squares past DBL_MAX long before cosh itself overflows
+    m = Hyperbolic(2, 1.0)
+    o = m.base_point()
+    ok = m.exp(o, m.tangent(o, [0.0, 300.0, 0.0]))
+    assert ok.coords[0] == pytest.approx(math.cosh(300.0), rel=1e-12)
+    assert np.array_equal(m.exp_stack(o.coords[None], np.array([[0.0, 300.0, 0.0]]))[0], ok.coords)
+    for length in (400.0, 500.0):
+        with pytest.raises(GeometryDomainError, match=r"^exp: \|v\| sqrt\|K\| = .*overflow"):
+            m.exp(o, m.tangent(o, [0.0, 0.0, length]))
+        steps = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, length]])
+        with pytest.raises(GeometryDomainError, match=r"^exp_stack row 1: .*overflow"):
+            m.exp_stack(np.array([o.coords, o.coords]), steps)
+    # from a point near the edge of the float range even short steps take the
+    # checked path; where they land in range they match the stacked rows
+    x = m.exp(o, m.tangent(o, [0.0, 350.0, 0.0]))
+    for length in (1.0, 5.0):
+        y = m.exp(x, m.tangent(x, [0.0, 0.0, length]))
+        assert np.all(np.isfinite(y.coords))
+        stacked = m.exp_stack(x.coords[None], np.array([[0.0, 0.0, length]]))
+        assert np.array_equal(stacked[0], y.coords)
+    with pytest.raises(GeometryDomainError, match="overflow"):
+        m.exp(x, m.tangent(x, [0.0, 0.0, 10.0]))
+
+
 def test_hyperboloid_exp_stack_overflow_names_first_row():
     m = Hyperbolic(2, 2.5)
     rng = np.random.default_rng(31)
@@ -671,3 +698,24 @@ def test_transport_bilinear_matches_the_per_row_loop(model, seed):
     back = reference_components(model, x, moved, frame_x)
     expected = model.bilinear(y, back @ a.matrix @ back.T).matrix
     assert_bitwise(model.parallel_transport_bilinear(x, y, a).matrix, expected)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    model=EVERY_MODEL,
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 5),
+    scale=st.sampled_from([1.0, 0.8, 1e-3, 30.0]),
+)
+def test_stacked_draw_maps_match_random_point_and_tangent(model, seed, rows, scale):
+    # the same generator calls, then the stacked maps: bit for bit the scalar draws
+    rng = np.random.default_rng(seed)
+    points = [model.random_point(rng) for _ in range(rows)]
+    tangents = [model.random_tangent(rng, x, scale=scale) for x in points]
+    rng = np.random.default_rng(seed)
+    raw_points = np.array([model.draw_point(rng) for _ in range(rows)])
+    raw_tangents = np.array([model.draw_tangent(rng) for _ in range(rows)])
+    xs = model.points_from_draws(raw_points)
+    assert_bitwise(xs, [x.coords for x in points])
+    tangent_rows = model.project_tangent_stack(xs, raw_tangents * scale)
+    assert_bitwise(tangent_rows, [t.components for t in tangents])
