@@ -22,9 +22,13 @@ The stencils of one step form one direction-major sparse operator
 ``exp_{x_i}(h d_k)``), so one mat-vec gathers every stencil value; the
 per-direction matrices (``Grid.stencils``) are views into its buffers.
 Geodesic distances between nodes are computed in blocks of rows
-(``Grid.distance_blocks``) of a fixed number of entries, so no N x N matrix
-is ever held; the pairs within a small spacing (``Grid._pair_blocks``, for
-the modulus) come from a k-d tree instead.
+(``Grid.row_blocks``) of a fixed number of entries, so no N x N matrix is
+ever held.  ``Grid.distances_within`` keeps, per block, only the pairs
+within a per-row reach: it tests the block's Gram entries (sphere) or
+squared distances (torus), and takes the arc or the root of the kept
+entries alone, each bitwise the entry of ``Grid.distance_rows``.  The pairs
+within a small spacing (``Grid._pair_blocks``, for the modulus) come from a
+k-d tree instead.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ from .manifolds import FlatTorus, Manifold, Point, Sphere, _rowwise_dot
 
 _EPS_WEIGHT = 1e-12
 _SHORT_LIST = 6  # nearest-centroid faces tried per stencil point before brute force
-_BLOCK_ENTRIES = 1 << 20  # distances per row block of Grid.distance_blocks (8 MB)
+_BLOCK_ENTRIES = 1 << 20  # distances per row block of Grid.row_blocks (8 MB)
+# relative loosening of a reach in Grid.distances_within: far above the few
+# ulps by which the arc (arccos) or the root can move a distance
+_REACH_SLACK = 1e-12
 
 
 def icosahedron():
@@ -172,22 +179,66 @@ class Grid:
         diff = _wrap_half(diff, per)
         return float(np.mean(np.linalg.norm(diff, axis=1)))
 
+    def _block_measure(self, start: int, stop: int) -> np.ndarray:
+        """The Gram block ``x C^T`` (sphere) or the wrapped squared distances
+        (torus) of rows ``start <= i < stop`` against every node."""
+        x = self.coords[start:stop]
+        if isinstance(self.model, Sphere):
+            return x @ self.coords.T
+        d2 = 0.0  # axis by axis: 2.2x faster than one (axis, row, node) array
+        for a, c, per in zip(x.T, self.coords.T, self.model.periods):
+            diff = _wrap_half(a[:, None] - c[None, :], per)
+            d2 = d2 + diff * diff
+        return d2
+
+    def _from_measure(self, measure: np.ndarray) -> np.ndarray:
+        """Distances from entries of ``_block_measure``, in place on the sphere."""
+        if isinstance(self.model, Sphere):
+            return self._sphere_arc(measure)
+        return np.sqrt(measure)
+
     def distance_rows(self, start: int, stop: int) -> np.ndarray:
         """Geodesic distances d(i, j) for rows ``start <= i < stop`` and every node j.
 
         Self-distances are exactly 0 (the sphere's arccos would leave ~1e-8).
         """
-        x = self.coords[start:stop]
-        if isinstance(self.model, Sphere):
-            d = self._sphere_arc(x @ self.coords.T)
-        else:
-            d2 = 0.0  # axis by axis: 2.2x faster than one (axis, row, node) array
-            for a, c, per in zip(x.T, self.coords.T, self.model.periods):
-                diff = _wrap_half(a[:, None] - c[None, :], per)
-                d2 = d2 + diff * diff
-            d = np.sqrt(d2)
+        d = self._from_measure(self._block_measure(start, stop))
         d[np.arange(stop - start), np.arange(start, stop)] = 0.0
         return d
+
+    def distances_within(self, start: int, stop: int, reach: np.ndarray):
+        """Index arrays ``(i, j)`` and distances ``d(i, j)``, in row-major
+        order, of the pairs of rows ``start <= i < stop`` with
+        ``d(i, j) <= reach[i - start]``; a row whose reach is negative or NaN
+        keeps nothing.
+
+        Each ``d`` is bitwise the entry of ``distance_rows(start, stop)``: the
+        reach is tested on the same block of ``_block_measure``, and only the
+        kept entries are turned into distances.  The test is loosened by
+        ``_REACH_SLACK`` (relative, plus as much of r^2 in the Gram entry), so
+        it keeps every pair within the reach and may keep a few just past it.
+        """
+        reach = np.asarray(reach, dtype=float)
+        live = reach >= 0.0
+        if not np.any(live):
+            empty = np.empty(0, dtype=np.intp)
+            return empty, empty, np.empty(0)
+        measure = self._block_measure(start, stop)
+        if isinstance(self.model, Sphere):
+            # past pi the bound, r^2 (-1 - slack), is below every Gram entry
+            r = self.model.radius
+            angle = np.minimum(reach / r * (1.0 + _REACH_SLACK), math.pi)
+            bound = np.where(live, r**2 * (np.cos(angle) - _REACH_SLACK), np.inf)
+            keep = measure >= bound[:, None]
+        else:
+            bound = np.where(live, reach**2 * (1.0 + _REACH_SLACK), -np.inf)
+            keep = measure <= bound[:, None]
+        flat = np.flatnonzero(keep)  # 3x faster than a 2-d nonzero
+        rows, cols = np.divmod(flat, self.n_nodes)
+        d = self._from_measure(measure.ravel()[flat])
+        rows += start
+        d[rows == cols] = 0.0
+        return rows, cols, d
 
     def _sphere_arc(self, dots: np.ndarray) -> np.ndarray:
         """``r arccos(clip(dots / r^2))``, computed in place in ``dots`` so a
@@ -199,16 +250,22 @@ class Grid:
         dots *= r
         return dots
 
-    def distance_blocks(self):
-        """Yield ``(start, distance_rows(start, stop))`` over row blocks covering all nodes."""
+    def row_blocks(self):
+        """Yield ``(start, stop)`` over row blocks of at most ``_BLOCK_ENTRIES``
+        distances that cover all nodes."""
         height = max(1, _BLOCK_ENTRIES // self.n_nodes)
         for start in range(0, self.n_nodes, height):
-            yield start, self.distance_rows(start, min(start + height, self.n_nodes))
+            yield start, min(start + height, self.n_nodes)
+
+    def distance_blocks(self):
+        """Yield ``(start, distance_rows(start, stop))`` over ``row_blocks``."""
+        for start, stop in self.row_blocks():
+            yield start, self.distance_rows(start, stop)
 
     def _pair_blocks(self, spacing: float):
         """Yield index arrays ``(i, j)`` of the entries of ``distance_rows``
-        with d(i, j) <= spacing (both orders, self-pairs aside), over the row
-        blocks of ``distance_blocks``, so at most ``_BLOCK_ENTRIES``
+        with d(i, j) <= spacing (both orders, self-pairs aside), over
+        ``row_blocks``, so at most ``_BLOCK_ENTRIES``
         candidates at a time.
 
         Chord length is monotone in geodesic distance, so a k-d tree query
@@ -226,9 +283,8 @@ class Grid:
             box = self.model.periods
             radius = reach * (1.0 + 1e-9) + 1e-12 * float(np.max(box))
         tree = cKDTree(self.coords, boxsize=box)
-        height = max(1, _BLOCK_ENTRIES // self.n_nodes)
-        for start in range(0, self.n_nodes, height):
-            block = cKDTree(self.coords[start:start + height], boxsize=box)
+        for start, stop in self.row_blocks():
+            block = cKDTree(self.coords[start:stop], boxsize=box)
             near = block.sparse_distance_matrix(tree, radius, output_type="ndarray")
             i, j = near["i"] + start, near["j"]
             if isinstance(self.model, Sphere):

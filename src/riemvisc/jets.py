@@ -27,7 +27,14 @@ import numpy as np
 from .errors import GeometryDomainError, PreconditionError
 from .grids import GridFunction
 from .jacobi import HessianPair
-from .manifolds import Euclidean, Manifold, Point, SymBilinear, TangentVector
+from .manifolds import (
+    Euclidean,
+    Manifold,
+    Point,
+    SymBilinear,
+    TangentVector,
+    symmetrized_forms,
+)
 
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_DIRECTIONS = 200
@@ -344,7 +351,8 @@ def generate_star_candidates(
     feasible = np.flatnonzero(~(np.minimum(lows[:n_candidates], lows[n_candidates:]) < floor))
     # the forms as SymBilinear stores them
     lower, upper = _star_margins(
-        a, epsilon, norm_a, _symmetrized(p_mats[feasible]), _symmetrized(-neg_q_mats[feasible])
+        a, epsilon, norm_a, symmetrized_forms(p_mats[feasible]),
+        symmetrized_forms(-neg_q_mats[feasible]),
     )
     return [
         (SymBilinear(a_alpha.x, p_mats[i]), SymBilinear(a_alpha.y, -neg_q_mats[i]))
@@ -352,9 +360,24 @@ def generate_star_candidates(
     ]
 
 
-def _symmetrized(mats: np.ndarray) -> np.ndarray:
-    """``SymBilinear``'s symmetrization over a stack of matrices."""
-    return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+def transported_order_margins(
+    m: Manifold,
+    x: Point,
+    y: Point,
+    p_mats: np.ndarray,
+    q_mats: np.ndarray,
+    slack_rhs: float = 0.0,
+) -> np.ndarray:
+    """Smallest eigenvalue of ``L_yx(Q) + slack I - P`` for every pair of two
+    (k, n, n) stacks: forms P in the canonical frame at x, Q at y.
+
+    The frame at x is transported to y once for all k pairs, the moved Q
+    are checked and symmetrized as ``SymBilinear`` would (``ValueError``
+    unless symmetric), and one stacked ``eigvalsh`` gives the margins.
+    """
+    back = m.transport_matrix(x, y)
+    moved = symmetrized_forms(back @ np.asarray(q_mats, dtype=float) @ back.T)
+    return np.linalg.eigvalsh(moved + slack_rhs * np.eye(m.dim) - p_mats).min(axis=-1)
 
 
 def check_P_leq_LQ(
@@ -366,11 +389,12 @@ def check_P_leq_LQ(
     slack_rhs: float = 0.0,
     tol: float = 1e-9,
 ):
-    """Check P <= L_yx(Q) + slack I; returns (ok, smallest eigenvalue margin)."""
-    moved = m.parallel_transport_bilinear(y, x, q)
-    margin = float(
-        np.min(np.linalg.eigvalsh(moved.matrix + slack_rhs * np.eye(m.dim) - p.matrix))
-    )
+    """Check P <= L_yx(Q) + slack I; returns (ok, smallest eigenvalue margin).
+
+    The one-pair case of ``transported_order_margins``."""
+    m._check_based(y, q)
+    margins = transported_order_margins(m, x, y, p.matrix[None], q.matrix[None], slack_rhs)
+    margin = float(margins[0])
     return margin >= -tol, margin
 
 
@@ -411,9 +435,17 @@ def doubling_diagnostic(
 ) -> DoublingTrace:
     """Exact grid maximization of u(x) - v(y) - (alpha/2) d(x, y)^2 per alpha.
 
-    The distance rows are visited block by block; a later block replaces the
-    running maximum only when strictly greater, so ties resolve to the first
-    maximizer in row-major order, as an argmax over the full matrix would.
+    The diagonal (d = 0 exactly) attains ``L = max(u - v)`` at every alpha,
+    so only pairs whose objective reaches L can maximize.  Against the
+    smallest alpha, row i reaches L only within ``d^2 <= 2 (u_i - min v -
+    L) / alpha_1`` (plus a rounding slack); ``Grid.distances_within`` keeps
+    those pairs block by block, with their exact distances.  Per alpha the
+    objective is computed as on the full matrix and the pairs below L are
+    dropped for the larger alphas (the objective only falls as alpha
+    grows).  Survivors stay in row-major order, and a later block replaces
+    the running maximum only when strictly greater, so ties resolve to the
+    first maximizer in row-major order, as an argmax over the full matrix
+    would.
     """
     grid = u.grid
     if grid is not v.grid:
@@ -423,18 +455,38 @@ def doubling_diagnostic(
     if grid.n_nodes == 0:
         raise PreconditionError("empty grid")
     alphas = [float(a) for a in alphas]
+    if not all(math.isfinite(a) for a in alphas):
+        raise PreconditionError(f"alphas must be finite, got {alphas}")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise PreconditionError("alphas must be increasing")
+    if not alphas:
+        return DoublingTrace([])
+    floor = float(np.max(u.values - v.values))
+    if alphas[0] > 0.0:
+        # u_i - v_j <= u_i - min v, and (alpha_1 / 2) d^2 may take only what
+        # that leaves above L; the slack covers the rounding of the objective
+        # and of this budget
+        top = u.values - float(np.min(v.values))
+        budget = (top - floor) + 1e-12 * (np.abs(top) + abs(floor))
+        reach = np.sqrt(np.maximum(budget, 0.0) / (0.5 * alphas[0]))
+        reach[budget < 0.0] = -1.0
+    else:  # no penalty at the smallest alpha, or a reward for distance
+        reach = np.full(grid.n_nodes, np.inf)
     best = [(-math.inf, 0, 0, 0.0)] * len(alphas)  # (objective, i, j, d) per alpha
-    for start, d in grid.distance_blocks():
+    for start, stop in grid.row_blocks():
+        i, j, d = grid.distances_within(start, stop, reach[start:stop])
         penalty = d * d
-        gap = u.values[start:start + d.shape[0], None] - v.values[None, :]
-        objective = np.empty_like(d)  # gap - (alpha/2) penalty, written in place
+        gap = u.values[i] - v.values[j]
         for k, alpha in enumerate(alphas):
-            np.subtract(gap, np.multiply(0.5 * alpha, penalty, out=objective), out=objective)
-            i, j = np.unravel_index(np.argmax(objective), objective.shape)
-            if objective[i, j] > best[k][0]:
-                best[k] = (float(objective[i, j]), start + int(i), int(j), float(d[i, j]))
+            if not gap.size:
+                break
+            objective = gap - np.multiply(0.5 * alpha, penalty)
+            t = int(np.argmax(objective))
+            if objective[t] > best[k][0]:
+                best[k] = (float(objective[t]), int(i[t]), int(j[t]), float(d[t]))
+            keep = objective >= floor
+            if not keep.all():
+                i, j, d, penalty, gap = i[keep], j[keep], d[keep], penalty[keep], gap[keep]
     records = [
         DoublingRecord(alpha, obj, i, j, dist, alpha * dist * dist)
         for alpha, (obj, i, j, dist) in zip(alphas, best)

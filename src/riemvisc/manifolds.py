@@ -128,11 +128,7 @@ class SymBilinear:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("bilinear form matrix must be square")
-        if np.max(np.abs(m - m.T), initial=0.0) > _SYMMETRY_TOL * max(
-            1.0, float(np.max(np.abs(m), initial=0.0))
-        ):
-            raise ValueError("bilinear form matrix must be symmetric")
-        m = 0.5 * (m + m.T)
+        m = symmetrized_forms(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -142,6 +138,19 @@ class SymBilinear:
     def operator_norm(self) -> float:
         """sup |lambda| over eigenvalues."""
         return float(np.max(np.abs(self.eigenvalues()), initial=0.0))
+
+
+def symmetrized_forms(mats: np.ndarray) -> np.ndarray:
+    """``(M + M^T) / 2`` for each of a stack of (..., n, n) matrices, as
+    ``SymBilinear`` stores them; ``ValueError`` unless every M is symmetric
+    to ``_SYMMETRY_TOL`` relative to its largest entry (or to 1)."""
+    mats = np.asarray(mats, dtype=float)
+    flipped = np.swapaxes(mats, -1, -2)
+    axes = (-2, -1)
+    asym = abs(mats - flipped).max(axis=axes, initial=0.0)
+    if (asym > _SYMMETRY_TOL * abs(mats).max(axis=axes, initial=1.0)).any():
+        raise ValueError("bilinear form matrix must be symmetric")
+    return 0.5 * (mats + flipped)
 
 
 class Manifold:
@@ -322,16 +331,21 @@ class Manifold:
     def bilinear(self, x: Point, matrix) -> SymBilinear:
         return SymBilinear(x, matrix)
 
+    def transport_matrix(self, x: Point, y: Point) -> np.ndarray:
+        """Row k: the canonical frame vector k at x, transported to y, in the
+        canonical frame at y."""
+        moved = np.array(
+            [
+                self.parallel_transport(x, y, TangentVector(x, f)).components
+                for f in self.canonical_frame(x)
+            ]
+        )
+        return self.components(moved, self.canonical_frame(y))
+
     def parallel_transport_bilinear(self, x: Point, y: Point, a: SymBilinear) -> SymBilinear:
         """Transport of a form: (L_xy A)(u, u) := A(L_yx u, L_yx u)."""
         self._check_based(x, a)
-        moved = np.array(
-            [
-                self.parallel_transport(y, x, TangentVector(y, f)).components
-                for f in self.canonical_frame(y)
-            ]
-        )
-        back = self.components(moved, self.canonical_frame(x))
+        back = self.transport_matrix(y, x)
         return SymBilinear(y, back @ a.matrix @ back.T)
 
     def draw_tangent(self, rng: np.random.Generator) -> np.ndarray:
@@ -430,6 +444,12 @@ class _SpaceForm(Manifold):
             "past which cosh and sinh overflow"
         )
 
+    def _step_not_finite(self, s2, where):
+        return GeometryDomainError(
+            f"{where}: |v|^2 = {s2!r} is not finite (the step's components "
+            "or their squares overflow)"
+        )
+
     def _near_overflow(self, x: Point, growth: float) -> bool:
         """Whether ``exp`` from x with C + S = ``growth`` may leave the float
         range; the sphere's coordinates stay within its radius."""
@@ -437,7 +457,10 @@ class _SpaceForm(Manifold):
 
     def exp(self, x, v):
         self._check_based(x, v)
-        s2 = self.ambient_inner(x, v.components, v.components)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s2 = self.ambient_inner(x, v.components, v.components)
+        if not math.isfinite(s2):
+            raise self._step_not_finite(s2, "exp")
         if s2 <= 0.0:
             return x
         s = math.sqrt(s2)
@@ -456,7 +479,11 @@ class _SpaceForm(Manifold):
 
     def _exp_rows(self, xs, vs, where=None):
         """``exp_stack``; errors name ``where``, or the row of the stack."""
-        s2 = self.inner_stack(vs, vs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s2 = self.inner_stack(vs, vs)
+        bad = np.flatnonzero(~np.isfinite(s2))
+        if bad.size:
+            raise self._step_not_finite(float(s2[bad[0]]), where or f"exp_stack row {bad[0]}")
         moving = s2 > 0.0
         s = np.sqrt(np.where(moving, s2, 1.0))
         theta = s / self._rho

@@ -23,9 +23,9 @@ from riemvisc.jacobi import (
 )
 from riemvisc.jets import (
     canonical_epsilon,
-    check_P_leq_LQ,
     doubling_diagnostic,
     generate_star_candidates,
+    transported_order_margins,
 )
 from riemvisc.operators import (
     constant,
@@ -202,10 +202,12 @@ def _star_margin_sweep(model, slack_fn, n_pairs, per_pair, seed):
         pairs = generate_star_candidates(
             a_alpha, eps, per_pair, seed=int(rng.integers(2**31)))
         slack = slack_fn(alpha, model.distance(x, y))
-        for p, q in pairs:
-            _, margin = check_P_leq_LQ(model, x, y, p, q, slack_rhs=slack)
-            worst = min(worst, margin)
-            total += 1
+        if pairs:
+            margins = transported_order_margins(
+                model, x, y, np.array([p.matrix for p, _ in pairs]),
+                np.array([q.matrix for _, q in pairs]), slack_rhs=slack)
+            worst = min(worst, float(np.min(margins)))
+            total += len(pairs)
     return total, worst
 
 

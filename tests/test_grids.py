@@ -221,6 +221,37 @@ def test_distance_blocks_match_full_matrix(name, monkeypatch):
     assert np.all(stacked[~np.eye(grid.n_nodes, dtype=bool)] > 0.0)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(DISTANCE_GRIDS)), seed=st.integers(0, 2**32 - 1),
+       span=st.sampled_from([0.0, 0.1, 0.5, 2.0, 10.0]))
+def test_distances_within_keeps_every_pair_in_reach(name, seed, span):
+    make, height = DISTANCE_GRIDS[name]
+    grid = make()
+    rng = np.random.default_rng(seed)
+    for start in range(0, grid.n_nodes, height):
+        stop = min(start + height, grid.n_nodes)
+        full = grid.distance_rows(start, stop)
+        reach = span * rng.random(stop - start)
+        # reaches exactly at a distance (ties), below zero, NaN and unbounded
+        pick = rng.integers(0, grid.n_nodes, stop - start)
+        exact = rng.random(stop - start) < 0.3
+        reach[exact] = full[exact.nonzero()[0], pick[exact]]
+        reach[rng.random(stop - start) < 0.1] = -1.0
+        reach[rng.random(stop - start) < 0.05] = np.nan
+        reach[rng.random(stop - start) < 0.05] = np.inf
+        i, j, d = grid.distances_within(start, stop, reach)
+        local = i - start
+        order = local * grid.n_nodes + j
+        assert np.all(np.diff(order) > 0)  # row-major, no repeats
+        assert d.tobytes() == full[local, j].tobytes()  # bitwise distance_rows
+        within = full <= reach[:, None]  # NaN and negative reaches: nothing
+        kept = np.zeros_like(within)
+        kept[local, j] = True
+        assert np.all(kept[within])
+        # the rest lie within the rounding slack of the reach
+        assert np.all(full[kept & ~within] <= reach[local[~within[local, j]]] * (1 + 1e-9) + 1e-9)
+
+
 @pytest.mark.parametrize("name", sorted(DISTANCE_GRIDS))
 def test_modulus_at_spacing_matches_brute_force(name, monkeypatch):
     make, height = DISTANCE_GRIDS[name]

@@ -1,17 +1,20 @@
 """Jet membership tests, chart transfer, block condition, doubling."""
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Sphere, SymBilinear, TangentVector
-from riemvisc.errors import PreconditionError
+from riemvisc.errors import BasePointMismatchError, PreconditionError
 from riemvisc.grids import GridFunction, build_grid
 import riemvisc.grids as grids
 from riemvisc.jacobi import HessianPair, hessian_distance_sq
 from riemvisc.jets import (
+    DoublingRecord,
     Jet2,
     StarCondition,
     canonical_epsilon,
@@ -23,6 +26,7 @@ from riemvisc.jets import (
     jet_limit_check,
     chart_correction_term,
     quadratic_jet_test,
+    transported_order_margins,
     verify_condition_star,
 )
 
@@ -455,6 +459,74 @@ def test_p_equal_transported_q_margin_zero():
     assert abs(margin) <= 1e-9
 
 
+def _reference_order_margin(m, x, y, p, q, slack_rhs):
+    """The per-candidate P <= L Q margin the stacked kernel replaced, kept as its oracle."""
+    moved = m.parallel_transport_bilinear(y, x, q)
+    return float(np.min(np.linalg.eigvalsh(moved.matrix + slack_rhs * np.eye(m.dim) - p.matrix)))
+
+
+ORDER_MODELS = [
+    Sphere(2, 1.0), Sphere(3, 2.0), Hyperbolic(2, 1.0), Hyperbolic(3, 2.5), Euclidean(2),
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from(ORDER_MODELS),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.5, 64.0),
+    n_candidates=st.integers(1, 30),
+    slack=st.sampled_from([0.0, 1e-3, 0.7]),
+)
+def test_stacked_order_margins_match_the_per_candidate_loop(
+    model, seed, alpha, n_candidates, slack
+):
+    rng = np.random.default_rng(seed)
+    x = model.random_point(rng)
+    d = model.random_tangent(rng, x)
+    y = model.exp(x, TangentVector(x, d.components * (rng.uniform(0.1, 1.5) / model.norm(x, d))))
+    a_alpha = hessian_distance_sq(model, x, y).scaled(alpha / 2.0)
+    pairs = generate_star_candidates(a_alpha, canonical_epsilon(a_alpha), n_candidates, seed)
+    # random symmetric forms too, so that some margins are negative
+    raw = rng.standard_normal((n_candidates, 2, model.dim, model.dim))
+    pairs += [(SymBilinear(x, a + a.T), SymBilinear(y, b + b.T)) for a, b in raw]
+    expected = np.array([_reference_order_margin(model, x, y, p, q, slack) for p, q in pairs])
+    got = transported_order_margins(
+        model, x, y, np.array([p.matrix for p, _ in pairs]),
+        np.array([q.matrix for _, q in pairs]), slack_rhs=slack,
+    )
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    for (p, q), margin in zip(pairs, expected):  # the one-pair case, bit for bit
+        assert check_P_leq_LQ(model, x, y, p, q, slack_rhs=slack) == (margin >= -1e-9, margin)
+
+
+def test_stacked_order_margins_keep_the_symmetry_check():
+    m, x, y, a_alpha = sphere_hessian_pair(alpha=2.0)
+    pairs = generate_star_candidates(a_alpha, canonical_epsilon(a_alpha), 6, seed=3)
+    p_mats = np.array([p.matrix for p, _ in pairs])
+    q_mats = np.array([q.matrix for _, q in pairs])
+    q_mats[-1, 0, 1] += 1e-6  # one lopsided Q in the stack
+    with pytest.raises(ValueError, match="symmetric"):
+        transported_order_margins(m, x, y, p_mats, q_mats)
+    with pytest.raises(ValueError, match="symmetric"):
+        SymBilinear(y, q_mats[-1])
+    # below the tolerance the moved forms are symmetrized, as SymBilinear does
+    q_mats[-1, 0, 1] -= 1e-6 - 1e-14
+    margins = transported_order_margins(m, x, y, p_mats, q_mats)
+    last = _reference_order_margin(
+        m, x, y, SymBilinear(x, p_mats[-1]), SymBilinear(y, q_mats[-1]), 0.0
+    )
+    assert margins[-1] == pytest.approx(last, abs=1e-13)
+
+
+def test_check_p_leq_lq_checks_the_base_of_q():
+    m, x, y, a_alpha = sphere_hessian_pair(alpha=2.0)
+    p, q = generate_star_candidates(a_alpha, canonical_epsilon(a_alpha), 6, seed=3)[0]
+    with pytest.raises(BasePointMismatchError):
+        check_P_leq_LQ(m, x, y, p, SymBilinear(x, q.matrix))
+
+
 # --------------------------------------------------------------------- #
 # doubling of variables
 # --------------------------------------------------------------------- #
@@ -562,6 +634,105 @@ def test_doubling_and_modulus_on_large_torus():
         assert rec.distance == pytest.approx(dist, abs=1e-12)
     assert trace.records[0].distance > 0.0
     assert grid.modulus_at_spacing(u.values, spacing) == modulus
+
+
+def _reference_doubling(m, u, v, alphas):
+    """The blockwise argmax over every distance the pruned diagnostic
+    replaced, kept as its oracle: a later block wins only when strictly
+    greater, so ties go to the first maximizer in row-major order."""
+    grid = u.grid
+    alphas = [float(a) for a in alphas]
+    best = [(-math.inf, 0, 0, 0.0)] * len(alphas)  # (objective, i, j, d) per alpha
+    for start, d in grid.distance_blocks():
+        penalty = d * d
+        gap = u.values[start:start + d.shape[0], None] - v.values[None, :]
+        objective = np.empty_like(d)  # gap - (alpha/2) penalty, written in place
+        for k, alpha in enumerate(alphas):
+            np.subtract(gap, np.multiply(0.5 * alpha, penalty, out=objective), out=objective)
+            i, j = np.unravel_index(np.argmax(objective), objective.shape)
+            if objective[i, j] > best[k][0]:
+                best[k] = (float(objective[i, j]), start + int(i), int(j), float(d[i, j]))
+    return [
+        DoublingRecord(alpha, obj, i, j, dist, alpha * dist * dist)
+        for alpha, (obj, i, j, dist) in zip(alphas, best)
+    ]
+
+
+DOUBLING_GRIDS = {
+    **{f"sphere r={r} res={res}": (Sphere, (2, r), res)
+       for r in (0.5, 1.0, 2.5) for res in (1, 2, 3)},
+    "torus 1 x 0.7": (FlatTorus, ([1.0, 0.7],), 15),
+    "torus 3 x 0.4": (FlatTorus, ([3.0, 0.4],), 11),
+    # dyadic lattice: exact squared distances, so quarter-valued fields tie
+    # the diagonal exactly at the edge of a row's reach
+    "torus 2 x 0.5": (FlatTorus, ([2.0, 0.5],), 8),
+}
+
+
+@functools.cache
+def doubling_grid(name):
+    model, args, res = DOUBLING_GRIDS[name]
+    return build_grid(model(*args), res)
+
+
+def doubling_fields(grid, kind, seed, scale):
+    rng = np.random.default_rng(seed)
+    if kind == "smooth":
+        a, b = rng.standard_normal((2, grid.coords.shape[1]))
+        u, v = np.cos(grid.coords @ a), np.sin(grid.coords @ b)
+    elif kind == "rough":
+        u, v = rng.standard_normal((2, grid.n_nodes))
+    elif kind == "quantized":  # few levels: many exact ties
+        u, v = rng.integers(-2, 3, (2, grid.n_nodes)) / 4.0
+    else:  # u = v: every diagonal pair attains the maximum 0
+        u = v = rng.standard_normal(grid.n_nodes)
+    return GridFunction(grid, scale * u), GridFunction(grid, scale * v)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(DOUBLING_GRIDS)),
+    kind=st.sampled_from(["smooth", "rough", "quantized", "equal"]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 0.3, 1.0, 40.0]),
+    alphas=st.sampled_from([
+        [4096.0], [0.25], [float(2**k) for k in range(2, 13)], [0.5, 3.0, 4096.0],
+        [0.0, 2.0], [-3.0, 1.0, 64.0],
+    ]),
+    rows_per_block=st.sampled_from([None, 1, 5, 37]),
+)
+def test_pruned_doubling_matches_the_full_argmax(name, kind, seed, scale, alphas, rows_per_block):
+    grid = doubling_grid(name)
+    u, v = doubling_fields(grid, kind, seed, scale)
+    entries = grids._BLOCK_ENTRIES if rows_per_block is None else rows_per_block * grid.n_nodes
+    with mock.patch.object(grids, "_BLOCK_ENTRIES", entries):  # many blocks
+        expected = _reference_doubling(grid.model, u, v, alphas)
+        assert doubling_diagnostic(grid.model, u, v, alphas).records == expected
+
+
+def test_doubling_keeps_a_tie_at_the_edge_of_the_reach():
+    # v dips to -1 at node 1, so max(u - v) = 1 on the diagonal there; node 0
+    # lies one spacing (1/8) away, and with alpha_1 = 16, u_0 = 1/8 gives
+    # u_0 - v_1 - (16/2) (1/8)^2 = 1: the pair (0, 1) sits exactly at row 0's
+    # reach and, first in row-major order, wins the tie
+    grid = build_grid(FlatTorus([1.0, 1.0]), 8)
+    u, v = np.zeros(grid.n_nodes), np.zeros(grid.n_nodes)
+    u[0], v[1] = 0.125, -1.0
+    u, v = GridFunction(grid, u), GridFunction(grid, v)
+    trace = doubling_diagnostic(grid.model, u, v, [16.0, 32.0])
+    assert trace.records == _reference_doubling(grid.model, u, v, [16.0, 32.0])
+    first, second = trace.records
+    assert (first.m_alpha, first.x_idx, first.y_idx, first.distance) == (1.0, 0, 1, 0.125)
+    assert (second.m_alpha, second.x_idx, second.y_idx, second.distance) == (1.0, 1, 1, 0.0)
+
+
+def test_doubling_rejects_non_finite_alphas():
+    grid = build_grid(Sphere(2, 1.0), 1)
+    u, v = smooth_grid_pair(grid, 4)
+    for bad in ([1.0, math.inf], [math.nan]):
+        with pytest.raises(PreconditionError, match="finite"):
+            doubling_diagnostic(grid.model, u, v, bad)
+    assert doubling_diagnostic(grid.model, u, v, []).records == []
 
 
 def test_doubling_csv_columns():

@@ -222,6 +222,26 @@ def test_hyperboloid_exp_raises_where_the_minkowski_square_overflows():
         m.exp(x, m.tangent(x, [0.0, 0.0, 10.0]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_hyperboloid_exp_refuses_a_step_whose_square_overflows():
+    # far from the apex a unit-speed tangent has components ~2.5e303, so
+    # |v|^2 overflows (inf - inf in the Minkowski form) before any exp arithmetic
+    m = Hyperbolic(2, 1.0)
+    o = m.base_point()
+    x = m.exp(o, m.tangent(o, [0.0, 350.0, 0.0]))
+    v = m.tangent(x, [0.0, 1.0, 0.0])
+    assert np.max(np.abs(v.components)) > 1e303
+    with pytest.raises(GeometryDomainError, match=r"^exp: \|v\|\^2 = nan is not finite"):
+        m.exp(x, v)
+    with pytest.raises(GeometryDomainError, match=r"^exp_stack row 1: \|v\|\^2 = nan is not"):
+        m.exp_stack(np.array([o.coords, x.coords]), np.array([[0.0, 1.0, 0.0], v.components]))
+    with pytest.raises(GeometryDomainError, match=r"^exp_stack row 0: \|v\|\^2 = nan is not"):
+        m.exp_stack(o.coords[None], np.array([[0.0, math.nan, 0.0]]))  # not a zero step
+    with pytest.raises(GeometryDomainError, match=r"\|v\|\^2 = inf is not finite"):
+        Sphere(2).exp(Sphere(2).point([0.0, 0.0, 1.0]), TangentVector(
+            Sphere(2).point([0.0, 0.0, 1.0]), np.array([1e200, 0.0, 0.0])))
+
+
 def test_hyperboloid_exp_stack_overflow_names_first_row():
     m = Hyperbolic(2, 2.5)
     rng = np.random.default_rng(31)
