@@ -171,18 +171,12 @@ def _geometry_suite(model, n_samples, seed, tolerances):
     tol_additivity = tolerances.get("additivity", 1e-9)
     tol_curvature = tolerances.get("curvature", 1e-10)
 
-    def random_pair():
-        x = model.random_point(rng)
-        cap = model.injectivity_radius(x)
-        hi = 0.9 * cap if math.isfinite(cap) else 2.5
-        d = model.random_tangent(rng, x)
-        nd = model.norm(x, d)
-        ell = rng.uniform(0.05, hi)
-        return x, model.exp(x, TangentVector(x, d.components * (ell / nd)))
+    cap = model.injectivity_radius()
+    reach = 0.9 * cap if math.isfinite(cap) else 2.5
 
     worst_transport = 0.0
     for _ in range(n_samples):
-        x, y = random_pair()
+        x, y, _ = model.random_pair(rng, 0.05, reach)
         v = model.random_tangent(rng, x)
         w = model.random_tangent(rng, x)
         lv = model.parallel_transport(x, y, v)
@@ -194,13 +188,11 @@ def _geometry_suite(model, n_samples, seed, tolerances):
     worst_explog = 0.0
     for _ in range(max(1, n_samples // 4)):
         x = model.random_point(rng)
-        cap = model.injectivity_radius(x)
-        radius = 0.9 * cap if math.isfinite(cap) else 2.5
         v = model.random_tangent(rng, x)
         nv = model.norm(x, v)
         if nv < 1e-12:
             continue
-        v = TangentVector(x, v.components * (rng.uniform(0.01, 1.0) * radius / nv))
+        v = TangentVector(x, v.components * (rng.uniform(0.01, 1.0) * reach / nv))
         back = model.log(x, model.exp(x, v))
         worst_explog = max(
             worst_explog, float(np.linalg.norm(back.components - v.components))
@@ -208,7 +200,7 @@ def _geometry_suite(model, n_samples, seed, tolerances):
 
     worst_additivity = 0.0
     for _ in range(max(1, n_samples // 20)):
-        x, y = random_pair()
+        x, y, _ = model.random_pair(rng, 0.05, reach)
         seg = model.geodesic_segment(x, y)
         for t in np.linspace(0.0, seg.length, 5):
             worst_additivity = max(
@@ -344,11 +336,7 @@ def cmd_comparison_demo(config, out: Path, seed: int) -> dict:
         total = passed_count = 0
         sub_rng = np.random.default_rng(seed + 101 * (offset + 1))
         for _ in range(star_pairs):
-            x = model.random_point(sub_rng)
-            direction = model.random_tangent(sub_rng, x)
-            ell = sub_rng.uniform(0.2, 1.2)
-            y = model.exp(x, TangentVector(
-                x, direction.components * (ell / model.norm(x, direction))))
+            x, y, _ = model.random_pair(sub_rng, 0.2, 1.2)
             a_alpha = hessian_distance_sq(model, x, y).scaled(alpha_star / 2.0)
             eps = canonical_epsilon(a_alpha)
             pairs = generate_star_candidates(

@@ -7,7 +7,7 @@ equation decouples along its eigenvectors into scalar ODEs f'' + kappa f = 0
 with trigonometric, hyperbolic or affine closed forms (Cheeger-Ebin,
 Comparison Theorems in Riemannian Geometry, ch. 1).  One kernel serves
 every model: constant-curvature models are diagonal in the parallel frame
-already, products diagonalize the tidal matrix once.
+already, products factor by factor in closed form.
 
 The quadratic form of the Hessian of phi(x, y) = d(x, y)^2 on a pair
 (v, w) of boundary vectors equals ``2 ell (<X(ell), X'(ell)> - <X(0),
@@ -118,24 +118,46 @@ def _simpson_weights(num_intervals: int, ell: float) -> np.ndarray:
 # Jacobi boundary value problem
 # --------------------------------------------------------------------- #
 
+def _space_forms(m: Manifold, start: int = 0):
+    """``(factor, ambient slice)`` for each constant-curvature factor of m,
+    nested products flattened; a space form yields itself."""
+    if m.constant_sectional() is not None:
+        yield m, slice(start, start + m.ambient_dim)
+        return
+    for f, s in zip(m.factors, m._slices):
+        yield from _space_forms(f, start + s.start)
+
+
 def _tidal_spectrum(seg: GeodesicSegment):
     """Tidal eigenvalues and eigenvectors (``None``: the parallel frame).
 
-    Constant curvature k gives ``(0, k, ..., k)`` with nothing computed;
-    products diagonalize the tidal matrix, checked constant along the segment.
+    Constant curvature k gives ``(0, k, ..., k)`` with nothing computed.  On
+    a product, factor i acts as ``k_i (|w_i|^2 I - w_i w_i^T)``, w_i its part
+    of the unit velocity (O'Neill, Semi-Riemannian Geometry, ch. 7): 0 on
+    w_i and ``k_i |w_i|^2`` on the rest of the factor frame seeded by
+    ``w_i / |w_i|``, whose rows in ``frame0`` components are the columns.
+    A factor that does not move keeps its plain frame, with eigenvalue 0.
     """
-    k = seg.model.constant_sectional()
+    m = seg.model
+    k = m.constant_sectional()
     if k is not None:
-        return (0.0,) + (k,) * (seg.model.dim - 1), None
-    m = tidal_matrix(seg, 0.0)
-    for t_check in (0.5 * seg.length, seg.length):
-        if np.max(np.abs(tidal_matrix(seg, t_check) - m)) > 1e-9:
-            raise UnsupportedModelError("tidal matrix varies along the segment")
-    kappas, q = np.linalg.eigh(m)
-    # eigh leaves roundoff (down to 1e-33) on zero eigenvalues; a tiny
-    # positive one would trip the conjugate-point test of _endpoint_scalars
-    kappas[np.abs(kappas) <= 1e-12 * np.max(np.abs(kappas), initial=1.0)] = 0.0
-    return tuple(kappas.tolist()), q
+        return (0.0,) + (k,) * (m.dim - 1), None
+    kappas, vectors = [], []
+    for f, s in _space_forms(m):
+        x = Point(seg.start.coords[s])
+        w = f.project_tangent(x, seg.frame0[0][s])
+        w2 = f.ambient_inner(x, w, w)
+        frame = f.canonical_frame(x)
+        # a factor that does not move leaves only log's roundoff in w; the
+        # floor is _orthonormal_rows' own, relative to the unit velocity
+        seeded = w2 > 1e-16
+        if seeded:
+            frame = f._orthonormal_rows(x, [w / math.sqrt(w2)], frame)
+        else:
+            w2 = 0.0
+        kappas += [0.0] * seeded + [f.constant_sectional() * w2] * (f.dim - seeded)
+        vectors.append(f.components(frame, seg.frame0[:, s]))
+    return tuple(kappas), np.concatenate(vectors).T
 
 
 def _endpoint_scalars(kappa, ell):
@@ -470,17 +492,11 @@ def hessian_on_parallel_pair(m: Manifold, x: Point, y: Point, v: TangentVector) 
 
 def curvature_sign(m: Manifold) -> float | None:
     """+1 / -1 / 0 when all sectional curvatures share that sign, else None."""
-    k = m.constant_sectional()
-    if k is not None:
-        return float(np.sign(k))
-    # product: sign-definite only when every factor agrees (flat factors are neutral)
-    signs = {curvature_sign(f) for f in getattr(m, "factors", [])}
-    signs.discard(0.0)
-    if not signs:
-        return 0.0
-    if len(signs) > 1 or None in signs:
+    # flat factors are neutral
+    signs = {float(np.sign(f.constant_sectional())) for f, _ in _space_forms(m)} - {0.0}
+    if len(signs) > 1:
         return None
-    return signs.pop()
+    return signs.pop() if signs else 0.0
 
 
 # The three sweeps share one pipeline: one loop makes only the generator
@@ -488,9 +504,9 @@ def curvature_sign(m: Manifold) -> float | None:
 # per-sample loop; the models' stacked maps (points_from_draws,
 # project_tangent_stack) turn the raw rows into exactly the points and
 # tangents those methods return; the geometry runs over the stacked rows,
-# and one block kernel evaluates the stack.  A constant-curvature model
-# needs no segment: its tidal spectrum is (0, k, ..., k), so the value
-# depends only on the length and on the part of v normal to the geodesic.
+# and one block kernel evaluates the stack.  No model needs a segment: the
+# value depends only on the length and on the part of v normal to the
+# geodesic in each space-form factor (see _tidal_spectrum).
 
 
 @dataclass(frozen=True)
@@ -560,49 +576,41 @@ def _draw_pairs(
 
 
 def _pair_stack(m: Manifold, draws: _PairDraws, unit_normal: bool):
-    """``(lengths, kappas, sq, vnorms)`` per sample: the segment length, tidal
-    eigenvalues, the squared components of v (or of the unit normal) in
-    their eigenspaces, and |v|^2.  Rows whose segment ``connect`` would
-    refuse raise its typed error, naming the first such sample."""
-    k = m.constant_sectional()
-    if k is None:
-        return _product_pair_stack(m, draws, unit_normal)
+    """``(lengths, kappas, sq, vnorms)`` per sample: the segment length, the
+    tidal eigenvalues normal to the geodesic in each factor, the squared mass
+    of v (or of the unit normal) in their eigenspaces, and |v|^2.  Rows whose
+    segment ``connect`` would refuse raise its typed error, naming the first
+    such sample."""
     lengths = m.distance_stack(draws.xs, m.exp_stack(draws.xs, draws.steps))
     GeodesicSegment.check_lengths(lengths, m.injectivity_radius())
+    k = m.constant_sectional()
+    # only the eigenspaces normal to the geodesic enter: the tangent
+    # direction's block is flat and meets (a, a) with 0
     if unit_normal:
-        tangential = np.zeros(lengths.size)
-        normal = _rowwise_dot(draws.normals, draws.normals)
-    else:
+        vnorms = _rowwise_dot(draws.normals, draws.normals)
+        if k is not None:
+            return lengths, np.array([[k]]), vnorms[:, None], vnorms
+        vel = draws.steps / np.sqrt(m.inner_stack(draws.steps, draws.steps))[:, None]
+        frames = m.canonical_frames(draws.xs, first=vel[:, None])
+        vs = (draws.normals[:, None] @ frames)[:, 0]
+    elif k is not None:
         along = m.inner_stack(draws.vs, draws.steps) / draws.ells**2
         v_normal = draws.vs - along[:, None] * draws.steps
-        tangential = (along * draws.ells) ** 2
         normal = m.inner_stack(v_normal, v_normal)
-    # only the k-eigenspace normal to the geodesic enters: the tangent
-    # direction's block is flat and meets (a, a) with 0
-    return lengths, np.array([[k]]), normal[:, None], tangential + normal
-
-
-def _product_pair_stack(m: Manifold, draws: _PairDraws, unit_normal: bool):
-    """``_pair_stack`` on a product: each sample's segment diagonalizes its
-    tidal matrix."""
-    points = [Point(x) for x in draws.xs]
-    ends = [m.exp(x, TangentVector(x, step)) for x, step in zip(points, draws.steps)]
-    GeodesicSegment.check_lengths(
-        [m.distance(x, y) for x, y in zip(points, ends)], m.injectivity_radius()
-    )
-    n = len(points)
-    lengths, vnorms = np.empty(n), np.empty(n)
-    kappas, sq = np.empty((n, m.dim)), np.empty((n, m.dim))
-    for i, (x, y) in enumerate(zip(points, ends)):
-        seg = m.geodesic_segment(x, y)
-        kappas[i], q = _tidal_spectrum(seg)
-        if unit_normal:
-            a = draws.normals[i]
-        else:
-            a = seg.components_at_start(TangentVector(x, draws.vs[i]))
-        sq[i] = (a @ q) ** 2
-        lengths[i], vnorms[i] = seg.length, np.dot(a, a)
-    return lengths, kappas, sq, vnorms
+        return lengths, np.array([[k]]), normal[:, None], (along * draws.ells) ** 2 + normal
+    else:
+        vs = draws.vs
+        vnorms = m.inner_stack(vs, vs)
+    # factor i: k_i |w_i|^2 on the part of v normal to w_i within the factor
+    kappas, sq = [], []
+    for f, s in _space_forms(m):
+        step, v = draws.steps[:, s], vs[:, s]
+        w2 = f.inner_stack(step, step)
+        along = f.inner_stack(v, step) / np.where(w2 > 0.0, w2, 1.0)
+        v_normal = v - along[:, None] * step
+        kappas.append(f.constant_sectional() * w2 / draws.ells**2)
+        sq.append(f.inner_stack(v_normal, v_normal))
+    return lengths, np.stack(kappas, axis=1), np.stack(sq, axis=1), vnorms
 
 
 def _pair_sweep(m: Manifold, n_samples: int, seed: int, ell_range, unit_normal: bool):

@@ -26,18 +26,18 @@ Conventions
   (``constant_sectional``): ``Manifold`` writes its tangent projection
   ``a - K <a, x> x`` and curvature operator ``K (<v,w> u - <u,w> v)`` once.
   The sphere and the hyperboloid share one more base, ``_SpaceForm``, which
-  writes their exp, log, distance, parallel transport and batched
-  ``canonical_frames`` once in terms of K, the length scale and the pair
-  (cos, sin) or (cosh, sinh).  The Minkowski form lives only in
-  ``Hyperbolic.ambient_inner``/``inner_stack``.
+  writes their exp, log, distance and parallel transport once in terms of
+  K, the length scale and the pair (cos, sin) or (cosh, sinh).  The
+  Minkowski form lives only in ``Hyperbolic.ambient_inner``/``inner_stack``.
 * ``inner_stack`` broadcasts over leading axes; ``components(vectors,
-  frame)`` on top of it rounds each entry as one ``ambient_inner``.
-* The constant-curvature models also evaluate ``exp`` and ``distance`` over
-  (N, ambient) stacks of rows (``exp_stack``, ``distance_stack``; written
-  once for the sphere and the hyperboloid in ``_SpaceForm``).  They round
-  every row exactly as the single-point methods do, so a sweep may use
-  either.  A hyperboloid step whose coordinates or Minkowski square would
-  overflow raises ``GeometryDomainError`` in both.
+  frame)`` on top of it rounds each entry as one ``ambient_inner``, and
+  ``canonical_frames`` batches ``canonical_frame`` on every model.
+* Every model also evaluates ``exp`` and ``distance`` over (N, ambient)
+  stacks of rows (``exp_stack``, ``distance_stack``; a product's scalar
+  ``exp`` and ``distance`` are their one-row cases).  They round every row
+  exactly as the single-point methods do, so a sweep may use either.  A
+  hyperboloid step whose coordinates or Minkowski square would overflow
+  raises ``GeometryDomainError`` in both.
 * ``random_point``/``random_tangent`` are a generator call (``draw_point``,
   ``draw_tangent``) followed by a closed-form map; ``points_from_draws`` and
   ``project_tangent_stack`` map a stack of raw rows to exactly the points
@@ -315,6 +315,34 @@ class Manifold:
                 return np.array(rows)
         raise GeometryDomainError("frame construction failed")
 
+    def canonical_frames(self, coords: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
+        """``canonical_frame`` at every row of ``coords``, batched and rounded alike.
+
+        With ``first``, an (N, r, ambient) stack of orthonormal tangent rows,
+        row i is ``_orthonormal_rows(x_i, list(first[i]), canonical_frame(x_i))``.
+        Frame rows not yet found are zero, so subtracting them is a no-op.
+        """
+        x = np.asarray(coords, dtype=float).reshape(-1, self.ambient_dim)
+        if first is None:
+            first = np.zeros((x.shape[0], 0, self.ambient_dim))
+            seeds = (self.project_tangent_stack(x, np.broadcast_to(e, x.shape))
+                     for e in np.eye(self.ambient_dim))
+        else:
+            seeds = self.canonical_frames(x).transpose(1, 0, 2)
+        rows = np.zeros((x.shape[0], self.dim, self.ambient_dim))
+        rows[:, : first.shape[1]] = first
+        found = np.full(x.shape[0], first.shape[1])
+        for u in seeds:
+            for j in range(self.dim):
+                u = u - self.inner_stack(u, rows[:, j])[:, None] * rows[:, j]
+            nrm2 = self.inner_stack(u, u)
+            take = np.flatnonzero((nrm2 > 1e-16) & (found < self.dim))
+            rows[take, found[take]] = u[take] / np.sqrt(nrm2[take])[:, None]
+            found[take] += 1
+        if np.any(found < self.dim):
+            raise GeometryDomainError("frame construction failed")
+        return rows
+
     def frame_components(self, x: Point, v: TangentVector, frame: np.ndarray | None = None) -> np.ndarray:
         """Components of v in the (canonical, unless given) frame at x."""
         self._check_based(x, v)
@@ -357,6 +385,14 @@ class Manifold:
         self, rng: np.random.Generator, x: Point, scale: float = 1.0
     ) -> TangentVector:
         return TangentVector(x, self.project_tangent(x, self.draw_tangent(rng) * scale))
+
+    def random_pair(self, rng: np.random.Generator, low: float, high: float):
+        """``(x, y, ell)``: ``x = random_point``, then a ``random_tangent`` d
+        and ``ell`` uniform in [low, high), and ``y = exp(x, ell d / |d|)``."""
+        x = self.random_point(rng)
+        d = self.random_tangent(rng, x)
+        ell = rng.uniform(low, high)
+        return x, self.exp(x, TangentVector(x, d.components * (ell / self.norm(x, d)))), ell
 
     def geodesic_segment(self, x: Point, y: Point) -> "GeodesicSegment":
         return GeodesicSegment.connect(self, x, y)
@@ -544,26 +580,6 @@ class _SpaceForm(Manifold):
         a = self.ambient_inner(x, v.components, u)
         vel_y = -self._sign * self._S(theta) * x.coords / self._rho + self._C(theta) * u
         return TangentVector(y, v.components - a * u + a * vel_y)
-
-    def canonical_frames(self, coords: np.ndarray) -> np.ndarray:
-        """``canonical_frame`` at every row of ``coords``, batched and rounded alike.
-
-        Frame rows not yet found are zero, so subtracting them is a no-op.
-        """
-        x = np.asarray(coords, dtype=float).reshape(-1, self.ambient_dim)
-        rows = np.zeros((x.shape[0], self.dim, self.ambient_dim))
-        found = np.zeros(x.shape[0], dtype=np.int64)
-        for e in np.eye(self.ambient_dim):
-            u = e - (self.constant_sectional() * self.inner_stack(e, x))[:, None] * x
-            for j in range(self.dim):
-                u -= self.inner_stack(u, rows[:, j])[:, None] * rows[:, j]
-            nrm2 = self.inner_stack(u, u)
-            take = np.flatnonzero((nrm2 > 1e-16) & (found < self.dim))
-            rows[take, found[take]] = u[take] / np.sqrt(nrm2[take])[:, None]
-            found[take] += 1
-        if np.any(found < self.dim):
-            raise GeometryDomainError("frame construction failed")
-        return rows
 
 
 class Sphere(_SpaceForm):
@@ -807,15 +823,16 @@ class Product(Manifold):
             f.inner_stack(a[..., s], b[..., s]) for f, s in zip(self.factors, self._slices)
         )
 
-    def project_tangent(self, x, ambient):
-        xs = self._parts_point(x)
-        ambient = np.asarray(ambient, dtype=float)
-        return self._join(
-            [
-                f.project_tangent(xi, ambient[s])
-                for f, xi, s in zip(self.factors, xs, self._slices)
-            ]
+    def _by_factor(self, method: str, *stacks) -> np.ndarray:
+        """Each factor's ``method`` over its columns of the (N, ambient) stacks."""
+        return np.concatenate(
+            [getattr(f, method)(*(a[:, s] for a in stacks))
+             for f, s in zip(self.factors, self._slices)], axis=1,
         )
+
+    def project_tangent(self, x, ambient):
+        ambient = np.asarray(ambient, dtype=float)
+        return self.project_tangent_stack(x.coords[None], ambient[None])[0]
 
     def point(self, coords) -> Point:
         coords = np.asarray(coords, dtype=float)
@@ -826,12 +843,10 @@ class Product(Manifold):
 
     def exp(self, x, v):
         self._check_based(x, v)
-        xs = self._parts_point(x)
-        out = [
-            f.exp(xi, TangentVector(xi, v.components[s])).coords
-            for f, xi, s in zip(self.factors, xs, self._slices)
-        ]
-        return Point(self._join(out))
+        return Point(self.exp_stack(x.coords[None], v.components[None])[0])
+
+    def exp_stack(self, xs, vs):
+        return self._by_factor("exp_stack", xs, vs)
 
     def log(self, x, y):
         xs, ys = self._parts_point(x), self._parts_point(y)
@@ -842,10 +857,12 @@ class Product(Manifold):
         return TangentVector(x, self._join(out))
 
     def distance(self, x, y):
-        xs, ys = self._parts_point(x), self._parts_point(y)
-        return math.sqrt(
-            sum(f.distance(xi, yi) ** 2 for f, xi, yi in zip(self.factors, xs, ys))
-        )
+        return float(self.distance_stack(x.coords[None], y.coords[None])[0])
+
+    def distance_stack(self, xs, ys):
+        return np.sqrt(sum(
+            f.distance_stack(xs[:, s], ys[:, s]) ** 2 for f, s in zip(self.factors, self._slices)
+        ))
 
     def parallel_transport(self, x, y, v):
         self._check_based(x, v)
@@ -877,21 +894,13 @@ class Product(Manifold):
         return TangentVector(x, self._join(out))
 
     def project_tangent_stack(self, xs, ambient):
-        return np.concatenate(
-            [
-                f.project_tangent_stack(xs[:, s], ambient[:, s])
-                for f, s in zip(self.factors, self._slices)
-            ],
-            axis=1,
-        )
+        return self._by_factor("project_tangent_stack", xs, ambient)
 
     def draw_point(self, rng):
         return self._join([f.draw_point(rng) for f in self.factors])
 
     def points_from_draws(self, raws):
-        return np.concatenate(
-            [f.points_from_draws(raws[:, s]) for f, s in zip(self.factors, self._slices)], axis=1
-        )
+        return self._by_factor("points_from_draws", raws)
 
     def random_point(self, rng):
         return Point(self._join([f.random_point(rng).coords for f in self.factors]))

@@ -564,17 +564,6 @@ def _transport_state(m, x, y, z_comps, a_mat):
     return moved_z, moved_a
 
 
-def _random_nearby_pair(m, rng, max_dist=1.0, min_dist=1e-3):
-    x = m.random_point(rng)
-    cap = m.injectivity_radius(x)
-    hi = min(max_dist, 0.9 * cap) if math.isfinite(cap) else max_dist
-    d = m.random_tangent(rng, x)
-    nd = m.norm(x, d)
-    ell = rng.uniform(min(min_dist, hi), hi)
-    y = m.exp(x, TangentVector(x, d.components * (ell / nd)))
-    return x, y, ell
-
-
 def invariance_check(
     F: OperatorSpec,
     m: Manifold,
@@ -589,9 +578,10 @@ def invariance_check(
     lo, hi = _clip_r_range(F, r_range)
     rng = np.random.default_rng(seed)
     n = m.dim
+    top = min(1.0, 0.9 * m.injectivity_radius())
     moved, still = [], []
     for _ in range(n_samples):
-        x, y, _ = _random_nearby_pair(m, rng)
+        x, y, _ = m.random_pair(rng, min(1e-3, top), top)
         r = rng.uniform(lo, hi)
         z = rng.standard_normal(n) * 2.0
         a = _random_sym(rng, n)
@@ -645,9 +635,8 @@ def intrinsic_modulus_estimate(
     for trial in range(n_samples):
         idx = trial % len(bins)
         lo_edge = 0.0 if idx == 0 else float(bins[idx - 1])
-        x, y, dist = _random_nearby_pair(
-            m, rng, max_dist=float(bins[idx]), min_dist=lo_edge
-        )
+        top = min(float(bins[idx]), 0.9 * m.injectivity_radius())
+        x, y, dist = m.random_pair(rng, min(lo_edge, top), top)
         r = rng.uniform(lo, hi)
         eta = rng.standard_normal(n) * 2.0
         q = _random_sym(rng, n)
@@ -707,10 +696,11 @@ def twoflat_modulus_estimate(
     lo, hi = _clip_r_range(F, r_range)
     rng = np.random.default_rng(seed)
     n = m.dim
+    top = min(float(d_bins[-1]), 0.9 * m.injectivity_radius())
     ys, xs, dists, sample_deltas = [], [], [], []
     for trial in range(n_samples):
         delta = deltas[trial % len(deltas)]
-        x, y, dist = _random_nearby_pair(m, rng, max_dist=float(d_bins[-1]))
+        x, y, dist = m.random_pair(rng, min(1e-3, top), top)
         r = rng.uniform(lo, hi)
         z = rng.standard_normal(n) * 2.0
         q = _random_sym(rng, n)

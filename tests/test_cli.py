@@ -146,6 +146,23 @@ def test_hessian_sign_flat_model(tmp_path):
     assert abs(report["results"]["min_value"]) <= 1e-8
 
 
+def test_hessian_sign_product_with_a_hyperbolic_factor(tmp_path, capsys):
+    # hyperboloid roundoff once made a constancy check refuse some of these segments
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": {"model": "product", "factors": [
+            {"model": "euclidean", "dim": 1},
+            {"model": "hyperbolic", "dim": 3, "curvature": 4.0},
+        ]},
+        "n_samples": 2000,
+    }))
+    assert run(["hessian-sign", "--config", cfg, "--out", tmp_path, "--seed", 3]) == 0
+    assert "hessian-sign: PASS" in capsys.readouterr().out
+    report = json.loads((tmp_path / "hessian-sign.json").read_text())
+    assert report["results"]["sign_condition"]["pass"]
+    assert report["results"]["min_value"] >= -1e-8
+
+
 def test_comparison_demo_outputs(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"resolution": 2, "n_pairs": 2,

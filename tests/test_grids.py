@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from riemvisc import FlatTorus, Hyperbolic, Point, Sphere, TangentVector
+from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Product, Sphere, TangentVector
 from riemvisc.grids import (
     _mesh_edges, build_grid, geodesic_ball_interior, icosahedron, icosphere,
 )
@@ -60,9 +60,16 @@ def test_mesh_edges_sorted_unique(res):
 def frame_points(model, rng):
     """Random points plus points where Gram-Schmidt skips a projected axis or
     meets an exact zero: on the sphere the axis points and points on coordinate
-    planes, on the hyperboloid the apex and points with a zero space coordinate."""
+    planes, on the hyperboloid the apex and points with a zero space coordinate.
+    A product pairs its factors' points cyclically; flat models draw only."""
     n = model.ambient_dim
+    if isinstance(model, Product):
+        parts = [frame_points(f, rng) for f in model.factors]
+        rows = max(len(p) for p in parts)
+        return np.concatenate([np.resize(p, (rows, p.shape[1])) for p in parts], axis=1)
     pts = [model.random_point(rng).coords for _ in range(200)]
+    if not isinstance(model, (Sphere, Hyperbolic)):
+        return np.array(pts)
     if isinstance(model, Hyperbolic):
         pts.append(model.base_point().coords)
         for k in range(1, n):
@@ -79,12 +86,17 @@ def frame_points(model, rng):
     return np.array(pts)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [Sphere(2, 1.0), Sphere(2, 2.5), Sphere(3, 0.5), Sphere(1, 1.0), Sphere(2, 0.7),
-     Sphere(3, 1.3), Hyperbolic(2, 2.5)],
-    ids=lambda m: f"S{m.dim}r{m.radius}" if m.kind == "sphere" else f"H{m.dim}k{m.k0}",
-)
+FRAME_MODELS = {
+    "S2r1.0": Sphere(2, 1.0), "S2r2.5": Sphere(2, 2.5), "S3r0.5": Sphere(3, 0.5),
+    "S1r1.0": Sphere(1, 1.0), "S2r0.7": Sphere(2, 0.7), "S3r1.3": Sphere(3, 1.3),
+    "H2k2.5": Hyperbolic(2, 2.5), "E3": Euclidean(3), "T2": FlatTorus([1.0, 0.7]),
+    "S2xE1": Product([Sphere(2, 1.0), Euclidean(1)]),
+    "H2xT1": Product([Hyperbolic(2, 2.5), FlatTorus([1.5])]),
+    "S1x(H1xE2)": Product([Sphere(1, 1.0), Product([Hyperbolic(1, 1.0), Euclidean(2)])]),
+}
+
+
+@pytest.mark.parametrize("model", FRAME_MODELS.values(), ids=FRAME_MODELS.keys())
 def test_batched_frames_match_per_point_frames(model):
     rng = np.random.default_rng(3)
     coords = frame_points(model, rng)
@@ -98,7 +110,19 @@ def test_batched_frames_match_per_point_frames(model):
         sizes = np.linalg.norm(f, axis=1)
         gram = model.inner_stack(f[:, None], f[None])
         assert np.allclose(gram, np.eye(model.dim), atol=1e-12 * np.outer(sizes, sizes))
-        assert np.all(np.abs(model.inner_stack(f, x)) <= 1e-12 * sizes * np.linalg.norm(x))
+        if isinstance(model, (Sphere, Hyperbolic)):
+            assert np.all(np.abs(model.inner_stack(f, x)) <= 1e-12 * sizes * np.linalg.norm(x))
+        else:
+            # flat and product models: no single normal to take products with
+            tangent = model.project_tangent_stack(np.broadcast_to(x, f.shape), f)
+            assert np.allclose(tangent, f, rtol=0.0, atol=1e-12 * sizes.max() * max(1.0, x @ x))
+    # leading unit rows: the segment frames, Gram-Schmidt over the canonical frame
+    first = model.project_tangent_stack(coords, rng.standard_normal(coords.shape))
+    first /= np.sqrt(model.inner_stack(first, first))[:, None]
+    seeded = model.canonical_frames(coords, first=first[:, None])
+    for x, e1, f in zip(coords, first, seeded):
+        p = Point(x)
+        assert np.array_equal(f, model._orthonormal_rows(p, [e1], model.canonical_frame(p)))
 
 
 def test_grid_frames_are_per_node_frames():

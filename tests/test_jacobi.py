@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from riemvisc import (
     DegenerateSegmentError, Euclidean, FlatTorus, GeometryDomainError, Hyperbolic,
-    PreconditionError, Product, SingularBVPError, Sphere, TangentVector,
+    Point, PreconditionError, Product, SingularBVPError, Sphere, TangentVector,
 )
 from riemvisc.jacobi import (
     _PairDraws,
@@ -18,6 +18,8 @@ from riemvisc.jacobi import (
     _hessian_blocks,
     _pair_stack,
     _segment_frame_hessian,
+    _space_forms,
+    _tidal_spectrum,
     check_curvature_bound,
     check_sign_condition,
     grad_distance_sq,
@@ -174,6 +176,71 @@ def test_product_jacobi_properties(model, seed):
     assert abs(index_form(seg, jf) - jf.endpoint_pairing()) <= 1e-8
     h = hessian_distance_sq(model, seg.start, seg.end)
     assert np.max(np.abs(h.matrix - h.matrix.T)) <= 1e-10
+
+
+@st.composite
+def nested_products(draw):
+    """``random_products``, with the factors after the first sometimes nested
+    in a product of their own."""
+    model = draw(random_products())
+    if len(model.factors) > 2 and draw(st.booleans()):
+        return Product([model.factors[0], Product(model.factors[1:])])
+    return model
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(model=nested_products(), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_tidal_spectrum_diagonalizes_the_tidal_matrix(model, seed):
+    seg = random_segment(model, np.random.default_rng(seed))
+    kappas, q = _tidal_spectrum(seg)
+    m = tidal_matrix(seg)
+    # frames carry the hyperboloid roundoff of their Minkowski products
+    tol = 1e-12 * _frame_conditioning(model, seg.start) ** 2
+    assert np.allclose(q.T @ q, np.eye(model.dim), rtol=0.0, atol=tol)
+    tol *= max(1.0, max(abs(k) for k in kappas))
+    assert np.allclose(np.sort(kappas), np.linalg.eigvalsh(m), rtol=0.0, atol=tol)
+    assert np.allclose(q.T @ m @ q, np.diag(kappas), rtol=0.0, atol=tol)
+
+
+def test_product_segments_a_constancy_check_refused():
+    # hyperboloid roundoff drifts the tidal matrix by ~1e-8 along these
+    # segments, past the 1e-9 bound of the eigendecomposition this replaced
+    model = Product([Sphere(2, 0.7), Hyperbolic(3, 4.0)])
+    ells, values, vnorms = parallel_pair_sweep(model, 7, 0, (0.05, 2.0), unit_normal=False)
+    assert ells.shape == values.shape == vnorms.shape == (7,)
+    assert np.all(np.isfinite(values))
+    seg = random_segment(model, np.random.default_rng(155))
+    rng = np.random.default_rng(1)
+    v, w = model.random_tangent(rng, seg.start), model.random_tangent(rng, seg.end)
+    jf = solve_jacobi_bvp(seg, v, w)
+    assert np.allclose(jf.start_value, seg.components_at_start(v), atol=1e-10)
+    assert np.allclose(jf.end_value, seg.components_at_end(w), atol=1e-10)
+    assert jacobi_residual(jf) <= 1e-8
+    h = hessian_distance_sq(model, seg.start, seg.end)
+    quad = h.quadratic(model.frame_components(seg.start, v), model.frame_components(seg.end, w))
+    assert quad == pytest.approx(2.0 * seg.length * jf.endpoint_pairing(), rel=1e-9)
+
+
+def test_product_segment_with_a_stationary_sphere_factor():
+    # the sphere factor does not move: its part of log_x y is roundoff along
+    # the normal x, and must not seed the factor's frame
+    model = Product([Sphere(2, 0.7), Euclidean(1)])
+    rng = np.random.default_rng(4)
+    x = model.random_point(rng)
+    y = Point(x.coords + np.array([0.0, 0.0, 0.0, 1.3]))
+    seg = model.geodesic_segment(x, y)
+    kappas, q = _tidal_spectrum(seg)
+    assert np.allclose(q.T @ q, np.eye(3), rtol=0.0, atol=1e-14)
+    assert np.allclose(np.sort(kappas), np.linalg.eigvalsh(tidal_matrix(seg)), rtol=0.0, atol=1e-14)
+    v, w = model.random_tangent(rng, x), model.random_tangent(rng, y)
+    jf = solve_jacobi_bvp(seg, v, w)
+    assert np.allclose(jf.start_value, seg.components_at_start(v), atol=1e-12)
+    assert np.allclose(jf.end_value, seg.components_at_end(w), atol=1e-12)
+    # the tidal matrix vanishes: d^2 is |x - y|^2 in the common canonical frame
+    h = hessian_distance_sq(model, x, y)
+    flat = 2.0 * np.block([[np.eye(3), -np.eye(3)], [-np.eye(3), np.eye(3)]])
+    assert np.allclose(h.matrix, flat, rtol=0.0, atol=1e-12)
+    assert abs(hessian_on_parallel_pair(model, x, y, v)) <= 1e-12
 
 
 # --------------------------------------------------------------------- #
@@ -579,11 +646,14 @@ def _frame_conditioning(m, x) -> float:
 
     On the hyperboloid the scalar path's Gram-Schmidt frame has rows of
     Euclidean size ~ K0 |x|^2, and its Minkowski products lose that factor
-    squared; the other models have orthonormal embedded frames.
+    squared; the other models have orthonormal embedded frames.  A product
+    takes the worst of its hyperbolic factors.
     """
-    if isinstance(m, Hyperbolic):
-        return m.k0 * float(x.coords @ x.coords)
-    return 1.0
+    return max(
+        (f.k0 * float(x.coords[s] @ x.coords[s])
+         for f, s in _space_forms(m) if isinstance(f, Hyperbolic)),
+        default=1.0,
+    )
 
 
 PAIR_MODELS = st.one_of(
@@ -719,6 +789,72 @@ def test_batched_pair_values_match_exact_normal_mass_on_hyperboloid():
         # Minkowski products of rows of Euclidean size |x| lose K0 |x|^2
         conditioning = m.k0 * float(xr @ xr)
         assert abs(value - closed) <= 1e-13 * conditioning * max(1.0, abs(closed))
+
+
+def _exact_pair_value(m, x, y, v):
+    """d^2(d^2)(v, L_xy v) from float rows x, y, v in 50-digit arithmetic.
+
+    Factor i adds ``2 m_i 2 l s_i (C(s_i l) - 1) / S(s_i l)``: l = d(x, y),
+    kappa_i = k_i d_i^2 / l^2 with d_i the factor's distance, s_i =
+    sqrt|kappa_i|, and m_i the squared part of v_i normal to log_x y in the
+    factor.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        parts, ell2 = [], mpmath.mpf(0)
+        for f, s in _space_forms(m):
+            xi, yi, vi = ([mpmath.mpf(float(t)) for t in row[s]] for row in (x, y, v))
+            g = [-1 if j == 0 and isinstance(f, Hyperbolic) else 1 for j in range(len(xi))]
+
+            def dot(a, b, g=g):
+                return mpmath.fsum(gj * p * q for gj, p, q in zip(g, a, b))
+
+            k = mpmath.mpf(f.constant_sectional())
+            if k == 0:
+                log = [q - p for p, q in zip(xi, yi)]
+                if isinstance(f, FlatTorus):
+                    log = [t - P * mpmath.nint(t / P) for t, P in zip(log, f.periods.tolist())]
+                dist = mpmath.sqrt(dot(log, log))
+            else:
+                rho = 1 / mpmath.sqrt(abs(k))
+                c = k * dot(yi, xi)
+                u = [q - c * p for p, q in zip(xi, yi)]
+                nu = mpmath.sqrt(dot(u, u))
+                dist = rho * (mpmath.atan2(nu / rho, c) if k > 0 else mpmath.asinh(nu / rho))
+                log = [t * dist / nu for t in u]
+            ell2 += dist**2
+            mass = dot(vi, vi) - dot(vi, log) ** 2 / dot(log, log)
+            parts.append((k * dist**2, mass))
+        ell, value = mpmath.sqrt(ell2), mpmath.mpf(0)
+        for kd2, mass in parts:
+            if kd2 != 0:
+                sl = mpmath.sqrt(abs(kd2 / ell2)) * ell
+                trig = (mpmath.cos, mpmath.sin) if kd2 > 0 else (mpmath.cosh, mpmath.sinh)
+                value += 4 * mass * sl * (trig[0](sl) - 1) / trig[1](sl)
+        return value
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        Product([Sphere(2, 0.7), Hyperbolic(3, 4.0)]),
+        Product([FlatTorus([1.5]), Hyperbolic(2, 2.5)]),
+        Product([Euclidean(1), Hyperbolic(3, 4.0)]),
+        Product([Sphere(2, 1.0), Product([Euclidean(1), Hyperbolic(2, 1.0)])]),
+    ],
+    ids=["S2xH3", "T1xH2", "E1xH3", "S2x(E1xH2)"],
+)
+def test_product_sweep_values_match_a_50_digit_reference(model):
+    n, seed, ell_range = 300, 9, (0.05, 2.5)
+    draws = _draw_pairs(model, n, seed, ell_range, unit_normal=False)
+    ys = model.exp_stack(draws.xs, draws.steps)
+    _, values, _ = parallel_pair_sweep(model, n, seed, ell_range, unit_normal=False)
+    for x, y, v, value in zip(draws.xs, ys, draws.vs, values):
+        exact = _exact_pair_value(model, x, y, v)
+        # the hyperbolic factors' Minkowski products lose K0 |x_h|^2
+        cond = _frame_conditioning(model, Point(x))
+        assert abs(value - exact) <= 1e-13 * cond * max(1.0, abs(exact))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
