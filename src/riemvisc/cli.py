@@ -25,6 +25,7 @@ from .grids import GridFunction, build_grid
 from .jacobi import (
     check_curvature_bound,
     check_sign_condition,
+    curvature_floor,
     hessian_distance_sq,
     parallel_pair_sweep,
 )
@@ -256,7 +257,8 @@ def cmd_hessian_sign(config, out: Path, seed: int) -> dict:
     k = model.constant_sectional()
     default_hi = 0.9 * model.injectivity_radius() if k and k > 0 else 3.0
     ell_range = tuple(config.get("ell_range", (0.05, default_hi)))
-    k0 = float(config.get("k0", max(0.0, -(k or 0.0))))
+    floor = curvature_floor(model)
+    k0 = float(config.get("k0", max(0.0, -floor)))
 
     ells, values, vnorms = parallel_pair_sweep(model, n_samples, seed, ell_range)
     bounds = 2.0 * k0 * ells**2 * vnorms
@@ -274,7 +276,7 @@ def cmd_hessian_sign(config, out: Path, seed: int) -> dict:
     sign_report = check_sign_condition(model, min(n_samples, 2000), seed + 1, ell_range)
     results["sign_condition"] = sign_report.to_dict()
     passed = sign_report.passed
-    if k is not None and k < 0:
+    if floor < 0:
         bound_report = check_curvature_bound(model, k0, min(n_samples, 2000), seed + 2, ell_range)
         results["curvature_bound"] = bound_report.to_dict()
         passed = passed and bound_report.passed and results["max_bound_violation"] <= 1e-8

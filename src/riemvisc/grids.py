@@ -139,24 +139,15 @@ class Grid:
     _stencil_builder: Callable | None = field(default=None, repr=False)
     _stencil_cache: dict = field(default_factory=dict, repr=False)
 
-    def _at_step(self, step: float):
+    def stack_for(self, step: float) -> sparse.csr_matrix:
+        """The direction-major stencil operator for an arbitrary step (cached)."""
         if abs(step - self.h) <= 1e-15:
-            return self.stack, self.stencils
+            return self.stack
         if step not in self._stencil_cache:
             if self._stencil_builder is None:
                 raise PreconditionError("grid carries no stencil builder")
-            stack = self._stencil_builder(step)
-            self._stencil_cache[step] = stack, _direction_views(stack, len(self.dirs))
+            self._stencil_cache[step] = self._stencil_builder(step)
         return self._stencil_cache[step]
-
-    def stack_for(self, step: float) -> sparse.csr_matrix:
-        """The direction-major stencil operator for an arbitrary step (cached)."""
-        return self._at_step(step)[0]
-
-    def stencils_for(self, step: float) -> list[sparse.csr_matrix]:
-        """Per-direction interpolation stencils for an arbitrary step (cached),
-        views into :meth:`stack_for`."""
-        return self._at_step(step)[1]
 
     @property
     def n_nodes(self) -> int:
@@ -256,11 +247,6 @@ class Grid:
         height = max(1, _BLOCK_ENTRIES // self.n_nodes)
         for start in range(0, self.n_nodes, height):
             yield start, min(start + height, self.n_nodes)
-
-    def distance_blocks(self):
-        """Yield ``(start, distance_rows(start, stop))`` over ``row_blocks``."""
-        for start, stop in self.row_blocks():
-            yield start, self.distance_rows(start, stop)
 
     def _pair_blocks(self, spacing: float):
         """Yield index arrays ``(i, j)`` of the entries of ``distance_rows``

@@ -95,13 +95,9 @@ def tidal_matrix(seg: GeodesicSegment, t: float = 0.0) -> np.ndarray:
     For the shipped locally symmetric models this matrix is constant in t.
     """
     model = seg.model
-    p = seg.point_at(t)
     frame = seg.frame_at(t)
-    vel = TangentVector(p, frame[0])
-    rs = np.array(
-        [model.curvature_operator(p, TangentVector(p, f), vel, vel).components for f in frame]
-    )
-    c = model.components(rs, frame)  # c[j, i] = <R(f_j, vel)vel, f_i>
+    rs = model.curvature_rows(frame, frame[0], frame[0])
+    c = model.components(rs, frame)  # c[j, i] = <R(f_j, f_0)f_0, f_i>, f_0 = gamma'
     return 0.5 * (c.T + c)
 
 
@@ -499,6 +495,13 @@ def curvature_sign(m: Manifold) -> float | None:
     return signs.pop() if signs else 0.0
 
 
+def curvature_floor(m: Manifold) -> float:
+    """The lowest curvature of m's space-form factors: for K0 >= 0, every
+    sectional curvature of m is at least -K0 exactly when this is (a plane
+    across two factors has curvature 0)."""
+    return min(f.constant_sectional() for f, _ in _space_forms(m))
+
+
 # The three sweeps share one pipeline: one loop makes only the generator
 # calls of the model's random_point / random_tangent, in the order of a
 # per-sample loop; the models' stacked maps (points_from_draws,
@@ -735,8 +738,7 @@ def check_curvature_bound(
     """
     if k0 < 0:
         raise PreconditionError("K0 must be nonnegative")
-    k = m.constant_sectional()
-    if k is not None and k < -k0 - 1e-15:
+    if curvature_floor(m) < -k0 - 1e-15:
         raise PreconditionError("model curvature is below -K0")
     draws, _, values, _ = _pair_sweep(m, n_samples, seed, ell_range, unit_normal=False)
     bounds = 2.0 * k0 * draws.ells * draws.ells * m.inner_stack(draws.vs, draws.vs)

@@ -29,6 +29,10 @@ Conventions
   writes their exp, log, distance and parallel transport once in terms of
   K, the length scale and the pair (cos, sin) or (cosh, sinh).  The
   Minkowski form lives only in ``Hyperbolic.ambient_inner``/``inner_stack``.
+* Parallel transport and the curvature operator act on (k, ambient) rows of
+  tangent vectors (``transport_rows``, ``curvature_rows``; a product runs
+  them factorwise); ``parallel_transport`` and ``curvature_operator`` are
+  their one-row cases, rounded alike, so a whole frame moves in one call.
 * ``inner_stack`` broadcasts over leading axes; ``components(vectors,
   frame)`` on top of it rounds each entry as one ``ambient_inner``, and
   ``canonical_frames`` batches ``canonical_frame`` on every model.
@@ -191,8 +195,15 @@ class Manifold:
     def distance(self, x: Point, y: Point) -> float:
         raise NotImplementedError
 
-    def parallel_transport(self, x: Point, y: Point, v: TangentVector) -> TangentVector:
+    def transport_rows(self, x: Point, y: Point, rows: np.ndarray) -> np.ndarray:
+        """Parallel transport to y, along the minimizing geodesic, of each row
+        of a (k, ambient) stack of tangent vectors at x."""
         raise NotImplementedError
+
+    def parallel_transport(self, x: Point, y: Point, v: TangentVector) -> TangentVector:
+        """``transport_rows`` of the one vector v."""
+        self._check_based(x, v)
+        return TangentVector(y, self.transport_rows(x, y, v.components[None])[0])
 
     def injectivity_radius(self, x: Point | None = None) -> float:
         raise NotImplementedError
@@ -219,14 +230,21 @@ class Manifold:
         """The constant sectional curvature, or None for product models."""
         raise NotImplementedError
 
+    def curvature_rows(self, us: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """R(u, v)w for each row u of a (k, ambient) stack, v and w tangent at
+        the same point: K (<v,w> u - <u,w> v) on a space form of curvature K;
+        the sign is fixed by <R(u,v)v, u> = K |u ^ v|^2."""
+        uw = self.inner_stack(us, w)
+        vw = self.ambient_inner(None, v, w)
+        return self.constant_sectional() * (vw * us - uw[:, None] * v)
+
     def curvature_operator(
         self, x: Point, u: TangentVector, v: TangentVector, w: TangentVector
     ) -> TangentVector:
-        """R(u, v)w = K (<v,w> u - <u,w> v) on a space form of curvature K;
-        the sign is fixed by <R(u,v)v, u> = K |u ^ v|^2."""
-        uw = self.metric(x, u, w)
-        vw = self.metric(x, v, w)
-        return TangentVector(x, self.constant_sectional() * (vw * u.components - uw * v.components))
+        """``curvature_rows`` of the one vector u."""
+        for t in (u, v, w):
+            self._check_based(x, t)
+        return TangentVector(x, self.curvature_rows(u.components[None], v.components, w.components)[0])
 
     def point(self, coords) -> Point:
         """Validating constructor for points of this model."""
@@ -362,13 +380,9 @@ class Manifold:
     def transport_matrix(self, x: Point, y: Point) -> np.ndarray:
         """Row k: the canonical frame vector k at x, transported to y, in the
         canonical frame at y."""
-        moved = np.array(
-            [
-                self.parallel_transport(x, y, TangentVector(x, f)).components
-                for f in self.canonical_frame(x)
-            ]
+        return self.components(
+            self.transport_rows(x, y, self.canonical_frame(x)), self.canonical_frame(y)
         )
-        return self.components(moved, self.canonical_frame(y))
 
     def parallel_transport_bilinear(self, x: Point, y: Point, a: SymBilinear) -> SymBilinear:
         """Transport of a form: (L_xy A)(u, u) := A(L_yx u, L_yx u)."""
@@ -433,9 +447,8 @@ class Euclidean(Manifold):
         d = ys - xs
         return np.sqrt(_rowwise_dot(d, d))
 
-    def parallel_transport(self, x, y, v):
-        self._check_based(x, v)
-        return TangentVector(y, v.components)
+    def transport_rows(self, x, y, rows):
+        return np.array(rows, dtype=float)
 
     def injectivity_radius(self, x=None):
         return INFINITE_RADIUS
@@ -569,17 +582,17 @@ class _SpaceForm(Manifold):
         nu = np.sqrt(np.maximum(self.inner_stack(u, u), 0.0))
         return self._rho * _libm(self._arc, nu / self._rho, c)
 
-    def parallel_transport(self, x, y, v):
-        self._check_based(x, v)
-        e = self.log(x, y)
-        ell = math.sqrt(max(self.ambient_inner(x, e.components, e.components), 0.0))
+    def transport_rows(self, x, y, rows):
+        rows = np.array(rows, dtype=float)
+        e = self.log(x, y).components
+        ell = math.sqrt(max(self.ambient_inner(x, e, e), 0.0))
         if ell <= 1e-300:
-            return TangentVector(y, v.components)
-        u = e.components / ell
+            return rows
+        u = e / ell
         theta = ell / self._rho
-        a = self.ambient_inner(x, v.components, u)
+        a = self.inner_stack(rows, u)[:, None]
         vel_y = -self._sign * self._S(theta) * x.coords / self._rho + self._C(theta) * u
-        return TangentVector(y, v.components - a * u + a * vel_y)
+        return rows - a * u + a * vel_y
 
 
 class Sphere(_SpaceForm):
@@ -864,14 +877,12 @@ class Product(Manifold):
             f.distance_stack(xs[:, s], ys[:, s]) ** 2 for f, s in zip(self.factors, self._slices)
         ))
 
-    def parallel_transport(self, x, y, v):
-        self._check_based(x, v)
-        xs, ys = self._parts_point(x), self._parts_point(y)
-        out = [
-            f.parallel_transport(xi, yi, TangentVector(xi, v.components[s])).components
-            for f, xi, yi, s in zip(self.factors, xs, ys, self._slices)
-        ]
-        return TangentVector(y, self._join(out))
+    def transport_rows(self, x, y, rows):
+        return np.concatenate(
+            [f.transport_rows(xi, yi, rows[:, s]) for f, xi, yi, s in
+             zip(self.factors, self._parts_point(x), self._parts_point(y), self._slices)],
+            axis=1,
+        )
 
     def injectivity_radius(self, x=None):
         xs = self._parts_point(x) if x is not None else [None] * len(self.factors)
@@ -880,18 +891,11 @@ class Product(Manifold):
     def constant_sectional(self):
         return None
 
-    def curvature_operator(self, x, u, v, w):
-        xs = self._parts_point(x)
-        out = [
-            f.curvature_operator(
-                xi,
-                TangentVector(xi, u.components[s]),
-                TangentVector(xi, v.components[s]),
-                TangentVector(xi, w.components[s]),
-            ).components
-            for f, xi, s in zip(self.factors, xs, self._slices)
-        ]
-        return TangentVector(x, self._join(out))
+    def curvature_rows(self, us, v, w):
+        return np.concatenate(
+            [f.curvature_rows(us[:, s], v[s], w[s]) for f, s in zip(self.factors, self._slices)],
+            axis=1,
+        )
 
     def project_tangent_stack(self, xs, ambient):
         return self._by_factor("project_tangent_stack", xs, ambient)
@@ -949,13 +953,8 @@ class GeodesicSegment:
         cls.check_lengths(ell, min(model.injectivity_radius(x), model.injectivity_radius(y)))
         e1 = model.log(x, y).components / ell
         frame0 = model._orthonormal_rows(x, [e1], model.canonical_frame(x))
-        frame_end = np.array(
-            [
-                model.parallel_transport(x, y, TangentVector(x, f)).components
-                for f in frame0
-            ]
-        )
-        return cls(model, x, y, float(ell), _readonly(frame0), _readonly(frame_end))
+        frame_end = _readonly(model.transport_rows(x, y, frame0))
+        return cls(model, x, y, float(ell), _readonly(frame0), frame_end)
 
     def point_at(self, t: float) -> Point:
         if t == 0.0:
@@ -967,15 +966,7 @@ class GeodesicSegment:
             return self.frame0
         if t == self.length:
             return self.frame_end
-        p = self.point_at(t)
-        return np.array(
-            [
-                self.model.parallel_transport(
-                    self.start, p, TangentVector(self.start, f)
-                ).components
-                for f in self.frame0
-            ]
-        )
+        return self.model.transport_rows(self.start, self.point_at(t), self.frame0)
 
     def components_at_start(self, v: TangentVector) -> np.ndarray:
         self.model._check_based(self.start, v)

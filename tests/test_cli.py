@@ -161,6 +161,11 @@ def test_hessian_sign_product_with_a_hyperbolic_factor(tmp_path, capsys):
     report = json.loads((tmp_path / "hessian-sign.json").read_text())
     assert report["results"]["sign_condition"]["pass"]
     assert report["results"]["min_value"] >= -1e-8
+    # the default K0 is the hyperbolic factor's, and the bound is checked at it
+    assert report["results"]["k0"] == 4.0
+    assert report["results"]["max_bound_violation"] <= 1e-8
+    bound = report["results"]["curvature_bound"]
+    assert (bound["k0"], bound["samples"], bound["pass"]) == (4.0, 2000, True)
 
 
 def test_comparison_demo_outputs(tmp_path):

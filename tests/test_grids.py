@@ -169,7 +169,9 @@ def reference_stencil(grid, pts):
 def test_stencils_use_nearest_containing_face(half):
     grid = build_grid(Sphere(2, 1.0), 3)
     step = grid.h / 2 if half else grid.h
-    for d, mat in zip(grid.dirs, grid.stencils_for(step)):
+    stack, n = grid.stack_for(step), grid.n_nodes
+    for k, d in enumerate(grid.dirs):
+        mat = stack[k * n:(k + 1) * n]
         assert mat.data.min() >= 0.0
         assert np.allclose(np.asarray(mat.sum(axis=1)).ravel(), 1.0, atol=1e-12)
         ref, _, _ = reference_stencil(grid, stencil_points(grid, step, d))
@@ -235,7 +237,7 @@ def test_distance_blocks_match_full_matrix(name, monkeypatch):
     make, height = DISTANCE_GRIDS[name]
     grid = make()
     monkeypatch.setattr(grids, "_BLOCK_ENTRIES", height * grid.n_nodes)
-    blocks = list(grid.distance_blocks())
+    blocks = [(start, grid.distance_rows(start, stop)) for start, stop in grid.row_blocks()]
     starts = [start for start, _ in blocks]
     assert starts == list(range(0, grid.n_nodes, height))
     assert 0 < blocks[-1][1].shape[0] < height  # ragged last block

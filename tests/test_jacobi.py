@@ -22,6 +22,7 @@ from riemvisc.jacobi import (
     _tidal_spectrum,
     check_curvature_bound,
     check_sign_condition,
+    curvature_floor,
     grad_distance_sq,
     hessian_distance_sq,
     hessian_on_parallel_pair,
@@ -553,6 +554,19 @@ def test_curvature_bound_hyperbolic():
         assert value <= 2.0 * ell * ell
 
 
+def test_curvature_bound_reads_the_lowest_factor_curvature():
+    product = Product([Euclidean(1), Hyperbolic(3, 4.0)])
+    nested = Product([Product([Sphere(2, 0.5), Hyperbolic(2, 2.5)]), Euclidean(2)])
+    assert (curvature_floor(product), curvature_floor(nested)) == (-4.0, -2.5)
+    assert curvature_floor(Product([Sphere(2, 0.5), Sphere(2)])) == 1.0
+    # a product below -K0 is refused as its factor is, not swept to a FAIL
+    for m in (product, Hyperbolic(3, 4.0)):
+        with pytest.raises(PreconditionError, match="below -K0"):
+            check_curvature_bound(m, 1.0, 500, 0)
+    assert check_curvature_bound(product, 4.0, 500, 0).passed
+    assert check_curvature_bound(nested, 2.5, 200, 1).passed
+
+
 def test_curvature_bound_zero_reduces_to_sign_condition():
     report = check_curvature_bound(Sphere(2, 1.0), 0.0, 300, seed=12, ell_range=(0.05, 2.8))
     assert report.passed
@@ -705,7 +719,7 @@ def test_batched_pair_sweep_matches_reference_loop(model, seed, n_samples, hi, u
     assert np.all(np.abs(vnorms - vnorm) <= 1e-12 * np.maximum(1.0, vnorm) * conditioning)
     sign = check_sign_condition(model, n_samples, seed, ell_range)
     assert (sign.max_value, sign.min_value) == (values.max(), values.min())
-    k0 = max(1.0, -(model.constant_sectional() or 0.0))
+    k0 = max(1.0, -curvature_floor(model))
     bound = check_curvature_bound(model, k0, n_samples, seed, ell_range)
     excess = [
         val - 2.0 * k0 * e * e * model.metric(p, t, t) for val, e, p, t in zip(value, ell, x, v)

@@ -643,7 +643,8 @@ def _reference_doubling(m, u, v, alphas):
     grid = u.grid
     alphas = [float(a) for a in alphas]
     best = [(-math.inf, 0, 0, 0.0)] * len(alphas)  # (objective, i, j, d) per alpha
-    for start, d in grid.distance_blocks():
+    for start, stop in grid.row_blocks():
+        d = grid.distance_rows(start, stop)
         penalty = d * d
         gap = u.values[start:start + d.shape[0], None] - v.values[None, :]
         objective = np.empty_like(d)  # gap - (alpha/2) penalty, written in place

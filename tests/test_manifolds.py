@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from riemvisc import (
     BasePointMismatchError,
@@ -14,6 +14,7 @@ from riemvisc import (
     GeometryDomainError,
     Hyperbolic,
     INFINITE_RADIUS,
+    Point,
     Product,
     Sphere,
     TangentVector,
@@ -739,3 +740,97 @@ def test_stacked_draw_maps_match_random_point_and_tangent(model, seed, rows, sca
     assert_bitwise(xs, [x.coords for x in points])
     tangent_rows = model.project_tangent_stack(xs, raw_tangents * scale)
     assert_bitwise(tangent_rows, [t.components for t in tangents])
+
+
+# --------------------------------------------------------------------- #
+# the row kernels of transport and curvature                            #
+# --------------------------------------------------------------------- #
+
+def reference_transport(model, x, y, v):
+    """The single-vector parallel transport ``transport_rows`` replaced, kept
+    as its oracle: factorwise on a product, the identity on a flat model, and
+    on a space form v - a u + a (-sign S(theta) x / rho + C(theta) u), with u
+    the unit velocity, theta = d(x, y) / rho and a = <v, u>."""
+    if isinstance(model, Product):
+        return np.concatenate([
+            reference_transport(f, Point(x.coords[s]), Point(y.coords[s]), v[s])
+            for f, s in zip(model.factors, model._slices)
+        ])
+    if isinstance(model, Sphere):
+        c_fn, s_fn, sign, rho = math.cos, math.sin, 1.0, model.radius
+    elif isinstance(model, Hyperbolic):
+        c_fn, s_fn, sign, rho = math.cosh, math.sinh, -1.0, model.scale
+    else:
+        return v.copy()
+    e = model.log(x, y).components
+    ell = math.sqrt(max(model.ambient_inner(x, e, e), 0.0))
+    if ell <= 1e-300:
+        return v.copy()
+    u = e / ell
+    theta = ell / rho
+    a = model.ambient_inner(x, v, u)
+    vel_y = -sign * s_fn(theta) * x.coords / rho + c_fn(theta) * u
+    return v - a * u + a * vel_y
+
+
+def reference_curvature(model, u, v, w):
+    """The single-vector R(u, v)w = K (<v,w> u - <u,w> v), factorwise on a
+    product, that ``curvature_rows`` replaced."""
+    if isinstance(model, Product):
+        return np.concatenate([
+            reference_curvature(f, u[s], v[s], w[s]) for f, s in zip(model.factors, model._slices)
+        ])
+    uw = model.ambient_inner(None, u, w)
+    vw = model.ambient_inner(None, v, w)
+    return model.constant_sectional() * (vw * u - uw * v)
+
+
+ROW_KERNEL_MODELS = st.one_of(
+    EVERY_MODEL,
+    st.just(Hyperbolic(3, 4.0)),
+    st.builds(
+        lambda inner, outer: Product([Product(inner), outer]),
+        st.lists(space_forms(max_dim=2), min_size=1, max_size=2),
+        space_forms(max_dim=2),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    model=ROW_KERNEL_MODELS,
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(0, 5),
+    far=st.sampled_from([0.0, 2.0, 5.0]),
+    same=st.booleans(),
+)
+def test_row_kernels_match_the_single_vector_formulas(model, seed, rows, far, same):
+    rng = np.random.default_rng(seed)
+
+    def step(x, ell):
+        d = model.random_tangent(rng, x)
+        nd = model.norm(x, d)
+        assume(nd > 0.0)
+        return model.exp(x, TangentVector(x, d.components * (ell / nd)))
+
+    # a hyperboloid point at distance `far` has coordinates of size cosh(far sqrt K0)
+    x = step(model.random_point(rng), far)
+    y = x
+    if not same:
+        cap = model.injectivity_radius(x)
+        y = step(x, rng.uniform(0.05, 0.9 * min(cap, 3.0) if math.isfinite(cap) else 2.7))
+    vs = np.array([model.random_tangent(rng, x).components for _ in range(rows)])
+    vs = vs.reshape(rows, model.ambient_dim)
+    v, w = model.random_tangent(rng, x), model.random_tangent(rng, x)
+
+    moved = [reference_transport(model, x, y, r) for r in vs]
+    assert_bitwise(model.transport_rows(x, y, vs), np.reshape(moved, vs.shape))
+    bent = [reference_curvature(model, r, v.components, w.components) for r in vs]
+    assert_bitwise(model.curvature_rows(vs, v.components, w.components), np.reshape(bent, vs.shape))
+    if rows:
+        assert_bitwise(model.parallel_transport(x, y, TangentVector(x, vs[0])).components, moved[0])
+        assert_bitwise(model.curvature_operator(x, TangentVector(x, vs[0]), v, w).components, bent[0])
+    # the frame transport matrix is the per-row loop it replaced
+    frame_moved = [reference_transport(model, x, y, f) for f in model.canonical_frame(x)]
+    expected = reference_components(model, y, frame_moved, model.canonical_frame(y))
+    assert_bitwise(model.transport_matrix(x, y), expected)
