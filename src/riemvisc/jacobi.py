@@ -31,6 +31,7 @@ from .manifolds import (
     Manifold,
     Point,
     TangentVector,
+    _FRAME_FLOOR,
     _libm,
     _readonly,
     _rowwise_dot,
@@ -146,7 +147,7 @@ def _tidal_spectrum(seg: GeodesicSegment):
         frame = f.canonical_frame(x)
         # a factor that does not move leaves only log's roundoff in w; the
         # floor is _orthonormal_rows' own, relative to the unit velocity
-        seeded = w2 > 1e-16
+        seeded = w2 > _FRAME_FLOOR
         if seeded:
             frame = f._orthonormal_rows(x, [w / math.sqrt(w2)], frame)
         else:

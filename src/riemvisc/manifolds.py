@@ -45,8 +45,9 @@ Conventions
 * ``random_point``/``random_tangent`` are a generator call (``draw_point``,
   ``draw_tangent``) followed by a closed-form map; ``points_from_draws`` and
   ``project_tangent_stack`` map a stack of raw rows to exactly the points
-  and tangents the single-sample methods return, so a sampled sweep keeps
-  only the generator calls in its loop.
+  and tangents the single-sample methods return, and ``pairs_from_draws``
+  maps stacks of ``random_pair``'s draws to its pairs, so a sampled sweep
+  keeps only the generator calls in its loop.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ from .errors import (
 INFINITE_RADIUS = math.inf
 
 _SYMMETRY_TOL = 1e-12
+
+# Gram-Schmidt keeps a remainder only if its squared norm exceeds this: the
+# seeds are unit axes, so a kept row carries at most ~1e-12 relative roundoff
+# (near an axis a remainder of squared norm ~1e-16 is roundoff alone)
+_FRAME_FLOOR = 1e-8
 
 
 def _readonly(a) -> np.ndarray:
@@ -322,12 +328,12 @@ class Manifold:
 
     def _orthonormal_rows(self, x: Point, rows: list, seeds) -> np.ndarray:
         """Extend orthonormal ``rows`` to dim rows by Gram-Schmidt over ``seeds``,
-        skipping seeds whose remainder has norm <= 1e-8."""
+        skipping seeds whose remainder has squared norm <= ``_FRAME_FLOOR``."""
         for u in seeds:
             for r in rows:
                 u = u - self.ambient_inner(x, u, r) * r
             nrm2 = self.ambient_inner(x, u, u)
-            if nrm2 > 1e-16:
+            if nrm2 > _FRAME_FLOOR:
                 rows.append(u / math.sqrt(nrm2))
             if len(rows) == self.dim:
                 return np.array(rows)
@@ -354,7 +360,7 @@ class Manifold:
             for j in range(self.dim):
                 u = u - self.inner_stack(u, rows[:, j])[:, None] * rows[:, j]
             nrm2 = self.inner_stack(u, u)
-            take = np.flatnonzero((nrm2 > 1e-16) & (found < self.dim))
+            take = np.flatnonzero((nrm2 > _FRAME_FLOOR) & (found < self.dim))
             rows[take, found[take]] = u[take] / np.sqrt(nrm2[take])[:, None]
             found[take] += 1
         if np.any(found < self.dim):
@@ -407,6 +413,14 @@ class Manifold:
         d = self.random_tangent(rng, x)
         ell = rng.uniform(low, high)
         return x, self.exp(x, TangentVector(x, d.components * (ell / self.norm(x, d)))), ell
+
+    def pairs_from_draws(self, raw_points: np.ndarray, raw_tangents: np.ndarray, ells: np.ndarray):
+        """The stacks ``(xs, ys)`` that ``random_pair`` makes from stacks of its
+        draws (``draw_point`` rows, ``draw_tangent`` rows, the lengths), bit for bit."""
+        xs = self.points_from_draws(raw_points)
+        d = self.project_tangent_stack(xs, raw_tangents)
+        steps = d * (ells / np.sqrt(np.maximum(self.inner_stack(d, d), 0.0)))[:, None]
+        return xs, self.exp_stack(xs, steps)
 
     def geodesic_segment(self, x: Point, y: Point) -> "GeodesicSegment":
         return GeodesicSegment.connect(self, x, y)

@@ -6,8 +6,12 @@ each base point, stacked along a leading axis.  Structural claims
 (degenerate ellipticity, properness, the strong monotonicity constant
 gamma, translation invariance, continuity moduli) are declared flags; the
 ``*_check`` and ``*_estimate`` sweeps in this module probe them
-empirically, with one batch evaluation per sweep.  Estimated moduli are never certificates;
-pass thresholds belong to the test configuration, not the library.
+empirically.  A sweep's loop makes only its generator calls; the draws are
+mapped as stacks (``points_from_draws``, ``pairs_from_draws``), a state
+(zeta, A) moves from x to y with one ``transport_matrix`` T per pair, as
+zeta T and T^T A T, and one batch call evaluates the sweep.  Estimated
+moduli are never certificates; pass thresholds belong to the test
+configuration, not the library.
 
 Note on the positive determinant: ``detplus`` is the literal product of
 the nonnegative eigenvalues (empty product = 1).  That function is not
@@ -27,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .manifolds import Euclidean, Manifold, Point, SymBilinear, TangentVector
+from .manifolds import Euclidean, Manifold, Point, SymBilinear, TangentVector, symmetrized_forms
 
 _NEG_INF = -math.inf
 _POS_INF = math.inf
@@ -46,6 +50,7 @@ class ScalarField:
         self.name = name
         self.constant_value = constant_value
         self.minimum = minimum if minimum is not None else constant_value
+        self._axis = None  # the coordinate a ``coordinate`` field reads
 
     @classmethod
     def constant(cls, c: float) -> "ScalarField":
@@ -54,7 +59,9 @@ class ScalarField:
 
     @classmethod
     def coordinate(cls, axis: int) -> "ScalarField":
-        return cls(lambda p: float(p.coords[axis]), f"coord:{axis}")
+        fld = cls(lambda p: float(p.coords[axis]), f"coord:{axis}")
+        fld._axis = axis
+        return fld
 
     @classmethod
     def parse(cls, spec) -> "ScalarField":
@@ -76,6 +83,12 @@ class ScalarField:
     def values(self, points: Sequence[Point]) -> np.ndarray:
         if self.constant_value is not None:
             return np.full(len(points), self.constant_value)
+        if self._axis is not None and points:
+            width = len(points[0].coords)  # one model per context: checked once
+            if not -width <= self._axis < width:
+                raise PreconditionError(
+                    f"{self.name}: axis {self._axis} is past the {width} coordinates of the points"
+                )
         return np.array([self._fn(p) for p in points])
 
 
@@ -464,6 +477,20 @@ def _default_model(model):
     return model if model is not None else Euclidean(2)
 
 
+def _table_edges(name, values, positive=True) -> np.ndarray:
+    """``values`` sorted into a float array; ``PreconditionError`` naming the
+    value unless they are nonempty and finite, and positive as bin edges."""
+    edges = np.asarray(sorted(values), float)
+    if edges.size == 0:
+        raise PreconditionError(f"{name} is empty")
+    bad = edges[~np.isfinite(edges) | (positive & (edges <= 0.0))]
+    if bad.size:
+        raise PreconditionError(
+            f"{name} holds {float(bad[0])!r}: need finite values" + ", > 0" * positive
+        )
+    return edges
+
+
 def _clip_r_range(F, r_range):
     lo = max(r_range[0], F.r_domain[0])
     hi = min(r_range[1], F.r_domain[1])
@@ -472,23 +499,37 @@ def _clip_r_range(F, r_range):
     return lo, hi
 
 
-def _random_sym(rng, n, scale=1.5):
-    raw = rng.standard_normal((n, n)) * scale
-    return 0.5 * (raw + raw.T)
+def _symmetric(raws, scale=1.5):
+    """(R + R^T) / 2 for each scaled draw R = ``scale * raws`` of a stack."""
+    raw = raws * scale
+    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
+
+
+def _stacks(samples):
+    """One array per item of the per-sample tuples of draws ``samples``."""
+    rows = list(samples)
+    if not rows:
+        raise PreconditionError("a structural sweep needs at least one sample")
+    return [np.array(col) for col in zip(*rows)]
 
 
 def _gap(F: OperatorSpec, upper, lower) -> np.ndarray:
-    """F(upper) - F(lower) per sample; each side lists states (x, r, zeta, A).
+    """F(upper) - F(lower) per sample, through one context and one batch
+    call; each side is a stack (xs, rs, zetas, amats) of states."""
+    xs, rs, zetas, amats = (np.concatenate(side) for side in zip(upper, lower))
+    vals = F.eval_batch(F.make_context([Point(c) for c in xs]), rs, zetas, amats)
+    return vals[: len(upper[1])] - vals[len(upper[1]):]
 
-    Both sides go through one context and one batch call.
-    """
-    if not upper:
-        raise PreconditionError("a structural sweep needs at least one sample")
-    points, rs, zetas, amats = zip(*upper, *lower)
-    vals = F.eval_batch(
-        F.make_context(points), np.array(rs), np.array(zetas), np.array(amats)
-    )
-    return vals[: len(upper)] - vals[len(upper):]
+
+def _transport_matrices(m: Manifold, xs, ys) -> np.ndarray:
+    """``transport_matrix(x, y)`` for each row pair of two point stacks."""
+    return np.array([m.transport_matrix(Point(x), Point(y)) for x, y in zip(xs, ys)])
+
+
+def _transported(ts, zetas, amats):
+    """Frame components (zeta, A) moved by transport matrices T: zeta T and
+    T^T A T, the forms symmetrized as ``SymBilinear`` stores them."""
+    return (zetas[:, None] @ ts)[:, 0], symmetrized_forms(np.swapaxes(ts, 1, 2) @ amats @ ts)
 
 
 def ellipticity_check(
@@ -504,23 +545,21 @@ def ellipticity_check(
     lo, hi = _clip_r_range(F, r_range)
     rng = np.random.default_rng(seed)
     n = m.dim
-    upper, lower = [], []
-    for _ in range(n_samples):
-        x = m.random_point(rng)
-        r = rng.uniform(lo, hi)
-        z = rng.standard_normal(n) * 2.0
-        a = _random_sym(rng, n)
-        w = rng.standard_normal((n, n)) * rng.uniform(0.1, 1.0)
-        upper.append((x, r, z, a + w @ w.T))
-        lower.append((x, r, z, a))
-    gaps = _gap(F, upper, lower)
+    raw_x, rs, zs, raw_a, raw_w, w_scale = _stacks(
+        (m.draw_point(rng), rng.uniform(lo, hi), rng.standard_normal(n),
+         rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.uniform(0.1, 1.0))
+        for _ in range(n_samples)
+    )
+    xs, zs, a = m.points_from_draws(raw_x), zs * 2.0, _symmetric(raw_a)
+    w = raw_w * w_scale[:, None, None]
+    gaps = _gap(F, (xs, rs, zs, a + w @ np.swapaxes(w, 1, 2)), (xs, rs, zs, a))
     worst = float(np.max(gaps, initial=0.0))  # NaN if any gap is NaN
     passed = worst <= tolerance
     extra = None
     if not passed:
         # the first sample attaining the maximum, or the first NaN
-        _, r, _, a = lower[int(np.argmax(gaps))]
-        extra = {"witness": {"r": r, "A_eigs": np.linalg.eigvalsh(a).tolist()}}
+        i = int(np.argmax(gaps))
+        extra = {"witness": {"r": float(rs[i]), "A_eigs": np.linalg.eigvalsh(a[i]).tolist()}}
     return CheckReport(
         f"ellipticity:{F.name}", m.config(), n_samples, worst, tolerance, passed, extra
     )
@@ -538,30 +577,20 @@ def monotonicity_estimate(
     lo, hi = _clip_r_range(F, r_range)
     rng = np.random.default_rng(seed)
     n = m.dim
-    upper, lower, steps = [], [], []
+    samples = []
     for _ in range(n_samples):
-        x = m.random_point(rng)
-        r, s = sorted(rng.uniform(lo, hi, size=2))
-        if r == s:
-            continue
-        z = rng.standard_normal(n) * 2.0
-        a = _random_sym(rng, n)
-        upper.append((x, s, z, a))
-        lower.append((x, r, z, a))
-        steps.append(s - r)
-    gamma_hat = float(np.min(_gap(F, upper, lower) / np.array(steps), initial=math.inf))
+        raw_x, (r, s) = m.draw_point(rng), sorted(rng.uniform(lo, hi, size=2))
+        if r != s:
+            samples.append((raw_x, r, s, rng.standard_normal(n), rng.standard_normal((n, n))))
+    raw_x, rs, ss, zs, raw_a = _stacks(samples)
+    xs, zs, a = m.points_from_draws(raw_x), zs * 2.0, _symmetric(raw_a)
+    gaps = _gap(F, (xs, ss, zs, a), (xs, rs, zs, a))
+    gamma_hat = float(np.min(gaps / (ss - rs), initial=math.inf))
     report = CheckReport(
         f"monotonicity:{F.name}", m.config(), n_samples, 0.0, 0.0, True,
         {"gamma_hat": gamma_hat, "r_range": [lo, hi]},
     )
     return gamma_hat, report
-
-
-def _transport_state(m, x, y, z_comps, a_mat):
-    zeta = m.tangent_from_frame(x, z_comps)
-    moved_z = m.frame_components(y, m.parallel_transport(x, y, zeta))
-    moved_a = m.parallel_transport_bilinear(x, y, m.bilinear(x, a_mat)).matrix
-    return moved_z, moved_a
 
 
 def invariance_check(
@@ -579,15 +608,15 @@ def invariance_check(
     rng = np.random.default_rng(seed)
     n = m.dim
     top = min(1.0, 0.9 * m.injectivity_radius())
-    moved, still = [], []
-    for _ in range(n_samples):
-        x, y, _ = m.random_pair(rng, min(1e-3, top), top)
-        r = rng.uniform(lo, hi)
-        z = rng.standard_normal(n) * 2.0
-        a = _random_sym(rng, n)
-        moved.append((y, r, *_transport_state(m, x, y, z, a)))
-        still.append((x, r, z, a))
-    worst = float(np.max(np.abs(_gap(F, moved, still)), initial=0.0))
+    raw_x, raw_d, ells, rs, zs, raw_a = _stacks(
+        (m.draw_point(rng), m.draw_tangent(rng), rng.uniform(min(1e-3, top), top),
+         rng.uniform(lo, hi), rng.standard_normal(n), rng.standard_normal((n, n)))
+        for _ in range(n_samples)
+    )
+    xs, ys = m.pairs_from_draws(raw_x, raw_d, ells)
+    zs, a = zs * 2.0, _symmetric(raw_a)
+    moved = _transported(_transport_matrices(m, xs, ys), zs, a)
+    worst = float(np.max(np.abs(_gap(F, (ys, rs, *moved), (xs, rs, zs, a))), initial=0.0))
     return CheckReport(
         f"invariance:{F.name}", m.config(), n_samples, worst, tolerance,
         worst <= tolerance,
@@ -626,24 +655,22 @@ def intrinsic_modulus_estimate(
     The table is made nondecreasing in the bin upper edge; PASS means the
     smallest bin stays below the tolerance.
     """
-    bins = np.asarray(sorted(bins), float)
+    bins = _table_edges("bins", bins)
     lo, hi = _clip_r_range(F, r_range)
     rng = np.random.default_rng(seed)
     n = m.dim
-    ys, xs, dists = [], [], []
     # stratified over bins so the smallest distances are actually exercised
-    for trial in range(n_samples):
-        idx = trial % len(bins)
-        lo_edge = 0.0 if idx == 0 else float(bins[idx - 1])
-        top = min(float(bins[idx]), 0.9 * m.injectivity_radius())
-        x, y, dist = m.random_pair(rng, min(lo_edge, top), top)
-        r = rng.uniform(lo, hi)
-        eta = rng.standard_normal(n) * 2.0
-        q = _random_sym(rng, n)
-        ys.append((y, r, eta, q))
-        xs.append((x, r, *_transport_state(m, y, x, eta, q)))
-        dists.append(dist)
-    vals = _gap(F, ys, xs)
+    tops = np.minimum(bins, 0.9 * m.injectivity_radius())
+    lows = np.minimum(np.concatenate([[0.0], bins[:-1]]), tops)
+    raw_x, raw_d, dists, rs, etas, raw_q = _stacks(
+        (m.draw_point(rng), m.draw_tangent(rng), rng.uniform(lows[k], tops[k]),
+         rng.uniform(lo, hi), rng.standard_normal(n), rng.standard_normal((n, n)))
+        for k in np.arange(n_samples) % len(bins)
+    )
+    xs, ys = m.pairs_from_draws(raw_x, raw_d, dists)
+    etas, q = etas * 2.0, _symmetric(raw_q)
+    moved = _transported(_transport_matrices(m, ys, xs), etas, q)
+    vals = _gap(F, (ys, rs, etas, q), (xs, rs, *moved))
     idx = np.searchsorted(bins, dists)
     keep = idx < len(bins)
     table = np.zeros(len(bins))
@@ -691,28 +718,26 @@ def twoflat_modulus_estimate(
     The two arguments are tabulated separately; PASS means the corner cell
     (smallest delta, smallest distance) stays below tolerance.
     """
-    deltas = np.asarray(sorted(deltas), float)
-    d_bins = np.asarray(sorted(d_bins), float)
+    deltas = _table_edges("deltas", deltas, positive=False)
+    d_bins = _table_edges("d_bins", d_bins)
     lo, hi = _clip_r_range(F, r_range)
     rng = np.random.default_rng(seed)
     n = m.dim
     top = min(float(d_bins[-1]), 0.9 * m.injectivity_radius())
-    ys, xs, dists, sample_deltas = [], [], [], []
-    for trial in range(n_samples):
-        delta = deltas[trial % len(deltas)]
-        x, y, dist = m.random_pair(rng, min(1e-3, top), top)
-        r = rng.uniform(lo, hi)
-        z = rng.standard_normal(n) * 2.0
-        q = _random_sym(rng, n)
-        _, back_q = _transport_state(m, y, x, np.zeros(n), q)
-        bump = _random_sym(rng, n, scale=1.0)
-        bump -= (np.max(np.linalg.eigvalsh(bump)) - delta * rng.uniform(0.2, 1.0)) * np.eye(n)
-        moved_z, _ = _transport_state(m, x, y, z, np.zeros((n, n)))
-        ys.append((y, r, moved_z, q))
-        xs.append((x, r, z, back_q + bump))
-        dists.append(dist)
-        sample_deltas.append(delta)
-    vals = _gap(F, ys, xs)
+    raw_x, raw_d, dists, rs, zs, raw_q, raw_b, shifts = _stacks(
+        (m.draw_point(rng), m.draw_tangent(rng), rng.uniform(min(1e-3, top), top),
+         rng.uniform(lo, hi), rng.standard_normal(n), rng.standard_normal((n, n)),
+         rng.standard_normal((n, n)), rng.uniform(0.2, 1.0))
+        for _ in range(n_samples)
+    )
+    sample_deltas = deltas[np.arange(n_samples) % len(deltas)]
+    xs, ys = m.pairs_from_draws(raw_x, raw_d, dists)
+    zs, q, bump = zs * 2.0, _symmetric(raw_q), _symmetric(raw_b, scale=1.0)
+    bump -= (np.linalg.eigvalsh(bump)[:, -1] - sample_deltas * shifts)[:, None, None] * np.eye(n)
+    # T moves zeta from x to y; its transpose carries Q back from y to x
+    ts = _transport_matrices(m, xs, ys)
+    back_q = symmetrized_forms(ts @ q @ np.swapaxes(ts, 1, 2))
+    vals = _gap(F, (ys, rs, (zs[:, None] @ ts)[:, 0], q), (xs, rs, zs, back_q + bump))
     di = np.searchsorted(d_bins, dists)
     de = np.searchsorted(deltas, sample_deltas)
     keep = di < len(d_bins)

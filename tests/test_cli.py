@@ -222,6 +222,18 @@ def test_solve_failure_exit_code(tmp_path):
     assert report["pass"] is False
 
 
+def test_coordinate_past_the_model_is_a_typed_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "operator": {"op": "sum", "terms": [
+            {"op": "neg_trace"}, {"op": "source", "field": "coord:7"}]},
+    }))
+    assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("riemvisc: coord:7: axis 7 is past the 3 coordinates")
+    assert "Traceback" not in err
+
+
 def test_yamabe_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

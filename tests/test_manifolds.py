@@ -742,6 +742,25 @@ def test_stacked_draw_maps_match_random_point_and_tangent(model, seed, rows, sca
     assert_bitwise(tangent_rows, [t.components for t in tangents])
 
 
+@pytest.mark.parametrize("offset", [1e-6, 1e-7, 1.01e-8, 1e-9])
+@pytest.mark.parametrize("model", [Sphere(2, 1.0), Sphere(3, 0.7), Hyperbolic(2, 1.0),
+                                   Hyperbolic(3, 2.5)], ids=model_id)
+def test_frames_near_a_coordinate_axis_are_tangent(model, offset):
+    # next to an axis the axis seed's Gram-Schmidt remainder is roundoff
+    # alone; a frame that kept it had a row along x itself
+    if isinstance(model, Sphere):
+        coords = np.zeros(model.dim + 1)
+        coords[0], coords[1] = model.radius, offset
+        x = model.point(coords * (model.radius / np.linalg.norm(coords)))
+    else:
+        x = model.exp(model.base_point(), model.tangent(model.base_point(),
+                                                        np.eye(model.dim + 1)[1] * offset))
+    for frame in (model.canonical_frame(x), model.canonical_frames(x.coords[None])[0]):
+        gram = model.inner_stack(frame[:, None], frame[None])
+        assert np.abs(gram - np.eye(model.dim)).max() <= 1e-12
+        assert np.abs(model.inner_stack(frame, x.coords)).max() <= 1e-12
+
+
 # --------------------------------------------------------------------- #
 # the row kernels of transport and curvature                            #
 # --------------------------------------------------------------------- #

@@ -1,13 +1,15 @@
 """Operator catalog: evaluation, flags, and structural sweeps."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from riemvisc import Euclidean, Sphere
+from riemvisc import Euclidean, FlatTorus, Hyperbolic, Product, Sphere, operators
 from riemvisc.errors import PreconditionError
+from riemvisc.jacobi import _space_forms
 from riemvisc.operators import (
     CheckReport,
     OperatorSpec,
@@ -119,6 +121,14 @@ def test_combinators_check_the_domain_at_the_root():
                 F.point_eval(NORTH, r, np.zeros(2), np.zeros((2, 2)))
             with pytest.raises(PreconditionError):
                 F.eval_batch(ctx, np.array([1.0, r]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
+
+
+def test_coordinate_past_the_points_is_a_precondition_error():
+    # NORTH has 3 embedding coordinates: axis 7 is named with the width
+    for F in (source("coord:7"), sum_of(neg_trace(), scalar_term("coord:3"))):
+        with pytest.raises(PreconditionError, match=r"axis [37] is past the 3 coordinates"):
+            F.make_context([NORTH, NORTH])
+    assert source("coord:-1").make_context([NORTH])["coeff"].tolist() == [1.0]
 
 
 def test_scalar_field_parsing():
@@ -365,6 +375,27 @@ def test_sweeps_reject_zero_samples():
         invariance_check(neg_trace(), SPHERE, 0)
 
 
+@pytest.mark.parametrize(
+    "sweep,kwargs,message",
+    [
+        (intrinsic_modulus_estimate, {"bins": ()}, "bins is empty"),
+        (intrinsic_modulus_estimate, {"bins": (0.1, math.nan)}, "bins holds nan"),
+        (intrinsic_modulus_estimate, {"bins": (-0.5, 0.1)}, "bins holds -0.5"),
+        (intrinsic_modulus_estimate, {"bins": (0.0, 0.1)}, "bins holds 0.0"),
+        (twoflat_modulus_estimate, {"deltas": ()}, "deltas is empty"),
+        (twoflat_modulus_estimate, {"deltas": (1e-3, math.inf)}, "deltas holds inf"),
+        (twoflat_modulus_estimate, {"d_bins": ()}, "d_bins is empty"),
+        (twoflat_modulus_estimate, {"d_bins": (math.nan,)}, "d_bins holds nan"),
+        (twoflat_modulus_estimate, {"d_bins": (-1.0, 0.5)}, "d_bins holds -1.0"),
+    ],
+    ids=["empty-bins", "nan-bin", "negative-bin", "zero-bin", "empty-deltas", "inf-delta",
+         "empty-d-bins", "nan-d-bin", "negative-d-bin"],
+)
+def test_malformed_modulus_tables_are_precondition_errors(sweep, kwargs, message):
+    with pytest.raises(PreconditionError, match=message):
+        sweep(neg_trace(), SPHERE, n_samples=10, **kwargs)
+
+
 def test_report_serialization():
     report = ellipticity_check(neg_trace(), 100, seed=17)
     d = report.to_dict()
@@ -493,3 +524,213 @@ def test_operators_take_read_only_proxy_views(cfg, outer, seed):
     on_copies = F.eval_batch(ctx, rs[:, 0], zs.copy(), amats.copy())
     np.testing.assert_array_equal(on_views, on_copies, err_msg=F.name)
     np.testing.assert_array_equal(proxies, before)
+
+
+# --------------------------------------------------------------------- #
+# the sweeps against the per-sample loop they were first written as
+# --------------------------------------------------------------------- #
+
+def _ref_random_sym(rng, n, scale=1.5):
+    raw = rng.standard_normal((n, n)) * scale
+    return 0.5 * (raw + raw.T)
+
+
+def _ref_transport_state(m, x, y, z_comps, a_mat):
+    zeta = m.tangent_from_frame(x, z_comps)
+    moved_z = m.frame_components(y, m.parallel_transport(x, y, zeta))
+    moved_a = m.parallel_transport_bilinear(x, y, m.bilinear(x, a_mat)).matrix
+    return moved_z, moved_a
+
+
+def _ref_gap(F, upper, lower):
+    """``(gaps, scale)``: F(upper) - F(lower) per sample of two lists of
+    states (x, r, zeta, A), and the larger |F| of the two sides."""
+    points, rs, zetas, amats = zip(*upper, *lower)
+    vals = F.eval_batch(F.make_context(points), np.array(rs), np.array(zetas), np.array(amats))
+    up, low = vals[: len(upper)], vals[len(upper):]
+    return up - low, np.maximum(np.abs(up), np.abs(low))
+
+
+def _reference_sweeps(F, m, n_samples, seed):
+    """Per-sample ``(gaps, scale, points)`` of each sweep as one loop drawing
+    and transporting one sample at a time; monotonicity also has its steps."""
+    n, out = m.dim, {}
+    top = min(1.0, 0.9 * m.injectivity_radius())
+
+    rng = np.random.default_rng(seed)
+    upper, lower = [], []
+    for _ in range(n_samples):
+        x = m.random_point(rng)
+        r = rng.uniform(-2.0, 2.0)
+        z = rng.standard_normal(n) * 2.0
+        a = _ref_random_sym(rng, n)
+        w = rng.standard_normal((n, n)) * rng.uniform(0.1, 1.0)
+        upper.append((x, r, z, a + w @ w.T))
+        lower.append((x, r, z, a))
+    out["ellipticity"] = (*_ref_gap(F, upper, lower), [s[0] for s in lower])
+
+    rng = np.random.default_rng(seed)
+    upper, lower, steps = [], [], []
+    for _ in range(n_samples):
+        x = m.random_point(rng)
+        r, s = sorted(rng.uniform(-2.0, 2.0, size=2))
+        if r == s:
+            continue
+        z = rng.standard_normal(n) * 2.0
+        a = _ref_random_sym(rng, n)
+        upper.append((x, s, z, a))
+        lower.append((x, r, z, a))
+        steps.append(s - r)
+    out["monotonicity"] = (*_ref_gap(F, upper, lower), [s[0] for s in lower])
+    out["steps"] = np.array(steps)
+
+    if not F.x_dependent:
+        rng = np.random.default_rng(seed)
+        moved, still = [], []
+        for _ in range(n_samples):
+            x, y, _ = m.random_pair(rng, min(1e-3, top), top)
+            r = rng.uniform(-2.0, 2.0)
+            z = rng.standard_normal(n) * 2.0
+            a = _ref_random_sym(rng, n)
+            moved.append((y, r, *_ref_transport_state(m, x, y, z, a)))
+            still.append((x, r, z, a))
+        out["invariance"] = (*_ref_gap(F, moved, still), [s[0] for s in moved + still])
+
+    rng = np.random.default_rng(seed)
+    bins = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
+    ys, xs = [], []
+    for trial in range(n_samples):
+        idx = trial % len(bins)
+        lo_edge = 0.0 if idx == 0 else float(bins[idx - 1])
+        edge = min(float(bins[idx]), 0.9 * m.injectivity_radius())
+        x, y, _ = m.random_pair(rng, min(lo_edge, edge), edge)
+        r = rng.uniform(-2.0, 2.0)
+        eta = rng.standard_normal(n) * 2.0
+        q = _ref_random_sym(rng, n)
+        ys.append((y, r, eta, q))
+        xs.append((x, r, *_ref_transport_state(m, y, x, eta, q)))
+    out["intrinsic"] = (*_ref_gap(F, ys, xs), [s[0] for s in ys + xs])
+
+    rng = np.random.default_rng(seed)
+    deltas = (1e-8, 1e-6, 1e-4, 1e-2, 1e-1)
+    edge = min(1.0, 0.9 * m.injectivity_radius())
+    ys, xs = [], []
+    for trial in range(n_samples):
+        delta = deltas[trial % len(deltas)]
+        x, y, _ = m.random_pair(rng, min(1e-3, edge), edge)
+        r = rng.uniform(-2.0, 2.0)
+        z = rng.standard_normal(n) * 2.0
+        q = _ref_random_sym(rng, n)
+        _, back_q = _ref_transport_state(m, y, x, np.zeros(n), q)
+        bump = _ref_random_sym(rng, n, scale=1.0)
+        bump -= (np.max(np.linalg.eigvalsh(bump)) - delta * rng.uniform(0.2, 1.0)) * np.eye(n)
+        moved_z, _ = _ref_transport_state(m, x, y, z, np.zeros((n, n)))
+        ys.append((y, r, moved_z, q))
+        xs.append((x, r, z, back_q + bump))
+    out["twoflat"] = (*_ref_gap(F, ys, xs), [s[0] for s in ys + xs])
+    return out
+
+
+def _sweep_gaps(sweep, *args, **kwargs):
+    """The per-sample gaps the one ``_gap`` call of a sweep returns, and the
+    sweep's own result."""
+    seen = []
+    real = operators._gap
+
+    def recording(F, upper, lower):
+        seen.append(real(F, upper, lower))
+        return seen[-1]
+
+    with mock.patch.object(operators, "_gap", recording):
+        result = sweep(*args, **kwargs)
+    (gaps,) = seen
+    return gaps, result
+
+
+def _conditioning(m, points) -> np.ndarray:
+    """(K0 |x|^2)^2 per point, the worst hyperbolic factor's (1 without one):
+    on the hyperboloid a frame's Minkowski products lose K0 |x|^2 squared."""
+    return np.array([max(
+        (f.k0 * float(p.coords[s] @ p.coords[s]) for f, s in _space_forms(m)
+         if isinstance(f, Hyperbolic)),
+        default=1.0,
+    ) ** 2 for p in points])
+
+
+def _pair_conditioning(m, points):
+    """``_conditioning`` of both points of each sample of a two-sided list."""
+    cond = _conditioning(m, points)
+    return np.maximum(*np.split(cond, 2))
+
+
+_SPACE_FORMS = st.one_of(
+    st.builds(Sphere, st.sampled_from([1, 2, 3]), st.sampled_from([1.0, 0.7, 2.5])),
+    st.builds(Hyperbolic, st.sampled_from([1, 2, 3]), st.sampled_from([1.0, 0.5, 2.5])),
+    st.builds(Euclidean, st.sampled_from([1, 2, 3])),
+    st.builds(FlatTorus, st.lists(st.sampled_from([1.0, 1.5, 3.0]), min_size=1, max_size=3)),
+)
+SWEEP_MODELS = st.one_of(
+    _SPACE_FORMS, st.lists(_SPACE_FORMS, min_size=2, max_size=2).map(Product)
+)
+
+_X_TRACE = OperatorSpec(
+    # x-dependent and not elliptic, so its ellipticity gaps are not all <= 0
+    "x_trace",
+    lambda ctx, rs, zs, As: ctx * (np.einsum("nii->n", As) + rs),
+    x_dependent=True,
+    context_builder=lambda points: np.array([1.0 + p.coords[0] for p in points]),
+)
+SWEPT_OPERATORS = [
+    neg_detplus(),
+    neg_min_eigenvalue(),
+    OperatorSpec("tr+r|z|", lambda ctx, rs, zs, As: np.einsum("nii->n", As)
+                 + rs * np.linalg.norm(zs, axis=1)),
+    sum_of(scalar_term("coord:0"), neg_trace()),
+    example_5_3("coord:0", 0.5),
+    _X_TRACE,
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    model=SWEEP_MODELS,
+    F=st.sampled_from(SWEPT_OPERATORS),
+    seed=st.integers(0, 2**32 - 1),
+    n_samples=st.integers(1, 12),
+)
+def test_sweeps_match_the_per_sample_loop(model, F, seed, n_samples):
+    ref = _reference_sweeps(F, model, n_samples, seed)
+
+    # the pairs: random_pair's generator calls, mapped as stacks, bit for bit
+    rng = np.random.default_rng(seed)
+    pairs = [model.random_pair(rng, 0.05, 0.8) for _ in range(n_samples)]
+    rng = np.random.default_rng(seed)
+    draws = [(model.draw_point(rng), model.draw_tangent(rng), rng.uniform(0.05, 0.8))
+             for _ in range(n_samples)]
+    xs, ys = model.pairs_from_draws(*(np.array(col) for col in zip(*draws)))
+    assert np.array_equal(xs, [x.coords for x, _, _ in pairs])
+    assert np.array_equal(ys, [y.coords for _, y, _ in pairs])
+
+    # ellipticity and monotonicity move nothing: bit for bit
+    gaps, report = _sweep_gaps(ellipticity_check, F, n_samples, model=model, seed=seed)
+    assert np.array_equal(gaps, ref["ellipticity"][0])
+    assert report.max_violation == float(np.max(ref["ellipticity"][0], initial=0.0))
+    if len(ref["steps"]):
+        gaps, (gamma_hat, _) = _sweep_gaps(
+            monotonicity_estimate, F, (-2.0, 2.0), n_samples, model=model, seed=seed
+        )
+        assert np.array_equal(gaps, ref["monotonicity"][0])
+        assert gamma_hat == float(np.min(ref["monotonicity"][0] / ref["steps"]))
+
+    # the transported sweeps: one transport matrix per pair, equal to roundoff
+    swept = {
+        "intrinsic": (intrinsic_modulus_estimate, F, model),
+        "twoflat": (twoflat_modulus_estimate, F, model),
+    }
+    if not F.x_dependent:
+        swept["invariance"] = (invariance_check, F, model)
+    for name, (sweep, *args) in swept.items():
+        gaps, _ = _sweep_gaps(sweep, *args, n_samples=n_samples, seed=seed)
+        ref_gaps, scale, points = ref[name]
+        tol = 1e-12 * (1.0 + scale) * _pair_conditioning(model, points)
+        assert np.all(np.abs(gaps - ref_gaps) <= tol), (name, np.max(np.abs(gaps - ref_gaps) / tol))
