@@ -14,9 +14,11 @@ two error sources at first order in the mesh size.  On the torus the
 stencil step defaults to the lattice spacing and the scheme reduces to
 classical central differences.
 
-The icosphere is built in array form (integer edge keys, batched frames).
-A stencil point is interpolated in the nearest-centroid face containing
-it, searched over a kd-tree short list, with brute force for the rare miss.
+The icosphere is built in array form (integer edge keys, batched frames),
+keeping the faces of every level of the subdivision.  A stencil point is
+interpolated in the nearest-centroid face containing it, found by
+descending the subdivision from the icosahedron and then testing the
+faces around the corners of the face reached (``_FaceLocator``).
 The stencils of one step form one direction-major sparse operator
 (``Grid.stack``, ``n_dirs N x N``: row ``k N + i`` interpolates at
 ``exp_{x_i}(h d_k)``), so one mat-vec gathers every stencil value; the
@@ -27,8 +29,9 @@ ever held.  ``Grid.distances_within`` keeps, per block, only the pairs
 within a per-row reach: it tests the block's Gram entries (sphere) or
 squared distances (torus), and takes the arc or the root of the kept
 entries alone, each bitwise the entry of ``Grid.distance_rows``.  The pairs
-within a small spacing (``Grid._pair_blocks``, for the modulus) come from a
-k-d tree instead.
+within a small spacing (``Grid.modulus_at_spacing``) are tested the same
+way, with the nodes sorted by one coordinate and each block of rows met
+only by the slab of columns within the chord of the spacing.
 """
 
 from __future__ import annotations
@@ -39,15 +42,17 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, UnsupportedModelError
 from .manifolds import FlatTorus, Manifold, Point, Sphere, _rowwise_dot
 
 _EPS_WEIGHT = 1e-12
-_SHORT_LIST = 6  # nearest-centroid faces tried per stencil point before brute force
 _BLOCK_ENTRIES = 1 << 20  # distances per row block of Grid.row_blocks (8 MB)
-# relative loosening of a reach in Grid.distances_within: far above the few
+# entries per block of Grid.modulus_at_spacing: its Gram products (k = 3) stay
+# below 2^18 / 3 entries, where OpenBLAS starts to thread one, which took
+# 4-20x longer per entry, and varied 4x from run to run, on two cores
+_SLAB_ENTRIES = 1 << 16
+# relative loosening of a reach in Grid._reach_test: far above the few
 # ulps by which the arc (arccos) or the root can move a distance
 _REACH_SLACK = 1e-12
 
@@ -83,11 +88,16 @@ def _edge_keys(faces: np.ndarray, n_verts: int):
 
 
 def icosphere(subdivisions: int):
-    """Icosahedron subdivided ``subdivisions`` times, projected to the unit sphere.
+    """Icosahedron subdivided ``subdivisions`` times, projected to the unit
+    sphere: the vertices and the faces of every level, coarsest first.
 
-    New midpoints are numbered in the order the faces first meet their edges.
+    New midpoints are numbered in the order the faces first meet their edges,
+    after every vertex of the coarser levels, so one vertex array serves all
+    levels.  The children of face j are faces 4j ... 4j+3 of the next level:
+    the corner children of its corners a, b, c, then the centre child.
     """
     verts, faces = icosahedron()
+    levels = [faces]
     for _ in range(subdivisions):
         n = verts.shape[0]
         ends, key = _edge_keys(faces, n)
@@ -101,7 +111,8 @@ def icosphere(subdivisions: int):
         verts = np.concatenate([verts, p / np.sqrt(_rowwise_dot(p, p))[:, None]])
         a, b, c = faces.T
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
-    return verts, faces
+        levels.append(faces)
+    return verts, levels
 
 
 def _mesh_edges(faces: np.ndarray) -> np.ndarray:
@@ -170,20 +181,33 @@ class Grid:
         diff = _wrap_half(diff, per)
         return float(np.mean(np.linalg.norm(diff, axis=1)))
 
-    def _block_measure(self, start: int, stop: int) -> np.ndarray:
-        """The Gram block ``x C^T`` (sphere) or the wrapped squared distances
-        (torus) of rows ``start <= i < stop`` against every node."""
-        x = self.coords[start:stop]
+    def _measure(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The Gram block ``x c^T`` (sphere) or the wrapped squared distances
+        (torus) of the points ``x`` against the nodes ``c``."""
         if isinstance(self.model, Sphere):
-            return x @ self.coords.T
+            return x @ c.T
         d2 = 0.0  # axis by axis: 2.2x faster than one (axis, row, node) array
-        for a, c, per in zip(x.T, self.coords.T, self.model.periods):
-            diff = _wrap_half(a[:, None] - c[None, :], per)
+        for a, b, per in zip(x.T, c.T, self.model.periods):
+            diff = _wrap_half(a[:, None] - b[None, :], per)
             d2 = d2 + diff * diff
         return d2
 
+    def _reach_test(self, measure: np.ndarray, reach: np.ndarray) -> np.ndarray:
+        """Mask of the entries of a ``_measure`` block within the reach of
+        their row, loosened by ``_REACH_SLACK`` (relative, plus as much of r^2
+        in the Gram entry); a negative or NaN reach keeps nothing."""
+        live = reach >= 0.0
+        if isinstance(self.model, Sphere):
+            # past pi the bound, r^2 (-1 - slack), is below every Gram entry
+            r = self.model.radius
+            angle = np.minimum(reach / r * (1.0 + _REACH_SLACK), math.pi)
+            bound = np.where(live, r**2 * (np.cos(angle) - _REACH_SLACK), np.inf)
+            return measure >= bound[:, None]
+        bound = np.where(live, reach**2 * (1.0 + _REACH_SLACK), -np.inf)
+        return measure <= bound[:, None]
+
     def _from_measure(self, measure: np.ndarray) -> np.ndarray:
-        """Distances from entries of ``_block_measure``, in place on the sphere."""
+        """Distances from entries of ``_measure``, in place on the sphere."""
         if isinstance(self.model, Sphere):
             return self._sphere_arc(measure)
         return np.sqrt(measure)
@@ -193,7 +217,7 @@ class Grid:
 
         Self-distances are exactly 0 (the sphere's arccos would leave ~1e-8).
         """
-        d = self._from_measure(self._block_measure(start, stop))
+        d = self._from_measure(self._measure(self.coords[start:stop], self.coords))
         d[np.arange(stop - start), np.arange(start, stop)] = 0.0
         return d
 
@@ -204,26 +228,18 @@ class Grid:
         keeps nothing.
 
         Each ``d`` is bitwise the entry of ``distance_rows(start, stop)``: the
-        reach is tested on the same block of ``_block_measure``, and only the
-        kept entries are turned into distances.  The test is loosened by
-        ``_REACH_SLACK`` (relative, plus as much of r^2 in the Gram entry), so
-        it keeps every pair within the reach and may keep a few just past it.
+        reach is tested on the same block of ``_measure``, and only the kept
+        entries are turned into distances.  The test is loosened by
+        ``_REACH_SLACK`` (``_reach_test``), so it keeps every pair within the
+        reach and may keep a few just past it.
         """
         reach = np.asarray(reach, dtype=float)
         live = reach >= 0.0
         if not np.any(live):
             empty = np.empty(0, dtype=np.intp)
             return empty, empty, np.empty(0)
-        measure = self._block_measure(start, stop)
-        if isinstance(self.model, Sphere):
-            # past pi the bound, r^2 (-1 - slack), is below every Gram entry
-            r = self.model.radius
-            angle = np.minimum(reach / r * (1.0 + _REACH_SLACK), math.pi)
-            bound = np.where(live, r**2 * (np.cos(angle) - _REACH_SLACK), np.inf)
-            keep = measure >= bound[:, None]
-        else:
-            bound = np.where(live, reach**2 * (1.0 + _REACH_SLACK), -np.inf)
-            keep = measure <= bound[:, None]
+        measure = self._measure(self.coords[start:stop], self.coords)
+        keep = self._reach_test(measure, reach)
         flat = np.flatnonzero(keep)  # 3x faster than a 2-d nonzero
         rows, cols = np.divmod(flat, self.n_nodes)
         d = self._from_measure(measure.ravel()[flat])
@@ -248,46 +264,55 @@ class Grid:
         for start in range(0, self.n_nodes, height):
             yield start, min(start + height, self.n_nodes)
 
-    def _pair_blocks(self, spacing: float):
-        """Yield index arrays ``(i, j)`` of the entries of ``distance_rows``
-        with d(i, j) <= spacing (both orders, self-pairs aside), over
-        ``row_blocks``, so at most ``_BLOCK_ENTRIES``
-        candidates at a time.
+    def modulus_at_spacing(self, values: np.ndarray, spacing: float) -> float:
+        """max |f(a) - f(b)| over node pairs with d(a, b) <= spacing; 0 for a
+        negative or NaN spacing.
 
-        Chord length is monotone in geodesic distance, so a k-d tree query
-        at a slightly wider chord radius (periodic on the torus) finds every
-        such pair; the exact formula then keeps the pair set identical to a
-        full pass.
+        The nodes are taken in the order of their first coordinate, in row
+        blocks of at most ``_SLAB_ENTRIES`` entries.  A block meets only the
+        window of columns whose first coordinate lies within the chord of the
+        spacing (on the torus: the spacing, around the circle) of one of its
+        own, so no pair within the spacing lies outside it.  Only the entries
+        that pass ``_reach_test`` are turned into distances, by the formula of
+        ``distance_rows``.
         """
-        reach = max(spacing, 0.0)
+        if not spacing >= 0.0:
+            return 0.0
+        order = np.argsort(self.coords[:, 0], kind="stable")
+        coords, f = self.coords[order], np.asarray(values, dtype=float)[order]
+        n = self.n_nodes
         if isinstance(self.model, Sphere):
             r = self.model.radius
             # the arccos formula is off by up to ~2e-8 r near coincident nodes
-            chord = 2.0 * r * math.sin(min(reach / (2.0 * r), math.pi / 2.0))
-            radius, box = chord * (1.0 + 1e-9) + 1e-7 * r, None
+            chord = 2.0 * r * math.sin(min(spacing / (2.0 * r), math.pi / 2.0))
+            chord, period = chord * (1.0 + 1e-9) + 1e-7 * r, math.inf
         else:
-            box = self.model.periods
-            radius = reach * (1.0 + 1e-9) + 1e-12 * float(np.max(box))
-        tree = cKDTree(self.coords, boxsize=box)
-        for start, stop in self.row_blocks():
-            block = cKDTree(self.coords[start:stop], boxsize=box)
-            near = block.sparse_distance_matrix(tree, radius, output_type="ndarray")
-            i, j = near["i"] + start, near["j"]
-            if isinstance(self.model, Sphere):
-                d = self._sphere_arc(_rowwise_dot(self.coords[i], self.coords[j]))
-            else:
-                d2 = 0.0
-                for a, c, p in zip(self.coords[i].T, self.coords[j].T, box):
-                    diff = _wrap_half(a - c, p)
-                    d2 = d2 + diff * diff
-                d = np.sqrt(d2)
-            yield i[d <= spacing], j[d <= spacing]
-
-    def modulus_at_spacing(self, values: np.ndarray, spacing: float) -> float:
-        """max |f(a) - f(b)| over node pairs with d(a, b) <= spacing."""
-        worst = 0.0
-        for i, j in self._pair_blocks(spacing):
-            worst = max(worst, float(np.max(np.abs(values[i] - values[j]), initial=0.0)))
+            period = float(self.model.periods[0])
+            chord = spacing * (1.0 + 1e-9) + 1e-12 * period
+        # the sorted nodes a turn back, as they are, and a turn on: a window
+        # is one run of at most n of them
+        key = coords[:, 0]
+        ring = np.concatenate([key - period, key, key + period])
+        lo = np.searchsorted(ring, key - chord, side="left")
+        hi = np.minimum(np.searchsorted(ring, key + chord, side="right"), lo + n)
+        coords, f = np.concatenate([coords] * 3), np.concatenate([f] * 3)
+        reach = np.array([spacing])
+        worst, start = 0.0, 0
+        while start < n:
+            # a tall block whose window keeps it within _SLAB_ENTRIES: windows
+            # widen down the block, so each pass shortens it
+            first = lo[start]
+            stop = min(n, start + max(1, _SLAB_ENTRIES // (hi[start] - first)))
+            while stop - start > 1 and (stop - start) * (hi[stop - 1] - first) > _SLAB_ENTRIES:
+                stop = start + max(1, _SLAB_ENTRIES // (hi[stop - 1] - first))
+            last = min(hi[stop - 1], first + n)
+            measure = self._measure(coords[n + start:n + stop], coords[first:last])
+            flat = np.flatnonzero(self._reach_test(measure, reach))
+            i, j = np.divmod(flat, last - first)
+            near = self._from_measure(measure.ravel()[flat]) <= spacing
+            gap = np.abs(f[n + start + i[near]] - f[first + j[near]])
+            worst = max(worst, float(np.max(gap, initial=0.0)))
+            start = stop
         return worst
 
 
@@ -324,11 +349,89 @@ class GridFunction:
         return cls(grid, np.full(grid.n_nodes, float(c)))
 
 
-def _sphere_stencils(model: Sphere, verts, faces, frames, h, dirs, inv_corners, tree):
-    """Stencil stack at step ``h``; ``inv_corners`` maps a point to barycentrics
-    per face, ``tree`` is the kd-tree of the face centroids on the sphere."""
+def _vertex_rings(faces: np.ndarray, n_verts: int) -> np.ndarray:
+    """(V, R) faces around every vertex, R the largest valence; a vertex of
+    fewer faces repeats its first one."""
+    flat = faces.ravel()
+    order = np.argsort(flat, kind="stable")
+    count = np.bincount(flat, minlength=n_verts)
+    start = np.cumsum(count) - count
+    ring = np.repeat((order[start] // 3)[:, None], count.max(), axis=1)
+    ring[flat[order], np.arange(flat.size) - np.repeat(start, count)] = order // 3
+    return ring
+
+
+@dataclass(frozen=True)
+class _FaceLocator:
+    """The nearest-centroid face that contains a point on the sphere, found by
+    descending the subdivision from the icosahedron.
+
+    The midpoints are pushed radially onto the sphere, so the cones (from the
+    centre) of a face's four children tile its cone exactly: each level needs
+    one test against the three planes that cut off the corner children.
+    """
+
+    faces: np.ndarray        # (F, 3) finest faces
+    inv_corners: np.ndarray  # (F, 3, 3): a point -> its barycentrics in each face
+    centroids: np.ndarray    # (F, 3) face centroids pushed onto the sphere
+    top: np.ndarray          # (3, 60): a point -> its barycentrics in the 20 icosahedron faces
+    cuts: list               # per finer level: (F_parent, 3, 3) normals, positive on a corner child
+    ring: np.ndarray         # (V, R) faces around every vertex
+
+    @classmethod
+    def build(cls, coords: np.ndarray, levels: list[np.ndarray], radius: float) -> "_FaceLocator":
+        faces = levels[-1]
+        corners = coords[faces]                                  # (F, 3, 3)
+        inv_corners = np.linalg.inv(corners.transpose(0, 2, 1))  # maps p -> barycentric
+        centroids = corners.mean(axis=1)
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True) / radius
+        top = np.linalg.inv(coords[levels[0]].transpose(0, 2, 1)).reshape(-1, 3).T
+        # corner child [v, m1, m2] lies on the positive side of m1 x m2
+        cuts = []
+        for children in levels[1:]:
+            child = children.reshape(-1, 4, 3)[:, :3]
+            cuts.append(np.cross(coords[child[..., 1]], coords[child[..., 2]]))
+        return cls(faces, inv_corners, centroids, top, cuts,
+                   _vertex_rings(faces, coords.shape[0]))
+
+    def locate(self, pts: np.ndarray):
+        """Face index and barycentrics of every point; the face is -1 (and the
+        barycentrics those in the descended face) where no face contains it.
+
+        The descent ends in a face that contains the point up to roundoff.  A
+        point that is not well inside it (minimum barycentric below 1e-8, or
+        NaN) may lie in another face too, all of which touch its corners: among
+        the faces around them that contain the point (minimum barycentric at
+        least -1e-10), it takes the one of nearest centroid, ties to the lowest
+        index.
+        """
+        b = pts @ self.top
+        low = np.minimum(np.minimum(b[:, 0::3], b[:, 1::3]), b[:, 2::3])
+        face = np.argmax(low, axis=1)
+        rows = np.arange(pts.shape[0])
+        for cut in self.cuts:
+            side = np.einsum("nkb,nb->nk", cut[face], pts)
+            k = np.argmax(side, axis=1)
+            face = 4 * face + np.where(side[rows, k] > 0.0, k, 3)
+        bary = np.einsum("nab,nb->na", self.inv_corners[face], pts)
+        near = np.flatnonzero(~(bary.min(axis=1) >= 1e-8))
+        if near.size:
+            cand = np.sort(self.ring[self.faces[face[near]]].reshape(near.size, -1), axis=1)
+            inside = np.einsum("nfab,nb->nfa", self.inv_corners[cand], pts[near]).min(axis=2)
+            inside = inside >= -1e-10
+            dx, dy, dz = np.moveaxis(pts[near, None, :] - self.centroids[cand], -1, 0)
+            best = np.argmin(np.where(inside, dx * dx + dy * dy + dz * dz, np.inf), axis=1)
+            found = inside[np.arange(near.size), best]
+            face[near] = np.where(found, cand[np.arange(near.size), best], -1)
+            moved = near[found]
+            bary[moved] = np.einsum("nab,nb->na", self.inv_corners[face[moved]], pts[moved])
+        return face, bary
+
+
+def _sphere_stencils(model: Sphere, verts, frames, h, dirs, locator: _FaceLocator):
+    """Stencil stack at step ``h``: every stencil point is interpolated in
+    the face ``locator`` finds for it, with its clipped barycentrics."""
     n_nodes = verts.shape[0]
-    k = min(_SHORT_LIST, faces.shape[0])
     theta = h / model.radius
 
     # three entries per row, so the CSR arrays are filled in place
@@ -340,29 +443,16 @@ def _sphere_stencils(model: Sphere, verts, faces, frames, h, dirs, inv_corners, 
         tangent = np.einsum("k,nka->na", d, frames)
         pts = math.cos(theta) * verts + math.sin(theta) * model.radius * tangent
         pts *= model.radius / np.linalg.norm(pts, axis=1, keepdims=True)
-        _, cand = tree.query(pts, k=k)
-        cand = cand.reshape(n_nodes, k)
-        # the nearest-centroid face that contains the point, tried
-        # candidate by candidate on the points not yet placed
-        chosen = np.empty(n_nodes, dtype=np.int64)
-        w = np.empty((n_nodes, 3))
-        todo = np.arange(n_nodes)
-        for j in range(k):
-            face = cand[todo, j]
-            bary = np.einsum("nab,nb->na", inv_corners[face], pts[todo])
-            ok = bary.min(axis=1) >= -1e-10
-            chosen[todo[ok]] = face[ok]
-            w[todo[ok]] = bary[ok]
-            todo = todo[~ok]
-        if todo.size:
-            # rare fallback: brute-force the few misses
-            all_bary = np.einsum("fab,nb->nfa", inv_corners, pts[todo])
-            best = np.argmax(all_bary.min(axis=2), axis=1)
-            chosen[todo] = best
-            w[todo] = all_bary[np.arange(todo.size), best]
+        chosen, w = locator.locate(pts)
+        if np.any(chosen < 0):
+            i = int(np.argmax(chosen < 0))
+            raise PreconditionError(
+                f"the stencil point of node {i} in direction {row} {d.tolist()} lies in "
+                f"no mesh face (barycentrics {w[i].tolist()} in the face the descent reached)"
+            )
         w = np.clip(w, 0.0, None)
         w /= w.sum(axis=1, keepdims=True)
-        corners = faces[chosen]
+        corners = locator.faces[chosen]
         order = np.argsort(corners, axis=1)  # canonical CSR: columns ascending
         cols[row] = np.take_along_axis(corners, order, axis=1)
         vals[row] = np.take_along_axis(w, order, axis=1)
@@ -447,21 +537,18 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
     """
     dirs = stencil_directions(2)
     if isinstance(model, Sphere) and model.dim == 2:
-        verts, faces = icosphere(resolution)
+        verts, levels = icosphere(resolution)
+        faces = levels[-1]
         coords = verts * model.radius
         frames = model.canonical_frames(coords)
         edges = _mesh_edges(faces)
-        corners = coords[faces]                                  # (F, 3, 3)
-        inv_corners = np.linalg.inv(corners.transpose(0, 2, 1))  # maps p -> barycentric
-        centroids = corners.mean(axis=1)
-        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True) / model.radius
-        tree = cKDTree(centroids)
+        locator = _FaceLocator.build(coords, levels, model.radius)
 
         def default_step(grid):
             return 1.15 * math.sqrt(grid.mean_edge_length() * model.radius)
 
         def builder(step):
-            return _sphere_stencils(model, coords, faces, frames, step, dirs, inv_corners, tree)
+            return _sphere_stencils(model, coords, frames, step, dirs, locator)
 
     elif isinstance(model, FlatTorus) and model.dim == 2:
         resolution = res = int(resolution)

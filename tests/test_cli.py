@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import riemvisc
 from riemvisc.cli import cmd_geometry_check, main
 
 
@@ -276,3 +280,14 @@ def test_solve_deterministic_hash(tmp_path):
     assert run(["solve", "--config", cfg, "--out", out2, "--seed", 9]) == 0
     assert digest(out1 / "solve_solution.csv") == digest(out2 / "solve_solution.csv")
     assert digest(out1 / "solve.json") == digest(out2 / "solve.json")
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    # nothing on the CLI's import path needs a k-d tree (0.23 s of its import)
+    src = str(Path(riemvisc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, riemvisc.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.spatial')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

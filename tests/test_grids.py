@@ -1,12 +1,17 @@
 """Icosphere subdivision, batched sphere frames, stencil point location, grid distances."""
 
+import functools
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Product, Sphere, TangentVector
+from riemvisc.errors import PreconditionError
 from riemvisc.grids import (
-    _mesh_edges, build_grid, geodesic_ball_interior, icosahedron, icosphere,
+    _FaceLocator, _mesh_edges, build_grid, geodesic_ball_interior, icosahedron, icosphere,
 )
 import riemvisc.grids as grids
 
@@ -36,16 +41,27 @@ def dict_icosphere(subdivisions):
 
 @pytest.mark.parametrize("res", [0, 1, 2, 3])
 def test_icosphere_matches_dict_subdivision(res):
-    verts, faces = icosphere(res)
+    verts, levels = icosphere(res)
     ref_verts, ref_faces = dict_icosphere(res)
     assert verts.shape == (10 * 4**res + 2, 3)
-    assert np.array_equal(faces, ref_faces)
+    assert np.array_equal(levels[-1], ref_faces)
     np.testing.assert_allclose(verts, ref_verts, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("res", [0, 1, 2, 3])
+def test_icosphere_levels_nest(res):
+    verts, levels = icosphere(res)
+    assert len(levels) == res + 1
+    for level, (coarse, fine) in enumerate(zip(levels, levels[1:])):
+        n_coarse = 10 * 4**level + 2  # each level's vertices come first
+        children = fine.reshape(-1, 4, 3)
+        assert np.array_equal(children[:, :3, 0], coarse)  # child 4j + k keeps corner k of face j
+        assert coarse.max() < n_coarse <= children[:, 3].min()  # the centre child: midpoints only
+
+
+@pytest.mark.parametrize("res", [0, 1, 2, 3])
 def test_mesh_edges_sorted_unique(res):
-    _, faces = icosphere(res)
+    faces = icosphere(res)[1][-1]
     e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
     e.sort(axis=1)
     edges = _mesh_edges(faces)
@@ -178,24 +194,93 @@ def test_stencils_use_nearest_containing_face(half):
         assert np.max(np.abs(mat.toarray() - ref)) <= 1e-9
 
 
-def test_brute_force_fallback(monkeypatch):
+@functools.lru_cache(maxsize=None)
+def sphere_locator(radius, res):
+    verts, levels = icosphere(res)
+    return _FaceLocator.build(verts * radius, levels, radius)
+
+
+def locator_oracle(locator, pts):
+    """Brute force over every face: the nearest-centroid face that contains
+    each point, ties to the lowest index, or -1 where none does."""
+    inside = np.einsum("fab,nb->nfa", locator.inv_corners, pts).min(axis=2) >= -1e-10
+    dx, dy, dz = np.moveaxis(pts[:, None, :] - locator.centroids[None], -1, 0)
+    face = np.argmin(np.where(inside, dx * dx + dy * dy + dz * dz, np.inf), axis=1)
+    return np.where(inside.any(axis=1), face, -1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(radius=st.sampled_from([0.5, 1.0, 2.5]), res=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_locate_matches_brute_force_oracle(radius, res, seed):
+    locator = sphere_locator(radius, res)
+    pts = np.random.default_rng(seed).standard_normal((64, 3))
+    pts *= radius / np.linalg.norm(pts, axis=1, keepdims=True)
+    face, bary = locator.locate(pts)
+    assert np.array_equal(face, locator_oracle(locator, pts))
+    assert np.all(bary.min(axis=1) >= -1e-10)
+    assert np.array_equal(bary, np.einsum("nab,nb->na", locator.inv_corners[face], pts))
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("res", [0, 1, 2])
+def test_locate_on_edges_vertices_and_centroids(radius, res):
+    locator = sphere_locator(radius, res)
+    verts = icosphere(res)[0] * radius
+    edges = _mesh_edges(locator.faces)
+    mid = verts[edges[:, 0]] + verts[edges[:, 1]]
+    cases = {
+        "edge": mid * (radius / np.linalg.norm(mid, axis=1, keepdims=True)),
+        "vertex": verts,
+        "centroid": locator.centroids,
+    }
+    for name, pts in cases.items():
+        face, bary = locator.locate(pts)
+        assert np.array_equal(face, locator_oracle(locator, pts)), name
+        assert np.all(bary.min(axis=1) >= -1e-10), name
+    # an edge point lies in both faces of its edge: the tie rule decides
+    bary = np.einsum("fab,nb->nfa", locator.inv_corners, cases["edge"]).min(axis=2)
+    assert np.all(np.sum(bary >= -1e-10, axis=1) == 2)
+
+
+def test_point_in_no_face_is_a_precondition_error():
     model = Sphere(2, 1.5)
-    grid = build_grid(model, 3)
-    # one candidate: every point outside its nearest-centroid face falls back
-    monkeypatch.setattr(grids, "_SHORT_LIST", 1)
-    fallback = build_grid(model, 3).stencils
-    misses = 0
-    for d, mat, short in zip(grid.dirs, grid.stencils, fallback):
-        pts = stencil_points(grid, grid.h, d)
-        ref, _, dist = reference_stencil(grid, pts)
-        bary = barycentrics(grid, pts)
-        nearest = np.argmin(dist, axis=1)
-        misses += int(np.sum(bary[np.arange(len(pts)), nearest].min(axis=1) < -1e-10))
-        assert short.data.min() >= 0.0
-        assert np.allclose(np.asarray(short.sum(axis=1)).ravel(), 1.0, atol=1e-12)
-        assert np.max(np.abs(short.toarray() - ref)) <= 1e-9
-        assert np.max(np.abs(short.toarray() - mat.toarray())) <= 1e-9
-    assert misses > 0
+    grid = build_grid(model, 2)
+    locator = sphere_locator(1.5, 2)
+    pts = grid.coords.copy()
+    pts[7] = np.nan
+    face, _ = locator.locate(pts)
+    assert face[7] == -1 and np.all(np.delete(face, 7) >= 0)
+    frames = grid.frames.copy()
+    frames[7] = np.nan
+    with pytest.raises(PreconditionError, match=r"node 7 in direction 0 .*barycentrics \[nan"):
+        grids._sphere_stencils(model, grid.coords, frames, grid.h, grid.dirs, locator)
+
+
+# the gather of a seeded u on Sphere(2, 1): the sha256 of grid.stack @ u at res 3
+# and (sum, square) of it at res 0-5, recorded from the k-d tree face search
+# this locator replaced (which tied exactly equidistant faces differently), with
+# numpy 2.4 and OpenBLAS 0.3.31 on x86-64: the hash pins that arithmetic too
+GATHER_SHA_RES3 = "47366d07bc25d6b9eb7d2e079d2134e7d13c3f09a4c1847a44668e9c4bfa2ee2"
+GATHER_SUMS = {
+    0: (6.47382286307239, 31.117584776214073),
+    1: (30.318494161168097, 143.77657660236272),
+    2: (13.70942165883166, 641.7921611140067),
+    3: (-135.88392922139963, 2400.5189423581196),
+    4: (-187.4447118708313, 10200.91937653403),
+    5: (-1274.9424192422184, 39205.28854740506),
+}
+
+
+@pytest.mark.parametrize("res", sorted(GATHER_SUMS))
+def test_gather_is_pinned(res):
+    grid = build_grid(Sphere(2, 1.0), res)
+    gathered = grid.stack @ np.random.default_rng(16).standard_normal(grid.n_nodes)
+    total, square = GATHER_SUMS[res]
+    assert math.isclose(float(np.sum(gathered)), total, rel_tol=1e-14)
+    assert math.isclose(float(gathered @ gathered), square, rel_tol=1e-14)
+    if res == 3:
+        assert hashlib.sha256(gathered.tobytes()).hexdigest() == GATHER_SHA_RES3
 
 
 # --------------------------------------------------------------------- #
@@ -280,24 +365,22 @@ def test_distances_within_keeps_every_pair_in_reach(name, seed, span):
 
 @pytest.mark.parametrize("name", sorted(DISTANCE_GRIDS))
 def test_modulus_at_spacing_matches_brute_force(name, monkeypatch):
-    make, height = DISTANCE_GRIDS[name]
-    grid = make()
-    monkeypatch.setattr(grids, "_BLOCK_ENTRIES", height * grid.n_nodes)
+    grid = DISTANCE_GRIDS[name][0]()
     rng = np.random.default_rng(11)
-    values = rng.standard_normal(grid.n_nodes)
+    # the coordinates: their largest steps within the spacing are the pairs
+    # at the edge of a slab window, or across the torus's seam
+    values = np.concatenate([rng.standard_normal((5, grid.n_nodes)), grid.coords.T])
     d = full_distances(grid)
-    for spacing in (0.0, grid.h, 3.0 * grid.h):
-        brute = max(
-            abs(values[i] - values[j])
-            for i in range(grid.n_nodes)
-            for j in np.flatnonzero(d[i] <= spacing)
-        )
-        assert grid.modulus_at_spacing(values, spacing) == brute
-        # the k-d tree candidates keep exactly the full pass's off-diagonal entries
-        pairs = np.concatenate([np.column_stack(ij) for ij in grid._pair_blocks(spacing)])
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        near = (d <= spacing) & ~np.eye(grid.n_nodes, dtype=bool)
-        assert sorted(map(tuple, pairs.tolist())) == list(map(tuple, np.argwhere(near).tolist()))
+    # 10 is past pi r and the torus diameter: every column is in the window
+    for spacing in (0.0, grid.h, 3.0 * grid.h, 10.0):
+        near = d <= spacing
+        brute = [float(np.max(np.abs(v[:, None] - v[None, :])[near])) for v in values]
+        assert [grid.modulus_at_spacing(v, spacing) for v in values] == brute
+        # many thin slabs (blocks of one or a few rows)
+        with monkeypatch.context() as m:
+            m.setattr(grids, "_SLAB_ENTRIES", 2000)
+            assert [grid.modulus_at_spacing(v, spacing) for v in values] == brute
+    assert grid.modulus_at_spacing(values[0], -1.0) == 0.0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
