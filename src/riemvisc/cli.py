@@ -446,6 +446,15 @@ COMMANDS = {
 }
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number as a float, refused unless finite: Python's json reads
+    NaN, Infinity and 1e999 as non-finite floats, which the schema lets by."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} is not allowed")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riemvisc",
@@ -466,9 +475,13 @@ def main(argv=None) -> int:
     config = {}
     if args.config is not None:
         try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"),
+                                parse_float=_finite_number, parse_constant=_finite_number)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             print(f"riemvisc: cannot read config: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:  # from _finite_number
+            print(f"riemvisc: config error: {exc}", file=sys.stderr)
             return 2
     validator = Draft7Validator(SCHEMAS[args.command])
     errors = sorted(validator.iter_errors(config), key=str)

@@ -42,9 +42,9 @@ _POS_INF = math.inf
 # --------------------------------------------------------------------- #
 
 class ScalarField:
-    """A scalar coefficient on the manifold, evaluated over a list of points."""
+    """A scalar coefficient on the manifold, evaluated over a coordinate stack."""
 
-    def __init__(self, fn: Callable[[Point], float], name: str = "field",
+    def __init__(self, fn: Callable[[Point], float] | None, name: str = "field",
                  constant_value: float | None = None, minimum: float | None = None):
         self._fn = fn
         self.name = name
@@ -55,41 +55,45 @@ class ScalarField:
     @classmethod
     def constant(cls, c: float) -> "ScalarField":
         c = float(c)
-        return cls(lambda p: c, f"const:{c}", constant_value=c)
+        return cls(None, f"const:{c}", constant_value=c)
 
     @classmethod
     def coordinate(cls, axis: int) -> "ScalarField":
-        fld = cls(lambda p: float(p.coords[axis]), f"coord:{axis}")
+        fld = cls(None, f"coord:{axis}")
         fld._axis = axis
         return fld
 
     @classmethod
     def parse(cls, spec) -> "ScalarField":
-        """Accepts a number, 'const:<c>', 'coord:<i>', 'zero', or a ScalarField."""
+        """Accepts a finite number, 'const:<c>' (c finite), 'coord:<i>' (i an
+        integer), 'zero', or a ScalarField; any other spec raises ValueError."""
         if isinstance(spec, ScalarField):
             return spec
-        if isinstance(spec, (int, float)):
-            return cls.constant(float(spec))
         if isinstance(spec, str):
-            if spec == "zero":
-                return cls.constant(0.0)
-            kind, _, arg = spec.partition(":")
-            if kind == "const":
+            kind, _, arg = ("const", "", "0") if spec == "zero" else spec.partition(":")
+        else:
+            kind, arg = ("const", spec) if isinstance(spec, (int, float)) else (None, None)
+        try:
+            if kind == "const" and math.isfinite(float(arg)):
                 return cls.constant(float(arg))
             if kind == "coord":
                 return cls.coordinate(int(arg))
+        except (OverflowError, ValueError):
+            pass
         raise ValueError(f"cannot parse scalar field spec {spec!r}")
 
-    def values(self, points: Sequence[Point]) -> np.ndarray:
+    def values(self, coords: np.ndarray) -> np.ndarray:
+        """The field on each row of the (N, ambient) ``coords``; a callable gets ``Point(row)``."""
         if self.constant_value is not None:
-            return np.full(len(points), self.constant_value)
-        if self._axis is not None and points:
-            width = len(points[0].coords)  # one model per context: checked once
+            return np.full(len(coords), self.constant_value)
+        if self._axis is not None:
+            width = coords.shape[1]
             if not -width <= self._axis < width:
                 raise PreconditionError(
                     f"{self.name}: axis {self._axis} is past the {width} coordinates of the points"
                 )
-        return np.array([self._fn(p) for p in points])
+            return np.array(coords[:, self._axis], dtype=float)
+        return np.array([self._fn(Point(c)) for c in coords])
 
 
 # --------------------------------------------------------------------- #
@@ -101,9 +105,9 @@ class OperatorSpec:
     """An evaluable F(x, r, zeta, A) with declared structural flags.
 
     ``batch(ctx, rs, zetas, amats)`` evaluates F on N states at once: ``rs``
-    has shape (N,), ``zetas`` (N, n) and ``amats`` (N, n, n), in the frames
-    of the N points that ``context_builder(points)`` turned into ``ctx``
-    (per-point coefficient arrays; ``None`` without a builder).
+    has shape (N,), ``zetas`` (N, n) and ``amats`` (N, n, n), in the frames of
+    N points whose (N, ambient) coordinates ``context_builder(coords)`` turned
+    into ``ctx`` (per-point coefficient arrays; ``None`` without a builder).
     """
 
     name: str
@@ -118,13 +122,13 @@ class OperatorSpec:
     def point_eval(self, x: Point, r: float, zeta: np.ndarray, a: np.ndarray) -> float:
         """F at one state: a one-row :meth:`eval_batch`."""
         vals = self.eval_batch(
-            self.make_context([x]), np.array([r], float),
+            self.make_context(x.coords[None]), np.array([r], float),
             np.asarray(zeta, float)[None], np.asarray(a, float)[None],
         )
         return float(vals[0])
 
-    def make_context(self, points: Sequence[Point]):
-        return None if self.context_builder is None else self.context_builder(points)
+    def make_context(self, coords: np.ndarray):
+        return None if self.context_builder is None else self.context_builder(coords)
 
     def eval_batch(self, ctx, rs: np.ndarray, zetas: np.ndarray, amats: np.ndarray) -> np.ndarray:
         lo, hi = self.r_domain
@@ -216,8 +220,8 @@ def constant(c: float) -> OperatorSpec:
 
 
 def _field_context(**fields):
-    def context_builder(points):
-        return {key: fld.values(points) for key, fld in fields.items()}
+    def context_builder(coords):
+        return {key: fld.values(coords) for key, fld in fields.items()}
 
     return context_builder
 
@@ -263,8 +267,8 @@ def _combined(ops, reduce_fn):
             [op.batch(c, rs, zs, As) for op, c in zip(ops, ctx["children"])]
         )
 
-    def context_builder(points):
-        return {"children": [op.make_context(points) for op in ops]}
+    def context_builder(coords):
+        return {"children": [op.make_context(coords) for op in ops]}
 
     return batch, context_builder
 
@@ -517,7 +521,7 @@ def _gap(F: OperatorSpec, upper, lower) -> np.ndarray:
     """F(upper) - F(lower) per sample, through one context and one batch
     call; each side is a stack (xs, rs, zetas, amats) of states."""
     xs, rs, zetas, amats = (np.concatenate(side) for side in zip(upper, lower))
-    vals = F.eval_batch(F.make_context([Point(c) for c in xs]), rs, zetas, amats)
+    vals = F.eval_batch(F.make_context(xs), rs, zetas, amats)
     return vals[: len(upper[1])] - vals[len(upper[1]):]
 
 

@@ -115,7 +115,7 @@ def discretize(F: OperatorSpec, grid: Grid, u: GridFunction, node: int) -> float
 
 def discrete_residual(F: OperatorSpec, grid: Grid, u: GridFunction) -> np.ndarray:
     """Nodewise residual F(x, u, du_h, d2u_h)."""
-    ctx = F.make_context(grid.nodes)
+    ctx = F.make_context(grid.coords)
     return _evaluate(F, ctx, u.values, _base_proxies(grid, u.values))
 
 
@@ -183,7 +183,7 @@ def _run_iteration(
     interior: np.ndarray | None = None,
     clip_nonnegative: bool = False,
 ):
-    ctx = F.make_context(grid.nodes)
+    ctx = F.make_context(grid.coords)
     centers = _center_sensitivity(grid)
     u = np.array(u0, dtype=float)
     if interior is not None and not np.any(interior):
@@ -336,14 +336,14 @@ def perron_iterate(
     """
     if np.any(usub.values > usuper.values + 1e-12):
         raise PreconditionError("subsolution must not exceed the supersolution")
-    res_sub = discrete_residual(F, grid, usub)
+    ctx = F.make_context(grid.coords)
+    res_sub = _evaluate(F, ctx, usub.values, _base_proxies(grid, usub.values))
     if float(np.max(res_sub)) > grid.h:
         raise PreconditionError("usub is not a discrete subsolution (residual > h)")
-    res_super = discrete_residual(F, grid, usuper)
+    res_super = _evaluate(F, ctx, usuper.values, _base_proxies(grid, usuper.values))
     if float(np.min(res_super)) < -grid.h:
         raise PreconditionError("usuper is not a discrete supersolution (residual < -h)")
 
-    ctx = F.make_context(grid.nodes)
     centers = _center_sensitivity(grid)
     w = np.array(usub.values)
     ordering_ok = True
@@ -441,7 +441,7 @@ def verify_viscosity_residual(
     amats[:, 1, 1] = coeffs[4]
     amats[:, 0, 1] = coeffs[5]
     amats[:, 1, 0] = coeffs[5]
-    ctx = F.make_context(grid.nodes)
+    ctx = F.make_context(grid.coords)
     eye_shift = shift[:, None, None] * np.eye(2)
     up_vals = F.eval_batch(ctx, u.values, zetas, amats + eye_shift)
     down_vals = F.eval_batch(ctx, u.values, zetas, amats - eye_shift)
@@ -481,7 +481,7 @@ def yamabe_solve(
     if not (isinstance(grid.model, Sphere) and grid.model.dim == 2):
         raise PreconditionError("the conformal solve runs on the 2-sphere grid")
     s_parsed = ScalarField.parse(s_field)
-    s_vals = s_parsed.values(grid.nodes)
+    s_vals = s_parsed.values(grid.coords)
     if np.any(s_vals <= 0.0):
         raise PreconditionError("the scalar-curvature coefficient must be positive")
     if s_prime > 0.0:

@@ -48,6 +48,8 @@ def test_malformed_json_is_usage_error(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     assert run(["geometry-check", "--config", cfg, "--out", tmp_path]) == 2
+    cfg.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    assert run(["geometry-check", "--config", cfg, "--out", tmp_path]) == 2
 
 
 def test_schema_violation_is_usage_error(tmp_path):
@@ -76,16 +78,23 @@ BAD_SOLVE = {"grid": {"resolution": 2}, "operator": {"op": "sum"}}
         ("report", {"solve": BAD_SOLVE}, "'terms' is a required property"),
         ("report", {"solv": BAD_SOLVE}, "'solv' was unexpected"),
         ("report", {"geometry_check": {"model": {"model": "blob"}}}, "'blob' is not one of"),
+        # Python's json reads these as non-finite floats, which "number" admits
+        ("solve", {"operator": {"op": "source", "field": float("nan")}}, "non-finite number NaN"),
+        ("solve", {"operator": {"op": "const", "value": float("nan")}}, "non-finite number NaN"),
+        ("solve", {"operator": {"op": "scalar_term", "coeff": float("inf")}},
+         "non-finite number Infinity"),
+        ("solve", '{"operator": {"op": "const", "value": -1e999}}', "non-finite number -1e999"),
     ],
     ids=[
         "unknown-op", "sum-without-terms", "const-without-value", "bad-field",
         "unknown-model", "misspelt-model-key", "string-resolution", "sphere-without-dim",
         "report-bad-solve", "report-misspelt-suite", "report-unknown-model",
+        "nan-field", "nan-const", "infinite-coeff", "overflowing-const",
     ],
 )
 def test_malformed_description_is_usage_error(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err

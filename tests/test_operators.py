@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from riemvisc import Euclidean, FlatTorus, Hyperbolic, Product, Sphere, operators
+from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Product, Sphere, operators
 from riemvisc.errors import PreconditionError
 from riemvisc.jacobi import _space_forms
 from riemvisc.operators import (
@@ -93,7 +93,7 @@ def test_yamabe_rejects_small_dimension_and_negative_r():
     with pytest.raises(ValueError):
         yamabe(2, 1.0, 0.0)
     F5 = yamabe(5, 1.0, -1.0)  # exponent 7/3 is not an integer
-    ctx = F5.make_context([NORTH])
+    ctx = F5.make_context(NORTH.coords[None])
     for r in (-0.5, math.nan):
         with pytest.raises(PreconditionError):
             F5.point_eval(NORTH, r, np.zeros(2), np.zeros((2, 2)))
@@ -114,7 +114,7 @@ def test_combinators_check_the_domain_at_the_root():
         sum_of(scalar_term(1.0), max_of(compose(np.arctan, child), neg_trace())),
     ):
         assert F.r_domain == (0.0, math.inf), F.name
-        ctx = F.make_context([NORTH, NORTH])
+        ctx = F.make_context(np.stack([NORTH.coords, NORTH.coords]))
         F.eval_batch(ctx, np.array([0.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2, 2)))
         for r in (-0.5, math.nan):
             with pytest.raises(PreconditionError):
@@ -124,20 +124,25 @@ def test_combinators_check_the_domain_at_the_root():
 
 
 def test_coordinate_past_the_points_is_a_precondition_error():
-    # NORTH has 3 embedding coordinates: axis 7 is named with the width
+    # NORTH has 3 embedding coordinates: axis 7 is named with the width, and
+    # the width of an empty stack is checked too
     for F in (source("coord:7"), sum_of(neg_trace(), scalar_term("coord:3"))):
-        with pytest.raises(PreconditionError, match=r"axis [37] is past the 3 coordinates"):
-            F.make_context([NORTH, NORTH])
-    assert source("coord:-1").make_context([NORTH])["coeff"].tolist() == [1.0]
+        for coords in (np.stack([NORTH.coords, NORTH.coords]), np.empty((0, 3))):
+            with pytest.raises(PreconditionError, match=r"axis [37] is past the 3 coordinates"):
+                F.make_context(coords)
+    assert source("coord:-1").make_context(NORTH.coords[None])["coeff"].tolist() == [1.0]
 
 
 def test_scalar_field_parsing():
-    assert ScalarField.parse("const:6").values([NORTH]) == [6.0]
-    assert ScalarField.parse(2.5).values([NORTH]) == [2.5]
-    assert ScalarField.parse("coord:2").values([NORTH]) == [1.0]
-    assert ScalarField.parse("zero").values([NORTH]) == [0.0]
-    with pytest.raises(ValueError):
-        ScalarField.parse("nope")
+    north = NORTH.coords[None]
+    assert ScalarField.parse("const:6").values(north) == [6.0]
+    assert ScalarField.parse(2.5).values(north) == [2.5]
+    assert ScalarField.parse("coord:2").values(north) == [1.0]
+    assert ScalarField.parse("zero").values(north) == [0.0]
+    for spec in ("nope", "coord:x", "coord:", "coord:1.5", "const:abc", "const:", "const:nan",
+                 "const:-inf", math.nan, math.inf, 10**400, None, [1.0]):
+        with pytest.raises(ValueError, match=r"^cannot parse scalar field spec"):
+            ScalarField.parse(spec)
 
 
 # --------------------------------------------------------------------- #
@@ -173,6 +178,7 @@ def test_example_5_3_finite_on_sphere():
 def test_batch_matches_pointwise():
     rng = np.random.default_rng(5)
     pts = [SPHERE.random_point(rng) for _ in range(40)]
+    coords = np.array([p.coords for p in pts])
     rs = rng.uniform(0.0, 2.0, 40)
     zs = rng.standard_normal((40, 2))
     As = rng.standard_normal((40, 2, 2))
@@ -187,7 +193,7 @@ def test_batch_matches_pointwise():
         example_5_3("coord:0", 0.5),
         source("coord:1"),
     ]:
-        ctx = F.make_context(pts)
+        ctx = F.make_context(coords)
         batch = F.eval_batch(ctx, rs, zs, As)
         point = np.array(
             [F.point_eval(p, r, z, a) for p, r, z, a in zip(pts, rs, zs, As)]
@@ -455,13 +461,13 @@ def _random_states(F, seed, count=16):
     """``count`` states on the unit sphere with r inside the operator domain."""
     rng = np.random.default_rng(seed)
     lo, hi = max(F.r_domain[0], -2.0), min(F.r_domain[1], 2.0)
-    points = [SPHERE.random_point(rng) for _ in range(count)]
+    coords = np.array([SPHERE.random_point(rng).coords for _ in range(count)])
     rs = np.sort(rng.uniform(lo, hi, (count, 2)), axis=1)
     zs = rng.standard_normal((count, 2)) * 2.0
     raw = rng.standard_normal((count, 2, 2)) * 1.5
     amats = 0.5 * (raw + raw.transpose(0, 2, 1))
     w = rng.standard_normal((count, 2, 2))
-    return points, rs, zs, amats, amats + w @ w.transpose(0, 2, 1)
+    return coords, rs, zs, amats, amats + w @ w.transpose(0, 2, 1)
 
 
 def _slack(u, v):
@@ -469,8 +475,8 @@ def _slack(u, v):
 
 
 def _check_structure(F, seed):
-    points, rs, zs, amats, bigger = _random_states(F, seed)
-    ctx = F.make_context(points)
+    coords, rs, zs, amats, bigger = _random_states(F, seed)
+    ctx = F.make_context(coords)
     lower, upper = rs[:, 0], rs[:, 1]
     at_a = F.eval_batch(ctx, lower, zs, amats)
     # degenerate ellipticity: A <= B gives F(B) <= F(A); every builder and
@@ -484,7 +490,7 @@ def _check_structure(F, seed):
         assert np.all(
             at_s - at_a >= F.gamma * (upper - lower) - _slack(at_a, at_s)
         ), F.name
-    rows = [F.point_eval(p, r, z, a) for p, r, z, a in zip(points, lower, zs, amats)]
+    rows = [F.point_eval(Point(c), r, z, a) for c, r, z, a in zip(coords, lower, zs, amats)]
     np.testing.assert_allclose(at_a, rows, rtol=1e-12, atol=1e-12, err_msg=F.name)
 
 
@@ -513,17 +519,126 @@ def test_operators_take_read_only_proxy_views(cfg, outer, seed):
     # array [zeta_0, zeta_1, a00, a01, a01, a11]: non-contiguous zetas and amats
     F = from_config(cfg)
     F = F if outer is None else compose(outer, F)
-    points, rs, zs, amats, _ = _random_states(F, seed)
+    coords, rs, zs, amats, _ = _random_states(F, seed)
     proxies = np.concatenate([zs, amats.reshape(-1, 4)], axis=1)
     proxies.flags.writeable = False
     before = proxies.copy()
     zeta_view, amat_view = proxies[:, :2], proxies[:, 2:].reshape(-1, 2, 2)
     assert not amat_view.flags.c_contiguous and not amat_view.flags.writeable
-    ctx = F.make_context(points)
+    ctx = F.make_context(coords)
     on_views = F.eval_batch(ctx, rs[:, 0], zeta_view, amat_view)
     on_copies = F.eval_batch(ctx, rs[:, 0], zs.copy(), amats.copy())
     np.testing.assert_array_equal(on_views, on_copies, err_msg=F.name)
     np.testing.assert_array_equal(proxies, before)
+
+
+# --------------------------------------------------------------------- #
+# contexts from coordinate stacks against the per-point loop
+# --------------------------------------------------------------------- #
+
+def _user_fn(p):
+    return float(np.sin(p.coords).sum())
+
+
+_USER_FIELD = ScalarField(_user_fn, "user")
+_CONTEXT_KEYS = {  # context key -> config key of each field-reading builder
+    "scalar_term": {"coeff": "coeff"},
+    "source": {"coeff": "field"},
+    "example_5_3": {"f": "f", "g": "g"},
+    "yamabe": {"s": "S"},
+}
+
+
+def _ref_field(spec, points):
+    """A field's values as a loop over ``Point`` objects, one call per point."""
+    if spec is _USER_FIELD:
+        return np.array([_user_fn(p) for p in points])
+    kind, _, arg = spec.partition(":") if isinstance(spec, str) else ("const", "", spec)
+    if kind == "coord":
+        return np.array([float(p.coords[int(arg)]) for p in points])
+    c = 0.0 if kind == "zero" else float(arg)
+    return np.array([c for _ in points], dtype=float)
+
+
+def _ref_context(cfg, points):
+    if cfg["op"] == "compose":
+        return _ref_context(cfg["term"], points)
+    if cfg["op"] in ("sum", "max", "min"):
+        return {"children": [_ref_context(t, points) for t in cfg["terms"]]}
+    keys = _CONTEXT_KEYS.get(cfg["op"], {})
+    return {key: _ref_field(cfg[name], points) for key, name in keys.items()} or None
+
+
+def _build(cfg):
+    """``from_config`` with one more kind, ``compose`` (arctan of its term)."""
+    if cfg["op"] == "compose":
+        return compose(np.arctan, _build(cfg["term"]))
+    if cfg["op"] in ("sum", "max", "min"):
+        combine = {"sum": sum_of, "max": max_of, "min": min_of}[cfg["op"]]
+        return combine(*[_build(t) for t in cfg["terms"]])
+    return from_config(cfg)
+
+
+def _context_trees(width):
+    """Operator trees over every kind of field, coordinates below ``width``."""
+    fields = st.one_of(
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0).map(lambda c: f"const:{c!r}"),
+        st.just("zero"),
+        st.integers(-width, width - 1).map(lambda i: f"coord:{i}"),
+        st.just(_USER_FIELD),
+    )
+    leaves = st.one_of(
+        st.just({"op": "neg_trace"}),
+        st.builds(lambda c: {"op": "scalar_term", "coeff": c}, fields),
+        st.builds(lambda f: {"op": "source", "field": f}, fields),
+        st.builds(lambda f, g: {"op": "example_5_3", "f": f, "g": g}, fields, fields),
+        st.builds(lambda s: {"op": "yamabe", "n": 3, "S": s, "S_prime": -1.0}, fields),
+    )
+
+    def branch(children):
+        return st.one_of(
+            st.builds(lambda op, ts: {"op": op, "terms": ts},
+                      st.sampled_from(["sum", "max", "min"]),
+                      st.lists(children, min_size=1, max_size=3)),
+            st.builds(lambda t: {"op": "compose", "term": t}, children),
+        )
+
+    return st.recursive(leaves, branch, max_leaves=6)
+
+
+def _assert_same_context(got, ref):
+    if isinstance(ref, dict):
+        assert isinstance(got, dict) and got.keys() == ref.keys()
+        for key in ref:
+            _assert_same_context(got[key], ref[key])
+    elif isinstance(ref, list):
+        assert isinstance(got, list) and len(got) == len(ref)
+        for g, r in zip(got, ref):
+            _assert_same_context(g, r)
+    elif ref is None:
+        assert got is None
+    else:
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from([
+        Sphere(2, 1.5), Hyperbolic(2, 2.0), Hyperbolic(3, 1.0), FlatTorus([1.0, 3.0]),
+        Product([Sphere(2, 1.0), FlatTorus([2.0])]), Product([Euclidean(1), Hyperbolic(2, 1.0)]),
+    ]),
+    n=st.sampled_from([0, 1, 2, 7]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_array_context_is_the_per_point_loop(model, n, seed, data):
+    rng = np.random.default_rng(seed)
+    points = [model.random_point(rng) for _ in range(n)]
+    width = model.random_point(rng).coords.size
+    coords = np.array([p.coords for p in points]).reshape(n, width)
+    cfg = data.draw(_context_trees(width))
+    _assert_same_context(_build(cfg).make_context(coords), _ref_context(cfg, points))
 
 
 # --------------------------------------------------------------------- #
@@ -546,7 +661,8 @@ def _ref_gap(F, upper, lower):
     """``(gaps, scale)``: F(upper) - F(lower) per sample of two lists of
     states (x, r, zeta, A), and the larger |F| of the two sides."""
     points, rs, zetas, amats = zip(*upper, *lower)
-    vals = F.eval_batch(F.make_context(points), np.array(rs), np.array(zetas), np.array(amats))
+    coords = np.array([p.coords for p in points])
+    vals = F.eval_batch(F.make_context(coords), np.array(rs), np.array(zetas), np.array(amats))
     up, low = vals[: len(upper)], vals[len(upper):]
     return up - low, np.maximum(np.abs(up), np.abs(low))
 
@@ -678,7 +794,7 @@ _X_TRACE = OperatorSpec(
     "x_trace",
     lambda ctx, rs, zs, As: ctx * (np.einsum("nii->n", As) + rs),
     x_dependent=True,
-    context_builder=lambda points: np.array([1.0 + p.coords[0] for p in points]),
+    context_builder=lambda coords: 1.0 + coords[:, 0],
 )
 SWEPT_OPERATORS = [
     neg_detplus(),

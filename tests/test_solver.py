@@ -526,7 +526,7 @@ def test_nodewise_newton_never_stops_on_nan():
         return vals
 
     F = dataclasses.replace(G, batch=batch)
-    ctx = F.make_context(grid.nodes)
+    ctx = F.make_context(grid.coords)
     w = np.zeros(grid.n_nodes)
     p = _base_proxies(grid, w)
     f0 = _evaluate(F, ctx, w, p)
