@@ -41,6 +41,7 @@ from .solver import solve_fixed_point, yamabe_solve
 
 _INT = {"type": "integer"}
 _COUNT = {"type": "integer", "minimum": 1}
+_EXPONENT = {"type": "integer", "minimum": 0}
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NUMBERS = {"type": "array", "items": _NUMBER}
@@ -89,7 +90,8 @@ _OPERATOR_KINDS = {
     "sum": ({"terms": _TERMS, "weights": _NUMBERS}, ["terms"]),
     "max": ({"terms": _TERMS}, ["terms"]),
     "min": ({"terms": _TERMS}, ["terms"]),
-    "example_5_3": ({"f": _FIELD, "g": _FIELD, "p": _INT, "q": _INT, "r_exp": _INT, "k": _INT}, []),
+    "example_5_3": ({"f": _FIELD, "g": _FIELD, "p": _EXPONENT, "q": _EXPONENT,
+                     "r_exp": _EXPONENT, "k": _EXPONENT}, []),
     "yamabe": ({"n": {"type": "integer", "minimum": 3}, "S": _FIELD, "S_prime": _NUMBER},
                ["n", "S", "S_prime"]),
 }

@@ -9,18 +9,20 @@ Comparison Theorems in Riemannian Geometry, ch. 1).  One kernel serves
 every model: constant-curvature models are diagonal in the parallel frame
 already, products factor by factor in closed form.
 
-The quadratic form of the Hessian of phi(x, y) = d(x, y)^2 on a pair
-(v, w) of boundary vectors equals ``2 ell (<X(ell), X'(ell)> - <X(0),
-X'(0)>)`` where X is the Jacobi field with X(0) = v, X(ell) = w; the same
-number equals ``2 ell I(X, X)`` with the index form I.  Both routes are
-implemented and cross-checked in the tests.
+A field along a segment is its frame components and their derivatives
+sampled on the segment's one Simpson grid of ``DEFAULT_GRID`` intervals;
+the index form integrates those samples.  The quadratic form of the
+Hessian of phi(x, y) = d(x, y)^2 on a pair (v, w) of boundary vectors
+equals ``2 ell (<X(ell), X'(ell)> - <X(0), X'(0)>)`` where X is the Jacobi
+field with X(0) = v, X(ell) = w; the same number equals ``2 ell I(X, X)``
+with the index form I.  Both routes are implemented and cross-checked in
+the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -44,49 +46,52 @@ DEFAULT_GRID = 2048
 # vector fields along a segment
 # --------------------------------------------------------------------- #
 
+def _grid(seg: GeodesicSegment) -> np.ndarray:
+    """The segment's Simpson grid: ``DEFAULT_GRID + 1`` parameters in [0, ell]."""
+    return np.linspace(0.0, seg.length, DEFAULT_GRID + 1)
+
+
+def _simpson_weights(ell: float) -> np.ndarray:
+    w = np.ones(DEFAULT_GRID + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (ell / DEFAULT_GRID / 3.0)
+
+
 @dataclass(frozen=True)
 class VectorFieldAlongSegment:
-    """Field along a segment given by frame-component functions of t.
-
-    ``coeffs(ts)`` and ``coeffs_prime(ts)`` map an array of parameters in
-    [0, length] to arrays of shape (len(ts), n).
-    """
+    """Field along a segment as its samples on the segment's Simpson grid:
+    ``values`` and ``derivs`` are the frame components of Z and Z', one row
+    per grid parameter (``ts``)."""
 
     segment: GeodesicSegment
-    coeffs: Callable[[np.ndarray], np.ndarray]
-    coeffs_prime: Callable[[np.ndarray], np.ndarray]
+    values: np.ndarray
+    derivs: np.ndarray
 
-    def plus(self, other: "VectorFieldAlongSegment") -> "VectorFieldAlongSegment":
-        return VectorFieldAlongSegment(
-            self.segment,
-            lambda ts: self.coeffs(ts) + other.coeffs(ts),
-            lambda ts: self.coeffs_prime(ts) + other.coeffs_prime(ts),
-        )
+    @property
+    def ts(self) -> np.ndarray:
+        return _grid(self.segment)
 
 
 @dataclass(frozen=True)
-class JacobiField:
-    """Solution of the Jacobi boundary value problem along a segment."""
+class JacobiField(VectorFieldAlongSegment):
+    """Solution of the Jacobi boundary value problem along a segment;
+    ``coeffs(ts)`` evaluates its closed form at any parameters in [0, ell]."""
 
-    segment: GeodesicSegment
     coeffs: Callable[[np.ndarray], np.ndarray]
-    coeffs_prime: Callable[[np.ndarray], np.ndarray]
-    ts: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
-    start_value: np.ndarray
-    end_value: np.ndarray
-    start_deriv: np.ndarray
-    end_deriv: np.ndarray
 
-    def as_field(self) -> VectorFieldAlongSegment:
-        return VectorFieldAlongSegment(self.segment, self.coeffs, self.coeffs_prime)
+    @property
+    def start_value(self) -> np.ndarray:
+        return self.values[0]
+
+    @property
+    def end_value(self) -> np.ndarray:
+        return self.values[-1]
 
     def endpoint_pairing(self) -> float:
         """<X(ell), X'(ell)> - <X(0), X'(0)> in the parallel frame."""
         return float(
-            np.dot(self.end_value, self.end_deriv)
-            - np.dot(self.start_value, self.start_deriv)
+            np.dot(self.values[-1], self.derivs[-1]) - np.dot(self.values[0], self.derivs[0])
         )
 
 
@@ -100,15 +105,6 @@ def tidal_matrix(seg: GeodesicSegment, t: float = 0.0) -> np.ndarray:
     rs = model.curvature_rows(frame, frame[0], frame[0])
     c = model.components(rs, frame)  # c[j, i] = <R(f_j, f_0)f_0, f_i>, f_0 = gamma'
     return 0.5 * (c.T + c)
-
-
-def _simpson_weights(num_intervals: int, ell: float) -> np.ndarray:
-    if num_intervals % 2 != 0:
-        raise ValueError("Simpson rule needs an even interval count")
-    w = np.ones(num_intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (ell / num_intervals / 3.0)
 
 
 # --------------------------------------------------------------------- #
@@ -179,58 +175,46 @@ def _endpoint_scalars(kappa, ell):
     return s, c_l, s_l
 
 
-def _scalar_basis(kappa: float, st: np.ndarray, deriv: bool):
-    """C, S at ``st = s t``, or C'/s, S'/s with ``deriv``, for kappa >= 0."""
-    if kappa > 0.0:
-        return (-np.sin(st), np.cos(st)) if deriv else (np.cos(st), np.sin(st))
-    return (0.0, 1.0) if deriv else (1.0, st)
-
-
-def solve_jacobi_bvp(
-    seg: GeodesicSegment,
-    v: TangentVector,
-    w: TangentVector,
-    num_steps: int = DEFAULT_GRID,
-) -> JacobiField:
+def solve_jacobi_bvp(seg: GeodesicSegment, v: TangentVector, w: TangentVector) -> JacobiField:
     """Solve X'' + R(X, gamma')gamma' = 0 with X(0) = v, X(ell) = w.
 
-    One closed form on every locally symmetric model: X = Q (a C(t) + c
-    S(t)) per tidal eigen-direction, written as (sinh(s(ell - t)) a +
-    sinh(s t) b) / sinh(s ell) where kappa < 0.  ``num_steps`` sizes the
-    sample grid.
+    One two-endpoint closed form on every locally symmetric model and every
+    tidal eigen-direction: with a, b the boundary values in the tidal
+    eigenbasis Q, X = Q (S(ell - t) a + S(t) b) / S(ell) and X' = Q s (C(t) b
+    - C(ell - t) a) / S(ell), where (C, S) is (cos, sin) or (cosh, sinh) of
+    s t with s = sqrt|kappa|, or (1, t) for a flat direction.  No boundary
+    value is carried across the segment, so nothing cancels on negative
+    curvature.  The field is sampled on the segment's Simpson grid;
+    conjugate endpoints raise ``SingularBVPError``.
     """
     kappas, q = _tidal_spectrum(seg)
     a = seg.components_at_start(v)
     b = seg.components_at_end(w)
     if q is not None:
         a, b = q.T @ a, q.T @ b
-    ends_s, ends_c, ends_sl = (e[0] for e in _endpoint_scalars([kappas], seg.length))
-    amp_c = (b - a * ends_c) / ends_sl
+    s, _, s_l = (e[0, :, None] for e in _endpoint_scalars([kappas], seg.length))
+    a, b = a[:, None], b[:, None]
+    pos, neg = np.asarray(kappas) > 0.0, np.asarray(kappas) < 0.0
 
-    def sample(ts, deriv):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.empty((ts.size, len(kappas)))
-        for i, (kappa, s, s_l) in enumerate(zip(kappas, ends_s, ends_sl)):
-            if kappa < 0.0:
-                # a C + c S cancels like eps cosh(s ell); the two-endpoint
-                # form (sinh(s(ell - t)) a + sinh(s t) b) / sinh(s ell) does not
-                st, rest = s * ts, s * (seg.length - ts)
-                out[:, i] = (
-                    s * (b[i] * np.cosh(st) - a[i] * np.cosh(rest)) if deriv
-                    else a[i] * np.sinh(rest) + b[i] * np.sinh(st)
-                ) / s_l
-                continue
-            c, sn = _scalar_basis(kappa, s * ts, deriv)
-            out[:, i] = (s if deriv else 1.0) * (a[i] * c + amp_c[i] * sn)
-        return out if q is None else out @ q.T
+    # one row per direction: numpy's loops run along the parameters
+    def basis(ts):
+        st = s * ts
+        c, sn = np.ones(st.shape), st.copy()
+        c[pos], sn[pos] = np.cos(st[pos]), np.sin(st[pos])
+        c[neg], sn[neg] = np.cosh(st[neg]), np.sinh(st[neg])
+        return c, sn
 
-    coeffs, coeffs_prime = partial(sample, deriv=False), partial(sample, deriv=True)
-    ts = np.linspace(0.0, seg.length, num_steps + 1)
-    values = coeffs(ts)
-    derivs = coeffs_prime(ts)
+    def evaluate(ts):
+        c_t, s_t = basis(ts)
+        c_r, s_r = basis(seg.length - ts)
+        x = (s_r * a + s_t * b) / s_l
+        xp = s * (c_t * b - c_r * a) / s_l
+        return (x.T, xp.T) if q is None else ((q @ x).T, (q @ xp).T)
+
+    values, derivs = evaluate(_grid(seg))
     return JacobiField(
-        seg, coeffs, coeffs_prime, ts, values, derivs,
-        values[0].copy(), values[-1].copy(), derivs[0].copy(), derivs[-1].copy(),
+        seg, _readonly(values), _readonly(derivs),
+        lambda ts: evaluate(np.atleast_1d(np.asarray(ts, dtype=float)))[0],
     )
 
 
@@ -264,60 +248,53 @@ def jacobi_residual(jf: JacobiField) -> float:
 # index form
 # --------------------------------------------------------------------- #
 
-def index_form(
-    seg: GeodesicSegment,
-    fld: VectorFieldAlongSegment | JacobiField,
-    num_intervals: int = DEFAULT_GRID,
-) -> float:
-    """I(Z, Z) = int (<Z', Z'> - <R(Z, gamma')gamma', Z>) dt, composite Simpson."""
-    if isinstance(fld, JacobiField):
-        fld = fld.as_field()
+def index_form(seg: GeodesicSegment, fld: VectorFieldAlongSegment) -> float:
+    """I(Z, Z) = int (<Z', Z'> - <R(Z, gamma')gamma', Z>) dt, composite
+    Simpson over the grid samples of Z; ``PreconditionError`` for a field
+    along another segment."""
+    if fld.segment is not seg:
+        raise PreconditionError("index form of a field along another segment")
     m = tidal_matrix(seg, 0.0)
-    ts = np.linspace(0.0, seg.length, num_intervals + 1)
-    f = fld.coeffs(ts)
-    fp = fld.coeffs_prime(ts)
+    f, fp = fld.values, fld.derivs
     integrand = np.einsum("ij,ij->i", fp, fp) - np.einsum("ij,jk,ik->i", f, m, f)
-    return float(np.dot(_simpson_weights(num_intervals, seg.length), integrand))
+    return float(np.dot(_simpson_weights(seg.length), integrand))
 
 
 def parallel_field(seg: GeodesicSegment, v: TangentVector) -> VectorFieldAlongSegment:
-    comps = seg.components_at_start(v)
-
-    def coeffs(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.tile(comps, (ts.size, 1))
-
-    def coeffs_prime(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.zeros((ts.size, comps.size))
-
-    return VectorFieldAlongSegment(seg, coeffs, coeffs_prime)
+    """The parallel field with Z(0) = v: constant frame components."""
+    values = np.tile(seg.components_at_start(v), (DEFAULT_GRID + 1, 1))
+    return VectorFieldAlongSegment(seg, values, np.zeros_like(values))
 
 
-def sine_bump_field(
-    seg: GeodesicSegment, amplitudes: np.ndarray
-) -> VectorFieldAlongSegment:
+def _sine_modes(seg: GeodesicSegment, count: int):
+    """sin(k pi t / ell) and its t-derivative on the segment's grid for
+    k = 1, ..., count, one column per mode."""
+    freq = np.arange(1, count + 1) * (math.pi / seg.length)
+    angle = np.outer(_grid(seg), freq)
+    return np.sin(angle), freq * np.cos(angle)
+
+
+def sine_bump_field(seg: GeodesicSegment, amplitudes: np.ndarray) -> VectorFieldAlongSegment:
     """Field vanishing at both endpoints: sum_k amplitudes[k, i] sin(k pi t / ell)."""
     amplitudes = np.asarray(amplitudes, dtype=float)
-    modes, n = amplitudes.shape
-    ell = seg.length
+    phi, dphi = _sine_modes(seg, len(amplitudes))
+    return VectorFieldAlongSegment(seg, phi @ amplitudes, dphi @ amplitudes)
 
-    def coeffs(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.zeros((ts.size, n))
-        for kk in range(modes):
-            out += np.outer(np.sin((kk + 1) * math.pi * ts / ell), amplitudes[kk])
-        return out
 
-    def coeffs_prime(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        out = np.zeros((ts.size, n))
-        for kk in range(modes):
-            freq = (kk + 1) * math.pi / ell
-            out += np.outer(freq * np.cos(freq * ts), amplitudes[kk])
-        return out
-
-    return VectorFieldAlongSegment(seg, coeffs, coeffs_prime)
+def _bump_margins(seg: GeodesicSegment, fld: VectorFieldAlongSegment, amps) -> np.ndarray:
+    """I(Z + B_j) - I(Z) = 2 I(Z, B_j) + I(B_j) for the sine bumps B_j of the
+    amplitude stack ``amps`` (trials, modes, n), by Simpson over the grid:
+    ``cross[k, i]`` is I(Z, mode k along frame direction i), and ``gram``,
+    ``dgram`` the modes' and their derivatives' weighted Gram matrices."""
+    m = tidal_matrix(seg, 0.0)
+    wts = _simpson_weights(seg.length)[:, None]
+    phi, dphi = _sine_modes(seg, amps.shape[1])
+    cross = (wts * dphi).T @ fld.derivs - (wts * phi).T @ fld.values @ m
+    gram, dgram = phi.T @ (wts * phi), dphi.T @ (wts * dphi)
+    # M is symmetric: A_k . M A_l is row k of amps against row l of amps @ M
+    bump = (np.einsum("kl,jki,jli->j", dgram, amps, amps)
+            - np.einsum("kl,jki,jli->j", gram, amps, amps @ m))
+    return 2.0 * np.einsum("jki,ki->j", amps, cross) + bump
 
 
 @dataclass(frozen=True)
@@ -353,19 +330,24 @@ def index_minimality_check(
 ) -> MinimalityReport:
     """Compare I(X, X) of the Jacobi BVP solution against competitor fields.
 
-    Competitors share the boundary values (Jacobi solution plus sine bumps
-    vanishing at the endpoints); when w is the parallel transport of v the
-    constant parallel field competitor is included as well.
+    Competitors share the boundary values: X + B_j with B_j a sum of the
+    first four sine bumps of ``sine_bump_field``, vanishing at the
+    endpoints.  The amplitudes come from one ``(n_trials, 4, n)``
+    standard-normal draw, the numbers a loop of ``(4, n)`` draws per trial
+    gives.  Each margin I(X + B_j) - I(X) = 2 I(X, B_j) + I(B_j) is taken
+    from Simpson-weighted Gram matrices of the modes against X's samples and
+    each other, so it stays a quadrature and an independent check on the
+    closed form.  When w is the parallel transport of v the constant
+    parallel field competes as well.  ``PreconditionError`` unless
+    ``n_trials >= 1``.
     """
+    if n_trials < 1:
+        raise PreconditionError(f"index minimality check needs n_trials >= 1, got {n_trials}")
     rng = np.random.default_rng(seed)
     x_field = solve_jacobi_bvp(seg, v, w)
     i_x = index_form(seg, x_field)
-    n = seg.model.dim
-    min_margin = math.inf
-    for _ in range(n_trials):
-        bumps = sine_bump_field(seg, amplitude * rng.standard_normal((4, n)))
-        i_z = index_form(seg, x_field.as_field().plus(bumps))
-        min_margin = min(min_margin, i_z - i_x)
+    amps = amplitude * rng.standard_normal((n_trials, 4, seg.model.dim))
+    min_margin = float(np.min(_bump_margins(seg, x_field, amps)))
     parallel_margin = None
     lv = seg.model.parallel_transport(seg.start, seg.end, v)
     if np.linalg.norm(lv.components - w.components) <= 1e-12 * max(

@@ -350,8 +350,13 @@ def example_5_3(f, g, p: int = 1, q: int = 0, r_exp: int = 1, k: int = 0) -> Ope
     """max{r - lmin(A)|z|^p - (tr A)^(2q+1)|z|^r - detplus_pospart(A)^(2k+1) f(x)^2, r - g(x)}.
 
     A strongly monotone, degenerate elliptic, eigenvalue-built operator;
-    finite for continuous f, g on compact models.
+    finite for continuous f, g on compact models.  The exponents p, q,
+    r_exp and k must be >= 0: a negative power of |z| or of a possibly
+    vanishing A term is not finite at zero.
     """
+    for name, value in (("p", p), ("q", q), ("r_exp", r_exp), ("k", k)):
+        if value < 0:
+            raise ValueError(f"example_5_3 needs exponent {name} >= 0, got {value}")
     f = ScalarField.parse(f)
     g = ScalarField.parse(g)
 

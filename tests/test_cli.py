@@ -84,12 +84,16 @@ BAD_SOLVE = {"grid": {"resolution": 2}, "operator": {"op": "sum"}}
         ("solve", {"operator": {"op": "scalar_term", "coeff": float("inf")}},
          "non-finite number Infinity"),
         ("solve", '{"operator": {"op": "const", "value": -1e999}}', "non-finite number -1e999"),
+        ("solve", {"grid": {"resolution": 2}, "operator": {
+            "op": "example_5_3", "f": 1.0, "g": 0.5, "p": -1}},
+         "-1 is less than the minimum of 0"),
     ],
     ids=[
         "unknown-op", "sum-without-terms", "const-without-value", "bad-field",
         "unknown-model", "misspelt-model-key", "string-resolution", "sphere-without-dim",
         "report-bad-solve", "report-misspelt-suite", "report-unknown-model",
         "nan-field", "nan-const", "infinite-coeff", "overflowing-const",
+        "negative-exponent",
     ],
 )
 def test_malformed_description_is_usage_error(tmp_path, capsys, command, config, message):

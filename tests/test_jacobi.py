@@ -5,19 +5,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riemvisc import (
     DegenerateSegmentError, Euclidean, FlatTorus, GeometryDomainError, Hyperbolic,
     Point, PreconditionError, Product, SingularBVPError, Sphere, TangentVector,
 )
 from riemvisc.jacobi import (
+    DEFAULT_GRID,
+    VectorFieldAlongSegment,
     _PairDraws,
+    _bump_margins,
     _draw_pairs,
     _endpoint_scalars,
     _hessian_blocks,
     _pair_stack,
     _segment_frame_hessian,
+    _simpson_weights,
     _space_forms,
     _tidal_spectrum,
     check_curvature_bound,
@@ -305,7 +309,140 @@ def test_minimality_euclidean_bump_strictly_worse():
     jf = solve_jacobi_bvp(seg, v, w)
     assert index_form(seg, jf) == pytest.approx(0.0, abs=1e-12)
     bump = sine_bump_field(seg, np.array([[0.0, 0.3]]))
-    assert index_form(seg, jf.as_field().plus(bump)) > 0.0
+    z = VectorFieldAlongSegment(seg, jf.values + bump.values, jf.derivs + bump.derivs)
+    assert index_form(seg, z) > 0.0
+
+
+def test_minimality_flat_margins_match_the_closed_form():
+    # flat: I(X, B) = <X', B(ell) - B(0)> = 0 and I(B) = ell/2 sum_k w_k^2 |A_k|^2,
+    # w_k = k pi / ell, so every margin is known without quadrature
+    m = Euclidean(3)
+    seg = m.geodesic_segment(m.point([0, 0, 0]), m.point([1.2, -0.4, 0.3]))
+    rng = np.random.default_rng(2)
+    v, w = m.random_tangent(rng, seg.start), m.random_tangent(rng, seg.end)
+    report = index_minimality_check(seg, v, w, n_trials=30, seed=8, amplitude=0.7)
+    amps = 0.7 * np.random.default_rng(8).standard_normal((30, 4, 3))
+    freq = np.arange(1, 5) * math.pi / seg.length
+    exact = 0.5 * seg.length * np.einsum("k,jki,jki->j", freq**2, amps, amps)
+    assert report.min_margin == pytest.approx(float(exact.min()), rel=1e-12)
+    margins = _bump_margins(seg, solve_jacobi_bvp(seg, v, w), amps)
+    assert np.allclose(margins, exact, rtol=1e-12, atol=0.0)
+
+
+def test_minimality_refuses_no_trials():
+    m, seg = pole_equator_segment()
+    v = seg.vector_at_start([0.0, 1.0])
+    w = m.parallel_transport(seg.start, seg.end, v)
+    for n_trials in (0, -3):
+        with pytest.raises(PreconditionError, match=f"n_trials >= 1, got {n_trials}"):
+            index_minimality_check(seg, v, w, n_trials=n_trials)
+
+
+def test_index_form_refuses_a_field_of_another_segment():
+    m, seg = pole_equator_segment()
+    other = m.geodesic_segment(seg.start, seg.end)
+    z = parallel_field(other, other.vector_at_start([0.0, 1.0]))
+    assert index_form(other, z) == pytest.approx(-seg.length, abs=1e-10)
+    with pytest.raises(PreconditionError, match="another segment"):
+        index_form(seg, z)
+
+
+def _reference_jacobi_samples(seg, v, w):
+    """The three-branch sampler the two-endpoint form replaced, on the
+    segment's grid: per tidal direction a C(t) + c S(t) with c = (b - a
+    C(ell)) / S(ell) where kappa >= 0, and (sinh(s(ell - t)) a + sinh(s t) b)
+    / sinh(s ell) where kappa < 0."""
+    kappas, q = _tidal_spectrum(seg)
+    a, b = seg.components_at_start(v), seg.components_at_end(w)
+    if q is not None:
+        a, b = q.T @ a, q.T @ b
+    ends_s, ends_c, ends_sl = (e[0] for e in _endpoint_scalars([kappas], seg.length))
+    amp_c = (b - a * ends_c) / ends_sl
+    ts = np.linspace(0.0, seg.length, DEFAULT_GRID + 1)
+    values, derivs = np.empty((ts.size, len(kappas))), np.empty((ts.size, len(kappas)))
+    for i, (kappa, s, s_l) in enumerate(zip(kappas, ends_s, ends_sl)):
+        st = s * ts
+        if kappa < 0.0:
+            rest = s * (seg.length - ts)
+            values[:, i] = (a[i] * np.sinh(rest) + b[i] * np.sinh(st)) / s_l
+            derivs[:, i] = s * (b[i] * np.cosh(st) - a[i] * np.cosh(rest)) / s_l
+            continue
+        c, sn = (np.cos(st), np.sin(st)) if kappa > 0.0 else (1.0, st)
+        dc, dsn = (-np.sin(st), np.cos(st)) if kappa > 0.0 else (0.0, 1.0)
+        values[:, i] = a[i] * c + amp_c[i] * sn
+        derivs[:, i] = s * (a[i] * dc + amp_c[i] * dsn)
+    return (values, derivs) if q is None else (values @ q.T, derivs @ q.T)
+
+
+def _index_size(seg, fld):
+    """Simpson integral of |Z'|^2 + |<R(Z, gamma')gamma', Z>|: the size of the
+    terms that cancel in I(Z, Z), so the scale of its roundoff (near a
+    conjugate point they exceed |I(Z, Z)| by orders of magnitude)."""
+    m = tidal_matrix(seg)
+    terms = np.sum(fld.derivs**2, axis=1) + np.abs(np.sum((fld.values @ m) * fld.values, axis=1))
+    return float(_simpson_weights(seg.length) @ terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.one_of(
+        st.sampled_from(MODELS + [
+            Hyperbolic(3, 4.0), Sphere(2, 0.5), Euclidean(3), FlatTorus([1.0, 2.5, 0.7]),
+            Product([Hyperbolic(2, 1.0), FlatTorus([1.0, 2.0])]),
+        ]),
+        random_products(),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    conjugate_gap=st.one_of(st.none(), st.floats(1e-6, 1e-2)),
+)
+@example(model=Hyperbolic(3, 4.0), seed=0, conjugate_gap=None)
+@example(model=Sphere(2, 1.0), seed=1, conjugate_gap=1e-6)
+@example(model=Sphere(3, 2.0), seed=2, conjugate_gap=1e-3)
+@example(model=Product([Euclidean(1), Hyperbolic(3, 4.0)]), seed=3, conjugate_gap=None)
+@example(model=Product([Hyperbolic(2, 1.0), FlatTorus([1.0, 2.0])]), seed=4, conjugate_gap=None)
+def test_two_endpoint_samples_and_stacked_margins_match_the_loops(model, seed, conjugate_gap):
+    rng = np.random.default_rng(seed)
+    if isinstance(model, Sphere) and conjugate_gap is not None:
+        # a segment short of the conjugate point by the relative gap
+        ell = (1.0 - conjugate_gap) * model.injectivity_radius()
+        seg = random_segment(model, rng, lo=ell, hi=ell)
+    else:
+        seg = random_segment(model, rng)
+    v, w = model.random_tangent(rng, seg.start), model.random_tangent(rng, seg.end)
+    jf = solve_jacobi_bvp(seg, v, w)
+    values, derivs = _reference_jacobi_samples(seg, v, w)
+    assert np.max(np.abs(jf.values - values)) <= 1e-14 * np.max(np.abs(values))
+    assert np.max(np.abs(jf.derivs - derivs)) <= 1e-14 * np.max(np.abs(derivs))
+    assert np.array_equal(jf.coeffs(jf.ts), jf.values)
+    # the per-trial loop the stacked competitors replaced; I(X, B_j) is
+    # quadrature error for the Jacobi field, so the parallel field of v
+    # checks the cross term as well
+    n_trials, trial_seed = 6, int(rng.integers(2**31))
+    draw = np.random.default_rng(trial_seed)
+    amps = [0.5 * draw.standard_normal((4, model.dim)) for _ in range(n_trials)]
+    loops = []
+    for base in (jf, parallel_field(seg, v)):
+        i_x, size_x = index_form(seg, base), _index_size(seg, base)
+        loop = []
+        for amp in amps:
+            bump = sine_bump_field(seg, amp)
+            z = VectorFieldAlongSegment(seg, base.values + bump.values, base.derivs + bump.derivs)
+            loop.append((index_form(seg, z) - i_x, 1e-12 * max(1.0, size_x, _index_size(seg, z))))
+        stacked = _bump_margins(seg, base, np.stack(amps))
+        for margin, (expected, tol) in zip(stacked, loop):
+            assert abs(margin - expected) <= tol
+        loops.append(loop)
+    # the check draws the loop's amplitudes in one call
+    assert np.array_equal(
+        np.stack(amps),
+        0.5 * np.random.default_rng(trial_seed).standard_normal((n_trials, 4, model.dim)),
+    )
+    report = index_minimality_check(seg, v, w, n_trials, seed=trial_seed)
+    expected, _ = min(loops[0])
+    if report.parallel_margin is not None:
+        expected = min(expected, report.parallel_margin)
+    assert abs(report.min_margin - expected) <= max(tol for _, tol in loops[0])
+    assert report.passed
 
 
 # --------------------------------------------------------------------- #

@@ -175,6 +175,12 @@ def test_example_5_3_finite_on_sphere():
         assert math.isfinite(val)
 
 
+@pytest.mark.parametrize("exponent", ["p", "q", "r_exp", "k"])
+def test_example_5_3_refuses_negative_exponents(exponent):
+    with pytest.raises(ValueError, match=f"exponent {exponent} >= 0, got -1"):
+        example_5_3(1.0, 0.5, **{exponent: -1})
+
+
 def test_batch_matches_pointwise():
     rng = np.random.default_rng(5)
     pts = [SPHERE.random_point(rng) for _ in range(40)]
