@@ -89,7 +89,9 @@ def _edge_keys(faces: np.ndarray, n_verts: int):
 
 def icosphere(subdivisions: int):
     """Icosahedron subdivided ``subdivisions`` times, projected to the unit
-    sphere: the vertices and the faces of every level, coarsest first.
+    sphere: the vertices, the faces of every level, coarsest first, and per
+    subdivision the ``(new vertices, 2)`` ends of the edge each new vertex
+    bisects.
 
     New midpoints are numbered in the order the faces first meet their edges,
     after every vertex of the coarser levels, so one vertex array serves all
@@ -97,7 +99,7 @@ def icosphere(subdivisions: int):
     the corner children of its corners a, b, c, then the centre child.
     """
     verts, faces = icosahedron()
-    levels = [faces]
+    levels, parents = [faces], []
     for _ in range(subdivisions):
         n = verts.shape[0]
         ends, key = _edge_keys(faces, n)
@@ -107,12 +109,13 @@ def icosphere(subdivisions: int):
         rank[order] = np.arange(order.size)
         ab, bc, ca = (n + rank[inverse.ravel()]).reshape(-1, 3).T
         mid = ends[first[order]]
+        parents.append(mid)
         p = verts[mid[:, 0]] + verts[mid[:, 1]]
         verts = np.concatenate([verts, p / np.sqrt(_rowwise_dot(p, p))[:, None]])
         a, b, c = faces.T
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
         levels.append(faces)
-    return verts, levels
+    return verts, levels, parents
 
 
 def _mesh_edges(faces: np.ndarray) -> np.ndarray:
@@ -146,8 +149,10 @@ class Grid:
     stencils: list[sparse.csr_matrix]  # its per-direction views
     edges: np.ndarray
     faces: np.ndarray | None = None
+    parents: list[np.ndarray] | None = None  # sphere: icosphere's midpoint ends per level
     _stencil_builder: Callable | None = field(default=None, repr=False)
     _stencil_cache: dict = field(default_factory=dict, repr=False)
+    _prolongations: list | None = field(default=None, repr=False)
 
     def stack_for(self, step: float) -> sparse.csr_matrix:
         """The direction-major stencil operator for an arbitrary step (cached)."""
@@ -162,6 +167,25 @@ class Grid:
     @property
     def n_nodes(self) -> int:
         return self.coords.shape[0]
+
+    def prolongations(self) -> list[sparse.csr_matrix]:
+        """Interpolation matrices (fine nodes x coarse nodes) down the grid's
+        hierarchy, finest first; built at the first call (the solver's first
+        Newton solve on the grid) and cached.
+
+        On the sphere the levels are the icosphere's subdivisions: the nodes
+        of a level are the first nodes of the next, and a midpoint takes the
+        mean of the two ends of the edge it bisects.  On the torus the lattice
+        is halved while its size is even, with bilinear periodic
+        interpolation: a fine lattice index ``2I + 1`` takes the mean of the
+        coarse indices ``I`` and ``I + 1`` (mod the coarse size) on each axis.
+        """
+        if self._prolongations is None:
+            self._prolongations = (
+                _torus_prolongations(self.resolution) if self.parents is None
+                else _sphere_prolongations(self.n_nodes, self.parents)
+            )
+        return self._prolongations
 
     @property
     def nodes(self) -> np.ndarray:
@@ -312,6 +336,34 @@ class Grid:
             worst = max(worst, float(np.max(gap, initial=0.0)))
             start = stop
         return worst
+
+
+def _sphere_prolongations(n_fine: int, parents: list[np.ndarray]) -> list[sparse.csr_matrix]:
+    mats = []
+    for mid in reversed(parents):
+        n_coarse = n_fine - mid.shape[0]
+        cols = np.concatenate([np.arange(n_coarse), np.sort(mid, axis=1).ravel()])
+        vals = np.concatenate([np.ones(n_coarse), np.full(mid.size, 0.5)])
+        indptr = np.concatenate([np.arange(n_coarse + 1),
+                                 n_coarse + 2 * np.arange(1, mid.shape[0] + 1)])
+        mats.append(sparse.csr_matrix((vals, cols, indptr), shape=(n_fine, n_coarse)))
+        n_fine = n_coarse
+    return mats
+
+
+def _torus_prolongations(res: int) -> list[sparse.csr_matrix]:
+    mats = []
+    while res % 2 == 0:
+        res //= 2
+        # rows 2I and 2I + 1 take 0.5 at columns (I, I) and (I, I + 1)
+        coarse = np.arange(res)
+        cols = np.stack([coarse, coarse, coarse, (coarse + 1) % res], axis=1).ravel()
+        axis = sparse.csr_matrix(
+            (np.full(4 * res, 0.5), (np.repeat(np.arange(2 * res), 2), cols)),
+            shape=(2 * res, res),
+        )
+        mats.append(sparse.kron(axis, axis, format="csr"))
+    return mats
 
 
 def _wrap_half(diff: np.ndarray, period: float | np.ndarray) -> np.ndarray:
@@ -535,7 +587,7 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
     """
     dirs = stencil_directions(2)
     if isinstance(model, Sphere) and model.dim == 2:
-        verts, levels = icosphere(resolution)
+        verts, levels, parents = icosphere(resolution)
         faces = levels[-1]
         coords = verts * model.radius
         frames = model.canonical_frames(coords)
@@ -554,7 +606,7 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
         ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
         coords = np.stack([ii.ravel() * spacing[0], jj.ravel() * spacing[1]], axis=1)
         frames = np.tile(np.eye(2), (coords.shape[0], 1, 1))
-        faces = None
+        faces = parents = None
         idx = np.arange(res * res).reshape(res, res)
         right = np.stack([idx.ravel(), np.roll(idx, -1, axis=0).ravel()], axis=1)
         up = np.stack([idx.ravel(), np.roll(idx, -1, axis=1).ravel()], axis=1)
@@ -573,7 +625,7 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
         )
     grid = Grid(
         model, resolution, coords, frames, math.nan, dirs, None, [], edges, faces,
-        _stencil_builder=builder,
+        parents, _stencil_builder=builder,
     )
     if h is None:
         h = min(default_step(grid), 0.9 * model.injectivity_radius() / 4.0)

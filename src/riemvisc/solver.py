@@ -8,12 +8,26 @@ grid stencils:
 * Hessian diagonal: ``(u(exp_x(h e_i)) + u(exp_x(-h e_i)) - 2 u(x)) / h^2``
 * cross terms from rotated directions ``(e_i +- e_j)/sqrt(2)``.
 
-``solve_fixed_point`` runs the damped iteration ``u <- (1-theta) u +
-theta (-G_h(x, u))`` for equations ``u + G = 0``; the default damping is
-``1/(1 + L)`` with ``L`` the probed sensitivity of ``G_h`` to the center
-value, which makes the update the classical (center-implicit) Jacobi
-sweep.  Node updates within a sweep only read the previous iterate, so
-the iteration is deterministic and order-independent.
+``solve_fixed_point`` (``u + G = 0``), ``solve_dirichlet`` and
+``yamabe_solve`` share one engine.  It takes Newton steps ``J du = -F(u)``:
+the proxies are linear in u, so ``J = diag(F_r) + sum_c diag(F_c) P_c``,
+with the partial derivatives of F from forward differences of its one
+``batch`` evaluator and ``P_c`` read off the stencil stack; each step is
+solved by BiCGSTAB preconditioned by one Galerkin V-cycle on the grid's
+hierarchy (:mod:`riemvisc.multigrid`) and shortened by halving until the
+residual falls below the largest of the last few.  The discrete equation
+has one solution, so the engine may hand it to the damped iteration
+``u <- (1-theta) u + theta (-G_h(x, u))``, run from the original start
+with the caller's ``max_iter``, bit for bit as it ran before the engine
+existed.  It does so when ``theta`` is given, when the hierarchy's
+coarsest level is too large for a dense solve, and when Newton fails: a
+Krylov solve misses its tolerance within ``_KRYLOV_CAP`` iterations, no
+halving of a step finds a lower residual (a non-finite one included), the
+operator refuses an iterate, or ``_NEWTON_MAX_STEPS`` steps pass.  The
+sweep's default damping is ``1/(1 + L)`` with ``L`` the probed sensitivity
+of ``G_h`` to the center value, which makes the update the classical
+(center-implicit) Jacobi sweep.  Node updates within a sweep only read the
+previous iterate, so the iteration is deterministic and order-independent.
 
 The scheme is the grid's stencil stack (``Grid.stack``): one mat-vec
 gathers the ``(8, N)`` stencil values of u, and one assembly turns them
@@ -36,10 +50,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import DivergenceError, PreconditionError
 from .grids import Grid, GridFunction
 from .manifolds import Point, Sphere
+from .multigrid import VCycle, bicgstab
 from .operators import OperatorSpec, ScalarField, yamabe
 
 DEFAULT_MAX_ITER = 100_000
@@ -48,6 +64,24 @@ _THETA_REFRESH = 200
 # most this fraction of the sweep tolerance; stopping at the tolerance itself
 # moves the sweep count of center-nonlinear operators (343 -> 345 sweeps)
 _NEWTON_STOP = 1e-3
+# the Newton engine: steps and BiCGSTAB iterations per step before the sweep
+# takes over; the forward-difference step of the Jacobian (relative); the
+# inner tolerance: the linear residual's 2-norm falls to _INNER_FRACTION of
+# the nonlinear one's, or to _INNER_FLOOR times the solve tolerance; and the
+# line search: a step is halved at most _BACKTRACKS times until the residual
+# falls below the largest of the last _MEMORY
+_NEWTON_MAX_STEPS = 30
+_KRYLOV_CAP = 20
+_FD_STEP = 1e-7
+_INNER_FRACTION = 1e-8
+_INNER_FLOOR = 0.1
+_BACKTRACKS = 5
+_MEMORY = 5
+# the hierarchy stops at its first level of at most _COARSE_NODES nodes; one
+# whose coarsest level has more than _COARSEST_MAX (an odd torus lattice)
+# leaves the solve to the sweep
+_COARSE_NODES = 200
+_COARSEST_MAX = 1024
 
 
 # --------------------------------------------------------------------- #
@@ -132,12 +166,16 @@ class SolveReport:
     theta: float
     wall_time: float
     residual_history: np.ndarray = field(repr=False)
+    method: str = "sweep"  # "newton" or "sweep": the path that produced u
+    krylov_iterations: int = 0  # BiCGSTAB iterations of the Newton steps taken
 
     def to_dict(self) -> dict:
         # wall time is left out so serialized reports are byte-identical
         # across runs with the same config and seed
         return {
+            "method": self.method,
             "iterations": self.iterations,
+            "krylov_iterations": self.krylov_iterations,
             "final_residual": self.final_residual,
             "tolerance": self.tolerance,
             "converged": self.converged,
@@ -147,7 +185,7 @@ class SolveReport:
 
 
 # --------------------------------------------------------------------- #
-# the damped fixed-point engine
+# the damped sweep
 # --------------------------------------------------------------------- #
 
 def _estimate_theta(F, ctx, u_vals, base, base_vals, centers, active) -> float:
@@ -173,23 +211,10 @@ def _lift_u_plus_g(G: OperatorSpec) -> OperatorSpec:
     )
 
 
-def _run_iteration(
-    F: OperatorSpec,
-    grid: Grid,
-    u0: np.ndarray,
-    theta: float | None,
-    tol: float,
-    max_iter: int,
-    interior: np.ndarray | None = None,
-    clip_nonnegative: bool = False,
-):
-    ctx = F.make_context(grid.coords)
+def _sweep(F, ctx, grid, u0, theta, tol, max_iter, active, clip_nonnegative):
+    """The damped sweep ``u <- u - theta F(u)`` on the active nodes."""
     centers = _center_sensitivity(grid)
     u = np.array(u0, dtype=float)
-    if interior is not None and not np.any(interior):
-        return u, SolveReport(0, 0.0, tol, True, 0.0, 0.0, np.zeros(0))
-    # a full slice indexes by view; a mask of all nodes would copy each time
-    active = slice(None) if interior is None else interior
     fixed_theta = theta is not None
     history = []
     start = time.perf_counter()
@@ -224,6 +249,179 @@ def _run_iteration(
         max_iter, history[-1] if history else math.inf, tol, False,
         current_theta or 0.0, time.perf_counter() - start, np.array(history),
     )
+    return u, report
+
+
+# --------------------------------------------------------------------- #
+# the Newton engine
+# --------------------------------------------------------------------- #
+
+def _hierarchy(grid: Grid):
+    """``(prolongations, restrictions)`` of the V-cycle on ``grid``, finest
+    first, down to the first level of at most ``_COARSE_NODES`` nodes; None
+    when that level has more than ``_COARSEST_MAX``."""
+    chain, size = [], grid.n_nodes
+    for prolongation in grid.prolongations():
+        if size <= _COARSE_NODES:
+            break
+        chain.append(prolongation)
+        size = prolongation.shape[1]
+    if size > _COARSEST_MAX:
+        return None
+    return chain, [p.T.tocsr() for p in chain]
+
+
+def _jacobian(grid: Grid, weights: np.ndarray) -> sparse.csr_matrix:
+    """J from its ``(9, N)`` weights: row ``k N + i`` of the stencil stack
+    goes to row i scaled by ``weights[k, i]``, duplicates summed, plus
+    ``weights[8]`` on the diagonal."""
+    n, n_dirs = grid.n_nodes, len(grid.dirs)
+    select = sparse.csr_matrix(
+        (weights[:n_dirs].T.ravel(),
+         (n * np.arange(n_dirs) + np.arange(n)[:, None]).ravel(),
+         n_dirs * np.arange(n + 1)),
+        shape=(n, n_dirs * n),
+    )
+    return select @ grid.stack + sparse.diags(weights[n_dirs], format="csr")
+
+
+def _jacobian_weights(F, ctx, u, p, vals, h) -> np.ndarray:
+    """``(9, N)`` weights of J = dF/du: per node, of its stencil values in
+    each direction (rows 0-7) and of its own value (row 8).
+
+    The partial derivatives of F in r and in the five independent proxies
+    (the two slots of a01 move together) are forward differences of the
+    evaluator: six evaluations besides the base one.
+    """
+    moved_u = u + _FD_STEP * (1.0 + np.abs(u))
+    d_r = (_evaluate(F, ctx, moved_u, p) - vals) / (moved_u - u)
+    trial = p.copy()
+    partials = []
+    for cols in ((0,), (1,), (2,), (3, 4), (5,)):
+        col = p[:, cols[0]]
+        moved = col + _FD_STEP * (1.0 + np.abs(col))
+        for c in cols:
+            trial[:, c] = moved
+        partials.append((_evaluate(F, ctx, u, trial) - vals) / (moved - col))
+        for c in cols:
+            trial[:, c] = col
+    d_z0, d_z1, d_a00, d_a01, d_a11 = partials
+    g0, g1 = d_z0 / (2.0 * h), d_z1 / (2.0 * h)
+    c00, c11, c01 = d_a00 / h**2, d_a11 / h**2, 0.5 * d_a01 / h**2
+    return np.stack([
+        c00 + g0, c00 - g0, c11 + g1, c11 - g1, c01, c01, -c01, -c01,
+        d_r - 2.0 * (c00 + c11),
+    ])
+
+
+def _newton_direction(F, ctx, grid, chain, u, p, vals, fixed, target):
+    """BiCGSTAB for ``J du = -F(u)``, preconditioned by one V-cycle on J's
+    hierarchy: ``(du, iterations, converged)``.  The rows of fixed nodes are
+    identity rows, so their update is zero."""
+    weights = _jacobian_weights(F, ctx, u, p, vals, grid.h)
+    if fixed is not None:
+        weights[:-1, fixed] = 0.0
+        weights[-1, fixed] = 1.0
+    mat = _jacobian(grid, weights)
+    du, its, ok = bicgstab(mat, -vals, VCycle(mat, *chain), target, _KRYLOV_CAP)
+    if fixed is not None:
+        du[fixed] = 0.0
+    return du, its, ok
+
+
+def _newton(F, ctx, grid, u0, tol, max_iter, interior, clip_nonnegative):
+    """Newton steps ``u <- u + alpha du``, with ``du`` from
+    ``_newton_direction`` and ``alpha`` halved from 1 until the residual falls
+    below ``1 - 1e-4 alpha`` times the largest of the last ``_MEMORY`` (a
+    nonmonotone line search with sufficient decrease).
+
+    Stops unconverged when a Krylov solve misses its tolerance, when
+    ``_BACKTRACKS`` halvings find no such residual, at the step cap, or on a
+    domain error of the operator; the caller then sweeps.
+    """
+    start = time.perf_counter()
+    chain = _hierarchy(grid)
+    fixed = None if interior is None else ~interior
+    u = np.array(u0, dtype=float)
+    history, krylov = [], 0
+
+    def residual(v):
+        p = _base_proxies(grid, v)
+        vals = _evaluate(F, ctx, v, p)
+        if fixed is not None:
+            vals = np.where(fixed, 0.0, vals)
+        return p, vals, float(np.max(np.abs(vals)))
+
+    with np.errstate(all="ignore"):
+        try:
+            p, vals, res = residual(u)
+            history.append(res)
+            for _ in range(min(_NEWTON_MAX_STEPS, max_iter) if chain is not None else 0):
+                if res <= tol or not math.isfinite(res):
+                    break
+                target = max(_INNER_FLOOR * tol, _INNER_FRACTION * float(np.linalg.norm(vals)))
+                du, its, ok = _newton_direction(F, ctx, grid, chain, u, p, vals, fixed, target)
+                krylov += its
+                if not ok:
+                    break
+                reference, alpha = max(history[-_MEMORY:]), 1.0
+                for _ in range(_BACKTRACKS + 1):
+                    trial = u + alpha * du
+                    if clip_nonnegative:
+                        np.clip(trial, 0.0, None, out=trial)
+                    p, vals, res = residual(trial)
+                    # NaN compares False, so a non-finite residual backtracks
+                    if res < (1.0 - 1e-4 * alpha) * reference:
+                        break
+                    alpha *= 0.5
+                else:
+                    break
+                u = trial
+                history.append(res)
+        except (PreconditionError, np.linalg.LinAlgError):
+            pass
+    report = SolveReport(
+        len(history) - 1 if history else 0, history[-1] if history else math.inf, tol,
+        bool(history) and history[-1] <= tol, 0.0, time.perf_counter() - start,
+        np.array(history), "newton", krylov,
+    )
+    return u, report
+
+
+def _run_iteration(
+    F: OperatorSpec,
+    grid: Grid,
+    u0: np.ndarray,
+    theta: float | None,
+    tol: float,
+    max_iter: int,
+    interior: np.ndarray | None = None,
+    clip_nonnegative: bool = False,
+):
+    """Solve ``F(u) = 0`` on the interior (every node by default): Newton
+    steps, or the damped sweep from ``u0`` where they are not taken or fail."""
+    if interior is not None and not np.any(interior):
+        method = "newton" if theta is None else "sweep"
+        return np.array(u0, dtype=float), SolveReport(
+            0, 0.0, tol, True, 0.0, 0.0, np.zeros(0), method)
+    # a full slice indexes by view; a mask of all nodes would copy each time
+    active = slice(None) if interior is None else interior
+    start = time.perf_counter()
+    ctx = F.make_context(grid.coords)
+    krylov = 0
+    if theta is None:
+        u, report = _newton(F, ctx, grid, u0, tol, max_iter, interior, clip_nonnegative)
+        if report.converged:
+            return u, report
+        krylov = report.krylov_iterations
+    try:
+        u, report = _sweep(F, ctx, grid, u0, theta, tol, max_iter, active, clip_nonnegative)
+    except DivergenceError as exc:
+        exc.report.krylov_iterations = krylov
+        exc.report.wall_time = time.perf_counter() - start
+        raise
+    report.krylov_iterations = krylov
+    report.wall_time = time.perf_counter() - start
     return u, report
 
 

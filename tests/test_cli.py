@@ -226,13 +226,15 @@ def test_solve_torus_grid(tmp_path):
 
 
 def test_solve_failure_exit_code(tmp_path):
+    # no iteration allowed: Newton takes no step, nor does the sweep it hands
+    # the unsolved problem to (one Newton step solves this res-2 problem)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "grid": {"model": {"model": "sphere", "dim": 2, "radius": 1.0},
                  "resolution": 2},
         "operator": {"op": "sum", "terms": [
             {"op": "neg_trace"}, {"op": "source", "field": "coord:2"}]},
-        "max_iter": 3,
+        "max_iter": 0,
     }))
     assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
     report = json.loads((tmp_path / "solve.json").read_text())

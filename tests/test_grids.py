@@ -41,7 +41,7 @@ def dict_icosphere(subdivisions):
 
 @pytest.mark.parametrize("res", [0, 1, 2, 3])
 def test_icosphere_matches_dict_subdivision(res):
-    verts, levels = icosphere(res)
+    verts, levels, _ = icosphere(res)
     ref_verts, ref_faces = dict_icosphere(res)
     assert verts.shape == (10 * 4**res + 2, 3)
     assert np.array_equal(levels[-1], ref_faces)
@@ -50,13 +50,19 @@ def test_icosphere_matches_dict_subdivision(res):
 
 @pytest.mark.parametrize("res", [0, 1, 2, 3])
 def test_icosphere_levels_nest(res):
-    verts, levels = icosphere(res)
-    assert len(levels) == res + 1
-    for level, (coarse, fine) in enumerate(zip(levels, levels[1:])):
+    verts, levels, parents = icosphere(res)
+    assert len(levels) == res + 1 and len(parents) == res
+    for level, (coarse, fine, mid) in enumerate(zip(levels, levels[1:], parents)):
         n_coarse = 10 * 4**level + 2  # each level's vertices come first
         children = fine.reshape(-1, 4, 3)
         assert np.array_equal(children[:, :3, 0], coarse)  # child 4j + k keeps corner k of face j
         assert coarse.max() < n_coarse <= children[:, 3].min()  # the centre child: midpoints only
+        # every new vertex bisects an edge of the coarser level: its parents
+        assert mid.shape == (30 * 4**level, 2)  # one per coarse edge
+        assert set(map(tuple, np.sort(mid, axis=1))) == set(map(tuple, _mesh_edges(coarse)))
+        p = verts[mid[:, 0]] + verts[mid[:, 1]]
+        new = verts[n_coarse:n_coarse + mid.shape[0]]
+        assert np.allclose(new, p / np.linalg.norm(p, axis=1, keepdims=True), atol=1e-15)
 
 
 @pytest.mark.parametrize("res", [0, 1, 2, 3])
@@ -196,7 +202,7 @@ def test_stencils_use_nearest_containing_face(half):
 
 @functools.lru_cache(maxsize=None)
 def sphere_locator(radius, res):
-    verts, levels = icosphere(res)
+    verts, levels, _ = icosphere(res)
     return _FaceLocator.build(verts * radius, levels, radius)
 
 
@@ -407,3 +413,50 @@ def test_geodesic_ball_interior_is_one_distance_row():
     for center in (0, 5, 641):
         assert np.array_equal(geodesic_ball_interior(grid, center, 1.0), d[center] < 1.0)
         assert geodesic_ball_interior(grid, center, 1.0)[center]
+
+
+# --------------------------------------------------------------------- #
+# the multigrid hierarchy
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("res", [1, 2, 3])
+def test_sphere_prolongations_keep_coarse_nodes_and_average_midpoints(res):
+    grid = build_grid(Sphere(2, 1.3), res)
+    assert grid._prolongations is None  # built at the first solve, not with the grid
+    mats = grid.prolongations()
+    assert grid.prolongations() is mats
+    assert [m.shape for m in mats] == [
+        (10 * 4**k + 2, 10 * 4**(k - 1) + 2) for k in range(res, 0, -1)]
+    parents = grid.parents[::-1]
+    c = np.random.default_rng(res).standard_normal(grid.n_nodes)
+    for mat, mid in zip(mats, parents):
+        n_coarse = mat.shape[1]
+        coarse = c[:n_coarse]
+        fine = mat @ coarse
+        assert np.array_equal(fine[:n_coarse], coarse)
+        assert np.array_equal(fine[n_coarse:], 0.5 * coarse[mid[:, 0]] + 0.5 * coarse[mid[:, 1]])
+        assert mat.has_canonical_format
+
+
+@pytest.mark.parametrize("res", [2, 8, 12])
+def test_torus_prolongations_are_bilinear_and_periodic(res):
+    grid = build_grid(FlatTorus([1.0, 0.7]), res)
+    mats = grid.prolongations()
+    sizes = [res]
+    while sizes[-1] % 2 == 0:
+        sizes.append(sizes[-1] // 2)
+    assert [m.shape for m in mats] == [(n * n, n * n // 4) for n in sizes[:-1]]
+    rng = np.random.default_rng(res)
+    for mat, n in zip(mats, sizes):
+        c = rng.standard_normal((n // 2, n // 2))
+        ref = np.empty((n, n))
+        ref[0::2, 0::2] = c
+        ref[1::2, 0::2] = 0.5 * (c + np.roll(c, -1, axis=0))
+        ref[0::2, 1::2] = 0.5 * (c + np.roll(c, -1, axis=1))
+        ref[1::2, 1::2] = 0.25 * (c + np.roll(c, -1, axis=0) + np.roll(c, -1, axis=1)
+                                  + np.roll(c, (-1, -1), axis=(0, 1)))
+        assert np.allclose(mat @ c.ravel(), ref.ravel(), rtol=0.0, atol=1e-15)
+
+
+def test_odd_torus_has_no_coarser_level():
+    assert build_grid(FlatTorus([1.0, 1.0]), 9).prolongations() == []

@@ -3,6 +3,9 @@
 import dataclasses
 import functools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,19 +20,25 @@ from riemvisc.operators import (
     compose,
     constant,
     max_of,
+    neg_detplus,
     neg_min_eigenvalue,
     neg_trace,
     scalar_term,
     source,
     sum_of,
+    yamabe,
 )
 from riemvisc.solver import (
+    _KRYLOV_CAP,
     _base_proxies,
     _center_sensitivity,
     _evaluate,
     _gather,
+    _lift_u_plus_g,
     _nodewise_solve,
     _proxy_array,
+    _sweep,
+    DEFAULT_MAX_ITER,
     derivative_proxies,
     discrete_residual,
     discretize,
@@ -306,11 +315,29 @@ def test_divergence_raises_with_report():
     assert not info.value.report.converged
 
 
+def sweep_solve(F, grid, u0, tol=1e-8, max_iter=DEFAULT_MAX_ITER, interior=None, clip=False):
+    """The damped sweep alone, as the engine runs it when Newton hands over."""
+    active = slice(None) if interior is None else interior
+    return _sweep(F, F.make_context(grid.coords), grid, np.array(u0, dtype=float), None,
+                  tol, max_iter, active, clip)
+
+
 def test_residual_history_monotone_after_burn_in():
     grid = build_grid(SPHERE, 3)
-    _, report = solve_fixed_point(laplace_rhs_z(), grid, tol=1e-8)
+    _, report = sweep_solve(_lift_u_plus_g(laplace_rhs_z()), grid, np.zeros(grid.n_nodes))
+    assert report.method == "sweep" and report.iterations > 100
     hist = report.residual_history[5:]
+    assert hist.size > 0
     assert np.all(np.diff(hist) <= 1e-12)
+
+
+def test_newton_residual_falls_at_every_step():
+    grid = build_grid(SPHERE, 3)
+    _, report = solve_fixed_point(laplace_rhs_z(), grid, tol=1e-8)
+    assert report.method == "newton" and report.converged
+    hist = report.residual_history
+    assert hist.size == report.iterations + 1 >= 2
+    assert np.all(np.diff(hist) < 0.0)
 
 
 def test_scheme_monotonicity_probes():
@@ -619,3 +646,158 @@ def test_yamabe_preconditions():
     torus = build_grid(FlatTorus([1.0, 1.0]), 8)
     with pytest.raises(PreconditionError):
         yamabe_solve(torus, "const:6", -1.0)
+
+
+# --------------------------------------------------------------------- #
+# the Newton engine against the damped sweep
+# --------------------------------------------------------------------- #
+
+NEWTON_GRIDS = [("sphere", 2), ("sphere", 3), ("sphere", 4), ("torus", 8), ("torus", 16)]
+
+
+@functools.lru_cache(maxsize=None)
+def newton_grid(kind, res):
+    if kind == "sphere":
+        return build_grid(SPHERE, res)
+    return build_grid(FlatTorus([1.0, 1.0]), res)
+
+
+def smooth_field(kind, a):
+    """a.x on the sphere; on the unit torus a periodic field of the same size."""
+    if kind == "sphere":
+        return ScalarField(lambda p: float(a @ p.coords), name="linear")
+    return ScalarField(lambda p: float(a @ np.concatenate(
+        [np.cos(2 * math.pi * p.coords), np.sin(2 * math.pi * p.coords[:1])])), name="wave")
+
+
+NEWTON_CASES = [(kind, res, problem) for kind, res in NEWTON_GRIDS
+                for problem in ("linear", "max_of", "dirichlet", "yamabe3", "yamabe5")
+                if kind == "sphere" or not problem.startswith("yamabe")]
+
+
+def newton_and_sweep(problem, kind, grid, a, tol):
+    """The engine's solution of the problem, its report, and the sweep's
+    solution from the same start; with the properness constant of the
+    equation and its interior mask (None: every node)."""
+    f = smooth_field(kind, a)
+    lin = sum_of(neg_trace(), source(f))
+    if problem.startswith("yamabe"):
+        # n = 5 has a non-integer exponent, so both clip their iterates at 0
+        n = int(problem[-1])
+        u0 = 1.5 + 0.5 * (grid.coords @ a)
+        u, report = yamabe_solve(grid, "const:6", -1.0, n=n, u0=GridFunction(grid, u0), tol=tol)
+        ref = sweep_solve(yamabe(n, "const:6", -1.0), grid, u0, tol, clip=n == 5)
+        return u, report, ref, 6.0, None
+    if problem == "dirichlet":
+        interior = geodesic_ball_interior(grid, 0, 1.0 if kind == "sphere" else 0.3)
+        F, f_vals = sum_of(scalar_term(1.0), lin), f.values(grid.coords)
+        u, report = solve_dirichlet(F, grid, ~interior, f_vals, tol=tol)
+        u0 = np.where(interior, 0.0, f_vals)
+        return u, report, sweep_solve(F, grid, u0, tol, interior=interior), 1.0, interior
+    G = lin if problem == "linear" else max_of(lin, constant(-0.1))
+    u, report = solve_fixed_point(G, grid, tol=tol)
+    return u, report, sweep_solve(_lift_u_plus_g(G), grid, np.zeros(grid.n_nodes), tol), 1.0, None
+
+
+@pytest.mark.parametrize("kind,res,problem", NEWTON_CASES)
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(a=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+       .filter(lambda v: np.linalg.norm(v) > 0.1))
+def test_newton_agrees_with_the_sweep(kind, res, problem, a):
+    # both solutions have residuals within tol, and the discrete comparison
+    # bounds their gap by the residuals over the properness constant
+    grid = newton_grid(kind, res)
+    tol = 1e-8
+    u, report, (ref, ref_report), gamma, interior = newton_and_sweep(
+        problem, kind, grid, np.asarray(a) / np.linalg.norm(a), tol)
+    assert report.method == "newton" and report.converged
+    assert report.iterations == report.residual_history.size - 1 >= 1
+    assert ref_report.method == "sweep" and ref_report.converged
+    assert np.max(np.abs(u.values - ref)) <= 2.0 * tol / gamma + 1e-14
+    if interior is not None:
+        assert np.array_equal(u.values[~interior], ref[~interior])
+
+
+def parent_sweep(G, grid, theta, tol, max_iter):
+    """The damped iteration at a fixed theta, as written before the Newton
+    engine: the reference for the sweep path's values."""
+    F = _lift_u_plus_g(G)
+    u = np.zeros(grid.n_nodes)
+    history = []
+    for it in range(max_iter):
+        vals = discrete_residual(F, grid, GridFunction(grid, u))
+        history.append(float(np.max(np.abs(vals))))
+        if history[-1] <= tol:
+            return u, it, history
+        u -= theta * vals
+    return u, max_iter, history
+
+
+@pytest.mark.parametrize("max_iter", [50, 100_000])
+def test_given_theta_is_the_sweep_bit_for_bit(max_iter):
+    grid = build_grid(SPHERE, 3)
+    G = sum_of(neg_trace(), source(ScalarField(lambda p: float(LINEAR_A @ p.coords))))
+    u, report = solve_fixed_point(G, grid, theta=0.04, tol=1e-8, max_iter=max_iter)
+    ref, iterations, history = parent_sweep(G, grid, 0.04, 1e-8, max_iter)
+    assert report.method == "sweep" and report.krylov_iterations == 0
+    assert report.iterations == iterations and report.converged == (max_iter > 50)
+    assert np.array_equal(u.values, ref)
+    assert np.array_equal(report.residual_history, history)
+
+
+def test_failed_newton_hands_the_original_problem_to_the_sweep():
+    # -lambda_min builds a Jacobian with negative neighbor weights (the
+    # scheme is not monotone), and no Krylov solve of it reaches its tolerance
+    grid = build_grid(SPHERE, 3)
+    G = sum_of(neg_min_eigenvalue(), source(ScalarField(lambda p: float(LINEAR_A @ p.coords))))
+    u, report = solve_fixed_point(G, grid, tol=1e-8)
+    ref, ref_report = sweep_solve(_lift_u_plus_g(G), grid, np.zeros(grid.n_nodes))
+    assert report.method == "sweep" and report.krylov_iterations == _KRYLOV_CAP
+    assert report.converged and report.iterations == ref_report.iterations == 138
+    assert np.array_equal(u.values, ref)
+    assert np.array_equal(report.residual_history, ref_report.residual_history)
+
+
+def test_odd_torus_lattice_is_left_to_the_sweep():
+    # 33 x 33 cannot be halved, and its 1089 nodes are past a dense coarse solve
+    grid = build_grid(FlatTorus([1.0, 1.0]), 33)
+    u, report = solve_fixed_point(laplace_rhs_2(), grid, max_iter=50)
+    ref, ref_report = sweep_solve(_lift_u_plus_g(laplace_rhs_2()), grid,
+                                  np.zeros(grid.n_nodes), max_iter=50)
+    assert report.method == "sweep" and report.krylov_iterations == 0
+    assert not report.converged and report.iterations == 50
+    assert np.array_equal(u.values, ref)
+
+
+@pytest.mark.parametrize("res", [3, 4])
+@pytest.mark.parametrize("kind", ["detplus", "cubic_trace"])
+def test_newton_solves_what_the_sweep_cannot(kind, res):
+    # the theta probe at u0 = 0 reads slope 0 for both (det+ and (tr A)^3
+    # vanish to second order there), so theta = 1 and the sweep diverges
+    grid = build_grid(SPHERE, res)
+    f = ScalarField(lambda p: float(LINEAR_A @ p.coords), name="linear")
+    inner = neg_detplus() if kind == "detplus" else compose(lambda t: t**3, neg_trace())
+    G = sum_of(inner, source(f))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        sweep_solve(_lift_u_plus_g(G), grid, np.zeros(grid.n_nodes))
+    u, report = solve_fixed_point(G, grid, tol=1e-8)
+    assert report.method == "newton" and report.converged
+    lifted = discrete_residual(sum_of(scalar_term(1.0), G), grid, u)
+    assert np.max(np.abs(lifted)) <= 1e-8
+
+
+def test_cli_solve_leaves_scipy_sparse_linalg_unimported():
+    code = (
+        "import sys\n"
+        "import riemvisc.cli\n"
+        "from riemvisc import Sphere, build_grid, solve_fixed_point\n"
+        "from riemvisc.operators import constant, neg_trace, sum_of\n"
+        "u, rep = solve_fixed_point(sum_of(neg_trace(), constant(-2.0)),\n"
+        "                           build_grid(Sphere(2, 1.0), 3))\n"
+        "assert rep.method == 'newton' and rep.converged, rep\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "False"
