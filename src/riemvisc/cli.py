@@ -5,6 +5,15 @@ schema), runs its suite deterministically for the given seed, and writes
 a JSON report plus CSV data files into the output directory.  The exit
 code is 0 when every check passed, 1 on any FAIL, and 2 on usage or
 schema errors.  Reports embed the resolved config for provenance.
+
+``geometry-check`` reports four largest violations over sampled points:
+transport isometry along random pairs, exp/log inversion, distance
+additivity along segments and, on a space form, constancy of the sectional
+curvature.  Its loops make only the generator calls, in the order of a
+per-sample loop, and the draws are evaluated as stacks (``pairs_from_draws``,
+``exp_stack``, ``log_stack``, ``transport_stack``,
+``sectional_curvature_stack``), bit for bit that loop; the additivity loop,
+which walks one ``GeodesicSegment`` at a time, is the exception.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .jets import (
     generate_star_candidates,
     transported_order_margins,
 )
-from .manifolds import TangentVector, from_config as model_from_config
+from .manifolds import _rowwise_dot, from_config as model_from_config
 from .operators import from_config as operator_from_config
 from .solver import solve_fixed_point, yamabe_solve
 
@@ -167,7 +176,48 @@ def _grid_from_config(cfg: dict):
 # geometry-check
 # --------------------------------------------------------------------- #
 
+def _stacked(rows) -> list[np.ndarray]:
+    """The columns of a sequence of equal-length tuples, as arrays."""
+    return [np.array(col) for col in zip(*rows)]
+
+
+def _worst(violations: np.ndarray) -> float:
+    """The largest violation, 0 if none; NaN entries are ignored, as a
+    running ``max`` from 0 ignores them."""
+    return float(np.fmax.reduce(violations, initial=0.0))
+
+
+def _explog_draws(model, rng, n: int):
+    """``(xs, vs, keep, scales)``: the exp/log check's points and tangents,
+    which rows it keeps (norm >= 1e-12) and their uniform scales.  Only a
+    kept row draws its uniform, so the loop is replayed from the generator's
+    state until every refused row was drawn as refused."""
+    start = rng.bit_generator.state
+    refused = np.zeros(n, bool)
+    while True:
+        rng.bit_generator.state = start
+        raw_x, raw_v, scales = _stacked(
+            (model.draw_point(rng), model.draw_tangent(rng),
+             math.nan if refused[i] else rng.uniform(0.01, 1.0))
+            for i in range(n)
+        )
+        xs = model.points_from_draws(raw_x)
+        vs = model.project_tangent_stack(xs, raw_v)
+        short = np.sqrt(np.maximum(model.inner_stack(vs, vs), 0.0)) < 1e-12
+        new = np.flatnonzero(short & ~refused)
+        if new.size == 0:
+            return xs, vs, ~short, scales
+        # rows before the first new refusal keep their draws, so the replays end
+        refused[new[0]] = True
+
+
 def _geometry_suite(model, n_samples, seed, tolerances):
+    """The checks of ``geometry-check``, each the largest violation over
+    sampled points: transport isometry |<L v, L w>_y - <v, w>_x| over
+    ``n_samples`` pairs, exp/log inversion |log_x exp_x v - v| over
+    ``n_samples // 4`` steps, distance additivity along ``n_samples // 20``
+    segments, and |K(u, v) - K| over ``n_samples // 4`` planes of a space
+    form (at least one sample each)."""
     rng = np.random.default_rng(seed)
     tol_transport = tolerances.get("transport", 1e-10)
     tol_explog = tolerances.get("exp_log", 1e-9)
@@ -177,29 +227,23 @@ def _geometry_suite(model, n_samples, seed, tolerances):
     cap = model.injectivity_radius()
     reach = 0.9 * cap if math.isfinite(cap) else 2.5
 
-    worst_transport = 0.0
-    for _ in range(n_samples):
-        x, y, _ = model.random_pair(rng, 0.05, reach)
-        v = model.random_tangent(rng, x)
-        w = model.random_tangent(rng, x)
-        lv = model.parallel_transport(x, y, v)
-        lw = model.parallel_transport(x, y, w)
-        worst_transport = max(
-            worst_transport, abs(model.metric(y, lv, lw) - model.metric(x, v, w))
-        )
+    raw_x, raw_d, ells, raw_v, raw_w = _stacked(
+        (model.draw_point(rng), model.draw_tangent(rng), rng.uniform(0.05, reach),
+         model.draw_tangent(rng), model.draw_tangent(rng))
+        for _ in range(n_samples)
+    )
+    xs, ys = model.pairs_from_draws(raw_x, raw_d, ells)
+    vs, ws = model.project_tangent_stack(xs, raw_v), model.project_tangent_stack(xs, raw_w)
+    moved = model.transport_stack(xs, ys, np.stack([vs, ws], axis=1))
+    worst_transport = _worst(np.abs(
+        model.inner_stack(moved[:, 0], moved[:, 1]) - model.inner_stack(vs, ws)))
 
-    worst_explog = 0.0
-    for _ in range(max(1, n_samples // 4)):
-        x = model.random_point(rng)
-        v = model.random_tangent(rng, x)
-        nv = model.norm(x, v)
-        if nv < 1e-12:
-            continue
-        v = TangentVector(x, v.components * (rng.uniform(0.01, 1.0) * reach / nv))
-        back = model.log(x, model.exp(x, v))
-        worst_explog = max(
-            worst_explog, float(np.linalg.norm(back.components - v.components))
-        )
+    xs, vs, keep, scales = _explog_draws(model, rng, max(1, n_samples // 4))
+    xs, vs = xs[keep], vs[keep]
+    nv = np.sqrt(np.maximum(model.inner_stack(vs, vs), 0.0))
+    vs = vs * (scales[keep] * reach / nv)[:, None]
+    gaps = model.log_stack(xs, model.exp_stack(xs, vs)) - vs
+    worst_explog = _worst(np.sqrt(_rowwise_dot(gaps, gaps)))
 
     worst_additivity = 0.0
     for _ in range(max(1, n_samples // 20)):
@@ -214,17 +258,16 @@ def _geometry_suite(model, n_samples, seed, tolerances):
     worst_curvature = 0.0
     curvature_checked = k is not None
     if curvature_checked:
-        for _ in range(max(1, n_samples // 4)):
-            x = model.random_point(rng)
-            u = model.random_tangent(rng, x)
-            v = model.random_tangent(rng, x)
-            uu, vv = model.metric(x, u, u), model.metric(x, v, v)
-            uv = model.metric(x, u, v)
-            if uu * vv - uv * uv < 1e-6:
-                continue
-            worst_curvature = max(
-                worst_curvature, abs(model.sectional_curvature(x, u, v) - k)
-            )
+        raw_x, raw_u, raw_v = _stacked(
+            (model.draw_point(rng), model.draw_tangent(rng), model.draw_tangent(rng))
+            for _ in range(max(1, n_samples // 4))
+        )
+        xs = model.points_from_draws(raw_x)
+        us, vs = model.project_tangent_stack(xs, raw_u), model.project_tangent_stack(xs, raw_v)
+        uu, vv, uv = model.inner_stack(us, us), model.inner_stack(vs, vs), model.inner_stack(us, vs)
+        planes = ~(uu * vv - uv * uv < 1e-6)
+        worst_curvature = _worst(np.abs(
+            model.sectional_curvature_stack(us[planes], vs[planes]) - k))
 
     def check(worst, tol):
         return {"max_violation": worst, "tolerance": tol, "pass": worst <= tol}

@@ -33,6 +33,12 @@ Conventions
   tangent vectors (``transport_rows``, ``curvature_rows``; a product runs
   them factorwise); ``parallel_transport`` and ``curvature_operator`` are
   their one-row cases, rounded alike, so a whole frame moves in one call.
+* Over stacks of point pairs, ``log_stack`` and ``transport_stack`` (one
+  vector, or a (k, ambient) stack of them, per pair) round every row as
+  ``log`` and ``transport_rows`` do, and ``transport_matrices`` every pair's
+  ``transport_matrix``; ``sectional_curvature_stack`` is
+  ``sectional_curvature`` over rows.  The single-pair methods stay: a
+  one-row stack costs several times a scalar call.
 * ``inner_stack`` broadcasts over leading axes; ``components(vectors,
   frame)`` on top of it rounds each entry as one ``ambient_inner``, and
   ``canonical_frames`` batches ``canonical_frame`` on every model.
@@ -206,6 +212,12 @@ class Manifold:
         of a (k, ambient) stack of tangent vectors at x."""
         raise NotImplementedError
 
+    def transport_stack(self, xs: np.ndarray, ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """``transport_rows`` for every row pair of two (N, ambient) point
+        stacks, of ``vs[i]``: one (ambient,) vector or a (k, ambient) stack of
+        them per pair, each row rounded as ``transport_rows`` rounds it."""
+        raise NotImplementedError
+
     def parallel_transport(self, x: Point, y: Point, v: TangentVector) -> TangentVector:
         """``transport_rows`` of the one vector v."""
         self._check_based(x, v)
@@ -220,6 +232,12 @@ class Manifold:
 
     def distance_stack(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """``distance`` between every row pair of two (N, ambient) stacks."""
+        raise NotImplementedError
+
+    def log_stack(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``log`` at every row pair of two (N, ambient) stacks, each row
+        rounded as the single-pair method rounds it; its typed error names
+        the first row where ``log`` is undefined."""
         raise NotImplementedError
 
     def inner_stack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,10 +257,11 @@ class Manifold:
     def curvature_rows(self, us: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """R(u, v)w for each row u of a (k, ambient) stack, v and w tangent at
         the same point: K (<v,w> u - <u,w> v) on a space form of curvature K;
-        the sign is fixed by <R(u,v)v, u> = K |u ^ v|^2."""
+        the sign is fixed by <R(u,v)v, u> = K |u ^ v|^2.  v and w may also be
+        (k, ambient) stacks, one pair per row."""
         uw = self.inner_stack(us, w)
-        vw = self.ambient_inner(None, v, w)
-        return self.constant_sectional() * (vw * us - uw[:, None] * v)
+        vw = self.inner_stack(v, w)
+        return self.constant_sectional() * (vw[..., None] * us - uw[:, None] * v)
 
     def curvature_operator(
         self, x: Point, u: TangentVector, v: TangentVector, w: TangentVector
@@ -317,6 +336,24 @@ class Manifold:
         r = self.curvature_operator(x, e1, e2, e2)
         return self.metric(x, r, e1)
 
+    def sectional_curvature_stack(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """``sectional_curvature`` of every row pair of two (N, ambient) stacks
+        of tangent vectors (row i of both at the same point, which does not
+        enter), each rounded as the single-pair method rounds it.  Its typed
+        error names the first dependent pair, and also the first whose
+        Gram-Schmidt remainder has a square <= 0 from roundoff (where the
+        single-pair method fails in ``math.sqrt`` or divides by zero)."""
+        uu, vv, uv = self.inner_stack(us, us), self.inner_stack(vs, vs), self.inner_stack(us, vs)
+        w = vs - (uv / uu)[:, None] * us
+        ww = self.inner_stack(w, w)
+        bad = np.flatnonzero((uu * vv - uv * uv <= 1e-12 * np.maximum(uu * vv, 1e-300)) | (ww <= 0.0))
+        if bad.size:
+            raise GeometryDomainError(
+                f"sectional curvature needs independent vectors (row {bad[0]})")
+        e1 = us / np.sqrt(uu)[:, None]
+        e2 = w / np.sqrt(ww)[:, None]
+        return self.inner_stack(self.curvature_rows(e1, e2, e2), e1)
+
     def canonical_frame(self, x: Point) -> np.ndarray:
         """Deterministic orthonormal frame at x, rows = frame vectors.
 
@@ -390,6 +427,12 @@ class Manifold:
             self.transport_rows(x, y, self.canonical_frame(x)), self.canonical_frame(y)
         )
 
+    def transport_matrices(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``transport_matrix`` for every row pair of two (N, ambient) point
+        stacks, shape (N, dim, dim), bit for bit."""
+        moved = self.transport_stack(xs, ys, self.canonical_frames(xs))
+        return self.components(moved, self.canonical_frames(ys)[:, None])
+
     def parallel_transport_bilinear(self, x: Point, y: Point, a: SymBilinear) -> SymBilinear:
         """Transport of a form: (L_xy A)(u, u) := A(L_yx u, L_yx u)."""
         self._check_based(x, a)
@@ -461,8 +504,14 @@ class Euclidean(Manifold):
         d = ys - xs
         return np.sqrt(_rowwise_dot(d, d))
 
+    def log_stack(self, xs, ys):
+        return ys - xs
+
     def transport_rows(self, x, y, rows):
         return np.array(rows, dtype=float)
+
+    def transport_stack(self, xs, ys, vs):
+        return np.array(vs, dtype=float)
 
     def injectivity_radius(self, x=None):
         return INFINITE_RADIUS
@@ -492,7 +541,7 @@ class _SpaceForm(Manifold):
     ``C(t/rho) x + rho S(t/rho) u``.  A model supplies (``_C``, ``_S``),
     ``_sign`` (the sign of K), ``_arc(s, c)`` (the angle t/rho with S = s and
     C = c), its inner product, ``_onto``/``_onto_stack`` (the step back onto
-    the model after exp) and ``_check_log``.
+    the model after exp) and ``_log_refused``.
     """
 
     _arc_max = math.inf  # the largest t/rho at which C and S are finite
@@ -577,8 +626,13 @@ class _SpaceForm(Manifold):
         nu = math.sqrt(max(self.ambient_inner(x, u, u), 0.0))
         return self._arc(nu / self._rho, c), u, nu
 
+    def _log_refused(self, theta, nu):
+        """Where ``log`` is undefined, elementwise; every point has a log by default."""
+        return np.zeros(np.shape(theta), bool)
+
     def _check_log(self, theta, nu):
-        """Raise where ``log`` is undefined; every point has a log by default."""
+        if self._log_refused(theta, nu):
+            raise GeometryDomainError("log undefined at or beyond the antipode")
 
     def log(self, x, y):
         theta, u, nu = self._split(x, y)
@@ -590,11 +644,25 @@ class _SpaceForm(Manifold):
     def distance(self, x, y):
         return self._rho * self._split(x, y)[0]
 
-    def distance_stack(self, xs, ys):
+    def _split_stack(self, xs, ys):
+        """``_split`` at every row pair of two (N, ambient) stacks."""
         c = self.constant_sectional() * self.inner_stack(ys, xs)
         u = ys - c[:, None] * xs
         nu = np.sqrt(np.maximum(self.inner_stack(u, u), 0.0))
-        return self._rho * _libm(self._arc, nu / self._rho, c)
+        return _libm(self._arc, nu / self._rho, c), u, nu
+
+    def distance_stack(self, xs, ys):
+        return self._rho * self._split_stack(xs, ys)[0]
+
+    def log_stack(self, xs, ys):
+        theta, u, nu = self._split_stack(xs, ys)
+        bad = np.flatnonzero(self._log_refused(theta, nu))
+        if bad.size:
+            raise GeometryDomainError(
+                f"log_stack row {bad[0]}: log undefined at or beyond the antipode")
+        zero = nu <= 1e-300
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(zero[:, None], 0.0, (self._rho * theta / nu)[:, None] * u)
 
     def transport_rows(self, x, y, rows):
         rows = np.array(rows, dtype=float)
@@ -607,6 +675,22 @@ class _SpaceForm(Manifold):
         a = self.inner_stack(rows, u)[:, None]
         vel_y = -self._sign * self._S(theta) * x.coords / self._rho + self._C(theta) * u
         return rows - a * u + a * vel_y
+
+    def transport_stack(self, xs, ys, vs):
+        vs = np.asarray(vs, dtype=float)
+        e = self.log_stack(xs, ys)
+        ell = np.sqrt(np.maximum(self.inner_stack(e, e), 0.0))
+        still = ell <= 1e-300
+        ell = np.where(still, 1.0, ell)
+        u = e / ell[:, None]
+        theta = ell / self._rho
+        vel_y = ((-self._sign * _libm(self._S, theta))[:, None] * xs / self._rho
+                 + _libm(self._C, theta)[:, None] * u)
+        # per-pair rows broadcast over the vectors of a (N, k, ambient) stack
+        pair = (slice(None),) + (None,) * (vs.ndim - 2)
+        u, vel_y = u[pair], vel_y[pair]
+        a = self.inner_stack(vs, u)[..., None]
+        return np.where(still[pair][..., None], vs, vs - a * u + a * vel_y)
 
 
 class Sphere(_SpaceForm):
@@ -638,9 +722,8 @@ class Sphere(_SpaceForm):
     def _onto_stack(self, p):
         return p * (self.radius / np.sqrt(_rowwise_dot(p, p)))[:, None]
 
-    def _check_log(self, theta, nu):
-        if theta >= math.pi * (1.0 - 1e-12) or (nu <= 1e-12 * self.radius and theta > 1.0):
-            raise GeometryDomainError("log undefined at or beyond the antipode")
+    def _log_refused(self, theta, nu):
+        return (theta >= math.pi * (1.0 - 1e-12)) | ((nu <= 1e-12 * self.radius) & (theta > 1.0))
 
     def injectivity_radius(self, x=None):
         return math.pi * self.radius
@@ -804,6 +887,13 @@ class FlatTorus(Euclidean):
             raise GeometryDomainError("log undefined at the torus cut locus")
         return TangentVector(x, d)
 
+    def log_stack(self, xs, ys):
+        d = self._minimal_diff(xs, ys)
+        bad = np.flatnonzero(np.any(self.periods / 2.0 - np.abs(d) < 1e-12 * self.periods, axis=1))
+        if bad.size:
+            raise GeometryDomainError(f"log_stack row {bad[0]}: log undefined at the torus cut locus")
+        return d
+
     def injectivity_radius(self, x=None):
         return float(np.min(self.periods)) / 2.0
 
@@ -851,10 +941,10 @@ class Product(Manifold):
         )
 
     def _by_factor(self, method: str, *stacks) -> np.ndarray:
-        """Each factor's ``method`` over its columns of the (N, ambient) stacks."""
+        """Each factor's ``method`` over its columns (the last axis) of the stacks."""
         return np.concatenate(
-            [getattr(f, method)(*(a[:, s] for a in stacks))
-             for f, s in zip(self.factors, self._slices)], axis=1,
+            [getattr(f, method)(*(a[..., s] for a in stacks))
+             for f, s in zip(self.factors, self._slices)], axis=-1,
         )
 
     def project_tangent(self, x, ambient):
@@ -883,6 +973,9 @@ class Product(Manifold):
         ]
         return TangentVector(x, self._join(out))
 
+    def log_stack(self, xs, ys):
+        return self._by_factor("log_stack", xs, ys)
+
     def distance(self, x, y):
         return float(self.distance_stack(x.coords[None], y.coords[None])[0])
 
@@ -898,6 +991,9 @@ class Product(Manifold):
             axis=1,
         )
 
+    def transport_stack(self, xs, ys, vs):
+        return self._by_factor("transport_stack", xs, ys, vs)
+
     def injectivity_radius(self, x=None):
         xs = self._parts_point(x) if x is not None else [None] * len(self.factors)
         return min(f.injectivity_radius(xi) for f, xi in zip(self.factors, xs))
@@ -906,10 +1002,7 @@ class Product(Manifold):
         return None
 
     def curvature_rows(self, us, v, w):
-        return np.concatenate(
-            [f.curvature_rows(us[:, s], v[s], w[s]) for f, s in zip(self.factors, self._slices)],
-            axis=1,
-        )
+        return self._by_factor("curvature_rows", us, v, w)
 
     def project_tangent_stack(self, xs, ambient):
         return self._by_factor("project_tangent_stack", xs, ambient)

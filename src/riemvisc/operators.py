@@ -8,10 +8,10 @@ gamma, translation invariance, continuity moduli) are declared flags; the
 ``*_check`` and ``*_estimate`` sweeps in this module probe them
 empirically.  A sweep's loop makes only its generator calls; the draws are
 mapped as stacks (``points_from_draws``, ``pairs_from_draws``), a state
-(zeta, A) moves from x to y with one ``transport_matrix`` T per pair, as
-zeta T and T^T A T, and one batch call evaluates the sweep.  Estimated
-moduli are never certificates; pass thresholds belong to the test
-configuration, not the library.
+(zeta, A) moves from x to y by the transport matrices T of all pairs in
+one call (``transport_matrices``), as zeta T and T^T A T, and one batch
+call evaluates the sweep.  Estimated moduli are never certificates; pass
+thresholds belong to the test configuration, not the library.
 
 Note on the positive determinant: ``detplus`` is the literal product of
 the nonnegative eigenvalues (empty product = 1).  That function is not
@@ -530,11 +530,6 @@ def _gap(F: OperatorSpec, upper, lower) -> np.ndarray:
     return vals[: len(upper[1])] - vals[len(upper[1]):]
 
 
-def _transport_matrices(m: Manifold, xs, ys) -> np.ndarray:
-    """``transport_matrix(x, y)`` for each row pair of two point stacks."""
-    return np.array([m.transport_matrix(Point(x), Point(y)) for x, y in zip(xs, ys)])
-
-
 def _transported(ts, zetas, amats):
     """Frame components (zeta, A) moved by transport matrices T: zeta T and
     T^T A T, the forms symmetrized as ``SymBilinear`` stores them."""
@@ -624,7 +619,7 @@ def invariance_check(
     )
     xs, ys = m.pairs_from_draws(raw_x, raw_d, ells)
     zs, a = zs * 2.0, _symmetric(raw_a)
-    moved = _transported(_transport_matrices(m, xs, ys), zs, a)
+    moved = _transported(m.transport_matrices(xs, ys), zs, a)
     worst = float(np.max(np.abs(_gap(F, (ys, rs, *moved), (xs, rs, zs, a))), initial=0.0))
     return CheckReport(
         f"invariance:{F.name}", m.config(), n_samples, worst, tolerance,
@@ -678,7 +673,7 @@ def intrinsic_modulus_estimate(
     )
     xs, ys = m.pairs_from_draws(raw_x, raw_d, dists)
     etas, q = etas * 2.0, _symmetric(raw_q)
-    moved = _transported(_transport_matrices(m, ys, xs), etas, q)
+    moved = _transported(m.transport_matrices(ys, xs), etas, q)
     vals = _gap(F, (ys, rs, etas, q), (xs, rs, *moved))
     idx = np.searchsorted(bins, dists)
     keep = idx < len(bins)
@@ -744,7 +739,7 @@ def twoflat_modulus_estimate(
     zs, q, bump = zs * 2.0, _symmetric(raw_q), _symmetric(raw_b, scale=1.0)
     bump -= (np.linalg.eigvalsh(bump)[:, -1] - sample_deltas * shifts)[:, None, None] * np.eye(n)
     # T moves zeta from x to y; its transpose carries Q back from y to x
-    ts = _transport_matrices(m, xs, ys)
+    ts = m.transport_matrices(xs, ys)
     back_q = symmetrized_forms(ts @ q @ np.swapaxes(ts, 1, 2))
     vals = _gap(F, (ys, rs, (zs[:, None] @ ts)[:, 0], q), (xs, rs, zs, back_q + bump))
     di = np.searchsorted(d_bins, dists)

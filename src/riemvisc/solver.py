@@ -171,7 +171,11 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         # wall time is left out so serialized reports are byte-identical
-        # across runs with the same config and seed
+        # across runs with the same config and seed; a Newton history (at
+        # most 31 residuals) is written whole, a sweep's every 50th entry
+        history = self.residual_history
+        if self.method == "sweep":
+            history = history[::50]
         return {
             "method": self.method,
             "iterations": self.iterations,
@@ -180,7 +184,7 @@ class SolveReport:
             "tolerance": self.tolerance,
             "converged": self.converged,
             "theta": self.theta,
-            "residual_history": self.residual_history[::50].tolist(),
+            "residual_history": history.tolist(),
         }
 
 

@@ -2,15 +2,18 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import riemvisc
-from riemvisc.cli import cmd_geometry_check, main
+from riemvisc import Euclidean, FlatTorus, Hyperbolic, Product, Sphere, TangentVector
+from riemvisc.cli import _explog_draws, _geometry_suite, cmd_geometry_check, main
 
 
 def run(args):
@@ -42,6 +45,115 @@ def test_geometry_check_torus_and_product(tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": model, "n_samples": 150}))
         assert run(["geometry-check", "--config", cfg, "--out", tmp_path]) == 0
+
+
+def _reference_geometry_suite(model, n_samples, seed, tolerances):
+    """The geometry suite as a per-sample loop, one pair at a time: the
+    oracle of the stacked suite."""
+    rng = np.random.default_rng(seed)
+    tol_transport = tolerances.get("transport", 1e-10)
+    tol_explog = tolerances.get("exp_log", 1e-9)
+    tol_additivity = tolerances.get("additivity", 1e-9)
+    tol_curvature = tolerances.get("curvature", 1e-10)
+
+    cap = model.injectivity_radius()
+    reach = 0.9 * cap if math.isfinite(cap) else 2.5
+
+    worst_transport = 0.0
+    for _ in range(n_samples):
+        x, y, _ = model.random_pair(rng, 0.05, reach)
+        v = model.random_tangent(rng, x)
+        w = model.random_tangent(rng, x)
+        lv = model.parallel_transport(x, y, v)
+        lw = model.parallel_transport(x, y, w)
+        worst_transport = max(
+            worst_transport, abs(model.metric(y, lv, lw) - model.metric(x, v, w))
+        )
+
+    worst_explog = 0.0
+    for _ in range(max(1, n_samples // 4)):
+        x = model.random_point(rng)
+        v = model.random_tangent(rng, x)
+        nv = model.norm(x, v)
+        if nv < 1e-12:
+            continue
+        v = TangentVector(x, v.components * (rng.uniform(0.01, 1.0) * reach / nv))
+        back = model.log(x, model.exp(x, v))
+        worst_explog = max(
+            worst_explog, float(np.linalg.norm(back.components - v.components))
+        )
+
+    worst_additivity = 0.0
+    for _ in range(max(1, n_samples // 20)):
+        x, y, _ = model.random_pair(rng, 0.05, reach)
+        seg = model.geodesic_segment(x, y)
+        for t in np.linspace(0.0, seg.length, 5):
+            worst_additivity = max(
+                worst_additivity, abs(model.distance(x, seg.point_at(float(t))) - t)
+            )
+
+    k = model.constant_sectional()
+    worst_curvature = 0.0
+    curvature_checked = k is not None
+    if curvature_checked:
+        for _ in range(max(1, n_samples // 4)):
+            x = model.random_point(rng)
+            u = model.random_tangent(rng, x)
+            v = model.random_tangent(rng, x)
+            uu, vv = model.metric(x, u, u), model.metric(x, v, v)
+            uv = model.metric(x, u, v)
+            if uu * vv - uv * uv < 1e-6:
+                continue
+            worst_curvature = max(
+                worst_curvature, abs(model.sectional_curvature(x, u, v) - k)
+            )
+
+    def check(worst, tol):
+        return {"max_violation": worst, "tolerance": tol, "pass": worst <= tol}
+
+    checks = {
+        "transport_isometry": check(worst_transport, tol_transport),
+        "exp_log_inversion": check(worst_explog, tol_explog),
+        "distance_additivity": check(worst_additivity, tol_additivity),
+    }
+    if curvature_checked:
+        checks["curvature_constancy"] = check(worst_curvature, tol_curvature)
+    else:
+        checks["curvature_constancy"] = {"skipped": "product model has no constant"}
+    return checks
+
+
+GEOMETRY_MODELS = [
+    Sphere(2, 1.0), Sphere(2, 2.0), Hyperbolic(2, 1.0), Hyperbolic(3, 4.0),
+    FlatTorus([1.0, 1.0]), Euclidean(3), Product([Sphere(2, 1.0), Hyperbolic(2, 1.0)]),
+]
+
+
+@pytest.mark.parametrize("seed,n_samples", [(3, 1000), (0, 300), (11, 41)])
+@pytest.mark.parametrize("model", GEOMETRY_MODELS, ids=lambda m: json.dumps(m.config()))
+def test_geometry_suite_is_the_per_sample_loop(model, seed, n_samples):
+    # repr compares every value bit for bit and every type (float, not np.float64)
+    assert repr(_geometry_suite(model, n_samples, seed, {})) == repr(
+        _reference_geometry_suite(model, n_samples, seed, {}))
+
+
+class _TinyDirections(Euclidean):
+    """Euclidean space whose tangent draw is scaled to norm < 1e-12 when its
+    first entry exceeds 1 (about one draw in six), so the exp/log check
+    refuses those rows and draws no uniform for them."""
+
+    def draw_tangent(self, rng):
+        d = rng.standard_normal(self.dim)
+        return d * 1e-14 if d[0] > 1.0 else d
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_geometry_suite_replays_refused_directions(seed):
+    model = _TinyDirections(2)
+    _, _, keep, _ = _explog_draws(model, np.random.default_rng(seed), 60)
+    assert 0 < np.count_nonzero(~keep) < 60
+    assert repr(_geometry_suite(model, 240, seed, {})) == repr(
+        _reference_geometry_suite(model, 240, seed, {}))
 
 
 def test_malformed_json_is_usage_error(tmp_path):

@@ -853,3 +853,99 @@ def test_row_kernels_match_the_single_vector_formulas(model, seed, rows, far, sa
     frame_moved = [reference_transport(model, x, y, f) for f in model.canonical_frame(x)]
     expected = reference_components(model, y, frame_moved, model.canonical_frame(y))
     assert_bitwise(model.transport_matrix(x, y), expected)
+
+
+# --------------------------------------------------------------------- #
+# log, transport and transport matrices over stacks of point pairs      #
+# --------------------------------------------------------------------- #
+
+def apex(model):
+    """A point whose curvature-scaled square <x, x> K is exactly 1 on each
+    space-form factor (an axis point of the sphere, the hyperboloid's apex),
+    so that log(x, x) takes its zero branch."""
+    if isinstance(model, Product):
+        return Point(np.concatenate([apex(f).coords for f in model.factors]))
+    if isinstance(model, Sphere):
+        return Point(np.eye(model.dim + 1)[-1] * model.radius)
+    if isinstance(model, Hyperbolic):
+        return model.base_point()
+    return Point(np.zeros(model.ambient_dim))
+
+
+def outcome(fn):
+    """``fn()`` as a float array, or ``GeometryDomainError`` if it raised a
+    typed error or (single-pair sectional curvature) a ``math`` domain error."""
+    try:
+        return np.asarray(fn(), dtype=float)
+    except (GeometryDomainError, ValueError):
+        return GeometryDomainError
+
+
+def assert_same_outcome(stacked, single):
+    expected = outcome(single)
+    if expected is GeometryDomainError:
+        assert outcome(stacked) is GeometryDomainError
+    else:
+        assert_bitwise(stacked(), expected)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    model=ROW_KERNEL_MODELS,
+    seed=st.integers(0, 2**32 - 1),
+    pairs=st.integers(1, 6),
+    far=st.sampled_from([0.0, 2.0, 5.0]),
+)
+def test_pair_stack_kernels_match_the_single_pair_methods(model, seed, pairs, far):
+    rng = np.random.default_rng(seed)
+
+    def step(x, ell):
+        d = model.random_tangent(rng, x)
+        nd = model.norm(x, d)
+        assume(nd > 0.0)
+        return model.exp(x, TangentVector(x, d.components * (ell / nd)))
+
+    # distinct pairs, then x = y at a random point and at the apex (the
+    # l <= 1e-300 branch of transport, log's zero branch)
+    xs, ys = [], []
+    for _ in range(pairs):
+        x = step(model.random_point(rng), far)
+        cap = model.injectivity_radius(x)
+        xs.append(x)
+        ys.append(step(x, rng.uniform(0.05, 0.9 * min(cap, 3.0) if math.isfinite(cap) else 2.7)))
+    xs += [xs[0], apex(model)]
+    ys += [xs[0], apex(model)]
+    x_rows, y_rows = np.array([x.coords for x in xs]), np.array([y.coords for y in ys])
+    vs = np.array([model.random_tangent(rng, x).components for x in xs])
+    frames = np.array([[model.random_tangent(rng, x).components for _ in range(3)] for x in xs])
+
+    logs = [model.log(x, y).components for x, y in zip(xs, ys)]
+    assert_bitwise(model.log_stack(x_rows, y_rows), logs)
+    assert not np.any(logs[-1])
+    assert_bitwise(model.transport_stack(x_rows, y_rows, vs),
+                   [model.transport_rows(x, y, v[None])[0] for x, y, v in zip(xs, ys, vs)])
+    assert_bitwise(model.transport_stack(x_rows, y_rows, frames),
+                   [model.transport_rows(x, y, f) for x, y, f in zip(xs, ys, frames)])
+    assert_bitwise(model.transport_stack(x_rows[-1:], y_rows[-1:], vs[-1:]), vs[-1:])
+    # far out on a hyperboloid a frame or a plane may be refused: then both are
+    assert_same_outcome(lambda: model.transport_matrices(x_rows, y_rows),
+                        lambda: [model.transport_matrix(x, y) for x, y in zip(xs, ys)])
+    us, ws = frames[:, 0], frames[:, 1]
+    assert_same_outcome(
+        lambda: model.sectional_curvature_stack(us, ws),
+        lambda: [model.sectional_curvature(x, TangentVector(x, u), TangentVector(x, w))
+                 for x, u, w in zip(xs, us, ws)])
+
+
+@pytest.mark.parametrize("model,y", [
+    (Sphere(2, 1.0), [-1.0, 0.0, 0.0]),
+    (FlatTorus([1.0, 2.0]), [0.5, 0.25]),
+], ids=["sphere_antipode", "torus_cut_locus"])
+def test_log_stack_names_the_first_row_without_a_log(model, y):
+    xs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]] if isinstance(model, Sphere)
+                  else [[0.1, 0.1], [0.0, 0.0]])
+    ys = np.array([xs[0] if isinstance(model, Sphere) else [0.2, 0.3], y])
+    with pytest.raises(GeometryDomainError, match="log_stack row 1"):
+        model.log_stack(xs, ys)
+    with pytest.raises(GeometryDomainError):
+        model.log(Point(xs[1]), Point(ys[1]))

@@ -758,6 +758,29 @@ def test_failed_newton_hands_the_original_problem_to_the_sweep():
     assert np.array_equal(report.residual_history, ref_report.residual_history)
 
 
+def test_newton_converges_through_a_krylov_residual_above_b():
+    # the first BiCGSTAB iteration of a res-5 neg_detplus Newton step passes
+    # |b| (1.2-2.7 |b| over five sources) and that solve then converges; the
+    # sweep diverges on this problem, so a BiCGSTAB stop on |r| > |b| would
+    # fail the whole solve
+    grid = build_grid(SPHERE, 5)
+    G = sum_of(neg_detplus(), source(ScalarField(lambda p: float(LINEAR_A @ p.coords))))
+    _, report = solve_fixed_point(G, grid, tol=1e-8)
+    assert report.method == "newton" and report.converged
+
+
+def test_report_writes_a_newton_history_whole_and_every_50th_sweep_residual():
+    grid = build_grid(SPHERE, 3)
+    G = sum_of(neg_trace(), source(ScalarField(lambda p: float(LINEAR_A @ p.coords))))
+    _, newton = solve_fixed_point(G, grid, tol=1e-8)
+    _, sweep = solve_fixed_point(G, grid, theta=0.04, tol=1e-8)
+    assert newton.method == "newton" and sweep.method == "sweep"
+    assert newton.to_dict()["residual_history"] == newton.residual_history.tolist()
+    assert len(newton.to_dict()["residual_history"]) == newton.iterations + 1 >= 2
+    assert sweep.iterations > 50
+    assert sweep.to_dict()["residual_history"] == sweep.residual_history[::50].tolist()
+
+
 def test_odd_torus_lattice_is_left_to_the_sweep():
     # 33 x 33 cannot be halved, and its 1089 nodes are past a dense coarse solve
     grid = build_grid(FlatTorus([1.0, 1.0]), 33)
