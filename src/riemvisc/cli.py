@@ -1,19 +1,26 @@
 """Batch driver: every check and solver as a subcommand.
 
-Each subcommand reads an optional JSON config (validated against a
-schema), runs its suite deterministically for the given seed, and writes
-a JSON report plus CSV data files into the output directory.  The exit
-code is 0 when every check passed, 1 on any FAIL, and 2 on usage or
-schema errors.  Reports embed the resolved config for provenance.
+Each subcommand reads an optional JSON config, runs its suite
+deterministically for the given seed, and writes a JSON report plus CSV
+data files into the output directory.  A config given with ``--config`` is
+validated against the command's schema (``jsonschema`` is imported only
+then); the default ``{}`` is valid against every schema.  The exit code is
+0 when every check passed, 1 on any FAIL, and 2 on usage or schema errors.
+Reports embed the resolved config for provenance.
 
 ``geometry-check`` reports four largest violations over sampled points:
 transport isometry along random pairs, exp/log inversion, distance
 additivity along segments and, on a space form, constancy of the sectional
-curvature.  Its loops make only the generator calls, in the order of a
-per-sample loop, and the draws are evaluated as stacks (``pairs_from_draws``,
-``exp_stack``, ``log_stack``, ``transport_stack``,
-``sectional_curvature_stack``), bit for bit that loop; the additivity loop,
-which walks one ``GeodesicSegment`` at a time, is the exception.
+curvature.  ``comparison-demo`` tests star candidates (P, Q) at random pairs
+against ``P <= L_yx Q + slack``.  Every sampling loop makes only the
+generator calls, in the order of a per-sample loop, and the draws are
+evaluated as stacks, bit for bit that loop: ``pairs_from_draws``,
+``exp_stack``, ``log_stack``, ``transport_stack`` and
+``sectional_curvature_stack`` for the geometry checks, a ``SegmentStack``
+and its ``points_at`` for additivity, and ``hessian_distance_sq_stack``,
+``star_candidates_stack``, one ``transport_matrices`` call and
+``order_margins`` for the star check.  No loop here evaluates one pair at
+a time.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 from . import manifolds
 from .errors import RiemviscError
@@ -35,16 +41,11 @@ from .jacobi import (
     check_curvature_bound,
     check_sign_condition,
     curvature_floor,
-    hessian_distance_sq,
+    hessian_distance_sq_stack,
     parallel_pair_sweep,
 )
-from .jets import (
-    canonical_epsilon,
-    doubling_diagnostic,
-    generate_star_candidates,
-    transported_order_margins,
-)
-from .manifolds import _rowwise_dot, from_config as model_from_config
+from .jets import canonical_epsilons, doubling_diagnostic, order_margins, star_candidates_stack
+from .manifolds import SegmentStack, _rowwise_dot, from_config as model_from_config
 from .operators import from_config as operator_from_config
 from .solver import solve_fixed_point, yamabe_solve
 
@@ -245,14 +246,17 @@ def _geometry_suite(model, n_samples, seed, tolerances):
     gaps = model.log_stack(xs, model.exp_stack(xs, vs)) - vs
     worst_explog = _worst(np.sqrt(_rowwise_dot(gaps, gaps)))
 
-    worst_additivity = 0.0
-    for _ in range(max(1, n_samples // 20)):
-        x, y, _ = model.random_pair(rng, 0.05, reach)
-        seg = model.geodesic_segment(x, y)
-        for t in np.linspace(0.0, seg.length, 5):
-            worst_additivity = max(
-                worst_additivity, abs(model.distance(x, seg.point_at(float(t))) - t)
-            )
+    raw_x, raw_d, ells = _stacked(
+        (model.draw_point(rng), model.draw_tangent(rng), rng.uniform(0.05, reach))
+        for _ in range(max(1, n_samples // 20))
+    )
+    segs = SegmentStack.connect(model, *model.pairs_from_draws(raw_x, raw_d, ells))
+    ts = np.linspace(0.0, segs.lengths, 5, axis=1)
+    starts = np.repeat(segs.starts, ts.shape[1], axis=0)
+    gaps = model.distance_stack(starts, segs.points_at(ts).reshape(starts.shape)) - ts.ravel()
+    # a running max from 0, as the per-segment loop took it: a numpy scalar
+    # once a gap is positive
+    worst_additivity = max(0.0, np.fmax.reduce(np.abs(gaps)))
 
     k = model.constant_sectional()
     worst_curvature = 0.0
@@ -342,6 +346,45 @@ def cmd_hessian_sign(config, out: Path, seed: int) -> dict:
 # comparison-demo
 # --------------------------------------------------------------------- #
 
+def _star_check(model, rng, n_pairs: int, per_pair: int, alpha: float, slack_fn) -> dict:
+    """Star candidates at ``n_pairs`` random pairs, tested against ``P <=
+    L_yx Q + slack``: the Hessians of ``(alpha/2) d^2``, the candidates and
+    the transported margins are each one stacked call.  The loop makes only
+    the generator calls of a per-pair loop (``random_pair``'s draws, the
+    candidate seed and that seed's uniforms), in its order."""
+    raw_x, raw_d, ells, uniforms = _stacked(
+        (model.draw_point(rng), model.draw_tangent(rng), rng.uniform(0.2, 1.2),
+         np.random.default_rng(int(rng.integers(2**31))).uniform(0.0, 1.0, per_pair))
+        for _ in range(n_pairs)
+    )
+    xs, ys = model.pairs_from_draws(raw_x, raw_d, ells)
+    # the scaled matrices stay exactly symmetric, as HessianPair.scaled keeps them
+    a_mats = (alpha / 2.0) * hessian_distance_sq_stack(model, xs, ys)
+    p_mats, q_mats, kept = star_candidates_stack(a_mats, canonical_epsilons(a_mats), uniforms)
+    pair = np.nonzero(kept)[0]
+    slack = slack_fn(alpha, model.distance_stack(xs, ys))
+    margins = order_margins(
+        model.transport_matrices(xs, ys)[pair], p_mats[kept], q_mats[kept], slack[pair])
+    total, passed = int(pair.size), int(np.count_nonzero(margins >= -1e-9))
+    return {"candidates": total, "passed": passed, "pass_rate": passed / max(total, 1)}
+
+
+def _star_suite(config, seed: int) -> dict:
+    """comparison-demo's star check on the unit sphere (no slack) and on
+    the hyperbolic plane (slack 1.5 K0 alpha d^2), each from its own seed."""
+    star_pairs = int(config.get("star_pairs", 50))
+    per_pair = int(config.get("candidates_per_pair", 10))
+    alpha_star = float(config.get("alpha_star", 4.0))
+    results = {}
+    for offset, (name, model, slack_fn) in enumerate([
+        ("sphere", manifolds.Sphere(2, 1.0), lambda al, d: np.zeros_like(d)),
+        ("hyperbolic", manifolds.Hyperbolic(2, 1.0), lambda al, d: 1.5 * 1.0 * al * d * d),
+    ]):
+        rng = np.random.default_rng(seed + 101 * (offset + 1))
+        results[name] = _star_check(model, rng, star_pairs, per_pair, alpha_star, slack_fn)
+    return results
+
+
 def cmd_comparison_demo(config, out: Path, seed: int) -> dict:
     resolution = int(config.get("resolution", 3))
     alphas = [float(a) for a in config.get("alphas", [2.0**k for k in range(2, 13)])]
@@ -371,34 +414,7 @@ def cmd_comparison_demo(config, out: Path, seed: int) -> dict:
     _write_csv(out / "doubling_trace.csv",
                ["pair", "alpha", "m_alpha", "d", "alpha_d_sq", "x_idx", "y_idx"], rows)
 
-    star_pairs = int(config.get("star_pairs", 50))
-    per_pair = int(config.get("candidates_per_pair", 10))
-    alpha_star = float(config.get("alpha_star", 4.0))
-    hyper = manifolds.Hyperbolic(2, 1.0)
-    results = {}
-    for offset, (name, model, slack_fn) in enumerate([
-        ("sphere", sphere, lambda al, d: 0.0),
-        ("hyperbolic", hyper, lambda al, d: 1.5 * 1.0 * al * d * d),
-    ]):
-        total = passed_count = 0
-        sub_rng = np.random.default_rng(seed + 101 * (offset + 1))
-        for _ in range(star_pairs):
-            x, y, _ = model.random_pair(sub_rng, 0.2, 1.2)
-            a_alpha = hessian_distance_sq(model, x, y).scaled(alpha_star / 2.0)
-            eps = canonical_epsilon(a_alpha)
-            pairs = generate_star_candidates(
-                a_alpha, eps, per_pair, seed=int(sub_rng.integers(2**31)))
-            slack = slack_fn(alpha_star, model.distance(x, y))
-            if pairs:
-                margins = transported_order_margins(
-                    model, x, y, np.array([p.matrix for p, _ in pairs]),
-                    np.array([q.matrix for _, q in pairs]), slack_rhs=slack)
-                total += len(pairs)
-                passed_count += int(np.count_nonzero(margins >= -1e-9))
-        results[name] = {
-            "candidates": total, "passed": passed_count,
-            "pass_rate": passed_count / max(total, 1),
-        }
+    results = _star_suite(config, seed)
     star_pass = all(r["passed"] == r["candidates"] and r["candidates"] > 0
                     for r in results.values())
     return {
@@ -528,12 +544,15 @@ def main(argv=None) -> int:
         except ValueError as exc:  # from _finite_number
             print(f"riemvisc: config error: {exc}", file=sys.stderr)
             return 2
-    validator = Draft7Validator(SCHEMAS[args.command])
-    errors = sorted(validator.iter_errors(config), key=str)
-    if errors:
-        for err in errors:
-            print(f"riemvisc: config error: {err.message}", file=sys.stderr)
-        return 2
+        # the default {} is valid against every schema (tested), so only a
+        # given config is validated, and jsonschema loads only then
+        from jsonschema import Draft7Validator
+
+        errors = sorted(Draft7Validator(SCHEMAS[args.command]).iter_errors(config), key=str)
+        if errors:
+            for err in errors:
+                print(f"riemvisc: config error: {err.message}", file=sys.stderr)
+            return 2
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

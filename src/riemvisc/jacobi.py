@@ -32,6 +32,7 @@ from .manifolds import (
     GeodesicSegment,
     Manifold,
     Point,
+    SegmentStack,
     TangentVector,
     _FRAME_FLOOR,
     _libm,
@@ -454,6 +455,70 @@ def hessian_distance_sq(m: Manifold, x: Point, y: Point) -> HessianPair:
     b[:n, :n] = m.components(seg.frame0, m.canonical_frame(x)).T
     b[n:, n:] = m.components(seg.frame_end, m.canonical_frame(y)).T
     return HessianPair(m, x, y, b @ h_seg @ b.T)
+
+
+def _tidal_spectra(segs: SegmentStack):
+    """``_tidal_spectrum`` of every segment of a stack: ``(kappas, q)`` with
+    kappas (N, n) and q (N, n, n), or ``None`` on a space form.  Per factor,
+    the segments that move in it seed its frame with their velocity part,
+    and the rest keep its plain frame, as ``_FRAME_FLOOR`` splits them."""
+    m = segs.model
+    count = len(segs.lengths)
+    k = m.constant_sectional()
+    if k is not None:
+        return np.tile((0.0,) + (k,) * (m.dim - 1), (count, 1)), None
+    kappas, vectors = [], []
+    for f, s in _space_forms(m):
+        xs = segs.starts[:, s]
+        w = f.project_tangent_stack(xs, segs.frame0[:, 0, s])
+        w2 = f.inner_stack(w, w)
+        seeded = w2 > _FRAME_FLOOR
+        w2 = np.where(seeded, w2, 0.0)
+        frames = np.empty((count, f.dim, f.ambient_dim))
+        if seeded.any():
+            unit = w[seeded] / np.sqrt(w2[seeded])[:, None]
+            frames[seeded] = f.canonical_frames(xs[seeded], first=unit[:, None])
+        if not seeded.all():
+            frames[~seeded] = f.canonical_frames(xs[~seeded])
+        kappa = np.repeat((f.constant_sectional() * w2)[:, None], f.dim, axis=1)
+        kappa[seeded, 0] = 0.0
+        kappas.append(kappa)
+        vectors.append(f.components(frames, segs.frame0[:, None, :, s]))
+    return np.concatenate(kappas, axis=1), np.swapaxes(np.concatenate(vectors, axis=1), -1, -2)
+
+
+def _block_diagonal(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """``diag(top, bottom)`` for every pair of two (N, n, n) stacks."""
+    count, n = top.shape[0], top.shape[-1]
+    out = np.zeros((count, 2 * n, 2 * n))
+    out[:, :n, :n], out[:, n:, n:] = top, bottom
+    return out
+
+
+def hessian_distance_sq_stack(m: Manifold, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``hessian_distance_sq(m, x, y).matrix`` for every row pair of two
+    (N, ambient) point stacks, shape (N, 2n, 2n), bit for bit: one
+    ``SegmentStack``, the tidal spectra and Hessian blocks over all rows,
+    and stacked frame rotations.  A pair ``GeodesicSegment.connect`` would
+    refuse raises its typed error, naming the first such row."""
+    segs = SegmentStack.connect(m, xs, ys)
+    n = m.dim
+    kappas, q = _tidal_spectra(segs)
+    diag, off = _hessian_blocks(kappas, segs.lengths[:, None])
+    idx = np.arange(n)
+    h = np.zeros((len(kappas), 2 * n, 2 * n))
+    h[:, idx, idx] = h[:, n + idx, n + idx] = diag
+    h[:, idx, n + idx] = h[:, n + idx, idx] = off
+    if q is not None:
+        rot = _block_diagonal(q, q)
+        h = rot @ h @ np.swapaxes(rot, -1, -2)
+    b = _block_diagonal(
+        np.swapaxes(m.components(segs.frame0, m.canonical_frames(xs)[:, None]), -1, -2),
+        np.swapaxes(m.components(segs.frame_end, m.canonical_frames(ys)[:, None]), -1, -2),
+    )
+    mats = b @ h @ np.swapaxes(b, -1, -2)
+    # as HessianPair stores its matrix
+    return 0.5 * (mats + np.swapaxes(mats, -1, -2))
 
 
 def hessian_on_parallel_pair(m: Manifold, x: Point, y: Point, v: TangentVector) -> float:

@@ -269,6 +269,17 @@ def canonical_epsilon(a_alpha: HessianPair) -> float:
     return 1.0 / (2.0 * (1.0 + a_alpha.operator_norm()))
 
 
+def _operator_norms(a_mats: np.ndarray) -> np.ndarray:
+    """``HessianPair.operator_norm`` of each of an (N, m, m) stack of matrices."""
+    return np.max(np.abs(np.linalg.eigvalsh(a_mats)), axis=-1, initial=0.0)
+
+
+def canonical_epsilons(a_mats: np.ndarray) -> np.ndarray:
+    """``canonical_epsilon`` of each of an (N, 2n, 2n) stack of Hessian
+    matrices, bit for bit."""
+    return 1.0 / (2.0 * (1.0 + _operator_norms(a_mats)))
+
+
 @dataclass(frozen=True)
 class StarCondition:
     """Data of the two-sided block inequality tying (P, Q) to A_alpha."""
@@ -286,16 +297,17 @@ class StarCondition:
 _STAR_TOL = 1e-10
 
 
-def _star_margins(a: np.ndarray, epsilon: float, norm_a: float, p_mats, q_mats):
-    """Smallest eigenvalues of ``diag(P, -Q) + (1/eps + |A|) I`` and of ``A +
-    eps A^2 - diag(P, -Q)`` for every pair of two (N, n, n) stacks of forms,
-    all in one ``eigvalsh`` call."""
+def _star_margins(b: np.ndarray, reach, p_mats, q_mats):
+    """Smallest eigenvalues of ``diag(P, -Q) + reach I`` and of ``B -
+    diag(P, -Q)`` for every pair of two (N, n, n) stacks of forms, all in
+    one ``eigvalsh`` call; ``B = A + eps A^2`` and ``reach = 1/eps + |A|``
+    are one pair's or one per form."""
     count, n = p_mats.shape[0], p_mats.shape[-1]
     blocks = np.zeros((count, 2 * n, 2 * n))
     blocks[:, :n, :n] = p_mats
     blocks[:, n:, n:] = -q_mats
-    lower = blocks + (1.0 / epsilon + norm_a) * np.eye(2 * n)
-    upper = a + epsilon * (a @ a) - blocks
+    lower = blocks + np.asarray(reach, dtype=float)[..., None, None] * np.eye(2 * n)
+    upper = b - blocks
     margins = np.linalg.eigvalsh(np.concatenate([lower, upper])).min(axis=1)
     return margins[:count], margins[count:]
 
@@ -309,12 +321,53 @@ def verify_condition_star(sc: StarCondition, tol: float = _STAR_TOL):
     n = sc.a_alpha.dim
     if sc.p.matrix.shape != (n, n) or sc.q.matrix.shape != (n, n):
         raise PreconditionError("P, Q dimensions must match the Hessian blocks")
-    a = sc.a_alpha
+    a = sc.a_alpha.matrix
     lower, upper = _star_margins(
-        a.matrix, sc.epsilon, a.operator_norm(), sc.p.matrix[None], sc.q.matrix[None]
+        a + sc.epsilon * (a @ a), 1.0 / sc.epsilon + sc.a_alpha.operator_norm(),
+        sc.p.matrix[None], sc.q.matrix[None],
     )
     lower_margin, upper_margin = float(lower[0]), float(upper[0])
     return (lower_margin >= -tol and upper_margin >= -tol, lower_margin, upper_margin)
+
+
+def star_candidates_stack(
+    a_mats: np.ndarray, epsilons: np.ndarray, uniforms: np.ndarray, slack_scale: float = 1.0
+):
+    """``(P, Q, kept)``: star candidates for N Hessians at once.
+
+    ``a_mats`` is an (N, 2n, 2n) stack of Hessian matrices A, ``epsilons``
+    their N epsilons and ``uniforms`` (N, K) draws in [0, 1), K per pair.
+    With ``B = A + eps A^2`` candidate k of pair i is ``P = B_11 - s I``,
+    ``Q = s I - B_22`` with shift ``s = 2 |B_12| + slack_scale u_ik (1 +
+    |A|)``, so that ``B - diag(P, -Q) = [[s I, B_12], [B_21, s I]]`` meets
+    the upper bound whenever s dominates the off-diagonal block.  Shifts
+    that break the lower bound ``-(1/eps + |A|)`` on P or -Q are infeasible;
+    the feasible forms are symmetrized as ``SymBilinear`` stores them, and
+    ``kept`` (N, K) marks those the block condition accepts, tested as
+    ``verify_condition_star`` tests one pair.  P and Q are (N, K, n, n).
+    """
+    a_mats = np.asarray(a_mats, dtype=float)
+    epsilons = np.asarray(epsilons, dtype=float)
+    n = a_mats.shape[-1] // 2
+    b = a_mats + epsilons[:, None, None] * (a_mats @ a_mats)
+    b11, b12, b22 = b[:, :n, :n], b[:, :n, n:], b[:, n:, n:]
+    s_base = 2.0 * np.linalg.norm(b12, 2, axis=(-2, -1))
+    norm_a = _operator_norms(a_mats)
+    reach = 1.0 / epsilons + norm_a
+    shifts = (s_base[:, None] + slack_scale * np.asarray(uniforms, dtype=float)
+              * (1.0 + norm_a)[:, None])[..., None, None] * np.eye(n)
+    p_mats, neg_q_mats = b11[:, None] - shifts, b22[:, None] - shifts
+    lows = np.linalg.eigvalsh(np.concatenate([p_mats, neg_q_mats])).min(axis=-1)
+    count = len(a_mats)
+    feasible = ~(np.minimum(lows[:count], lows[count:]) < -reach[:, None])
+    q_mats = -neg_q_mats
+    p_mats[feasible] = p_sym = symmetrized_forms(p_mats[feasible])
+    q_mats[feasible] = q_sym = symmetrized_forms(q_mats[feasible])
+    pair = np.nonzero(feasible)[0]
+    lower, upper = _star_margins(b[pair], reach[pair], p_sym, q_sym)
+    kept = feasible.copy()
+    kept[feasible] = (lower >= -_STAR_TOL) & (upper >= -_STAR_TOL)
+    return p_mats, q_mats, kept
 
 
 def generate_star_candidates(
@@ -326,39 +379,32 @@ def generate_star_candidates(
 ):
     """Sample (P, Q) pairs satisfying the block condition by construction.
 
-    With ``B = A + eps A^2`` the pair ``P = B_11 - s I``, ``Q = s I - B_22``
-    (so that ``B - diag(P, -Q) = [[s I, B_12], [B_21, s I]]``) satisfies the
-    upper bound whenever the shift s dominates the off-diagonal block of B;
-    shifts that would break the lower bound are skipped, and the rest are
-    kept where ``verify_condition_star`` accepts them.  The shifts come from
-    one generator call and the candidates are tested as stacks, bit for bit
-    a per-candidate loop; ``PreconditionError`` unless ``n_candidates >= 0``.
+    The one-pair case of ``star_candidates_stack``, with the shifts' uniforms
+    from one ``default_rng(seed)`` call: the kept candidates as
+    ``SymBilinear`` pairs at x and y, bit for bit a per-candidate loop;
+    ``PreconditionError`` unless ``n_candidates >= 0``.
     """
     if n_candidates < 0:
         raise PreconditionError(f"star candidates need n_candidates >= 0, got {n_candidates}")
-    rng = np.random.default_rng(seed)
-    n = a_alpha.dim
-    a = a_alpha.matrix
-    b = a + epsilon * (a @ a)
-    b11, b12, b22 = b[:n, :n], b[:n, n:], b[n:, n:]
-    s_base = 2.0 * float(np.linalg.norm(b12, 2))
-    norm_a = a_alpha.operator_norm()
-    floor = -(1.0 / epsilon + norm_a)
-    # one call for n uniforms gives the values of n scalar calls
-    shifts = s_base + slack_scale * rng.uniform(0.0, 1.0, n_candidates) * (1.0 + norm_a)
-    p_mats = b11 - shifts[:, None, None] * np.eye(n)
-    neg_q_mats = b22 - shifts[:, None, None] * np.eye(n)
-    lows = np.linalg.eigvalsh(np.concatenate([p_mats, neg_q_mats])).min(axis=1)
-    feasible = np.flatnonzero(~(np.minimum(lows[:n_candidates], lows[n_candidates:]) < floor))
-    # the forms as SymBilinear stores them
-    lower, upper = _star_margins(
-        a, epsilon, norm_a, symmetrized_forms(p_mats[feasible]),
-        symmetrized_forms(-neg_q_mats[feasible]),
-    )
+    uniforms = np.random.default_rng(seed).uniform(0.0, 1.0, n_candidates)
+    p_mats, q_mats, kept = star_candidates_stack(
+        a_alpha.matrix[None], np.array([epsilon]), uniforms[None], slack_scale)
     return [
-        (SymBilinear(a_alpha.x, p_mats[i]), SymBilinear(a_alpha.y, -neg_q_mats[i]))
-        for i in feasible[(lower >= -_STAR_TOL) & (upper >= -_STAR_TOL)]
+        (SymBilinear(a_alpha.x, p_mats[0, i]), SymBilinear(a_alpha.y, q_mats[0, i]))
+        for i in np.flatnonzero(kept[0])
     ]
+
+
+def order_margins(backs: np.ndarray, p_mats: np.ndarray, q_mats: np.ndarray, slack_rhs=0.0):
+    """Smallest eigenvalue of ``L(Q) + slack I - P`` for every pair of two
+    (k, n, n) stacks of forms, ``L(Q) = T Q T^T`` with ``T`` the transport
+    matrix ``backs`` (one for all pairs, or one per pair) and the slack one
+    number or one per pair.  The moved Q are checked and symmetrized as
+    ``SymBilinear`` would (``ValueError`` unless symmetric), and one stacked
+    ``eigvalsh`` gives the margins."""
+    moved = symmetrized_forms(backs @ q_mats @ backs.swapaxes(-1, -2))
+    slack = np.multiply.outer(slack_rhs, np.eye(p_mats.shape[-1]))
+    return np.linalg.eigvalsh(moved + slack - p_mats).min(axis=-1)
 
 
 def transported_order_margins(
@@ -372,13 +418,11 @@ def transported_order_margins(
     """Smallest eigenvalue of ``L_yx(Q) + slack I - P`` for every pair of two
     (k, n, n) stacks: forms P in the canonical frame at x, Q at y.
 
-    The frame at x is transported to y once for all k pairs, the moved Q
-    are checked and symmetrized as ``SymBilinear`` would (``ValueError``
-    unless symmetric), and one stacked ``eigvalsh`` gives the margins.
+    The frame at x is transported to y once for all k pairs, and
+    ``order_margins`` moves the Q and takes the margins.
     """
-    back = m.transport_matrix(x, y)
-    moved = symmetrized_forms(back @ np.asarray(q_mats, dtype=float) @ back.T)
-    return np.linalg.eigvalsh(moved + slack_rhs * np.eye(m.dim) - p_mats).min(axis=-1)
+    return order_margins(
+        m.transport_matrix(x, y), p_mats, np.asarray(q_mats, dtype=float), slack_rhs)
 
 
 def check_P_leq_LQ(

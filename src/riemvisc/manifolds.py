@@ -37,8 +37,10 @@ Conventions
   vector, or a (k, ambient) stack of them, per pair) round every row as
   ``log`` and ``transport_rows`` do, and ``transport_matrices`` every pair's
   ``transport_matrix``; ``sectional_curvature_stack`` is
-  ``sectional_curvature`` over rows.  The single-pair methods stay: a
-  one-row stack costs several times a scalar call.
+  ``sectional_curvature`` over rows; ``SegmentStack.connect`` is
+  ``GeodesicSegment.connect`` over rows (lengths and both frames as
+  arrays).  The single-pair methods stay: a one-row stack costs several
+  times a scalar call.
 * ``inner_stack`` broadcasts over leading axes; ``components(vectors,
   frame)`` on top of it rounds each entry as one ``ambient_inner``, and
   ``canonical_frames`` batches ``canonical_frame`` on every model.
@@ -323,7 +325,9 @@ class Manifold:
         """K(u, v) = <R(e1,e2)e2, e1> for the Gram-Schmidt basis (e1, e2) of (u, v).
 
         The orthonormal basis avoids the cancellation of |u|^2 |v|^2 -
-        <u,v>^2 on nearly dependent pairs.
+        <u,v>^2 on nearly dependent pairs.  ``GeometryDomainError`` for a
+        dependent pair, and where the remainder of v has a square <= 0 from
+        roundoff, as ``sectional_curvature_stack`` refuses it.
         """
         uu = self.metric(x, u, u)
         vv = self.metric(x, v, v)
@@ -332,7 +336,10 @@ class Manifold:
             raise GeometryDomainError("sectional curvature needs independent vectors")
         e1 = TangentVector(x, u.components / math.sqrt(uu))
         w = v.components - (uv / uu) * u.components
-        e2 = TangentVector(x, w / math.sqrt(self.ambient_inner(x, w, w)))
+        ww = self.ambient_inner(x, w, w)
+        if ww <= 0.0:  # roundoff far from the hyperboloid's apex
+            raise GeometryDomainError("sectional curvature needs independent vectors")
+        e2 = TangentVector(x, w / math.sqrt(ww))
         r = self.curvature_operator(x, e1, e2, e2)
         return self.metric(x, r, e1)
 
@@ -340,9 +347,7 @@ class Manifold:
         """``sectional_curvature`` of every row pair of two (N, ambient) stacks
         of tangent vectors (row i of both at the same point, which does not
         enter), each rounded as the single-pair method rounds it.  Its typed
-        error names the first dependent pair, and also the first whose
-        Gram-Schmidt remainder has a square <= 0 from roundoff (where the
-        single-pair method fails in ``math.sqrt`` or divides by zero)."""
+        error names the first pair the single-pair method refuses."""
         uu, vv, uv = self.inner_stack(us, us), self.inner_stack(vs, vs), self.inner_stack(us, vs)
         w = vs - (uv / uu)[:, None] * us
         ww = self.inner_stack(w, w)
@@ -1088,6 +1093,40 @@ class GeodesicSegment:
 
     def vector_at_end(self, comps) -> TangentVector:
         return TangentVector(self.end, np.asarray(comps, dtype=float) @ self.frame_end)
+
+
+@dataclass(frozen=True)
+class SegmentStack:
+    """``GeodesicSegment.connect`` over stacks of point pairs: row i of
+    ``lengths``, ``frame0`` and ``frame_end`` (each frame (N, dim, ambient))
+    is the segment from ``starts[i]`` to ``ends[i]``, bit for bit."""
+
+    model: Manifold
+    starts: np.ndarray
+    ends: np.ndarray
+    lengths: np.ndarray
+    frame0: np.ndarray
+    frame_end: np.ndarray = field(repr=False)
+
+    @classmethod
+    def connect(cls, model: Manifold, xs: np.ndarray, ys: np.ndarray) -> "SegmentStack":
+        """The segments between the rows of two (N, ambient) point stacks;
+        ``connect``'s typed error names the first row it would refuse."""
+        lengths = model.distance_stack(xs, ys)
+        GeodesicSegment.check_lengths(lengths, model.injectivity_radius())
+        e1 = model.log_stack(xs, ys) / lengths[:, None]
+        frame0 = model.canonical_frames(xs, first=e1[:, None])
+        return cls(model, xs, ys, lengths, frame0, model.transport_stack(xs, ys, frame0))
+
+    def points_at(self, ts: np.ndarray) -> np.ndarray:
+        """``point_at`` for an (N, k) stack of parameters, row i along
+        segment i: shape (N, k, ambient)."""
+        ts = np.asarray(ts, dtype=float)
+        starts = np.broadcast_to(self.starts[:, None], ts.shape + self.starts.shape[-1:])
+        steps = ts[..., None] * self.frame0[:, None, 0]
+        width = starts.shape[-1]
+        moved = self.model.exp_stack(starts.reshape(-1, width), steps.reshape(-1, width))
+        return np.where((ts == 0.0)[..., None], starts, moved.reshape(starts.shape))
 
 
 # ---------------------------------------------------------------------- #

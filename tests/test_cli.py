@@ -13,7 +13,9 @@ import pytest
 
 import riemvisc
 from riemvisc import Euclidean, FlatTorus, Hyperbolic, Product, Sphere, TangentVector
-from riemvisc.cli import _explog_draws, _geometry_suite, cmd_geometry_check, main
+from riemvisc.cli import SCHEMAS, _explog_draws, _geometry_suite, _star_suite, cmd_geometry_check, main
+from riemvisc.jacobi import hessian_distance_sq
+from riemvisc.jets import canonical_epsilon, generate_star_candidates, transported_order_margins
 
 
 def run(args):
@@ -154,6 +156,60 @@ def test_geometry_suite_replays_refused_directions(seed):
     assert 0 < np.count_nonzero(~keep) < 60
     assert repr(_geometry_suite(model, 240, seed, {})) == repr(
         _reference_geometry_suite(model, 240, seed, {}))
+
+
+def _reference_star_results(config, seed):
+    """comparison-demo's star check as a per-pair loop, one Hessian, one
+    candidate set and one margin stack at a time: the oracle of the stacked
+    check."""
+    star_pairs = int(config.get("star_pairs", 50))
+    per_pair = int(config.get("candidates_per_pair", 10))
+    alpha_star = float(config.get("alpha_star", 4.0))
+    results = {}
+    for offset, (name, model, slack_fn) in enumerate([
+        ("sphere", Sphere(2, 1.0), lambda al, d: 0.0),
+        ("hyperbolic", Hyperbolic(2, 1.0), lambda al, d: 1.5 * 1.0 * al * d * d),
+    ]):
+        total = passed_count = 0
+        sub_rng = np.random.default_rng(seed + 101 * (offset + 1))
+        for _ in range(star_pairs):
+            x, y, _ = model.random_pair(sub_rng, 0.2, 1.2)
+            a_alpha = hessian_distance_sq(model, x, y).scaled(alpha_star / 2.0)
+            eps = canonical_epsilon(a_alpha)
+            pairs = generate_star_candidates(
+                a_alpha, eps, per_pair, seed=int(sub_rng.integers(2**31)))
+            slack = slack_fn(alpha_star, model.distance(x, y))
+            if pairs:
+                margins = transported_order_margins(
+                    model, x, y, np.array([p.matrix for p, _ in pairs]),
+                    np.array([q.matrix for _, q in pairs]), slack_rhs=slack)
+                total += len(pairs)
+                passed_count += int(np.count_nonzero(margins >= -1e-9))
+        results[name] = {
+            "candidates": total, "passed": passed_count,
+            "pass_rate": passed_count / max(total, 1),
+        }
+    return results
+
+
+WIDE_STAR = {"star_pairs": 200, "candidates_per_pair": 25, "alpha_star": 64.0}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("config", [{}, WIDE_STAR], ids=["default", "wide"])
+def test_star_suite_is_the_per_pair_loop(config, seed):
+    got = _star_suite(config, seed)
+    assert repr(got) == repr(_reference_star_results(config, seed))
+    assert all(r["candidates"] > 0 for r in got.values())
+
+
+def test_default_config_is_valid_against_every_schema():
+    # so main validates only a given config, and {} behaves as before
+    from jsonschema import Draft7Validator
+
+    for name, schema in SCHEMAS.items():
+        Draft7Validator.check_schema(schema)
+        assert list(Draft7Validator(schema).iter_errors({})) == [], name
 
 
 def test_malformed_json_is_usage_error(tmp_path):
@@ -415,6 +471,16 @@ def test_cli_import_leaves_scipy_spatial_out():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, riemvisc.cli; "
             "print([m for m in sys.modules if m.startswith('scipy.spatial')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_jsonschema_out():
+    # jsonschema loads only to validate a given --config
+    src = str(Path(riemvisc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, riemvisc.cli; print([m for m in sys.modules if m.startswith('jsonschema')])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 """Jacobi BVP, index form, and squared-distance Hessian oracles."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from riemvisc.jacobi import (
     curvature_floor,
     grad_distance_sq,
     hessian_distance_sq,
+    hessian_distance_sq_stack,
     hessian_on_parallel_pair,
     index_form,
     index_minimality_check,
@@ -635,6 +637,102 @@ def test_hessian_flat_relation_with_distance_hessian():
 
             fd = second_difference_o4(dist_along, 2e-4)
             assert abs(val - 2.0 * seg.length * fd) <= 1e-7 * max(1.0, abs(val))
+
+
+HESSIAN_STACK_MODELS = [
+    Sphere(2, 1.0), Sphere(2, 2.0), Hyperbolic(2, 1.0), Hyperbolic(3, 4.0),
+    FlatTorus([1.0, 1.0]), Euclidean(3),
+    Product([Sphere(2, 1.0), Hyperbolic(2, 1.0)]), Product([Sphere(2, 1.0), Euclidean(2)]),
+]
+
+
+def _hessian_outcome(fn):
+    """``fn()`` as a float array, or the type of the typed error it raised."""
+    try:
+        return np.asarray(fn(), dtype=float)
+    except (DegenerateSegmentError, GeometryDomainError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from(HESSIAN_STACK_MODELS),
+    seed=st.integers(0, 2**32 - 1),
+    pairs=st.integers(1, 6),
+    reach=st.sampled_from([0.3, 0.9]),
+)
+def test_hessian_stack_rows_are_the_single_pair_hessians(model, seed, pairs, reach):
+    rng = np.random.default_rng(seed)
+    cap = model.injectivity_radius()
+    high = reach * cap if math.isfinite(cap) else 3.0 * reach
+    drawn = [model.random_pair(rng, 0.01, high)[:2] for _ in range(pairs)]
+    # on a product, pairs that move in one factor only: the factors that stay
+    # keep their plain frame (the unseeded branch of the tidal spectrum)
+    for s in getattr(model, "_slices", []):
+        x = model.random_point(rng)
+        d = model.random_tangent(rng, x).components.copy()
+        d[s] = 0.0
+        y = model.exp(x, TangentVector(x, d * (rng.uniform(0.01, high) / model.norm(x, model.tangent(x, d)))))
+        drawn.append((x, y))
+    xs = np.array([x.coords for x, _ in drawn])
+    ys = np.array([y.coords for _, y in drawn])
+    expected = [_hessian_outcome(lambda: hessian_distance_sq(model, x, y).matrix) for x, y in drawn]
+    refused = [i for i, e in enumerate(expected) if isinstance(e, type)]
+    if refused:  # far out on a hyperboloid a frame may be refused
+        with pytest.raises(expected[refused[0]]):
+            hessian_distance_sq_stack(model, xs, ys)
+        keep = [i for i in range(len(drawn)) if i not in refused]
+        xs, ys, expected = xs[keep], ys[keep], [expected[i] for i in keep]
+    if expected:
+        got = hessian_distance_sq_stack(model, xs, ys)
+        assert got.shape == (len(expected), 2 * model.dim, 2 * model.dim)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+
+def _apex(model):
+    """A point where d(x, x) is exactly 0: an axis point of the sphere, the
+    hyperboloid's apex, the origin, factor by factor."""
+    if isinstance(model, Product):
+        return np.concatenate([_apex(f) for f in model.factors])
+    if isinstance(model, Sphere):
+        return np.eye(model.dim + 1)[-1] * model.radius
+    if isinstance(model, Hyperbolic):
+        return model.base_point().coords
+    return np.zeros(model.ambient_dim)
+
+
+def _too_far(model):
+    """A pair at least the injectivity radius apart, or None where there is none."""
+    if isinstance(model, Product):
+        parts = [_too_far(f) for f in model.factors]
+        if all(p is None for p in parts):
+            return None
+        parts = [(a, a) if p is None else p for p, a in
+                 zip(parts, (_apex(f) for f in model.factors))]
+        return tuple(np.concatenate(side) for side in zip(*parts))
+    if isinstance(model, Sphere):
+        x = _apex(model)
+        return x, -x
+    if isinstance(model, FlatTorus):
+        return np.zeros(model.dim), model.periods / 2.0
+    return None
+
+
+@pytest.mark.parametrize("model", HESSIAN_STACK_MODELS, ids=lambda m: json.dumps(m.config()))
+def test_hessian_stack_refuses_coincident_and_distant_pairs(model):
+    rng = np.random.default_rng(5)
+    x, y, _ = model.random_pair(rng, 0.1, 0.5)
+    good = (x.coords, y.coords)
+    bad = [(DegenerateSegmentError, (_apex(model), _apex(model)))]
+    if _too_far(model) is not None:
+        bad.append((GeometryDomainError, _too_far(model)))
+    for error, (bx, by) in bad:
+        with pytest.raises(error):
+            hessian_distance_sq(model, Point(bx), Point(by))
+        # the typed error of connect, naming the first bad row
+        with pytest.raises(error, match="sample 1"):
+            hessian_distance_sq_stack(model, np.array([good[0], bx, bx]),
+                                      np.array([good[1], by, by]))
 
 
 # --------------------------------------------------------------------- #

@@ -12,12 +12,13 @@ from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Sphere, SymBilinea
 from riemvisc.errors import BasePointMismatchError, PreconditionError
 from riemvisc.grids import GridFunction, build_grid
 import riemvisc.grids as grids
-from riemvisc.jacobi import HessianPair, hessian_distance_sq
+from riemvisc.jacobi import HessianPair, hessian_distance_sq, hessian_distance_sq_stack
 from riemvisc.jets import (
     DoublingRecord,
     Jet2,
     StarCondition,
     canonical_epsilon,
+    canonical_epsilons,
     chart_transfer_check,
     check_P_leq_LQ,
     doubling_diagnostic,
@@ -25,7 +26,9 @@ from riemvisc.jets import (
     generate_star_candidates,
     jet_limit_check,
     chart_correction_term,
+    order_margins,
     quadratic_jet_test,
+    star_candidates_stack,
     transported_order_margins,
     verify_condition_star,
 )
@@ -409,6 +412,53 @@ def test_stacked_star_candidates_match_the_per_candidate_loop(
         assert q.matrix.tobytes() == q_ref.matrix.tobytes()
     if slack_scale == 1e6 and n_candidates:
         assert len(got) < n_candidates  # the huge shifts break the floor
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from(STAR_MODELS),
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.1, 64.0),
+    pairs=st.integers(1, 5),
+    n_candidates=st.integers(0, 25),
+    slack_scale=st.sampled_from([0.0, 0.3, 1.0, 1e6]),
+)
+def test_star_kernel_is_the_per_candidate_loop_per_pair(
+    model, seed, alpha, pairs, n_candidates, slack_scale
+):
+    rng = np.random.default_rng(seed)
+    drawn = [model.random_pair(rng, 0.1, 1.5)[:2] for _ in range(pairs)]
+    xs = np.array([x.coords for x, _ in drawn])
+    ys = np.array([y.coords for _, y in drawn])
+    a_mats = (alpha / 2.0) * hessian_distance_sq_stack(model, xs, ys)
+    a_pairs = [hessian_distance_sq(model, x, y).scaled(alpha / 2.0) for x, y in drawn]
+    assert a_mats.tobytes() == np.array([a.matrix for a in a_pairs]).tobytes()
+    eps = canonical_epsilons(a_mats)
+    assert eps.tolist() == [canonical_epsilon(a) for a in a_pairs]
+    seeds = rng.integers(2**31, size=pairs)
+    uniforms = np.array([np.random.default_rng(s).uniform(0.0, 1.0, n_candidates)
+                         for s in seeds]).reshape(pairs, n_candidates)
+    p_mats, q_mats, kept = star_candidates_stack(a_mats, eps, uniforms, slack_scale)
+    slack = 0.3 * alpha * model.distance_stack(xs, ys) ** 2
+    pair = np.nonzero(kept)[0]
+    margins = order_margins(
+        model.transport_matrices(xs, ys)[pair], p_mats[kept], q_mats[kept], slack[pair])
+    for i, ((x, y), a_alpha, s) in enumerate(zip(drawn, a_pairs, seeds)):
+        expected = _reference_star_candidates(a_alpha, eps[i], n_candidates, s, slack_scale)
+        rows = np.flatnonzero(kept[i])
+        assert len(rows) == len(expected)
+        if slack_scale == 1e6 and n_candidates:
+            assert len(rows) < n_candidates  # the huge shifts break the floor
+        for j, (p_ref, q_ref) in zip(rows, expected):
+            assert p_mats[i, j].tobytes() == p_ref.matrix.tobytes()
+            assert q_mats[i, j].tobytes() == q_ref.matrix.tobytes()
+        if expected:
+            one_pair = transported_order_margins(
+                model, x, y, np.array([p.matrix for p, _ in expected]),
+                np.array([q.matrix for _, q in expected]), slack_rhs=slack[i])
+            assert margins[pair == i].tobytes() == one_pair.tobytes()
+            assert one_pair.tolist() == [
+                check_P_leq_LQ(model, x, y, p, q, slack_rhs=slack[i])[1] for p, q in expected]
 
 
 def test_sign_report_serialization_keys():

@@ -20,6 +20,7 @@ from riemvisc import (
     TangentVector,
     from_config,
 )
+from riemvisc.manifolds import GeodesicSegment, SegmentStack
 
 
 def all_models():
@@ -873,11 +874,10 @@ def apex(model):
 
 
 def outcome(fn):
-    """``fn()`` as a float array, or ``GeometryDomainError`` if it raised a
-    typed error or (single-pair sectional curvature) a ``math`` domain error."""
+    """``fn()`` as a float array, or ``GeometryDomainError`` if it raised one."""
     try:
         return np.asarray(fn(), dtype=float)
-    except (GeometryDomainError, ValueError):
+    except GeometryDomainError:
         return GeometryDomainError
 
 
@@ -949,3 +949,62 @@ def test_log_stack_names_the_first_row_without_a_log(model, y):
         model.log_stack(xs, ys)
     with pytest.raises(GeometryDomainError):
         model.log(Point(xs[1]), Point(ys[1]))
+
+
+@pytest.mark.parametrize("distance", [5.0, 6.0])
+def test_sectional_curvature_refuses_as_the_stack_far_from_the_apex(distance):
+    # far from the apex the Gram-Schmidt remainder's Minkowski square can
+    # round to <= 0; both methods refuse those planes with a typed error
+    model = Hyperbolic(3, 4.0)
+    rng = np.random.default_rng(20)
+    planes, values, refused = [], [], []
+    for i in range(300):
+        p = model.random_point(rng)
+        d = model.random_tangent(rng, p)
+        x = model.exp(p, TangentVector(p, d.components * (distance / model.norm(p, d))))
+        u, v = model.random_tangent(rng, x), model.random_tangent(rng, x)
+        planes.append((u.components, v.components))
+        try:
+            values.append(model.sectional_curvature(x, u, v))
+        except GeometryDomainError:
+            refused.append(i)
+            values.append(None)
+    assert 0 < len(refused) < 300
+    us, vs = (np.array(side) for side in zip(*planes))
+    for i in range(300):
+        if values[i] is None:
+            with pytest.raises(GeometryDomainError, match="row 0"):
+                model.sectional_curvature_stack(us[i:i + 1], vs[i:i + 1])
+    with pytest.raises(GeometryDomainError, match=f"row {refused[0]}"):
+        model.sectional_curvature_stack(us, vs)
+    kept = [i for i in range(300) if values[i] is not None]
+    assert_bitwise(model.sectional_curvature_stack(us[kept], vs[kept]), [values[i] for i in kept])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(model=EVERY_MODEL, seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 5))
+def test_segment_stack_is_connect_per_pair(model, seed, pairs):
+    rng = np.random.default_rng(seed)
+    cap = model.injectivity_radius()
+    high = 0.9 * cap if math.isfinite(cap) else 2.5
+    drawn = [model.random_pair(rng, 0.05, high)[:2] for _ in range(pairs)]
+    xs = np.array([x.coords for x, _ in drawn])
+    ys = np.array([y.coords for _, y in drawn])
+    segs = SegmentStack.connect(model, xs, ys)
+    singles = [GeodesicSegment.connect(model, x, y) for x, y in drawn]
+    assert_bitwise(segs.lengths, [s.length for s in singles])
+    assert_bitwise(segs.frame0, [s.frame0 for s in singles])
+    assert_bitwise(segs.frame_end, [s.frame_end for s in singles])
+    ts = rng.uniform(0.0, 1.0, (pairs, 3)) * segs.lengths[:, None]
+    ts[:, 0] = 0.0
+    assert_bitwise(segs.points_at(ts), [[s.point_at(float(t)).coords for t in row]
+                                        for s, row in zip(singles, ts)])
+
+
+def test_segment_stack_names_the_first_refused_row():
+    m = Sphere(2, 1.0)
+    north, south, east = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]
+    with pytest.raises(DegenerateSegmentError, match="sample 1"):
+        SegmentStack.connect(m, np.array([north, north]), np.array([east, north]))
+    with pytest.raises(GeometryDomainError, match="sample 2"):
+        SegmentStack.connect(m, np.array([north, north, north]), np.array([east, east, south]))
