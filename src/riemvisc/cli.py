@@ -12,9 +12,10 @@ Reports embed the resolved config for provenance.
 transport isometry along random pairs, exp/log inversion, distance
 additivity along segments and, on a space form, constancy of the sectional
 curvature.  ``comparison-demo`` tests star candidates (P, Q) at random pairs
-against ``P <= L_yx Q + slack``.  Every sampling loop makes only the
-generator calls, in the order of a per-sample loop, and the draws are
-evaluated as stacks, bit for bit that loop: ``pairs_from_draws``,
+against ``P <= L_yx Q + slack``.  The geometry checks draw in blocks
+(``draw_samples``) and the star check's loop makes only generator calls,
+each bit for bit a per-sample loop; the draws are evaluated as stacks:
+``pairs_from_draws``,
 ``exp_stack``, ``log_stack``, ``transport_stack`` and
 ``sectional_curvature_stack`` for the geometry checks, a ``SegmentStack``
 and its ``points_at`` for additivity, and ``hessian_distance_sq_stack``,
@@ -26,7 +27,6 @@ a time.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -45,7 +45,7 @@ from .jacobi import (
     parallel_pair_sweep,
 )
 from .jets import canonical_epsilons, doubling_diagnostic, order_margins, star_candidates_stack
-from .manifolds import SegmentStack, _rowwise_dot, from_config as model_from_config
+from .manifolds import SegmentStack, _rowwise_dot, draw_rows, from_config as model_from_config
 from .operators import from_config as operator_from_config
 from .solver import solve_fixed_point, yamabe_solve
 
@@ -160,12 +160,14 @@ def _write_json(path: Path, payload: dict):
     )
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, columns):
+    """``header`` and the rows of ``columns`` (sequences of Python floats or
+    ints) as CSV, floats at full precision: the bytes ``csv.writer`` writes
+    of the ``repr`` of each value, streamed a row at a time."""
+    rows = map(",".join, zip(*(map(repr, col) for col in columns)))
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row + "\r\n" for row in rows)
 
 
 def _grid_from_config(cfg: dict):
@@ -177,11 +179,6 @@ def _grid_from_config(cfg: dict):
 # geometry-check
 # --------------------------------------------------------------------- #
 
-def _stacked(rows) -> list[np.ndarray]:
-    """The columns of a sequence of equal-length tuples, as arrays."""
-    return [np.array(col) for col in zip(*rows)]
-
-
 def _worst(violations: np.ndarray) -> float:
     """The largest violation, 0 if none; NaN entries are ignored, as a
     running ``max`` from 0 ignores them."""
@@ -191,17 +188,20 @@ def _worst(violations: np.ndarray) -> float:
 def _explog_draws(model, rng, n: int):
     """``(xs, vs, keep, scales)``: the exp/log check's points and tangents,
     which rows it keeps (norm >= 1e-12) and their uniform scales.  Only a
-    kept row draws its uniform, so the loop is replayed from the generator's
-    state until every refused row was drawn as refused."""
+    kept row draws its uniform, so the draws are replayed from the
+    generator's state until every refused row was drawn as refused."""
     start = rng.bit_generator.state
+    tangent, scale = ("normal", model.ambient_dim), ("uniform", 0.01, 1.0)
+
+    def unscaled():
+        return [*model.draw_samples(rng, 1, tangent), np.full(1, math.nan)]
+
     refused = np.zeros(n, bool)
     while True:
         rng.bit_generator.state = start
-        raw_x, raw_v, scales = _stacked(
-            (model.draw_point(rng), model.draw_tangent(rng),
-             math.nan if refused[i] else rng.uniform(0.01, 1.0))
-            for i in range(n)
-        )
+        raw_x, raw_v, scales = draw_rows(
+            lambda k: model.draw_samples(rng, k, tangent, scale), n,
+            dict.fromkeys(np.flatnonzero(refused).tolist(), unscaled))
         xs = model.points_from_draws(raw_x)
         vs = model.project_tangent_stack(xs, raw_v)
         short = np.sqrt(np.maximum(model.inner_stack(vs, vs), 0.0)) < 1e-12
@@ -228,11 +228,9 @@ def _geometry_suite(model, n_samples, seed, tolerances):
     cap = model.injectivity_radius()
     reach = 0.9 * cap if math.isfinite(cap) else 2.5
 
-    raw_x, raw_d, ells, raw_v, raw_w = _stacked(
-        (model.draw_point(rng), model.draw_tangent(rng), rng.uniform(0.05, reach),
-         model.draw_tangent(rng), model.draw_tangent(rng))
-        for _ in range(n_samples)
-    )
+    tangent, length = ("normal", model.ambient_dim), ("uniform", 0.05, reach)
+    raw_x, raw_d, ells, raw_v, raw_w = model.draw_samples(
+        rng, n_samples, tangent, length, tangent, tangent)
     xs, ys = model.pairs_from_draws(raw_x, raw_d, ells)
     vs, ws = model.project_tangent_stack(xs, raw_v), model.project_tangent_stack(xs, raw_w)
     moved = model.transport_stack(xs, ys, np.stack([vs, ws], axis=1))
@@ -246,10 +244,7 @@ def _geometry_suite(model, n_samples, seed, tolerances):
     gaps = model.log_stack(xs, model.exp_stack(xs, vs)) - vs
     worst_explog = _worst(np.sqrt(_rowwise_dot(gaps, gaps)))
 
-    raw_x, raw_d, ells = _stacked(
-        (model.draw_point(rng), model.draw_tangent(rng), rng.uniform(0.05, reach))
-        for _ in range(max(1, n_samples // 20))
-    )
+    raw_x, raw_d, ells = model.draw_samples(rng, max(1, n_samples // 20), tangent, length)
     segs = SegmentStack.connect(model, *model.pairs_from_draws(raw_x, raw_d, ells))
     ts = np.linspace(0.0, segs.lengths, 5, axis=1)
     starts = np.repeat(segs.starts, ts.shape[1], axis=0)
@@ -262,10 +257,7 @@ def _geometry_suite(model, n_samples, seed, tolerances):
     worst_curvature = 0.0
     curvature_checked = k is not None
     if curvature_checked:
-        raw_x, raw_u, raw_v = _stacked(
-            (model.draw_point(rng), model.draw_tangent(rng), model.draw_tangent(rng))
-            for _ in range(max(1, n_samples // 4))
-        )
+        raw_x, raw_u, raw_v = model.draw_samples(rng, max(1, n_samples // 4), tangent, tangent)
         xs = model.points_from_draws(raw_x)
         us, vs = model.project_tangent_stack(xs, raw_u), model.project_tangent_stack(xs, raw_v)
         uu, vv, uv = model.inner_stack(us, us), model.inner_stack(vs, vs), model.inner_stack(us, vs)
@@ -312,7 +304,7 @@ def cmd_hessian_sign(config, out: Path, seed: int) -> dict:
     ells, values, vnorms = parallel_pair_sweep(model, n_samples, seed, ell_range)
     bounds = 2.0 * k0 * ells**2 * vnorms
     _write_csv(out / "hessian_sign_samples.csv", ["ell", "value", "bound"],
-               zip(ells.tolist(), values.tolist(), bounds.tolist()))
+               [ells.tolist(), values.tolist(), bounds.tolist()])
 
     results = {
         "model": model.config(),
@@ -351,12 +343,12 @@ def _star_check(model, rng, n_pairs: int, per_pair: int, alpha: float, slack_fn)
     L_yx Q + slack``: the Hessians of ``(alpha/2) d^2``, the candidates and
     the transported margins are each one stacked call.  The loop makes only
     the generator calls of a per-pair loop (``random_pair``'s draws, the
-    candidate seed and that seed's uniforms), in its order."""
-    raw_x, raw_d, ells, uniforms = _stacked(
+    candidate seed and that seed's uniforms), in its order: ``integers`` and
+    the candidate seed's generator keep it a loop."""
+    raw_x, raw_d, ells, uniforms = map(np.array, zip(*(
         (model.draw_point(rng), model.draw_tangent(rng), rng.uniform(0.2, 1.2),
          np.random.default_rng(int(rng.integers(2**31))).uniform(0.0, 1.0, per_pair))
-        for _ in range(n_pairs)
-    )
+        for _ in range(n_pairs))))
     xs, ys = model.pairs_from_draws(raw_x, raw_d, ells)
     # the scaled matrices stay exactly symmetric, as HessianPair.scaled keeps them
     a_mats = (alpha / 2.0) * hessian_distance_sq_stack(model, xs, ys)
@@ -406,13 +398,10 @@ def cmd_comparison_demo(config, out: Path, seed: int) -> dict:
         doubling_pass = doubling_pass and (
             abs(final.m_alpha - float(np.max(gap))) <= modulus + 1e-12
         )
-        for rec in trace.records:
-            rows.append(
-                (pair_idx, rec.alpha, rec.m_alpha, rec.distance, rec.alpha_d_sq,
-                 rec.x_idx, rec.y_idx)
-            )
+        rows += [(pair_idx, rec.alpha, rec.m_alpha, rec.distance, rec.alpha_d_sq,
+                  rec.x_idx, rec.y_idx) for rec in trace.records]
     _write_csv(out / "doubling_trace.csv",
-               ["pair", "alpha", "m_alpha", "d", "alpha_d_sq", "x_idx", "y_idx"], rows)
+               ["pair", "alpha", "m_alpha", "d", "alpha_d_sq", "x_idx", "y_idx"], zip(*rows))
 
     results = _star_suite(config, seed)
     star_pass = all(r["passed"] == r["candidates"] and r["candidates"] > 0
@@ -431,11 +420,8 @@ def cmd_comparison_demo(config, out: Path, seed: int) -> dict:
 def _write_solution(out: Path, name: str, grid, values):
     width = grid.coords.shape[1]
     header = ["node"] + [f"x{i}" for i in range(width)] + ["value"]
-    rows = [
-        (i, *[float(c) for c in grid.coords[i]], float(values[i]))
-        for i in range(grid.n_nodes)
-    ]
-    _write_csv(out / f"{name}_solution.csv", header, rows)
+    columns = [range(grid.n_nodes), *grid.coords.T.tolist(), np.asarray(values, dtype=float).tolist()]
+    _write_csv(out / f"{name}_solution.csv", header, columns)
 
 
 def cmd_solve(config, out: Path, seed: int) -> dict:

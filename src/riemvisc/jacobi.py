@@ -38,6 +38,7 @@ from .manifolds import (
     _libm,
     _readonly,
     _rowwise_dot,
+    draw_rows,
 )
 
 DEFAULT_GRID = 2048
@@ -550,9 +551,9 @@ def curvature_floor(m: Manifold) -> float:
     return min(f.constant_sectional() for f, _ in _space_forms(m))
 
 
-# The three sweeps share one pipeline: one loop makes only the generator
-# calls of the model's random_point / random_tangent, in the order of a
-# per-sample loop; the models' stacked maps (points_from_draws,
+# The three sweeps share one pipeline: block draws (draw_samples) replay
+# the generator calls of the model's random_point / random_tangent, in the
+# order of a per-sample loop; the models' stacked maps (points_from_draws,
 # project_tangent_stack) turn the raw rows into exactly the points and
 # tangents those methods return; the geometry runs over the stacked rows,
 # and one block kernel evaluates the stack.  No model needs a segment: the
@@ -592,24 +593,23 @@ def _draw_pairs(
             f"ell_range {tuple(ell_range)} needs 0 < low < high, with high capped at "
             f"0.95 of the injectivity radius {cap!r}: {hi!r}"
         )
+    # per sample: x, ell, the direction, v (drawn for unit_normal too, though
+    # never read, so the samples keep their stream) and the unit normal's draw
+    tangent = ("normal", m.ambient_dim)
+    plan = [("uniform", lo, hi), tangent, tangent] + ([("normal", m.dim - 1)] if unit_normal else [])
+
+    def redrawn(rng, r):  # a row that draws r refused directions first
+        row = m.draw_samples(rng, 1, plan[0], *[tangent] * (r + 1), *plan[2:])
+        return row[:2] + row[2 + r:]
+
     # row -> direction draws refused (norm < 1e-12) before the one kept; the
     # loop is replayed from the seed until no kept direction is refused
     redraws: dict[int, int] = {}
     while True:
         rng = np.random.default_rng(seed)
-        raw_x, raw_dir, raw_v = (np.empty((n_samples, m.ambient_dim)) for _ in range(3))
-        ells = np.empty(n_samples)
-        raw_n = np.empty((n_samples, m.dim - 1)) if unit_normal else None
-        for i in range(n_samples):
-            raw_x[i] = m.draw_point(rng)
-            ells[i] = rng.uniform(lo, hi)
-            raw_dir[i] = m.draw_tangent(rng)
-            for _ in range(redraws.get(i, 0)):
-                raw_dir[i] = m.draw_tangent(rng)
-            # unit_normal never reads v; it is drawn so the samples keep their stream
-            raw_v[i] = m.draw_tangent(rng)
-            if unit_normal:
-                raw_n[i] = rng.standard_normal(m.dim - 1)
+        raw_x, ells, raw_dir, raw_v, *raw_n = draw_rows(
+            lambda k: m.draw_samples(rng, k, *plan), n_samples,
+            {i: (lambda r=r: redrawn(rng, r)) for i, r in redraws.items()})
         xs = m.points_from_draws(raw_x)
         directions = m.project_tangent_stack(xs, raw_dir)
         nrm = np.sqrt(np.maximum(m.inner_stack(directions, directions), 0.0))
@@ -621,7 +621,7 @@ def _draw_pairs(
     normals = None
     if unit_normal:
         normals = np.zeros((n_samples, m.dim))
-        normals[:, 1:] = raw_n / np.sqrt(_rowwise_dot(raw_n, raw_n))[:, None]
+        normals[:, 1:] = raw_n[0] / np.sqrt(_rowwise_dot(raw_n[0], raw_n[0]))[:, None]
     steps = directions * (ells / nrm)[:, None]
     return _PairDraws(xs, ells, steps, m.project_tangent_stack(xs, raw_v), normals)
 

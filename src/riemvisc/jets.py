@@ -390,7 +390,8 @@ def generate_star_candidates(
     p_mats, q_mats, kept = star_candidates_stack(
         a_alpha.matrix[None], np.array([epsilon]), uniforms[None], slack_scale)
     return [
-        (SymBilinear(a_alpha.x, p_mats[0, i]), SymBilinear(a_alpha.y, q_mats[0, i]))
+        (SymBilinear.of_symmetrized(a_alpha.x, p_mats[0, i]),
+         SymBilinear.of_symmetrized(a_alpha.y, q_mats[0, i]))
         for i in np.flatnonzero(kept[0])
     ]
 

@@ -51,15 +51,17 @@ Conventions
   hyperboloid step whose coordinates or Minkowski square would overflow
   raises ``GeometryDomainError`` in both.
 * ``random_point``/``random_tangent`` are a generator call (``draw_point``,
-  ``draw_tangent``) followed by a closed-form map; ``points_from_draws`` and
-  ``project_tangent_stack`` map a stack of raw rows to exactly the points
-  and tangents the single-sample methods return, and ``pairs_from_draws``
-  maps stacks of ``random_pair``'s draws to its pairs, so a sampled sweep
-  keeps only the generator calls in its loop.
+  the entries of ``point_plan``, and ``draw_tangent``) followed by a
+  closed-form map; ``points_from_draws`` and ``project_tangent_stack`` map
+  a stack of raw rows to exactly the points and tangents the single-sample
+  methods return, and ``pairs_from_draws`` maps stacks of ``random_pair``'s
+  draws to its pairs.  A sampled sweep draws all its samples in blocks
+  (``draw_stacks``, ``draw_samples``), bit for bit its per-sample loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -150,6 +152,16 @@ class SymBilinear:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def of_symmetrized(cls, base: Point, matrix: np.ndarray) -> "SymBilinear":
+        """The form of a matrix ``symmetrized_forms`` has made, wrapped
+        without a second check and symmetrization: on an exactly symmetric
+        matrix that pass returns the same bits."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "base", base)
+        object.__setattr__(form, "matrix", _readonly(matrix))
+        return form
+
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
@@ -169,6 +181,66 @@ def symmetrized_forms(mats: np.ndarray) -> np.ndarray:
     if (asym > _SYMMETRY_TOL * abs(mats).max(axis=axes, initial=1.0)).any():
         raise ValueError("bilinear form matrix must be symmetric")
     return 0.5 * (mats + flipped)
+
+
+def _draw_entry(rng, entry):
+    """One sample's draw of a ``draw_stacks`` plan entry."""
+    return rng.standard_normal(entry[1]) if entry[0] == "normal" else rng.uniform(*entry[1:])
+
+
+def draw_stacks(rng, n: int, plan) -> list[np.ndarray]:
+    """One stack of n draws per entry of ``plan``, bit for bit the per-sample
+    loop that draws every entry of sample 0, then of sample 1, and so on:
+    ``("normal", shape)`` as ``rng.standard_normal(shape)`` and ``("uniform",
+    low, high)`` as ``rng.uniform(low, high)``.  A stack has the shape
+    ``(n, *shape of one draw)``; the generator ends where the loop leaves it.
+
+    numpy's ``standard_normal`` and ``random`` fill their outputs in order
+    from the bit stream, so each run of same-kind draws, across samples too,
+    is one call, and a uniform is ``low + (high - low) * random()``, as numpy
+    maps it.  The ziggurat takes a variable number of words per normal, so
+    only runs of one kind merge.  A generator that is not numpy's is drawn
+    entry by entry.
+    """
+    shapes = [np.shape(np.empty(e[1], bool)) if e[0] == "normal" else np.broadcast(*e[1:]).shape
+              for e in plan]
+    if not isinstance(rng, np.random.Generator):
+        rows = [[_draw_entry(rng, e) for e in plan] for _ in range(n)]
+        return [np.reshape([r[j] for r in rows], (n, *shape)) for j, shape in enumerate(shapes)]
+    widths = [math.prod(shape) for shape in shapes]
+    uniform = np.repeat([e[0] == "uniform" for e in plan], widths).tolist()  # one sample's draws
+    width = len(uniform)
+    # where a run of one kind starts in a sample: at 0 only if the previous
+    # sample ends with the other kind, else its last run goes on
+    cuts = [c for c in range(width) if uniform[c] != uniform[c - 1]]
+    table = np.empty((n, width))
+    flat = table.reshape(-1)
+    starts = itertools.chain([0], (i * width + c for i in range(n) for c in cuts if i or c))
+    for a, b in itertools.pairwise(itertools.chain(starts, [flat.size]) if flat.size else ()):
+        (rng.random if uniform[a % width] else rng.standard_normal)(out=flat[a:b])
+    stacks, edges = [], [0, *itertools.accumulate(widths)]
+    for (kind, *bounds), a, b, shape in zip(plan, edges, edges[1:], shapes):
+        draws = table[:, a:b].reshape(n, *shape)
+        if kind == "uniform":
+            low, high = (np.asarray(v, dtype=float) for v in bounds)
+            draws = low + (high - low) * draws
+        stacks.append(np.ascontiguousarray(draws))
+    return stacks
+
+
+def draw_rows(draw, n: int, rows: dict) -> list[np.ndarray]:
+    """The stacks of n samples drawn as a per-sample loop draws them, where
+    ``draw(k)`` draws k ordinary samples as one block (a list of stacks) and
+    ``rows[i]()`` draws row i, which draws otherwise, as a list of one-row
+    stacks of the same layout: the rows between listed ones go out as
+    blocks."""
+    blocks, done = [], 0
+    for i in sorted(rows):
+        blocks.append(draw(i - done))
+        blocks.append(rows[i]())
+        done = i + 1
+    blocks.append(draw(n - done))
+    return blocks[0] if len(blocks) == 1 else [np.concatenate(col) for col in zip(*blocks)]
 
 
 class Manifold:
@@ -280,9 +352,24 @@ class Manifold:
     def random_point(self, rng: np.random.Generator) -> Point:
         raise NotImplementedError
 
+    @property
+    def point_plan(self) -> list:
+        """The ``draw_stacks`` entries of one ``random_point`` draw."""
+        return [("normal", self.ambient_dim)]
+
+    def draw_samples(self, rng, n: int, *plan) -> list[np.ndarray]:
+        """``draw_stacks`` of n samples of a raw point (``point_plan``), then
+        the entries ``plan``: the point's stacks joined into one (n, ambient)
+        stack, then one stack per entry."""
+        p = len(self.point_plan)
+        stacks = draw_stacks(rng, n, [*self.point_plan, *plan])
+        return [stacks[0] if p == 1 else np.concatenate(stacks[:p], axis=1), *stacks[p:]]
+
     def draw_point(self, rng: np.random.Generator) -> np.ndarray:
-        """The generator calls of ``random_point``: one raw ambient row."""
-        raise NotImplementedError
+        """The generator calls of ``random_point``: one raw ambient row, the
+        entries of ``point_plan`` drawn in turn."""
+        draws = [_draw_entry(rng, entry) for entry in self.point_plan]
+        return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
     def points_from_draws(self, raws: np.ndarray) -> np.ndarray:
         """The points ``random_point`` makes from an (N, ambient) stack of
@@ -524,9 +611,6 @@ class Euclidean(Manifold):
     def constant_sectional(self):
         return 0.0
 
-    def draw_point(self, rng):
-        return rng.standard_normal(self.dim)
-
     def points_from_draws(self, raws):
         return raws
 
@@ -736,9 +820,6 @@ class Sphere(_SpaceForm):
     def constant_sectional(self):
         return 1.0 / self.radius**2
 
-    def draw_point(self, rng):
-        return rng.standard_normal(self.dim + 1)
-
     def points_from_draws(self, raws):
         return self._onto_stack(raws)
 
@@ -829,9 +910,6 @@ class Hyperbolic(_SpaceForm):
     def constant_sectional(self):
         return -self.k0
 
-    def draw_point(self, rng):
-        return self.draw_tangent(rng)
-
     def points_from_draws(self, raws):
         apex = np.broadcast_to(self.base_point().coords, raws.shape)
         return self.exp_stack(apex, self.project_tangent_stack(apex, raws * self._SPREAD))
@@ -902,8 +980,9 @@ class FlatTorus(Euclidean):
     def injectivity_radius(self, x=None):
         return float(np.min(self.periods)) / 2.0
 
-    def draw_point(self, rng):
-        return rng.uniform(0.0, self.periods)
+    @property
+    def point_plan(self):
+        return [("uniform", 0.0, self.periods)]
 
     def config(self):
         return {"model": "flat_torus", "periods": list(self.periods)}
@@ -1012,8 +1091,9 @@ class Product(Manifold):
     def project_tangent_stack(self, xs, ambient):
         return self._by_factor("project_tangent_stack", xs, ambient)
 
-    def draw_point(self, rng):
-        return self._join([f.draw_point(rng) for f in self.factors])
+    @property
+    def point_plan(self):
+        return [entry for f in self.factors for entry in f.point_plan]
 
     def points_from_draws(self, raws):
         return self._by_factor("points_from_draws", raws)

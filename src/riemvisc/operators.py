@@ -6,8 +6,8 @@ each base point, stacked along a leading axis.  Structural claims
 (degenerate ellipticity, properness, the strong monotonicity constant
 gamma, translation invariance, continuity moduli) are declared flags; the
 ``*_check`` and ``*_estimate`` sweeps in this module probe them
-empirically.  A sweep's loop makes only its generator calls; the draws are
-mapped as stacks (``points_from_draws``, ``pairs_from_draws``), a state
+empirically.  A sweep draws its samples in blocks (``draw_samples``); the
+draws are mapped as stacks (``points_from_draws``, ``pairs_from_draws``), a state
 (zeta, A) moves from x to y by the transport matrices T of all pairs in
 one call (``transport_matrices``), as zeta T and T^T A T, and one batch
 call evaluates the sweep.  Estimated moduli are never certificates; pass
@@ -31,7 +31,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .manifolds import Euclidean, Manifold, Point, SymBilinear, TangentVector, symmetrized_forms
+from .manifolds import (
+    Euclidean, Manifold, Point, SymBilinear, TangentVector, draw_rows, symmetrized_forms,
+)
 
 _NEG_INF = -math.inf
 _POS_INF = math.inf
@@ -514,12 +516,12 @@ def _symmetric(raws, scale=1.5):
     return 0.5 * (raw + np.swapaxes(raw, -1, -2))
 
 
-def _stacks(samples):
-    """One array per item of the per-sample tuples of draws ``samples``."""
-    rows = list(samples)
-    if not rows:
+def _draws(m: Manifold, n_samples: int, seed: int, *plan):
+    """A sweep's samples: ``draw_samples`` of a raw point, then ``plan``,
+    from ``default_rng(seed)``."""
+    if n_samples < 1:
         raise PreconditionError("a structural sweep needs at least one sample")
-    return [np.array(col) for col in zip(*rows)]
+    return m.draw_samples(np.random.default_rng(seed), n_samples, *plan)
 
 
 def _gap(F: OperatorSpec, upper, lower) -> np.ndarray:
@@ -547,13 +549,10 @@ def ellipticity_check(
     """Sample A <= B = A + psd and report max F(..., B) - F(..., A)."""
     m = _default_model(model)
     lo, hi = _clip_r_range(F, r_range)
-    rng = np.random.default_rng(seed)
     n = m.dim
-    raw_x, rs, zs, raw_a, raw_w, w_scale = _stacks(
-        (m.draw_point(rng), rng.uniform(lo, hi), rng.standard_normal(n),
-         rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.uniform(0.1, 1.0))
-        for _ in range(n_samples)
-    )
+    raw_x, rs, zs, raw_a, raw_w, w_scale = _draws(
+        m, n_samples, seed, ("uniform", lo, hi), ("normal", n), ("normal", (n, n)),
+        ("normal", (n, n)), ("uniform", 0.1, 1.0))
     xs, zs, a = m.points_from_draws(raw_x), zs * 2.0, _symmetric(raw_a)
     w = raw_w * w_scale[:, None, None]
     gaps = _gap(F, (xs, rs, zs, a + w @ np.swapaxes(w, 1, 2)), (xs, rs, zs, a))
@@ -579,15 +578,32 @@ def monotonicity_estimate(
     """gamma-hat: min difference quotient of F in r over sampled states."""
     m = _default_model(model)
     lo, hi = _clip_r_range(F, r_range)
-    rng = np.random.default_rng(seed)
     n = m.dim
-    samples = []
-    for _ in range(n_samples):
-        raw_x, (r, s) = m.draw_point(rng), sorted(rng.uniform(lo, hi, size=2))
-        if r != s:
-            samples.append((raw_x, r, s, rng.standard_normal(n), rng.standard_normal((n, n))))
-    raw_x, rs, ss, zs, raw_a = _stacks(samples)
-    xs, zs, a = m.points_from_draws(raw_x), zs * 2.0, _symmetric(raw_a)
+    # per sample two sorted uniforms r, s, then (zeta, A) only if r != s: a
+    # row found tied is replayed from the seed as one that draws no state
+    pair, state = ("uniform", (lo, lo), hi), [("normal", n), ("normal", (n, n))]
+
+    def stateless():
+        return [*m.draw_samples(rng, 1, pair), np.full((1, n), math.nan), np.full((1, n, n), math.nan)]
+
+    raw_x, pairs, zs, raw_a = _draws(m, n_samples, seed, pair, *state)
+    ties = np.zeros(n_samples, bool)
+    while True:
+        rs, ss = np.sort(pairs, axis=1).T
+        new = np.flatnonzero((rs == ss) & ~ties)
+        if new.size == 0:
+            break
+        # rows before the first new tie keep their draws, so the replays end
+        ties[new[0]] = True
+        rng = np.random.default_rng(seed)
+        raw_x, pairs, zs, raw_a = draw_rows(
+            lambda k: m.draw_samples(rng, k, pair, *state), n_samples,
+            dict.fromkeys(np.flatnonzero(ties).tolist(), stateless))
+    if ties.all():
+        raise PreconditionError("a structural sweep needs at least one sample")
+    keep = ~ties
+    xs, rs, ss = m.points_from_draws(raw_x[keep]), rs[keep], ss[keep]
+    zs, a = zs[keep] * 2.0, _symmetric(raw_a[keep])
     gaps = _gap(F, (xs, ss, zs, a), (xs, rs, zs, a))
     gamma_hat = float(np.min(gaps / (ss - rs), initial=math.inf))
     report = CheckReport(
@@ -609,14 +625,11 @@ def invariance_check(
     if F.x_dependent:
         raise PreconditionError("invariance check applies to x-independent operators")
     lo, hi = _clip_r_range(F, r_range)
-    rng = np.random.default_rng(seed)
     n = m.dim
     top = min(1.0, 0.9 * m.injectivity_radius())
-    raw_x, raw_d, ells, rs, zs, raw_a = _stacks(
-        (m.draw_point(rng), m.draw_tangent(rng), rng.uniform(min(1e-3, top), top),
-         rng.uniform(lo, hi), rng.standard_normal(n), rng.standard_normal((n, n)))
-        for _ in range(n_samples)
-    )
+    raw_x, raw_d, ells, rs, zs, raw_a = _draws(
+        m, n_samples, seed, ("normal", m.ambient_dim), ("uniform", min(1e-3, top), top),
+        ("uniform", lo, hi), ("normal", n), ("normal", (n, n)))
     xs, ys = m.pairs_from_draws(raw_x, raw_d, ells)
     zs, a = zs * 2.0, _symmetric(raw_a)
     moved = _transported(m.transport_matrices(xs, ys), zs, a)
@@ -661,16 +674,17 @@ def intrinsic_modulus_estimate(
     """
     bins = _table_edges("bins", bins)
     lo, hi = _clip_r_range(F, r_range)
-    rng = np.random.default_rng(seed)
     n = m.dim
-    # stratified over bins so the smallest distances are actually exercised
+    # stratified over bins so the smallest distances are actually exercised:
+    # sample i draws uniform(lows[k], tops[k]) for k = i mod len(bins), mapped
+    # from a unit uniform as numpy maps it
     tops = np.minimum(bins, 0.9 * m.injectivity_radius())
     lows = np.minimum(np.concatenate([[0.0], bins[:-1]]), tops)
-    raw_x, raw_d, dists, rs, etas, raw_q = _stacks(
-        (m.draw_point(rng), m.draw_tangent(rng), rng.uniform(lows[k], tops[k]),
-         rng.uniform(lo, hi), rng.standard_normal(n), rng.standard_normal((n, n)))
-        for k in np.arange(n_samples) % len(bins)
-    )
+    raw_x, raw_d, units, rs, etas, raw_q = _draws(
+        m, n_samples, seed, ("normal", m.ambient_dim), ("uniform", 0.0, 1.0),
+        ("uniform", lo, hi), ("normal", n), ("normal", (n, n)))
+    k = np.arange(n_samples) % len(bins)
+    dists = lows[k] + (tops[k] - lows[k]) * units
     xs, ys = m.pairs_from_draws(raw_x, raw_d, dists)
     etas, q = etas * 2.0, _symmetric(raw_q)
     moved = _transported(m.transport_matrices(ys, xs), etas, q)
@@ -725,15 +739,12 @@ def twoflat_modulus_estimate(
     deltas = _table_edges("deltas", deltas, positive=False)
     d_bins = _table_edges("d_bins", d_bins)
     lo, hi = _clip_r_range(F, r_range)
-    rng = np.random.default_rng(seed)
     n = m.dim
     top = min(float(d_bins[-1]), 0.9 * m.injectivity_radius())
-    raw_x, raw_d, dists, rs, zs, raw_q, raw_b, shifts = _stacks(
-        (m.draw_point(rng), m.draw_tangent(rng), rng.uniform(min(1e-3, top), top),
-         rng.uniform(lo, hi), rng.standard_normal(n), rng.standard_normal((n, n)),
-         rng.standard_normal((n, n)), rng.uniform(0.2, 1.0))
-        for _ in range(n_samples)
-    )
+    raw_x, raw_d, dists, rs, zs, raw_q, raw_b, shifts = _draws(
+        m, n_samples, seed, ("normal", m.ambient_dim), ("uniform", min(1e-3, top), top),
+        ("uniform", lo, hi), ("normal", n), ("normal", (n, n)), ("normal", (n, n)),
+        ("uniform", 0.2, 1.0))
     sample_deltas = deltas[np.arange(n_samples) % len(deltas)]
     xs, ys = m.pairs_from_draws(raw_x, raw_d, dists)
     zs, q, bump = zs * 2.0, _symmetric(raw_q), _symmetric(raw_b, scale=1.0)

@@ -1,5 +1,6 @@
 """CLI driver: schemas, exit codes, determinism, report files."""
 
+import csv
 import hashlib
 import json
 import math
@@ -13,7 +14,10 @@ import pytest
 
 import riemvisc
 from riemvisc import Euclidean, FlatTorus, Hyperbolic, Product, Sphere, TangentVector
-from riemvisc.cli import SCHEMAS, _explog_draws, _geometry_suite, _star_suite, cmd_geometry_check, main
+from riemvisc.cli import (
+    SCHEMAS, _explog_draws, _geometry_suite, _star_check, _star_suite, _write_csv,
+    cmd_geometry_check, main,
+)
 from riemvisc.jacobi import hessian_distance_sq
 from riemvisc.jets import canonical_epsilon, generate_star_candidates, transported_order_margins
 
@@ -140,13 +144,16 @@ def test_geometry_suite_is_the_per_sample_loop(model, seed, n_samples):
 
 
 class _TinyDirections(Euclidean):
-    """Euclidean space whose tangent draw is scaled to norm < 1e-12 when its
-    first entry exceeds 1 (about one draw in six), so the exp/log check
-    refuses those rows and draws no uniform for them."""
+    """Euclidean space whose tangent projection scales a raw draw to norm <
+    1e-12 when its first entry exceeds 1 (about one draw in six), so the
+    exp/log check refuses those rows and draws no uniform for them.  The
+    per-sample loop and the stacked draws both project every tangent draw."""
 
-    def draw_tangent(self, rng):
-        d = rng.standard_normal(self.dim)
-        return d * 1e-14 if d[0] > 1.0 else d
+    def project_tangent(self, x, ambient):
+        return self.project_tangent_stack(None, np.asarray(ambient, dtype=float)[None])[0]
+
+    def project_tangent_stack(self, xs, ambient):
+        return np.where(ambient[:, :1] > 1.0, ambient * 1e-14, ambient)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -201,6 +208,37 @@ def test_star_suite_is_the_per_pair_loop(config, seed):
     got = _star_suite(config, seed)
     assert repr(got) == repr(_reference_star_results(config, seed))
     assert all(r["candidates"] > 0 for r in got.values())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_star_check_needs_its_curvature_slack_on_a_curved_plane(seed):
+    # the check's pairs are 0.2 to 1.2 long; on H^2 of curvature -4 that is up
+    # to 2.4 curvature radii, where P <= L_yx Q fails for some candidates
+    # without the slack 1.5 K0 alpha d^2 and holds for all with it (on the
+    # report's curvature -1 plane no candidate needs it)
+    model, k0 = Hyperbolic(2, 4.0), 4.0
+    bare = _star_check(model, np.random.default_rng(seed), 50, 10, 4.0, lambda al, d: 0.0 * d)
+    slack = _star_check(model, np.random.default_rng(seed), 50, 10, 4.0,
+                        lambda al, d: 1.5 * k0 * al * d * d)
+    assert bare["candidates"] == slack["candidates"] > 0
+    assert bare["passed"] < bare["candidates"]
+    assert slack["passed"] == slack["candidates"]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 12])
+def test_csv_columns_are_the_csv_writer_bytes(tmp_path, n_rows):
+    floats = [0.0, -0.0, 1.5, -2.25e-300, 5e-324, 1e300, math.inf, -math.inf, math.nan,
+              0.1 + 0.2, 123456789.0, -1e-7][:n_rows]
+    columns = [range(n_rows), floats, floats[::-1], [2**70 + i for i in range(n_rows)]]
+    header = ["node", "x0", "value", "big"]
+    _write_csv(tmp_path / "got.csv", header, columns)
+    # the per-row writer the column writer replaced
+    with (tmp_path / "ref.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_default_config_is_valid_against_every_schema():

@@ -1017,6 +1017,88 @@ def test_refused_directions_are_redrawn_as_the_loop_redraws(monkeypatch, unit_no
     assert np.allclose(values, value, rtol=1e-12, atol=1e-12)
 
 
+class _RefusedDraws(Euclidean):
+    """Euclidean space whose tangent projection sends the listed raw draws
+    (by their bytes) to 0, so that a pair sweep refuses them as directions
+    and draws again, from a real generator."""
+
+    def __init__(self, dim, refused):
+        super().__init__(dim)
+        self.refused = refused
+
+    def project_tangent(self, x, ambient):
+        return self.project_tangent_stack(None, np.asarray(ambient, dtype=float)[None])[0]
+
+    def project_tangent_stack(self, xs, ambient):
+        return np.where([[row.tobytes() in self.refused] for row in ambient], 0.0, ambient)
+
+
+@pytest.mark.parametrize("unit_normal", [False, True])
+@pytest.mark.parametrize("rows", [[0], [5], [11], [0, 5, 11]], ids=["first", "middle", "last", "all"])
+def test_block_draws_replay_refused_rows_as_the_loop(rows, unit_normal):
+    n, seed, ell_range = 12, 4, (0.05, 2.0)
+    # the plain stream: per sample x, ell, direction, v and the unit normal's draw
+    rng, drawn = np.random.default_rng(seed), []
+    for _ in range(n):
+        rng.standard_normal(2), rng.uniform(*ell_range)
+        drawn.append((rng.standard_normal(2), rng.standard_normal(2)))
+        if unit_normal:
+            rng.standard_normal(1)
+    # each listed row refuses its direction; the middle one also the next
+    # draw (its plain v), so it draws three directions
+    refused = {drawn[i][0].tobytes() for i in rows}
+    if 5 in rows:
+        refused.add(drawn[5][1].tobytes())
+    model = _RefusedDraws(2, refused)
+    expected = _reference_pair_sweep(model, n, seed, ell_range, unit_normal)
+    draws = _draw_pairs(model, n, seed, ell_range, unit_normal)
+    x, ell, step, _, v, a, _, _ = (list(col) for col in zip(*expected))
+    assert draws.xs.tobytes() == np.array([p.coords for p in x]).tobytes()
+    assert draws.ells.tobytes() == np.array(ell).tobytes()
+    assert draws.steps.tobytes() == np.array(step).tobytes()
+    assert draws.vs.tobytes() == np.array([t.components for t in v]).tobytes()
+    if unit_normal:
+        assert draws.normals.tobytes() == np.array(a).tobytes()
+    plain = _draw_pairs(Euclidean(2), n, seed, ell_range, unit_normal)
+    changed = np.flatnonzero(np.any(draws.steps != plain.steps, axis=1))
+    assert changed[0] == rows[0]  # the rows before the first refusal keep their draws
+
+
+class _CountingGenerator(np.random.Generator):
+    """numpy's generator, counting its draw calls."""
+
+    calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        _CountingGenerator.calls += 1
+        return super().standard_normal(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        _CountingGenerator.calls += 1
+        return super().random(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        _CountingGenerator.calls += 1
+        return super().uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("model", [Sphere(2, 1.0), Hyperbolic(3, 4.0), Euclidean(3)],
+                         ids=["sphere", "hyperbolic", "euclidean"])
+@pytest.mark.parametrize("unit_normal", [False, True])
+def test_pair_draws_make_two_generator_calls_per_sample(monkeypatch, model, unit_normal):
+    # per sample one run of uniforms (ell) and one of normals (direction, v,
+    # the unit normal's draw and the next sample's point): 2 n + 1 calls,
+    # where the per-sample loop made 4 or 5 per sample
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _CountingGenerator(np.random.PCG64(seed)))
+    monkeypatch.setattr(_CountingGenerator, "calls", 0)
+    draws = _draw_pairs(model, 500, 3, (0.05, 1.0), unit_normal)
+    assert _CountingGenerator.calls == 2 * 500 + 1
+    expected = _reference_pair_sweep(model, 500, 3, (0.05, 1.0), unit_normal)
+    assert draws.xs.tobytes() == np.array([row[0].coords for row in expected]).tobytes()
+    assert draws.ells.tobytes() == np.array([row[1] for row in expected]).tobytes()
+
+
 def test_batched_pair_values_match_exact_normal_mass_on_hyperboloid():
     # the normal part of v, |v|^2 - <v, e1>^2, in exact rational arithmetic from
     # the float samples; e1 is the direction of y + K0 <y, x> x (log_x y)

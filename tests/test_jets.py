@@ -418,6 +418,39 @@ def test_stacked_star_candidates_match_the_per_candidate_loop(
 @given(
     model=st.sampled_from(STAR_MODELS),
     seed=st.integers(0, 2**32 - 1),
+    alpha=st.floats(0.1, 1e4),
+    n_candidates=st.integers(1, 25),
+)
+def test_star_candidates_wrap_the_kernel_forms_without_a_second_pass(
+    model, seed, alpha, n_candidates
+):
+    # the kernel's kept forms are exactly symmetric, so SymBilinear's check and
+    # symmetrization would return their bits: the wrapped forms are the
+    # reference loop's, byte for byte, as read-only copies
+    rng = np.random.default_rng(seed)
+    x = model.random_point(rng)
+    d = model.random_tangent(rng, x)
+    y = model.exp(x, TangentVector(x, d.components * (rng.uniform(0.1, 1.5) / model.norm(x, d))))
+    a_alpha = hessian_distance_sq(model, x, y).scaled(alpha / 2.0)
+    eps = canonical_epsilon(a_alpha)
+    got = generate_star_candidates(a_alpha, eps, n_candidates, seed)
+    expected = _reference_star_candidates(a_alpha, eps, n_candidates, seed)
+    assert len(got) == len(expected) > 0
+    p_mats, q_mats, kept = star_candidates_stack(
+        a_alpha.matrix[None], np.array([eps]),
+        np.random.default_rng(seed).uniform(0.0, 1.0, n_candidates)[None])
+    for (p, q), (p_ref, q_ref), i in zip(got, expected, np.flatnonzero(kept[0])):
+        for form, ref, row in ((p, p_ref, p_mats[0, i]), (q, q_ref, q_mats[0, i])):
+            assert np.array_equal(row, row.T)
+            assert form.matrix.tobytes() == ref.matrix.tobytes() == row.tobytes()
+            assert form.matrix.tobytes() == SymBilinear(form.base, row).matrix.tobytes()
+            assert not form.matrix.flags.writeable and not np.shares_memory(form.matrix, row)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    model=st.sampled_from(STAR_MODELS),
+    seed=st.integers(0, 2**32 - 1),
     alpha=st.floats(0.1, 64.0),
     pairs=st.integers(1, 5),
     n_candidates=st.integers(0, 25),

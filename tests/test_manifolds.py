@@ -20,7 +20,7 @@ from riemvisc import (
     TangentVector,
     from_config,
 )
-from riemvisc.manifolds import GeodesicSegment, SegmentStack
+from riemvisc.manifolds import GeodesicSegment, SegmentStack, draw_stacks
 
 
 def all_models():
@@ -741,6 +741,72 @@ def test_stacked_draw_maps_match_random_point_and_tangent(model, seed, rows, sca
     assert_bitwise(xs, [x.coords for x in points])
     tangent_rows = model.project_tangent_stack(xs, raw_tangents * scale)
     assert_bitwise(tangent_rows, [t.components for t in tangents])
+
+
+def _per_sample_draws(rng, n, plan):
+    """The per-sample loop ``draw_stacks`` replaces, kept as its oracle: every
+    entry of sample 0, then of sample 1, and so on, one generator call each."""
+    rows = [[rng.standard_normal(e[1]) if e[0] == "normal" else rng.uniform(e[1], e[2])
+             for e in plan] for _ in range(n)]
+    return [np.array([row[j] for row in rows]) for j in range(len(plan))]
+
+
+_BOUND = st.floats(-5.0, 5.0)
+_PLAN_ENTRIES = st.one_of(
+    st.builds(lambda k: ("normal", k), st.integers(0, 6)),
+    st.builds(lambda lo, w: ("uniform", lo, lo + w), _BOUND, st.floats(0.0, 3.0)),
+    # array bounds of 0 to 6 entries: a scalar low, ranges down to an ulp
+    st.builds(lambda lo, ws: ("uniform", lo, lo + np.array(ws, dtype=float)),
+              _BOUND, st.lists(st.sampled_from([0.0, 1e-15, 0.5, 3.0]), max_size=6)),
+    # or a low per entry
+    st.builds(lambda los: ("uniform", np.array(los, dtype=float), np.array(los) + 1.0),
+              st.lists(_BOUND, max_size=6)),
+)
+_PLAN_MODELS = st.one_of(
+    EVERY_MODEL,
+    st.just(Product([Sphere(2, 1.0), FlatTorus([1.0, 2.0])])),
+    st.just(Product([FlatTorus([1.5]), Hyperbolic(2, 2.5), Euclidean(1)])),
+)
+
+
+@st.composite
+def draw_plans(draw):
+    """A plan of model point draws, tangent draws and free entries."""
+    model = draw(_PLAN_MODELS)
+    parts = draw(st.lists(st.one_of(
+        st.just(model.point_plan),
+        st.just([("normal", model.ambient_dim)]),
+        st.lists(_PLAN_ENTRIES, min_size=1, max_size=3),
+    ), min_size=1, max_size=4))
+    return [entry for part in parts for entry in part]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    calls=st.lists(st.tuples(draw_plans(), st.integers(1, 60)), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_stacks_is_the_per_sample_loop(calls, seed):
+    # chained calls on one generator, as the geometry check makes them: every
+    # stack bit for bit the loop's, and the generator left in the loop's state
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for plan, n in calls:
+        got, expected = draw_stacks(rng, n, plan), _per_sample_draws(ref, n, plan)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape and g.tobytes() == e.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(model=_PLAN_MODELS, seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20))
+def test_draw_samples_are_draw_point_and_draw_tangent(model, seed, n):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    raw_x, raw_v = model.draw_samples(rng, n, ("normal", model.ambient_dim))
+    rows = [(model.draw_point(ref), model.draw_tangent(ref)) for _ in range(n)]
+    assert raw_x.tobytes() == np.array([x for x, _ in rows]).tobytes()
+    assert raw_v.tobytes() == np.array([v for _, v in rows]).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("offset", [1e-6, 1e-7, 1.01e-8, 1e-9])

@@ -856,3 +856,62 @@ def test_sweeps_match_the_per_sample_loop(model, F, seed, n_samples):
         ref_gaps, scale, points = ref[name]
         tol = 1e-12 * (1.0 + scale) * _pair_conditioning(model, points)
         assert np.all(np.abs(gaps - ref_gaps) <= tol), (name, np.max(np.abs(gaps - ref_gaps) / tol))
+
+
+def _sweep_states(sweep, *args, **kwargs):
+    """The two sides (upper, lower) of state stacks a sweep hands to ``_gap``."""
+    seen = []
+    real = operators._gap
+
+    def recording(F, upper, lower):
+        seen.append((upper, lower))
+        return real(F, upper, lower)
+
+    with mock.patch.object(operators, "_gap", recording):
+        sweep(*args, **kwargs)
+    (sides,) = seen
+    return sides
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(model=SWEEP_MODELS, seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 12))
+def test_sweeps_draw_the_per_sample_loops_points_bit_for_bit(model, seed, n_samples):
+    # the block draws and the stacked maps give every sweep the loop's points,
+    # bit for bit (their states then move by transport, equal to roundoff)
+    F = neg_trace()
+    ref = _reference_sweeps(F, model, n_samples, seed)
+    sweeps = {
+        "ellipticity": (ellipticity_check, F, n_samples, model),
+        "monotonicity": (monotonicity_estimate, F, (-2.0, 2.0), n_samples, model),
+        "invariance": (invariance_check, F, model, n_samples),
+        "intrinsic": (intrinsic_modulus_estimate, F, model, (0.01, 0.05, 0.1, 0.2, 0.5, 1.0),
+                      n_samples),
+        "twoflat": (twoflat_modulus_estimate, F, model, (1e-8, 1e-6, 1e-4, 1e-2, 1e-1),
+                    (0.05, 0.2, 0.5, 1.0), n_samples),
+    }
+    for name, (sweep, *args) in sweeps.items():
+        upper, lower = _sweep_states(sweep, *args, seed=seed)
+        got = lower[0] if name in ("ellipticity", "monotonicity") else np.concatenate(
+            [upper[0], lower[0]])
+        assert got.tobytes() == np.array([p.coords for p in ref[name][2]]).tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_monotonicity_replays_tied_rows_as_the_loop(seed):
+    # an r range two ulps wide: about a third of the rows draw r == s and no
+    # (zeta, A), and the rows after each are drawn again as the loop drew them
+    m, lo, hi, n = Sphere(2, 1.0), 1.0, 1.0 + 4.5e-16, 40
+    rng = np.random.default_rng(seed)
+    kept = []
+    for _ in range(n):
+        x = m.random_point(rng)
+        r, s = sorted(rng.uniform(lo, hi, size=2))
+        if r != s:
+            kept.append((x.coords, r, s, rng.standard_normal(2) * 2.0, rng.standard_normal((2, 2))))
+    assert 0 < len(kept) < n - 5
+    upper, lower = _sweep_states(monotonicity_estimate, neg_trace(), (lo, hi), n, model=m, seed=seed)
+    xs, rs, ss, zs, raw_a = (np.array(col) for col in zip(*kept))
+    assert lower[0].tobytes() == xs.tobytes()
+    assert lower[1].tobytes() == rs.tobytes() and upper[1].tobytes() == ss.tobytes()
+    assert lower[2].tobytes() == zs.tobytes()
+    assert lower[3].tobytes() == operators._symmetric(raw_a).tobytes()
