@@ -13,9 +13,9 @@ transport isometry along random pairs, exp/log inversion, distance
 additivity along segments and, on a space form, constancy of the sectional
 curvature.  ``comparison-demo`` tests star candidates (P, Q) at random pairs
 against ``P <= L_yx Q + slack``.  The geometry checks draw in blocks
-(``draw_samples``) and the star check's loop makes only generator calls,
-each bit for bit a per-sample loop; the draws are evaluated as stacks:
-``pairs_from_draws``,
+(``draw_samples``, refused rows replayed by ``draw_replayed``) and the
+star check's loop makes only generator calls, each bit for bit a
+per-sample loop; the draws are evaluated as stacks: ``pairs_from_draws``,
 ``exp_stack``, ``log_stack``, ``transport_stack`` and
 ``sectional_curvature_stack`` for the geometry checks, a ``SegmentStack``
 and its ``points_at`` for additivity, and ``hessian_distance_sq_stack``,
@@ -45,7 +45,7 @@ from .jacobi import (
     parallel_pair_sweep,
 )
 from .jets import canonical_epsilons, doubling_diagnostic, order_margins, star_candidates_stack
-from .manifolds import SegmentStack, _rowwise_dot, draw_rows, from_config as model_from_config
+from .manifolds import SegmentStack, _rowwise_dot, draw_replayed, from_config as model_from_config
 from .operators import from_config as operator_from_config
 from .solver import solve_fixed_point, yamabe_solve
 
@@ -193,23 +193,22 @@ def _explog_draws(model, rng, n: int):
     start = rng.bit_generator.state
     tangent, scale = ("normal", model.ambient_dim), ("uniform", 0.01, 1.0)
 
-    def unscaled():
+    def restart():
+        rng.bit_generator.state = start
+        return rng
+
+    def unscaled(rng, r):
         return [*model.draw_samples(rng, 1, tangent), np.full(1, math.nan)]
 
-    refused = np.zeros(n, bool)
-    while True:
-        rng.bit_generator.state = start
-        raw_x, raw_v, scales = draw_rows(
-            lambda k: model.draw_samples(rng, k, tangent, scale), n,
-            dict.fromkeys(np.flatnonzero(refused).tolist(), unscaled))
-        xs = model.points_from_draws(raw_x)
-        vs = model.project_tangent_stack(xs, raw_v)
+    def first_refused(stacks):  # a short row that drew its uniform
+        xs = model.points_from_draws(stacks[0])
+        vs = model.project_tangent_stack(xs, stacks[1])
         short = np.sqrt(np.maximum(model.inner_stack(vs, vs), 0.0)) < 1e-12
-        new = np.flatnonzero(short & ~refused)
-        if new.size == 0:
-            return xs, vs, ~short, scales
-        # rows before the first new refusal keep their draws, so the replays end
-        refused[new[0]] = True
+        return next(iter(np.flatnonzero(short & ~np.isnan(stacks[2])).tolist()), None), (xs, vs, ~short)
+
+    (_, _, scales), (xs, vs, keep) = draw_replayed(
+        restart, n, lambda rng, k: model.draw_samples(rng, k, tangent, scale), unscaled, first_refused)
+    return xs, vs, keep, scales
 
 
 def _geometry_suite(model, n_samples, seed, tolerances):

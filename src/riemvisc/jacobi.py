@@ -38,7 +38,7 @@ from .manifolds import (
     _libm,
     _readonly,
     _rowwise_dot,
-    draw_rows,
+    draw_replayed,
 )
 
 DEFAULT_GRID = 2048
@@ -123,36 +123,47 @@ def _space_forms(m: Manifold, start: int = 0):
         yield from _space_forms(f, start + s.start)
 
 
-def _tidal_spectrum(seg: GeodesicSegment):
-    """Tidal eigenvalues and eigenvectors (``None``: the parallel frame).
+def _tidal_spectra(m: Manifold, starts: np.ndarray, frame0: np.ndarray):
+    """Tidal eigenvalues and eigenvectors of the segments that start at the
+    rows of ``starts`` with the (N, n, ambient) frames ``frame0``: ``(kappas,
+    q)``, kappas (N, n) and q (N, n, n), or ``None``: the parallel frame.
 
     Constant curvature k gives ``(0, k, ..., k)`` with nothing computed.  On
     a product, factor i acts as ``k_i (|w_i|^2 I - w_i w_i^T)``, w_i its part
     of the unit velocity (O'Neill, Semi-Riemannian Geometry, ch. 7): 0 on
     w_i and ``k_i |w_i|^2`` on the rest of the factor frame seeded by
     ``w_i / |w_i|``, whose rows in ``frame0`` components are the columns.
-    A factor that does not move keeps its plain frame, with eigenvalue 0.
+    A factor that does not move (``_FRAME_FLOOR`` bounds the log roundoff
+    in w_i) keeps its plain frame, with eigenvalue 0.
     """
-    m = seg.model
+    count = len(starts)
     k = m.constant_sectional()
     if k is not None:
-        return (0.0,) + (k,) * (m.dim - 1), None
+        return np.tile((0.0,) + (k,) * (m.dim - 1), (count, 1)), None
     kappas, vectors = [], []
     for f, s in _space_forms(m):
-        x = Point(seg.start.coords[s])
-        w = f.project_tangent(x, seg.frame0[0][s])
-        w2 = f.ambient_inner(x, w, w)
-        frame = f.canonical_frame(x)
-        # a factor that does not move leaves only log's roundoff in w; the
-        # floor is _orthonormal_rows' own, relative to the unit velocity
+        xs = starts[:, s]
+        w = f.project_tangent_stack(xs, frame0[:, 0, s])
+        w2 = f.inner_stack(w, w)
         seeded = w2 > _FRAME_FLOOR
-        if seeded:
-            frame = f._orthonormal_rows(x, [w / math.sqrt(w2)], frame)
-        else:
-            w2 = 0.0
-        kappas += [0.0] * seeded + [f.constant_sectional() * w2] * (f.dim - seeded)
-        vectors.append(f.components(frame, seg.frame0[:, s]))
-    return tuple(kappas), np.concatenate(vectors).T
+        w2 = np.where(seeded, w2, 0.0)
+        frames = np.empty((count, f.dim, f.ambient_dim))
+        if seeded.any():
+            unit = w[seeded] / np.sqrt(w2[seeded])[:, None]
+            frames[seeded] = f.canonical_frames(xs[seeded], first=unit[:, None])
+        if not seeded.all():
+            frames[~seeded] = f.canonical_frames(xs[~seeded])
+        kappa = np.repeat((f.constant_sectional() * w2)[:, None], f.dim, axis=1)
+        kappa[seeded, 0] = 0.0
+        kappas.append(kappa)
+        vectors.append(f.components(frames, frame0[:, None, :, s]))
+    return np.concatenate(kappas, axis=1), np.swapaxes(np.concatenate(vectors, axis=1), -1, -2)
+
+
+def _tidal_spectrum(seg: GeodesicSegment):
+    """``_tidal_spectra`` of one segment: kappas (n,) and q (n, n) or ``None``."""
+    kappas, q = _tidal_spectra(seg.model, seg.start.coords[None], seg.frame0[None])
+    return kappas[0], None if q is None else q[0]
 
 
 def _endpoint_scalars(kappa, ell):
@@ -196,7 +207,7 @@ def solve_jacobi_bvp(seg: GeodesicSegment, v: TangentVector, w: TangentVector) -
         a, b = q.T @ a, q.T @ b
     s, _, s_l = (e[0, :, None] for e in _endpoint_scalars([kappas], seg.length))
     a, b = a[:, None], b[:, None]
-    pos, neg = np.asarray(kappas) > 0.0, np.asarray(kappas) < 0.0
+    pos, neg = kappas > 0.0, kappas < 0.0
 
     # one row per direction: numpy's loops run along the parameters
     def basis(ts):
@@ -430,70 +441,42 @@ def _hessian_blocks(kappas, ells):
     return factor * c_l, -factor
 
 
-def _segment_frame_hessian(seg: GeodesicSegment) -> np.ndarray:
-    """Hessian of d^2 in segment-frame components (start block, end block):
-    the blocks of ``_hessian_blocks``, rotated by ``diag(Q, Q)``."""
-    n = seg.model.dim
-    kappas, q = _tidal_spectrum(seg)
-    diag, off = _hessian_blocks([kappas], seg.length)
-    idx = np.arange(n)
-    h = np.zeros((2 * n, 2 * n))
-    h[idx, idx] = h[n + idx, n + idx] = diag[0]
-    h[idx, n + idx] = h[n + idx, idx] = off[0]
-    if q is None:
-        return h
-    rot = np.zeros((2 * n, 2 * n))
-    rot[:n, :n] = rot[n:, n:] = q
-    return rot @ h @ rot.T
-
-
-def hessian_distance_sq(m: Manifold, x: Point, y: Point) -> HessianPair:
-    """Full 2n x 2n Hessian of phi = d^2 at (x, y) in the canonical frames."""
-    seg = m.geodesic_segment(x, y)
-    h_seg = _segment_frame_hessian(seg)
-    n = m.dim
-    b = np.zeros((2 * n, 2 * n))
-    b[:n, :n] = m.components(seg.frame0, m.canonical_frame(x)).T
-    b[n:, n:] = m.components(seg.frame_end, m.canonical_frame(y)).T
-    return HessianPair(m, x, y, b @ h_seg @ b.T)
-
-
-def _tidal_spectra(segs: SegmentStack):
-    """``_tidal_spectrum`` of every segment of a stack: ``(kappas, q)`` with
-    kappas (N, n) and q (N, n, n), or ``None`` on a space form.  Per factor,
-    the segments that move in it seed its frame with their velocity part,
-    and the rest keep its plain frame, as ``_FRAME_FLOOR`` splits them."""
-    m = segs.model
-    count = len(segs.lengths)
-    k = m.constant_sectional()
-    if k is not None:
-        return np.tile((0.0,) + (k,) * (m.dim - 1), (count, 1)), None
-    kappas, vectors = [], []
-    for f, s in _space_forms(m):
-        xs = segs.starts[:, s]
-        w = f.project_tangent_stack(xs, segs.frame0[:, 0, s])
-        w2 = f.inner_stack(w, w)
-        seeded = w2 > _FRAME_FLOOR
-        w2 = np.where(seeded, w2, 0.0)
-        frames = np.empty((count, f.dim, f.ambient_dim))
-        if seeded.any():
-            unit = w[seeded] / np.sqrt(w2[seeded])[:, None]
-            frames[seeded] = f.canonical_frames(xs[seeded], first=unit[:, None])
-        if not seeded.all():
-            frames[~seeded] = f.canonical_frames(xs[~seeded])
-        kappa = np.repeat((f.constant_sectional() * w2)[:, None], f.dim, axis=1)
-        kappa[seeded, 0] = 0.0
-        kappas.append(kappa)
-        vectors.append(f.components(frames, segs.frame0[:, None, :, s]))
-    return np.concatenate(kappas, axis=1), np.swapaxes(np.concatenate(vectors, axis=1), -1, -2)
-
-
 def _block_diagonal(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """``diag(top, bottom)`` for every pair of two (N, n, n) stacks."""
     count, n = top.shape[0], top.shape[-1]
     out = np.zeros((count, 2 * n, 2 * n))
     out[:, :n, :n], out[:, n:, n:] = top, bottom
     return out
+
+
+def _frame_hessians(kappas: np.ndarray, q, lengths: np.ndarray) -> np.ndarray:
+    """Hessians of d^2 in segment-frame components (start block, end block),
+    (N, 2n, 2n), of N segments from their tidal spectra and lengths: the
+    blocks of ``_hessian_blocks``, rotated by ``diag(Q, Q)``."""
+    count, n = kappas.shape
+    diag, off = _hessian_blocks(kappas, lengths[:, None])
+    idx = np.arange(n)
+    h = np.zeros((count, 2 * n, 2 * n))
+    h[:, idx, idx] = h[:, n + idx, n + idx] = diag
+    h[:, idx, n + idx] = h[:, n + idx, idx] = off
+    if q is None:
+        return h
+    rot = _block_diagonal(q, q)
+    return rot @ h @ np.swapaxes(rot, -1, -2)
+
+
+def _segment_frame_hessian(seg: GeodesicSegment) -> np.ndarray:
+    """``_frame_hessians`` of one segment, (2n, 2n)."""
+    kappas, q = _tidal_spectra(seg.model, seg.start.coords[None], seg.frame0[None])
+    return _frame_hessians(kappas, q, np.array([seg.length]))[0]
+
+
+def hessian_distance_sq(m: Manifold, x: Point, y: Point) -> HessianPair:
+    """Full 2n x 2n Hessian of phi = d^2 at (x, y) in the canonical frames."""
+    seg = m.geodesic_segment(x, y)
+    b = _block_diagonal(m.components(seg.frame0, m.canonical_frame(x)).T[None],
+                        m.components(seg.frame_end, m.canonical_frame(y)).T[None])[0]
+    return HessianPair(m, x, y, b @ _segment_frame_hessian(seg) @ b.T)
 
 
 def hessian_distance_sq_stack(m: Manifold, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -503,16 +486,7 @@ def hessian_distance_sq_stack(m: Manifold, xs: np.ndarray, ys: np.ndarray) -> np
     and stacked frame rotations.  A pair ``GeodesicSegment.connect`` would
     refuse raises its typed error, naming the first such row."""
     segs = SegmentStack.connect(m, xs, ys)
-    n = m.dim
-    kappas, q = _tidal_spectra(segs)
-    diag, off = _hessian_blocks(kappas, segs.lengths[:, None])
-    idx = np.arange(n)
-    h = np.zeros((len(kappas), 2 * n, 2 * n))
-    h[:, idx, idx] = h[:, n + idx, n + idx] = diag
-    h[:, idx, n + idx] = h[:, n + idx, idx] = off
-    if q is not None:
-        rot = _block_diagonal(q, q)
-        h = rot @ h @ np.swapaxes(rot, -1, -2)
+    h = _frame_hessians(*_tidal_spectra(m, segs.starts, segs.frame0), segs.lengths)
     b = _block_diagonal(
         np.swapaxes(m.components(segs.frame0, m.canonical_frames(xs)[:, None]), -1, -2),
         np.swapaxes(m.components(segs.frame_end, m.canonical_frames(ys)[:, None]), -1, -2),
@@ -525,10 +499,8 @@ def hessian_distance_sq_stack(m: Manifold, xs: np.ndarray, ys: np.ndarray) -> np
 def hessian_on_parallel_pair(m: Manifold, x: Point, y: Point, v: TangentVector) -> float:
     """d^2(d^2)(x, y) evaluated on (v, L_xy v)."""
     seg = m.geodesic_segment(x, y)
-    a = seg.components_at_start(v)
-    h_seg = _segment_frame_hessian(seg)
-    z = np.concatenate([a, a])
-    return float(z @ h_seg @ z)
+    z = np.tile(seg.components_at_start(v), 2)
+    return float(z @ _segment_frame_hessian(seg) @ z)
 
 
 # --------------------------------------------------------------------- #
@@ -602,22 +574,15 @@ def _draw_pairs(
         row = m.draw_samples(rng, 1, plan[0], *[tangent] * (r + 1), *plan[2:])
         return row[:2] + row[2 + r:]
 
-    # row -> direction draws refused (norm < 1e-12) before the one kept; the
-    # loop is replayed from the seed until no kept direction is refused
-    redraws: dict[int, int] = {}
-    while True:
-        rng = np.random.default_rng(seed)
-        raw_x, ells, raw_dir, raw_v, *raw_n = draw_rows(
-            lambda k: m.draw_samples(rng, k, *plan), n_samples,
-            {i: (lambda r=r: redrawn(rng, r)) for i, r in redraws.items()})
-        xs = m.points_from_draws(raw_x)
-        directions = m.project_tangent_stack(xs, raw_dir)
+    def first_refused(stacks):  # a kept direction of norm < 1e-12
+        xs = m.points_from_draws(stacks[0])
+        directions = m.project_tangent_stack(xs, stacks[2])
         nrm = np.sqrt(np.maximum(m.inner_stack(directions, directions), 0.0))
-        refused = np.flatnonzero(nrm < 1e-12)
-        if refused.size == 0:
-            break
-        # rows before the first refusal keep their draws, so the replays end
-        redraws[int(refused[0])] = redraws.get(int(refused[0]), 0) + 1
+        return next(iter(np.flatnonzero(nrm < 1e-12).tolist()), None), (xs, directions, nrm)
+
+    (_, ells, _, raw_v, *raw_n), (xs, directions, nrm) = draw_replayed(
+        lambda: np.random.default_rng(seed), n_samples,
+        lambda rng, k: m.draw_samples(rng, k, *plan), redrawn, first_refused)
     normals = None
     if unit_normal:
         normals = np.zeros((n_samples, m.dim))

@@ -16,8 +16,6 @@ doubling-of-variables diagnostic on grid functions.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -341,10 +339,11 @@ def star_candidates_stack(
     ``Q = s I - B_22`` with shift ``s = 2 |B_12| + slack_scale u_ik (1 +
     |A|)``, so that ``B - diag(P, -Q) = [[s I, B_12], [B_21, s I]]`` meets
     the upper bound whenever s dominates the off-diagonal block.  Shifts
-    that break the lower bound ``-(1/eps + |A|)`` on P or -Q are infeasible;
-    the feasible forms are symmetrized as ``SymBilinear`` stores them, and
-    ``kept`` (N, K) marks those the block condition accepts, tested as
-    ``verify_condition_star`` tests one pair.  P and Q are (N, K, n, n).
+    that break the lower bound ``-(1/eps + |A|)`` on P or -Q are infeasible,
+    and ``kept`` (N, K) marks those the block condition accepts, tested as
+    ``verify_condition_star`` tests one pair.  P and Q are (N, K, n, n), and
+    exactly symmetric for an exactly symmetric A: so is ``A + eps A^2``, and
+    a shift touches only the diagonal.
     """
     a_mats = np.asarray(a_mats, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
@@ -361,10 +360,8 @@ def star_candidates_stack(
     count = len(a_mats)
     feasible = ~(np.minimum(lows[:count], lows[count:]) < -reach[:, None])
     q_mats = -neg_q_mats
-    p_mats[feasible] = p_sym = symmetrized_forms(p_mats[feasible])
-    q_mats[feasible] = q_sym = symmetrized_forms(q_mats[feasible])
     pair = np.nonzero(feasible)[0]
-    lower, upper = _star_margins(b[pair], reach[pair], p_sym, q_sym)
+    lower, upper = _star_margins(b[pair], reach[pair], p_mats[feasible], q_mats[feasible])
     kept = feasible.copy()
     kept[feasible] = (lower >= -_STAR_TOL) & (upper >= -_STAR_TOL)
     return p_mats, q_mats, kept
@@ -464,16 +461,6 @@ class DoublingTrace:
 
     def final(self) -> DoublingRecord:
         return self.records[-1]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["alpha", "m_alpha", "d", "alpha_d_sq", "x_idx", "y_idx"])
-        for r in self.records:
-            writer.writerow(
-                [repr(r.alpha), repr(r.m_alpha), repr(r.distance), repr(r.alpha_d_sq), r.x_idx, r.y_idx]
-            )
-        return buf.getvalue()
 
 
 def doubling_diagnostic(

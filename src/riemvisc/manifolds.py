@@ -33,30 +33,32 @@ Conventions
   tangent vectors (``transport_rows``, ``curvature_rows``; a product runs
   them factorwise); ``parallel_transport`` and ``curvature_operator`` are
   their one-row cases, rounded alike, so a whole frame moves in one call.
-* Over stacks of point pairs, ``log_stack`` and ``transport_stack`` (one
-  vector, or a (k, ambient) stack of them, per pair) round every row as
-  ``log`` and ``transport_rows`` do, and ``transport_matrices`` every pair's
-  ``transport_matrix``; ``sectional_curvature_stack`` is
-  ``sectional_curvature`` over rows; ``SegmentStack.connect`` is
-  ``GeodesicSegment.connect`` over rows (lengths and both frames as
-  arrays).  The single-pair methods stay: a one-row stack costs several
-  times a scalar call.
+* One body per concept where a one-row call costs nothing measurable:
+  ``sectional_curvature`` is ``sectional_curvature_stack`` of one row, as
+  ``jacobi``'s tidal spectrum and frame Hessian are of theirs.  The leaf
+  single-pair methods (``exp``, ``distance``, ``log``, ``transport_rows``,
+  ``canonical_frame``, ``transport_matrix``, ``GeodesicSegment.connect``)
+  keep bodies beside their stacks (``exp_stack``, ``distance_stack``,
+  ``log_stack``, ``transport_stack``, ``canonical_frames``,
+  ``transport_matrices``, ``SegmentStack.connect``), which round every row
+  alike, so a sweep may use either: the oracle sweeps' per-sample loops
+  make ~11 000 such calls a pass, and a one-row stack costs 3-8 times a
+  scalar call (sphere, us scalar / one-row: exp 9/49, log 10/39, transport
+  25/54, frame 12/101, transport matrix 80/371, connect 95/313).
 * ``inner_stack`` broadcasts over leading axes; ``components(vectors,
-  frame)`` on top of it rounds each entry as one ``ambient_inner``, and
-  ``canonical_frames`` batches ``canonical_frame`` on every model.
-* Every model also evaluates ``exp`` and ``distance`` over (N, ambient)
-  stacks of rows (``exp_stack``, ``distance_stack``; a product's scalar
-  ``exp`` and ``distance`` are their one-row cases).  They round every row
-  exactly as the single-point methods do, so a sweep may use either.  A
-  hyperboloid step whose coordinates or Minkowski square would overflow
-  raises ``GeometryDomainError`` in both.
+  frame)`` on top of it rounds each entry as one ``ambient_inner``.
+* A product's scalar ``exp`` and ``distance`` are the one-row cases of
+  ``exp_stack`` and ``distance_stack``.  A hyperboloid step whose
+  coordinates or Minkowski square would overflow raises
+  ``GeometryDomainError`` in ``exp`` and ``exp_stack`` alike.
 * ``random_point``/``random_tangent`` are a generator call (``draw_point``,
   the entries of ``point_plan``, and ``draw_tangent``) followed by a
   closed-form map; ``points_from_draws`` and ``project_tangent_stack`` map
   a stack of raw rows to exactly the points and tangents the single-sample
   methods return, and ``pairs_from_draws`` maps stacks of ``random_pair``'s
   draws to its pairs.  A sampled sweep draws all its samples in blocks
-  (``draw_stacks``, ``draw_samples``), bit for bit its per-sample loop.
+  (``draw_stacks``, ``draw_samples``), bit for bit its per-sample loop, and
+  ``draw_replayed`` alone replays a loop whose refused rows draw otherwise.
 """
 
 from __future__ import annotations
@@ -154,9 +156,9 @@ class SymBilinear:
 
     @classmethod
     def of_symmetrized(cls, base: Point, matrix: np.ndarray) -> "SymBilinear":
-        """The form of a matrix ``symmetrized_forms`` has made, wrapped
-        without a second check and symmetrization: on an exactly symmetric
-        matrix that pass returns the same bits."""
+        """The form of an exactly symmetric matrix (one ``symmetrized_forms``
+        has made, or a star candidate of ``star_candidates_stack``), wrapped
+        without the check and symmetrization, which would return its bits."""
         form = object.__new__(cls)
         object.__setattr__(form, "base", base)
         object.__setattr__(form, "matrix", _readonly(matrix))
@@ -228,19 +230,27 @@ def draw_stacks(rng, n: int, plan) -> list[np.ndarray]:
     return stacks
 
 
-def draw_rows(draw, n: int, rows: dict) -> list[np.ndarray]:
-    """The stacks of n samples drawn as a per-sample loop draws them, where
-    ``draw(k)`` draws k ordinary samples as one block (a list of stacks) and
-    ``rows[i]()`` draws row i, which draws otherwise, as a list of one-row
-    stacks of the same layout: the rows between listed ones go out as
-    blocks."""
-    blocks, done = [], 0
-    for i in sorted(rows):
-        blocks.append(draw(i - done))
-        blocks.append(rows[i]())
-        done = i + 1
-    blocks.append(draw(n - done))
-    return blocks[0] if len(blocks) == 1 else [np.concatenate(col) for col in zip(*blocks)]
+def draw_replayed(restart, n: int, block, special, first_refused):
+    """``(stacks, mapped)``: n samples drawn as a per-sample loop draws them
+    when a refused row draws otherwise.  ``restart()`` gives the generator
+    at the loop's start, ``block(rng, k)`` draws k ordinary samples (a list
+    of stacks), ``special(rng, r)`` one row refused r times (one-row stacks
+    of that layout), and ``first_refused(stacks)`` is ``(i, mapped)``: the
+    first row drawn wrongly, or None, and what it mapped.  Each pass replays
+    from the start in blocks around the refused rows; rows before the first
+    refusal keep their draws, so the replays end."""
+    refusals: dict[int, int] = {}
+    while True:
+        rng, blocks, done = restart(), [], 0
+        for i in sorted(refusals):
+            blocks += [block(rng, i - done), special(rng, refusals[i])]
+            done = i + 1
+        blocks.append(block(rng, n - done))
+        stacks = [np.concatenate(col) for col in zip(*blocks)] if refusals else blocks[0]
+        i, mapped = first_refused(stacks)
+        if i is None:
+            return stacks, mapped
+        refusals[i] = refusals.get(i, 0) + 1
 
 
 class Manifold:
@@ -409,35 +419,25 @@ class Manifold:
             )
 
     def sectional_curvature(self, x: Point, u: TangentVector, v: TangentVector) -> float:
-        """K(u, v) = <R(e1,e2)e2, e1> for the Gram-Schmidt basis (e1, e2) of (u, v).
-
-        The orthonormal basis avoids the cancellation of |u|^2 |v|^2 -
-        <u,v>^2 on nearly dependent pairs.  ``GeometryDomainError`` for a
-        dependent pair, and where the remainder of v has a square <= 0 from
-        roundoff, as ``sectional_curvature_stack`` refuses it.
-        """
-        uu = self.metric(x, u, u)
-        vv = self.metric(x, v, v)
-        uv = self.metric(x, u, v)
-        if uu * vv - uv * uv <= 1e-12 * max(uu * vv, 1e-300):
-            raise GeometryDomainError("sectional curvature needs independent vectors")
-        e1 = TangentVector(x, u.components / math.sqrt(uu))
-        w = v.components - (uv / uu) * u.components
-        ww = self.ambient_inner(x, w, w)
-        if ww <= 0.0:  # roundoff far from the hyperboloid's apex
-            raise GeometryDomainError("sectional curvature needs independent vectors")
-        e2 = TangentVector(x, w / math.sqrt(ww))
-        r = self.curvature_operator(x, e1, e2, e2)
-        return self.metric(x, r, e1)
+        """``sectional_curvature_stack`` of the one plane (u, v) at x."""
+        self._check_based(x, u)
+        self._check_based(x, v)
+        return float(self.sectional_curvature_stack(u.components[None], v.components[None])[0])
 
     def sectional_curvature_stack(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """``sectional_curvature`` of every row pair of two (N, ambient) stacks
-        of tangent vectors (row i of both at the same point, which does not
-        enter), each rounded as the single-pair method rounds it.  Its typed
-        error names the first pair the single-pair method refuses."""
+        """K(u, v) = <R(e1,e2)e2, e1> for the Gram-Schmidt basis (e1, e2) of
+        every row pair (u, v) of two (N, ambient) stacks of tangent vectors
+        (row i of both at the same point, which does not enter).
+
+        The orthonormal basis avoids the cancellation of |u|^2 |v|^2 -
+        <u,v>^2 on nearly dependent pairs.  ``GeometryDomainError``, naming
+        the first such row, for a dependent pair and where the remainder of
+        v has a square <= 0 from roundoff (far from the hyperboloid's apex).
+        """
         uu, vv, uv = self.inner_stack(us, us), self.inner_stack(vs, vs), self.inner_stack(us, vs)
-        w = vs - (uv / uu)[:, None] * us
-        ww = self.inner_stack(w, w)
+        with np.errstate(divide="ignore", invalid="ignore"):  # u = 0 is refused below
+            w = vs - (uv / uu)[:, None] * us
+            ww = self.inner_stack(w, w)
         bad = np.flatnonzero((uu * vv - uv * uv <= 1e-12 * np.maximum(uu * vv, 1e-300)) | (ww <= 0.0))
         if bad.size:
             raise GeometryDomainError(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .manifolds import (
-    Euclidean, Manifold, Point, SymBilinear, TangentVector, draw_rows, symmetrized_forms,
+    Euclidean, Manifold, Point, SymBilinear, TangentVector, draw_replayed, symmetrized_forms,
 )
 
 _NEG_INF = -math.inf
@@ -578,27 +578,24 @@ def monotonicity_estimate(
     """gamma-hat: min difference quotient of F in r over sampled states."""
     m = _default_model(model)
     lo, hi = _clip_r_range(F, r_range)
+    if n_samples < 1:
+        raise PreconditionError("a structural sweep needs at least one sample")
     n = m.dim
     # per sample two sorted uniforms r, s, then (zeta, A) only if r != s: a
     # row found tied is replayed from the seed as one that draws no state
     pair, state = ("uniform", (lo, lo), hi), [("normal", n), ("normal", (n, n))]
 
-    def stateless():
+    def stateless(rng, r):
         return [*m.draw_samples(rng, 1, pair), np.full((1, n), math.nan), np.full((1, n, n), math.nan)]
 
-    raw_x, pairs, zs, raw_a = _draws(m, n_samples, seed, pair, *state)
-    ties = np.zeros(n_samples, bool)
-    while True:
-        rs, ss = np.sort(pairs, axis=1).T
-        new = np.flatnonzero((rs == ss) & ~ties)
-        if new.size == 0:
-            break
-        # rows before the first new tie keep their draws, so the replays end
-        ties[new[0]] = True
-        rng = np.random.default_rng(seed)
-        raw_x, pairs, zs, raw_a = draw_rows(
-            lambda k: m.draw_samples(rng, k, pair, *state), n_samples,
-            dict.fromkeys(np.flatnonzero(ties).tolist(), stateless))
+    def first_tie(stacks):  # a tied row that drew its state
+        rs, ss = np.sort(stacks[1], axis=1).T
+        ties = rs == ss
+        return next(iter(np.flatnonzero(ties & ~np.isnan(stacks[2][:, 0])).tolist()), None), (rs, ss, ties)
+
+    (raw_x, _, zs, raw_a), (rs, ss, ties) = draw_replayed(
+        lambda: np.random.default_rng(seed), n_samples,
+        lambda rng, k: m.draw_samples(rng, k, pair, *state), stateless, first_tie)
     if ties.all():
         raise PreconditionError("a structural sweep needs at least one sample")
     keep = ~ties

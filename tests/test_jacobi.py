@@ -12,6 +12,7 @@ from riemvisc import (
     DegenerateSegmentError, Euclidean, FlatTorus, GeometryDomainError, Hyperbolic,
     Point, PreconditionError, Product, SingularBVPError, Sphere, TangentVector,
 )
+from riemvisc.manifolds import _FRAME_FLOOR
 from riemvisc.jacobi import (
     DEFAULT_GRID,
     VectorFieldAlongSegment,
@@ -19,11 +20,13 @@ from riemvisc.jacobi import (
     _bump_margins,
     _draw_pairs,
     _endpoint_scalars,
+    _frame_hessians,
     _hessian_blocks,
     _pair_stack,
     _segment_frame_hessian,
     _simpson_weights,
     _space_forms,
+    _tidal_spectra,
     _tidal_spectrum,
     check_curvature_bound,
     check_sign_condition,
@@ -207,6 +210,86 @@ def test_closed_form_tidal_spectrum_diagonalizes_the_tidal_matrix(model, seed):
     tol *= max(1.0, max(abs(k) for k in kappas))
     assert np.allclose(np.sort(kappas), np.linalg.eigvalsh(m), rtol=0.0, atol=tol)
     assert np.allclose(q.T @ m @ q, np.diag(kappas), rtol=0.0, atol=tol)
+
+
+def _reference_tidal_spectrum(seg):
+    """The one-segment body of ``_tidal_spectrum`` before it became a one-row
+    call of ``_tidal_spectra``, kept as its oracle: per factor the scalar
+    frame, seeded by the factor's part of the velocity where it moves."""
+    m = seg.model
+    k = m.constant_sectional()
+    if k is not None:
+        return (0.0,) + (k,) * (m.dim - 1), None
+    kappas, vectors = [], []
+    for f, s in _space_forms(m):
+        x = Point(seg.start.coords[s])
+        w = f.project_tangent(x, seg.frame0[0][s])
+        w2 = f.ambient_inner(x, w, w)
+        frame = f.canonical_frame(x)
+        seeded = w2 > _FRAME_FLOOR
+        if seeded:
+            frame = f._orthonormal_rows(x, [w / math.sqrt(w2)], frame)
+        else:
+            w2 = 0.0
+        kappas += [0.0] * seeded + [f.constant_sectional() * w2] * (f.dim - seeded)
+        vectors.append(f.components(frame, seg.frame0[:, s]))
+    return tuple(kappas), np.concatenate(vectors).T
+
+
+def _reference_segment_frame_hessian(seg):
+    """The one-segment body of ``_segment_frame_hessian`` before it became a
+    one-row call of ``_frame_hessians``, kept as its oracle."""
+    n = seg.model.dim
+    kappas, q = _reference_tidal_spectrum(seg)
+    diag, off = _hessian_blocks([kappas], seg.length)
+    idx = np.arange(n)
+    h = np.zeros((2 * n, 2 * n))
+    h[idx, idx] = h[n + idx, n + idx] = diag[0]
+    h[idx, n + idx] = h[n + idx, idx] = off[0]
+    if q is None:
+        return h
+    rot = np.zeros((2 * n, 2 * n))
+    rot[:n, :n] = rot[n:, n:] = q
+    return rot @ h @ rot.T
+
+
+SPACE_FORMS = [
+    Euclidean(2), Euclidean(3), Sphere(2, 1.0), Sphere(3, 2.0), Sphere(2, 0.5),
+    Hyperbolic(2, 1.0), Hyperbolic(3, 4.0), FlatTorus([1.0, 1.0]), FlatTorus([1.0, 2.5, 0.7]),
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(model=st.one_of(st.sampled_from(SPACE_FORMS), nested_products()),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_row_spectra_and_frame_hessians_are_the_one_segment_bodies(model, seed):
+    # bit for bit the deleted scalar bodies, on segments that move in every
+    # factor and, on a product, on segments that stay still in one factor
+    # (the unseeded branch)
+    rng = np.random.default_rng(seed)
+    segs = [random_segment(model, rng)]
+    for s in getattr(model, "_slices", []):
+        x = model.random_point(rng)
+        d = model.random_tangent(rng, x).components.copy()
+        d[s] = 0.0
+        if np.any(d):
+            step = d * (rng.uniform(0.1, 1.5) / model.norm(x, TangentVector(x, d)))
+            segs.append(model.geodesic_segment(x, model.exp(x, TangentVector(x, step))))
+    for seg in segs:
+        kappas, q = _tidal_spectrum(seg)
+        ref_kappas, ref_q = _reference_tidal_spectrum(seg)
+        assert kappas.shape == (model.dim,)
+        assert kappas.tobytes() == np.array(ref_kappas).tobytes()
+        assert (q is None) == (ref_q is None) == (model.constant_sectional() is not None)
+        if q is not None:
+            assert q.tobytes() == ref_q.tobytes()
+        h = _reference_segment_frame_hessian(seg)
+        assert _segment_frame_hessian(seg).tobytes() == h.tobytes()
+    # and every row of a stack of them
+    starts = np.array([seg.start.coords for seg in segs])
+    frames = np.array([seg.frame0 for seg in segs])
+    hs = _frame_hessians(*_tidal_spectra(model, starts, frames), np.array([g.length for g in segs]))
+    assert hs.tobytes() == np.array([_reference_segment_frame_hessian(g) for g in segs]).tobytes()
 
 
 def test_product_segments_a_constancy_check_refused():
@@ -882,7 +965,7 @@ def _reference_pair_sweep(m, n_samples, seed, ell_range, unit_normal):
             raw = rng.standard_normal(m.dim - 1)
             a[1:] = raw / np.linalg.norm(raw)
             z = np.concatenate([a, a])
-            value = float(z @ _segment_frame_hessian(seg) @ z)
+            value = float(z @ _reference_segment_frame_hessian(seg) @ z)
         else:
             a = seg.components_at_start(v)
             value = hessian_on_parallel_pair(m, x, y, v)
@@ -1212,6 +1295,6 @@ def test_frame_kernels_match_the_per_row_loops(model, seed):
     for block, base, frame in ((slice(0, n), x, seg.frame0), (slice(n, None), y, seg.frame_end)):
         canonical = model.canonical_frame(base)
         b[block, block] = [[model.ambient_inner(base, f, c) for f in frame] for c in canonical]
-    expected = b @ _segment_frame_hessian(seg) @ b.T
+    expected = b @ _reference_segment_frame_hessian(seg) @ b.T
     expected = 0.5 * (expected + expected.T)
     assert hessian_distance_sq(model, x, y).matrix.tobytes() == expected.tobytes()

@@ -20,7 +20,7 @@ from riemvisc import (
     TangentVector,
     from_config,
 )
-from riemvisc.manifolds import GeodesicSegment, SegmentStack, draw_stacks
+from riemvisc.manifolds import GeodesicSegment, SegmentStack, draw_replayed, draw_stacks
 
 
 def all_models():
@@ -809,6 +809,60 @@ def test_draw_samples_are_draw_point_and_draw_tangent(model, seed, n):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+_REPLAY_PLAN = [("normal", 3), ("normal", 2), ("uniform", 0.5, 1.5)]
+
+
+def _loop_with_redraws(seed, n, refused):
+    """The per-sample loop ``draw_replayed`` replays, kept as its oracle: per
+    sample a point, a direction drawn again while its bytes are in
+    ``refused``, and a length.  Returns the stacks, every sample's direction
+    attempts and the generator's final state."""
+    rng, rows, attempts = np.random.default_rng(seed), [], []
+    for _ in range(n):
+        x, tried = rng.standard_normal(3), [rng.standard_normal(2)]
+        while tried[-1].tobytes() in refused:
+            tried.append(rng.standard_normal(2))
+        rows.append((x, tried[-1], rng.uniform(0.5, 1.5)))
+        attempts.append(tried)
+    return [np.array(col) for col in zip(*rows)], attempts, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rows", [[0], [5, 5], [11], list(range(12))],
+                         ids=["first", "middle-twice", "last", "all"])
+def test_draw_replayed_is_the_per_sample_loop(rows):
+    n, seed = 12, 7
+    # refuse, row by row, the direction each listed row would keep: a later
+    # refusal leaves the rows before it as they were
+    refused = set()
+    for i in rows:
+        refused.add(_loop_with_redraws(seed, n, refused)[1][i][-1].tobytes())
+    expected, attempts, state = _loop_with_redraws(seed, n, refused)
+    assert [len(a) - 1 for a in attempts] == [rows.count(i) for i in range(n)]
+    made, tests = [], []
+
+    def restart():
+        made.append(np.random.default_rng(seed))
+        return made[-1]
+
+    def special(rng, r):  # a row that draws r refused directions first
+        row = draw_stacks(rng, 1, _REPLAY_PLAN[:1] + _REPLAY_PLAN[1:2] * (r + 1) + _REPLAY_PLAN[2:])
+        return [row[0], row[-2], row[-1]]
+
+    def first_refused(stacks):
+        tests.append(len(tests))
+        bad = [i for i, d in enumerate(stacks[1]) if d.tobytes() in refused]
+        return (bad[0] if bad else None), tests[-1]
+
+    stacks, mapped = draw_replayed(
+        restart, n, lambda rng, k: draw_stacks(rng, k, _REPLAY_PLAN), special, first_refused)
+    assert len(made) == len(tests) == len(rows) + 1  # restarts = refusals + 1
+    assert mapped == tests[-1]  # what the last pass's test mapped
+    assert len(stacks) == len(expected)
+    for got, ref in zip(stacks, expected):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert made[-1].bit_generator.state == state
+
+
 @pytest.mark.parametrize("offset", [1e-6, 1e-7, 1.01e-8, 1e-9])
 @pytest.mark.parametrize("model", [Sphere(2, 1.0), Sphere(3, 0.7), Hyperbolic(2, 1.0),
                                    Hyperbolic(3, 2.5)], ids=model_id)
@@ -999,7 +1053,7 @@ def test_pair_stack_kernels_match_the_single_pair_methods(model, seed, pairs, fa
     us, ws = frames[:, 0], frames[:, 1]
     assert_same_outcome(
         lambda: model.sectional_curvature_stack(us, ws),
-        lambda: [model.sectional_curvature(x, TangentVector(x, u), TangentVector(x, w))
+        lambda: [_reference_sectional_curvature(model, x, TangentVector(x, u), TangentVector(x, w))
                  for x, u, w in zip(xs, us, ws)])
 
 
@@ -1017,10 +1071,46 @@ def test_log_stack_names_the_first_row_without_a_log(model, y):
         model.log(Point(xs[1]), Point(ys[1]))
 
 
+def _reference_sectional_curvature(model, x, u, v):
+    """The one-plane body of ``sectional_curvature`` before it became a
+    one-row call of ``sectional_curvature_stack``, kept as its oracle."""
+    uu, vv, uv = model.metric(x, u, u), model.metric(x, v, v), model.metric(x, u, v)
+    if uu * vv - uv * uv <= 1e-12 * max(uu * vv, 1e-300):
+        raise GeometryDomainError("sectional curvature needs independent vectors")
+    e1 = TangentVector(x, u.components / math.sqrt(uu))
+    w = v.components - (uv / uu) * u.components
+    ww = model.ambient_inner(x, w, w)
+    if ww <= 0.0:  # roundoff far from the hyperboloid's apex
+        raise GeometryDomainError("sectional curvature needs independent vectors")
+    e2 = TangentVector(x, w / math.sqrt(ww))
+    return model.metric(x, model.curvature_operator(x, e1, e2, e2), e1)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    model=ROW_KERNEL_MODELS,
+    seed=st.integers(0, 2**32 - 1),
+    tilt=st.sampled_from([1.0, 1e-3, 1e-7, 0.0]),
+    zero=st.booleans(),
+)
+def test_sectional_curvature_is_the_one_plane_body(model, seed, tilt, zero):
+    # nearly dependent planes, dependent ones (tilt 0) and a zero first
+    # vector: refused alike, or the same bits
+    rng = np.random.default_rng(seed)
+    x = model.random_point(rng)
+    u, w = model.random_tangent(rng, x), model.random_tangent(rng, x)
+    v = TangentVector(x, u.components + tilt * w.components)
+    if zero:
+        u = TangentVector(x, np.zeros(model.ambient_dim))
+    assert_same_outcome(lambda: model.sectional_curvature(x, u, v),
+                        lambda: _reference_sectional_curvature(model, x, u, v))
+
+
 @pytest.mark.parametrize("distance", [5.0, 6.0])
 def test_sectional_curvature_refuses_as_the_stack_far_from_the_apex(distance):
     # far from the apex the Gram-Schmidt remainder's Minkowski square can
-    # round to <= 0; both methods refuse those planes with a typed error
+    # round to <= 0; the one-plane body refused those planes with a typed
+    # error, and so do the method and the stack
     model = Hyperbolic(3, 4.0)
     rng = np.random.default_rng(20)
     planes, values, refused = [], [], []
@@ -1031,10 +1121,14 @@ def test_sectional_curvature_refuses_as_the_stack_far_from_the_apex(distance):
         u, v = model.random_tangent(rng, x), model.random_tangent(rng, x)
         planes.append((u.components, v.components))
         try:
-            values.append(model.sectional_curvature(x, u, v))
+            values.append(_reference_sectional_curvature(model, x, u, v))
         except GeometryDomainError:
             refused.append(i)
             values.append(None)
+            with pytest.raises(GeometryDomainError, match="independent vectors"):
+                model.sectional_curvature(x, u, v)
+        else:
+            assert_bitwise(model.sectional_curvature(x, u, v), values[-1])
     assert 0 < len(refused) < 300
     us, vs = (np.array(side) for side in zip(*planes))
     for i in range(300):
