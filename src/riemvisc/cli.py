@@ -12,10 +12,9 @@ Reports embed the resolved config for provenance.
 transport isometry along random pairs, exp/log inversion, distance
 additivity along segments and, on a space form, constancy of the sectional
 curvature.  ``comparison-demo`` tests star candidates (P, Q) at random pairs
-against ``P <= L_yx Q + slack``.  The geometry checks draw in blocks
-(``draw_samples``, refused rows replayed by ``draw_replayed``) and the
-star check's loop makes only generator calls, each bit for bit a
-per-sample loop; the draws are evaluated as stacks: ``pairs_from_draws``,
+against ``P <= L_yx Q + slack``.  Every check draws its samples as blocks
+(``draw_samples``, one generator call per plan entry; refused rows are
+dropped), and the draws are evaluated as stacks: ``pairs_from_draws``,
 ``exp_stack``, ``log_stack``, ``transport_stack`` and
 ``sectional_curvature_stack`` for the geometry checks, a ``SegmentStack``
 and its ``points_at`` for additivity, and ``hessian_distance_sq_stack``,
@@ -45,7 +44,7 @@ from .jacobi import (
     parallel_pair_sweep,
 )
 from .jets import canonical_epsilons, doubling_diagnostic, order_margins, star_candidates_stack
-from .manifolds import SegmentStack, _rowwise_dot, draw_replayed, from_config as model_from_config
+from .manifolds import SegmentStack, _rowwise_dot, from_config as model_from_config
 from .operators import from_config as operator_from_config
 from .solver import solve_fixed_point, yamabe_solve
 
@@ -185,32 +184,6 @@ def _worst(violations: np.ndarray) -> float:
     return float(np.fmax.reduce(violations, initial=0.0))
 
 
-def _explog_draws(model, rng, n: int):
-    """``(xs, vs, keep, scales)``: the exp/log check's points and tangents,
-    which rows it keeps (norm >= 1e-12) and their uniform scales.  Only a
-    kept row draws its uniform, so the draws are replayed from the
-    generator's state until every refused row was drawn as refused."""
-    start = rng.bit_generator.state
-    tangent, scale = ("normal", model.ambient_dim), ("uniform", 0.01, 1.0)
-
-    def restart():
-        rng.bit_generator.state = start
-        return rng
-
-    def unscaled(rng, r):
-        return [*model.draw_samples(rng, 1, tangent), np.full(1, math.nan)]
-
-    def first_refused(stacks):  # a short row that drew its uniform
-        xs = model.points_from_draws(stacks[0])
-        vs = model.project_tangent_stack(xs, stacks[1])
-        short = np.sqrt(np.maximum(model.inner_stack(vs, vs), 0.0)) < 1e-12
-        return next(iter(np.flatnonzero(short & ~np.isnan(stacks[2])).tolist()), None), (xs, vs, ~short)
-
-    (_, _, scales), (xs, vs, keep) = draw_replayed(
-        restart, n, lambda rng, k: model.draw_samples(rng, k, tangent, scale), unscaled, first_refused)
-    return xs, vs, keep, scales
-
-
 def _geometry_suite(model, n_samples, seed, tolerances):
     """The checks of ``geometry-check``, each the largest violation over
     sampled points: transport isometry |<L v, L w>_y - <v, w>_x| over
@@ -236,10 +209,13 @@ def _geometry_suite(model, n_samples, seed, tolerances):
     worst_transport = _worst(np.abs(
         model.inner_stack(moved[:, 0], moved[:, 1]) - model.inner_stack(vs, ws)))
 
-    xs, vs, keep, scales = _explog_draws(model, rng, max(1, n_samples // 4))
-    xs, vs = xs[keep], vs[keep]
+    raw_x, raw_v, scales = model.draw_samples(
+        rng, max(1, n_samples // 4), tangent, ("uniform", 0.01, 1.0))
+    xs = model.points_from_draws(raw_x)
+    vs = model.project_tangent_stack(xs, raw_v)
     nv = np.sqrt(np.maximum(model.inner_stack(vs, vs), 0.0))
-    vs = vs * (scales[keep] * reach / nv)[:, None]
+    keep = nv >= 1e-12
+    xs, vs = xs[keep], vs[keep] * (scales[keep] * reach / nv[keep])[:, None]
     gaps = model.log_stack(xs, model.exp_stack(xs, vs)) - vs
     worst_explog = _worst(np.sqrt(_rowwise_dot(gaps, gaps)))
 
@@ -339,15 +315,13 @@ def cmd_hessian_sign(config, out: Path, seed: int) -> dict:
 
 def _star_check(model, rng, n_pairs: int, per_pair: int, alpha: float, slack_fn) -> dict:
     """Star candidates at ``n_pairs`` random pairs, tested against ``P <=
-    L_yx Q + slack``: the Hessians of ``(alpha/2) d^2``, the candidates and
-    the transported margins are each one stacked call.  The loop makes only
-    the generator calls of a per-pair loop (``random_pair``'s draws, the
-    candidate seed and that seed's uniforms), in its order: ``integers`` and
-    the candidate seed's generator keep it a loop."""
-    raw_x, raw_d, ells, uniforms = map(np.array, zip(*(
-        (model.draw_point(rng), model.draw_tangent(rng), rng.uniform(0.2, 1.2),
-         np.random.default_rng(int(rng.integers(2**31))).uniform(0.0, 1.0, per_pair))
-        for _ in range(n_pairs))))
+    L_yx Q + slack``: the pairs (``random_pair``'s draws) are one
+    ``draw_samples`` block and the candidates' uniforms one ``(n_pairs,
+    per_pair)`` block; the Hessians of ``(alpha/2) d^2``, the candidates and
+    the transported margins are each one stacked call."""
+    raw_x, raw_d, ells = model.draw_samples(
+        rng, n_pairs, ("normal", model.ambient_dim), ("uniform", 0.2, 1.2))
+    uniforms = rng.uniform(0.0, 1.0, (n_pairs, per_pair))
     xs, ys = model.pairs_from_draws(raw_x, raw_d, ells)
     # the scaled matrices stay exactly symmetric, as HessianPair.scaled keeps them
     a_mats = (alpha / 2.0) * hessian_distance_sq_stack(model, xs, ys)

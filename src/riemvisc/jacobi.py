@@ -38,7 +38,6 @@ from .manifolds import (
     _libm,
     _readonly,
     _rowwise_dot,
-    draw_replayed,
 )
 
 DEFAULT_GRID = 2048
@@ -523,11 +522,10 @@ def curvature_floor(m: Manifold) -> float:
     return min(f.constant_sectional() for f, _ in _space_forms(m))
 
 
-# The three sweeps share one pipeline: block draws (draw_samples) replay
-# the generator calls of the model's random_point / random_tangent, in the
-# order of a per-sample loop; the models' stacked maps (points_from_draws,
-# project_tangent_stack) turn the raw rows into exactly the points and
-# tangents those methods return; the geometry runs over the stacked rows,
+# The three sweeps share one pipeline: block draws (draw_samples, one
+# generator call per plan entry); the models' stacked maps (points_from_draws,
+# project_tangent_stack) turn the raw rows into the points and tangents that
+# random_point / random_tangent make of them; the geometry runs over the rows,
 # and one block kernel evaluates the stack.  No model needs a segment: the
 # value depends only on the length and on the part of v normal to the
 # geodesic in each space-form factor (see _tidal_spectrum).
@@ -536,22 +534,22 @@ def curvature_floor(m: Manifold) -> float:
 @dataclass(frozen=True)
 class _PairDraws:
     """Pair-sweep samples, one row each: y = exp(x, step) with |step| = ell,
-    a random tangent v at x and, for ``unit_normal``, unit frame components
-    normal to the geodesic (first component 0)."""
+    and a random tangent v at x or, for ``unit_normal``, unit frame
+    components normal to the geodesic (first component 0)."""
 
     xs: np.ndarray
     ells: np.ndarray
     steps: np.ndarray
-    vs: np.ndarray
+    vs: np.ndarray | None
     normals: np.ndarray | None
 
 
 def _draw_pairs(
     m: Manifold, n_samples: int, seed: int, ell_range, unit_normal: bool
 ) -> _PairDraws:
-    """The samples of the per-sample loop the sweeps were first written as,
-    bit for bit: its generator calls in its order, mapped as stacks.  A
-    direction of norm < 1e-12 is drawn again, as that loop did.
+    """The pair sweeps' samples: one ``draw_samples`` block from
+    ``default_rng(seed)``, mapped as stacks.  A direction of norm < 1e-12 is
+    drawn again, in a block after the samples; the other rows keep theirs.
     ``PreconditionError`` unless ``n_samples >= 1`` and ``0 < low < high``,
     high capped at 0.95 of the injectivity radius."""
     if n_samples < 1:
@@ -565,30 +563,27 @@ def _draw_pairs(
             f"ell_range {tuple(ell_range)} needs 0 < low < high, with high capped at "
             f"0.95 of the injectivity radius {cap!r}: {hi!r}"
         )
-    # per sample: x, ell, the direction, v (drawn for unit_normal too, though
-    # never read, so the samples keep their stream) and the unit normal's draw
+    # per sample: x, ell, the direction, then v or the unit normal's draw
     tangent = ("normal", m.ambient_dim)
-    plan = [("uniform", lo, hi), tangent, tangent] + ([("normal", m.dim - 1)] if unit_normal else [])
-
-    def redrawn(rng, r):  # a row that draws r refused directions first
-        row = m.draw_samples(rng, 1, plan[0], *[tangent] * (r + 1), *plan[2:])
-        return row[:2] + row[2 + r:]
-
-    def first_refused(stacks):  # a kept direction of norm < 1e-12
-        xs = m.points_from_draws(stacks[0])
-        directions = m.project_tangent_stack(xs, stacks[2])
-        nrm = np.sqrt(np.maximum(m.inner_stack(directions, directions), 0.0))
-        return next(iter(np.flatnonzero(nrm < 1e-12).tolist()), None), (xs, directions, nrm)
-
-    (_, ells, _, raw_v, *raw_n), (xs, directions, nrm) = draw_replayed(
-        lambda: np.random.default_rng(seed), n_samples,
-        lambda rng, k: m.draw_samples(rng, k, *plan), redrawn, first_refused)
-    normals = None
-    if unit_normal:
-        normals = np.zeros((n_samples, m.dim))
-        normals[:, 1:] = raw_n[0] / np.sqrt(_rowwise_dot(raw_n[0], raw_n[0]))[:, None]
+    last = ("normal", m.dim - 1) if unit_normal else tangent
+    rng = np.random.default_rng(seed)
+    raw_x, ells, raw_d, raw_v = m.draw_samples(rng, n_samples, ("uniform", lo, hi), tangent, last)
+    xs = m.points_from_draws(raw_x)
+    directions = m.project_tangent_stack(xs, raw_d)
+    nrm = np.sqrt(np.maximum(m.inner_stack(directions, directions), 0.0))
+    refused = np.flatnonzero(nrm < 1e-12)
+    while refused.size:  # drawn again, in a block after the samples
+        raw = rng.standard_normal((refused.size, m.ambient_dim))
+        redrawn = m.project_tangent_stack(xs[refused], raw)
+        directions[refused] = redrawn
+        nrm[refused] = np.sqrt(np.maximum(m.inner_stack(redrawn, redrawn), 0.0))
+        refused = refused[nrm[refused] < 1e-12]
     steps = directions * (ells / nrm)[:, None]
-    return _PairDraws(xs, ells, steps, m.project_tangent_stack(xs, raw_v), normals)
+    if not unit_normal:
+        return _PairDraws(xs, ells, steps, m.project_tangent_stack(xs, raw_v), None)
+    normals = np.zeros((n_samples, m.dim))
+    normals[:, 1:] = raw_v / np.sqrt(_rowwise_dot(raw_v, raw_v))[:, None]
+    return _PairDraws(xs, ells, steps, None, normals)
 
 
 def _pair_stack(m: Manifold, draws: _PairDraws, unit_normal: bool):
@@ -656,8 +651,8 @@ def parallel_pair_sweep(
     (cosh l - 1)/sinh l`` (curvature -1) describe the value exactly.
     Lengths are drawn uniformly from ``ell_range``, its high end capped at
     0.95 of the injectivity radius; ``PreconditionError`` unless ``0 < low <
-    capped high`` and ``n_samples >= 1``.  One loop makes the samples'
-    generator calls, and the draws are mapped and evaluated as arrays; a
+    capped high`` and ``n_samples >= 1``.  The samples are drawn as blocks
+    (``draw_samples``), and the draws are mapped and evaluated as arrays; a
     sample whose segment or Jacobi problem is degenerate raises the typed
     error of the single-pair path, naming the sample.  Returns arrays
     ``(ells, values, vnorm_sq)``, ``ells`` the segment lengths d(x, y).

@@ -297,16 +297,16 @@ _STAR_TOL = 1e-10
 
 def _star_margins(b: np.ndarray, reach, p_mats, q_mats):
     """Smallest eigenvalues of ``diag(P, -Q) + reach I`` and of ``B -
-    diag(P, -Q)`` for every pair of two (N, n, n) stacks of forms, all in
+    diag(P, -Q)`` for every pair of two (..., n, n) stacks of forms, all in
     one ``eigvalsh`` call; ``B = A + eps A^2`` and ``reach = 1/eps + |A|``
-    are one pair's or one per form."""
+    broadcast against the forms' leading axes."""
     count, n = p_mats.shape[0], p_mats.shape[-1]
-    blocks = np.zeros((count, 2 * n, 2 * n))
-    blocks[:, :n, :n] = p_mats
-    blocks[:, n:, n:] = -q_mats
+    blocks = np.zeros((*p_mats.shape[:-2], 2 * n, 2 * n))
+    blocks[..., :n, :n] = p_mats
+    blocks[..., n:, n:] = -q_mats
     lower = blocks + np.asarray(reach, dtype=float)[..., None, None] * np.eye(2 * n)
     upper = b - blocks
-    margins = np.linalg.eigvalsh(np.concatenate([lower, upper])).min(axis=1)
+    margins = np.linalg.eigvalsh(np.concatenate([lower, upper])).min(axis=-1)
     return margins[:count], margins[count:]
 
 
@@ -338,12 +338,12 @@ def star_candidates_stack(
     With ``B = A + eps A^2`` candidate k of pair i is ``P = B_11 - s I``,
     ``Q = s I - B_22`` with shift ``s = 2 |B_12| + slack_scale u_ik (1 +
     |A|)``, so that ``B - diag(P, -Q) = [[s I, B_12], [B_21, s I]]`` meets
-    the upper bound whenever s dominates the off-diagonal block.  Shifts
-    that break the lower bound ``-(1/eps + |A|)`` on P or -Q are infeasible,
-    and ``kept`` (N, K) marks those the block condition accepts, tested as
-    ``verify_condition_star`` tests one pair.  P and Q are (N, K, n, n), and
-    exactly symmetric for an exactly symmetric A: so is ``A + eps A^2``, and
-    a shift touches only the diagonal.
+    the upper bound whenever s dominates the off-diagonal block.  ``kept``
+    (N, K) marks the candidates that meet the block condition, its lower
+    bound ``-(1/eps + |A|)`` included, tested as ``verify_condition_star``
+    tests one pair.  P and Q are (N, K, n, n), and exactly symmetric for an
+    exactly symmetric A: so is ``A + eps A^2``, and a shift touches only the
+    diagonal.
     """
     a_mats = np.asarray(a_mats, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
@@ -352,19 +352,11 @@ def star_candidates_stack(
     b11, b12, b22 = b[:, :n, :n], b[:, :n, n:], b[:, n:, n:]
     s_base = 2.0 * np.linalg.norm(b12, 2, axis=(-2, -1))
     norm_a = _operator_norms(a_mats)
-    reach = 1.0 / epsilons + norm_a
     shifts = (s_base[:, None] + slack_scale * np.asarray(uniforms, dtype=float)
               * (1.0 + norm_a)[:, None])[..., None, None] * np.eye(n)
-    p_mats, neg_q_mats = b11[:, None] - shifts, b22[:, None] - shifts
-    lows = np.linalg.eigvalsh(np.concatenate([p_mats, neg_q_mats])).min(axis=-1)
-    count = len(a_mats)
-    feasible = ~(np.minimum(lows[:count], lows[count:]) < -reach[:, None])
-    q_mats = -neg_q_mats
-    pair = np.nonzero(feasible)[0]
-    lower, upper = _star_margins(b[pair], reach[pair], p_mats[feasible], q_mats[feasible])
-    kept = feasible.copy()
-    kept[feasible] = (lower >= -_STAR_TOL) & (upper >= -_STAR_TOL)
-    return p_mats, q_mats, kept
+    p_mats, q_mats = b11[:, None] - shifts, -(b22[:, None] - shifts)
+    lower, upper = _star_margins(b[:, None], (1.0 / epsilons + norm_a)[:, None], p_mats, q_mats)
+    return p_mats, q_mats, (lower >= -_STAR_TOL) & (upper >= -_STAR_TOL)
 
 
 def generate_star_candidates(

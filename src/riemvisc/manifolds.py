@@ -57,13 +57,14 @@ Conventions
   a stack of raw rows to exactly the points and tangents the single-sample
   methods return, and ``pairs_from_draws`` maps stacks of ``random_pair``'s
   draws to its pairs.  A sampled sweep draws all its samples in blocks
-  (``draw_stacks``, ``draw_samples``), bit for bit its per-sample loop, and
-  ``draw_replayed`` alone replays a loop whose refused rows draw otherwise.
+  (``draw_stacks``, ``draw_samples``): one generator call per plan entry,
+  in plan order, so a seed fixes the samples but they are not those of a
+  per-sample loop.  The one-sample methods (``random_point``,
+  ``random_tangent``, ``random_pair``, ``draw_point``) keep their own stream.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -185,72 +186,18 @@ def symmetrized_forms(mats: np.ndarray) -> np.ndarray:
     return 0.5 * (mats + flipped)
 
 
-def _draw_entry(rng, entry):
-    """One sample's draw of a ``draw_stacks`` plan entry."""
-    return rng.standard_normal(entry[1]) if entry[0] == "normal" else rng.uniform(*entry[1:])
-
-
 def draw_stacks(rng, n: int, plan) -> list[np.ndarray]:
-    """One stack of n draws per entry of ``plan``, bit for bit the per-sample
-    loop that draws every entry of sample 0, then of sample 1, and so on:
-    ``("normal", shape)`` as ``rng.standard_normal(shape)`` and ``("uniform",
-    low, high)`` as ``rng.uniform(low, high)``.  A stack has the shape
-    ``(n, *shape of one draw)``; the generator ends where the loop leaves it.
-
-    numpy's ``standard_normal`` and ``random`` fill their outputs in order
-    from the bit stream, so each run of same-kind draws, across samples too,
-    is one call, and a uniform is ``low + (high - low) * random()``, as numpy
-    maps it.  The ziggurat takes a variable number of words per normal, so
-    only runs of one kind merge.  A generator that is not numpy's is drawn
-    entry by entry.
-    """
-    shapes = [np.shape(np.empty(e[1], bool)) if e[0] == "normal" else np.broadcast(*e[1:]).shape
-              for e in plan]
-    if not isinstance(rng, np.random.Generator):
-        rows = [[_draw_entry(rng, e) for e in plan] for _ in range(n)]
-        return [np.reshape([r[j] for r in rows], (n, *shape)) for j, shape in enumerate(shapes)]
-    widths = [math.prod(shape) for shape in shapes]
-    uniform = np.repeat([e[0] == "uniform" for e in plan], widths).tolist()  # one sample's draws
-    width = len(uniform)
-    # where a run of one kind starts in a sample: at 0 only if the previous
-    # sample ends with the other kind, else its last run goes on
-    cuts = [c for c in range(width) if uniform[c] != uniform[c - 1]]
-    table = np.empty((n, width))
-    flat = table.reshape(-1)
-    starts = itertools.chain([0], (i * width + c for i in range(n) for c in cuts if i or c))
-    for a, b in itertools.pairwise(itertools.chain(starts, [flat.size]) if flat.size else ()):
-        (rng.random if uniform[a % width] else rng.standard_normal)(out=flat[a:b])
-    stacks, edges = [], [0, *itertools.accumulate(widths)]
-    for (kind, *bounds), a, b, shape in zip(plan, edges, edges[1:], shapes):
-        draws = table[:, a:b].reshape(n, *shape)
-        if kind == "uniform":
-            low, high = (np.asarray(v, dtype=float) for v in bounds)
-            draws = low + (high - low) * draws
-        stacks.append(np.ascontiguousarray(draws))
+    """One stack of n draws per entry of ``plan``, one generator call per
+    entry, in plan order: ``("normal", shape)`` is ``rng.standard_normal((n,
+    *shape))`` and ``("uniform", low, high)`` is ``rng.uniform(low, high, (n,
+    *shape))``, shape the broadcast shape of low and high."""
+    stacks = []
+    for kind, *args in plan:
+        if kind == "normal":
+            stacks.append(rng.standard_normal((n, *np.empty(args[0], bool).shape)))
+        else:
+            stacks.append(rng.uniform(*args, (n, *np.broadcast(*args).shape)))
     return stacks
-
-
-def draw_replayed(restart, n: int, block, special, first_refused):
-    """``(stacks, mapped)``: n samples drawn as a per-sample loop draws them
-    when a refused row draws otherwise.  ``restart()`` gives the generator
-    at the loop's start, ``block(rng, k)`` draws k ordinary samples (a list
-    of stacks), ``special(rng, r)`` one row refused r times (one-row stacks
-    of that layout), and ``first_refused(stacks)`` is ``(i, mapped)``: the
-    first row drawn wrongly, or None, and what it mapped.  Each pass replays
-    from the start in blocks around the refused rows; rows before the first
-    refusal keep their draws, so the replays end."""
-    refusals: dict[int, int] = {}
-    while True:
-        rng, blocks, done = restart(), [], 0
-        for i in sorted(refusals):
-            blocks += [block(rng, i - done), special(rng, refusals[i])]
-            done = i + 1
-        blocks.append(block(rng, n - done))
-        stacks = [np.concatenate(col) for col in zip(*blocks)] if refusals else blocks[0]
-        i, mapped = first_refused(stacks)
-        if i is None:
-            return stacks, mapped
-        refusals[i] = refusals.get(i, 0) + 1
 
 
 class Manifold:
@@ -377,9 +324,8 @@ class Manifold:
 
     def draw_point(self, rng: np.random.Generator) -> np.ndarray:
         """The generator calls of ``random_point``: one raw ambient row, the
-        entries of ``point_plan`` drawn in turn."""
-        draws = [_draw_entry(rng, entry) for entry in self.point_plan]
-        return draws[0] if len(draws) == 1 else np.concatenate(draws)
+        one-sample ``draw_samples``."""
+        return self.draw_samples(rng, 1)[0][0]
 
     def points_from_draws(self, raws: np.ndarray) -> np.ndarray:
         """The points ``random_point`` makes from an (N, ambient) stack of

@@ -6,8 +6,10 @@ each base point, stacked along a leading axis.  Structural claims
 (degenerate ellipticity, properness, the strong monotonicity constant
 gamma, translation invariance, continuity moduli) are declared flags; the
 ``*_check`` and ``*_estimate`` sweeps in this module probe them
-empirically.  A sweep draws its samples in blocks (``draw_samples``); the
-draws are mapped as stacks (``points_from_draws``, ``pairs_from_draws``), a state
+empirically.  A sweep draws its samples in blocks (``draw_samples``: one
+generator call per plan entry, whatever the number of samples; the
+monotonicity sweep drops tied rows); the draws are mapped as stacks
+(``points_from_draws``, ``pairs_from_draws``), a state
 (zeta, A) moves from x to y by the transport matrices T of all pairs in
 one call (``transport_matrices``), as zeta T and T^T A T, and one batch
 call evaluates the sweep.  Estimated moduli are never certificates; pass
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .manifolds import (
-    Euclidean, Manifold, Point, SymBilinear, TangentVector, draw_replayed, symmetrized_forms,
+    Euclidean, Manifold, Point, SymBilinear, TangentVector, symmetrized_forms,
 )
 
 _NEG_INF = -math.inf
@@ -578,24 +580,12 @@ def monotonicity_estimate(
     """gamma-hat: min difference quotient of F in r over sampled states."""
     m = _default_model(model)
     lo, hi = _clip_r_range(F, r_range)
-    if n_samples < 1:
-        raise PreconditionError("a structural sweep needs at least one sample")
     n = m.dim
-    # per sample two sorted uniforms r, s, then (zeta, A) only if r != s: a
-    # row found tied is replayed from the seed as one that draws no state
-    pair, state = ("uniform", (lo, lo), hi), [("normal", n), ("normal", (n, n))]
-
-    def stateless(rng, r):
-        return [*m.draw_samples(rng, 1, pair), np.full((1, n), math.nan), np.full((1, n, n), math.nan)]
-
-    def first_tie(stacks):  # a tied row that drew its state
-        rs, ss = np.sort(stacks[1], axis=1).T
-        ties = rs == ss
-        return next(iter(np.flatnonzero(ties & ~np.isnan(stacks[2][:, 0])).tolist()), None), (rs, ss, ties)
-
-    (raw_x, _, zs, raw_a), (rs, ss, ties) = draw_replayed(
-        lambda: np.random.default_rng(seed), n_samples,
-        lambda rng, k: m.draw_samples(rng, k, pair, *state), stateless, first_tie)
+    # per sample two sorted uniforms r, s and a state (zeta, A); tied rows are dropped
+    raw_x, pairs, zs, raw_a = _draws(
+        m, n_samples, seed, ("uniform", (lo, lo), hi), ("normal", n), ("normal", (n, n)))
+    rs, ss = np.sort(pairs, axis=1).T
+    ties = rs == ss
     if ties.all():
         raise PreconditionError("a structural sweep needs at least one sample")
     keep = ~ties

@@ -15,11 +15,13 @@ import pytest
 import riemvisc
 from riemvisc import Euclidean, FlatTorus, Hyperbolic, Product, Sphere, TangentVector
 from riemvisc.cli import (
-    SCHEMAS, _explog_draws, _geometry_suite, _star_check, _star_suite, _write_csv,
+    SCHEMAS, _geometry_suite, _star_check, _star_suite, _write_csv,
     cmd_geometry_check, main,
 )
 from riemvisc.jacobi import hessian_distance_sq
-from riemvisc.jets import canonical_epsilon, generate_star_candidates, transported_order_margins
+from riemvisc.jets import canonical_epsilon, star_candidates_stack, transported_order_margins
+
+from generator_doubles import Recording, Recordings, Replay, replays, rows_of
 
 
 def run(args):
@@ -54,8 +56,8 @@ def test_geometry_check_torus_and_product(tmp_path):
 
 
 def _reference_geometry_suite(model, n_samples, seed, tolerances):
-    """The geometry suite as a per-sample loop, one pair at a time: the
-    oracle of the stacked suite."""
+    """The geometry suite's blocks, each sample's row drawn by the one-sample
+    methods and checked one pair at a time: the oracle of the stacked suite."""
     rng = np.random.default_rng(seed)
     tol_transport = tolerances.get("transport", 1e-10)
     tol_explog = tolerances.get("exp_log", 1e-9)
@@ -64,12 +66,13 @@ def _reference_geometry_suite(model, n_samples, seed, tolerances):
 
     cap = model.injectivity_radius()
     reach = 0.9 * cap if math.isfinite(cap) else 2.5
+    tangent, length = ("normal", model.ambient_dim), ("uniform", 0.05, reach)
 
     worst_transport = 0.0
-    for _ in range(n_samples):
-        x, y, _ = model.random_pair(rng, 0.05, reach)
-        v = model.random_tangent(rng, x)
-        w = model.random_tangent(rng, x)
+    for row in replays(model, rng, n_samples, tangent, length, tangent, tangent):
+        x, y, _ = model.random_pair(row, 0.05, reach)
+        v = model.random_tangent(row, x)
+        w = model.random_tangent(row, x)
         lv = model.parallel_transport(x, y, v)
         lw = model.parallel_transport(x, y, w)
         worst_transport = max(
@@ -77,21 +80,21 @@ def _reference_geometry_suite(model, n_samples, seed, tolerances):
         )
 
     worst_explog = 0.0
-    for _ in range(max(1, n_samples // 4)):
-        x = model.random_point(rng)
-        v = model.random_tangent(rng, x)
+    for row in replays(model, rng, max(1, n_samples // 4), tangent, ("uniform", 0.01, 1.0)):
+        x = model.random_point(row)
+        v = model.random_tangent(row, x)
         nv = model.norm(x, v)
         if nv < 1e-12:
             continue
-        v = TangentVector(x, v.components * (rng.uniform(0.01, 1.0) * reach / nv))
+        v = TangentVector(x, v.components * (row.uniform(0.01, 1.0) * reach / nv))
         back = model.log(x, model.exp(x, v))
         worst_explog = max(
             worst_explog, float(np.linalg.norm(back.components - v.components))
         )
 
     worst_additivity = 0.0
-    for _ in range(max(1, n_samples // 20)):
-        x, y, _ = model.random_pair(rng, 0.05, reach)
+    for row in replays(model, rng, max(1, n_samples // 20), tangent, length):
+        x, y, _ = model.random_pair(row, 0.05, reach)
         seg = model.geodesic_segment(x, y)
         for t in np.linspace(0.0, seg.length, 5):
             worst_additivity = max(
@@ -102,10 +105,10 @@ def _reference_geometry_suite(model, n_samples, seed, tolerances):
     worst_curvature = 0.0
     curvature_checked = k is not None
     if curvature_checked:
-        for _ in range(max(1, n_samples // 4)):
-            x = model.random_point(rng)
-            u = model.random_tangent(rng, x)
-            v = model.random_tangent(rng, x)
+        for row in replays(model, rng, max(1, n_samples // 4), tangent, tangent):
+            x = model.random_point(row)
+            u = model.random_tangent(row, x)
+            v = model.random_tangent(row, x)
             uu, vv = model.metric(x, u, u), model.metric(x, v, v)
             uv = model.metric(x, u, v)
             if uu * vv - uv * uv < 1e-6:
@@ -137,38 +140,35 @@ GEOMETRY_MODELS = [
 
 @pytest.mark.parametrize("seed,n_samples", [(3, 1000), (0, 300), (11, 41)])
 @pytest.mark.parametrize("model", GEOMETRY_MODELS, ids=lambda m: json.dumps(m.config()))
-def test_geometry_suite_is_the_per_sample_loop(model, seed, n_samples):
+def test_geometry_suite_is_the_per_row_oracle(model, seed, n_samples):
     # repr compares every value bit for bit and every type (float, not np.float64)
     assert repr(_geometry_suite(model, n_samples, seed, {})) == repr(
         _reference_geometry_suite(model, n_samples, seed, {}))
 
 
-class _TinyDirections(Euclidean):
-    """Euclidean space whose tangent projection scales a raw draw to norm <
-    1e-12 when its first entry exceeds 1 (about one draw in six), so the
-    exp/log check refuses those rows and draws no uniform for them.  The
-    per-sample loop and the stacked draws both project every tangent draw."""
-
-    def project_tangent(self, x, ambient):
-        return self.project_tangent_stack(None, np.asarray(ambient, dtype=float)[None])[0]
-
-    def project_tangent_stack(self, xs, ambient):
-        return np.where(ambient[:, :1] > 1.0, ambient * 1e-14, ambient)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_geometry_suite_replays_refused_directions(seed):
-    model = _TinyDirections(2)
-    _, _, keep, _ = _explog_draws(model, np.random.default_rng(seed), 60)
-    assert 0 < np.count_nonzero(~keep) < 60
-    assert repr(_geometry_suite(model, 240, seed, {})) == repr(
-        _reference_geometry_suite(model, 240, seed, {}))
+def test_geometry_suite_drops_short_exp_log_rows(monkeypatch, seed):
+    # the exp/log block's tangents (call 6, after the transport check's five
+    # blocks and its own points) are rigged to norm < 1e-12 at rows 0, 3, 59
+    model, n = Euclidean(2), 240
+    short = np.isin(np.arange(n // 4), [0, 3, 59])[:, None]
+    rig = {6: lambda out, _: np.where(short, out * 1e-14, out)}
+    recordings, logged = Recordings(rig), []
+    monkeypatch.setattr(np.random, "default_rng", recordings)
+    log_stack = model.log_stack
+    monkeypatch.setattr(model, "log_stack",
+                        lambda xs, ys: logged.append(len(xs)) or log_stack(xs, ys))
+    got = _geometry_suite(model, n, seed, {})
+    assert recordings.made[0].calls[5:8] == [
+        ("standard_normal", (60, 2)), ("standard_normal", (60, 2)), ("uniform", (60,))]
+    assert logged[0] == n // 4 - 3  # the exp/log check's stack; the segments' follow
+    assert repr(got) == repr(_reference_geometry_suite(model, n, seed, {}))
 
 
 def _reference_star_results(config, seed):
-    """comparison-demo's star check as a per-pair loop, one Hessian, one
-    candidate set and one margin stack at a time: the oracle of the stacked
-    check."""
+    """comparison-demo's star check as a per-pair loop over its blocks, one
+    Hessian, one candidate set and one margin stack at a time: the oracle of
+    the stacked check."""
     star_pairs = int(config.get("star_pairs", 50))
     per_pair = int(config.get("candidates_per_pair", 10))
     alpha_star = float(config.get("alpha_star", 4.0))
@@ -179,18 +179,20 @@ def _reference_star_results(config, seed):
     ]):
         total = passed_count = 0
         sub_rng = np.random.default_rng(seed + 101 * (offset + 1))
-        for _ in range(star_pairs):
-            x, y, _ = model.random_pair(sub_rng, 0.2, 1.2)
+        pairs = rows_of(model.draw_samples(
+            sub_rng, star_pairs, ("normal", model.ambient_dim), ("uniform", 0.2, 1.2)))
+        uniforms = sub_rng.uniform(0.0, 1.0, (star_pairs, per_pair))
+        for row, drawn in zip(pairs, uniforms):
+            x, y, _ = model.random_pair(Replay(row), 0.2, 1.2)
             a_alpha = hessian_distance_sq(model, x, y).scaled(alpha_star / 2.0)
             eps = canonical_epsilon(a_alpha)
-            pairs = generate_star_candidates(
-                a_alpha, eps, per_pair, seed=int(sub_rng.integers(2**31)))
+            p_mats, q_mats, kept = star_candidates_stack(
+                a_alpha.matrix[None], np.array([eps]), drawn[None])
             slack = slack_fn(alpha_star, model.distance(x, y))
-            if pairs:
+            if kept.any():
                 margins = transported_order_margins(
-                    model, x, y, np.array([p.matrix for p, _ in pairs]),
-                    np.array([q.matrix for _, q in pairs]), slack_rhs=slack)
-                total += len(pairs)
+                    model, x, y, p_mats[kept], q_mats[kept], slack_rhs=slack)
+                total += len(margins)
                 passed_count += int(np.count_nonzero(margins >= -1e-9))
         results[name] = {
             "candidates": total, "passed": passed_count,
@@ -204,10 +206,20 @@ WIDE_STAR = {"star_pairs": 200, "candidates_per_pair": 25, "alpha_star": 64.0}
 
 @pytest.mark.parametrize("seed", [0, 1, 3])
 @pytest.mark.parametrize("config", [{}, WIDE_STAR], ids=["default", "wide"])
-def test_star_suite_is_the_per_pair_loop(config, seed):
+def test_star_suite_is_the_per_pair_oracle(config, seed):
     got = _star_suite(config, seed)
     assert repr(got) == repr(_reference_star_results(config, seed))
     assert all(r["candidates"] > 0 for r in got.values())
+
+
+@pytest.mark.parametrize("n_pairs", [1, 10, 1000])
+def test_star_check_draws_two_blocks(n_pairs):
+    # the pairs' block (a point, a direction, a length) and the candidates'
+    # (n_pairs, per_pair) uniforms, whatever the number of pairs
+    rng = Recording(5)
+    _star_check(Sphere(2, 1.0), rng, n_pairs, 7, 4.0, lambda al, d: 0.0 * d)
+    assert rng.calls == [("standard_normal", (n_pairs, 3)), ("standard_normal", (n_pairs, 3)),
+                         ("uniform", (n_pairs,)), ("uniform", (n_pairs, 7))]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3])

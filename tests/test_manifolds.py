@@ -20,7 +20,9 @@ from riemvisc import (
     TangentVector,
     from_config,
 )
-from riemvisc.manifolds import GeodesicSegment, SegmentStack, draw_replayed, draw_stacks
+from riemvisc.manifolds import GeodesicSegment, SegmentStack, draw_stacks
+
+from generator_doubles import Recording
 
 
 def all_models():
@@ -743,12 +745,18 @@ def test_stacked_draw_maps_match_random_point_and_tangent(model, seed, rows, sca
     assert_bitwise(tangent_rows, [t.components for t in tangents])
 
 
-def _per_sample_draws(rng, n, plan):
-    """The per-sample loop ``draw_stacks`` replaces, kept as its oracle: every
-    entry of sample 0, then of sample 1, and so on, one generator call each."""
-    rows = [[rng.standard_normal(e[1]) if e[0] == "normal" else rng.uniform(e[1], e[2])
-             for e in plan] for _ in range(n)]
-    return [np.array([row[j] for row in rows]) for j in range(len(plan))]
+def _block_calls(rng, n, plan):
+    """The generator calls ``draw_stacks`` makes, kept as its oracle: one per
+    plan entry, in plan order, of the entry's shape with n leading rows."""
+    out = []
+    for kind, *args in plan:
+        if kind == "normal":
+            shape = (args[0],) if isinstance(args[0], int) else tuple(args[0])
+            out.append(rng.standard_normal((n, *shape)))
+        else:
+            low, high = args
+            out.append(rng.uniform(low, high, (n, *np.broadcast(low, high).shape)))
+    return out
 
 
 _BOUND = st.floats(-5.0, 5.0)
@@ -786,12 +794,16 @@ def draw_plans(draw):
     calls=st.lists(st.tuples(draw_plans(), st.integers(1, 60)), min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_draw_stacks_is_the_per_sample_loop(calls, seed):
+def test_draw_stacks_is_one_block_call_per_plan_entry(calls, seed):
     # chained calls on one generator, as the geometry check makes them: every
-    # stack bit for bit the loop's, and the generator left in the loop's state
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    # stack bit for bit the twin's block call, one call per entry, and the
+    # generator left in the twin's state
+    rng, ref = Recording(seed), np.random.default_rng(seed)
     for plan, n in calls:
-        got, expected = draw_stacks(rng, n, plan), _per_sample_draws(ref, n, plan)
+        rng.calls.clear()
+        got, expected = draw_stacks(rng, n, plan), _block_calls(ref, n, plan)
+        assert [name for name, _ in rng.calls] == [
+            "standard_normal" if kind == "normal" else "uniform" for kind, *_ in plan]
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g.shape == e.shape and g.tobytes() == e.tobytes()
@@ -800,67 +812,36 @@ def test_draw_stacks_is_the_per_sample_loop(calls, seed):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(model=_PLAN_MODELS, seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20))
-def test_draw_samples_are_draw_point_and_draw_tangent(model, seed, n):
+def test_draw_samples_join_the_point_blocks(model, seed, n):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     raw_x, raw_v = model.draw_samples(rng, n, ("normal", model.ambient_dim))
-    rows = [(model.draw_point(ref), model.draw_tangent(ref)) for _ in range(n)]
-    assert raw_x.tobytes() == np.array([x for x, _ in rows]).tobytes()
-    assert raw_v.tobytes() == np.array([v for _, v in rows]).tobytes()
+    *point, tangent = _block_calls(ref, n, [*model.point_plan, ("normal", model.ambient_dim)])
+    assert raw_x.tobytes() == np.concatenate(point, axis=1).tobytes()
+    assert raw_v.tobytes() == tangent.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-_REPLAY_PLAN = [("normal", 3), ("normal", 2), ("uniform", 0.5, 1.5)]
-
-
-def _loop_with_redraws(seed, n, refused):
-    """The per-sample loop ``draw_replayed`` replays, kept as its oracle: per
-    sample a point, a direction drawn again while its bytes are in
-    ``refused``, and a length.  Returns the stacks, every sample's direction
-    attempts and the generator's final state."""
-    rng, rows, attempts = np.random.default_rng(seed), [], []
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(model=_PLAN_MODELS, seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+def test_one_sample_draws_keep_their_stream(model, seed, n):
+    # draw_point, the one-row draw_samples, draws what one scalar call per
+    # point_plan entry draws: random_point, random_tangent and random_pair
+    # keep the stream they always had
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(n):
-        x, tried = rng.standard_normal(3), [rng.standard_normal(2)]
-        while tried[-1].tobytes() in refused:
-            tried.append(rng.standard_normal(2))
-        rows.append((x, tried[-1], rng.uniform(0.5, 1.5)))
-        attempts.append(tried)
-    return [np.array(col) for col in zip(*rows)], attempts, rng.bit_generator.state
-
-
-@pytest.mark.parametrize("rows", [[0], [5, 5], [11], list(range(12))],
-                         ids=["first", "middle-twice", "last", "all"])
-def test_draw_replayed_is_the_per_sample_loop(rows):
-    n, seed = 12, 7
-    # refuse, row by row, the direction each listed row would keep: a later
-    # refusal leaves the rows before it as they were
-    refused = set()
-    for i in rows:
-        refused.add(_loop_with_redraws(seed, n, refused)[1][i][-1].tobytes())
-    expected, attempts, state = _loop_with_redraws(seed, n, refused)
-    assert [len(a) - 1 for a in attempts] == [rows.count(i) for i in range(n)]
-    made, tests = [], []
-
-    def restart():
-        made.append(np.random.default_rng(seed))
-        return made[-1]
-
-    def special(rng, r):  # a row that draws r refused directions first
-        row = draw_stacks(rng, 1, _REPLAY_PLAN[:1] + _REPLAY_PLAN[1:2] * (r + 1) + _REPLAY_PLAN[2:])
-        return [row[0], row[-2], row[-1]]
-
-    def first_refused(stacks):
-        tests.append(len(tests))
-        bad = [i for i, d in enumerate(stacks[1]) if d.tobytes() in refused]
-        return (bad[0] if bad else None), tests[-1]
-
-    stacks, mapped = draw_replayed(
-        restart, n, lambda rng, k: draw_stacks(rng, k, _REPLAY_PLAN), special, first_refused)
-    assert len(made) == len(tests) == len(rows) + 1  # restarts = refusals + 1
-    assert mapped == tests[-1]  # what the last pass's test mapped
-    assert len(stacks) == len(expected)
-    for got, ref in zip(stacks, expected):
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-    assert made[-1].bit_generator.state == state
+        row = np.concatenate([
+            np.atleast_1d(ref.standard_normal(e[1]) if e[0] == "normal" else ref.uniform(*e[1:]))
+            for e in model.point_plan])
+        assert model.draw_point(rng).tobytes() == row.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # random_pair: a point, a tangent and a length, each drawn as its own call
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    x, y, ell = model.random_pair(rng, 0.05, 0.5)
+    raw_x, raw_d = model.draw_point(ref), ref.standard_normal(model.ambient_dim)
+    assert ell == ref.uniform(0.05, 0.5)
+    xs, ys = model.pairs_from_draws(raw_x[None], raw_d[None], np.array([ell]))
+    assert x.coords.tobytes() == xs[0].tobytes() and y.coords.tobytes() == ys[0].tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("offset", [1e-6, 1e-7, 1.01e-8, 1e-9])

@@ -37,6 +37,8 @@ from riemvisc.operators import (
     yamabe,
 )
 
+from generator_doubles import Recordings, Replay, replays, rows_of
+
 SPHERE = Sphere(2, 1.0)
 NORTH = SPHERE.point([0.0, 0.0, 1.0])
 
@@ -648,7 +650,7 @@ def test_array_context_is_the_per_point_loop(model, n, seed, data):
 
 
 # --------------------------------------------------------------------- #
-# the sweeps against the per-sample loop they were first written as
+# the sweeps against per-row oracles: the same blocks, the scalar methods
 # --------------------------------------------------------------------- #
 
 def _ref_random_sym(rng, n, scale=1.5):
@@ -674,14 +676,17 @@ def _ref_gap(F, upper, lower):
 
 
 def _reference_sweeps(F, m, n_samples, seed):
-    """Per-sample ``(gaps, scale, points)`` of each sweep as one loop drawing
-    and transporting one sample at a time; monotonicity also has its steps."""
+    """Per-sample ``(gaps, scale, points)`` of each sweep: its blocks, each
+    sample's row drawn by the one-sample methods and transported one sample
+    at a time; monotonicity also has its steps."""
     n, out = m.dim, {}
     top = min(1.0, 0.9 * m.injectivity_radius())
+    state = [("uniform", -2.0, 2.0), ("normal", n), ("normal", (n, n))]
+    pair = [("normal", m.ambient_dim), ("uniform", min(1e-3, top), top)]
 
-    rng = np.random.default_rng(seed)
     upper, lower = [], []
-    for _ in range(n_samples):
+    for rng in replays(m, np.random.default_rng(seed), n_samples, *state, ("normal", (n, n)),
+                       ("uniform", 0.1, 1.0)):
         x = m.random_point(rng)
         r = rng.uniform(-2.0, 2.0)
         z = rng.standard_normal(n) * 2.0
@@ -691,15 +696,15 @@ def _reference_sweeps(F, m, n_samples, seed):
         lower.append((x, r, z, a))
     out["ellipticity"] = (*_ref_gap(F, upper, lower), [s[0] for s in lower])
 
-    rng = np.random.default_rng(seed)
     upper, lower, steps = [], [], []
-    for _ in range(n_samples):
+    for rng in replays(m, np.random.default_rng(seed), n_samples,
+                       ("uniform", (-2.0, -2.0), 2.0), *state[1:]):
         x = m.random_point(rng)
         r, s = sorted(rng.uniform(-2.0, 2.0, size=2))
-        if r == s:
-            continue
         z = rng.standard_normal(n) * 2.0
         a = _ref_random_sym(rng, n)
+        if r == s:
+            continue
         upper.append((x, s, z, a))
         lower.append((x, r, z, a))
         steps.append(s - r)
@@ -707,9 +712,8 @@ def _reference_sweeps(F, m, n_samples, seed):
     out["steps"] = np.array(steps)
 
     if not F.x_dependent:
-        rng = np.random.default_rng(seed)
         moved, still = [], []
-        for _ in range(n_samples):
+        for rng in replays(m, np.random.default_rng(seed), n_samples, *pair, *state):
             x, y, _ = m.random_pair(rng, min(1e-3, top), top)
             r = rng.uniform(-2.0, 2.0)
             z = rng.standard_normal(n) * 2.0
@@ -718,13 +722,18 @@ def _reference_sweeps(F, m, n_samples, seed):
             still.append((x, r, z, a))
         out["invariance"] = (*_ref_gap(F, moved, still), [s[0] for s in moved + still])
 
-    rng = np.random.default_rng(seed)
     bins = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
     ys, xs = [], []
-    for trial in range(n_samples):
+    stacks = m.draw_samples(np.random.default_rng(seed), n_samples, pair[0], ("uniform", 0.0, 1.0),
+                            *state)
+    for trial, row in enumerate(rows_of(stacks)):
         idx = trial % len(bins)
         lo_edge = 0.0 if idx == 0 else float(bins[idx - 1])
         edge = min(float(bins[idx]), 0.9 * m.injectivity_radius())
+        # the unit uniform, mapped to the bin's range as numpy maps a uniform
+        at = 2 * m.ambient_dim
+        row[at] = min(lo_edge, edge) + (edge - min(lo_edge, edge)) * row[at]
+        rng = Replay(row)
         x, y, _ = m.random_pair(rng, min(lo_edge, edge), edge)
         r = rng.uniform(-2.0, 2.0)
         eta = rng.standard_normal(n) * 2.0
@@ -733,13 +742,13 @@ def _reference_sweeps(F, m, n_samples, seed):
         xs.append((x, r, *_ref_transport_state(m, y, x, eta, q)))
     out["intrinsic"] = (*_ref_gap(F, ys, xs), [s[0] for s in ys + xs])
 
-    rng = np.random.default_rng(seed)
     deltas = (1e-8, 1e-6, 1e-4, 1e-2, 1e-1)
-    edge = min(1.0, 0.9 * m.injectivity_radius())
     ys, xs = [], []
-    for trial in range(n_samples):
+    draws = replays(m, np.random.default_rng(seed), n_samples, *pair, *state, ("normal", (n, n)),
+                    ("uniform", 0.2, 1.0))
+    for trial, rng in enumerate(draws):
         delta = deltas[trial % len(deltas)]
-        x, y, _ = m.random_pair(rng, min(1e-3, edge), edge)
+        x, y, _ = m.random_pair(rng, min(1e-3, top), top)
         r = rng.uniform(-2.0, 2.0)
         z = rng.standard_normal(n) * 2.0
         q = _ref_random_sym(rng, n)
@@ -820,7 +829,7 @@ SWEPT_OPERATORS = [
     seed=st.integers(0, 2**32 - 1),
     n_samples=st.integers(1, 12),
 )
-def test_sweeps_match_the_per_sample_loop(model, F, seed, n_samples):
+def test_sweeps_match_the_per_row_oracle(model, F, seed, n_samples):
     ref = _reference_sweeps(F, model, n_samples, seed)
 
     # the pairs: random_pair's generator calls, mapped as stacks, bit for bit
@@ -875,8 +884,8 @@ def _sweep_states(sweep, *args, **kwargs):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(model=SWEEP_MODELS, seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 12))
-def test_sweeps_draw_the_per_sample_loops_points_bit_for_bit(model, seed, n_samples):
-    # the block draws and the stacked maps give every sweep the loop's points,
+def test_sweeps_draw_the_per_row_oracles_points_bit_for_bit(model, seed, n_samples):
+    # the block draws and the stacked maps give every sweep the oracle's points,
     # bit for bit (their states then move by transport, equal to roundoff)
     F = neg_trace()
     ref = _reference_sweeps(F, model, n_samples, seed)
@@ -896,22 +905,57 @@ def test_sweeps_draw_the_per_sample_loops_points_bit_for_bit(model, seed, n_samp
         assert got.tobytes() == np.array([p.coords for p in ref[name][2]]).tobytes(), name
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_monotonicity_replays_tied_rows_as_the_loop(seed):
-    # an r range two ulps wide: about a third of the rows draw r == s and no
-    # (zeta, A), and the rows after each are drawn again as the loop drew them
-    m, lo, hi, n = Sphere(2, 1.0), 1.0, 1.0 + 4.5e-16, 40
-    rng = np.random.default_rng(seed)
-    kept = []
-    for _ in range(n):
-        x = m.random_point(rng)
-        r, s = sorted(rng.uniform(lo, hi, size=2))
-        if r != s:
-            kept.append((x.coords, r, s, rng.standard_normal(2) * 2.0, rng.standard_normal((2, 2))))
-    assert 0 < len(kept) < n - 5
-    upper, lower = _sweep_states(monotonicity_estimate, neg_trace(), (lo, hi), n, model=m, seed=seed)
-    xs, rs, ss, zs, raw_a = (np.array(col) for col in zip(*kept))
-    assert lower[0].tobytes() == xs.tobytes()
-    assert lower[1].tobytes() == rs.tobytes() and upper[1].tobytes() == ss.tobytes()
-    assert lower[2].tobytes() == zs.tobytes()
-    assert lower[3].tobytes() == operators._symmetric(raw_a).tobytes()
+def _recorded(sweep, rig, *args, **kwargs):
+    """``(generator, (upper, lower))``: the ``Recording`` generator a sweep
+    drew from, rigged by ``rig``, and the states it handed to ``_gap``."""
+    recordings = Recordings(rig)
+    with mock.patch.object(np.random, "default_rng", recordings):
+        sides = _sweep_states(sweep, *args, **kwargs)
+    (rng,) = recordings.made
+    return rng, sides
+
+
+_RIGGED_TIES = np.isin(np.arange(40), [0, 7, 39])[:, None]
+
+
+@pytest.mark.parametrize("seed, r_range, rig", [
+    # an r range two ulps wide: about a third of the rows draw r == s
+    *[(seed, (1.0, 1.0 + 4.5e-16), {}) for seed in (0, 1, 2)],
+    # rows 0, 7 and 39 rigged to draw r == s
+    (5, (-2.0, 2.0), {1: lambda out, _: np.where(_RIGGED_TIES, out[:, :1], out)}),
+], ids=["two-ulp-0", "two-ulp-1", "two-ulp-2", "rigged"])
+def test_monotonicity_drops_tied_rows(seed, r_range, rig):
+    m, n = Sphere(2, 1.0), 40
+    rng, (upper, lower) = _recorded(monotonicity_estimate, rig, neg_trace(), r_range, n,
+                                    model=m, seed=seed)
+    assert [name for name, _ in rng.calls] == [
+        "standard_normal", "uniform", "standard_normal", "standard_normal"]
+    raw_x, pairs, zs, raw_a = rng.outputs
+    rs, ss = np.sort(pairs, axis=1).T
+    kept = rs != ss
+    assert 0 < kept.sum() < n - 2
+    if rig:
+        assert np.flatnonzero(~kept).tolist() == [0, 7, 39]
+    # the kept rows, every draw of theirs as the blocks drew it
+    assert lower[0].tobytes() == m.points_from_draws(raw_x[kept]).tobytes()
+    assert lower[1].tobytes() == rs[kept].tobytes() and upper[1].tobytes() == ss[kept].tobytes()
+    assert lower[2].tobytes() == (zs[kept] * 2.0).tobytes()
+    assert lower[3].tobytes() == operators._symmetric(raw_a[kept]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000])
+def test_operator_sweeps_make_a_fixed_number_of_generator_calls(n):
+    # one call per plan entry, the point's included, whatever n is
+    m, F = Product([Sphere(2, 1.0), FlatTorus([1.0, 2.0])]), neg_trace()
+    point = len(m.point_plan)
+    sweeps = {
+        ellipticity_check: ((F, n, m), 5),
+        monotonicity_estimate: ((F, (-2.0, 2.0), n, m), 3),
+        invariance_check: ((F, m, n), 5),
+        intrinsic_modulus_estimate: ((F, m, (0.01, 0.1, 1.0), n), 5),
+        twoflat_modulus_estimate: ((F, m, (1e-8, 1e-2), (0.05, 1.0), n), 7),
+    }
+    for sweep, (args, entries) in sweeps.items():
+        rng, _ = _recorded(sweep, {}, *args, seed=3)
+        assert len(rng.calls) == point + entries, sweep.__name__
+        assert all(shape[0] == n for _, shape in rng.calls), sweep.__name__
