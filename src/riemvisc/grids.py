@@ -17,8 +17,9 @@ classical central differences.
 The icosphere is built in array form (integer edge keys, batched frames),
 keeping the faces of every level of the subdivision.  A stencil point is
 interpolated in the nearest-centroid face containing it, found by
-descending the subdivision from the icosahedron and then testing the
-faces around the corners of the face reached (``_FaceLocator``).
+descending the subdivision from the icosahedron face of nearest centre and
+then testing the faces around the corners of the face reached
+(``_FaceLocator``).
 The stencils of one step form one direction-major sparse operator
 (``Grid.stack``, ``n_dirs N x N``: row ``k N + i`` interpolates at
 ``exp_{x_i}(h d_k)``), so one mat-vec gathers every stencil value; the
@@ -120,7 +121,8 @@ def icosphere(subdivisions: int):
 
 def _mesh_edges(faces: np.ndarray) -> np.ndarray:
     n = int(faces.max()) + 1
-    key = np.unique(_edge_keys(faces, n)[1])
+    key = np.sort(_edge_keys(faces, n)[1])  # np.unique's keys, without its hash path
+    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
     return np.stack([key // n, key % n], axis=1)
 
 
@@ -414,7 +416,7 @@ def _vertex_rings(faces: np.ndarray, n_verts: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _FaceLocator:
     """The nearest-centroid face that contains a point on the sphere, found by
-    descending the subdivision from the icosahedron.
+    descending the subdivision from the icosahedron face of nearest centre.
 
     The midpoints are pushed radially onto the sphere, so the cones (from the
     centre) of a face's four children tile its cone exactly: each level needs
@@ -424,7 +426,7 @@ class _FaceLocator:
     faces: np.ndarray        # (F, 3) finest faces
     inv_corners: np.ndarray  # (F, 3, 3): a point -> its barycentrics in each face
     centroids: np.ndarray    # (F, 3) face centroids pushed onto the sphere
-    top: np.ndarray          # (3, 60): a point -> its barycentrics in the 20 icosahedron faces
+    top: np.ndarray          # (3, 20): the 20 icosahedron face centres, one per column
     cuts: list               # per finer level: (F_parent, 3, 3) normals, positive on a corner child
     ring: np.ndarray         # (V, R) faces around every vertex
 
@@ -435,7 +437,7 @@ class _FaceLocator:
         inv_corners = np.linalg.inv(corners.transpose(0, 2, 1))  # maps p -> barycentric
         centroids = corners.mean(axis=1)
         centroids /= np.linalg.norm(centroids, axis=1, keepdims=True) / radius
-        top = np.linalg.inv(coords[levels[0]].transpose(0, 2, 1)).reshape(-1, 3).T
+        top = coords[levels[0]].sum(axis=1).T
         # corner child [v, m1, m2] lies on the positive side of m1 x m2
         cuts = []
         for children in levels[1:]:
@@ -455,9 +457,9 @@ class _FaceLocator:
         least -1e-10), it takes the one of nearest centroid, ties to the lowest
         index.
         """
-        b = pts @ self.top
-        low = np.minimum(np.minimum(b[:, 0::3], b[:, 1::3]), b[:, 2::3])
-        face = np.argmax(low, axis=1)
+        # the spherical Voronoi cells of a regular icosahedron's face centres
+        # are its face cones
+        face = np.argmax(pts @ self.top, axis=1)
         rows = np.arange(pts.shape[0])
         for cut in self.cuts:
             side = np.einsum("nkb,nb->nk", cut[face], pts)
@@ -502,10 +504,14 @@ def _sphere_stencils(model: Sphere, verts, frames, h, dirs, locator: _FaceLocato
             )
         w = np.clip(w, 0.0, None)
         w /= w.sum(axis=1, keepdims=True)
-        corners = locator.faces[chosen]
-        order = np.argsort(corners, axis=1)  # canonical CSR: columns ascending
-        cols[row] = np.take_along_axis(corners, order, axis=1)
-        vals[row] = np.take_along_axis(w, order, axis=1)
+        # canonical CSR: each row's three distinct columns put in ascending
+        # order by three compare-swaps, the order argsort gives
+        c, v = list(locator.faces[chosen].T), list(w.T)
+        for i, j in ((0, 1), (1, 2), (0, 1)):
+            swap = c[i] > c[j]
+            c[i], c[j] = np.where(swap, c[j], c[i]), np.where(swap, c[i], c[j])
+            v[i], v[j] = np.where(swap, v[j], v[i]), np.where(swap, v[i], v[j])
+        cols[row].T[...], vals[row].T[...] = c, v
     indptr = np.arange(0, nnz + 1, 3, dtype=index)
     return sparse.csr_matrix(
         (vals.ravel(), cols.ravel(), indptr), shape=(len(dirs) * n_nodes, n_nodes)

@@ -122,6 +122,15 @@ class Point:
     def __post_init__(self):
         object.__setattr__(self, "coords", _readonly(self.coords))
 
+    @classmethod
+    def rows(cls, coords):
+        """One ``Point`` per row of ``coords``, each a read-only view of one
+        read-only copy of it: no per-row copy or ``__post_init__``."""
+        for row in _readonly(coords):
+            point = object.__new__(cls)
+            object.__setattr__(point, "coords", row)
+            yield point
+
     def __repr__(self):
         return f"Point({np.array2string(self.coords, precision=6)})"
 
@@ -323,9 +332,12 @@ class Manifold:
         return [stacks[0] if p == 1 else np.concatenate(stacks[:p], axis=1), *stacks[p:]]
 
     def draw_point(self, rng: np.random.Generator) -> np.ndarray:
-        """The generator calls of ``random_point``: one raw ambient row, the
-        one-sample ``draw_samples``."""
-        return self.draw_samples(rng, 1)[0][0]
+        """The generator calls of ``random_point``: one raw ambient row, one
+        call per entry of ``point_plan`` at its own shape; bit for bit row 0
+        of the one-sample ``draw_samples``, leaving the generator alike."""
+        draws = [rng.standard_normal(args[0]) if kind == "normal" else rng.uniform(*args)
+                 for kind, *args in self.point_plan]
+        return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
     def points_from_draws(self, raws: np.ndarray) -> np.ndarray:
         """The points ``random_point`` makes from an (N, ambient) stack of

@@ -87,7 +87,8 @@ class ScalarField:
         raise ValueError(f"cannot parse scalar field spec {spec!r}")
 
     def values(self, coords: np.ndarray) -> np.ndarray:
-        """The field on each row of the (N, ambient) ``coords``; a callable gets ``Point(row)``."""
+        """The field on each row of the (N, ambient) ``coords``; a callable gets
+        one read-only ``Point`` per row (``Point.rows``)."""
         if self.constant_value is not None:
             return np.full(len(coords), self.constant_value)
         if self._axis is not None:
@@ -97,7 +98,7 @@ class ScalarField:
                     f"{self.name}: axis {self._axis} is past the {width} coordinates of the points"
                 )
             return np.array(coords[:, self._axis], dtype=float)
-        return np.array([self._fn(Point(c)) for c in coords])
+        return np.array([self._fn(x) for x in Point.rows(coords)])
 
 
 # --------------------------------------------------------------------- #

@@ -352,6 +352,22 @@ def test_generator_candidate_count_is_checked():
         generate_star_candidates(a_alpha, eps, -1, seed=1)
 
 
+def test_star_kernel_keeps_the_lower_bound_tolerance():
+    # A = 0 with shift s = 2 * 0.5 = 1: the lower margin is 1/eps - 1 and the
+    # upper margin is s, so the pairs differ only by how far the lower bound
+    # is missed: within the 1e-10 tolerance (kept) or just past it (dropped)
+    misses = np.array([5e-11, 1e-10 - 1e-12, 1e-10 + 1e-12, 2e-10])
+    eps = 1.0 / (1.0 - misses)
+    a_mats = np.zeros((misses.size, 2, 2))
+    _, _, kept = star_candidates_stack(a_mats, eps, np.full((misses.size, 1), 0.5), 2.0)
+    assert kept[:, 0].tolist() == [True, True, False, False]
+    for a, e, ok in zip(a_mats, eps, kept[:, 0]):
+        a_alpha = HessianPair(Euclidean(1), Point([0.0]), Point([1.0]), a)
+        p, q = SymBilinear(a_alpha.x, -np.eye(1)), SymBilinear(a_alpha.y, np.eye(1))
+        verdict, lower, upper = verify_condition_star(StarCondition(a_alpha, e, p, q))
+        assert verdict == ok and upper == 1.0 and -2.1e-10 < lower < 0.0
+
+
 def _reference_star_candidates(a_alpha, epsilon, n_candidates, seed=0, slack_scale=1.0):
     """The per-candidate loop the stacked generator replaced, kept as its oracle."""
     rng = np.random.default_rng(seed)

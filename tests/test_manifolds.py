@@ -844,6 +844,20 @@ def test_one_sample_draws_keep_their_stream(model, seed, n):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("model", [
+    Sphere(2), Hyperbolic(3, 4), Euclidean(3), FlatTorus([1, 1.5]),
+    Product([Sphere(2), FlatTorus([1, 2]), Hyperbolic(2, 2.5)]),
+], ids=model_id)
+def test_draw_point_is_the_one_sample_draw_samples(model, seed):
+    # one generator call per point_plan entry at its own shape: the bits of
+    # row 0 of the one-sample block draw, and the generator left alike
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, (expected,) = model.draw_point(rng), model.draw_samples(ref, 1)
+    assert got.shape == expected[0].shape and got.tobytes() == expected[0].tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("offset", [1e-6, 1e-7, 1.01e-8, 1e-9])
 @pytest.mark.parametrize("model", [Sphere(2, 1.0), Sphere(3, 0.7), Hyperbolic(2, 1.0),
                                    Hyperbolic(3, 2.5)], ids=model_id)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Product, Sphere, operators
 from riemvisc.errors import PreconditionError
+from riemvisc.grids import build_grid
 from riemvisc.jacobi import _space_forms
 from riemvisc.operators import (
     CheckReport,
@@ -538,6 +539,26 @@ def test_operators_take_read_only_proxy_views(cfg, outer, seed):
     on_copies = F.eval_batch(ctx, rs[:, 0], zs.copy(), amats.copy())
     np.testing.assert_array_equal(on_views, on_copies, err_msg=F.name)
     np.testing.assert_array_equal(proxies, before)
+
+
+def test_callable_field_gets_read_only_points_of_a_copy():
+    coords = build_grid(Sphere(2, 1.0), 4).coords.copy()
+    seen = []
+
+    def fn(p):
+        seen.append(p)
+        return _user_fn(p)
+
+    values = ScalarField(fn, "user").values(coords)
+    assert values.tobytes() == np.array([_user_fn(Point(c)) for c in coords]).tobytes()
+    assert len(seen) == len(coords)
+    for p in (seen[0], seen[-1]):
+        with pytest.raises(ValueError, match="read-only"):
+            p.coords[0] = 7.0
+    kept = seen[5].coords.copy()
+    coords[5] = 9.0
+    assert seen[5].coords.tobytes() == kept.tobytes()
+    assert not any(np.shares_memory(p.coords, coords) for p in seen[:50])
 
 
 # --------------------------------------------------------------------- #
