@@ -40,6 +40,19 @@ value u(x) by t while the neighbors stay put is affine in ``t - u``:
 assembly applied to the stencil diagonals with unit center values.  The
 nodewise Newton step of the Perron sweep and the theta probe use that
 update instead of gathering again.
+
+``perron_iterate`` is Perron's method between a discrete subsolution and a
+supersolution.  Each of its steps first tries one certified Newton step of
+the whole grid from the current iterate w: the engine's direction, on the
+same hierarchy and Krylov cap, solved until the linear residual's 2-norm is
+at most ``_INNER_FLOOR`` times the tolerance, and the candidate ``w + du``
+clamped into [w, supersolution].  The candidate is kept only if every node
+residual there is at most the tolerance, so it is still a discrete
+subsolution, above w and below the supersolution (monotone Newton,
+Ortega-Rheinboldt 13.3).  The first refusal (the certificate misses, the
+Krylov solve misses, the grid has no hierarchy, or the operator refuses an
+evaluation) hands the rest of the call to the nodewise sweep; a refusal at
+the first step leaves the call bit for bit the sweep alone.
 """
 
 from __future__ import annotations
@@ -62,14 +75,17 @@ DEFAULT_MAX_ITER = 100_000
 _THETA_REFRESH = 200
 # the nodewise Newton of a Perron sweep stops once every node residual is at
 # most this fraction of the sweep tolerance; stopping at the tolerance itself
-# moves the sweep count of center-nonlinear operators (343 -> 345 sweeps)
+# moves the sweep count of center-nonlinear operators (343 -> 345 sweeps,
+# the sweep alone)
 _NEWTON_STOP = 1e-3
 # the Newton engine: steps and BiCGSTAB iterations per step before the sweep
 # takes over; the forward-difference step of the Jacobian (relative); the
 # inner tolerance: the linear residual's 2-norm falls to _INNER_FRACTION of
-# the nonlinear one's, or to _INNER_FLOOR times the solve tolerance; and the
-# line search: a step is halved at most _BACKTRACKS times until the residual
-# falls below the largest of the last _MEMORY
+# the nonlinear one's, or to _INNER_FLOOR times the solve tolerance (a Perron
+# step to the latter alone, since its candidate is certified in the max norm
+# at the tolerance); and the line search: a step is halved at most
+# _BACKTRACKS times until the residual falls below the largest of the last
+# _MEMORY
 _NEWTON_MAX_STEPS = 30
 _KRYLOV_CAP = 20
 _FD_STEP = 1e-7
@@ -488,11 +504,22 @@ def solve_dirichlet(
 @dataclass
 class PerronResult:
     solution: GridFunction
-    sweeps: int
+    sweeps: int  # outer steps, Newton steps included; the converged check counts
     final_residual: float
     min_increment: float
     ordering_ok: bool
     converged: bool
+    newton_steps: int = 0  # certified Newton steps among the sweeps
+
+    def to_dict(self) -> dict:
+        return {
+            "sweeps": self.sweeps,
+            "newton_steps": self.newton_steps,
+            "final_residual": self.final_residual,
+            "min_increment": self.min_increment,
+            "ordering_ok": self.ordering_ok,
+            "converged": self.converged,
+        }
 
 
 def _nodewise_solve(F, ctx, w, base, centers, f0, tol):
@@ -521,6 +548,29 @@ def _nodewise_solve(F, ctx, w, base, centers, f0, tol):
     return t
 
 
+def _certified_newton_step(F, ctx, grid, chain, w, p, vals, upper, tol):
+    """One Newton step of the whole grid from the iterate w, clamped into
+    ``[w, upper]``: ``(candidate, its proxies, its residual)`` when every
+    node residual of the candidate is at most ``tol`` (it is still a
+    discrete subsolution), None when it is not, when the Krylov solve misses
+    its target or when the operator refuses an evaluation."""
+    with np.errstate(all="ignore"):
+        try:
+            du, _, ok = _newton_direction(
+                F, ctx, grid, chain, w, p, vals, None, _INNER_FLOOR * tol)
+            if not ok:
+                return None
+            candidate = np.minimum(upper, np.maximum(w, w + du))
+            cp = _base_proxies(grid, candidate)
+            cvals = _evaluate(F, ctx, candidate, cp)
+        except (PreconditionError, np.linalg.LinAlgError):
+            return None
+    # NaN compares False, so a non-finite residual refuses the candidate
+    if not np.max(cvals) <= tol:
+        return None
+    return candidate, cp, cvals
+
+
 def perron_iterate(
     F: OperatorSpec,
     grid: Grid,
@@ -529,12 +579,21 @@ def perron_iterate(
     sweeps: int = DEFAULT_MAX_ITER,
     tol: float = 1e-8,
 ) -> PerronResult:
-    """Monotone sweeps from a discrete subsolution toward the solution.
+    """Monotone steps from a discrete subsolution toward the solution.
 
-    Each sweep replaces every node value by the root of the node residual
-    with neighbors frozen (clamped into [current, supersolution]), so the
-    iterates increase and stay ordered; certification of the inputs uses
-    the residual evaluator with thresholds +-h.
+    Each step first tries a certified Newton step: ``du`` from ``J du =
+    -F(w)`` (the fixed-point engine's direction on its hierarchy, solved
+    until the linear residual's 2-norm is at most ``0.1 tol``), the candidate
+    ``w + du`` clamped into [w, supersolution], kept only if every node
+    residual there is at most ``tol``.  The first refusal
+    (the certificate misses, the Krylov solve misses, the grid has no
+    hierarchy, or the operator refuses an evaluation) hands the rest of the
+    call to the nodewise sweep, which replaces every node value by the root
+    of the node residual with neighbors frozen (clamped into [current,
+    supersolution]).  Either way the iterates increase and stay ordered, and
+    a refusal at the first step leaves the sweep exactly as it runs alone.
+    Certification of the inputs uses the residual evaluator with thresholds
+    +-h.
     """
     if np.any(usub.values > usuper.values + 1e-12):
         raise PreconditionError("subsolution must not exceed the supersolution")
@@ -547,21 +606,33 @@ def perron_iterate(
         raise PreconditionError("usuper is not a discrete supersolution (residual < -h)")
 
     centers = _center_sensitivity(grid)
+    chain = _hierarchy(grid)
     w = np.array(usub.values)
     ordering_ok = True
     min_increment = math.inf
     final_res = math.inf
     converged = False
-    sweeps_done = 0
+    sweeps_done = newton_steps = 0
+    step = None  # the last accepted Newton step: its candidate, proxies, residual
     for sweeps_done in range(1, sweeps + 1):
-        p = _base_proxies(grid, w)
-        vals = _evaluate(F, ctx, w, p)
+        if step is None:
+            p = _base_proxies(grid, w)
+            vals = _evaluate(F, ctx, w, p)
+        else:
+            _, p, vals = step
         final_res = float(np.max(np.abs(vals)))
         if final_res <= tol:
             converged = True
             break
-        t = _nodewise_solve(F, ctx, w, p, centers, vals, tol)
-        w_new = np.minimum(usuper.values, np.maximum(w, t))
+        if chain is not None:
+            step = _certified_newton_step(F, ctx, grid, chain, w, p, vals, usuper.values, tol)
+        if step is None:
+            chain = None  # the sweep takes the rest of the call
+            t = _nodewise_solve(F, ctx, w, p, centers, vals, tol)
+            w_new = np.minimum(usuper.values, np.maximum(w, t))
+        else:
+            w_new = step[0]
+            newton_steps += 1
         increment = w_new - w
         min_increment = min(min_increment, float(np.min(increment)))
         if np.any(w_new > usuper.values + 1e-12) or np.any(increment < -1e-12):
@@ -569,7 +640,7 @@ def perron_iterate(
         w = w_new
     return PerronResult(
         GridFunction(grid, w), sweeps_done, final_res, min_increment,
-        ordering_ok, converged,
+        ordering_ok, converged, newton_steps,
     )
 
 

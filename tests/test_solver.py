@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import math
 import subprocess
 import sys
@@ -464,10 +465,12 @@ def test_perron_constant_problem_from_wide_bracket():
 LINEAR_A = np.array([1.0, 2.0, 2.0]) / 3.0
 
 
-@pytest.mark.parametrize("kind,sweeps", [("linear", 380), ("max_of", 257)])
-def test_perron_from_unit_bracket_matches_fixed_point(kind, sweeps):
+@pytest.mark.parametrize("kind,sweeps,newton_steps", [("linear", 2, 1), ("max_of", 257, 0)])
+def test_perron_from_unit_bracket_matches_fixed_point(kind, sweeps, newton_steps):
     # u - lap u = a.x (solution a.x/3), and u + max(-lap u - a.x, -0.1) = 0,
-    # which lies below both of its supersolutions a.x/3 and 0.1
+    # which lies below both of its supersolutions a.x/3 and 0.1; one certified
+    # Newton step solves the linear problem, while max_of's first candidate
+    # breaks the certificate and the sweep takes the whole call
     grid = build_grid(SPHERE, 3)
     f = ScalarField(lambda p: float(LINEAR_A @ p.coords), name="linear")
     G = sum_of(neg_trace(), source(f))
@@ -480,7 +483,7 @@ def test_perron_from_unit_bracket_matches_fixed_point(kind, sweeps):
     )
     assert result.converged and result.ordering_ok
     assert result.min_increment >= 0.0  # the iterates never decrease
-    assert result.sweeps == sweeps  # the count of the per-direction scheme
+    assert result.sweeps == sweeps and result.newton_steps == newton_steps
     exact = grid.coords @ LINEAR_A / 3.0
     ladder_bound = 3.0e-3  # res 3, as in the benchmark's ladder
     if kind == "linear":
@@ -502,11 +505,15 @@ def counting(F):
     return dataclasses.replace(F, batch=batch), calls
 
 
-@pytest.mark.parametrize("kind,sweeps", [("center_cubic", 343), ("min_eigenvalue", 195)])
-def test_perron_sweep_counts_of_nonaffine_operators(kind, sweeps):
+@pytest.mark.parametrize("kind,sweeps,newton_steps",
+                         [("center_cubic", 311, 2), ("min_eigenvalue", 195, 0)])
+def test_perron_sweep_counts_of_nonaffine_operators(kind, sweeps, newton_steps):
     # r^3 + r - tr A - a.x is nonlinear in the center value, so its node
     # equations take more than one Newton step; -lambda_min(A) is piecewise
-    # affine in it.  The counts equal those of four Newton steps every sweep.
+    # affine in it.  The sweep counts equal those of four nodewise Newton steps
+    # every sweep.  The cubic takes two certified grid Newton steps before its
+    # third candidate breaks the certificate (343 sweeps alone); the first
+    # Krylov solve of lambda_min runs to its cap, so it sweeps throughout.
     grid = build_grid(SPHERE, 3)
     f = ScalarField(lambda p: float(LINEAR_A @ p.coords), name="linear")
     if kind == "center_cubic":
@@ -519,22 +526,39 @@ def test_perron_sweep_counts_of_nonaffine_operators(kind, sweeps):
         tol=1e-8,
     )
     assert result.converged and result.ordering_ok
-    assert result.sweeps == sweeps
+    assert result.min_increment >= 0.0
+    assert result.sweeps == sweeps and result.newton_steps == newton_steps
 
 
 def test_perron_sweep_evaluates_operator_three_times():
-    # the problem of acceptance 09: the node equation is affine in the center
-    # value, so one secant step solves it and the Newton loop stops there
+    # the problem of acceptance 09, linear: one certified Newton step solves
+    # it, and the candidate's residual is the second step's converged check
     grid = build_grid(SPHERE, 3)
     F, calls = counting(full_equation_rhs_2())
     result = perron_iterate(
         F, grid, GridFunction.constant(grid, 0.0), GridFunction.constant(grid, 10.0),
         tol=1e-8,
     )
-    assert result.converged and result.sweeps == 394
+    assert result.converged and result.sweeps == 2 and result.newton_steps == 1
+    # two certification evaluations, the base one, six Jacobian partials and
+    # the candidate's; the sweep alone took 394 sweeps of three evaluations
+    assert calls[0] == 2 + 1 + 6 + 1
+
+
+def test_refused_perron_sweep_evaluates_operator_three_times():
+    # 33 x 33 has no hierarchy, so the Newton step is refused before any
+    # evaluation, and the node equation, affine in the center value, is
+    # solved by one secant step: three evaluations per sweep, as the sweep alone
+    grid = build_grid(FlatTorus([1.0, 1.0]), 33)
+    F, calls = counting(full_equation_rhs_2())
+    usub, usuper = GridFunction.constant(grid, 0.0), GridFunction.constant(grid, 10.0)
+    result = perron_iterate(F, grid, usub, usuper, sweeps=30, tol=1e-6)
+    assert not result.converged and result.sweeps == 30 and result.newton_steps == 0
     # two certification evaluations, then per sweep one base evaluation and
-    # one Newton step (two evaluations); the last sweep stops after its base
-    assert calls[0] == 2 + 3 * (result.sweeps - 1) + 1
+    # one Newton step (two evaluations)
+    assert calls[0] == 2 + 3 * result.sweeps
+    assert_same_result(result, perron_sweeps(full_equation_rhs_2(), grid, usub, usuper,
+                                             sweeps=30, tol=1e-6))
 
 
 def test_nodewise_newton_never_stops_on_nan():
@@ -559,6 +583,152 @@ def test_nodewise_newton_never_stops_on_nan():
     f0 = _evaluate(F, ctx, w, p)
     with pytest.raises(PreconditionError, match="r values escape"):
         _nodewise_solve(F, ctx, w, p, _center_sensitivity(grid), f0, 1e-8)
+
+
+def perron_sweeps(F, grid, usub, usuper, sweeps=DEFAULT_MAX_ITER, tol=1e-8):
+    """The nodewise Perron sweep alone, the reference of a refused call:
+    ``(w, sweeps, final residual, min increment, converged)``."""
+    ctx = F.make_context(grid.coords)
+    centers = _center_sensitivity(grid)
+    w = np.array(usub.values)
+    min_increment, final_res, converged, done = math.inf, math.inf, False, 0
+    for done in range(1, sweeps + 1):
+        p = _base_proxies(grid, w)
+        vals = _evaluate(F, ctx, w, p)
+        final_res = float(np.max(np.abs(vals)))
+        if final_res <= tol:
+            converged = True
+            break
+        t = _nodewise_solve(F, ctx, w, p, centers, vals, tol)
+        w_new = np.minimum(usuper.values, np.maximum(w, t))
+        min_increment = min(min_increment, float(np.min(w_new - w)))
+        w = w_new
+    return w, done, final_res, min_increment, converged
+
+
+def assert_same_result(result, reference):
+    w, sweeps, final_res, min_increment, converged = reference
+    assert np.array_equal(result.solution.values, w)
+    assert (result.sweeps, result.final_residual, result.min_increment,
+            result.converged) == (sweeps, final_res, min_increment, converged)
+
+
+@pytest.mark.parametrize("kind", ["max_of", "min_eigenvalue"])
+def test_refused_perron_is_the_sweep_bit_for_bit(kind):
+    # max_of's first candidate breaks the certificate, lambda_min's Krylov
+    # solve runs to its cap: either way the call is the sweep alone
+    grid = build_grid(SPHERE, 3)
+    f = ScalarField(lambda p: float(LINEAR_A @ p.coords), name="linear")
+    if kind == "max_of":
+        F = sum_of(scalar_term(1.0), max_of(sum_of(neg_trace(), source(f)), constant(-0.1)))
+    else:
+        F = sum_of(scalar_term(1.0), neg_min_eigenvalue(), source(f))
+    usub, usuper = GridFunction.constant(grid, -1.0), GridFunction.constant(grid, 1.0)
+    result = perron_iterate(F, grid, usub, usuper, tol=1e-8)
+    assert result.newton_steps == 0 and result.ordering_ok
+    assert_same_result(result, perron_sweeps(F, grid, usub, usuper, tol=1e-8))
+
+
+@pytest.mark.parametrize("excess", [1e-6, 0.0])
+def test_perron_candidate_past_the_certificate_is_refused(excess):
+    # an operator double whose tenth evaluation (two certifications, the
+    # base, six Jacobian partials, then the candidate) reads tol + excess at
+    # node 0: past tol, the step is refused and the call is the sweep's bit
+    # for bit; at tol exactly, it is kept and the call converges
+    grid = build_grid(SPHERE, 3)
+    tol = 1e-8
+    G = sum_of(scalar_term(1.0), neg_trace(), constant(-2.0))
+    calls = [0]
+
+    def batch(ctx, rs, zs, As):
+        calls[0] += 1
+        vals = G.batch(ctx, rs, zs, As)
+        if calls[0] == 10:
+            vals[0] = tol + excess
+        return vals
+
+    F = dataclasses.replace(G, batch=batch)
+    usub, usuper = GridFunction.constant(grid, 0.0), GridFunction.constant(grid, 10.0)
+    result = perron_iterate(F, grid, usub, usuper, tol=tol)
+    assert result.converged and result.ordering_ok and result.min_increment >= 0.0
+    if excess > 0.0:
+        assert result.newton_steps == 0
+        assert_same_result(result, perron_sweeps(G, grid, usub, usuper, tol=tol))
+    else:
+        assert result.newton_steps == 1 and result.sweeps == 2
+        assert result.final_residual == tol
+
+
+def test_perron_newton_candidate_never_falls_below_the_iterate():
+    # a subsolution that is the solution 2 but at every seventh node: the
+    # Newton step is zero there up to Krylov roundoff, of either sign, and
+    # the clamp into [w, usuper] keeps every increment nonnegative
+    grid = build_grid(SPHERE, 3)
+    start = np.full(grid.n_nodes, 2.0)
+    start[::7] -= 0.01
+    result = perron_iterate(
+        full_equation_rhs_2(), grid, GridFunction(grid, start),
+        GridFunction.constant(grid, 10.0), tol=1e-8,
+    )
+    assert result.converged and result.newton_steps == 1
+    assert result.ordering_ok and result.min_increment == 0.0
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    res=st.sampled_from([2, 3]),
+    b=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) <= 1.0),
+    c=st.floats(-1.0, 1.0),
+    margins=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+)
+def test_perron_newton_keeps_the_certificates(res, b, c, margins):
+    # u - lap u = b.x + c has the solution b.x/3 + c; constants at or beyond
+    # |b| + |c| are a sub- and a supersolution
+    grid = build_grid(SPHERE, res)
+    b = np.array(b)
+    f = ScalarField(lambda p: float(b @ p.coords) + c, name="affine")
+    G = sum_of(neg_trace(), source(f))
+    bound = float(np.linalg.norm(b)) + abs(c)
+    tol = 1e-8
+    result = perron_iterate(
+        sum_of(scalar_term(1.0), G), grid,
+        GridFunction.constant(grid, -bound - margins[0]),
+        GridFunction.constant(grid, bound + margins[1]), tol=tol,
+    )
+    assert result.converged and result.ordering_ok
+    assert result.min_increment >= 0.0
+    # one certified step solves it, unless the bracket's lower end already does
+    assert result.newton_steps == 1 or result.sweeps == 1
+    fixed, _ = solve_fixed_point(G, grid, tol=tol)
+    assert np.max(np.abs(result.solution.values - fixed.values)) <= 2.0 * tol
+
+
+def test_perron_cubic_trace_stall_is_refused_newton():
+    # r + (-tr A)^3 + a.x: the first candidate breaks the certificate, and
+    # the sweep stalls near residual 110 with increments 0 (an open defect)
+    grid = build_grid(SPHERE, 3)
+    f = ScalarField(lambda p: float(LINEAR_A @ p.coords), name="linear")
+    F = sum_of(scalar_term(1.0), compose(lambda t: t**3, neg_trace()), source(f))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = perron_iterate(
+            F, grid, GridFunction.constant(grid, -1.0), GridFunction.constant(grid, 1.0),
+            sweeps=50, tol=1e-8,
+        )
+    assert result.converged is False and result.newton_steps == 0
+    assert result.sweeps == 50 and result.final_residual > 100.0
+    assert result.ordering_ok and result.min_increment == 0.0
+
+
+def test_perron_result_to_dict_counts_newton_steps():
+    grid = build_grid(SPHERE, 3)
+    result = perron_iterate(
+        full_equation_rhs_2(), grid, GridFunction.constant(grid, 0.0),
+        GridFunction.constant(grid, 10.0), tol=1e-8,
+    )
+    out = result.to_dict()
+    assert out["newton_steps"] == result.newton_steps == 1
+    assert out["sweeps"] == 2 and out["converged"] is True
+    assert json.loads(json.dumps(out)) == out
 
 
 def test_perron_rejects_bad_brackets():
