@@ -123,18 +123,21 @@ SCHEMAS = {
     }),
     "solve": _object({
         "grid": _GRID, "operator": _OPERATOR, "u0": _NUMBER, "tol": _NUMBER,
-        "theta": {"type": ["number", "null"]}, "max_iter": _INT, "seed": _INT,
+        "max_iter": _INT, "seed": _INT,
     }),
     "yamabe": _object({
         "grid": _GRID, "n": {"type": "integer", "minimum": 3}, "S": _FIELD,
         "S_prime": _NUMBER, "u0": _NUMBER, "tol": _NUMBER, "seed": _INT,
     }),
 }
-# report runs every suite above, each configured under its name with "_" for "-"
+# report runs every suite above, each configured under its name with "_" for
+# "-" and run at report's own seed, so a suite's config takes no seed
 _REPORT_SUITES = list(SCHEMAS)
-SCHEMAS["report"] = _object(
-    {"seed": _INT, **{name.replace("-", "_"): SCHEMAS[name] for name in _REPORT_SUITES}}
-)
+SCHEMAS["report"] = _object({"seed": _INT, **{
+    name.replace("-", "_"): _object(
+        {key: value for key, value in SCHEMAS[name]["properties"].items() if key != "seed"})
+    for name in _REPORT_SUITES
+}})
 _DEFINITIONS = {"model": _tagged("model", _MODEL_KINDS), "operator": _tagged("op", _OPERATOR_KINDS)}
 for _schema in SCHEMAS.values():
     _schema["definitions"] = _DEFINITIONS
@@ -406,7 +409,6 @@ def cmd_solve(config, out: Path, seed: int) -> dict:
     u0 = GridFunction.constant(grid, float(config.get("u0", 0.0)))
     u, report = solve_fixed_point(
         operator, grid, u0,
-        theta=config.get("theta"),
         tol=float(config.get("tol", 1e-8)),
         max_iter=int(config.get("max_iter", 100_000)),
     )

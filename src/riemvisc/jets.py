@@ -38,6 +38,8 @@ from .manifolds import (
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_DIRECTIONS = 200
 TOL_PER_RADIUS = 10.0
+# the step of the fourth-order differences: gradients, chart derivatives, d exp
+_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -75,31 +77,30 @@ def quadratic_jet_test(
     x: Point,
     jet: Jet2,
     sign: str,
-    radii: Sequence[float] = DEFAULT_RADII,
-    n_directions: int = DEFAULT_DIRECTIONS,
     seed: int = 0,
 ) -> JetVerdict:
     """One-sided test of the sub/superjet inequality along shrinking radii.
 
     ``sign='sub'`` checks the defect ratio stays above ``-10 r`` on each
-    sampled sphere of radius r (superjets reversed).  A REJECT returns the
-    worst sampled direction as a witness.
+    sampled sphere of radius r in ``DEFAULT_RADII``, ``DEFAULT_DIRECTIONS``
+    seeded directions each (superjets reversed).  A REJECT returns the worst
+    sampled direction as a witness.
     """
     if sign not in ("sub", "super"):
         raise ValueError("sign must be 'sub' or 'super'")
-    if max(radii) >= m.injectivity_radius(x):
+    if max(DEFAULT_RADII) >= m.injectivity_radius(x):
         raise GeometryDomainError("sampling radius exceeds the injectivity radius")
     frame = m.canonical_frame(x)
     zeta_c = m.frame_components(x, jet.zeta, frame)
     a_mat = jet.form.matrix
     fx = f(x)
-    dirs = _direction_set(m.dim, n_directions, seed)
+    dirs = _direction_set(m.dim, DEFAULT_DIRECTIONS, seed)
     flip = -1.0 if sign == "super" else 1.0
 
     table = []
     worst = math.inf
     witness = None
-    for r in radii:
+    for r in DEFAULT_RADII:
         model_vals = fx + r * dirs @ zeta_c + 0.5 * r * r * np.einsum(
             "ij,jk,ik->i", dirs, a_mat, dirs
         )
@@ -132,10 +133,7 @@ def chart_transfer_check(
     x: Point,
     jet: Jet2,
     sign: str = "sub",
-    radii: Sequence[float] = DEFAULT_RADII,
-    n_directions: int = DEFAULT_DIRECTIONS,
     seed: int = 0,
-    fd_step: float = 1e-3,
 ) -> ChartTransferReport:
     """Run the jet test on M and on f composed with exp_x at the origin.
 
@@ -156,13 +154,13 @@ def chart_transfer_check(
         flat.tangent(origin, m.frame_components(x, jet.zeta, frame)),
         flat.bilinear(origin, jet.form.matrix),
     )
-    v_m = quadratic_jet_test(f, m, x, jet, sign, radii, n_directions, seed)
-    v_c = quadratic_jet_test(f_chart, flat, origin, chart_jet, sign, radii, n_directions, seed)
+    v_m = quadratic_jet_test(f, m, x, jet, sign, seed)
+    v_c = quadratic_jet_test(f_chart, flat, origin, chart_jet, sign, seed)
 
     n = m.dim
     grad = np.zeros(n)
     hess = np.zeros((n, n))
-    h = fd_step
+    h = _FD_STEP
 
     def g(c):
         return f_chart(flat.point(c))
@@ -191,9 +189,9 @@ def chart_transfer_check(
 # chart correction term for transported Hessians
 # --------------------------------------------------------------------- #
 
-def _dexp_matrix(m: Manifold, x: Point, w: np.ndarray, frame_x, frame_y, y: Point, h=1e-3):
+def _dexp_matrix(m: Manifold, x: Point, w: np.ndarray, frame_x, frame_y, y: Point):
     """Matrix of d(exp_x)(w) from the frame at x to the frame at y."""
-    n = m.dim
+    n, h = m.dim, _FD_STEP
     cols = np.empty((n, n))
     for k in range(n):
         e = frame_x[k]
@@ -213,8 +211,9 @@ def _covariant_acceleration(m: Manifold, curve, y: Point, h=1e-2) -> np.ndarray:
     return m.project_tangent(y, second)
 
 
-def fd_gradient(m: Manifold, f, y: Point, frame=None, h: float = 1e-3) -> TangentVector:
+def fd_gradient(m: Manifold, f, y: Point, frame=None) -> TangentVector:
     """Gradient by fourth-order geodesic central differences."""
+    h = _FD_STEP
     if frame is None:
         frame = m.canonical_frame(y)
     comps = np.empty(m.dim)

@@ -19,15 +19,16 @@ residual falls below the largest of the last few.  The discrete equation
 has one solution, so the engine may hand it to the damped iteration
 ``u <- (1-theta) u + theta (-G_h(x, u))``, run from the original start
 with the caller's ``max_iter``, bit for bit as it ran before the engine
-existed.  It does so when ``theta`` is given, when the hierarchy's
-coarsest level is too large for a dense solve, and when Newton fails: a
-Krylov solve misses its tolerance within ``_KRYLOV_CAP`` iterations, no
-halving of a step finds a lower residual (a non-finite one included), the
-operator refuses an iterate, or ``_NEWTON_MAX_STEPS`` steps pass.  The
-sweep's default damping is ``1/(1 + L)`` with ``L`` the probed sensitivity
-of ``G_h`` to the center value, which makes the update the classical
-(center-implicit) Jacobi sweep.  Node updates within a sweep only read the
-previous iterate, so the iteration is deterministic and order-independent.
+existed.  It does so when the hierarchy's coarsest level is too large for
+a dense solve, and when Newton fails: a Krylov solve misses its tolerance
+within ``_KRYLOV_CAP`` iterations, no halving of a step finds a lower
+residual (a non-finite one included), the operator refuses an iterate, or
+``_NEWTON_MAX_STEPS`` steps pass.  The sweep's damping is ``1/(1 + L)``
+with ``L`` the probed sensitivity of ``G_h`` to the center value, probed
+at sweep 0 and every ``_THETA_REFRESH`` sweeps, which makes the update the
+classical (center-implicit) Jacobi sweep.  Node updates within a sweep only
+read the previous iterate, so the iteration is deterministic and
+order-independent.
 
 The scheme is the grid's stencil stack (``Grid.stack``): one mat-vec
 gathers the ``(8, N)`` stencil values of u, and one assembly turns them
@@ -231,26 +232,26 @@ def _lift_u_plus_g(G: OperatorSpec) -> OperatorSpec:
     )
 
 
-def _sweep(F, ctx, grid, u0, theta, tol, max_iter, active, clip_nonnegative):
-    """The damped sweep ``u <- u - theta F(u)`` on the active nodes."""
+def _sweep(F, ctx, grid, u0, tol, max_iter, active, clip_nonnegative):
+    """The damped sweep ``u <- u - theta F(u)`` on the active nodes, theta
+    probed at sweep 0 and every ``_THETA_REFRESH`` sweeps."""
     centers = _center_sensitivity(grid)
     u = np.array(u0, dtype=float)
-    fixed_theta = theta is not None
     history = []
     start = time.perf_counter()
     best = math.inf
-    current_theta = theta if fixed_theta else None
+    theta = 0.0
     for it in range(max_iter):
         p = _base_proxies(grid, u)
         vals = _evaluate(F, ctx, u, p)
-        if current_theta is None or (not fixed_theta and it % _THETA_REFRESH == 0):
-            current_theta = _estimate_theta(F, ctx, u, p, vals, centers, active)
+        if it % _THETA_REFRESH == 0:
+            theta = _estimate_theta(F, ctx, u, p, vals, centers, active)
         res = float(np.max(np.abs(vals[active])))
         history.append(res)
         best = min(best, res)
         if res <= tol:
             report = SolveReport(
-                it, res, tol, True, current_theta,
+                it, res, tol, True, theta,
                 time.perf_counter() - start, np.array(history),
             )
             return u, report
@@ -258,16 +259,16 @@ def _sweep(F, ctx, grid, u0, theta, tol, max_iter, active, clip_nonnegative):
             it > 100 and res > 10.0 * best and res > history[0]
         ):
             report = SolveReport(
-                it, res, tol, False, current_theta,
+                it, res, tol, False, theta,
                 time.perf_counter() - start, np.array(history),
             )
             raise DivergenceError("residual grew over the monitoring window", report)
-        u[active] -= current_theta * vals[active]
+        u[active] -= theta * vals[active]
         if clip_nonnegative:
             np.clip(u, 0.0, None, out=u)
     report = SolveReport(
         max_iter, history[-1] if history else math.inf, tol, False,
-        current_theta or 0.0, time.perf_counter() - start, np.array(history),
+        theta, time.perf_counter() - start, np.array(history),
     )
     return u, report
 
@@ -412,7 +413,6 @@ def _run_iteration(
     F: OperatorSpec,
     grid: Grid,
     u0: np.ndarray,
-    theta: float | None,
     tol: float,
     max_iter: int,
     interior: np.ndarray | None = None,
@@ -421,21 +421,18 @@ def _run_iteration(
     """Solve ``F(u) = 0`` on the interior (every node by default): Newton
     steps, or the damped sweep from ``u0`` where they are not taken or fail."""
     if interior is not None and not np.any(interior):
-        method = "newton" if theta is None else "sweep"
         return np.array(u0, dtype=float), SolveReport(
-            0, 0.0, tol, True, 0.0, 0.0, np.zeros(0), method)
+            0, 0.0, tol, True, 0.0, 0.0, np.zeros(0), "newton")
     # a full slice indexes by view; a mask of all nodes would copy each time
     active = slice(None) if interior is None else interior
     start = time.perf_counter()
     ctx = F.make_context(grid.coords)
-    krylov = 0
-    if theta is None:
-        u, report = _newton(F, ctx, grid, u0, tol, max_iter, interior, clip_nonnegative)
-        if report.converged:
-            return u, report
-        krylov = report.krylov_iterations
+    u, report = _newton(F, ctx, grid, u0, tol, max_iter, interior, clip_nonnegative)
+    if report.converged:
+        return u, report
+    krylov = report.krylov_iterations
     try:
-        u, report = _sweep(F, ctx, grid, u0, theta, tol, max_iter, active, clip_nonnegative)
+        u, report = _sweep(F, ctx, grid, u0, tol, max_iter, active, clip_nonnegative)
     except DivergenceError as exc:
         exc.report.krylov_iterations = krylov
         exc.report.wall_time = time.perf_counter() - start
@@ -449,24 +446,19 @@ def solve_fixed_point(
     G: OperatorSpec,
     grid: Grid,
     u0: GridFunction | None = None,
-    theta: float | None = None,
     tol: float = 1e-8,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[GridFunction, SolveReport]:
-    """Solve u + G(x, du, d2u) = 0 by the damped fixed-point iteration.
+    """Solve u + G(x, du, d2u) = 0 by Newton steps, or by the damped sweep
+    where they are not taken or fail (see the module docstring).
 
-    ``theta=None`` uses the probed default ``1/(1 + L)``; fixed values in
-    (0, 1] are honored as given.  Raises :class:`DivergenceError` when the
-    residual grows persistently.
+    Raises :class:`DivergenceError` when the sweep's residual grows
+    persistently.
     """
     if not G.degenerate_elliptic:
         raise PreconditionError("solve_fixed_point needs the degenerate_elliptic flag")
-    if theta is not None and not 0.0 < theta <= 1.0:
-        raise PreconditionError("theta must lie in (0, 1]")
     start = GridFunction.constant(grid, 0.0) if u0 is None else u0
-    values, report = _run_iteration(
-        _lift_u_plus_g(G), grid, start.values, theta, tol, max_iter
-    )
+    values, report = _run_iteration(_lift_u_plus_g(G), grid, start.values, tol, max_iter)
     return GridFunction(grid, values), report
 
 
@@ -476,7 +468,6 @@ def solve_dirichlet(
     boundary_mask: np.ndarray,
     boundary_values: np.ndarray | float,
     u0: GridFunction | None = None,
-    theta: float | None = None,
     tol: float = 1e-8,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[GridFunction, SolveReport]:
@@ -491,9 +482,7 @@ def solve_dirichlet(
     u_init = np.array(start.values)
     u_init[boundary_mask] = f_vals[boundary_mask]
     interior = ~boundary_mask
-    values, report = _run_iteration(
-        F, grid, u_init, theta, tol, max_iter, interior=interior
-    )
+    values, report = _run_iteration(F, grid, u_init, tol, max_iter, interior=interior)
     return GridFunction(grid, values), report
 
 
@@ -740,7 +729,6 @@ def yamabe_solve(
     s_prime: float,
     n: int = 3,
     u0: GridFunction | None = None,
-    theta: float | None = None,
     tol: float = 1e-8,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[GridFunction, SolveReport]:
@@ -765,6 +753,6 @@ def yamabe_solve(
         raise PreconditionError("initial iterate must be nonnegative")
     clip = F.r_domain[0] >= 0.0  # non-integer exponent: keep iterates feasible
     values, report = _run_iteration(
-        F, grid, start.values, theta, tol, max_iter, clip_nonnegative=clip
+        F, grid, start.values, tol, max_iter, clip_nonnegative=clip
     )
     return GridFunction(grid, values), report

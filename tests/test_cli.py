@@ -296,6 +296,11 @@ BAD_SOLVE = {"grid": {"resolution": 2}, "operator": {"op": "sum"}}
         ("report", {"solve": BAD_SOLVE}, "'terms' is a required property"),
         ("report", {"solv": BAD_SOLVE}, "'solv' was unexpected"),
         ("report", {"geometry_check": {"model": {"model": "blob"}}}, "'blob' is not one of"),
+        # a suite under report runs at report's seed, so it takes no seed of its own
+        ("report", {"geometry_check": {"seed": 5}}, "'seed' was unexpected"),
+        # the sweep's damping is probed, never given
+        ("solve", {"theta": 0.04}, "'theta' was unexpected"),
+        ("report", {"solve": {"theta": 0.04}}, "'theta' was unexpected"),
         # Python's json reads these as non-finite floats, which "number" admits
         ("solve", {"operator": {"op": "source", "field": float("nan")}}, "non-finite number NaN"),
         ("solve", {"operator": {"op": "const", "value": float("nan")}}, "non-finite number NaN"),
@@ -310,6 +315,7 @@ BAD_SOLVE = {"grid": {"resolution": 2}, "operator": {"op": "sum"}}
         "unknown-op", "sum-without-terms", "const-without-value", "bad-field",
         "unknown-model", "misspelt-model-key", "string-resolution", "sphere-without-dim",
         "report-bad-solve", "report-misspelt-suite", "report-unknown-model",
+        "report-suite-seed", "solve-theta", "report-solve-theta",
         "nan-field", "nan-const", "infinite-coeff", "overflowing-const",
         "negative-exponent",
     ],
@@ -323,6 +329,13 @@ def test_malformed_description_is_usage_error(tmp_path, capsys, command, config,
     assert err.startswith("riemvisc: config error: ")
     assert message in err
     assert not out.exists()  # rejected before any suite ran
+
+
+def test_report_suites_take_every_key_of_their_command_but_seed():
+    for name in ("geometry-check", "hessian-sign", "comparison-demo", "solve", "yamabe"):
+        embedded = SCHEMAS["report"]["properties"][name.replace("-", "_")]
+        assert set(embedded["properties"]) == set(SCHEMAS[name]["properties"]) - {"seed"}, name
+        assert embedded["additionalProperties"] is False
 
 
 def test_geometry_check_seed_208_curvature_constancy(tmp_path):

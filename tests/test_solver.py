@@ -33,6 +33,7 @@ from riemvisc.solver import (
     _KRYLOV_CAP,
     _base_proxies,
     _center_sensitivity,
+    _estimate_theta,
     _evaluate,
     _gather,
     _lift_u_plus_g,
@@ -308,18 +309,27 @@ def test_solver_requires_elliptic_flag():
         solve_fixed_point(bad, grid)
 
 
-def test_divergence_raises_with_report():
-    grid = build_grid(SPHERE, 2)
-    with pytest.raises(DivergenceError) as info:
-        solve_fixed_point(laplace_rhs_z(), grid, theta=1.0, max_iter=2000)
-    assert info.value.report is not None
-    assert not info.value.report.converged
+def test_divergence_raises_with_report(monkeypatch):
+    # with no hierarchy Newton takes no step, and the sweep it hands over to
+    # diverges on neg_detplus (the probe reads slope 0 at u0 = 0, so theta ~ 1;
+    # see test_newton_solves_what_the_sweep_cannot)
+    import riemvisc.solver as solver
+
+    monkeypatch.setattr(solver, "_hierarchy", lambda grid: None)
+    grid = build_grid(SPHERE, 3)
+    G = sum_of(neg_detplus(), source(ScalarField(lambda p: float(LINEAR_A @ p.coords))))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+        solve_fixed_point(G, grid, tol=1e-8)
+    report = info.value.report
+    assert report is not None and not report.converged
+    assert report.method == "sweep" and report.theta == pytest.approx(1.0)
+    assert report.krylov_iterations == 0 and report.wall_time > 0.0
 
 
 def sweep_solve(F, grid, u0, tol=1e-8, max_iter=DEFAULT_MAX_ITER, interior=None, clip=False):
     """The damped sweep alone, as the engine runs it when Newton hands over."""
     active = slice(None) if interior is None else interior
-    return _sweep(F, F.make_context(grid.coords), grid, np.array(u0, dtype=float), None,
+    return _sweep(F, F.make_context(grid.coords), grid, np.array(u0, dtype=float),
                   tol, max_iter, active, clip)
 
 
@@ -904,15 +914,35 @@ def parent_sweep(G, grid, theta, tol, max_iter):
 
 
 @pytest.mark.parametrize("max_iter", [50, 100_000])
-def test_given_theta_is_the_sweep_bit_for_bit(max_iter):
+def test_sweep_is_the_parent_sweep_at_its_probed_theta(max_iter):
+    # the sweep converges in 120 sweeps, so it probes theta once, at sweep 0
     grid = build_grid(SPHERE, 3)
     G = sum_of(neg_trace(), source(ScalarField(lambda p: float(LINEAR_A @ p.coords))))
-    u, report = solve_fixed_point(G, grid, theta=0.04, tol=1e-8, max_iter=max_iter)
-    ref, iterations, history = parent_sweep(G, grid, 0.04, 1e-8, max_iter)
+    u, report = sweep_solve(_lift_u_plus_g(G), grid, np.zeros(grid.n_nodes), max_iter=max_iter)
+    ref, iterations, history = parent_sweep(G, grid, report.theta, 1e-8, max_iter)
     assert report.method == "sweep" and report.krylov_iterations == 0
     assert report.iterations == iterations and report.converged == (max_iter > 50)
-    assert np.array_equal(u.values, ref)
+    assert np.array_equal(u, ref)
     assert np.array_equal(report.residual_history, history)
+
+
+def test_sweep_probes_theta_at_sweep_0_and_every_200th():
+    # the conformal operator is nonlinear in u, so the probe reads another
+    # theta at sweep 200 than at sweep 0; the res-2 sweep takes 292 sweeps
+    grid = build_grid(SPHERE, 2)
+    F = yamabe(3, ScalarField.parse("const:6"), -1.0)
+    u, report = sweep_solve(F, grid, np.ones(grid.n_nodes), clip=True)
+    ctx, centers = F.make_context(grid.coords), _center_sensitivity(grid)
+    ref, thetas = np.ones(grid.n_nodes), []
+    for it in range(report.iterations):
+        p = _base_proxies(grid, ref)
+        vals = _evaluate(F, ctx, ref, p)
+        if it in (0, 200):
+            thetas.append(_estimate_theta(F, ctx, ref, p, vals, centers, slice(None)))
+        ref = np.clip(ref - thetas[-1] * vals, 0.0, None)
+    assert report.converged and 200 < report.iterations < 400
+    assert thetas[0] != thetas[1] == report.theta
+    assert np.array_equal(u, ref)
 
 
 def test_failed_newton_hands_the_original_problem_to_the_sweep():
@@ -940,10 +970,11 @@ def test_newton_converges_through_a_krylov_residual_above_b():
 
 
 def test_report_writes_a_newton_history_whole_and_every_50th_sweep_residual():
+    # Newton refuses the res-3 min-eigenvalue problem, which the sweep solves
     grid = build_grid(SPHERE, 3)
-    G = sum_of(neg_trace(), source(ScalarField(lambda p: float(LINEAR_A @ p.coords))))
-    _, newton = solve_fixed_point(G, grid, tol=1e-8)
-    _, sweep = solve_fixed_point(G, grid, theta=0.04, tol=1e-8)
+    f = source(ScalarField(lambda p: float(LINEAR_A @ p.coords)))
+    _, newton = solve_fixed_point(sum_of(neg_trace(), f), grid, tol=1e-8)
+    _, sweep = solve_fixed_point(sum_of(neg_min_eigenvalue(), f), grid, tol=1e-8)
     assert newton.method == "newton" and sweep.method == "sweep"
     assert newton.to_dict()["residual_history"] == newton.residual_history.tolist()
     assert len(newton.to_dict()["residual_history"]) == newton.iterations + 1 >= 2
