@@ -528,21 +528,20 @@ def _pairings(comps: np.ndarray, zeta: np.ndarray, form: np.ndarray):
     return _rowwise_dot(comps, zeta), _rowwise_dot((comps[:, None] @ form)[:, 0], comps)
 
 
-def jet_limit_check(
-    m: Manifold,
-    jets: Sequence[Jet2],
-    limit: Jet2,
-    tol_schedule: Sequence[float] | None = None,
-    atol: float = 1e-8,
-    rate: float = 2.0,
-) -> bool:
+# jet_limit_check's tolerance for a jet based at distance d from the limit's
+# point is _JET_ATOL + _JET_RATE d
+_JET_ATOL = 1e-8
+_JET_RATE = 2.0
+
+
+def jet_limit_check(m: Manifold, jets: Sequence[Jet2], limit: Jet2) -> bool:
     """Test convergence of jets against a candidate limit jet.
 
     Pairings are taken against a fixed spanning family of transported
-    frame fields.  By default the tolerance for the n-th element is
-    ``atol + rate * d(x_n, x)``: pairings must converge at least linearly
-    in the base distance.  REJECT verdicts are advisory; a finite family
-    cannot certify divergence in every pathological case.
+    frame fields.  The tolerance for the n-th element is ``_JET_ATOL +
+    _JET_RATE * d(x_n, x)`` (1e-8 + 2 d): pairings must converge at least
+    linearly in the base distance.  REJECT verdicts are advisory; a finite
+    family cannot certify divergence in every pathological case.
     """
     x = limit.point
     frame = m.canonical_frame(x)
@@ -552,14 +551,9 @@ def jet_limit_check(
         m.components(fields, frame), m.frame_components(x, limit.zeta, frame), limit.form.matrix
     )
 
-    for idx, jet in enumerate(jets):
+    for jet in jets:
         xn = jet.point
-        dist = m.distance(xn, x)
-        tol = (
-            tol_schedule[idx]
-            if tol_schedule is not None
-            else atol + rate * dist
-        )
+        tol = _JET_ATOL + _JET_RATE * m.distance(xn, x)
         if abs(jet.value - limit.value) > tol:
             return False
         frame_n = m.canonical_frame(xn)

@@ -33,24 +33,36 @@ Conventions
   tangent vectors (``transport_rows``, ``curvature_rows``; a product runs
   them factorwise); ``parallel_transport`` and ``curvature_operator`` are
   their one-row cases, rounded alike, so a whole frame moves in one call.
-* One body per concept where a one-row call costs nothing measurable:
-  ``sectional_curvature`` is ``sectional_curvature_stack`` of one row, as
-  ``jacobi``'s tidal spectrum and frame Hessian are of theirs.  The leaf
-  single-pair methods (``exp``, ``distance``, ``log``, ``transport_rows``,
-  ``canonical_frame``, ``transport_matrix``, ``GeodesicSegment.connect``)
-  keep bodies beside their stacks (``exp_stack``, ``distance_stack``,
-  ``log_stack``, ``transport_stack``, ``canonical_frames``,
-  ``transport_matrices``, ``SegmentStack.connect``), which round every row
-  alike, so a sweep may use either: the oracle sweeps' per-sample loops
-  make ~11 000 such calls a pass, and a one-row stack costs 3-8 times a
-  scalar call (sphere, us scalar / one-row: exp 9/49, log 10/39, transport
-  25/54, frame 12/101, transport matrix 80/371, connect 95/313).
+* One body per concept: ``Manifold`` writes ``exp``, ``log``, ``distance``,
+  ``transport_rows`` and ``random_point`` once, as one-row calls of
+  ``exp_stack``, ``log_stack``, ``distance_stack``, ``transport_stack`` and
+  ``points_from_draws``, as ``sectional_curvature`` is of its stack and
+  ``jacobi``'s tidal spectrum and frame Hessian are of theirs.  On Euclidean
+  space and the torus that costs 1-4 us a call more than a scalar body; on a
+  product (Sphere(2) x Euclidean(2)) log 18 -> 31 us, transport 28 -> 60.
+* Second bodies stay only where a one-row stack costs several times a
+  scalar call: the oracle sweeps' per-sample loops make ~11 000 such calls
+  a pass.  Each rounds every row as its stack does, so a sweep may use
+  either (us scalar / one-row on Sphere(2) and Hyperbolic(2)):
+
+  =============================  =========================  ======  ======
+  second body                    stack                      sphere  hyper
+  =============================  =========================  ======  ======
+  ``_SpaceForm.exp``             ``exp_stack``              9/44    9/58
+  ``_SpaceForm.log``             ``log_stack``              5/25    7/25
+  ``_SpaceForm.distance``        ``distance_stack``         3/14    4/16
+  ``_SpaceForm.transport_rows``  ``transport_stack``        15/50   18/54
+  ``Hyperbolic.random_point``    ``points_from_draws``      --      18/79
+  ``project_tangent``            ``project_tangent_stack``  2/4     3/5
+  ``canonical_frame``            ``canonical_frames``       12/87   15/110
+  ``transport_matrix``           ``transport_matrices``     41/248  55/308
+  ``GeodesicSegment.connect``    ``SegmentStack.connect``   48/253  63/289
+  =============================  =========================  ======  ======
+
 * ``inner_stack`` broadcasts over leading axes; ``components(vectors,
   frame)`` on top of it rounds each entry as one ``ambient_inner``.
-* A product's scalar ``exp`` and ``distance`` are the one-row cases of
-  ``exp_stack`` and ``distance_stack``.  A hyperboloid step whose
-  coordinates or Minkowski square would overflow raises
-  ``GeometryDomainError`` in ``exp`` and ``exp_stack`` alike.
+* A hyperboloid step whose coordinates or Minkowski square would overflow
+  raises ``GeometryDomainError`` in ``exp`` and ``exp_stack`` alike.
 * ``random_point``/``random_tangent`` are a generator call (``draw_point``,
   the entries of ``point_plan``, and ``draw_tangent``) followed by a
   closed-form map; ``points_from_draws`` and ``project_tangent_stack`` map
@@ -239,18 +251,24 @@ class Manifold:
         return ambient - (self.constant_sectional() * self.inner_stack(ambient, xs))[:, None] * xs
 
     def exp(self, x: Point, v: TangentVector) -> Point:
-        raise NotImplementedError
+        """``exp_stack`` of the one pair (x, v)."""
+        self._check_based(x, v)
+        return Point(self.exp_stack(x.coords[None], v.components[None])[0])
 
     def log(self, x: Point, y: Point) -> TangentVector:
-        raise NotImplementedError
+        """``log_stack`` of the one pair (x, y)."""
+        return TangentVector(x, self.log_stack(x.coords[None], y.coords[None])[0])
 
     def distance(self, x: Point, y: Point) -> float:
-        raise NotImplementedError
+        """``distance_stack`` of the one pair (x, y)."""
+        return float(self.distance_stack(x.coords[None], y.coords[None])[0])
 
     def transport_rows(self, x: Point, y: Point, rows: np.ndarray) -> np.ndarray:
         """Parallel transport to y, along the minimizing geodesic, of each row
-        of a (k, ambient) stack of tangent vectors at x."""
-        raise NotImplementedError
+        of a (k, ambient) stack of tangent vectors at x: ``transport_stack``
+        of the one pair (x, y)."""
+        rows = np.asarray(rows, dtype=float)[None]
+        return self.transport_stack(x.coords[None], y.coords[None], rows)[0]
 
     def transport_stack(self, xs: np.ndarray, ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """``transport_rows`` for every row pair of two (N, ambient) point
@@ -316,7 +334,8 @@ class Manifold:
         raise NotImplementedError
 
     def random_point(self, rng: np.random.Generator) -> Point:
-        raise NotImplementedError
+        """``points_from_draws`` of one ``draw_point`` row."""
+        return Point(self.points_from_draws(self.draw_point(rng)[None])[0])
 
     @property
     def point_plan(self) -> list:
@@ -537,16 +556,6 @@ class Euclidean(Manifold):
             raise ValueError(f"expected {self.dim} coordinates")
         return Point(coords)
 
-    def exp(self, x, v):
-        self._check_based(x, v)
-        return Point(x.coords + v.components)
-
-    def log(self, x, y):
-        return TangentVector(x, y.coords - x.coords)
-
-    def distance(self, x, y):
-        return float(np.linalg.norm(y.coords - x.coords))
-
     def exp_stack(self, xs, vs):
         return xs + vs
 
@@ -556,9 +565,6 @@ class Euclidean(Manifold):
 
     def log_stack(self, xs, ys):
         return ys - xs
-
-    def transport_rows(self, x, y, rows):
-        return np.array(rows, dtype=float)
 
     def transport_stack(self, xs, ys, vs):
         return np.array(vs, dtype=float)
@@ -571,9 +577,6 @@ class Euclidean(Manifold):
 
     def points_from_draws(self, raws):
         return raws
-
-    def random_point(self, rng):
-        return Point(self.draw_point(rng))
 
     def config(self):
         return {"model": "euclidean", "dim": self.dim}
@@ -781,9 +784,6 @@ class Sphere(_SpaceForm):
     def points_from_draws(self, raws):
         return self._onto_stack(raws)
 
-    def random_point(self, rng):
-        return Point(self._onto(self.draw_point(rng)))
-
     def config(self):
         return {"model": "sphere", "dim": self.dim, "radius": self.radius}
 
@@ -904,16 +904,9 @@ class FlatTorus(Euclidean):
             raise ValueError(f"expected {self.dim} chart coordinates")
         return Point(self.wrap(coords))
 
-    def exp(self, x, v):
-        self._check_based(x, v)
-        return Point(self.wrap(x.coords + v.components))
-
     def _minimal_diff(self, xc, yc):
         d = yc - xc
         return (d + self.periods / 2.0) % self.periods - self.periods / 2.0
-
-    def distance(self, x, y):
-        return float(np.linalg.norm(self._minimal_diff(x.coords, y.coords)))
 
     def exp_stack(self, xs, vs):
         return self.wrap(xs + vs)
@@ -921,12 +914,6 @@ class FlatTorus(Euclidean):
     def distance_stack(self, xs, ys):
         d = self._minimal_diff(xs, ys)
         return np.sqrt(_rowwise_dot(d, d))
-
-    def log(self, x, y):
-        d = self._minimal_diff(x.coords, y.coords)
-        if np.any(self.periods / 2.0 - np.abs(d) < 1e-12 * self.periods):
-            raise GeometryDomainError("log undefined at the torus cut locus")
-        return TangentVector(x, d)
 
     def log_stack(self, xs, ys):
         d = self._minimal_diff(xs, ys)
@@ -965,12 +952,6 @@ class Product(Manifold):
     def ambient_dim(self) -> int:
         return self._ambient
 
-    def _parts_point(self, x: Point) -> list[Point]:
-        return [Point(x.coords[s]) for s in self._slices]
-
-    def _join(self, parts: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([np.asarray(p, dtype=float) for p in parts])
-
     def ambient_inner(self, x, a, b):
         # the factors' inner products do not read the base point
         return sum(
@@ -995,50 +976,26 @@ class Product(Manifold):
 
     def point(self, coords) -> Point:
         coords = np.asarray(coords, dtype=float)
-        parts = [
-            f.point(coords[s]).coords for f, s in zip(self.factors, self._slices)
-        ]
-        return Point(self._join(parts))
-
-    def exp(self, x, v):
-        self._check_based(x, v)
-        return Point(self.exp_stack(x.coords[None], v.components[None])[0])
+        return Point(np.concatenate(
+            [f.point(coords[s]).coords for f, s in zip(self.factors, self._slices)]))
 
     def exp_stack(self, xs, vs):
         return self._by_factor("exp_stack", xs, vs)
 
-    def log(self, x, y):
-        xs, ys = self._parts_point(x), self._parts_point(y)
-        out = [
-            f.log(xi, yi).components
-            for f, xi, yi in zip(self.factors, xs, ys)
-        ]
-        return TangentVector(x, self._join(out))
-
     def log_stack(self, xs, ys):
         return self._by_factor("log_stack", xs, ys)
-
-    def distance(self, x, y):
-        return float(self.distance_stack(x.coords[None], y.coords[None])[0])
 
     def distance_stack(self, xs, ys):
         return np.sqrt(sum(
             f.distance_stack(xs[:, s], ys[:, s]) ** 2 for f, s in zip(self.factors, self._slices)
         ))
 
-    def transport_rows(self, x, y, rows):
-        return np.concatenate(
-            [f.transport_rows(xi, yi, rows[:, s]) for f, xi, yi, s in
-             zip(self.factors, self._parts_point(x), self._parts_point(y), self._slices)],
-            axis=1,
-        )
-
     def transport_stack(self, xs, ys, vs):
         return self._by_factor("transport_stack", xs, ys, vs)
 
     def injectivity_radius(self, x=None):
-        xs = self._parts_point(x) if x is not None else [None] * len(self.factors)
-        return min(f.injectivity_radius(xi) for f, xi in zip(self.factors, xs))
+        # no model's radius depends on the point
+        return min(f.injectivity_radius() for f in self.factors)
 
     def constant_sectional(self):
         return None
@@ -1055,9 +1012,6 @@ class Product(Manifold):
 
     def points_from_draws(self, raws):
         return self._by_factor("points_from_draws", raws)
-
-    def random_point(self, rng):
-        return Point(self._join([f.random_point(rng).coords for f in self.factors]))
 
     def config(self):
         return {"model": "product", "factors": [f.config() for f in self.factors]}

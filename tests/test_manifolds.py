@@ -20,7 +20,7 @@ from riemvisc import (
     TangentVector,
     from_config,
 )
-from riemvisc.manifolds import GeodesicSegment, SegmentStack, draw_stacks
+from riemvisc.manifolds import GeodesicSegment, Manifold, SegmentStack, _SpaceForm, draw_stacks
 
 from generator_doubles import Recording
 
@@ -724,6 +724,20 @@ def test_transport_bilinear_matches_the_per_row_loop(model, seed):
     assert_bitwise(model.parallel_transport_bilinear(x, y, a).matrix, expected)
 
 
+def _reference_random_point(model, rng):
+    """The ``random_point`` bodies the flat models, the sphere and the
+    product had before it became a one-row call of ``points_from_draws``,
+    kept as its oracle: the draw itself on a flat model, ``_onto`` of it on
+    the sphere, the factors' points concatenated on a product."""
+    if isinstance(model, Product):
+        return np.concatenate([_reference_random_point(f, rng) for f in model.factors])
+    if isinstance(model, Sphere):
+        return model._onto(model.draw_point(rng))
+    if isinstance(model, Hyperbolic):
+        return model.random_point(rng).coords
+    return model.draw_point(rng)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
     model=EVERY_MODEL,
@@ -732,15 +746,19 @@ def test_transport_bilinear_matches_the_per_row_loop(model, seed):
     scale=st.sampled_from([1.0, 0.8, 1e-3, 30.0]),
 )
 def test_stacked_draw_maps_match_random_point_and_tangent(model, seed, rows, scale):
-    # the same generator calls, then the stacked maps: bit for bit the scalar draws
+    # the same generator calls, then the stacked maps: bit for bit the scalar
+    # draws and the reference points
     rng = np.random.default_rng(seed)
     points = [model.random_point(rng) for _ in range(rows)]
     tangents = [model.random_tangent(rng, x, scale=scale) for x in points]
     rng = np.random.default_rng(seed)
+    reference = [_reference_random_point(model, rng) for _ in range(rows)]
+    rng = np.random.default_rng(seed)
     raw_points = np.array([model.draw_point(rng) for _ in range(rows)])
     raw_tangents = np.array([model.draw_tangent(rng) for _ in range(rows)])
     xs = model.points_from_draws(raw_points)
-    assert_bitwise(xs, [x.coords for x in points])
+    assert_bitwise(xs, reference)
+    assert_bitwise([x.coords for x in points], reference)
     tangent_rows = model.project_tangent_stack(xs, raw_tangents * scale)
     assert_bitwise(tangent_rows, [t.components for t in tangents])
 
@@ -1004,6 +1022,49 @@ def assert_same_outcome(stacked, single):
         assert_bitwise(stacked(), expected)
 
 
+def _reference_exp(model, x, v):
+    """The one-pair ``exp`` bodies the flat models and the product had
+    before it became a one-row call of ``exp_stack``, on coordinate rows,
+    kept as its oracle: x + v, wrapped on the torus, factorwise on a
+    product; a space form's own body."""
+    if isinstance(model, Product):
+        return np.concatenate([_reference_exp(f, x[s], v[s]) for f, s in factor_parts(model)])
+    if isinstance(model, FlatTorus):
+        return model.wrap(x + v)
+    if isinstance(model, Euclidean):
+        return x + v
+    base = Point(x)
+    return model.exp(base, TangentVector(base, v)).coords
+
+
+def _reference_log(model, x, y):
+    """``log`` as ``_reference_exp`` is ``exp``: y - x, the torus's minimal
+    difference refused at the cut locus, factorwise on a product."""
+    if isinstance(model, Product):
+        return np.concatenate([_reference_log(f, x[s], y[s]) for f, s in factor_parts(model)])
+    if isinstance(model, FlatTorus):
+        d = model._minimal_diff(x, y)
+        if np.any(model.periods / 2.0 - np.abs(d) < 1e-12 * model.periods):
+            raise GeometryDomainError("log undefined at the torus cut locus")
+        return d
+    if isinstance(model, Euclidean):
+        return y - x
+    return model.log(Point(x), Point(y)).components
+
+
+def _reference_distance(model, x, y):
+    """``distance`` as ``_reference_exp`` is ``exp``: the norm of y - x or of
+    the torus's minimal difference, the root of the factors' squares on a
+    product."""
+    if isinstance(model, Product):
+        return math.sqrt(sum(_reference_distance(f, x[s], y[s]) ** 2 for f, s in factor_parts(model)))
+    if isinstance(model, FlatTorus):
+        return float(np.linalg.norm(model._minimal_diff(x, y)))
+    if isinstance(model, Euclidean):
+        return float(np.linalg.norm(y - x))
+    return model.distance(Point(x), Point(y))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     model=ROW_KERNEL_MODELS,
@@ -1034,13 +1095,23 @@ def test_pair_stack_kernels_match_the_single_pair_methods(model, seed, pairs, fa
     vs = np.array([model.random_tangent(rng, x).components for x in xs])
     frames = np.array([[model.random_tangent(rng, x).components for _ in range(3)] for x in xs])
 
-    logs = [model.log(x, y).components for x, y in zip(xs, ys)]
+    # the stacks and the one-pair methods against the reference bodies
+    logs = [_reference_log(model, x, y) for x, y in zip(x_rows, y_rows)]
     assert_bitwise(model.log_stack(x_rows, y_rows), logs)
+    assert_bitwise([model.log(x, y).components for x, y in zip(xs, ys)], logs)
     assert not np.any(logs[-1])
-    assert_bitwise(model.transport_stack(x_rows, y_rows, vs),
-                   [model.transport_rows(x, y, v[None])[0] for x, y, v in zip(xs, ys, vs)])
-    assert_bitwise(model.transport_stack(x_rows, y_rows, frames),
-                   [model.transport_rows(x, y, f) for x, y, f in zip(xs, ys, frames)])
+    dists = [_reference_distance(model, x, y) for x, y in zip(x_rows, y_rows)]
+    assert_bitwise(model.distance_stack(x_rows, y_rows), dists)
+    assert_bitwise([model.distance(x, y) for x, y in zip(xs, ys)], dists)
+    ends = [_reference_exp(model, x, v) for x, v in zip(x_rows, logs)]
+    assert_bitwise(model.exp_stack(x_rows, np.array(logs)), ends)
+    assert_bitwise([model.exp(x, TangentVector(x, v)).coords for x, v in zip(xs, logs)], ends)
+    moved = [reference_transport(model, x, y, v) for x, y, v in zip(xs, ys, vs)]
+    assert_bitwise(model.transport_stack(x_rows, y_rows, vs), moved)
+    assert_bitwise([model.transport_rows(x, y, v[None])[0] for x, y, v in zip(xs, ys, vs)], moved)
+    moved = [[reference_transport(model, x, y, r) for r in f] for x, y, f in zip(xs, ys, frames)]
+    assert_bitwise(model.transport_stack(x_rows, y_rows, frames), moved)
+    assert_bitwise([model.transport_rows(x, y, f) for x, y, f in zip(xs, ys, frames)], moved)
     assert_bitwise(model.transport_stack(x_rows[-1:], y_rows[-1:], vs[-1:]), vs[-1:])
     # far out on a hyperboloid a frame or a plane may be refused: then both are
     assert_same_outcome(lambda: model.transport_matrices(x_rows, y_rows),
@@ -1064,6 +1135,16 @@ def test_log_stack_names_the_first_row_without_a_log(model, y):
         model.log_stack(xs, ys)
     with pytest.raises(GeometryDomainError):
         model.log(Point(xs[1]), Point(ys[1]))
+
+
+def test_only_the_space_forms_keep_second_one_pair_bodies():
+    # every other model inherits Manifold's one-row calls of the stacks
+    models = (Euclidean, FlatTorus, _SpaceForm, Sphere, Hyperbolic, Product)
+    for name in ("exp", "log", "distance", "transport_rows"):
+        assert name in vars(Manifold)
+        assert [m for m in models if name in vars(m)] == [_SpaceForm], name
+    assert "random_point" in vars(Manifold)
+    assert [m for m in models if "random_point" in vars(m)] == [Hyperbolic]
 
 
 def _reference_sectional_curvature(model, x, u, v):

@@ -318,7 +318,7 @@ def test_divergence_raises_with_report(monkeypatch):
     monkeypatch.setattr(solver, "_hierarchy", lambda grid: None)
     grid = build_grid(SPHERE, 3)
     G = sum_of(neg_detplus(), source(ScalarField(lambda p: float(LINEAR_A @ p.coords))))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as info:
+    with pytest.raises(DivergenceError) as info:
         solve_fixed_point(G, grid, tol=1e-8)
     report = info.value.report
     assert report is not None and not report.converged
