@@ -267,6 +267,9 @@ def _combined(ops, reduce_fn):
     ``r_domain`` is the intersection of theirs (``_joint_flags``), so the
     check in its ``eval_batch`` covers every child.
     """
+    if not ops:
+        raise ValueError("a combinator needs at least one term")
+
     def batch(ctx, rs, zs, As):
         return reduce_fn(
             [op.batch(c, rs, zs, As) for op, c in zip(ops, ctx["children"])]

@@ -8,12 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Sphere, SymBilinear, TangentVector
+from riemvisc import (
+    Euclidean, FlatTorus, Hyperbolic, Point, Product, Sphere, SymBilinear, TangentVector,
+)
 from riemvisc.errors import BasePointMismatchError, PreconditionError
 from riemvisc.grids import GridFunction, build_grid
 import riemvisc.grids as grids
 from riemvisc.jacobi import HessianPair, hessian_distance_sq, hessian_distance_sq_stack
 from riemvisc.jets import (
+    DEFAULT_DIRECTIONS,
+    DEFAULT_RADII,
+    TOL_PER_RADIUS,
     DoublingRecord,
     Jet2,
     StarCondition,
@@ -268,6 +273,265 @@ def test_correction_term_matches_hessian_defect_on_sphere():
     rhs = second_difference_o4(geodesic_line, 1e-2)
     assert abs(correction) > 1e-3  # the defect is genuinely nonzero here
     assert lhs == pytest.approx(rhs + correction, abs=1e-5)
+
+
+# --------------------------------------------------------------------- #
+# the exp-chart half against the per-sample loops it replaced
+# --------------------------------------------------------------------- #
+
+def _reference_directions(n, count, seed):
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((count, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs
+
+
+def _reference_jet_test(f, m, x, jet, sign, seed=0):
+    """The per-radius, per-sample loop of ``quadratic_jet_test``: one ``exp``
+    per sample."""
+    if sign not in ("sub", "super"):
+        raise ValueError("sign must be 'sub' or 'super'")
+    frame = m.canonical_frame(x)
+    zeta_c = m.frame_components(x, jet.zeta, frame)
+    a_mat = jet.form.matrix
+    fx = f(x)
+    dirs = _reference_directions(m.dim, DEFAULT_DIRECTIONS, seed)
+    flip = -1.0 if sign == "super" else 1.0
+    table = []
+    worst = math.inf
+    witness = None
+    for r in DEFAULT_RADII:
+        model_vals = fx + r * dirs @ zeta_c + 0.5 * r * r * np.einsum(
+            "ij,jk,ik->i", dirs, a_mat, dirs
+        )
+        samples = np.array([f(m.exp(x, TangentVector(x, r * d @ frame))) for d in dirs])
+        ratios = flip * (samples - model_vals) / (r * r)
+        margin = float(np.min(ratios) + TOL_PER_RADIUS * r)
+        table.append((r, margin))
+        if margin < worst:
+            worst = margin
+            if margin < 0.0:
+                witness = TangentVector(x, r * dirs[int(np.argmin(ratios))] @ frame)
+    return worst >= 0.0, worst, witness, table
+
+
+def _reference_chart_transfer(f, m, x, jet, sign="sub", seed=0):
+    """The two jet-test runs, on M and on f o exp_x, and the per-axis and
+    per-pair difference loops of ``chart_transfer_check``."""
+    frame = m.canonical_frame(x)
+    flat = Euclidean(m.dim)
+    origin = flat.point(np.zeros(m.dim))
+
+    def g(c):
+        return f(m.exp(x, TangentVector(x, c @ frame)))
+
+    chart_jet = Jet2(
+        origin,
+        jet.value,
+        flat.tangent(origin, m.frame_components(x, jet.zeta, frame)),
+        flat.bilinear(origin, jet.form.matrix),
+    )
+    v_m = _reference_jet_test(f, m, x, jet, sign, seed)
+    v_c = _reference_jet_test(lambda p: g(p.coords), flat, origin, chart_jet, sign, seed)
+    n, h = m.dim, 1e-3
+    grad = np.zeros(n)
+    hess = np.zeros((n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        grad[i] = (-g(2 * e) + 8 * g(e) - 8 * g(-e) + g(-2 * e)) / (12 * h)
+        hess[i, i] = (-g(2 * e) + 16 * g(e) - 30 * g(0 * e) + 16 * g(-e) - g(-2 * e)) / (
+            12 * h * h
+        )
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros(n)
+            e[i] = h
+            q = np.zeros(n)
+            q[j] = h
+            hess[i, j] = hess[j, i] = (
+                g(e + q) - g(e - q) - g(-e + q) + g(-e - q)
+            ) / (4 * h * h)
+    return v_m, v_c, grad, hess
+
+
+def _reference_fd_gradient(m, f, y, frame=None):
+    h = 1e-3
+    if frame is None:
+        frame = m.canonical_frame(y)
+    comps = np.empty(m.dim)
+    for i, e in enumerate(frame):
+        vals = [f(m.exp(y, TangentVector(y, s * h * e))) for s in (-2.0, -1.0, 1.0, 2.0)]
+        comps[i] = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+    return comps @ frame
+
+
+def _reference_chart_correction_term(m, phi, x, y, vector_field):
+    """``chart_correction_term`` with its per-point d exp, curve and gradient
+    loops."""
+    w = m.log(x, y).components
+    frame_x = m.canonical_frame(x)
+    frame_y = m.canonical_frame(y)
+    vy = vector_field(y)
+    n, h = m.dim, 1e-3
+    dexp = np.empty((n, n))
+    for k in range(n):
+        e = frame_x[k]
+        pts = [m.exp(x, TangentVector(x, w + s * h * e)).coords for s in (-2.0, -1.0, 1.0, 2.0)]
+        deriv = (pts[0] - 8.0 * pts[1] + 8.0 * pts[2] - pts[3]) / (12.0 * h)
+        dexp[:, k] = m.components(m.project_tangent(y, deriv), frame_y)
+    v_tilde = np.linalg.solve(dexp, m.components(vy.components, frame_y)) @ frame_x
+    h = 1e-2
+    c = [m.exp(x, TangentVector(x, w + s * h * v_tilde)).coords for s in (-2.0, -1.0, 0.0, 1.0, 2.0)]
+    second = (-c[0] + 16.0 * c[1] - 30.0 * c[2] + 16.0 * c[3] - c[4]) / (12.0 * h * h)
+    accel = m.project_tangent(y, second)
+    grad = _reference_fd_gradient(m, phi, y, frame_y)
+    return m.ambient_inner(y, grad, accel)
+
+
+def _chart_models():
+    sphere, hyper, torus = Sphere(2, 1.0), Hyperbolic(2, 1.0), FlatTorus([1.0, 1.5])
+    product, plane = Product([Sphere(2, 1.0), Euclidean(2)]), Euclidean(2)
+    o = hyper.base_point()
+    return [
+        (sphere, sphere.point([0.3, -0.5, math.sqrt(1 - 0.34)])),
+        (hyper, hyper.exp(o, hyper.tangent(o, [0.0, 0.4, -0.3]))),
+        (product, product.point([0.0, 0.6, 0.8, 0.1, -0.2])),
+        # near the end of the first period: samples wrap
+        (torus, torus.point([0.95, 0.3])),
+        (plane, plane.point([0.3, -0.2])),
+    ]
+
+
+CHART_MODELS = _chart_models()
+CHART_IDS = ["sphere", "hyperboloid", "product", "torus", "plane"]
+
+
+def _smooth(q):
+    c = q.coords
+    return float(np.sin(3.0 * c).sum() + c[0] * c[-1])
+
+
+def _kinked(q):
+    return abs(q.coords[0] - 0.31) + 0.5 * q.coords[-1] ** 2
+
+
+def _assert_same_verdict(got, ref):
+    accepted, margin, witness, table = ref
+    assert got.accepted == accepted
+    assert repr(got.margin) == repr(margin)
+    assert repr(got.radius_table) == repr(table)
+    assert (got.witness is None) == (witness is None)
+    if witness is not None:
+        assert np.array_equal(got.witness.base.coords, witness.base.coords)
+        assert np.array_equal(got.witness.components, witness.components)
+
+
+def _chart_jets(m, x, seed):
+    rng = np.random.default_rng(seed)
+    n = m.dim
+    ref_grad = _reference_fd_gradient(m, _smooth, x)
+    jets = [make_jet(m, x, np.zeros(n), np.zeros((n, n)))]
+    for scale in (0.1, 3.0):
+        zeta = m.frame_components(x, m.tangent(x, ref_grad)) + scale * rng.standard_normal(n)
+        a = scale * rng.standard_normal((n, n))
+        jets.append(make_jet(m, x, zeta, a + a.T))
+    return jets
+
+
+@pytest.mark.parametrize("m, x", CHART_MODELS, ids=CHART_IDS)
+def test_jet_test_is_the_per_sample_loop(m, x):
+    for f in (_smooth, _kinked):
+        for k, jet in enumerate(_chart_jets(m, x, seed=1)):
+            for sign in ("sub", "super"):
+                got = quadratic_jet_test(f, m, x, jet, sign, seed=k)
+                _assert_same_verdict(got, _reference_jet_test(f, m, x, jet, sign, seed=k))
+
+
+@pytest.mark.parametrize("m, x", CHART_MODELS, ids=CHART_IDS)
+def test_chart_transfer_is_the_two_runs_and_the_difference_loops(m, x):
+    eps = np.finfo(float).eps
+    h = 1e-3
+    for f in (_smooth, _kinked):
+        for jet in _chart_jets(m, x, seed=2):
+            report = chart_transfer_check(f, m, x, jet, "sub", seed=3)
+            v_m, v_c, grad, hess = _reference_chart_transfer(f, m, x, jet, "sub", seed=3)
+            _assert_same_verdict(report.verdict_manifold, v_m)
+            _assert_same_verdict(report.verdict_chart, v_c)
+            assert report.agree
+            # the one stencil sums its terms in step order, the loops summed
+            # them in reverse: the two roundings of a sum of K terms of
+            # absolute sum S differ by at most 2 (K - 1) eps S; |f| <= 4 here
+            assert np.all(np.abs(report.fd_gradient - grad) <= 2 * 3 * eps * 18 * 4 / (12 * h))
+            diag = np.abs(np.diag(report.fd_hessian) - np.diag(hess))
+            assert np.all(diag <= 2 * 4 * eps * 64 * 4 / (12 * h * h))
+            off = ~np.eye(m.dim, dtype=bool)
+            assert np.array_equal(report.fd_hessian[off], hess[off])
+
+
+@pytest.mark.parametrize("m, x", CHART_MODELS, ids=CHART_IDS)
+def test_fd_gradient_and_correction_term_are_the_per_point_loops(m, x):
+    for f in (_smooth, _kinked):
+        got = fd_gradient(m, f, x)
+        assert np.array_equal(got.components, _reference_fd_gradient(m, f, x))
+        frame = m.canonical_frame(x)[::-1]
+        assert np.array_equal(fd_gradient(m, f, x, frame).components,
+                              _reference_fd_gradient(m, f, x, frame))
+    w = 0.3 * m.canonical_frame(x)[0] + 0.2 * m.canonical_frame(x)[-1]
+    y = m.exp(x, m.tangent(x, w))
+    field = constant_pullback_field(m, x, np.linspace(0.5, -0.4, m.dim))
+    for phi in (_smooth, _kinked):
+        got = chart_correction_term(m, phi, x, y, field)
+        assert repr(got) == repr(_reference_chart_correction_term(m, phi, x, y, field))
+
+
+def _counting(f):
+    calls = [0]
+
+    def counted(q):
+        calls[0] += 1
+        return f(q)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("dim, f_calls", [(2, 813), (3, 825)])
+def test_chart_transfer_samples_once(dim, f_calls):
+    # 800 jet samples, f(x) once, then 4 per axis (+-h, +-2h: the gradient
+    # and the Hessian diagonal share them) and 4 per pair of axes
+    m = Sphere(dim, 1.0)
+    x = m.point(np.r_[np.zeros(dim), 1.0])
+    f, calls = _counting(_smooth)
+    jet = make_jet(m, x, np.zeros(dim), np.eye(dim))
+    with mock.patch.object(Sphere, "exp_stack", autospec=True,
+                           side_effect=Sphere.exp_stack) as exp_stack, \
+            mock.patch.object(Sphere, "exp", side_effect=AssertionError("a one-point exp")):
+        report = chart_transfer_check(f, m, x, jet, "super")
+    assert calls[0] == f_calls
+    assert exp_stack.call_count == 2  # the jet samples, the difference stencil
+    assert report.agree
+
+
+def test_nan_samples_are_violations():
+    m, p = sphere_and_point()
+    jet = make_jet(m, p, [0.0, 0.0], np.eye(2))
+    frame = m.canonical_frame(p)
+    dirs = _reference_directions(2, DEFAULT_DIRECTIONS, 0)
+    everywhere = quadratic_jet_test(lambda q: math.nan, m, p, jet, "sub")
+    assert not everywhere.accepted and math.isnan(everywhere.margin)
+    assert np.array_equal(everywhere.witness.components, DEFAULT_RADII[0] * dirs[0] @ frame)
+
+    def far_nan(q):  # NaN on the sphere of radius 0.1 alone
+        d = m.distance(q, p)
+        return math.nan if d > 0.05 else 0.5 * d * d
+
+    verdict = quadratic_jet_test(far_nan, m, p, jet, "sub")
+    assert not verdict.accepted and verdict.verdict == "REJECT"
+    assert math.isnan(verdict.radius_table[0][1])
+    assert all(margin >= 0.0 for _, margin in verdict.radius_table[1:])
+    assert m.norm(p, verdict.witness) == pytest.approx(DEFAULT_RADII[0])
+    report = chart_transfer_check(far_nan, m, p, jet, "sub")
+    assert not report.verdict_manifold.accepted and not report.verdict_chart.accepted
 
 
 # --------------------------------------------------------------------- #
@@ -870,3 +1134,14 @@ def test_jet_limit_oscillating_rejected():
             Jet2(xn, 0.0, m.tangent_from_frame(xn, [0.0, 0.0]), m.bilinear(xn, wobble * np.eye(2)))
         )
     assert not jet_limit_check(m, jets, limit)
+
+
+def test_jet_limit_nan_fails():
+    m, p = sphere_and_point()
+    limit = make_jet(m, p, [0.2, -0.1], np.eye(2), value=1.0)
+    nan_value = make_jet(m, p, [0.2, -0.1], np.eye(2), value=math.nan)
+    nan_zeta = make_jet(m, p, [math.nan, -0.1], np.eye(2), value=1.0)
+    assert jet_limit_check(m, [limit], limit)
+    assert not jet_limit_check(m, [nan_value], limit)
+    assert not jet_limit_check(m, [limit], nan_value)
+    assert not jet_limit_check(m, [nan_zeta], limit)

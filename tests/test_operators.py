@@ -232,6 +232,16 @@ def test_sum_needs_one_finite_nonnegative_weight_per_term(weights):
         from_config(cfg)
 
 
+@pytest.mark.parametrize("make", [
+    sum_of, max_of, min_of, lambda: sum_of(weights=[]),
+    lambda: from_config({"op": "sum", "terms": []}),
+    lambda: from_config({"op": "max", "terms": []}),
+])
+def test_combinators_need_a_term(make):
+    with pytest.raises(ValueError, match="a combinator needs at least one term"):
+        make()
+
+
 def test_from_config_roundtrip():
     cfgs = [
         {"op": "neg_trace"},
