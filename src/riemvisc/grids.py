@@ -596,7 +596,6 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
         verts, levels, parents = icosphere(resolution)
         faces = levels[-1]
         coords = verts * model.radius
-        frames = model.canonical_frames(coords)
         edges = _mesh_edges(faces)
         locator = _FaceLocator.build(coords, levels, model.radius)
 
@@ -611,7 +610,6 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
         spacing = model.periods / res
         ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
         coords = np.stack([ii.ravel() * spacing[0], jj.ravel() * spacing[1]], axis=1)
-        frames = np.tile(np.eye(2), (coords.shape[0], 1, 1))
         faces = parents = None
         idx = np.arange(res * res).reshape(res, res)
         right = np.stack([idx.ravel(), np.roll(idx, -1, axis=0).ravel()], axis=1)
@@ -629,6 +627,7 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
         raise UnsupportedModelError(
             "grids are built for Sphere(2, r) and two-dimensional flat tori only"
         )
+    frames = model.canonical_frames(coords)
     grid = Grid(
         model, resolution, coords, frames, math.nan, dirs, None, [], edges, faces,
         parents, _stencil_builder=builder,

@@ -38,6 +38,7 @@ from .manifolds import (
     _libm,
     _readonly,
     _rowwise_dot,
+    operator_norms,
 )
 
 DEFAULT_GRID = 2048
@@ -424,7 +425,7 @@ class HessianPair:
         return HessianPair(self.model, self.x, self.y, factor * np.asarray(self.matrix))
 
     def operator_norm(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix)), initial=0.0))
+        return float(operator_norms(self.matrix))
 
     def quadratic(self, vx_comps, vy_comps) -> float:
         z = np.concatenate([np.asarray(vx_comps, float), np.asarray(vy_comps, float)])

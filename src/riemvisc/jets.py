@@ -35,6 +35,7 @@ from .manifolds import (
     SymBilinear,
     TangentVector,
     _rowwise_dot,
+    operator_norms,
     symmetrized_forms,
 )
 
@@ -250,19 +251,15 @@ def chart_correction_term(
 # block-matrix condition on (P, Q)
 # --------------------------------------------------------------------- #
 
-def canonical_epsilon(a_alpha: HessianPair) -> float:
-    return 1.0 / (2.0 * (1.0 + a_alpha.operator_norm()))
-
-
-def _operator_norms(a_mats: np.ndarray) -> np.ndarray:
-    """``HessianPair.operator_norm`` of each of an (N, m, m) stack of matrices."""
-    return np.max(np.abs(np.linalg.eigvalsh(a_mats)), axis=-1, initial=0.0)
-
-
 def canonical_epsilons(a_mats: np.ndarray) -> np.ndarray:
-    """``canonical_epsilon`` of each of an (N, 2n, 2n) stack of Hessian
-    matrices, bit for bit."""
-    return 1.0 / (2.0 * (1.0 + _operator_norms(a_mats)))
+    """``1 / (2 (1 + |A|))`` for each of an (..., 2n, 2n) stack of Hessian
+    matrices A."""
+    return 1.0 / (2.0 * (1.0 + operator_norms(a_mats)))
+
+
+def canonical_epsilon(a_alpha: HessianPair) -> float:
+    """``canonical_epsilons`` of the one pair's matrix."""
+    return float(canonical_epsilons(a_alpha.matrix))
 
 
 @dataclass(frozen=True)
@@ -338,7 +335,7 @@ def star_candidates_stack(
     b = a_mats + epsilons[:, None, None] * (a_mats @ a_mats)
     b11, b12, b22 = b[:, :n, :n], b[:, :n, n:], b[:, n:, n:]
     s_base = 2.0 * np.linalg.norm(b12, 2, axis=(-2, -1))
-    norm_a = _operator_norms(a_mats)
+    norm_a = operator_norms(a_mats)
     shifts = (s_base[:, None] + slack_scale * np.asarray(uniforms, dtype=float)
               * (1.0 + norm_a)[:, None])[..., None, None] * np.eye(n)
     p_mats, q_mats = b11[:, None] - shifts, -(b22[:, None] - shifts)

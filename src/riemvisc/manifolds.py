@@ -18,7 +18,15 @@ Conventions
 * Bilinear forms are stored as symmetric matrices in the canonical
   orthonormal frame of their base point.  The canonical frame is produced
   by a deterministic Gram-Schmidt run seeded from the coordinate axes, so
-  all results are reproducible.
+  all results are reproducible.  A seeded frame (a segment's, whose first
+  row is the velocity, or a product factor's in the tidal spectrum) is the
+  same single pass run after its seed rows (``_orthonormal_rows(x, rows)``,
+  ``canonical_frames(xs, first)``): no canonical frame is built first.  As
+  Gram-Schmidt keeps nested spans, that is the frame Gram-Schmidt over the
+  canonical rows would give, up to roundoff, except where a remainder lies
+  near ``_FRAME_FLOOR`` (about 1 draw in 300), where a row may come from
+  another axis.  Both frame builders, and so every frame, start from the
+  projected axes.
 * Manifolds without conjugate points report ``INFINITE_RADIUS``
   (``math.inf``) as their injectivity radius; preconditions compare with
   strict ``<``.
@@ -54,9 +62,9 @@ Conventions
   ``_SpaceForm.transport_rows``  ``transport_stack``        15/50   18/54
   ``Hyperbolic.random_point``    ``points_from_draws``      --      18/79
   ``project_tangent``            ``project_tangent_stack``  2/4     3/5
-  ``canonical_frame``            ``canonical_frames``       12/87   15/110
+  ``canonical_frame``            ``canonical_frames``       10/77   12/91
   ``transport_matrix``           ``transport_matrices``     41/248  55/308
-  ``GeodesicSegment.connect``    ``SegmentStack.connect``   48/253  63/289
+  ``GeodesicSegment.connect``    ``SegmentStack.connect``   36/172  45/192
   =============================  =========================  ======  ======
 
 * ``inner_stack`` broadcasts over leading axes; ``components(vectors,
@@ -190,8 +198,14 @@ class SymBilinear:
         return np.linalg.eigvalsh(self.matrix)
 
     def operator_norm(self) -> float:
-        """sup |lambda| over eigenvalues."""
-        return float(np.max(np.abs(self.eigenvalues()), initial=0.0))
+        """sup |lambda| over eigenvalues: ``operator_norms`` of the matrix."""
+        return float(operator_norms(self.matrix))
+
+
+def operator_norms(mats: np.ndarray) -> np.ndarray:
+    """sup |lambda| over the eigenvalues of each of a stack of (..., m, m)
+    symmetric matrices; one matrix gives a 0-d array."""
+    return np.max(np.abs(np.linalg.eigvalsh(mats)), axis=-1, initial=0.0)
 
 
 def symmetrized_forms(mats: np.ndarray) -> np.ndarray:
@@ -429,13 +443,14 @@ class Manifold:
         Gram-Schmidt over the coordinate axes projected to the tangent
         space; axes whose projection is near-degenerate are skipped.
         """
-        axes = (self.project_tangent(x, e) for e in np.eye(self.ambient_dim))
-        return self._orthonormal_rows(x, [], axes)
+        return self._orthonormal_rows(x, [])
 
-    def _orthonormal_rows(self, x: Point, rows: list, seeds) -> np.ndarray:
-        """Extend orthonormal ``rows`` to dim rows by Gram-Schmidt over ``seeds``,
-        skipping seeds whose remainder has squared norm <= ``_FRAME_FLOOR``."""
-        for u in seeds:
+    def _orthonormal_rows(self, x: Point, rows: list) -> np.ndarray:
+        """Extend orthonormal ``rows`` to dim rows by one Gram-Schmidt pass
+        over the projected coordinate axes, skipping axes whose remainder has
+        squared norm <= ``_FRAME_FLOOR``."""
+        for e in np.eye(self.ambient_dim):
+            u = self.project_tangent(x, e)
             for r in rows:
                 u = u - self.ambient_inner(x, u, r) * r
             nrm2 = self.ambient_inner(x, u, u)
@@ -449,20 +464,18 @@ class Manifold:
         """``canonical_frame`` at every row of ``coords``, batched and rounded alike.
 
         With ``first``, an (N, r, ambient) stack of orthonormal tangent rows,
-        row i is ``_orthonormal_rows(x_i, list(first[i]), canonical_frame(x_i))``.
+        row i is the seeded frame ``_orthonormal_rows(x_i, list(first[i]))``:
+        the same pass over the projected axes, after the r given rows.
         Frame rows not yet found are zero, so subtracting them is a no-op.
         """
         x = np.asarray(coords, dtype=float).reshape(-1, self.ambient_dim)
         if first is None:
             first = np.zeros((x.shape[0], 0, self.ambient_dim))
-            seeds = (self.project_tangent_stack(x, np.broadcast_to(e, x.shape))
-                     for e in np.eye(self.ambient_dim))
-        else:
-            seeds = self.canonical_frames(x).transpose(1, 0, 2)
         rows = np.zeros((x.shape[0], self.dim, self.ambient_dim))
         rows[:, : first.shape[1]] = first
         found = np.full(x.shape[0], first.shape[1])
-        for u in seeds:
+        for e in np.eye(self.ambient_dim):
+            u = self.project_tangent_stack(x, np.broadcast_to(e, x.shape))
             for j in range(self.dim):
                 u = u - self.inner_stack(u, rows[:, j])[:, None] * rows[:, j]
             nrm2 = self.inner_stack(u, u)
@@ -1056,7 +1069,7 @@ class GeodesicSegment:
         ell = model.distance(x, y)
         cls.check_lengths(ell, min(model.injectivity_radius(x), model.injectivity_radius(y)))
         e1 = model.log(x, y).components / ell
-        frame0 = model._orthonormal_rows(x, [e1], model.canonical_frame(x))
+        frame0 = model._orthonormal_rows(x, [e1])
         frame_end = _readonly(model.transport_rows(x, y, frame0))
         return cls(model, x, y, float(ell), _readonly(frame0), frame_end)
 

@@ -8,10 +8,11 @@ grid stencils:
 * Hessian diagonal: ``(u(exp_x(h e_i)) + u(exp_x(-h e_i)) - 2 u(x)) / h^2``
 * cross terms from rotated directions ``(e_i +- e_j)/sqrt(2)``.
 
-``solve_fixed_point`` (``u + G = 0``), ``solve_dirichlet`` and
-``yamabe_solve`` share one engine.  It takes Newton steps ``J du = -F(u)``:
-the proxies are linear in u, so ``J = diag(F_r) + sum_c diag(F_c) P_c``,
-with the partial derivatives of F from forward differences of its one
+``solve_fixed_point`` (``u + G = 0``, the operator
+``sum_of(scalar_term(1.0), G)``), ``solve_dirichlet`` and ``yamabe_solve``
+share one engine.  It takes Newton steps ``J du = -F(u)``: the proxies
+are linear in u, so ``J = diag(F_r) + sum_c diag(F_c) P_c``, with the
+partial derivatives of F from forward differences of its one
 ``batch`` evaluator and ``P_c`` read off the stencil stack; each step is
 solved by BiCGSTAB preconditioned by one Galerkin V-cycle on the grid's
 hierarchy (:mod:`riemvisc.multigrid`) and shortened by halving until the
@@ -70,7 +71,7 @@ from .errors import DivergenceError, PreconditionError
 from .grids import Grid, GridFunction
 from .manifolds import Point, Sphere
 from .multigrid import VCycle, bicgstab
-from .operators import OperatorSpec, ScalarField, yamabe
+from .operators import OperatorSpec, ScalarField, scalar_term, sum_of, yamabe
 
 DEFAULT_MAX_ITER = 100_000
 _THETA_REFRESH = 200
@@ -219,20 +220,6 @@ def _estimate_theta(F, ctx, u_vals, base, base_vals, centers, active) -> float:
     slopes = (up_vals - base_vals) / delta
     slope = float(np.max(np.abs(slopes[active]), initial=1.0))
     return min(1.0, 1.0 / slope)
-
-
-def _lift_u_plus_g(G: OperatorSpec) -> OperatorSpec:
-    """Full-equation operator r + G for the boundary-free problem u + G = 0."""
-    return OperatorSpec(
-        f"u+{G.name}",
-        lambda ctx, rs, zs, As: rs + G.batch(ctx, rs, zs, As),
-        degenerate_elliptic=G.degenerate_elliptic,
-        proper=G.degenerate_elliptic,
-        gamma=1.0 + G.gamma,
-        x_dependent=G.x_dependent,
-        r_domain=G.r_domain,
-        context_builder=G.context_builder,
-    )
 
 
 # a diverging residual overflows on its way to inf, and the non-finite test
@@ -464,7 +451,7 @@ def solve_fixed_point(
     if not G.degenerate_elliptic:
         raise PreconditionError("solve_fixed_point needs the degenerate_elliptic flag")
     start = GridFunction.constant(grid, 0.0) if u0 is None else u0
-    values, report = _run_iteration(_lift_u_plus_g(G), grid, start.values, tol, max_iter)
+    values, report = _run_iteration(sum_of(scalar_term(1.0), G), grid, start.values, tol, max_iter)
     return GridFunction(grid, values), report
 
 

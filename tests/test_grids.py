@@ -138,19 +138,26 @@ def test_batched_frames_match_per_point_frames(model):
             # flat and product models: no single normal to take products with
             tangent = model.project_tangent_stack(np.broadcast_to(x, f.shape), f)
             assert np.allclose(tangent, f, rtol=0.0, atol=1e-12 * sizes.max() * max(1.0, x @ x))
-    # leading unit rows: the segment frames, Gram-Schmidt over the canonical frame
+    # leading unit rows: the segment frames, one Gram-Schmidt pass after them
     first = model.project_tangent_stack(coords, rng.standard_normal(coords.shape))
     first /= np.sqrt(model.inner_stack(first, first))[:, None]
     seeded = model.canonical_frames(coords, first=first[:, None])
     for x, e1, f in zip(coords, first, seeded):
         p = Point(x)
-        assert np.array_equal(f, model._orthonormal_rows(p, [e1], model.canonical_frame(p)))
+        assert np.array_equal(f, model._orthonormal_rows(p, [e1]))
 
 
 def test_grid_frames_are_per_node_frames():
     grid = build_grid(Sphere(2, 1.0), 3)
     for x, f in zip(grid.coords, grid.frames):
         assert np.max(np.abs(f - grid.model.canonical_frame(Point(x)))) <= 1e-14
+
+
+def test_torus_grid_frames_are_the_batched_identity():
+    # the torus takes its node frames from canonical_frames too: the identity
+    grid = build_grid(FlatTorus([1.0, 0.7]), 8)
+    assert np.array_equal(grid.frames, grid.model.canonical_frames(grid.coords))
+    assert np.array_equal(grid.frames, np.tile(np.eye(2), (len(grid.coords), 1, 1)))
 
 
 # --------------------------------------------------------------------- #

@@ -217,7 +217,8 @@ def test_closed_form_tidal_spectrum_diagonalizes_the_tidal_matrix(model, seed):
 def _reference_tidal_spectrum(seg):
     """The one-segment body of ``_tidal_spectrum`` before it became a one-row
     call of ``_tidal_spectra``, kept as its oracle: per factor the scalar
-    frame, seeded by the factor's part of the velocity where it moves."""
+    frame, seeded by the factor's part of the velocity where it moves (one
+    Gram-Schmidt pass over the projected axes after that row)."""
     m = seg.model
     k = m.constant_sectional()
     if k is not None:
@@ -227,11 +228,11 @@ def _reference_tidal_spectrum(seg):
         x = Point(seg.start.coords[s])
         w = f.project_tangent(x, seg.frame0[0][s])
         w2 = f.ambient_inner(x, w, w)
-        frame = f.canonical_frame(x)
         seeded = w2 > _FRAME_FLOOR
         if seeded:
-            frame = f._orthonormal_rows(x, [w / math.sqrt(w2)], frame)
+            frame = f._orthonormal_rows(x, [w / math.sqrt(w2)])
         else:
+            frame = f.canonical_frame(x)
             w2 = 0.0
         kappas += [0.0] * seeded + [f.constant_sectional() * w2] * (f.dim - seeded)
         vectors.append(f.components(frame, seg.frame0[:, s]))

@@ -20,7 +20,10 @@ from riemvisc import (
     TangentVector,
     from_config,
 )
-from riemvisc.manifolds import GeodesicSegment, Manifold, SegmentStack, _SpaceForm, draw_stacks
+from riemvisc.jacobi import _space_forms, _tidal_spectra
+from riemvisc.manifolds import (
+    _FRAME_FLOOR, GeodesicSegment, Manifold, SegmentStack, _SpaceForm, draw_stacks,
+)
 
 from generator_doubles import Recording
 
@@ -634,10 +637,11 @@ def factor_parts(model):
 
 
 def conditioning(model, x):
-    """1 + sum |K| |x|^2 over factors: the size of <a, x> x next to |a|."""
+    """1 + sum |K| |x|^2 over factors (nested products flattened): the size
+    of <a, x> x next to |a|."""
     return 1.0 + sum(
         abs(f.constant_sectional()) * float(x.coords[s] @ x.coords[s])
-        for f, s in factor_parts(model)
+        for f, s in _space_forms(model)
     )
 
 
@@ -1235,6 +1239,118 @@ def test_segment_stack_is_connect_per_pair(model, seed, pairs):
     ts[:, 0] = 0.0
     assert_bitwise(segs.points_at(ts), [[s.point_at(float(t)).coords for t in row]
                                         for s, row in zip(singles, ts)])
+
+
+def _gram_schmidt(model, x, rows, seeds):
+    """Extend orthonormal ``rows`` by Gram-Schmidt over ``seeds`` as the frame
+    builders do: the frame and the squared norms of the remainders it met."""
+    rows, met = list(rows), []
+    for u in seeds:
+        for r in rows:
+            u = u - model.ambient_inner(x, u, r) * r
+        met.append(model.ambient_inner(x, u, u))
+        if met[-1] > _FRAME_FLOOR:
+            rows.append(u / math.sqrt(met[-1]))
+        if len(rows) == model.dim:
+            return np.array(rows), met
+    raise GeometryDomainError("frame construction failed")
+
+
+def _reference_two_pass_frame(model, x, first):
+    """The seeded frame as built before it became one Gram-Schmidt pass, kept
+    as the oracle of that pass: the canonical frame at x first, then
+    Gram-Schmidt over its rows after the orthonormal rows ``first``."""
+    return _gram_schmidt(model, x, first, model.canonical_frame(x))[0]
+
+
+def _near_the_floor(model, x, e1):
+    """Whether the canonical frame, the one-pass or the two-pass seeded frame
+    at x meets a remainder within a factor 100 of ``_FRAME_FLOOR``, where the
+    two seeded frames may keep different axes."""
+    axes = [model.project_tangent(x, e) for e in np.eye(model.ambient_dim)]
+    runs = (([], axes), ([e1], axes), ([e1], model.canonical_frame(x)))
+    return any(_FRAME_FLOOR / 100 < nrm2 <= 100 * _FRAME_FLOOR
+               for rows, seeds in runs for nrm2 in _gram_schmidt(model, x, rows, seeds)[1])
+
+
+NESTED_PRODUCTS = st.builds(
+    lambda a, b, c: Product([a, Product([b, c])]),
+    space_forms(max_dim=1), space_forms(max_dim=2), space_forms(max_dim=1),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(model=st.one_of(EVERY_MODEL, NESTED_PRODUCTS), seed=st.integers(0, 2**32 - 1))
+def test_one_pass_seeded_frames_are_the_two_pass_frames(model, seed):
+    # Gram-Schmidt keeps nested spans, so the pass over the projected axes
+    # after e1 is the frame seeded over the canonical rows, up to roundoff,
+    # wherever both keep the same axes; a remainder near the floor (about 1
+    # draw in 300) may make them keep different ones (the next test)
+    rng = np.random.default_rng(seed)
+    points = [model.random_point(rng) for _ in range(20)]
+    firsts = []
+    for x in points:
+        v = model.random_tangent(rng, x)
+        firsts.append(v.components / model.norm(x, v))
+    coords = np.array([x.coords for x in points])
+    frames = model.canonical_frames(coords, first=np.array(firsts)[:, None])
+    for x, e1, one in zip(points, firsts, frames):
+        assert np.array_equal(one[0], e1)
+        if _near_the_floor(model, x, e1):
+            continue
+        two = _reference_two_pass_frame(model, x, [e1])
+        # the hyperboloid's Minkowski products cancel at the size of <a, x> x
+        assert np.max(np.abs(one - two)) <= 1e-11 * conditioning(model, x) ** 2
+        # no row flipped: each row has unit product with its two-pass row
+        assert np.all(model.inner_stack(one, two) > 0.5)
+
+
+def test_a_remainder_near_the_floor_may_take_another_axis():
+    # 0.05 rad from the x axis, e1 is 1e-3 rad off the unit tangent c0 the x
+    # axis projects to (length sin 0.05): after e1 the one pass meets that
+    # axis with a remainder of squared norm 2.5e-9 and skips it, taking the
+    # second row from the y axis; the two-pass frame keeps c0's remainder,
+    # 1e-6.  Both are orthonormal frames seeded by e1; the second rows are
+    # opposite.
+    m = Sphere(2, 1.0)
+    x = m.point([math.cos(0.05), math.sin(0.05), 0.0])
+    c0 = np.array([math.sin(0.05), -math.cos(0.05), 0.0])
+    e1 = math.cos(1e-3) * c0 + math.sin(1e-3) * np.array([0.0, 0.0, 1.0])
+    assert _near_the_floor(m, x, e1)
+    one = m.canonical_frames(x.coords[None], first=e1[None, None])[0]
+    two = _reference_two_pass_frame(m, x, [e1])
+    assert np.allclose(m.canonical_frame(x), [c0, [0.0, 0.0, 1.0]], rtol=0.0, atol=1e-13)
+    assert np.array_equal(one[0], e1) and np.array_equal(two[0], e1)
+    for frame in (one, two):
+        assert np.allclose(m.inner_stack(frame[:, None], frame[None]), np.eye(2), atol=1e-12)
+    # each second row divides a remainder of norm ~1e-3, which scales roundoff alike
+    assert np.allclose(one[1], -two[1], rtol=0.0, atol=1e-10)
+
+
+def test_a_seeded_frame_is_built_once(monkeypatch):
+    # canonical_frames(xs, first) does not call itself, and no segment or
+    # product tidal spectrum builds an unseeded frame before seeding one
+    model = Product([Sphere(2, 1.0), Product([Hyperbolic(2, 4.0), Euclidean(1)])])
+    x, y = model.random_pair(np.random.default_rng(0), 0.1, 1.0)[:2]
+    frames, seeded = Manifold.canonical_frames, []
+
+    def counted(self, coords, first=None):
+        seeded.append(first is not None)
+        return frames(self, coords, first)
+
+    def refused(self, x):
+        raise AssertionError("an unseeded frame built before seeding")
+
+    monkeypatch.setattr(Manifold, "canonical_frames", counted)
+    monkeypatch.setattr(Manifold, "canonical_frame", refused)
+    seg = GeodesicSegment.connect(model, x, y)
+    assert seeded == []
+    SegmentStack.connect(model, x.coords[None], y.coords[None])
+    assert seeded == [True]
+    seeded.clear()
+    # one seeded frame per space-form factor, each of which moves
+    _tidal_spectra(model, x.coords[None], seg.frame0[None])
+    assert seeded == [True] * 3
 
 
 def test_segment_stack_names_the_first_refused_row():

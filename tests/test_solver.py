@@ -36,7 +36,6 @@ from riemvisc.solver import (
     _estimate_theta,
     _evaluate,
     _gather,
-    _lift_u_plus_g,
     _nodewise_solve,
     _proxy_array,
     _sweep,
@@ -52,6 +51,11 @@ from riemvisc.solver import (
 )
 
 SPHERE = Sphere(2, 1.0)
+
+
+def lift(G):
+    """The full equation u + G = 0 that ``solve_fixed_point`` solves."""
+    return sum_of(scalar_term(1.0), G)
 
 
 def z_values(grid):
@@ -335,7 +339,7 @@ def sweep_solve(F, grid, u0, tol=1e-8, max_iter=DEFAULT_MAX_ITER, interior=None,
 
 def test_residual_history_monotone_after_burn_in():
     grid = build_grid(SPHERE, 3)
-    _, report = sweep_solve(_lift_u_plus_g(laplace_rhs_z()), grid, np.zeros(grid.n_nodes))
+    _, report = sweep_solve(lift(laplace_rhs_z()), grid, np.zeros(grid.n_nodes))
     assert report.method == "sweep" and report.iterations > 100
     hist = report.residual_history[5:]
     assert hist.size > 0
@@ -876,7 +880,7 @@ def newton_and_sweep(problem, kind, grid, a, tol):
         return u, report, sweep_solve(F, grid, u0, tol, interior=interior), 1.0, interior
     G = lin if problem == "linear" else max_of(lin, constant(-0.1))
     u, report = solve_fixed_point(G, grid, tol=tol)
-    return u, report, sweep_solve(_lift_u_plus_g(G), grid, np.zeros(grid.n_nodes), tol), 1.0, None
+    return u, report, sweep_solve(lift(G), grid, np.zeros(grid.n_nodes), tol), 1.0, None
 
 
 @pytest.mark.parametrize("kind,res,problem", NEWTON_CASES)
@@ -901,7 +905,7 @@ def test_newton_agrees_with_the_sweep(kind, res, problem, a):
 def parent_sweep(G, grid, theta, tol, max_iter):
     """The damped iteration at a fixed theta, as written before the Newton
     engine: the reference for the sweep path's values."""
-    F = _lift_u_plus_g(G)
+    F = lift(G)
     u = np.zeros(grid.n_nodes)
     history = []
     for it in range(max_iter):
@@ -918,7 +922,7 @@ def test_sweep_is_the_parent_sweep_at_its_probed_theta(max_iter):
     # the sweep converges in 120 sweeps, so it probes theta once, at sweep 0
     grid = build_grid(SPHERE, 3)
     G = sum_of(neg_trace(), source(ScalarField(lambda p: float(LINEAR_A @ p.coords))))
-    u, report = sweep_solve(_lift_u_plus_g(G), grid, np.zeros(grid.n_nodes), max_iter=max_iter)
+    u, report = sweep_solve(lift(G), grid, np.zeros(grid.n_nodes), max_iter=max_iter)
     ref, iterations, history = parent_sweep(G, grid, report.theta, 1e-8, max_iter)
     assert report.method == "sweep" and report.krylov_iterations == 0
     assert report.iterations == iterations and report.converged == (max_iter > 50)
@@ -951,7 +955,7 @@ def test_failed_newton_hands_the_original_problem_to_the_sweep():
     grid = build_grid(SPHERE, 3)
     G = sum_of(neg_min_eigenvalue(), source(ScalarField(lambda p: float(LINEAR_A @ p.coords))))
     u, report = solve_fixed_point(G, grid, tol=1e-8)
-    ref, ref_report = sweep_solve(_lift_u_plus_g(G), grid, np.zeros(grid.n_nodes))
+    ref, ref_report = sweep_solve(lift(G), grid, np.zeros(grid.n_nodes))
     assert report.method == "sweep" and report.krylov_iterations == _KRYLOV_CAP
     assert report.converged and report.iterations == ref_report.iterations == 138
     assert np.array_equal(u.values, ref)
@@ -986,7 +990,7 @@ def test_odd_torus_lattice_is_left_to_the_sweep():
     # 33 x 33 cannot be halved, and its 1089 nodes are past a dense coarse solve
     grid = build_grid(FlatTorus([1.0, 1.0]), 33)
     u, report = solve_fixed_point(laplace_rhs_2(), grid, max_iter=50)
-    ref, ref_report = sweep_solve(_lift_u_plus_g(laplace_rhs_2()), grid,
+    ref, ref_report = sweep_solve(lift(laplace_rhs_2()), grid,
                                   np.zeros(grid.n_nodes), max_iter=50)
     assert report.method == "sweep" and report.krylov_iterations == 0
     assert not report.converged and report.iterations == 50
@@ -1003,7 +1007,7 @@ def test_newton_solves_what_the_sweep_cannot(kind, res):
     inner = neg_detplus() if kind == "detplus" else compose(lambda t: t**3, neg_trace())
     G = sum_of(inner, source(f))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
-        sweep_solve(_lift_u_plus_g(G), grid, np.zeros(grid.n_nodes))
+        sweep_solve(lift(G), grid, np.zeros(grid.n_nodes))
     u, report = solve_fixed_point(G, grid, tol=1e-8)
     assert report.method == "newton" and report.converged
     lifted = discrete_residual(sum_of(scalar_term(1.0), G), grid, u)
