@@ -19,7 +19,11 @@ keeping the faces of every level of the subdivision.  A stencil point is
 interpolated in the nearest-centroid face containing it, found by
 descending the subdivision from the icosahedron face of nearest centre and
 then testing the faces around the corners of the face reached
-(``_FaceLocator``).
+(``_FaceLocator``).  The descent works on columns: each level keeps the
+nine coordinates of its corner children's cut normals as nine contiguous
+arrays over the parent faces, and the points as their x, y and z columns,
+so a level is nine gathers, their products and sums, and a choice of child
+by comparisons, with no per-point small matrix.
 The stencils of one step form one direction-major sparse operator
 (``Grid.stack``, ``n_dirs N x N``: row ``k N + i`` interpolates at
 ``exp_{x_i}(h d_k)``), so one mat-vec gathers every stencil value; the
@@ -420,14 +424,20 @@ class _FaceLocator:
 
     The midpoints are pushed radially onto the sphere, so the cones (from the
     centre) of a face's four children tile its cone exactly: each level needs
-    one test against the three planes that cut off the corner children.
+    one test against the three planes that cut off the corner children.  The
+    test runs on columns: ``normals[level][k, b]`` is the b-th coordinate of
+    corner child k's normal for every parent face, one contiguous array, so
+    side k of every point is three gathers from it times the point's x, y and
+    z columns, summed in the order of the einsum it replaced; the child is
+    the first side of positive maximum, else the centre child.
     """
 
     faces: np.ndarray        # (F, 3) finest faces
     inv_corners: np.ndarray  # (F, 3, 3): a point -> its barycentrics in each face
     centroids: np.ndarray    # (F, 3) face centroids pushed onto the sphere
     top: np.ndarray          # (3, 20): the 20 icosahedron face centres, one per column
-    cuts: list               # per finer level: (F_parent, 3, 3) normals, positive on a corner child
+    normals: list            # per finer level: (3, 3, F_parent), [k, b] the b-th coordinate
+                             # of the normal positive on corner child k, one column per face
     ring: np.ndarray         # (V, R) faces around every vertex
 
     @classmethod
@@ -439,11 +449,12 @@ class _FaceLocator:
         centroids /= np.linalg.norm(centroids, axis=1, keepdims=True) / radius
         top = coords[levels[0]].sum(axis=1).T
         # corner child [v, m1, m2] lies on the positive side of m1 x m2
-        cuts = []
+        normals = []
         for children in levels[1:]:
             child = children.reshape(-1, 4, 3)[:, :3]
-            cuts.append(np.cross(coords[child[..., 1]], coords[child[..., 2]]))
-        return cls(faces, inv_corners, centroids, top, cuts,
+            cut = np.cross(coords[child[..., 1]], coords[child[..., 2]])
+            normals.append(np.ascontiguousarray(cut.transpose(1, 2, 0)))
+        return cls(faces, inv_corners, centroids, top, normals,
                    _vertex_rings(faces, coords.shape[0]))
 
     def locate(self, pts: np.ndarray):
@@ -460,11 +471,23 @@ class _FaceLocator:
         # the spherical Voronoi cells of a regular icosahedron's face centres
         # are its face cones
         face = np.argmax(pts @ self.top, axis=1)
-        rows = np.arange(pts.shape[0])
-        for cut in self.cuts:
-            side = np.einsum("nkb,nb->nk", cut[face], pts)
-            k = np.argmax(side, axis=1)
-            face = 4 * face + np.where(side[rows, k] > 0.0, k, 3)
+        x, y, z = np.ascontiguousarray(pts.T)
+
+        def side(normal):
+            # summed as einsum's "nkb,nb->nk" sums: (x term + z term) + y term
+            s = normal[0].take(face) * x
+            s += normal[2].take(face) * z
+            s += normal[1].take(face) * y
+            return s
+
+        for normal in self.normals:
+            s0, s1, s2 = side(normal[0]), side(normal[1]), side(normal[2])
+            # argmax of the sides, first maximum first; past a non-positive
+            # maximum, or a NaN side (m is then NaN), the centre child 3
+            m = np.maximum(s0, s1)
+            np.maximum(m, s2, out=m)
+            face *= 4
+            face += np.where(m > 0.0, (s0 < m) * (2 - (s1 == m)), 3)
         bary = np.einsum("nab,nb->na", self.inv_corners[face], pts)
         near = np.flatnonzero(~(bary.min(axis=1) >= 1e-8))
         if near.size:

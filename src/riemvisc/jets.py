@@ -2,13 +2,16 @@
 
 A jet ``(zeta, A)`` is tested for sub/superjet membership by sampling the
 Taylor defect ``f(exp_x v) - f(x) - <zeta, v> - 1/2 <A v, v>`` on spheres
-of shrinking radius.  ACCEPT means no violation was found at the sampled
-resolution (a NaN sample is a violation); REJECT carries a concrete
-witness direction.  These are testing verdicts, not certificates: the
-membership question is only semidecidable numerically.  Each set of sample
-points (the jet test's spheres, a difference stencil) is one ``exp_stack``
-call, then one f call per row; the chart check reads the manifold samples
-in exp-chart coordinates, so its two verdicts agree by construction.
+of shrinking radius.  A jet of f at x has the value f(x): a value off it
+by more than ``VALUE_TOL`` (relative to ``max(1, |f(x)|)``), or NaN, is
+rejected first, with minus the value gap as the margin.  ACCEPT means no
+violation was found at the sampled resolution (a NaN sample is a
+violation); REJECT carries a concrete witness direction.  These are
+testing verdicts, not certificates: the membership question is only
+semidecidable numerically.  Each set of sample points (the jet test's
+spheres, a difference stencil) is one ``exp_stack`` call, then one f call
+per row; the chart check reads the manifold samples in exp-chart
+coordinates, so its two verdicts agree by construction.
 
 The module also houses the block-matrix condition linking candidate
 second derivatives (P, Q) to the Hessian of ``(alpha/2) d^2`` (with the
@@ -42,6 +45,8 @@ from .manifolds import (
 DEFAULT_RADII = (1e-1, 1e-2, 1e-3, 1e-4)
 DEFAULT_DIRECTIONS = 200
 TOL_PER_RADIUS = 10.0
+# a jet's value against f(x), relative to max(1, |f(x)|)
+VALUE_TOL = 1e-10
 # the step of the fourth-order differences: gradients, chart derivatives, d exp
 _FD_STEP = 1e-3
 # the step of the covariant acceleration's second difference
@@ -115,8 +120,11 @@ def _jet_samples(f, m: Manifold, x: Point, sign: str, seed: int):
 
 
 def _jet_verdict(m: Manifold, x: Point, jet: Jet2, sign: str, frame, fx, dirs, vals) -> JetVerdict:
-    """The jet's verdict on ``_jet_samples``: the first radius with a NaN (else
-    the smallest) margin decides; a REJECT's witness is its worst sample."""
+    """The jet's verdict on ``_jet_samples``.  A value that is not f(x)
+    within ``VALUE_TOL`` REJECTs with margin minus the gap (NaN for a NaN
+    value or f(x)) and the zero vector, the sample at x, as its witness.
+    Otherwise the first radius with a NaN (else the smallest) margin decides;
+    a REJECT's witness is its worst sample."""
     zeta_c = m.frame_components(x, jet.zeta, frame)
     quad = np.einsum("ij,jk,ik->i", dirs, jet.form.matrix, dirs)
     model = np.array([fx + r * dirs @ zeta_c + 0.5 * r * r * quad for r in DEFAULT_RADII])
@@ -126,10 +134,14 @@ def _jet_verdict(m: Manifold, x: Point, jet: Jet2, sign: str, frame, fx, dirs, v
     margins = ratios.min(axis=1) + TOL_PER_RADIUS * radii
     worst = int(np.argmin(margins))
     margin = float(margins[worst])
+    table = list(zip(DEFAULT_RADII, margins.tolist()))
+    gap = abs(float(jet.value) - float(fx))
+    if not gap <= VALUE_TOL * max(1.0, abs(fx)):
+        return JetVerdict(False, -gap, TangentVector(x, np.zeros(frame.shape[1])), table)
     witness = None
     if not margin >= 0.0:
         witness = TangentVector(x, radii[worst] * dirs[int(np.argmin(ratios[worst]))] @ frame)
-    return JetVerdict(margin >= 0.0, margin, witness, list(zip(DEFAULT_RADII, margins.tolist())))
+    return JetVerdict(margin >= 0.0, margin, witness, table)
 
 
 def quadratic_jet_test(
@@ -146,6 +158,8 @@ def quadratic_jet_test(
     sampled sphere of radius r in ``DEFAULT_RADII``, ``DEFAULT_DIRECTIONS``
     seeded directions each (superjets reversed).  A REJECT returns the worst
     sampled direction as a witness; a sample where f is NaN is a violation.
+    A jet whose value is not f(x) within ``VALUE_TOL`` REJECTs first, with
+    minus the value gap as its margin and the zero vector as its witness.
     """
     return _jet_verdict(m, x, jet, sign, *_jet_samples(f, m, x, sign, seed))
 
@@ -171,10 +185,11 @@ def chart_transfer_check(
 
     The manifold samples, read in exp-chart coordinates, are the chart
     samples, so one sample set scores the jet on M and its frame components
-    on the chart: the verdicts agree by construction.  The report also
-    carries fourth-order differences of the chart representative at the
-    origin, from f(x), the steps +-h and +-2h along each axis and the
-    corners (+-h, +-h) of each pair of axes.
+    on the chart: the verdicts agree by construction (the chart jet keeps
+    the value, so a value that is not f(x) REJECTs on both sides alike).
+    The report also carries fourth-order differences of the chart
+    representative at the origin, from f(x), the steps +-h and +-2h along
+    each axis and the corners (+-h, +-h) of each pair of axes.
     """
     frame, fx, dirs, samples = _jet_samples(f, m, x, sign, seed)
     flat = Euclidean(m.dim)

@@ -235,18 +235,23 @@ def test_locate_matches_brute_force_oracle(radius, res, seed):
     assert np.array_equal(bary, np.einsum("nab,nb->na", locator.inv_corners[face], pts))
 
 
-@pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
-@pytest.mark.parametrize("res", [0, 1, 2])
-def test_locate_on_edges_vertices_and_centroids(radius, res):
-    locator = sphere_locator(radius, res)
+def mesh_points(locator, radius, res):
+    """The icosphere's edge midpoints, vertices and face centroids, on the sphere."""
     verts = icosphere(res)[0] * radius
     edges = _mesh_edges(locator.faces)
     mid = verts[edges[:, 0]] + verts[edges[:, 1]]
-    cases = {
+    return {
         "edge": mid * (radius / np.linalg.norm(mid, axis=1, keepdims=True)),
         "vertex": verts,
         "centroid": locator.centroids,
     }
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("res", [0, 1, 2])
+def test_locate_on_edges_vertices_and_centroids(radius, res):
+    locator = sphere_locator(radius, res)
+    cases = mesh_points(locator, radius, res)
     for name, pts in cases.items():
         face, bary = locator.locate(pts)
         assert np.array_equal(face, locator_oracle(locator, pts)), name
@@ -254,6 +259,76 @@ def test_locate_on_edges_vertices_and_centroids(radius, res):
     # an edge point lies in both faces of its edge: the tie rule decides
     bary = np.einsum("fab,nb->nfa", locator.inv_corners, cases["edge"]).min(axis=2)
     assert np.all(np.sum(bary >= -1e-10, axis=1) == 2)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_cuts(radius, res):
+    """Per finer level, the (F_parent, 3, 3) normals that cut off the corner
+    children (row k: corner child k), as the einsum descent held them."""
+    verts, levels, _ = icosphere(res)
+    coords = verts * radius
+    cuts = []
+    for children in levels[1:]:
+        child = children.reshape(-1, 4, 3)[:, :3]
+        cuts.append(np.cross(coords[child[..., 1]], coords[child[..., 2]]))
+    return cuts
+
+
+def _reference_locate(locator, cuts, pts):
+    """The face search as one einsum and one argmax per level of the
+    descent, then the same barycentrics and near-border ring fallback."""
+    face = np.argmax(pts @ locator.top, axis=1)
+    rows = np.arange(pts.shape[0])
+    for cut in cuts:
+        side = np.einsum("nkb,nb->nk", cut[face], pts)
+        k = np.argmax(side, axis=1)
+        face = 4 * face + np.where(side[rows, k] > 0.0, k, 3)
+    bary = np.einsum("nab,nb->na", locator.inv_corners[face], pts)
+    near = np.flatnonzero(~(bary.min(axis=1) >= 1e-8))
+    if near.size:
+        cand = np.sort(locator.ring[locator.faces[face[near]]].reshape(near.size, -1), axis=1)
+        inside = np.einsum("nfab,nb->nfa", locator.inv_corners[cand], pts[near]).min(axis=2)
+        inside = inside >= -1e-10
+        dx, dy, dz = np.moveaxis(pts[near, None, :] - locator.centroids[cand], -1, 0)
+        best = np.argmin(np.where(inside, dx * dx + dy * dy + dz * dz, np.inf), axis=1)
+        found = inside[np.arange(near.size), best]
+        face[near] = np.where(found, cand[np.arange(near.size), best], -1)
+        moved = near[found]
+        bary[moved] = np.einsum("nab,nb->na", locator.inv_corners[face[moved]], pts[moved])
+    return face, bary
+
+
+LOCATE_CASES = [(radius, res) for res in range(5) for radius in (0.5, 1.0, 2.5)]
+LOCATE_CASES += [(1.0, 5), (1.0, 6)]
+
+
+@pytest.mark.parametrize("radius, res", LOCATE_CASES)
+def test_locate_is_the_reference_descent(radius, res, monkeypatch):
+    # faces and barycentrics bitwise the einsum descent's: on every stencil
+    # point at h and h / 2, as the stencil builder hands them over, on random
+    # points and on the mesh's own points, where sides tie
+    cuts = reference_cuts(radius, res)
+    locate = _FaceLocator.locate
+    checked = []
+
+    def checked_locate(self, pts):
+        face, bary = locate(self, pts)
+        ref_face, ref_bary = _reference_locate(self, cuts, pts)
+        assert face.tobytes() == ref_face.tobytes()
+        assert bary.tobytes() == ref_bary.tobytes()
+        checked.append(pts.shape[0])
+        return face, bary
+
+    monkeypatch.setattr(_FaceLocator, "locate", checked_locate)
+    grid = build_grid(Sphere(2, radius), res)
+    grid.stack_for(grid.h / 2)
+    assert checked == [grid.n_nodes] * (2 * len(grid.dirs))
+    locator = sphere_locator(radius, res)
+    pts = np.random.default_rng(res).standard_normal((4096, 3))
+    locator.locate(pts * (radius / np.linalg.norm(pts, axis=1, keepdims=True)))
+    for pts in mesh_points(locator, radius, res).values():
+        locator.locate(pts)
+    assert len(checked) == 2 * len(grid.dirs) + 4
 
 
 def test_point_in_no_face_is_a_precondition_error():
@@ -273,7 +348,8 @@ def test_point_in_no_face_is_a_precondition_error():
 # the gather of a seeded u on Sphere(2, 1): the sha256 of grid.stack @ u at res 3
 # and (sum, square) of it at res 0-5, recorded from the k-d tree face search
 # this locator replaced (which tied exactly equidistant faces differently), with
-# numpy 2.4 and OpenBLAS 0.3.31 on x86-64: the hash pins that arithmetic too
+# numpy 2.4 and OpenBLAS 0.3.31 on x86-64: the hash pins that arithmetic too;
+# res 6, at both steps, recorded from the einsum descent (_reference_locate)
 GATHER_SHA_RES3 = "47366d07bc25d6b9eb7d2e079d2134e7d13c3f09a4c1847a44668e9c4bfa2ee2"
 GATHER_SUMS = {
     0: (6.47382286307239, 31.117584776214073),
@@ -282,6 +358,7 @@ GATHER_SUMS = {
     3: (-135.88392922139963, 2400.5189423581196),
     4: (-187.4447118708313, 10200.91937653403),
     5: (-1274.9424192422184, 39205.28854740506),
+    6: (45.34739563397592, 158773.5278296774),
 }
 
 
@@ -296,6 +373,7 @@ HALF_GATHER_SUMS = {
     3: (-146.89811259845885, 2085.3100586303585),
     4: (-165.13699690621186, 10275.435353423472),
     5: (-1348.5088931829027, 41014.13941411467),
+    6: (-40.17121898180546, 156361.77776366935),
 }
 
 

@@ -1006,7 +1006,7 @@ PAIR_MODELS = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     model=PAIR_MODELS,
     seed=st.integers(0, 2**32 - 1),

@@ -19,6 +19,7 @@ from riemvisc.jets import (
     DEFAULT_DIRECTIONS,
     DEFAULT_RADII,
     TOL_PER_RADIUS,
+    VALUE_TOL,
     DoublingRecord,
     Jet2,
     StarCondition,
@@ -97,10 +98,10 @@ def test_smooth_function_with_slack_accepts():
 
     grad = [math.cos(x.coords[0]), 2 * x.coords[1]]
     hess = np.array([[-math.sin(x.coords[0]), 0.0], [0.0, 2.0]])
-    jet = make_jet(m, x, grad, hess - 0.1 * np.eye(2))
+    jet = make_jet(m, x, grad, hess - 0.1 * np.eye(2), value=f(x))
     assert quadratic_jet_test(f, m, x, jet, "sub").accepted
     # and without the slack the exact jet passes both sides
-    exact = make_jet(m, x, grad, hess)
+    exact = make_jet(m, x, grad, hess, value=f(x))
     assert quadratic_jet_test(f, m, x, exact, "super").accepted
 
 
@@ -188,7 +189,7 @@ def test_chart_transfer_recovers_height_hessian():
 
 def test_chart_transfer_constant_function():
     m, p = sphere_and_point()
-    jet = make_jet(m, p, [0.0, 0.0], np.zeros((2, 2)))
+    jet = make_jet(m, p, [0.0, 0.0], np.zeros((2, 2)), value=4.2)
     for sign in ("sub", "super"):
         report = chart_transfer_check(lambda q: 4.2, m, p, jet, sign)
         assert report.verdict_manifold.accepted
@@ -427,22 +428,22 @@ def _assert_same_verdict(got, ref):
         assert np.array_equal(got.witness.components, witness.components)
 
 
-def _chart_jets(m, x, seed):
+def _chart_jets(m, x, seed, value):
     rng = np.random.default_rng(seed)
     n = m.dim
     ref_grad = _reference_fd_gradient(m, _smooth, x)
-    jets = [make_jet(m, x, np.zeros(n), np.zeros((n, n)))]
+    jets = [make_jet(m, x, np.zeros(n), np.zeros((n, n)), value)]
     for scale in (0.1, 3.0):
         zeta = m.frame_components(x, m.tangent(x, ref_grad)) + scale * rng.standard_normal(n)
         a = scale * rng.standard_normal((n, n))
-        jets.append(make_jet(m, x, zeta, a + a.T))
+        jets.append(make_jet(m, x, zeta, a + a.T, value))
     return jets
 
 
 @pytest.mark.parametrize("m, x", CHART_MODELS, ids=CHART_IDS)
 def test_jet_test_is_the_per_sample_loop(m, x):
     for f in (_smooth, _kinked):
-        for k, jet in enumerate(_chart_jets(m, x, seed=1)):
+        for k, jet in enumerate(_chart_jets(m, x, seed=1, value=f(x))):
             for sign in ("sub", "super"):
                 got = quadratic_jet_test(f, m, x, jet, sign, seed=k)
                 _assert_same_verdict(got, _reference_jet_test(f, m, x, jet, sign, seed=k))
@@ -453,7 +454,7 @@ def test_chart_transfer_is_the_two_runs_and_the_difference_loops(m, x):
     eps = np.finfo(float).eps
     h = 1e-3
     for f in (_smooth, _kinked):
-        for jet in _chart_jets(m, x, seed=2):
+        for jet in _chart_jets(m, x, seed=2, value=f(x)):
             report = chart_transfer_check(f, m, x, jet, "sub", seed=3)
             v_m, v_c, grad, hess = _reference_chart_transfer(f, m, x, jet, "sub", seed=3)
             _assert_same_verdict(report.verdict_manifold, v_m)
@@ -502,7 +503,7 @@ def test_chart_transfer_samples_once(dim, f_calls):
     m = Sphere(dim, 1.0)
     x = m.point(np.r_[np.zeros(dim), 1.0])
     f, calls = _counting(_smooth)
-    jet = make_jet(m, x, np.zeros(dim), np.eye(dim))
+    jet = make_jet(m, x, np.zeros(dim), np.eye(dim), value=_smooth(x))
     with mock.patch.object(Sphere, "exp_stack", autospec=True,
                            side_effect=Sphere.exp_stack) as exp_stack, \
             mock.patch.object(Sphere, "exp", side_effect=AssertionError("a one-point exp")):
@@ -517,7 +518,9 @@ def test_nan_samples_are_violations():
     jet = make_jet(m, p, [0.0, 0.0], np.eye(2))
     frame = m.canonical_frame(p)
     dirs = _reference_directions(2, DEFAULT_DIRECTIONS, 0)
-    everywhere = quadratic_jet_test(lambda q: math.nan, m, p, jet, "sub")
+    # NaN at every sample, and f(x) = 0 the jet's value
+    everywhere = quadratic_jet_test(
+        lambda q: math.nan if m.distance(q, p) > 0.0 else 0.0, m, p, jet, "sub")
     assert not everywhere.accepted and math.isnan(everywhere.margin)
     assert np.array_equal(everywhere.witness.components, DEFAULT_RADII[0] * dirs[0] @ frame)
 
@@ -532,6 +535,35 @@ def test_nan_samples_are_violations():
     assert m.norm(p, verdict.witness) == pytest.approx(DEFAULT_RADII[0])
     report = chart_transfer_check(far_nan, m, p, jet, "sub")
     assert not report.verdict_manifold.accepted and not report.verdict_chart.accepted
+
+
+def test_jet_value_must_be_f_at_the_point():
+    # f = z at the north pole: zeta = 0 and A = -1.1 I make a subjet of value
+    # f(x) = 1; another value, or NaN, is rejected first, by the value gap
+    m, p = sphere_and_point()
+
+    def f(q):
+        return q.coords[2]
+
+    for value in (1.0, 1.0 + 0.5 * VALUE_TOL):
+        report = chart_transfer_check(f, m, p, make_jet(m, p, [0.0, 0.0], -1.1 * np.eye(2), value))
+        assert report.verdict_manifold.accepted and report.verdict_chart.accepted
+    for value in (5.0, 1.0 + 2.0 * VALUE_TOL, math.nan):
+        jet = make_jet(m, p, [0.0, 0.0], -1.1 * np.eye(2), value)
+        report = chart_transfer_check(f, m, p, jet, "sub")
+        assert report.agree
+        # the samples alone accept it
+        assert all(margin >= 0.0 for _, margin in report.verdict_manifold.radius_table)
+        # the superjet test's samples reject it, and the value gap still decides
+        for got in (report.verdict_manifold, report.verdict_chart,
+                    quadratic_jet_test(f, m, p, jet, "sub"),
+                    quadratic_jet_test(f, m, p, jet, "super")):
+            assert got.verdict == "REJECT"
+            assert not np.any(got.witness.components)
+            if math.isnan(value):
+                assert math.isnan(got.margin)
+            else:
+                assert got.margin == -abs(value - 1.0) < -VALUE_TOL
 
 
 # --------------------------------------------------------------------- #

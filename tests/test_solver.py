@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riemvisc import DivergenceError, Euclidean, FlatTorus, Hyperbolic, Sphere
 from riemvisc.errors import PreconditionError, UnsupportedModelError
@@ -688,13 +688,16 @@ def test_perron_newton_candidate_never_falls_below_the_iterate():
     assert result.ordering_ok and result.min_increment == 0.0
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(
     res=st.sampled_from([2, 3]),
     b=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) <= 1.0),
     c=st.floats(-1.0, 1.0),
     margins=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
 )
+# a far lower end: the first certified step leaves a node residual of -1.04e-8
+# at tol 1e-8 (its forward-difference Jacobian), and a second one converges
+@example(res=2, b=(0.0, 0.548828125, 0.7962633132044608), c=0.96875, margins=(1.625, 0.0))
 def test_perron_newton_keeps_the_certificates(res, b, c, margins):
     # u - lap u = b.x + c has the solution b.x/3 + c; constants at or beyond
     # |b| + |c| are a sub- and a supersolution
@@ -711,8 +714,9 @@ def test_perron_newton_keeps_the_certificates(res, b, c, margins):
     )
     assert result.converged and result.ordering_ok
     assert result.min_increment >= 0.0
-    # one certified step solves it, unless the bracket's lower end already does
-    assert result.newton_steps == 1 or result.sweeps == 1
+    # every step is a certified Newton step: the outer steps are those and the
+    # converged check, none of them a nodewise sweep
+    assert result.sweeps == result.newton_steps + 1
     fixed, _ = solve_fixed_point(G, grid, tol=tol)
     assert np.max(np.abs(result.solution.values - fixed.values)) <= 2.0 * tol
 
