@@ -17,6 +17,10 @@ equals ``2 ell (<X(ell), X'(ell)> - <X(0), X'(0)>)`` where X is the Jacobi
 field with X(0) = v, X(ell) = w; the same number equals ``2 ell I(X, X)``
 with the index form I.  Both routes are implemented and cross-checked in
 the tests.
+
+The sign-condition, curvature-bound and index-minimality checks return the
+operators' ``CheckReport``, their extra numbers in its ``extra``, and
+serialize through its one ``to_dict``; a NaN sample fails each of them.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .manifolds import (
     _rowwise_dot,
     operator_norms,
 )
+from .operators import CheckReport
 
 DEFAULT_GRID = 2048
 
@@ -310,28 +315,6 @@ def _bump_margins(seg: GeodesicSegment, fld: VectorFieldAlongSegment, amps) -> n
     return 2.0 * np.einsum("jki,ki->j", amps, cross) + bump
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
-    model: dict
-    trials: int
-    jacobi_value: float
-    min_margin: float
-    parallel_margin: float | None
-    tolerance: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "samples": self.trials,
-            "max_violation": max(0.0, -self.min_margin),
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "jacobi_value": self.jacobi_value,
-            "parallel_margin": self.parallel_margin,
-        }
-
-
 def index_minimality_check(
     seg: GeodesicSegment,
     v: TangentVector,
@@ -340,7 +323,7 @@ def index_minimality_check(
     seed: int = 0,
     amplitude: float = 0.5,
     tolerance: float = 1e-8,
-) -> MinimalityReport:
+) -> CheckReport:
     """Compare I(X, X) of the Jacobi BVP solution against competitor fields.
 
     Competitors share the boundary values: X + B_j with B_j a sum of the
@@ -360,18 +343,20 @@ def index_minimality_check(
     x_field = solve_jacobi_bvp(seg, v, w)
     i_x = index_form(seg, x_field)
     amps = amplitude * rng.standard_normal((n_trials, 4, seg.model.dim))
-    min_margin = float(np.min(_bump_margins(seg, x_field, amps)))
+    margins = _bump_margins(seg, x_field, amps)
     parallel_margin = None
     lv = seg.model.parallel_transport(seg.start, seg.end, v)
     if np.linalg.norm(lv.components - w.components) <= 1e-12 * max(
         1.0, float(np.linalg.norm(w.components))
     ):
         parallel_margin = index_form(seg, parallel_field(seg, v)) - i_x
-        min_margin = min(min_margin, parallel_margin)
-    passed = min_margin >= -tolerance
-    return MinimalityReport(
-        seg.model.config(), n_trials, i_x, float(min_margin), parallel_margin,
-        tolerance, passed,
+        margins = np.append(margins, parallel_margin)
+    violation = float(np.max(-margins, initial=0.0))  # NaN if any margin is NaN
+    return CheckReport(
+        "index_minimality", seg.model.config(), n_trials, violation, tolerance,
+        violation <= tolerance,
+        {"jacobi_value": i_x, "min_margin": float(np.min(margins)),
+         "parallel_margin": parallel_margin},
     )
 
 
@@ -662,35 +647,13 @@ def parallel_pair_sweep(
     return lengths, values, vnorms
 
 
-@dataclass(frozen=True)
-class SignConditionReport:
-    model: dict
-    samples: int
-    max_value: float
-    min_value: float
-    max_violation: float
-    tolerance: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "max_value": self.max_value,
-            "min_value": self.min_value,
-        }
-
-
 def check_sign_condition(
     m: Manifold,
     n_samples: int,
     seed: int = 0,
     ell_range: tuple[float, float] = (0.05, 3.0),
     tolerance: float = 1e-8,
-) -> SignConditionReport:
+) -> CheckReport:
     """Sweep d^2(d^2)(v, L_xy v) and test its sign against the curvature sign.
 
     Nonnegative curvature must give values <= tol; nonpositive curvature
@@ -701,35 +664,12 @@ def check_sign_condition(
     if sign is None:
         raise UnsupportedModelError("sign sweep needs a curvature-sign-definite model")
     _, _, values, _ = _pair_sweep(m, n_samples, seed, ell_range, unit_normal=False)
-    max_v, min_v = float(values.max()), float(values.min())
-    violation = 0.0
-    if sign >= 0.0:
-        violation = max(violation, max_v)
-    if sign <= 0.0:
-        violation = max(violation, -min_v)
-    return SignConditionReport(
-        m.config(), n_samples, max_v, min_v, violation, tolerance, violation <= tolerance
+    signed = values if sign > 0.0 else -values if sign < 0.0 else np.abs(values)
+    violation = float(np.max(signed, initial=0.0))  # NaN if any value is NaN
+    return CheckReport(
+        "sign_condition", m.config(), n_samples, violation, tolerance, violation <= tolerance,
+        {"max_value": float(values.max()), "min_value": float(values.min())},
     )
-
-
-@dataclass(frozen=True)
-class CurvatureBoundReport:
-    model: dict
-    k0: float
-    samples: int
-    max_violation: float
-    tolerance: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "k0": self.k0,
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def check_curvature_bound(
@@ -739,7 +679,7 @@ def check_curvature_bound(
     seed: int = 0,
     ell_range: tuple[float, float] = (0.05, 3.0),
     tolerance: float = 1e-8,
-) -> CurvatureBoundReport:
+) -> CheckReport:
     """Check d^2(d^2)(v, L_xy v) <= 2 K0 d^2 |v|^2 for curvature >= -K0.
 
     d is the drawn length and v a random tangent vector; samples and
@@ -751,7 +691,8 @@ def check_curvature_bound(
         raise PreconditionError("model curvature is below -K0")
     draws, _, values, _ = _pair_sweep(m, n_samples, seed, ell_range, unit_normal=False)
     bounds = 2.0 * k0 * draws.ells * draws.ells * m.inner_stack(draws.vs, draws.vs)
-    worst = float(np.max(values - bounds))
-    return CurvatureBoundReport(
-        m.config(), k0, n_samples, max(0.0, worst), tolerance, worst <= tolerance
+    violation = float(np.max(values - bounds, initial=0.0))  # NaN if any value is NaN
+    return CheckReport(
+        "curvature_bound", m.config(), n_samples, violation, tolerance, violation <= tolerance,
+        {"k0": k0},
     )

@@ -15,6 +15,10 @@ one call (``transport_matrices``), as zeta T and T^T A T, and one batch
 call evaluates the sweep.  Estimated moduli are never certificates; pass
 thresholds belong to the test configuration, not the library.
 
+Every report that writes JSON (``CheckReport``, also returned by the
+Jacobi checks, the modulus tables and the solver's reports) writes it
+through the one ``Verdict.to_dict``.
+
 Note on the positive determinant: ``detplus`` is the literal product of
 the nonnegative eigenvalues (empty product = 1).  That function is not
 monotone in the semidefinite order, so the shipped ``neg_detplus``
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -466,28 +470,41 @@ def from_config(cfg: dict) -> OperatorSpec:
 # structural checks
 # --------------------------------------------------------------------- #
 
+UNWRITTEN = {"unwritten": True}  # field metadata: ``Verdict.to_dict`` leaves it out
+
+
+class Verdict:
+    """A dataclass result with one JSON shape.
+
+    ``to_dict`` writes the fields in declaration order, ``passed`` as
+    ``pass`` and arrays as lists, merges a field ``extra`` in, and leaves
+    out every field whose metadata is ``UNWRITTEN``: a check's ``name`` (the
+    key its caller writes it under), a wall time or a solution.
+    """
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            if f.metadata.get("unwritten"):
+                continue
+            value = getattr(self, f.name)
+            if f.name == "extra":
+                out.update(value or {})
+            else:
+                out["pass" if f.name == "passed" else f.name] = (
+                    value.tolist() if isinstance(value, np.ndarray) else value)
+        return out
+
+
 @dataclass(frozen=True)
-class CheckReport:
-    name: str
+class CheckReport(Verdict):
+    name: str = field(metadata=UNWRITTEN)
     model: dict
     samples: int
     max_violation: float
     tolerance: float
     passed: bool
     extra: dict | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "model": self.model,
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
-        if self.extra:
-            out.update(self.extra)
-        return out
 
 
 def _default_model(model):
@@ -632,21 +649,12 @@ def invariance_check(
 
 
 @dataclass(frozen=True)
-class ModulusTable:
-    name: str
+class ModulusTable(Verdict):
+    name: str = field(metadata=UNWRITTEN)
     bins: np.ndarray
     values: np.ndarray
     tolerance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bins": self.bins.tolist(),
-            "values": self.values.tolist(),
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def intrinsic_modulus_estimate(
@@ -692,23 +700,13 @@ def intrinsic_modulus_estimate(
 
 
 @dataclass(frozen=True)
-class TwoFlatTable:
-    name: str
+class TwoFlatTable(Verdict):
+    name: str = field(metadata=UNWRITTEN)
     deltas: np.ndarray
     d_bins: np.ndarray
     values: np.ndarray
     tolerance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "deltas": self.deltas.tolist(),
-            "d_bins": self.d_bins.tolist(),
-            "values": self.values.tolist(),
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
 
 
 def twoflat_modulus_estimate(

@@ -55,6 +55,10 @@ Ortega-Rheinboldt 13.3).  The first refusal (the certificate misses, the
 Krylov solve misses, the grid has no hierarchy, or the operator refuses an
 evaluation) hands the rest of the call to the nodewise sweep; a refusal at
 the first step leaves the call bit for bit the sweep alone.
+
+``SolveReport``, ``PerronResult`` and ``ViscosityReport`` serialize through
+the operators' one ``Verdict.to_dict``, which leaves out the wall time and
+the Perron solution.
 """
 
 from __future__ import annotations
@@ -71,7 +75,9 @@ from .errors import DivergenceError, PreconditionError
 from .grids import Grid, GridFunction
 from .manifolds import Point, Sphere
 from .multigrid import VCycle, bicgstab
-from .operators import OperatorSpec, ScalarField, scalar_term, sum_of, yamabe
+from .operators import (
+    UNWRITTEN, OperatorSpec, ScalarField, Verdict, scalar_term, sum_of, yamabe,
+)
 
 DEFAULT_MAX_ITER = 100_000
 _THETA_REFRESH = 200
@@ -179,34 +185,23 @@ def discrete_residual(F: OperatorSpec, grid: Grid, u: GridFunction) -> np.ndarra
 # --------------------------------------------------------------------- #
 
 @dataclass
-class SolveReport:
+class SolveReport(Verdict):
     iterations: int
     final_residual: float
     tolerance: float
     converged: bool
     theta: float
-    wall_time: float
+    # left out of to_dict, so reports are byte-identical across equal runs
+    wall_time: float = field(metadata=UNWRITTEN)
     residual_history: np.ndarray = field(repr=False)
     method: str = "sweep"  # "newton" or "sweep": the path that produced u
     krylov_iterations: int = 0  # BiCGSTAB iterations of the Newton steps taken
 
     def to_dict(self) -> dict:
-        # wall time is left out so serialized reports are byte-identical
-        # across runs with the same config and seed; a Newton history (at
-        # most 31 residuals) is written whole, a sweep's every 50th entry
-        history = self.residual_history
+        out = super().to_dict()  # a Newton history, at most 31 residuals, whole
         if self.method == "sweep":
-            history = history[::50]
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "krylov_iterations": self.krylov_iterations,
-            "final_residual": self.final_residual,
-            "tolerance": self.tolerance,
-            "converged": self.converged,
-            "theta": self.theta,
-            "residual_history": history.tolist(),
-        }
+            out["residual_history"] = self.residual_history[::50].tolist()
+        return out
 
 
 # --------------------------------------------------------------------- #
@@ -484,24 +479,14 @@ def solve_dirichlet(
 # --------------------------------------------------------------------- #
 
 @dataclass
-class PerronResult:
-    solution: GridFunction
+class PerronResult(Verdict):
+    solution: GridFunction = field(metadata=UNWRITTEN)
     sweeps: int  # outer steps, Newton steps included; the converged check counts
     final_residual: float
     min_increment: float
     ordering_ok: bool
     converged: bool
     newton_steps: int = 0  # certified Newton steps among the sweeps
-
-    def to_dict(self) -> dict:
-        return {
-            "sweeps": self.sweeps,
-            "newton_steps": self.newton_steps,
-            "final_residual": self.final_residual,
-            "min_increment": self.min_increment,
-            "ordering_ok": self.ordering_ok,
-            "converged": self.converged,
-        }
 
 
 def _nodewise_solve(F, ctx, w, base, centers, f0, tol):
@@ -631,23 +616,13 @@ def perron_iterate(
 # --------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class ViscosityReport:
+class ViscosityReport(Verdict):
     max_sub_violation: float
     max_super_violation: float
     sub_witness: int
     super_witness: int
     threshold: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "max_sub_violation": self.max_sub_violation,
-            "max_super_violation": self.max_super_violation,
-            "sub_witness": self.sub_witness,
-            "super_witness": self.super_witness,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
 
 
 def verify_viscosity_residual(F: OperatorSpec, grid: Grid, u: GridFunction) -> ViscosityReport:

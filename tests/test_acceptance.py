@@ -176,7 +176,7 @@ def test_criterion_04_index_minimality():
             v = model.random_tangent(rng, seg.start)
             w = model.random_tangent(rng, seg.end)
             report = index_minimality_check(seg, v, w, n_trials=50, seed=1000 + s)
-            worst = min(worst, report.min_margin)
+            worst = min(worst, report.extra["min_margin"])
     ok = worst >= -1e-8
     assert verdict("04 index-minimality", ok, f"min margin={worst:.2e}")
 

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -329,6 +330,56 @@ def test_locate_is_the_reference_descent(radius, res, monkeypatch):
     for pts in mesh_points(locator, radius, res).values():
         locator.locate(pts)
     assert len(checked) == 2 * len(grid.dirs) + 4
+
+
+def cut_plane_points(radius, res, seed, per_level=32):
+    """Points a few ulps off the corner-child cut planes of every level of the
+    descent: ``zeros`` have a side of exactly 0.0 as the descent sums it,
+    ``(x + z) + y``; ``splits`` a side whose sign that order and ``x + y + z``
+    disagree on.  Each starts on the arc between a corner child's two pushed
+    midpoints, inside the parent face, and steps by ulps in x, y and z."""
+    verts, levels, _ = icosphere(res)
+    coords = verts * radius
+    rng = np.random.default_rng(seed)
+    steps = np.array(list(itertools.product(range(-3, 4), repeat=3)))
+    zeros, splits = [], []
+    for children in levels[1:]:
+        corner = children.reshape(-1, 4, 3)[:, :3]
+        for f, k, t in zip(rng.integers(len(corner), size=per_level),
+                           rng.integers(3, size=per_level), rng.uniform(0.2, 0.8, per_level)):
+            m1, m2 = coords[corner[f, k, 1:]]
+            n = np.cross(m1, m2)
+            q = (1.0 - t) * m1 + t * m2
+            q *= radius / np.linalg.norm(q)
+            qs = q + steps * np.spacing(q)
+            descent = (n[0] * qs[:, 0] + n[2] * qs[:, 2]) + n[1] * qs[:, 1]
+            xyz = (n[0] * qs[:, 0] + n[1] * qs[:, 1]) + n[2] * qs[:, 2]
+            zeros += [qs[i] for i in np.flatnonzero(descent == 0.0)[:1]]
+            splits += [qs[i] for i in np.flatnonzero((descent > 0.0) != (xyz > 0.0))[:1]]
+    return np.array(zeros), np.array(splits)
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("res", [1, 2, 3, 4])
+def test_locate_keeps_the_reference_tie_rules(radius, res):
+    # a side of exactly 0.0 takes the centre child, and each side is summed
+    # in einsum's order; the origin ties every side at every level.  On the
+    # sphere both faces of a tied side contain the point and the ring
+    # fallback hides the descent's choice, so the points are also taken 2^40
+    # times: every product and sum scales exactly, so every tie stays, and
+    # the barycentrics' roundoff passes the -1e-10 containment floor, so a
+    # point can lie in no face, and locate returns the descended face's
+    # barycentrics
+    zeros, splits = cut_plane_points(radius, res, seed=res)
+    assert len(zeros) >= 8 * res and len(splits) >= 4
+    pts = np.concatenate([zeros, splits, np.zeros((1, 3))])
+    pts = np.concatenate([pts, pts * 2.0**40])
+    locator = sphere_locator(radius, res)
+    face, bary = locator.locate(pts)
+    ref_face, ref_bary = _reference_locate(locator, reference_cuts(radius, res), pts)
+    assert face.tobytes() == ref_face.tobytes()
+    assert bary.tobytes() == ref_bary.tobytes()
+    assert np.all(face[: len(pts) // 2] >= 0)
 
 
 def test_point_in_no_face_is_a_precondition_error():

@@ -384,8 +384,8 @@ def test_minimality_parallel_competitor_sphere():
     v = seg.vector_at_start([0.0, 1.0])
     w = m.parallel_transport(seg.start, seg.end, v)
     report = index_minimality_check(seg, v, w, n_trials=5, seed=1)
-    assert report.jacobi_value == pytest.approx(-2.0, abs=1e-9)
-    assert report.parallel_margin == pytest.approx(-math.pi / 2 + 2.0, abs=1e-9)
+    assert report.extra["jacobi_value"] == pytest.approx(-2.0, abs=1e-9)
+    assert report.extra["parallel_margin"] == pytest.approx(-math.pi / 2 + 2.0, abs=1e-9)
     assert report.passed
 
 
@@ -412,7 +412,7 @@ def test_minimality_flat_margins_match_the_closed_form():
     amps = 0.7 * np.random.default_rng(8).standard_normal((30, 4, 3))
     freq = np.arange(1, 5) * math.pi / seg.length
     exact = 0.5 * seg.length * np.einsum("k,jki,jki->j", freq**2, amps, amps)
-    assert report.min_margin == pytest.approx(float(exact.min()), rel=1e-12)
+    assert report.extra["min_margin"] == pytest.approx(float(exact.min()), rel=1e-12)
     margins = _bump_margins(seg, solve_jacobi_bvp(seg, v, w), amps)
     assert np.allclose(margins, exact, rtol=1e-12, atol=0.0)
 
@@ -527,9 +527,9 @@ def test_two_endpoint_samples_and_stacked_margins_match_the_loops(model, seed, c
     )
     report = index_minimality_check(seg, v, w, n_trials, seed=trial_seed)
     expected, _ = min(loops[0])
-    if report.parallel_margin is not None:
-        expected = min(expected, report.parallel_margin)
-    assert abs(report.min_margin - expected) <= max(tol for _, tol in loops[0])
+    if report.extra["parallel_margin"] is not None:
+        expected = min(expected, report.extra["parallel_margin"])
+    assert abs(report.extra["min_margin"] - expected) <= max(tol for _, tol in loops[0])
     assert report.passed
 
 
@@ -828,26 +828,26 @@ def test_hessian_stack_refuses_coincident_and_distant_pairs(model):
 def test_sign_condition_sphere_nonpositive_values():
     report = check_sign_condition(Sphere(2, 1.0), 500, seed=2, ell_range=(0.05, 2.8))
     assert report.passed
-    assert report.max_value <= 1e-8
+    assert report.extra["max_value"] <= 1e-8
 
 
 def test_sign_condition_flat_models():
     for model in [Euclidean(2), FlatTorus([1.0, 1.0])]:
         report = check_sign_condition(model, 300, seed=4)
         assert report.passed
-        assert -1e-8 <= report.min_value and report.max_value <= 1e-8
+        assert -1e-8 <= report.extra["min_value"] and report.extra["max_value"] <= 1e-8
 
 
 def test_sign_condition_hyperbolic_nonnegative_values():
     report = check_sign_condition(Hyperbolic(2, 1.0), 500, seed=6)
     assert report.passed
-    assert report.min_value >= -1e-8
+    assert report.extra["min_value"] >= -1e-8
 
 
 def test_sign_condition_product_nonneg_curvature():
     report = check_sign_condition(Product([Sphere(2, 1.0), Euclidean(1)]), 200, seed=8)
     assert report.passed
-    assert report.max_value <= 1e-8
+    assert report.extra["max_value"] <= 1e-8
 
 
 def test_sign_report_carries_its_violation(monkeypatch):
@@ -856,14 +856,45 @@ def test_sign_report_carries_its_violation(monkeypatch):
     m = Sphere(2, 1.0)
     report = check_sign_condition(m, 200, seed=8)
     assert report.model == m.config()
-    assert report.max_violation == max(0.0, report.max_value)
+    assert report.max_violation == max(0.0, report.extra["max_value"])
     # claimed the wrong sign, the sphere's negative values are the violation
     monkeypatch.setattr(jacobi, "curvature_sign", lambda model: -1.0)
     wrong = check_sign_condition(m, 200, seed=8)
-    assert wrong.max_violation == -wrong.min_value > 0.0
+    assert wrong.max_violation == -wrong.extra["min_value"] > 0.0
     assert not wrong.passed
     d = wrong.to_dict()
     assert (d["model"], d["max_violation"]) == (m.config(), wrong.max_violation)
+
+
+def test_a_nan_sample_fails_every_jacobi_check(monkeypatch):
+    # one NaN value among the sweep's or the competitors' samples is a violation
+    import riemvisc.jacobi as jacobi
+
+    sweep, margins = jacobi._pair_sweep, jacobi._bump_margins
+
+    def nan_sweep(*args, **kwargs):
+        draws, lengths, values, vnorms = sweep(*args, **kwargs)
+        values = values.copy()
+        values[len(values) // 2] = math.nan
+        return draws, lengths, values, vnorms
+
+    def nan_margins(*args):
+        out = margins(*args).copy()
+        out[0] = math.nan
+        return out
+
+    monkeypatch.setattr(jacobi, "_pair_sweep", nan_sweep)
+    monkeypatch.setattr(jacobi, "_bump_margins", nan_margins)
+    m, seg = pole_equator_segment()
+    v = seg.vector_at_start([0.0, 1.0])
+    reports = [
+        check_sign_condition(m, 200, seed=8),
+        check_curvature_bound(Hyperbolic(2, 1.0), 1.0, 200, seed=8),
+        index_minimality_check(seg, v, m.parallel_transport(seg.start, seg.end, v), 5, seed=1),
+    ]
+    for report in reports:
+        assert math.isnan(report.max_violation) and report.passed is False, report
+        assert math.isnan(report.to_dict()["max_violation"])
 
 
 def test_curvature_bound_hyperbolic():
@@ -1043,7 +1074,7 @@ def test_batched_pair_sweep_matches_reference_loop(model, seed, n_samples, hi, u
     assert np.all(np.abs(values - value) <= tol)
     assert np.all(np.abs(vnorms - vnorm) <= 1e-12 * np.maximum(1.0, vnorm) * conditioning)
     sign = check_sign_condition(model, n_samples, seed, ell_range)
-    assert (sign.max_value, sign.min_value) == (values.max(), values.min())
+    assert (sign.extra["max_value"], sign.extra["min_value"]) == (values.max(), values.min())
     k0 = max(1.0, -curvature_floor(model))
     bound = check_curvature_bound(model, k0, n_samples, seed, ell_range)
     excess = [

@@ -806,15 +806,6 @@ def test_star_kernel_is_the_per_candidate_loop_per_pair(
                 check_P_leq_LQ(model, x, y, p, q, slack_rhs=slack[i])[1] for p, q in expected]
 
 
-def test_sign_report_serialization_keys():
-    from riemvisc.jacobi import check_sign_condition
-
-    report = check_sign_condition(Sphere(2, 1.0), 50, seed=3, ell_range=(0.1, 2.0))
-    d = report.to_dict()
-    assert set(d) >= {"model", "samples", "max_violation", "tolerance", "pass"}
-    assert "_violation" not in d["model"]
-
-
 def test_p_leq_lq_on_sphere_candidates():
     m, x, y, a_alpha = sphere_hessian_pair(alpha=2.0)
     eps = canonical_epsilon(a_alpha)

@@ -1,5 +1,6 @@
 """Operator catalog: evaluation, flags, and structural sweeps."""
 
+import json
 import math
 from unittest import mock
 
@@ -9,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Product, Sphere, operators
 from riemvisc.errors import PreconditionError
-from riemvisc.grids import build_grid
-from riemvisc.jacobi import _space_forms
+from riemvisc.grids import GridFunction, build_grid
+from riemvisc.jacobi import (
+    _space_forms, check_curvature_bound, check_sign_condition, index_minimality_check,
+)
 from riemvisc.operators import (
     CheckReport,
     OperatorSpec,
@@ -37,6 +40,7 @@ from riemvisc.operators import (
     twoflat_modulus_estimate,
     yamabe,
 )
+from riemvisc.solver import perron_iterate, solve_fixed_point, verify_viscosity_residual
 
 from generator_doubles import Recordings, Replay, replays, rows_of
 
@@ -421,12 +425,103 @@ def test_malformed_modulus_tables_are_precondition_errors(sweep, kwargs, message
         sweep(neg_trace(), SPHERE, n_samples=10, **kwargs)
 
 
-def test_report_serialization():
-    report = ellipticity_check(neg_trace(), 100, seed=17)
-    d = report.to_dict()
-    assert set(d) >= {"model", "samples", "max_violation", "tolerance", "pass"}
-    table = intrinsic_modulus_estimate(neg_trace(), SPHERE, n_samples=100, seed=18)
-    assert "values" in table.to_dict()
+# --------------------------------------------------------------------- #
+# one serialization: every verdict writes through Verdict.to_dict
+# --------------------------------------------------------------------- #
+
+CHECK_KEYS = {"model", "samples", "max_violation", "tolerance", "pass"}
+SOLVE_KEYS = {"method", "iterations", "krylov_iterations", "final_residual", "tolerance",
+              "converged", "theta", "residual_history"}
+LINEAR_A = np.array([0.36, 0.48, 0.8])
+
+
+def _linear_source():
+    return source(ScalarField(lambda p: float(LINEAR_A @ p.coords)))
+
+
+def _minimality_report():
+    m = Sphere(2, 1.0)
+    seg = m.geodesic_segment(m.point([0.0, 0.0, 1.0]), m.point([1.0, 0.0, 0.0]))
+    v = seg.vector_at_start([0.0, 1.0])
+    return index_minimality_check(seg, v, m.parallel_transport(seg.start, seg.end, v), 5, seed=1)
+
+
+def _solve_report(operator):
+    return solve_fixed_point(sum_of(operator, _linear_source()), build_grid(SPHERE, 3), tol=1e-8)
+
+
+def _perron_result():
+    grid = build_grid(SPHERE, 3)
+    return perron_iterate(
+        sum_of(scalar_term(1.0), neg_trace(), constant(-2.0)), grid,
+        GridFunction.constant(grid, 0.0), GridFunction.constant(grid, 10.0), tol=1e-8,
+    )
+
+
+def _viscosity_report():
+    grid = build_grid(SPHERE, 3)
+    u = GridFunction(grid, grid.coords @ LINEAR_A / 3.0)  # solves u - lap u = a.x
+    return verify_viscosity_residual(sum_of(scalar_term(1.0), neg_trace(), _linear_source()),
+                                     grid, u)
+
+
+def _check_keys(check=lambda r, d: True):
+    return lambda r, d: set(d) >= CHECK_KEYS and check(r, d)
+
+
+def _solved_by(method):
+    # the history each method writes is test_solver's
+    return lambda r, d: set(d) == SOLVE_KEYS and d["method"] == r.method == method
+
+
+# id, the verdict's producer, and the row's own check of (verdict, dict)
+VERDICTS = [
+    ("ellipticity", lambda: ellipticity_check(neg_trace(), 100, seed=17), _check_keys()),
+    ("ellipticity_witness", lambda: ellipticity_check(literal_neg_detplus(), 200, seed=3),
+     _check_keys(lambda r, d: d["witness"]["A_eigs"] == r.extra["witness"]["A_eigs"])),
+    ("monotonicity", lambda: monotonicity_estimate(neg_trace(), (-1.0, 1.0), 100, seed=4)[1],
+     _check_keys(lambda r, d: d["gamma_hat"] == r.extra["gamma_hat"])),
+    ("invariance", lambda: invariance_check(neg_trace(), SPHERE, 100, seed=5), _check_keys()),
+    ("sign_condition",
+     lambda: check_sign_condition(Sphere(2, 1.0), 50, seed=3, ell_range=(0.1, 2.0)),
+     lambda r, d: d["model"] == r.model and "_violation" not in d["model"]
+     and set(d) == CHECK_KEYS | {"max_value", "min_value"}),
+    ("curvature_bound", lambda: check_curvature_bound(Hyperbolic(2, 1.0), 1.0, 50, seed=3),
+     lambda r, d: set(d) == CHECK_KEYS | {"k0"} and d["k0"] == 1.0),
+    ("index_minimality", _minimality_report,
+     _check_keys(lambda r, d: d["parallel_margin"] is not None
+                 and d["max_violation"] == max(0.0, -d["min_margin"]))),
+    ("intrinsic_modulus",
+     lambda: intrinsic_modulus_estimate(neg_trace(), SPHERE, n_samples=100, seed=18),
+     lambda r, d: set(d) == {"bins", "values", "tolerance", "pass"}
+     and d["values"] == r.values.tolist()),
+    ("twoflat_modulus",
+     lambda: twoflat_modulus_estimate(neg_trace(), SPHERE, n_samples=100, seed=19),
+     lambda r, d: set(d) == {"deltas", "d_bins", "values", "tolerance", "pass"}
+     and d["values"] == r.values.tolist()),
+    ("solve_newton", lambda: _solve_report(neg_trace())[1], _solved_by("newton")),
+    ("solve_sweep", lambda: _solve_report(neg_min_eigenvalue())[1], _solved_by("sweep")),
+    ("perron", _perron_result,
+     lambda r, d: d["newton_steps"] == r.newton_steps == 1 and d["sweeps"] == 2
+     and d["converged"] is True),
+    ("viscosity", _viscosity_report,
+     lambda r, d: set(d) == {"max_sub_violation", "max_super_violation", "sub_witness",
+                             "super_witness", "threshold", "pass"}),
+]
+
+
+@pytest.mark.parametrize("producer, check", [row[1:] for row in VERDICTS],
+                         ids=[row[0] for row in VERDICTS])
+def test_every_verdict_writes_one_json_shape(producer, check):
+    obj = producer()
+    d = obj.to_dict()
+    assert json.loads(json.dumps(d)) == d
+    assert not {"passed", "name", "wall_time", "solution", "extra"} & set(d)
+    if hasattr(obj, "passed"):
+        assert d["pass"] is obj.passed
+    for key, value in (getattr(obj, "extra", None) or {}).items():
+        assert d[key] == value
+    assert check(obj, d), d
 
 
 # --------------------------------------------------------------------- #

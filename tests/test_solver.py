@@ -2,7 +2,6 @@
 
 import dataclasses
 import functools
-import json
 import math
 import subprocess
 import sys
@@ -735,18 +734,6 @@ def test_perron_cubic_trace_stall_is_refused_newton():
     assert result.converged is False and result.newton_steps == 0
     assert result.sweeps == 50 and result.final_residual > 100.0
     assert result.ordering_ok and result.min_increment == 0.0
-
-
-def test_perron_result_to_dict_counts_newton_steps():
-    grid = build_grid(SPHERE, 3)
-    result = perron_iterate(
-        full_equation_rhs_2(), grid, GridFunction.constant(grid, 0.0),
-        GridFunction.constant(grid, 10.0), tol=1e-8,
-    )
-    out = result.to_dict()
-    assert out["newton_steps"] == result.newton_steps == 1
-    assert out["sweeps"] == 2 and out["converged"] is True
-    assert json.loads(json.dumps(out)) == out
 
 
 def test_perron_rejects_bad_brackets():
