@@ -15,6 +15,15 @@ one call (``transport_matrices``), as zeta T and T^T A T, and one batch
 call evaluates the sweep.  Estimated moduli are never certificates; pass
 thresholds belong to the test configuration, not the library.
 
+The spectral evaluators (``neg_min_eigenvalue``, ``detplus_pospart`` and
+so ``neg_detplus``, ``example_5_3``) take their eigenvalues from one
+kernel, ``_spectra``: a stack of 2 x 2 matrices is solved in closed form,
+``m -/+ hypot(d, b)`` with ``m = a/2 + c/2``, ``d = a/2 - c/2``, within
+4 eps |A|_2 of LAPACK and with no LAPACK call; any other n (a product
+model's 4) is one ``np.linalg.eigvalsh`` call.  A matrix with a
+non-finite entry gets NaN from ``detplus``, ``detplus_pospart`` and
+``neg_min_eigenvalue``, for every n.
+
 Every report that writes JSON (``CheckReport``, also returned by the
 Jacobi checks, the modulus tables and the solver's reports) writes it
 through the one ``Verdict.to_dict``.
@@ -160,13 +169,47 @@ def evaluate(
 # matrix functions
 # --------------------------------------------------------------------- #
 
+def _spectra(mats) -> np.ndarray:
+    """Ascending eigenvalues of one symmetric matrix or a stack of them (the
+    last two axes), read from the lower triangle as ``np.linalg.eigvalsh``
+    reads it.
+
+    2 x 2 ``[[a, b], [b, c]]``: the closed form ``m -/+ hypot(d, b)`` with
+    ``m = a/2 + c/2`` and ``d = a/2 - c/2``, halved before adding so that no
+    step overflows unless an eigenvalue does; within 4 eps |A|_2 of LAPACK,
+    and the sorted diagonal, exactly, when b = 0.  Any other size is one
+    ``eigvalsh`` call.  A matrix with a non-finite entry, in either
+    triangle, gets NaN eigenvalues.
+    """
+    mats = np.asarray(mats, float)
+    bad = None
+    if not np.isfinite(mats).all():
+        bad = ~np.isfinite(mats).all(axis=(-2, -1))
+        mats = np.where(bad[..., None, None], 0.0, mats)
+    if mats.shape[-2:] == (2, 2):
+        a, b, c = mats[..., 0, 0] / 2, mats[..., 1, 0], mats[..., 1, 1] / 2
+        m, r = a + c, np.hypot(a - c, b)
+        eig = np.stack([m - r, m + r], axis=-1)
+        diag = b == 0.0
+        if diag.any():
+            eig[diag] = np.sort(np.diagonal(mats, axis1=-2, axis2=-1)[diag], axis=-1)
+    else:
+        eig = np.linalg.eigvalsh(mats)
+    if bad is not None:
+        eig[bad] = np.nan
+    return eig
+
+
 def detplus(a) -> float:
-    """Product of the nonnegative eigenvalues; empty product is 1.
+    """Product of the nonnegative eigenvalues; empty product is 1; NaN for
+    a matrix with a non-finite entry.
 
     This is the literal convention (chosen for multiplicativity); it is
     *not* monotone in the semidefinite order, see module docstring.
     """
     mat = a.matrix if isinstance(a, SymBilinear) else np.asarray(a, float)
+    if not np.isfinite(mat).all():
+        return math.nan
     eig = np.linalg.eigvalsh(mat)
     keep = eig[eig >= 0.0]
     return float(np.prod(keep)) if keep.size else 1.0
@@ -178,7 +221,7 @@ def detplus_pospart(a):
     Takes one symmetric matrix or a stack of them (the last two axes).
     """
     mat = a.matrix if isinstance(a, SymBilinear) else np.asarray(a, float)
-    return np.prod(np.maximum(np.linalg.eigvalsh(mat), 0.0), axis=-1)
+    return np.prod(np.maximum(_spectra(mat), 0.0), axis=-1)
 
 
 def _trace(As):
@@ -212,7 +255,7 @@ def neg_detplus() -> OperatorSpec:
 def neg_min_eigenvalue() -> OperatorSpec:
     return OperatorSpec(
         "neg_min_eigenvalue",
-        lambda ctx, rs, zs, As: -np.linalg.eigvalsh(As)[:, 0],
+        lambda ctx, rs, zs, As: -_spectra(As)[:, 0],
         degenerate_elliptic=True,
         proper=True,
     )
@@ -376,7 +419,7 @@ def example_5_3(f, g, p: int = 1, q: int = 0, r_exp: int = 1, k: int = 0) -> Ope
         nz = np.linalg.norm(zs, axis=1)
         first = (
             rs
-            - np.linalg.eigvalsh(As)[:, 0] * nz**p
+            - _spectra(As)[:, 0] * nz**p
             - _trace(As) ** (2 * q + 1) * nz**r_exp
             - detplus_pospart(As) ** (2 * k + 1) * ctx["f"] ** 2
         )
@@ -585,7 +628,7 @@ def ellipticity_check(
     if not passed:
         # the first sample attaining the maximum, or the first NaN
         i = int(np.argmax(gaps))
-        extra = {"witness": {"r": float(rs[i]), "A_eigs": np.linalg.eigvalsh(a[i]).tolist()}}
+        extra = {"witness": {"r": float(rs[i]), "A_eigs": _spectra(a[i]).tolist()}}
     return CheckReport(
         f"ellipticity:{F.name}", m.config(), n_samples, worst, tolerance, passed, extra
     )
@@ -737,7 +780,7 @@ def twoflat_modulus_estimate(
     sample_deltas = deltas[np.arange(n_samples) % len(deltas)]
     xs, ys = m.pairs_from_draws(raw_x, raw_d, dists)
     zs, q, bump = zs * 2.0, _symmetric(raw_q), _symmetric(raw_b, scale=1.0)
-    bump -= (np.linalg.eigvalsh(bump)[:, -1] - sample_deltas * shifts)[:, None, None] * np.eye(n)
+    bump -= (_spectra(bump)[:, -1] - sample_deltas * shifts)[:, None, None] * np.eye(n)
     # T moves zeta from x to y; its transpose carries Q back from y to x
     ts = m.transport_matrices(xs, ys)
     back_q = symmetrized_forms(ts @ q @ np.swapaxes(ts, 1, 2))

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from riemvisc import Euclidean, FlatTorus, Hyperbolic, Point, Product, Sphere, operators
 from riemvisc.errors import PreconditionError
@@ -94,6 +94,127 @@ def test_detplus_conventions():
     assert detplus(np.diag([-1.0, -2.0])) == pytest.approx(1.0)  # empty product
     assert detplus_pospart(np.diag([2.0, 3.0])) == pytest.approx(6.0)
     assert detplus_pospart(np.diag([2.0, -3.0])) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("entry", [(0, 0, math.nan), (0, 0, math.inf), (0, 0, -math.inf),
+                                   (0, -1, math.nan)])
+def test_a_non_finite_entry_gives_nan(n, entry):
+    # (0, -1) is in the upper triangle, which eigvalsh does not read
+    i, j, value = entry
+    bad = np.eye(n)
+    bad[i, j] = value
+    stack = np.stack([np.eye(n), bad])
+    assert math.isnan(detplus(bad))
+    assert math.isnan(detplus_pospart(bad))
+    pos = detplus_pospart(stack)
+    assert pos[0] == 1.0 and math.isnan(pos[1])
+    for F in (neg_min_eigenvalue(), neg_detplus()):
+        values = F.batch(None, np.zeros(2), np.zeros((2, n)), stack)
+        assert values[0] == -1.0 and math.isnan(values[1]), F.name
+
+
+# --------------------------------------------------------------------- #
+# the closed-form 2 x 2 spectra
+# --------------------------------------------------------------------- #
+
+EPS = np.finfo(float).eps
+_MANTISSA = st.just(0.0) | st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3)
+_HUGE = st.just(0.0) | st.floats(1e300, 1e308) | st.floats(-1e308, -1e300)
+
+
+def _sym2(a, b, c):
+    return np.array([[a, b], [b, c]])
+
+
+def _scaled(mantissas, scale, offsets):
+    """A symmetric 2 x 2 matrix with entries of magnitude up to 10^scale,
+    each entry its own power of ten below it."""
+    return _sym2(*(m * 10.0 ** (scale + o) for m, o in zip(mantissas, offsets)))
+
+
+_MATRIX = st.builds(_scaled, st.tuples(_MANTISSA, _MANTISSA, _MANTISSA), st.integers(-150, 150),
+                    st.tuples(*3 * [st.integers(-20, 0)]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(a=_MATRIX)
+def test_two_by_two_spectra_are_lapack_to_4_eps(a):
+    got, want = operators._spectra(a), np.linalg.eigvalsh(a)
+    assert got[0] <= got[1]
+    assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want).max())
+    # the lower triangle is read, as eigvalsh reads it
+    stack = operators._spectra(np.stack([a, np.tril(a), -a]))
+    assert np.array_equal(stack[:2], [got, got])
+    assert np.array_equal(stack[2], -got[::-1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=_MATRIX)
+def test_diagonal_and_equal_diagonal_spectra_are_exact(a):
+    (x, y), (_, z) = a
+    assert operators._spectra(_sym2(x, 0.0, z)).tolist() == sorted([x, z])
+    assert operators._spectra(_sym2(x, y, x)).tolist() == [x - abs(y), x + abs(y)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=_HUGE, b=_HUGE, c=_HUGE)
+@example(a=1e308, b=1e300, c=1e308)  # (a + c)/2 overflows here
+@example(a=1e308, b=0.0, c=-1e308)
+def test_finite_entries_up_to_1e308_do_not_overflow(a, b, c):
+    # a quarter of the matrix has the quarter spectrum, exactly representable;
+    # any overflow on the way is a RuntimeWarning, an error in this suite
+    quarter = np.linalg.eigvalsh(_sym2(a, b, c) / 4)
+    assume(np.abs(quarter).max() <= np.finfo(float).max / 4 * (1 - 16 * EPS))
+    got = operators._spectra(_sym2(a, b, c))
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got / 4 - quarter) <= 4 * EPS * np.abs(quarter).max())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(a=_MATRIX, w=_MATRIX)
+def test_a_psd_step_lowers_lambda_min_by_roundoff_at_most(a, w):
+    # P = w w^T is positive semidefinite (rank one when a column of w is 0)
+    p = w @ w.T
+    norms = [np.abs(np.linalg.eigvalsh(m)).max() for m in (a, p)]
+    lo_sum, lo = operators._spectra(np.stack([a + p, a]))[:, 0]
+    assert lo_sum >= lo - 4 * EPS * sum(norms)
+
+
+def test_two_by_two_solves_never_call_lapack(monkeypatch):
+    grid = build_grid(SPHERE, 3)
+    calls = []
+
+    def refuse(mats, *args, **kwargs):
+        calls.append(np.shape(mats))
+        raise AssertionError("eigvalsh called on a stack of 2 x 2 matrices")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    methods = []
+    for op in (neg_min_eigenvalue(), neg_detplus()):
+        _, report = solve_fixed_point(sum_of(op, source("coord:2")), grid, tol=1e-8)
+        assert report.converged, op.name
+        methods.append(report.method)
+    assert calls == []
+    assert methods == ["sweep", "newton"]
+
+
+def test_other_sizes_still_call_lapack(monkeypatch):
+    model = Product([Sphere(2), Euclidean(2)])
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def spy(mats, *args, **kwargs):
+        calls.append(np.shape(mats))
+        return real(mats, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for k, F in enumerate((neg_min_eigenvalue(), neg_detplus())):
+        calls.clear()
+        assert ellipticity_check(F, 300, model=model, seed=20 + k).passed, F.name
+        assert invariance_check(F, model, 300, seed=22 + k).passed, F.name
+        # one call per check: its two sides of 300 states each
+        assert calls == [(600, 4, 4), (600, 4, 4)], calls
 
 
 def test_yamabe_rejects_small_dimension_and_negative_r():
