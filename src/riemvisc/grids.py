@@ -28,6 +28,8 @@ The stencils of one step form one direction-major sparse operator
 (``Grid.stack``, ``n_dirs N x N``: row ``k N + i`` interpolates at
 ``exp_{x_i}(h d_k)``), so one mat-vec gathers every stencil value; the
 per-direction matrices (``Grid.stencils``) are views into its buffers.
+``scipy.sparse`` is imported by the builders of these matrices, so it loads
+with the first grid and not with the package.
 Geodesic distances between nodes are computed in blocks of rows
 (``Grid.row_blocks``) of a fixed number of entries, so no N x N matrix is
 ever held.  ``Grid.distances_within`` keeps, per block, only the pairs
@@ -43,13 +45,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import PreconditionError, UnsupportedModelError
 from .manifolds import FlatTorus, Manifold, Sphere, _rowwise_dot
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 _EPS_WEIGHT = 1e-12
 _BLOCK_ENTRIES = 1 << 20  # distances per row block of Grid.row_blocks (8 MB)
@@ -345,6 +349,8 @@ class Grid:
 
 
 def _sphere_prolongations(n_fine: int, parents: list[np.ndarray]) -> list[sparse.csr_matrix]:
+    import scipy.sparse as sparse
+
     mats = []
     for mid in reversed(parents):
         n_coarse = n_fine - mid.shape[0]
@@ -358,6 +364,8 @@ def _sphere_prolongations(n_fine: int, parents: list[np.ndarray]) -> list[sparse
 
 
 def _torus_prolongations(res: int) -> list[sparse.csr_matrix]:
+    import scipy.sparse as sparse
+
     mats = []
     while res % 2 == 0:
         res //= 2
@@ -506,6 +514,8 @@ class _FaceLocator:
 def _sphere_stencils(model: Sphere, verts, frames, h, dirs, locator: _FaceLocator):
     """Stencil stack at step ``h``: every stencil point is interpolated in
     the face ``locator`` finds for it, with its clipped barycentrics."""
+    import scipy.sparse as sparse
+
     n_nodes = verts.shape[0]
     theta = h / model.radius
 
@@ -542,6 +552,8 @@ def _sphere_stencils(model: Sphere, verts, frames, h, dirs, locator: _FaceLocato
 
 
 def _torus_stencils(model: FlatTorus, coords, h, dirs, res):
+    import scipy.sparse as sparse
+
     n_nodes = coords.shape[0]
     spacing = model.periods / res
     cols, vals = [], []
@@ -584,6 +596,8 @@ def _direction_views(stack: sparse.csr_matrix, n_dirs: int) -> list[sparse.csr_m
     The blocks are assembled attribute by attribute: the CSR constructor
     copies a slice that is much smaller than the array it views.
     """
+    import scipy.sparse as sparse
+
     n = stack.shape[1]
     views = []
     for k in range(n_dirs):

@@ -22,15 +22,20 @@ steps, 3.1 |b| at the fourth of a lattice-32 Dirichlet step), while the
 doomed ``neg_min_eigenvalue`` solves pass it only at iteration 2 or 3.
 
 Only ``scipy.sparse`` is used: ``scipy.sparse.linalg`` costs a noticeable part of
-a short CLI run to import.
+a short CLI run to import.  This module imports neither: ``scipy.sparse``
+loads with the first grid, whose stencil builders import it, so
+``import riemvisc`` and the grid-free CLI commands leave it out.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 _OMEGA = 0.7
 _SMOOTHING = 2

@@ -66,10 +66,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import DivergenceError, PreconditionError
 from .grids import Grid, GridFunction
@@ -78,6 +77,9 @@ from .multigrid import VCycle, bicgstab
 from .operators import (
     UNWRITTEN, OperatorSpec, ScalarField, Verdict, scalar_term, sum_of, yamabe,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 DEFAULT_MAX_ITER = 100_000
 _THETA_REFRESH = 200
@@ -284,6 +286,8 @@ def _jacobian(grid: Grid, weights: np.ndarray) -> sparse.csr_matrix:
     """J from its ``(9, N)`` weights: row ``k N + i`` of the stencil stack
     goes to row i scaled by ``weights[k, i]``, duplicates summed, plus
     ``weights[8]`` on the diagonal."""
+    import scipy.sparse as sparse
+
     n, n_dirs = grid.n_nodes, len(grid.dirs)
     select = sparse.csr_matrix(
         (weights[:n_dirs].T.ravel(),

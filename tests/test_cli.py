@@ -528,22 +528,27 @@ def test_solve_deterministic_hash(tmp_path):
     assert digest(out1 / "solve.json") == digest(out2 / "solve.json")
 
 
-def test_cli_import_leaves_scipy_spatial_out():
-    # nothing on the CLI's import path needs a k-d tree (0.23 s of its import)
+@pytest.mark.parametrize("code, prefixes, loaded", [
+    # nothing on the CLI's import path needs a k-d tree (0.23 s of its import),
+    # jsonschema loads only to validate a given --config, and scipy.sparse only
+    # with the first grid
+    ("import riemvisc.cli", ("scipy.spatial", "jsonschema", "scipy.sparse"), False),
+    ("import riemvisc", ("scipy.sparse",), False),
+    ("from riemvisc.cli import main\n"
+     "assert main(['geometry-check', '--out', OUT, '--seed', '3']) == 0",
+     ("scipy.sparse",), False),
+    ("from riemvisc.cli import main\n"
+     "assert main(['hessian-sign', '--out', OUT, '--seed', '3']) == 0",
+     ("scipy.sparse",), False),
+    # a grid build does load it, so no row passes because a module was renamed
+    ("from riemvisc import Sphere, build_grid\nbuild_grid(Sphere(2, 1.0), 2)",
+     ("scipy.sparse",), True),
+], ids=["cli-import", "package-import", "geometry-check", "hessian-sign", "grid-build"])
+def test_module_loading(code, prefixes, loaded, tmp_path):
     src = str(Path(riemvisc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, riemvisc.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy.spatial')])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    probe = (f"import sys\nOUT = {str(tmp_path)!r}\n{code}\n"
+             f"print({{p: any(m.startswith(p) for m in sys.modules) for p in {prefixes!r}}})")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
-
-
-def test_cli_import_leaves_jsonschema_out():
-    # jsonschema loads only to validate a given --config
-    src = str(Path(riemvisc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, riemvisc.cli; print([m for m in sys.modules if m.startswith('jsonschema')])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[-1] == str({p: loaded for p in prefixes})
