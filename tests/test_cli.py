@@ -528,27 +528,37 @@ def test_solve_deterministic_hash(tmp_path):
     assert digest(out1 / "solve.json") == digest(out2 / "solve.json")
 
 
-@pytest.mark.parametrize("code, prefixes, loaded", [
-    # nothing on the CLI's import path needs a k-d tree (0.23 s of its import),
-    # jsonschema loads only to validate a given --config, and scipy.sparse only
-    # with the first grid
-    ("import riemvisc.cli", ("scipy.spatial", "jsonschema", "scipy.sparse"), False),
-    ("import riemvisc", ("scipy.sparse",), False),
-    ("from riemvisc.cli import main\n"
-     "assert main(['geometry-check', '--out', OUT, '--seed', '3']) == 0",
-     ("scipy.sparse",), False),
-    ("from riemvisc.cli import main\n"
-     "assert main(['hessian-sign', '--out', OUT, '--seed', '3']) == 0",
-     ("scipy.sparse",), False),
-    # a grid build does load it, so no row passes because a module was renamed
-    ("from riemvisc import Sphere, build_grid\nbuild_grid(Sphere(2, 1.0), 2)",
-     ("scipy.sparse",), True),
-], ids=["cli-import", "package-import", "geometry-check", "hessian-sign", "grid-build"])
-def test_module_loading(code, prefixes, loaded, tmp_path):
+def _loaded(code, prefixes, out_dir):
+    """Run `code` in a fresh interpreter; map each module prefix to whether it got loaded."""
     src = str(Path(riemvisc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = (f"import sys\nOUT = {str(tmp_path)!r}\n{code}\n"
+    probe = (f"import sys\nOUT = {str(out_dir)!r}\n{code}\n"
              f"print({{p: any(m.startswith(p) for m in sys.modules) for p in {prefixes!r}}})")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.splitlines()[-1] == str({p: loaded for p in prefixes})
+    return out.stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_spatial_out(tmp_path):
+    # nothing on the CLI's import path needs a k-d tree (0.23 s of its import)
+    assert _loaded("import riemvisc.cli", ("scipy.spatial",), tmp_path) == "{'scipy.spatial': False}"
+
+
+def test_cli_import_leaves_jsonschema_out(tmp_path):
+    # jsonschema loads only to validate a given --config
+    assert _loaded("import riemvisc.cli", ("jsonschema",), tmp_path) == "{'jsonschema': False}"
+
+
+@pytest.mark.parametrize("code, loaded", [
+    # scipy.sparse loads only with the first grid
+    ("import riemvisc.cli", False),
+    ("import riemvisc", False),
+    ("from riemvisc.cli import main\n"
+     "assert main(['geometry-check', '--out', OUT, '--seed', '3']) == 0", False),
+    ("from riemvisc.cli import main\n"
+     "assert main(['hessian-sign', '--out', OUT, '--seed', '3']) == 0", False),
+    # a grid build does load it, so no row passes because a module was renamed
+    ("from riemvisc import Sphere, build_grid\nbuild_grid(Sphere(2, 1.0), 2)", True),
+], ids=["cli-import", "package-import", "geometry-check", "hessian-sign", "grid-build"])
+def test_module_loading(code, loaded, tmp_path):
+    assert _loaded(code, ("scipy.sparse",), tmp_path) == str({"scipy.sparse": loaded})
