@@ -157,7 +157,6 @@ class Grid:
     dirs: list[np.ndarray]
     stack: sparse.csr_matrix  # direction-major (n_dirs N x N) stencil operator at step h
     stencils: list[sparse.csr_matrix]  # its per-direction views
-    edges: np.ndarray
     faces: np.ndarray | None = None
     parents: list[np.ndarray] | None = None  # sphere: icosphere's midpoint ends per level
     _stencil_builder: Callable | None = field(default=None, repr=False)
@@ -201,17 +200,6 @@ class Grid:
     def nodes(self) -> np.ndarray:
         """``coords`` itself, under the name that ``benchmark/probes.py`` reads."""
         return self.coords
-
-    def mean_edge_length(self) -> float:
-        a, b = self.edges[:, 0], self.edges[:, 1]
-        if isinstance(self.model, Sphere):
-            r = self.model.radius
-            dots = np.einsum("ij,ij->i", self.coords[a], self.coords[b]) / r**2
-            return float(np.mean(r * np.arccos(np.clip(dots, -1.0, 1.0))))
-        diff = self.coords[a] - self.coords[b]
-        per = self.model.periods
-        diff = _wrap_half(diff, per)
-        return float(np.mean(np.linalg.norm(diff, axis=1)))
 
     def _measure(self, x: np.ndarray, c: np.ndarray) -> np.ndarray:
         """The Gram block ``x c^T`` (sphere) or the wrapped squared distances
@@ -633,11 +621,15 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
         verts, levels, parents = icosphere(resolution)
         faces = levels[-1]
         coords = verts * model.radius
-        edges = _mesh_edges(faces)
         locator = _FaceLocator.build(coords, levels, model.radius)
 
-        def default_step(grid):
-            return 1.15 * math.sqrt(grid.mean_edge_length() * model.radius)
+        def default_step():
+            # 1.15 sqrt(r times the mean geodesic length of the mesh edges)
+            r = model.radius
+            a, b = _mesh_edges(faces).T
+            dots = np.einsum("ij,ij->i", coords[a], coords[b]) / r**2
+            mean = float(np.mean(r * np.arccos(np.clip(dots, -1.0, 1.0))))
+            return 1.15 * math.sqrt(mean * r)
 
         def builder(step):
             return _sphere_stencils(model, coords, frames, step, dirs, locator)
@@ -648,12 +640,8 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
         ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
         coords = np.stack([ii.ravel() * spacing[0], jj.ravel() * spacing[1]], axis=1)
         faces = parents = None
-        idx = np.arange(res * res).reshape(res, res)
-        right = np.stack([idx.ravel(), np.roll(idx, -1, axis=0).ravel()], axis=1)
-        up = np.stack([idx.ravel(), np.roll(idx, -1, axis=1).ravel()], axis=1)
-        edges = np.concatenate([right, up])
 
-        def default_step(grid):
+        def default_step():
             # lattice-aligned when possible (exact central differences)
             return float(np.min(spacing))
 
@@ -666,11 +654,11 @@ def build_grid(model: Manifold, resolution: int, h: float | None = None) -> Grid
         )
     frames = model.canonical_frames(coords)
     grid = Grid(
-        model, resolution, coords, frames, math.nan, dirs, None, [], edges, faces,
-        parents, _stencil_builder=builder,
+        model, resolution, coords, frames, math.nan, dirs, None, [], faces, parents,
+        _stencil_builder=builder,
     )
     if h is None:
-        h = min(default_step(grid), 0.9 * model.injectivity_radius() / 4.0)
+        h = min(default_step(), 0.9 * model.injectivity_radius() / 4.0)
     grid.h = float(h)
     grid.stack = builder(grid.h)
     grid.stencils = _direction_views(grid.stack, len(dirs))

@@ -315,7 +315,7 @@ def _combined(ops, reduce_fn):
     check in its ``eval_batch`` covers every child.
     """
     if not ops:
-        raise ValueError("a combinator needs at least one term")
+        raise PreconditionError("a combinator needs at least one term")
 
     def batch(ctx, rs, zs, As):
         return reduce_fn(
@@ -344,7 +344,7 @@ def sum_of(*ops: OperatorSpec, weights: Sequence[float] | None = None) -> Operat
     """Weighted (nonnegative weights) sum of operators."""
     w = np.ones(len(ops)) if weights is None else np.asarray(weights, float)
     if w.shape != (len(ops),) or not np.all(np.isfinite(w) & (w >= 0.0)):
-        raise ValueError("sum combinator needs one finite nonnegative weight per term")
+        raise PreconditionError("sum combinator needs one finite nonnegative weight per term")
     name = "+".join(op.name for op in ops)
 
     def weighted_sum(vals):
@@ -411,7 +411,7 @@ def example_5_3(f, g, p: int = 1, q: int = 0, r_exp: int = 1, k: int = 0) -> Ope
     """
     for name, value in (("p", p), ("q", q), ("r_exp", r_exp), ("k", k)):
         if value < 0:
-            raise ValueError(f"example_5_3 needs exponent {name} >= 0, got {value}")
+            raise PreconditionError(f"example_5_3 needs exponent {name} >= 0, got {value}")
     f = ScalarField.parse(f)
     g = ScalarField.parse(g)
 
@@ -445,7 +445,7 @@ def yamabe(n: int, s_field, s_prime: float) -> OperatorSpec:
     domain: r^exponent is not monotone or not real there.
     """
     if n < 3:
-        raise ValueError("the conformal exponent needs n >= 3")
+        raise PreconditionError("the conformal exponent needs n >= 3")
     s_field = ScalarField.parse(s_field)
     s_prime = float(s_prime)
     coeff = 4.0 * (n - 1) / (n - 2)

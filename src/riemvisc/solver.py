@@ -19,17 +19,20 @@ hierarchy (:mod:`riemvisc.multigrid`) and shortened by halving until the
 residual falls below the largest of the last few.  The discrete equation
 has one solution, so the engine may hand it to the damped iteration
 ``u <- (1-theta) u + theta (-G_h(x, u))``, run from the original start
-with the caller's ``max_iter``, bit for bit as it ran before the engine
-existed.  It does so when the hierarchy's coarsest level is too large for
-a dense solve, and when Newton fails: a Krylov solve misses its tolerance
-within ``_KRYLOV_CAP`` iterations, no halving of a step finds a lower
-residual (a non-finite one included), the operator refuses an iterate, or
-``_NEWTON_MAX_STEPS`` steps pass.  The sweep's damping is ``1/(1 + L)``
-with ``L`` the probed sensitivity of ``G_h`` to the center value, probed
-at sweep 0 and every ``_THETA_REFRESH`` sweeps, which makes the update the
-classical (center-implicit) Jacobi sweep.  Node updates within a sweep only
-read the previous iterate, so the iteration is deterministic and
-order-independent.
+with the caller's ``max_iter``.  It does so when the hierarchy's coarsest
+level is too large for a dense solve, and when Newton fails: a Krylov solve
+misses its tolerance within ``_KRYLOV_CAP`` iterations, no halving of a
+step finds a lower residual (a non-finite one included), the operator
+refuses an iterate, or ``_NEWTON_MAX_STEPS`` steps pass.  Both paths clip
+every Newton trial and every sweep iterate into the operator's
+``r_domain`` (the conformal operator needs r >= 0 at n >= 5, where its
+exponent is not an odd integer), and leave the nodes of a Dirichlet
+solve's boundary mask where they start.  The sweep's damping is
+``1/(1 + L)`` with ``L`` the probed sensitivity of ``G_h`` to the center
+value, probed at sweep 0 and every ``_THETA_REFRESH`` sweeps, which makes
+the update the classical (center-implicit) Jacobi sweep.  Node updates
+within a sweep only read the previous iterate, so the iteration is
+deterministic and order-independent.
 
 The scheme is the grid's stencil stack (``Grid.stack``): one mat-vec
 gathers the ``(8, N)`` stencil values of u, and one assembly turns them
@@ -72,7 +75,7 @@ import numpy as np
 
 from .errors import DivergenceError, PreconditionError
 from .grids import Grid, GridFunction
-from .manifolds import Point, Sphere
+from .manifolds import Sphere
 from .multigrid import VCycle, bicgstab
 from .operators import (
     UNWRITTEN, OperatorSpec, ScalarField, Verdict, scalar_term, sum_of, yamabe,
@@ -148,9 +151,12 @@ def _evaluate(F: OperatorSpec, ctx, rs: np.ndarray, p: np.ndarray) -> np.ndarray
     return F.eval_batch(ctx, rs, p[:, :2], p[:, 2:].reshape(-1, 2, 2))
 
 
-def _base_proxies(grid: Grid, u_vals: np.ndarray) -> np.ndarray:
-    """The ``(N, 6)`` proxies of u: one gather, one assembly."""
-    return _proxy_array(_gather(grid.stack, u_vals), u_vals, grid.h)
+def _residual(F, ctx, grid: Grid, u_vals: np.ndarray, fixed=None):
+    """``(proxies, values)``: the ``(N, 6)`` proxies of u (one gather, one
+    assembly) and F on them, zero on the ``fixed`` nodes if a mask is given."""
+    p = _proxy_array(_gather(grid.stack, u_vals), u_vals, grid.h)
+    vals = _evaluate(F, ctx, u_vals, p)
+    return p, vals if fixed is None else np.where(fixed, 0.0, vals)
 
 
 def _evaluate_centered(F, ctx, base, centers, u_vals, t, out=None) -> np.ndarray:
@@ -161,25 +167,9 @@ def _evaluate_centered(F, ctx, base, centers, u_vals, t, out=None) -> np.ndarray
     return _evaluate(F, ctx, t, out)
 
 
-def derivative_proxies(grid: Grid, u: GridFunction, node: int):
-    """(zeta, A) proxies at one node, in the node's canonical frame, from
-    the node's own stack rows."""
-    rows = node + grid.n_nodes * np.arange(len(grid.dirs))
-    sv = (grid.stack[rows] @ u.values)[:, None]
-    p = _proxy_array(sv, u.values[node:node + 1], grid.h)[0]
-    return p[:2], p[2:].reshape(2, 2)
-
-
-def discretize(F: OperatorSpec, grid: Grid, u: GridFunction, node: int) -> float:
-    """Evaluate F at one node on the difference proxies of u."""
-    zeta, amat = derivative_proxies(grid, u, node)
-    return F.point_eval(Point(grid.coords[node]), float(u.values[node]), zeta, amat)
-
-
 def discrete_residual(F: OperatorSpec, grid: Grid, u: GridFunction) -> np.ndarray:
     """Nodewise residual F(x, u, du_h, d2u_h)."""
-    ctx = F.make_context(grid.coords)
-    return _evaluate(F, ctx, u.values, _base_proxies(grid, u.values))
+    return _residual(F, F.make_context(grid.coords), grid, u.values)[1]
 
 
 # --------------------------------------------------------------------- #
@@ -210,57 +200,54 @@ class SolveReport(Verdict):
 # the damped sweep
 # --------------------------------------------------------------------- #
 
-def _estimate_theta(F, ctx, u_vals, base, base_vals, centers, active) -> float:
-    """1 / (probed max sensitivity of the residual to the center value)."""
+def _estimate_theta(F, ctx, u_vals, base, base_vals, centers, fixed) -> float:
+    """1 / (probed max sensitivity of the residual to the center value off
+    the fixed nodes)."""
     delta = 1e-3 * max(1.0, float(np.max(np.abs(u_vals))))
     up_vals = _evaluate_centered(F, ctx, base, centers, u_vals, u_vals + delta)
     slopes = (up_vals - base_vals) / delta
-    slope = float(np.max(np.abs(slopes[active]), initial=1.0))
+    if fixed is not None:
+        slopes[fixed] = 0.0
+    slope = float(np.max(np.abs(slopes), initial=1.0))
     return min(1.0, 1.0 / slope)
 
 
 # a diverging residual overflows on its way to inf, and the non-finite test
 # raises DivergenceError with the report, not numpy's overflow warning
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(F, ctx, grid, u0, tol, max_iter, active, clip_nonnegative):
-    """The damped sweep ``u <- u - theta F(u)`` on the active nodes, theta
-    probed at sweep 0 and every ``_THETA_REFRESH`` sweeps."""
+def _sweep(F, ctx, grid, u0, tol, max_iter, fixed, start, krylov):
+    """The damped sweep ``u <- u - theta F(u)`` off the fixed nodes, clipped
+    into F's r-domain, theta probed at sweep 0 and every ``_THETA_REFRESH``
+    sweeps; the report counts the wall time from ``start`` and the caller's
+    ``krylov`` iterations."""
     centers = _center_sensitivity(grid)
     u = np.array(u0, dtype=float)
     history = []
-    start = time.perf_counter()
     best = math.inf
     theta = 0.0
+
+    def report(iterations, converged):
+        return SolveReport(
+            iterations, history[-1] if history else math.inf, tol, converged, theta,
+            time.perf_counter() - start, np.array(history), "sweep", krylov,
+        )
+
     for it in range(max_iter):
-        p = _base_proxies(grid, u)
-        vals = _evaluate(F, ctx, u, p)
+        p, vals = _residual(F, ctx, grid, u, fixed)
         if it % _THETA_REFRESH == 0:
-            theta = _estimate_theta(F, ctx, u, p, vals, centers, active)
-        res = float(np.max(np.abs(vals[active])))
+            theta = _estimate_theta(F, ctx, u, p, vals, centers, fixed)
+        res = float(np.max(np.abs(vals)))
         history.append(res)
         best = min(best, res)
         if res <= tol:
-            report = SolveReport(
-                it, res, tol, True, theta,
-                time.perf_counter() - start, np.array(history),
-            )
-            return u, report
+            return u, report(it, True)
         if not math.isfinite(res) or (
             it > 100 and res > 10.0 * best and res > history[0]
         ):
-            report = SolveReport(
-                it, res, tol, False, theta,
-                time.perf_counter() - start, np.array(history),
-            )
-            raise DivergenceError("residual grew over the monitoring window", report)
-        u[active] -= theta * vals[active]
-        if clip_nonnegative:
-            np.clip(u, 0.0, None, out=u)
-    report = SolveReport(
-        max_iter, history[-1] if history else math.inf, tol, False,
-        theta, time.perf_counter() - start, np.array(history),
-    )
-    return u, report
+            raise DivergenceError("residual grew over the monitoring window", report(it, False))
+        u -= theta * vals
+        np.clip(u, *F.r_domain, out=u)
+    return u, report(max_iter, False)
 
 
 # --------------------------------------------------------------------- #
@@ -342,27 +329,23 @@ def _newton_direction(F, ctx, grid, chain, u, p, vals, fixed, target):
     return du, its, ok
 
 
-def _newton(F, ctx, grid, u0, tol, max_iter, interior, clip_nonnegative):
+def _newton(F, ctx, grid, u0, tol, max_iter, fixed, start):
     """Newton steps ``u <- u + alpha du``, with ``du`` from
     ``_newton_direction`` and ``alpha`` halved from 1 until the residual falls
     below ``1 - 1e-4 alpha`` times the largest of the last ``_MEMORY`` (a
-    nonmonotone line search with sufficient decrease).
+    nonmonotone line search with sufficient decrease); each trial is clipped
+    into F's r-domain.
 
     Stops unconverged when a Krylov solve misses its tolerance, when
     ``_BACKTRACKS`` halvings find no such residual, at the step cap, or on a
     domain error of the operator; the caller then sweeps.
     """
-    start = time.perf_counter()
     chain = _hierarchy(grid)
-    fixed = None if interior is None else ~interior
     u = np.array(u0, dtype=float)
     history, krylov = [], 0
 
     def residual(v):
-        p = _base_proxies(grid, v)
-        vals = _evaluate(F, ctx, v, p)
-        if fixed is not None:
-            vals = np.where(fixed, 0.0, vals)
+        p, vals = _residual(F, ctx, grid, v, fixed)
         return p, vals, float(np.max(np.abs(vals)))
 
     with np.errstate(all="ignore"):
@@ -379,9 +362,7 @@ def _newton(F, ctx, grid, u0, tol, max_iter, interior, clip_nonnegative):
                     break
                 reference, alpha = max(history[-_MEMORY:]), 1.0
                 for _ in range(_BACKTRACKS + 1):
-                    trial = u + alpha * du
-                    if clip_nonnegative:
-                        np.clip(trial, 0.0, None, out=trial)
+                    trial = np.clip(u + alpha * du, *F.r_domain)
                     p, vals, res = residual(trial)
                     # NaN compares False, so a non-finite residual backtracks
                     if res < (1.0 - 1e-4 * alpha) * reference:
@@ -407,31 +388,20 @@ def _run_iteration(
     u0: np.ndarray,
     tol: float,
     max_iter: int,
-    interior: np.ndarray | None = None,
-    clip_nonnegative: bool = False,
+    fixed: np.ndarray | None = None,
 ):
-    """Solve ``F(u) = 0`` on the interior (every node by default): Newton
-    steps, or the damped sweep from ``u0`` where they are not taken or fail."""
-    if interior is not None and not np.any(interior):
+    """Solve ``F(u) = 0`` off the fixed nodes (on every node by default):
+    Newton steps, or the damped sweep from ``u0`` where they are not taken or
+    fail."""
+    if fixed is not None and fixed.all():
         return np.array(u0, dtype=float), SolveReport(
             0, 0.0, tol, True, 0.0, 0.0, np.zeros(0), "newton")
-    # a full slice indexes by view; a mask of all nodes would copy each time
-    active = slice(None) if interior is None else interior
     start = time.perf_counter()
     ctx = F.make_context(grid.coords)
-    u, report = _newton(F, ctx, grid, u0, tol, max_iter, interior, clip_nonnegative)
+    u, report = _newton(F, ctx, grid, u0, tol, max_iter, fixed, start)
     if report.converged:
         return u, report
-    krylov = report.krylov_iterations
-    try:
-        u, report = _sweep(F, ctx, grid, u0, tol, max_iter, active, clip_nonnegative)
-    except DivergenceError as exc:
-        exc.report.krylov_iterations = krylov
-        exc.report.wall_time = time.perf_counter() - start
-        raise
-    report.krylov_iterations = krylov
-    report.wall_time = time.perf_counter() - start
-    return u, report
+    return _sweep(F, ctx, grid, u0, tol, max_iter, fixed, start, report.krylov_iterations)
 
 
 def solve_fixed_point(
@@ -473,8 +443,7 @@ def solve_dirichlet(
     start = GridFunction.constant(grid, 0.0) if u0 is None else u0
     u_init = np.array(start.values)
     u_init[boundary_mask] = f_vals[boundary_mask]
-    interior = ~boundary_mask
-    values, report = _run_iteration(F, grid, u_init, tol, max_iter, interior=interior)
+    values, report = _run_iteration(F, grid, u_init, tol, max_iter, fixed=boundary_mask)
     return GridFunction(grid, values), report
 
 
@@ -532,8 +501,7 @@ def _certified_newton_step(F, ctx, grid, chain, w, p, vals, upper, tol):
             if not ok:
                 return None
             candidate = np.minimum(upper, np.maximum(w, w + du))
-            cp = _base_proxies(grid, candidate)
-            cvals = _evaluate(F, ctx, candidate, cp)
+            cp, cvals = _residual(F, ctx, grid, candidate)
         except (PreconditionError, np.linalg.LinAlgError):
             return None
     # NaN compares False, so a non-finite residual refuses the candidate
@@ -569,11 +537,9 @@ def perron_iterate(
     if np.any(usub.values > usuper.values + 1e-12):
         raise PreconditionError("subsolution must not exceed the supersolution")
     ctx = F.make_context(grid.coords)
-    res_sub = _evaluate(F, ctx, usub.values, _base_proxies(grid, usub.values))
-    if float(np.max(res_sub)) > grid.h:
+    if float(np.max(_residual(F, ctx, grid, usub.values)[1])) > grid.h:
         raise PreconditionError("usub is not a discrete subsolution (residual > h)")
-    res_super = _evaluate(F, ctx, usuper.values, _base_proxies(grid, usuper.values))
-    if float(np.min(res_super)) < -grid.h:
+    if float(np.min(_residual(F, ctx, grid, usuper.values)[1])) < -grid.h:
         raise PreconditionError("usuper is not a discrete supersolution (residual < -h)")
 
     centers = _center_sensitivity(grid)
@@ -586,11 +552,7 @@ def perron_iterate(
     sweeps_done = newton_steps = 0
     step = None  # the last accepted Newton step: its candidate, proxies, residual
     for sweeps_done in range(1, sweeps + 1):
-        if step is None:
-            p = _base_proxies(grid, w)
-            vals = _evaluate(F, ctx, w, p)
-        else:
-            _, p, vals = step
+        p, vals = _residual(F, ctx, grid, w) if step is None else step[1:]
         final_res = float(np.max(np.abs(vals)))
         if final_res <= tol:
             converged = True
@@ -718,8 +680,5 @@ def yamabe_solve(
     start = GridFunction.constant(grid, 1.0) if u0 is None else u0
     if np.any(start.values < 0.0):
         raise PreconditionError("initial iterate must be nonnegative")
-    clip = F.r_domain[0] >= 0.0  # non-integer exponent: keep iterates feasible
-    values, report = _run_iteration(
-        F, grid, start.values, tol, max_iter, clip_nonnegative=clip
-    )
+    values, report = _run_iteration(F, grid, start.values, tol, max_iter)
     return GridFunction(grid, values), report

@@ -484,6 +484,21 @@ def test_coordinate_past_the_model_is_a_typed_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("weights", [[1.0], [1.0, -1.0]])
+def test_refused_sum_weights_are_a_typed_error(tmp_path, capsys, weights):
+    # the schema admits any list of numbers; sum_of needs one finite
+    # nonnegative weight per term
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid": {"resolution": 2},
+        "operator": {"op": "sum", "weights": weights, "terms": [
+            {"op": "neg_trace"}, {"op": "source", "field": "coord:2"}]},
+    }))
+    assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err == "riemvisc: sum combinator needs one finite nonnegative weight per term\n"
+
+
 def test_yamabe_command(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

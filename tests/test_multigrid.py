@@ -8,7 +8,7 @@ from riemvisc import FlatTorus, Sphere
 from riemvisc.grids import build_grid
 from riemvisc.multigrid import VCycle, bicgstab
 from riemvisc.operators import neg_trace, scalar_term, sum_of
-from riemvisc.solver import _base_proxies, _evaluate, _hierarchy, _jacobian, _jacobian_weights
+from riemvisc.solver import _hierarchy, _jacobian, _jacobian_weights, _residual
 
 
 def laplace_jacobian(grid):
@@ -16,8 +16,8 @@ def laplace_jacobian(grid):
     F = sum_of(scalar_term(1.0), neg_trace())
     ctx = F.make_context(grid.coords)
     u = np.zeros(grid.n_nodes)
-    p = _base_proxies(grid, u)
-    return _jacobian(grid, _jacobian_weights(F, ctx, u, p, _evaluate(F, ctx, u, p), grid.h))
+    p, vals = _residual(F, ctx, grid, u)
+    return _jacobian(grid, _jacobian_weights(F, ctx, u, p, vals, grid.h))
 
 
 @pytest.mark.parametrize("kind,res", [("sphere", 3), ("sphere", 4), ("torus", 32)])

@@ -5,6 +5,7 @@ import functools
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import example, given, settings, strategies as st
 
-from riemvisc import DivergenceError, Euclidean, FlatTorus, Hyperbolic, Sphere
+from riemvisc import DivergenceError, Euclidean, FlatTorus, Hyperbolic, Point, Sphere
 from riemvisc.errors import PreconditionError, UnsupportedModelError
 from riemvisc.grids import GridFunction, build_grid, geodesic_ball_interior
 from riemvisc.operators import (
@@ -30,18 +31,15 @@ from riemvisc.operators import (
 )
 from riemvisc.solver import (
     _KRYLOV_CAP,
-    _base_proxies,
     _center_sensitivity,
     _estimate_theta,
-    _evaluate,
     _gather,
     _nodewise_solve,
     _proxy_array,
+    _residual,
     _sweep,
     DEFAULT_MAX_ITER,
-    derivative_proxies,
     discrete_residual,
-    discretize,
     perron_iterate,
     solve_dirichlet,
     solve_fixed_point,
@@ -219,8 +217,10 @@ def test_stacked_proxies_match_per_direction_reference(key, scale, seed):
     # the base proxies are bitwise the per-direction ones
     assert np.array_equal(base[:, :2], ref_z)
     assert np.array_equal(base[:, 2:].reshape(-1, 2, 2), ref_a)
+    # so are the rows of the engine's proxies
+    engine = _residual(neg_trace(), None, grid, u)[0]
     for node in rng.integers(grid.n_nodes, size=3):
-        zeta, amat = derivative_proxies(grid, GridFunction(grid, u), int(node))
+        zeta, amat = engine[node, :2], engine[node, 2:].reshape(2, 2)
         assert np.array_equal(zeta, ref_z[node]) and np.array_equal(amat, ref_a[node])
     # the center replacement is affine in t - u
     t = u + scale * rng.uniform(-1.0, 1.0, grid.n_nodes)
@@ -235,7 +235,8 @@ def test_stacked_proxies_match_per_direction_reference(key, scale, seed):
 def test_proxies_vanish_on_constants():
     grid = build_grid(SPHERE, 2)
     u = GridFunction.constant(grid, 3.7)
-    zeta, amat = derivative_proxies(grid, u, 17)
+    p = _residual(neg_trace(), None, grid, u.values)[0]
+    zeta, amat = p[17, :2], p[17, 2:].reshape(2, 2)
     assert np.allclose(zeta, 0.0, atol=1e-12)
     assert np.allclose(amat, 0.0, atol=1e-10)
 
@@ -265,8 +266,12 @@ def test_discretize_single_node_matches_batch():
     u = GridFunction(grid, z_values(grid) ** 2)
     F = full_equation_rhs_2()
     resid = discrete_residual(F, grid, u)
+    # F at one node, on that node's row of the batch proxies
+    p = _residual(F, F.make_context(grid.coords), grid, u.values)[0]
     for node in (0, 33, 100):
-        assert discretize(F, grid, u, node) == pytest.approx(resid[node], abs=1e-12)
+        one = F.point_eval(Point(grid.coords[node]), float(u.values[node]),
+                           p[node, :2], p[node, 2:].reshape(2, 2))
+        assert one == pytest.approx(resid[node], abs=1e-12)
 
 
 # --------------------------------------------------------------------- #
@@ -329,11 +334,10 @@ def test_divergence_raises_with_report(monkeypatch):
     assert report.krylov_iterations == 0 and report.wall_time > 0.0
 
 
-def sweep_solve(F, grid, u0, tol=1e-8, max_iter=DEFAULT_MAX_ITER, interior=None, clip=False):
+def sweep_solve(F, grid, u0, tol=1e-8, max_iter=DEFAULT_MAX_ITER, fixed=None):
     """The damped sweep alone, as the engine runs it when Newton hands over."""
-    active = slice(None) if interior is None else interior
     return _sweep(F, F.make_context(grid.coords), grid, np.array(u0, dtype=float),
-                  tol, max_iter, active, clip)
+                  tol, max_iter, fixed, time.perf_counter(), 0)
 
 
 def test_residual_history_monotone_after_burn_in():
@@ -592,8 +596,7 @@ def test_nodewise_newton_never_stops_on_nan():
     F = dataclasses.replace(G, batch=batch)
     ctx = F.make_context(grid.coords)
     w = np.zeros(grid.n_nodes)
-    p = _base_proxies(grid, w)
-    f0 = _evaluate(F, ctx, w, p)
+    p, f0 = _residual(F, ctx, grid, w)
     with pytest.raises(PreconditionError, match="r values escape"):
         _nodewise_solve(F, ctx, w, p, _center_sensitivity(grid), f0, 1e-8)
 
@@ -606,8 +609,7 @@ def perron_sweeps(F, grid, usub, usuper, sweeps=DEFAULT_MAX_ITER, tol=1e-8):
     w = np.array(usub.values)
     min_increment, final_res, converged, done = math.inf, math.inf, False, 0
     for done in range(1, sweeps + 1):
-        p = _base_proxies(grid, w)
-        vals = _evaluate(F, ctx, w, p)
+        p, vals = _residual(F, ctx, grid, w)
         final_res = float(np.max(np.abs(vals)))
         if final_res <= tol:
             converged = True
@@ -857,18 +859,19 @@ def newton_and_sweep(problem, kind, grid, a, tol):
     f = smooth_field(kind, a)
     lin = sum_of(neg_trace(), source(f))
     if problem.startswith("yamabe"):
-        # n = 5 has a non-integer exponent, so both clip their iterates at 0
+        # n = 5 has a non-integer exponent, so both clip their iterates into
+        # its r-domain, r >= 0
         n = int(problem[-1])
         u0 = 1.5 + 0.5 * (grid.coords @ a)
         u, report = yamabe_solve(grid, "const:6", -1.0, n=n, u0=GridFunction(grid, u0), tol=tol)
-        ref = sweep_solve(yamabe(n, "const:6", -1.0), grid, u0, tol, clip=n == 5)
+        ref = sweep_solve(yamabe(n, "const:6", -1.0), grid, u0, tol)
         return u, report, ref, 6.0, None
     if problem == "dirichlet":
         interior = geodesic_ball_interior(grid, 0, 1.0 if kind == "sphere" else 0.3)
         F, f_vals = sum_of(scalar_term(1.0), lin), f.values(grid.coords)
         u, report = solve_dirichlet(F, grid, ~interior, f_vals, tol=tol)
         u0 = np.where(interior, 0.0, f_vals)
-        return u, report, sweep_solve(F, grid, u0, tol, interior=interior), 1.0, interior
+        return u, report, sweep_solve(F, grid, u0, tol, fixed=~interior), 1.0, interior
     G = lin if problem == "linear" else max_of(lin, constant(-0.1))
     u, report = solve_fixed_point(G, grid, tol=tol)
     return u, report, sweep_solve(lift(G), grid, np.zeros(grid.n_nodes), tol), 1.0, None
@@ -926,14 +929,13 @@ def test_sweep_probes_theta_at_sweep_0_and_every_200th():
     # theta at sweep 200 than at sweep 0; the res-2 sweep takes 292 sweeps
     grid = build_grid(SPHERE, 2)
     F = yamabe(3, ScalarField.parse("const:6"), -1.0)
-    u, report = sweep_solve(F, grid, np.ones(grid.n_nodes), clip=True)
+    u, report = sweep_solve(F, grid, np.ones(grid.n_nodes))
     ctx, centers = F.make_context(grid.coords), _center_sensitivity(grid)
     ref, thetas = np.ones(grid.n_nodes), []
     for it in range(report.iterations):
-        p = _base_proxies(grid, ref)
-        vals = _evaluate(F, ctx, ref, p)
+        p, vals = _residual(F, ctx, grid, ref)
         if it in (0, 200):
-            thetas.append(_estimate_theta(F, ctx, ref, p, vals, centers, slice(None)))
+            thetas.append(_estimate_theta(F, ctx, ref, p, vals, centers, None))
         ref = np.clip(ref - thetas[-1] * vals, 0.0, None)
     assert report.converged and 200 < report.iterations < 400
     assert thetas[0] != thetas[1] == report.theta
@@ -1003,6 +1005,18 @@ def test_newton_solves_what_the_sweep_cannot(kind, res):
     assert report.method == "newton" and report.converged
     lifted = discrete_residual(sum_of(scalar_term(1.0), G), grid, u)
     assert np.max(np.abs(lifted)) <= 1e-8
+
+
+def test_newton_clips_its_trials_into_the_r_domain():
+    # yamabe(5) has the non-integer exponent 7/3, so its r-domain is r >= 0;
+    # the first full Newton step from u0 = 20 leaves it, and the engine clips
+    # the trial at 0 rather than handing the solve to the sweep
+    grid = build_grid(SPHERE, 3)
+    F = yamabe(5, "const:6", -1.0)
+    assert F.r_domain[0] == 0.0
+    u, report = solve_fixed_point(F, grid, u0=GridFunction.constant(grid, 20.0))
+    assert report.method == "newton" and report.converged
+    assert np.all(u.values >= 0.0)
 
 
 def test_cli_solve_leaves_scipy_sparse_linalg_unimported():
