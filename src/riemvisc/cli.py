@@ -5,8 +5,11 @@ deterministically for the given seed, and writes a JSON report plus CSV
 data files into the output directory.  A config given with ``--config`` is
 validated against the command's schema (``jsonschema`` is imported only
 then); the default ``{}`` is valid against every schema.  The exit code is
-0 when every check passed, 1 on any FAIL, and 2 on usage or schema errors.
-Reports embed the resolved config for provenance.
+0 when every check passed, 1 on any FAIL or on a refused input (a
+``RiemviscError``, printed as one ``riemvisc: ...`` line), and 2 on usage
+or schema errors.  Reports embed the resolved config for provenance.
+``geometry-check`` and ``hessian-sign`` build no grid, so they never load
+``scipy.sparse``.
 
 ``geometry-check`` reports four largest violations over sampled points:
 transport isometry along random pairs, exp/log inversion, distance
@@ -46,7 +49,7 @@ from .jacobi import (
 from .jets import canonical_epsilons, doubling_diagnostic, order_margins, star_candidates_stack
 from .manifolds import SegmentStack, _rowwise_dot, from_config as model_from_config
 from .operators import from_config as operator_from_config
-from .solver import solve_fixed_point, yamabe_solve
+from .solver import DEFAULT_MAX_ITER, solve_fixed_point, yamabe_solve
 
 _INT = {"type": "integer"}
 _COUNT = {"type": "integer", "minimum": 1}
@@ -162,6 +165,12 @@ def _write_json(path: Path, payload: dict):
     )
 
 
+def _write_report(out: Path, command: str, seed: int, config: dict, results: dict):
+    """``<command>.json``: the results with the config and seed that made them."""
+    _write_json(out / f"{command}.json", {"command": command, "seed": seed, "config": config,
+                                          "results": results, "pass": results["pass"]})
+
+
 def _write_csv(path: Path, header, columns):
     """``header`` and the rows of ``columns`` (sequences of Python floats or
     ints) as CSV, floats at full precision: the bytes ``csv.writer`` writes
@@ -172,8 +181,11 @@ def _write_csv(path: Path, header, columns):
         fh.writelines(row + "\r\n" for row in rows)
 
 
+_DEFAULT_MODEL = {"model": "sphere", "dim": 2, "radius": 1.0}
+
+
 def _grid_from_config(cfg: dict):
-    model = model_from_config(cfg.get("model", {"model": "sphere", "dim": 2, "radius": 1.0}))
+    model = model_from_config(cfg.get("model", _DEFAULT_MODEL))
     return build_grid(model, int(cfg.get("resolution", 3)), cfg.get("h"))
 
 
@@ -259,7 +271,7 @@ def _geometry_suite(model, n_samples, seed, tolerances):
 
 
 def cmd_geometry_check(config, out: Path, seed: int) -> dict:
-    model = model_from_config(config.get("model", {"model": "sphere", "dim": 2, "radius": 1.0}))
+    model = model_from_config(config.get("model", _DEFAULT_MODEL))
     n_samples = int(config.get("n_samples", 1000))
     checks = _geometry_suite(model, n_samples, seed, config.get("tolerances", {}))
     passed = all(c.get("pass", True) for c in checks.values())
@@ -271,7 +283,7 @@ def cmd_geometry_check(config, out: Path, seed: int) -> dict:
 # --------------------------------------------------------------------- #
 
 def cmd_hessian_sign(config, out: Path, seed: int) -> dict:
-    model = model_from_config(config.get("model", {"model": "sphere", "dim": 2, "radius": 1.0}))
+    model = model_from_config(config.get("model", _DEFAULT_MODEL))
     n_samples = int(config.get("n_samples", 10_000))
     k = model.constant_sectional()
     default_hi = 0.9 * model.injectivity_radius() if k and k > 0 else 3.0
@@ -393,11 +405,14 @@ def cmd_comparison_demo(config, out: Path, seed: int) -> dict:
 # solve / yamabe
 # --------------------------------------------------------------------- #
 
-def _write_solution(out: Path, name: str, grid, values):
+def _solved(out: Path, name: str, grid, u, report) -> dict:
+    """Write ``<name>_solution.csv``; the results ``solve`` and ``yamabe`` share."""
     width = grid.coords.shape[1]
     header = ["node"] + [f"x{i}" for i in range(width)] + ["value"]
-    columns = [range(grid.n_nodes), *grid.coords.T.tolist(), np.asarray(values, dtype=float).tolist()]
+    columns = [range(grid.n_nodes), *grid.coords.T.tolist(), np.asarray(u.values, dtype=float).tolist()]
     _write_csv(out / f"{name}_solution.csv", header, columns)
+    return {"grid": {"model": grid.model.config(), "resolution": grid.resolution, "h": grid.h,
+                     "nodes": grid.n_nodes}, "report": report.to_dict(), "pass": report.converged}
 
 
 def cmd_solve(config, out: Path, seed: int) -> dict:
@@ -410,16 +425,9 @@ def cmd_solve(config, out: Path, seed: int) -> dict:
     u, report = solve_fixed_point(
         operator, grid, u0,
         tol=float(config.get("tol", 1e-8)),
-        max_iter=int(config.get("max_iter", 100_000)),
+        max_iter=int(config.get("max_iter", DEFAULT_MAX_ITER)),
     )
-    _write_solution(out, "solve", grid, u.values)
-    return {
-        "grid": {"model": grid.model.config(), "resolution": grid.resolution,
-                 "h": grid.h, "nodes": grid.n_nodes},
-        "operator": operator.name,
-        "report": report.to_dict(),
-        "pass": report.converged,
-    }
+    return {**_solved(out, "solve", grid, u, report), "operator": operator.name}
 
 
 def cmd_yamabe(config, out: Path, seed: int) -> dict:
@@ -433,14 +441,7 @@ def cmd_yamabe(config, out: Path, seed: int) -> dict:
         u0=u0,
         tol=float(config.get("tol", 1e-8)),
     )
-    _write_solution(out, "yamabe", grid, u.values)
-    return {
-        "grid": {"model": grid.model.config(), "resolution": grid.resolution,
-                 "h": grid.h, "nodes": grid.n_nodes},
-        "report": report.to_dict(),
-        "sup_norm": float(np.max(np.abs(u.values))),
-        "pass": report.converged,
-    }
+    return {**_solved(out, "yamabe", grid, u, report), "sup_norm": float(np.max(np.abs(u.values)))}
 
 
 def cmd_report(config, out: Path, seed: int) -> dict:
@@ -449,10 +450,7 @@ def cmd_report(config, out: Path, seed: int) -> dict:
     for name in _REPORT_SUITES:
         sub_cfg = config.get(name.replace("-", "_"), {})
         results = COMMANDS[name](sub_cfg, out, seed)
-        _write_json(out / f"{name}.json", {
-            "command": name, "seed": seed, "config": sub_cfg, "results": results,
-            "pass": results["pass"],
-        })
+        _write_report(out, name, seed, sub_cfg, results)
         summary[name] = results["pass"]
         all_pass = all_pass and results["pass"]
     return {"suites": summary, "pass": all_pass}
@@ -522,14 +520,7 @@ def main(argv=None) -> int:
     except RiemviscError as exc:
         print(f"riemvisc: {exc}", file=sys.stderr)
         return 1
-    payload = {
-        "command": args.command,
-        "seed": seed,
-        "config": config,
-        "results": results,
-        "pass": results["pass"],
-    }
-    _write_json(out / f"{args.command}.json", payload)
+    _write_report(out, args.command, seed, config, results)
     print(f"{args.command}: {'PASS' if results['pass'] else 'FAIL'}")
     return 0 if results["pass"] else 1
 

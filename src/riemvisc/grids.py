@@ -19,11 +19,14 @@ keeping the faces of every level of the subdivision.  A stencil point is
 interpolated in the nearest-centroid face containing it, found by
 descending the subdivision from the icosahedron face of nearest centre and
 then testing the faces around the corners of the face reached
-(``_FaceLocator``).  The descent works on columns: each level keeps the
+(``_FaceLocator``); there is no k-d tree, so ``scipy.spatial`` is never
+imported.  The descent works on columns: each level keeps the
 nine coordinates of its corner children's cut normals as nine contiguous
 arrays over the parent faces, and the points as their x, y and z columns,
 so a level is nine gathers, their products and sums, and a choice of child
 by comparisons, with no per-point small matrix.
+The nodes are one ``(N, ambient)`` array, ``Grid.coords``, which the
+solver hands to operator contexts.
 The stencils of one step form one direction-major sparse operator
 (``Grid.stack``, ``n_dirs N x N``: row ``k N + i`` interpolates at
 ``exp_{x_i}(h d_k)``), so one mat-vec gathers every stencil value; the

@@ -19,8 +19,13 @@ with the index form I.  Both routes are implemented and cross-checked in
 the tests.
 
 The sign-condition, curvature-bound and index-minimality checks return the
-operators' ``CheckReport``, their extra numbers in its ``extra``, and
-serialize through its one ``to_dict``; a NaN sample fails each of them.
+operators' ``CheckReport`` (named ``sign_condition``, ``curvature_bound``
+and ``index_minimality``), their extra numbers in its ``extra``
+(``max_value``/``min_value``, ``k0``, and ``jacobi_value``/``min_margin``/
+``parallel_margin``), and serialize through its one ``to_dict``; a NaN
+sample fails each of them.  The three parallel-pair sweeps evaluate their
+samples in one pass of the Hessian block kernel, with no segment frame;
+``hessian_on_parallel_pair`` is that kernel on one row.
 """
 
 from __future__ import annotations
@@ -482,10 +487,13 @@ def hessian_distance_sq_stack(m: Manifold, xs: np.ndarray, ys: np.ndarray) -> np
 
 
 def hessian_on_parallel_pair(m: Manifold, x: Point, y: Point, v: TangentVector) -> float:
-    """d^2(d^2)(x, y) evaluated on (v, L_xy v)."""
-    seg = m.geodesic_segment(x, y)
-    z = np.tile(seg.components_at_start(v), 2)
-    return float(z @ _segment_frame_hessian(seg) @ z)
+    """d^2(d^2)(x, y) evaluated on (v, L_xy v): the pair sweeps' kernel on one
+    row, with the step ``log_x y`` and no segment frame.  A pair
+    ``GeodesicSegment.connect`` would refuse raises its typed error."""
+    m._check_based(x, v)
+    xs, ys = x.coords[None], y.coords[None]
+    draws = _PairDraws(xs, m.distance_stack(xs, ys), m.log_stack(xs, ys), v.components[None], None)
+    return float(_pair_values(m, draws, False, ys)[1][0])
 
 
 # --------------------------------------------------------------------- #
@@ -572,13 +580,14 @@ def _draw_pairs(
     return _PairDraws(xs, ells, steps, None, normals)
 
 
-def _pair_stack(m: Manifold, draws: _PairDraws, unit_normal: bool):
-    """``(lengths, kappas, sq, vnorms)`` per sample: the segment length, the
-    tidal eigenvalues normal to the geodesic in each factor, the squared mass
-    of v (or of the unit normal) in their eigenspaces, and |v|^2.  Rows whose
-    segment ``connect`` would refuse raise its typed error, naming the first
-    such sample."""
-    lengths = m.distance_stack(draws.xs, m.exp_stack(draws.xs, draws.steps))
+def _pair_stack(m: Manifold, draws: _PairDraws, unit_normal: bool, ys=None):
+    """``(lengths, kappas, sq, vnorms)`` per sample: the segment length to
+    ``ys`` (by default ``exp(x, step)``), the tidal eigenvalues normal to the
+    geodesic in each factor, the squared mass of v (or of the unit normal) in
+    their eigenspaces, and |v|^2.  Rows whose segment ``connect`` would
+    refuse raise its typed error, naming the first such sample."""
+    ys = m.exp_stack(draws.xs, draws.steps) if ys is None else ys
+    lengths = m.distance_stack(draws.xs, ys)
     GeodesicSegment.check_lengths(lengths, m.injectivity_radius())
     k = m.constant_sectional()
     # only the eigenspaces normal to the geodesic enter: the tangent
@@ -610,16 +619,20 @@ def _pair_stack(m: Manifold, draws: _PairDraws, unit_normal: bool):
     return lengths, np.stack(kappas, axis=1), np.stack(sq, axis=1), vnorms
 
 
-def _pair_sweep(m: Manifold, n_samples: int, seed: int, ell_range, unit_normal: bool):
-    """``(draws, lengths, values, vnorms)``: d^2(d^2)(v, L_xy v) per sample.
+def _pair_values(m: Manifold, draws: _PairDraws, unit_normal: bool, ys=None):
+    """``(lengths, values, vnorms)``: d^2(d^2)(v, L_xy v) per row of ``draws``.
 
     With z = (a, a) in the tidal eigenbasis each Hessian block contributes
     ``2 a_i^2 (diag_i + off_i)``."""
-    draws = _draw_pairs(m, n_samples, seed, ell_range, unit_normal)
-    lengths, kappas, sq, vnorms = _pair_stack(m, draws, unit_normal)
+    lengths, kappas, sq, vnorms = _pair_stack(m, draws, unit_normal, ys)
     diag, off = _hessian_blocks(kappas, lengths[:, None])
-    values = 2.0 * np.sum(sq * (diag + off), axis=1)
-    return draws, lengths, values, vnorms
+    return lengths, 2.0 * np.sum(sq * (diag + off), axis=1), vnorms
+
+
+def _pair_sweep(m: Manifold, n_samples: int, seed: int, ell_range, unit_normal: bool):
+    """``(draws, lengths, values, vnorms)``: ``_pair_values`` of the sweep's draws."""
+    draws = _draw_pairs(m, n_samples, seed, ell_range, unit_normal)
+    return (draws, *_pair_values(m, draws, unit_normal))
 
 
 def parallel_pair_sweep(

@@ -26,7 +26,11 @@ Conventions
   canonical rows would give, up to roundoff, except where a remainder lies
   near ``_FRAME_FLOOR`` (about 1 draw in 300), where a row may come from
   another axis.  Both frame builders, and so every frame, start from the
-  projected axes.
+  projected axes, and keep a remainder only above that squared-norm floor
+  (1e-8), so frames next to a coordinate axis stay tangent.
+* Stacks of forms are checked and symmetrized by ``symmetrized_forms`` and
+  normed by ``operator_norms``; ``SymBilinear``, ``HessianPair`` and the
+  jets' ``canonical_epsilon`` use their one-matrix calls.
 * Manifolds without conjugate points report ``INFINITE_RADIUS``
   (``math.inf``) as their injectivity radius; preconditions compare with
   strict ``<``.
@@ -45,7 +49,9 @@ Conventions
   ``transport_rows`` and ``random_point`` once, as one-row calls of
   ``exp_stack``, ``log_stack``, ``distance_stack``, ``transport_stack`` and
   ``points_from_draws``, as ``sectional_curvature`` is of its stack and
-  ``jacobi``'s tidal spectrum and frame Hessian are of theirs.  On Euclidean
+  ``jacobi``'s tidal spectrum and frame Hessian are of theirs; a refusal is
+  the stack's error, naming row 0 (a torus or product ``log`` at the cut
+  locus).  On Euclidean
   space and the torus that costs 1-4 us a call more than a scalar body; on a
   product (Sphere(2) x Euclidean(2)) log 18 -> 31 us, transport 28 -> 60.
 * Second bodies stay only where a one-row stack costs several times a
@@ -69,8 +75,9 @@ Conventions
 
 * ``inner_stack`` broadcasts over leading axes; ``components(vectors,
   frame)`` on top of it rounds each entry as one ``ambient_inner``.
-* A hyperboloid step whose coordinates or Minkowski square would overflow
-  raises ``GeometryDomainError`` in ``exp`` and ``exp_stack`` alike.
+* An exp step whose own |v|^2 is not finite, and a hyperboloid step whose
+  coordinates or Minkowski square would overflow, raise
+  ``GeometryDomainError`` in ``exp`` and ``exp_stack`` alike.
 * ``random_point``/``random_tangent`` are a generator call (``draw_point``,
   the entries of ``point_plan``, and ``draw_tangent``) followed by a
   closed-form map; ``points_from_draws`` and ``project_tangent_stack`` map

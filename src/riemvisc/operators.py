@@ -13,7 +13,16 @@ monotonicity sweep drops tied rows); the draws are mapped as stacks
 (zeta, A) moves from x to y by the transport matrices T of all pairs in
 one call (``transport_matrices``), as zeta T and T^T A T, and one batch
 call evaluates the sweep.  Estimated moduli are never certificates; pass
-thresholds belong to the test configuration, not the library.
+thresholds belong to the test configuration, not the library, and whether
+an operator's joint modulus is the right granularity for the scheme's
+consistency tolerance is left open.
+
+Malformed input raises ``PreconditionError``, a ``ValueError``, which the
+CLI prints as one ``riemvisc: ...`` line before it exits 1: malformed
+modulus bins, a ``coord:<i>`` field past the points' coordinates, and the
+builders' refusals (a ``sum_of`` weight list of another length than its
+terms or with a negative or non-finite entry, a combinator of no terms, a
+negative ``example_5_3`` exponent, ``yamabe`` with n < 3).
 
 The spectral evaluators (``neg_min_eigenvalue``, ``detplus_pospart`` and
 so ``neg_detplus``, ``example_5_3``) take their eigenvalues from one
@@ -22,18 +31,22 @@ kernel, ``_spectra``: a stack of 2 x 2 matrices is solved in closed form,
 4 eps |A|_2 of LAPACK and with no LAPACK call; any other n (a product
 model's 4) is one ``np.linalg.eigvalsh`` call.  A matrix with a
 non-finite entry gets NaN from ``detplus``, ``detplus_pospart`` and
-``neg_min_eigenvalue``, for every n.
+``neg_min_eigenvalue``, for every n.  The literal ``detplus``, the jets'
+star margins, ``SymBilinear.eigenvalues`` and ``operator_norms`` stay on
+``eigvalsh``.
 
 Every report that writes JSON (``CheckReport``, also returned by the
 Jacobi checks, the modulus tables and the solver's reports) writes it
 through the one ``Verdict.to_dict``.
 
 Note on the positive determinant: ``detplus`` is the literal product of
-the nonnegative eigenvalues (empty product = 1).  That function is not
-monotone in the semidefinite order, so the shipped ``neg_detplus``
-operator is built on ``detplus_pospart`` (the product of eigenvalue
-positive parts), which is monotone and keeps the operator genuinely
-degenerate elliptic.  See README for the full discussion.
+the nonnegative eigenvalues (empty product = 1, chosen for
+multiplicativity).  That function is not monotone in the semidefinite
+order: ``diag(-0.1, 2) <= diag(0.1, 2.2)``, but the products are 2 and
+0.22, so an operator built on it would not be degenerate elliptic.  The
+shipped ``neg_detplus`` operator is therefore built on ``detplus_pospart``
+(the product of eigenvalue positive parts), which is monotone; both
+functions are exported.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ hierarchy (:mod:`riemvisc.multigrid`) and shortened by halving until the
 residual falls below the largest of the last few.  The discrete equation
 has one solution, so the engine may hand it to the damped iteration
 ``u <- (1-theta) u + theta (-G_h(x, u))``, run from the original start
-with the caller's ``max_iter``.  It does so when the hierarchy's coarsest
-level is too large for a dense solve, and when Newton fails: a Krylov solve
+with the caller's ``max_iter``, so the result is the sweep's alone.  It
+does so when the hierarchy's coarsest level is too large for a dense solve
+(an odd torus lattice past 32 x 32), and when Newton fails: a Krylov solve
 misses its tolerance within ``_KRYLOV_CAP`` iterations, no halving of a
 step finds a lower residual (a non-finite one included), the operator
 refuses an iterate, or ``_NEWTON_MAX_STEPS`` steps pass.  Both paths clip
@@ -30,9 +31,15 @@ exponent is not an odd integer), and leave the nodes of a Dirichlet
 solve's boundary mask where they start.  The sweep's damping is
 ``1/(1 + L)`` with ``L`` the probed sensitivity of ``G_h`` to the center
 value, probed at sweep 0 and every ``_THETA_REFRESH`` sweeps, which makes
-the update the classical (center-implicit) Jacobi sweep.  Node updates
-within a sweep only read the previous iterate, so the iteration is
-deterministic and order-independent.
+the update the classical (center-implicit) Jacobi sweep; no caller sets
+theta, as a larger one can diverge and a smaller one only slows the sweep.
+Node updates within a sweep only read the previous iterate, so the
+iteration is deterministic and order-independent.  A linear solve takes
+one or two Newton steps and 5-6 Krylov iterations in all on icosphere
+resolutions 3-5 (9 at res 6).  The cross-term proxy of
+``neg_min_eigenvalue`` gives neighbors negative weight, so its Krylov
+solves miss and it is swept.  A start outside the operator's ``r_domain``
+is refused before any of this.
 
 The scheme is the grid's stencil stack (``Grid.stack``): one mat-vec
 gathers the ``(8, N)`` stencil values of u, and one assembly turns them
@@ -392,7 +399,16 @@ def _run_iteration(
 ):
     """Solve ``F(u) = 0`` off the fixed nodes (on every node by default):
     Newton steps, or the damped sweep from ``u0`` where they are not taken or
-    fail."""
+    fail.  A start outside F's r-domain raises ``PreconditionError`` naming
+    ``u0`` (or a fixed node's boundary value), the first such node and its
+    value."""
+    lo, hi = F.r_domain
+    bad = np.flatnonzero(~((lo <= u0) & (u0 <= hi)))  # NaN included
+    if bad.size:
+        i = int(bad[0])
+        what = "boundary value" if fixed is not None and fixed[i] else "u0"
+        raise PreconditionError(
+            f"{what} {float(u0[i])!r} at node {i} is outside the r-domain [{lo}, {hi}] of {F.name}")
     if fixed is not None and fixed.all():
         return np.array(u0, dtype=float), SolveReport(
             0, 0.0, tol, True, 0.0, 0.0, np.zeros(0), "newton")

@@ -484,6 +484,19 @@ def test_coordinate_past_the_model_is_a_typed_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_start_outside_the_r_domain_is_a_typed_error(tmp_path, capsys):
+    # yamabe(5) needs r >= 0; the engine refuses the start before any solve
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid": {"resolution": 3}, "u0": -1.0,
+        "operator": {"op": "yamabe", "n": 5, "S": "const:6", "S_prime": -1.0},
+    }))
+    assert run(["solve", "--config", cfg, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("riemvisc: u0 -1.0 at node 0 is outside the r-domain [0.0, inf]")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("weights", [[1.0], [1.0, -1.0]])
 def test_refused_sum_weights_are_a_typed_error(tmp_path, capsys, weights):
     # the schema admits any list of numbers; sum_of needs one finite

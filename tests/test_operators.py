@@ -49,8 +49,8 @@ NORTH = SPHERE.point([0.0, 0.0, 1.0])
 
 
 def literal_neg_detplus():
-    # literal positive-eigenvalue product; see README for why the shipped
-    # builder uses the monotone positive-part variant instead
+    # literal positive-eigenvalue product; the operators docstring says why
+    # the shipped builder uses the monotone positive-part variant instead
     return OperatorSpec(
         "neg_detplus_literal",
         lambda ctx, rs, zs, As: -np.array([detplus(a) for a in As]),

@@ -1019,6 +1019,28 @@ def test_newton_clips_its_trials_into_the_r_domain():
     assert np.all(u.values >= 0.0)
 
 
+def test_a_start_outside_the_r_domain_is_refused_up_front(monkeypatch):
+    # yamabe(5) needs r >= 0: the start is refused before the hierarchy is
+    # built, naming u0 or the boundary value, its node and its value
+    import riemvisc.solver as solver
+
+    grid = build_grid(SPHERE, 3)
+    F = yamabe(5, "const:6", -1.0)
+    monkeypatch.setattr(solver, "_hierarchy", None)  # a call would raise TypeError
+    u0 = np.ones(grid.n_nodes)
+    u0[7] = -0.5
+    with pytest.raises(PreconditionError, match=r"^u0 -0\.5 at node 7 is outside the r-domain \[0\.0, inf\]"):
+        solve_fixed_point(F, grid, GridFunction(grid, u0))
+    mask = np.zeros(grid.n_nodes, bool)
+    mask[[3, 9]] = True
+    f_vals = np.zeros(grid.n_nodes)
+    f_vals[9] = math.nan
+    with pytest.raises(PreconditionError, match="^boundary value nan at node 9 is outside"):
+        solve_dirichlet(F, grid, mask, f_vals, GridFunction.constant(grid, 1.0))
+    with pytest.raises(PreconditionError, match="^u0 -1.0 at node 0 is outside"):
+        solve_dirichlet(F, grid, mask, 1.0, GridFunction.constant(grid, -1.0))
+
+
 def test_cli_solve_leaves_scipy_sparse_linalg_unimported():
     code = (
         "import sys\n"
