@@ -24,7 +24,12 @@ imported.  The descent works on columns: each level keeps the
 nine coordinates of its corner children's cut normals as nine contiguous
 arrays over the parent faces, and the points as their x, y and z columns,
 so a level is nine gathers, their products and sums, and a choice of child
-by comparisons, with no per-point small matrix.
+by comparisons, with no per-point small matrix.  The rest of a stencil is
+column arithmetic too: the barycentrics are gathers from the faces'
+corner inverses, held as nine contiguous columns, and the stencil points
+and weights are built coordinate by coordinate.  Each sum keeps the order
+of the array expression it replaced (``einsum``, ``np.linalg.norm``, a row
+sum), so every stencil array is bitwise what those gave.
 The nodes are one ``(N, ambient)`` array, ``Grid.coords``, which the
 solver hands to operator contexts.
 The stencils of one step form one direction-major sparse operator
@@ -96,7 +101,8 @@ def icosahedron():
 def _edge_keys(faces: np.ndarray, n_verts: int):
     """Edges ab, bc, ca of every face in turn, and one integer key per undirected edge."""
     ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    return ends, ends.min(axis=1) * n_verts + ends.max(axis=1)
+    a, b = ends.T
+    return ends, np.minimum(a, b) * n_verts + np.maximum(a, b)
 
 
 def icosphere(subdivisions: int):
@@ -131,9 +137,16 @@ def icosphere(subdivisions: int):
 
 
 def _mesh_edges(faces: np.ndarray) -> np.ndarray:
+    """The ``(E, 2)`` edges ``a < b`` of a closed, consistently oriented
+    triangle mesh, in ascending order of ``(a, b)``.
+
+    Every edge is the half-edge a -> b of one face and b -> a of the other,
+    so the half-edges with a < b are the edges, each once: one sort of their
+    keys lists them, with no deduplication.
+    """
     n = int(faces.max()) + 1
-    key = np.sort(_edge_keys(faces, n)[1])  # np.unique's keys, without its hash path
-    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+    a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+    key = np.sort((a * n + b)[a < b])
     return np.stack([key // n, key % n], axis=1)
 
 
@@ -416,6 +429,17 @@ def _vertex_rings(faces: np.ndarray, n_verts: int) -> np.ndarray:
     return ring
 
 
+def _gather_dot(cols: np.ndarray, idx: np.ndarray, x, y, z, out=None) -> np.ndarray:
+    """``cols[:, idx]`` dotted with the points' x, y and z columns: three
+    gathers from the three contiguous rows of ``cols``, summed as einsum sums
+    a length-3 product over C-ordered rows, ``(x term + z term) + y term``
+    (einsum starts from +0.0, so it has +0.0 where this may have -0.0)."""
+    s = np.multiply(cols[0].take(idx), x, out=out)
+    s += cols[2].take(idx) * z
+    s += cols[1].take(idx) * y
+    return s
+
+
 @dataclass(frozen=True)
 class _FaceLocator:
     """The nearest-centroid face that contains a point on the sphere, found by
@@ -427,12 +451,16 @@ class _FaceLocator:
     test runs on columns: ``normals[level][k, b]`` is the b-th coordinate of
     corner child k's normal for every parent face, one contiguous array, so
     side k of every point is three gathers from it times the point's x, y and
-    z columns, summed in the order of the einsum it replaced; the child is
-    the first side of positive maximum, else the centre child.
+    z columns (``_gather_dot``); the child is the first side of positive
+    maximum, else the centre child.  The barycentrics are read the same way
+    from ``inverses``, the LAPACK inverses of the faces' corner matrices held
+    as nine contiguous columns, after the descent and in the ring fallback:
+    bitwise the einsum ``"nab,nb->na"`` over the gathered ``(n, 3, 3)``
+    inverses and C-ordered points.
     """
 
     faces: np.ndarray        # (F, 3) finest faces
-    inv_corners: np.ndarray  # (F, 3, 3): a point -> its barycentrics in each face
+    inverses: np.ndarray     # (3, 3, F): [a, b] entry (a, b) of every face's map p -> barycentrics
     centroids: np.ndarray    # (F, 3) face centroids pushed onto the sphere
     top: np.ndarray          # (3, 20): the 20 icosahedron face centres, one per column
     normals: list            # per finer level: (3, 3, F_parent), [k, b] the b-th coordinate
@@ -443,9 +471,11 @@ class _FaceLocator:
     def build(cls, coords: np.ndarray, levels: list[np.ndarray], radius: float) -> "_FaceLocator":
         faces = levels[-1]
         corners = coords[faces]                                  # (F, 3, 3)
-        inv_corners = np.linalg.inv(corners.transpose(0, 2, 1))  # maps p -> barycentric
         centroids = corners.mean(axis=1)
         centroids /= np.linalg.norm(centroids, axis=1, keepdims=True) / radius
+        inverses = np.linalg.inv(corners.transpose(0, 2, 1))     # maps p -> barycentric
+        del corners  # before the columns are copied out, so three (F, 3, 3) arrays never meet
+        inverses = np.ascontiguousarray(inverses.transpose(1, 2, 0))
         top = coords[levels[0]].sum(axis=1).T
         # corner child [v, m1, m2] lies on the positive side of m1 x m2
         normals = []
@@ -453,12 +483,14 @@ class _FaceLocator:
             child = children.reshape(-1, 4, 3)[:, :3]
             cut = np.cross(coords[child[..., 1]], coords[child[..., 2]])
             normals.append(np.ascontiguousarray(cut.transpose(1, 2, 0)))
-        return cls(faces, inv_corners, centroids, top, normals,
+        return cls(faces, inverses, centroids, top, normals,
                    _vertex_rings(faces, coords.shape[0]))
 
     def locate(self, pts: np.ndarray):
-        """Face index and barycentrics of every point; the face is -1 (and the
-        barycentrics those in the descended face) where no face contains it.
+        """Face index and barycentrics ``(n, 3)`` of every point; the face is
+        -1 (and the barycentrics those in the descended face) where no face
+        contains it.  The barycentrics are the transpose of three contiguous
+        rows, one per corner.
 
         The descent ends in a face that contains the point up to roundoff.  A
         point that is not well inside it (minimum barycentric below 1e-8, or
@@ -471,54 +503,73 @@ class _FaceLocator:
         # are its face cones
         face = np.argmax(pts @ self.top, axis=1)
         x, y, z = np.ascontiguousarray(pts.T)
-
-        def side(normal):
-            # summed as einsum's "nkb,nb->nk" sums: (x term + z term) + y term
-            s = normal[0].take(face) * x
-            s += normal[2].take(face) * z
-            s += normal[1].take(face) * y
-            return s
-
         for normal in self.normals:
-            s0, s1, s2 = side(normal[0]), side(normal[1]), side(normal[2])
+            s0, s1, s2 = (_gather_dot(normal[k], face, x, y, z) for k in range(3))
             # argmax of the sides, first maximum first; past a non-positive
             # maximum, or a NaN side (m is then NaN), the centre child 3
             m = np.maximum(s0, s1)
             np.maximum(m, s2, out=m)
             face *= 4
             face += np.where(m > 0.0, (s0 < m) * (2 - (s1 == m)), 3)
-        bary = np.einsum("nab,nb->na", self.inv_corners[face], pts)
-        near = np.flatnonzero(~(bary.min(axis=1) >= 1e-8))
+        bary = np.empty((3, face.size))
+        for a in range(3):
+            _gather_dot(self.inverses[a], face, x, y, z, out=bary[a])
+        low = np.minimum(bary[0], bary[1])
+        near = np.flatnonzero(~(np.minimum(low, bary[2], out=low) >= 1e-8))
         if near.size:
             cand = np.sort(self.ring[self.faces[face[near]]].reshape(near.size, -1), axis=1)
-            inside = np.einsum("nfab,nb->nfa", self.inv_corners[cand], pts[near]).min(axis=2)
-            inside = inside >= -1e-10
+            xn, yn, zn = x[near, None], y[near, None], z[near, None]
+            low = _gather_dot(self.inverses[0], cand, xn, yn, zn)
+            for a in (1, 2):
+                np.minimum(low, _gather_dot(self.inverses[a], cand, xn, yn, zn), out=low)
+            inside = low >= -1e-10
             dx, dy, dz = np.moveaxis(pts[near, None, :] - self.centroids[cand], -1, 0)
             best = np.argmin(np.where(inside, dx * dx + dy * dy + dz * dz, np.inf), axis=1)
             found = inside[np.arange(near.size), best]
             face[near] = np.where(found, cand[np.arange(near.size), best], -1)
             moved = near[found]
-            bary[moved] = np.einsum("nab,nb->na", self.inv_corners[face[moved]], pts[moved])
-        return face, bary
+            for a in range(3):
+                bary[a, moved] = _gather_dot(self.inverses[a], face[moved],
+                                             x[moved], y[moved], z[moved])
+        bary += 0.0  # einsum's +0.0 in place of a -0.0
+        return face, bary.T
 
 
 def _sphere_stencils(model: Sphere, verts, frames, h, dirs, locator: _FaceLocator):
     """Stencil stack at step ``h``: every stencil point is interpolated in
-    the face ``locator`` finds for it, with its clipped barycentrics."""
+    the face ``locator`` finds for it, with its clipped barycentrics.
+
+    Points and weights are computed on columns, each summed in the order of
+    the array expression it replaced: the tangent ``d0 f0 + d1 f1`` (einsum
+    over the frame), the point ``cos(theta) x + r sin(theta) t``, scaled by
+    r over ``sqrt((x^2 + y^2) + z^2)`` (``np.linalg.norm``); the weights
+    clipped at 0 and divided by ``(w0 + w1) + w2``.
+    """
     import scipy.sparse as sparse
 
     n_nodes = verts.shape[0]
     theta = h / model.radius
+    cos, sin = math.cos(theta), math.sin(theta) * model.radius
+    f0, f1 = np.ascontiguousarray(frames.transpose(1, 2, 0))  # (3, N) each
 
     # three entries per row, so the CSR arrays are filled in place
     nnz = 3 * len(dirs) * n_nodes
     index = np.int32 if nnz < 2**31 else np.int64
+    corners = np.ascontiguousarray(locator.faces.T, dtype=index)  # (3, F)
     cols = np.empty((len(dirs), n_nodes, 3), dtype=index)
     vals = np.empty((len(dirs), n_nodes, 3))
+    pts = np.empty((n_nodes, 3))  # the points as locate takes them, one row each
     for row, d in enumerate(dirs):
-        tangent = np.einsum("k,nka->na", d, frames)
-        pts = math.cos(theta) * verts + math.sin(theta) * model.radius * tangent
-        pts *= model.radius / np.linalg.norm(pts, axis=1, keepdims=True)
+        xyz = d[0] * f0
+        xyz += d[1] * f1
+        xyz += 0.0  # einsum's +0.0 in place of a -0.0
+        xyz *= sin
+        xyz += cos * verts.T
+        norm = xyz[0] * xyz[0]
+        norm += xyz[1] * xyz[1]
+        norm += xyz[2] * xyz[2]
+        np.multiply(xyz, model.radius / np.sqrt(norm), out=pts.T)
+        del xyz, norm  # before locate, where a stack's build peaks in memory
         chosen, w = locator.locate(pts)
         if np.any(chosen < 0):
             i = int(np.argmax(chosen < 0))
@@ -526,11 +577,13 @@ def _sphere_stencils(model: Sphere, verts, frames, h, dirs, locator: _FaceLocato
                 f"the stencil point of node {i} in direction {row} {d.tolist()} lies in "
                 f"no mesh face (barycentrics {w[i].tolist()} in the face the descent reached)"
             )
-        w = np.clip(w, 0.0, None)
-        w /= w.sum(axis=1, keepdims=True)
+        w = np.clip(w.T, 0.0, None)  # one row per corner
+        total = w[0] + w[1]
+        total += w[2]
+        w /= total
         # canonical CSR: each row's three distinct columns put in ascending
         # order by three compare-swaps, the order argsort gives
-        c, v = list(locator.faces[chosen].T), list(w.T)
+        c, v = [corner.take(chosen) for corner in corners], list(w)
         for i, j in ((0, 1), (1, 2), (0, 1)):
             swap = c[i] > c[j]
             c[i], c[j] = np.where(swap, c[j], c[i]), np.where(swap, c[i], c[j])
@@ -603,11 +656,16 @@ def _direction_views(stack: sparse.csr_matrix, n_dirs: int) -> list[sparse.csr_m
 
 
 def _check_stencil_invariants(grid: Grid):
+    """Refuse a negative (or NaN) weight, a row of the stack whose weights do
+    not sum to one, and a step of a quarter injectivity radius or more.  The
+    row sums are read off the CSR arrays, one ``reduceat`` over the rows'
+    starts; an empty row sums to 0, so it is refused before that (where
+    ``reduceat`` would read the next row's first entry)."""
     mat = grid.stack
-    if mat.data.size and mat.data.min() < -_EPS_WEIGHT:
+    if mat.data.size and not mat.data.min() >= -_EPS_WEIGHT:
         raise PreconditionError("stencil weights must be nonnegative")
-    sums = np.asarray(mat.sum(axis=1)).ravel()
-    if np.max(np.abs(sums - 1.0)) > 1e-9:
+    if not (np.all(np.diff(mat.indptr))
+            and np.max(np.abs(np.add.reduceat(mat.data, mat.indptr[:-1]) - 1.0)) <= 1e-9):
         raise PreconditionError("stencil weights must sum to one")
     if not grid.h < grid.model.injectivity_radius() / 4.0:
         raise PreconditionError("stencil step must stay below a quarter injectivity radius")

@@ -35,8 +35,10 @@ the update the classical (center-implicit) Jacobi sweep; no caller sets
 theta, as a larger one can diverge and a smaller one only slows the sweep.
 Node updates within a sweep only read the previous iterate, so the
 iteration is deterministic and order-independent.  A linear solve takes
-one or two Newton steps and 5-6 Krylov iterations in all on icosphere
-resolutions 3-5 (9 at res 6).  The cross-term proxy of
+one or two Newton steps and 4-8 Krylov iterations in all on icosphere
+resolutions 3-5, and 6-10 at res 6: measured on ``u - lap u = a.x`` for
+the benchmark's unit vectors ``a`` at seeds 1-8 (res 5 at seed 4: 2 Newton
+steps, 8 Krylov iterations).  The cross-term proxy of
 ``neg_min_eigenvalue`` gives neighbors negative weight, so its Krylov
 solves miss and it is swept.  A start outside the operator's ``r_domain``
 is refused before any of this.

@@ -1,9 +1,14 @@
 """Icosphere subdivision, batched sphere frames, stencil point location, grid distances."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +71,7 @@ def test_icosphere_levels_nest(res):
         assert np.allclose(new, p / np.linalg.norm(p, axis=1, keepdims=True), atol=1e-15)
 
 
-@pytest.mark.parametrize("res", [0, 1, 2, 3])
+@pytest.mark.parametrize("res", range(7))
 def test_mesh_edges_sorted_unique(res):
     faces = icosphere(res)[1][-1]
     e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
@@ -214,10 +219,28 @@ def sphere_locator(radius, res):
     return _FaceLocator.build(verts * radius, levels, radius)
 
 
-def locator_oracle(locator, pts):
+@functools.lru_cache(maxsize=None)
+def corner_inverses(radius, res):
+    """(F, 3, 3): each finest face's map from a point to its barycentrics,
+    the inverse of the face's corner matrix, by one batched LAPACK call."""
+    verts, levels, _ = icosphere(res)
+    corners = (verts * radius)[levels[-1]]
+    return np.linalg.inv(corners.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("res", [0, 3])
+def test_locator_holds_the_corner_inverses_as_columns(radius, res):
+    inverses = sphere_locator(radius, res).inverses
+    assert inverses.shape == (3, 3, 20 * 4**res)
+    assert all(inverses[a, b].flags.c_contiguous for a in range(3) for b in range(3))
+    assert inverses.transpose(2, 0, 1).tobytes() == corner_inverses(radius, res).tobytes()
+
+
+def locator_oracle(locator, inverses, pts):
     """Brute force over every face: the nearest-centroid face that contains
     each point, ties to the lowest index, or -1 where none does."""
-    inside = np.einsum("fab,nb->nfa", locator.inv_corners, pts).min(axis=2) >= -1e-10
+    inside = np.einsum("fab,nb->nfa", inverses, pts).min(axis=2) >= -1e-10
     dx, dy, dz = np.moveaxis(pts[:, None, :] - locator.centroids[None], -1, 0)
     face = np.argmin(np.where(inside, dx * dx + dy * dy + dz * dz, np.inf), axis=1)
     return np.where(inside.any(axis=1), face, -1)
@@ -231,9 +254,10 @@ def test_locate_matches_brute_force_oracle(radius, res, seed):
     pts = np.random.default_rng(seed).standard_normal((64, 3))
     pts *= radius / np.linalg.norm(pts, axis=1, keepdims=True)
     face, bary = locator.locate(pts)
-    assert np.array_equal(face, locator_oracle(locator, pts))
+    inverses = corner_inverses(radius, res)
+    assert np.array_equal(face, locator_oracle(locator, inverses, pts))
     assert np.all(bary.min(axis=1) >= -1e-10)
-    assert np.array_equal(bary, np.einsum("nab,nb->na", locator.inv_corners[face], pts))
+    assert np.array_equal(bary, np.einsum("nab,nb->na", inverses[face], pts))
 
 
 def mesh_points(locator, radius, res):
@@ -253,12 +277,13 @@ def mesh_points(locator, radius, res):
 def test_locate_on_edges_vertices_and_centroids(radius, res):
     locator = sphere_locator(radius, res)
     cases = mesh_points(locator, radius, res)
+    inverses = corner_inverses(radius, res)
     for name, pts in cases.items():
         face, bary = locator.locate(pts)
-        assert np.array_equal(face, locator_oracle(locator, pts)), name
+        assert np.array_equal(face, locator_oracle(locator, inverses, pts)), name
         assert np.all(bary.min(axis=1) >= -1e-10), name
     # an edge point lies in both faces of its edge: the tie rule decides
-    bary = np.einsum("fab,nb->nfa", locator.inv_corners, cases["edge"]).min(axis=2)
+    bary = np.einsum("fab,nb->nfa", inverses, cases["edge"]).min(axis=2)
     assert np.all(np.sum(bary >= -1e-10, axis=1) == 2)
 
 
@@ -275,27 +300,28 @@ def reference_cuts(radius, res):
     return cuts
 
 
-def _reference_locate(locator, cuts, pts):
+def _reference_locate(locator, cuts, inverses, pts):
     """The face search as one einsum and one argmax per level of the
-    descent, then the same barycentrics and near-border ring fallback."""
+    descent, then the barycentrics and the near-border ring fallback as
+    einsums over the ``(F, 3, 3)`` corner inverses."""
     face = np.argmax(pts @ locator.top, axis=1)
     rows = np.arange(pts.shape[0])
     for cut in cuts:
         side = np.einsum("nkb,nb->nk", cut[face], pts)
         k = np.argmax(side, axis=1)
         face = 4 * face + np.where(side[rows, k] > 0.0, k, 3)
-    bary = np.einsum("nab,nb->na", locator.inv_corners[face], pts)
+    bary = np.einsum("nab,nb->na", inverses[face], pts)
     near = np.flatnonzero(~(bary.min(axis=1) >= 1e-8))
     if near.size:
         cand = np.sort(locator.ring[locator.faces[face[near]]].reshape(near.size, -1), axis=1)
-        inside = np.einsum("nfab,nb->nfa", locator.inv_corners[cand], pts[near]).min(axis=2)
+        inside = np.einsum("nfab,nb->nfa", inverses[cand], pts[near]).min(axis=2)
         inside = inside >= -1e-10
         dx, dy, dz = np.moveaxis(pts[near, None, :] - locator.centroids[cand], -1, 0)
         best = np.argmin(np.where(inside, dx * dx + dy * dy + dz * dz, np.inf), axis=1)
         found = inside[np.arange(near.size), best]
         face[near] = np.where(found, cand[np.arange(near.size), best], -1)
         moved = near[found]
-        bary[moved] = np.einsum("nab,nb->na", locator.inv_corners[face[moved]], pts[moved])
+        bary[moved] = np.einsum("nab,nb->na", inverses[face[moved]], pts[moved])
     return face, bary
 
 
@@ -308,13 +334,13 @@ def test_locate_is_the_reference_descent(radius, res, monkeypatch):
     # faces and barycentrics bitwise the einsum descent's: on every stencil
     # point at h and h / 2, as the stencil builder hands them over, on random
     # points and on the mesh's own points, where sides tie
-    cuts = reference_cuts(radius, res)
+    cuts, inverses = reference_cuts(radius, res), corner_inverses(radius, res)
     locate = _FaceLocator.locate
     checked = []
 
     def checked_locate(self, pts):
         face, bary = locate(self, pts)
-        ref_face, ref_bary = _reference_locate(self, cuts, pts)
+        ref_face, ref_bary = _reference_locate(self, cuts, inverses, pts)
         assert face.tobytes() == ref_face.tobytes()
         assert bary.tobytes() == ref_bary.tobytes()
         checked.append(pts.shape[0])
@@ -376,7 +402,8 @@ def test_locate_keeps_the_reference_tie_rules(radius, res):
     pts = np.concatenate([pts, pts * 2.0**40])
     locator = sphere_locator(radius, res)
     face, bary = locator.locate(pts)
-    ref_face, ref_bary = _reference_locate(locator, reference_cuts(radius, res), pts)
+    ref_face, ref_bary = _reference_locate(locator, reference_cuts(radius, res),
+                                           corner_inverses(radius, res), pts)
     assert face.tobytes() == ref_face.tobytes()
     assert bary.tobytes() == ref_bary.tobytes()
     assert np.all(face[: len(pts) // 2] >= 0)
@@ -440,6 +467,77 @@ def test_gather_is_pinned(res):
         assert math.isclose(float(gathered @ gathered), square, rel_tol=1e-14)
         if res == 3:
             assert hashlib.sha256(gathered.tobytes()).hexdigest() == sha
+
+
+def unique_edge_step(grid):
+    """The sphere's default step as ``np.unique`` lists the mesh edges: 1.15
+    sqrt(r times the mean geodesic edge length), capped at 0.9 of a quarter
+    injectivity radius."""
+    r, faces = grid.model.radius, grid.faces
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    e.sort(axis=1)
+    a, b = np.unique(e, axis=0).T
+    dots = np.einsum("ij,ij->i", grid.coords[a], grid.coords[b]) / r**2
+    mean = float(np.mean(r * np.arccos(np.clip(dots, -1.0, 1.0))))
+    return min(1.15 * math.sqrt(mean * r), 0.9 * grid.model.injectivity_radius() / 4.0)
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("res", range(7))
+def test_default_step_is_the_unique_edge_formula(radius, res):
+    grid = build_grid(Sphere(2, radius), res)
+    assert np.float64(grid.h).tobytes() == np.float64(unique_edge_step(grid)).tobytes()
+
+
+@pytest.mark.parametrize("model, res", [(Sphere(2, 1.5), 2), (FlatTorus([1.0, 0.7]), 8)],
+                         ids=["sphere", "torus"])
+def test_stencil_invariants_refuse_a_bad_stack_or_step(model, res):
+    grid = build_grid(model, res)
+    data = grid.stack.data
+    kept = data[0]
+    for value, match in ((-1e-6, "nonnegative"), (np.nan, "nonnegative"),
+                         (kept + 1e-6, "sum to one")):
+        data[0] = value
+        with pytest.raises(PreconditionError, match=match):
+            grids._check_stencil_invariants(grid)
+        data[0] = kept
+    grids._check_stencil_invariants(grid)
+    # an empty row sums to 0 (the last row: reduceat has no entry to start it at)
+    empty = grid.stack.copy()
+    empty.data[empty.indptr[-2]:] = 0.0
+    empty.eliminate_zeros()
+    assert empty.indptr[-2] == empty.indptr[-1]
+    with pytest.raises(PreconditionError, match="sum to one"):
+        grids._check_stencil_invariants(dataclasses.replace(grid, stack=empty))
+    with pytest.raises(PreconditionError, match="quarter injectivity radius"):
+        build_grid(model, res, h=model.injectivity_radius() / 4.0)
+
+
+BUILD_DIGESTS = """
+import hashlib
+import numpy as np
+from riemvisc import Sphere, build_grid
+grid = build_grid(Sphere(2, 1.0), 5)
+arrays = {"coords": grid.coords, "frames": grid.frames, "h": np.float64(grid.h)}
+for name, mat in (("stack", grid.stack), ("half", grid.stack_for(grid.h / 2))):
+    arrays.update({f"{name}.{part}": getattr(mat, part) for part in ("data", "indices", "indptr")})
+for name, arr in arrays.items():
+    print(name, arr.dtype, arr.shape, hashlib.sha256(arr.tobytes()).hexdigest())
+"""
+
+
+def test_build_is_bitwise_across_blas_thread_counts():
+    # coords, frames, h and every CSR array of the res-5 stacks at h and h / 2
+    # are the same bytes whether OpenBLAS runs one thread or two
+    src = str(Path(grids.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run([sys.executable, "-c", BUILD_DIGESTS], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert len(outs[0].splitlines()) == 9
+    assert outs[0] == outs[1]
 
 
 # --------------------------------------------------------------------- #
